@@ -161,7 +161,7 @@ func TestAdaptiveOptionValidation(t *testing.T) {
 	} {
 		opts := adaptiveOptions(1)
 		tc.mut(&opts)
-		_, _, err := valuationBudget(opts)
+		_, err := valuationBudget(opts)
 		if err == nil {
 			t.Errorf("%s: accepted, want error", tc.name)
 			continue
@@ -175,21 +175,21 @@ func TestAdaptiveOptionValidation(t *testing.T) {
 	opts := adaptiveOptions(1)
 	opts.MonteCarloSamples = 0
 	opts.MaxPermutations = 40
-	budget, adaptive, err := valuationBudget(opts)
-	if err != nil || !adaptive || budget != 40 {
-		t.Fatalf("MaxPermutations-only budget = (%d, %v, %v), want (40, true, nil)", budget, adaptive, err)
+	budget, err := valuationBudget(opts)
+	if err != nil || budget != 40 {
+		t.Fatalf("MaxPermutations-only budget = (%d, %v), want (40, nil)", budget, err)
 	}
 	// Matching explicit values are accepted.
 	opts.MonteCarloSamples = 40
-	if _, _, err := valuationBudget(opts); err != nil {
+	if _, err := valuationBudget(opts); err != nil {
 		t.Fatalf("matching budgets rejected: %v", err)
 	}
 	// Fixed-budget and exact submissions are untouched.
 	opts = adaptiveOptions(1)
 	opts.Tolerance = 0
-	budget, adaptive, err = valuationBudget(opts)
-	if err != nil || adaptive || budget != 40 {
-		t.Fatalf("fixed budget = (%d, %v, %v), want (40, false, nil)", budget, adaptive, err)
+	budget, err = valuationBudget(opts)
+	if err != nil || budget != 40 {
+		t.Fatalf("fixed budget = (%d, %v), want (40, nil)", budget, err)
 	}
 }
 

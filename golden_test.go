@@ -1,0 +1,176 @@
+package comfedsv
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+)
+
+// goldenSum is the hex SHA-256 of b.
+func goldenSum(b []byte) string {
+	s := sha256.Sum256(b)
+	return hex.EncodeToString(s[:])
+}
+
+// goldenValuation drives a staged Valuation serially and returns the
+// JSON report plus one "lo,hi,ok,digest" line per observation shard, in
+// scheduling order across every wave.
+func goldenValuation(t *testing.T, tr *TrainedRun, opts Options) (report []byte, shards string) {
+	t.Helper()
+	ctx := context.Background()
+	v := NewValuation(tr, opts)
+	pending, err := v.Prepare(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	for pending > 0 {
+		for i := 0; i < pending; i++ {
+			if err := v.ObserveShard(ctx, next+i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next += pending
+		if pending, err = v.Complete(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := v.Extract(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report, err = json.Marshal(rep); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for shard := 0; shard < v.Shards(); shard++ {
+		lo, hi, ok := v.ShardSlice(shard)
+		fmt.Fprintf(&b, "%d,%d,%v,%s\n", lo, hi, ok, v.ShardDigest(shard))
+	}
+	return report, b.String()
+}
+
+// TestGoldenReportsAndShardDigests pins report bytes, shard slices, shard
+// digests, and the worker wire payload to constants, so they cannot drift
+// between versions. Recovery re-derives shard digests and compares them
+// against journals an earlier binary wrote, and stored reports are served
+// as-is. A refactor that keeps every within-version determinism suite
+// green but changes any of these bytes would break both silently; this
+// test is the cross-version tripwire. Floating-point results depend on
+// whether the compiler fuses multiply-adds, which Go permits on some
+// architectures, so the constants are pinned for amd64 only.
+func TestGoldenReportsAndShardDigests(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden constants are pinned on amd64; GOARCH=%s may fuse multiply-adds", runtime.GOARCH)
+	}
+	clients, test := makeClients(t, 6, 20, 40, 331)
+	base := DefaultOptions(10)
+	base.Rounds = 5
+	base.ClientsPerRound = 2
+	base.Model = MLP
+	base.HiddenUnits = 6
+	base.LearningRate = 0.1
+	base.Seed = 331
+	tr, err := TrainCtx(context.Background(), clients, test, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name                string
+		samples, shards     int
+		tolerance           float64
+		wantReport, wantSha string
+	}{
+		{
+			"exact", 0, 1, 0,
+			"510e9ee636c8b9bca8c01564b34e7dc3c10b3f017fb123d234dc33a587283726",
+			"1548f0266e25f908a0a4dbe5ce1db86051ee613bd20f3bad8b35a8f532d35888",
+		},
+		{
+			"fixed/1", 25, 1, 0,
+			"df821586e52705b9f47058a0ee8ec43c347a7bbb6da2fb07a08d299335b27f98",
+			"336377bafcf1fa4c890372b9a2706695816f8c341424438c0fb9f400ad330415",
+		},
+		{
+			"fixed/3", 25, 3, 0,
+			"df821586e52705b9f47058a0ee8ec43c347a7bbb6da2fb07a08d299335b27f98",
+			"b6844e1ea4a1eaf9ef24cd5f9779b447eace48579060c43faed3ba9aa704889c",
+		},
+		{
+			"fixed/7/4", 7, 4, 0,
+			"6010cefc1c6cd2c9c178df5783a352a952ab744e0bcaa294de571509a199b67d",
+			"bfa5c509f8fbc0e6a31cdeba1ccdf40dd75faccc5f5d793db29615be84a15105",
+		},
+		{
+			"fixed/over-sharded", 25, 64, 0,
+			"df821586e52705b9f47058a0ee8ec43c347a7bbb6da2fb07a08d299335b27f98",
+			"c43be393bfbfa44f690a5e515f284f1bb039b671d9f2e823e1ef21ad9d405dac",
+		},
+		{
+			"tolerance/early-stop/1", 40, 1, 100,
+			"8d872214153a902fd4c0ed849082a58b9993dfc7ae311a2ef9d9e137fbfee5df",
+			"1931b9cb761a929008da66c2794b99dace61d41ac10921fc2553eb9f32796cb4",
+		},
+		{
+			"tolerance/early-stop/3", 40, 3, 100,
+			"8d872214153a902fd4c0ed849082a58b9993dfc7ae311a2ef9d9e137fbfee5df",
+			"cff50696e3d184b5b2df9827cc60058bfe8682b1b25eae5d6e3b8a88472d67e5",
+		},
+		{
+			"tolerance/exhausted/1", 40, 1, 1e-9,
+			"347dd7e932a50914684bfcd4666a632abaa399335500377b0f0839abc7ee67fb",
+			"ea3e0a0de884e27150ba531a3eeb47271bf09ad1e9c347d307131f72252cfcd7",
+		},
+		{
+			"tolerance/exhausted/3", 40, 3, 1e-9,
+			"347dd7e932a50914684bfcd4666a632abaa399335500377b0f0839abc7ee67fb",
+			"dedcb25c37a450a413dd6c5c60523512214b1002fbbcd50b66393a98f78517fd",
+		},
+	} {
+		opts := base
+		opts.MonteCarloSamples = tc.samples
+		opts.Shards = tc.shards
+		opts.Tolerance = tc.tolerance
+		report, shards := goldenValuation(t, tr, opts)
+		if got := goldenSum(report); got != tc.wantReport {
+			t.Errorf("%s: report sha256 %s, want %s\n%s", tc.name, got, tc.wantReport, report)
+		}
+		if got := goldenSum([]byte(shards)); got != tc.wantSha {
+			t.Errorf("%s: shard slices/digests sha256 %s, want %s\n%s", tc.name, got, tc.wantSha, shards)
+		}
+	}
+
+	// The inline path serializes to the same bytes as the staged one.
+	opts := base
+	opts.MonteCarloSamples = 25
+	opts.Shards = 3
+	rep, err := ValueCtx(context.Background(), clients, test, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(rep)
+	staged, _ := goldenValuation(t, tr, opts)
+	if string(body) != string(staged) {
+		t.Errorf("inline report differs from staged:\n%s\nvs\n%s", body, staged)
+	}
+
+	// The remote-worker payload for one lease.
+	obs, err := NewShardObserver(context.Background(), tr, 25, base.Seed, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := obs.ObserveSlice(context.Background(), 3, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, _ := json.Marshal(payload)
+	if got, want := goldenSum(wire), "4a00de5aad4dd4bc8395bf745686316598a310630a11f203d1628e1dc5af9fcc"; got != want {
+		t.Errorf("ObserveSlice payload sha256 %s, want %s\n%s", got, want, wire)
+	}
+}

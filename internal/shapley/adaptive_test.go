@@ -10,24 +10,24 @@ import (
 	"comfedsv/internal/utility"
 )
 
-// adaptiveConfig is a small adaptive config exercised by the plan tests:
+// adaptiveConfig is a small tolerance config exercised by the plan tests:
 // budget 64 cuts into waves [16, 32, 64].
-func adaptiveConfig(shards int, tol float64) AdaptiveConfig {
-	cfg := AdaptiveConfig{MonteCarloConfig: DefaultMonteCarloConfig(6, 3, 51)}
+func adaptiveConfig(shards int, tol float64) MonteCarloConfig {
+	cfg := DefaultMonteCarloConfig(6, 3, 51)
 	cfg.Samples = 64
 	cfg.Shards = shards
 	cfg.Tolerance = tol
 	return cfg
 }
 
-// runAdaptive drives an adaptive plan the way the scheduler would:
+// runAdaptive drives a tolerance plan the way the scheduler would:
 // observe every pending shard (optionally concurrently), Advance, repeat
 // until Advance returns 0, then Extract.
-func runAdaptive(t *testing.T, cfg AdaptiveConfig, concurrent bool) (*AdaptivePlan, *MonteCarloResult) {
+func runAdaptive(t *testing.T, cfg MonteCarloConfig, concurrent bool) (*MonteCarloPlan, *MonteCarloResult) {
 	t.Helper()
 	ctx := context.Background()
 	e := duplicatedEvaluator(t, 500)
-	p, err := NewAdaptivePlan(ctx, e, cfg)
+	p, err := NewMonteCarloPlan(ctx, e, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestAdaptiveEarlyStopSavesObservationsWithinTolerance(t *testing.T) {
 	// Accuracy: the early-stopped estimates track the exhausted-budget
 	// fixed pipeline within the requested tolerance.
 	e := duplicatedEvaluator(t, 500)
-	fixed, err := MonteCarlo(e, adaptiveConfig(1, tol).MonteCarloConfig)
+	fixed, err := MonteCarlo(e, adaptiveConfig(1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestAdaptiveTightToleranceExhaustsBudget(t *testing.T) {
 		t.Fatalf("expected 3 waves for budget 64, got %v", p.Waves())
 	}
 	e := duplicatedEvaluator(t, 500)
-	fixed, err := MonteCarlo(e, adaptiveConfig(1, 1e-12).MonteCarloConfig)
+	fixed, err := MonteCarlo(e, adaptiveConfig(1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,15 +201,15 @@ func TestAdaptiveTightToleranceExhaustsBudget(t *testing.T) {
 // TestAdaptiveToleranceValidation pins the constructor's input contract.
 func TestAdaptiveToleranceValidation(t *testing.T) {
 	e := duplicatedEvaluator(t, 500)
-	for _, tol := range []float64{0, -0.1, math.NaN(), math.Inf(1)} {
+	for _, tol := range []float64{-0.1, math.NaN(), math.Inf(1)} {
 		cfg := adaptiveConfig(1, tol)
-		if _, err := NewAdaptivePlan(context.Background(), e, cfg); err == nil {
+		if _, err := NewMonteCarloPlan(context.Background(), e, cfg); err == nil {
 			t.Errorf("tolerance %v accepted, want error", tol)
 		}
 	}
 	cfg := adaptiveConfig(1, 0.1)
 	cfg.Samples = 0
-	if _, err := NewAdaptivePlan(context.Background(), e, cfg); err == nil {
+	if _, err := NewMonteCarloPlan(context.Background(), e, cfg); err == nil {
 		t.Error("zero sample budget accepted, want error")
 	}
 }
@@ -220,7 +220,7 @@ func TestAdaptiveToleranceValidation(t *testing.T) {
 func TestAdaptiveStageOrderErrors(t *testing.T) {
 	ctx := context.Background()
 	e := duplicatedEvaluator(t, 500)
-	p, err := NewAdaptivePlan(ctx, e, adaptiveConfig(2, 0.05))
+	p, err := NewMonteCarloPlan(ctx, e, adaptiveConfig(2, 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestAdaptiveStageOrderErrors(t *testing.T) {
 func TestAdaptiveCancellationMidWave(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	e := duplicatedEvaluator(t, 500)
-	p, err := NewAdaptivePlan(ctx, e, adaptiveConfig(2, 1e-12))
+	p, err := NewMonteCarloPlan(ctx, e, adaptiveConfig(2, 1e-12))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,11 +85,20 @@ type MonteCarloConfig struct {
 	// count: cells are evaluated by a deterministic pipeline and recorded
 	// into the Store in the serial order.
 	Workers int
-	// Shards splits the observation stage into that many disjoint
+	// Shards splits each observation wave into that many disjoint
 	// permutation slices (0 means 1). MonteCarloCtx runs them serially;
 	// schedulers use MonteCarloPlan to run them concurrently. The estimate
 	// is bit-identical for every shard count.
 	Shards int
+	// Tolerance, when positive, makes Samples a permutation budget rather
+	// than a fixed count: sampling proceeds in doubling waves, and after
+	// each wave the plan re-completes the utility matrix and re-estimates
+	// every client over all permutations merged so far, stopping once the
+	// largest absolute per-client change from the previous wave is at most
+	// Tolerance (or the budget is exhausted). 0 is the fixed-budget
+	// schedule: one wave of all Samples permutations. Negative, NaN, and
+	// infinite values are rejected.
+	Tolerance float64
 }
 
 // DefaultMonteCarloConfig returns M ≈ 2·N·ln(N) samples and the default
@@ -127,23 +136,23 @@ func MonteCarlo(e utility.Source, cfg MonteCarloConfig) (*MonteCarloResult, erro
 // steps, and per permutation during setup and estimation. The matrix-
 // completion solve itself is not interruptible but is bounded by
 // cfg.Completion.MaxIter. It drives a MonteCarloPlan's stages serially —
-// observation shards one after another — so the result is byte-identical
-// to a scheduler running the same plan's shards concurrently.
+// each wave's observation shards one after another, then Advance, until
+// the plan finishes — so the result is byte-identical to a scheduler
+// running the same plan's shards concurrently.
 func MonteCarloCtx(ctx context.Context, e utility.Source, cfg MonteCarloConfig) (*MonteCarloResult, error) {
 	p, err := NewMonteCarloPlan(ctx, e, cfg)
 	if err != nil {
 		return nil, err
 	}
-	for shard := 0; shard < p.Shards(); shard++ {
-		if err := p.ObserveShard(ctx, shard); err != nil {
+	for next := 0; next < p.Shards(); {
+		for ; next < p.Shards(); next++ {
+			if err := p.ObserveShard(ctx, next); err != nil {
+				return nil, err
+			}
+		}
+		if _, err := p.Advance(ctx); err != nil {
 			return nil, err
 		}
-	}
-	if err := p.Merge(ctx); err != nil {
-		return nil, err
-	}
-	if err := p.Complete(ctx); err != nil {
-		return nil, err
 	}
 	return p.Extract(ctx)
 }

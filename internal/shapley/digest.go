@@ -52,12 +52,3 @@ func (p *MonteCarloPlan) ShardDigest(shard int) string {
 	}
 	return shardDigest(p.shardVals[shard])
 }
-
-// ShardDigest returns the content hash of an observed shard's evaluated
-// cells, or "" if the shard has not been observed yet.
-func (p *AdaptivePlan) ShardDigest(shard int) string {
-	if shard < 0 || shard >= len(p.shardVals) {
-		return ""
-	}
-	return shardDigest(p.shardVals[shard])
-}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"comfedsv/internal/mat"
 	"comfedsv/internal/mc"
@@ -21,26 +22,36 @@ type obsCell struct{ round, col int }
 // over a shared worker pool instead of binding one whole valuation to one
 // worker:
 //
-//	setup (NewMonteCarloPlan)   sample permutations, register prefix columns
-//	observe (ObserveShard × S)  disjoint permutation slices evaluate their
-//	                            prefix cells through the shared source
-//	merge (Merge)               record values into the store in the exact
-//	                            serial-pipeline order
-//	complete (Complete)         solve the reduced problem (13)
-//	extract (Extract)           estimate ComFedSV via the permutation form (12)
+//	setup (NewMonteCarloPlan)   sample the full budget of permutations,
+//	                            register prefix columns, cut wave bounds
+//	observe (ObserveShard × k)  the current wave's disjoint permutation
+//	                            slices evaluate their prefix cells
+//	advance (Advance)           merge the wave in serial order, solve the
+//	                            reduced problem (13) (warm-started from the
+//	                            previous wave's factors), estimate every
+//	                            client via the permutation form (12), and
+//	                            apply the convergence rule — returning
+//	                            either the next wave's shard count or 0
+//	extract (Extract)           assemble the result from the last wave
+//
+// A fixed budget (Tolerance 0) is the one-wave schedule: its single wave
+// covers every permutation and one Advance finishes the plan. A tolerance
+// cuts the budget into doubling waves (waveBounds) and stops as soon as
+// the estimates stabilize.
 //
 // Determinism is the contract: for any shard count, any shard execution
 // order, and any concurrency between shards, the merged observation list —
-// and therefore the completion and the final values — is byte-identical to
-// the single-shard serial pipeline's. Two mechanisms make that hold: cell
-// values are deterministic memoized functions of the trace (overlapping
-// cells across shards agree, and the source's in-flight dedup pays each
-// test loss once), and Merge re-walks the full serial visit order rather
-// than concatenating shard outputs.
+// and therefore the completion, the stopping wave, and the final values —
+// is byte-identical to the single-shard serial pipeline's. Cell values are
+// deterministic memoized functions of the trace (overlapping cells across
+// shards agree, and the source's in-flight dedup pays each test loss
+// once); Advance re-walks the wave's serial visit order rather than
+// concatenating shard outputs; the wave bounds are a pure function of the
+// budget; and the convergence rule reads only the merged estimates.
 //
-// ObserveShard calls for distinct shards are safe to run concurrently; the
-// other stages are serial checkpoints (Merge after every shard, Complete
-// after Merge, Extract after Complete).
+// ObserveShard calls for the current wave's shards are safe to run
+// concurrently; Advance must be called only after every shard it scheduled
+// has returned, and is itself a serial checkpoint.
 type MonteCarloPlan struct {
 	src utility.Source
 	cfg MonteCarloConfig
@@ -51,20 +62,47 @@ type MonteCarloPlan struct {
 	prefixCols [][]int
 	selected   []utility.Set // per-round selection bitsets
 	store      *utility.Store
-	nshards    int
 
-	shardVals  []map[obsCell]float64 // per-shard evaluated cells
-	merged     bool
+	bounds    []int       // cumulative permutation counts per wave, last == budget
+	wave      int         // index of the wave currently being observed
+	slices    []waveSlice // global shard id → permutation slice
+	shardVals []map[obsCell]float64
+
+	est        []float64
 	completion *mc.Result
+	stats      []WaveStat
+	finished   bool
 }
 
-// NewMonteCarloPlan samples the permutations and registers every prefix
-// column, returning a plan whose observation stage is split into
-// cfg.Shards disjoint permutation slices (0 means 1; the count is clamped
-// to the number of permutations so every shard owns at least one).
+// waveSlice is one observation shard's permutation range within its wave.
+type waveSlice struct{ wave, lo, hi int }
+
+// WaveStat describes one completed sampling wave of a plan.
+type WaveStat struct {
+	// Samples is the cumulative number of permutations merged after this
+	// wave (the wave's convergence-check point).
+	Samples int
+	// Shards is how many observation shards the wave was split into.
+	Shards int
+	// CompletionIterations is the ALS sweep count of the wave's completion
+	// solve — warm-started waves should need far fewer than the first.
+	CompletionIterations int
+	// MaxDelta is the largest absolute per-client change from the previous
+	// wave's estimate, −1 for the first wave (nothing to compare against).
+	MaxDelta float64
+}
+
+// NewMonteCarloPlan samples the permutations, registers every prefix
+// column, and schedules the first wave: all cfg.Samples permutations for a
+// fixed budget, waveBounds(cfg.Samples)[0] under a tolerance. A wave is
+// split into cfg.Shards disjoint permutation slices (0 means 1; the count
+// is clamped to the wave's permutations so every shard owns at least one).
 func NewMonteCarloPlan(ctx context.Context, e utility.Source, cfg MonteCarloConfig) (*MonteCarloPlan, error) {
 	if cfg.Samples <= 0 {
 		return nil, fmt.Errorf("shapley: non-positive Monte-Carlo sample count %d", cfg.Samples)
+	}
+	if !(cfg.Tolerance >= 0) || math.IsInf(cfg.Tolerance, 1) {
+		return nil, fmt.Errorf("shapley: tolerance must be 0 (fixed budget) or positive and finite, got %v", cfg.Tolerance)
 	}
 	n := e.Run().NumClients()
 	t := len(e.Run().Rounds)
@@ -88,7 +126,7 @@ func NewMonteCarloPlan(ctx context.Context, e utility.Source, cfg MonteCarloConf
 	// Register every prefix column and remember its dense index per
 	// permutation position: prefixCols[m][j] is the column of the first
 	// j+1 elements of permutation m. Registration is the only store
-	// mutation before Merge, so concurrent shards may read column sets
+	// mutation before Advance, so concurrent shards may read column sets
 	// freely.
 	prefixCols := make([][]int, cfg.Samples)
 	for m, perm := range perms {
@@ -109,14 +147,11 @@ func NewMonteCarloPlan(ctx context.Context, e utility.Source, cfg MonteCarloConf
 		selected[round] = utility.FromMembers(n, rd.Selected)
 	}
 
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = 1
+	bounds := []int{cfg.Samples}
+	if cfg.Tolerance > 0 {
+		bounds = waveBounds(cfg.Samples)
 	}
-	if shards > cfg.Samples {
-		shards = cfg.Samples
-	}
-	return &MonteCarloPlan{
+	p := &MonteCarloPlan{
 		src:        e,
 		cfg:        cfg,
 		n:          n,
@@ -125,22 +160,86 @@ func NewMonteCarloPlan(ctx context.Context, e utility.Source, cfg MonteCarloConf
 		prefixCols: prefixCols,
 		selected:   selected,
 		store:      store,
-		nshards:    shards,
-		shardVals:  make([]map[obsCell]float64, shards),
-	}, nil
+		bounds:     bounds,
+	}
+	p.scheduleWave()
+	return p, nil
 }
 
-// Shards returns the number of observation shards.
-func (p *MonteCarloPlan) Shards() int { return p.nshards }
-
-// shardRange returns the half-open permutation slice [lo, hi) owned by a
-// shard: contiguous, disjoint, and covering all permutations.
-func (p *MonteCarloPlan) shardRange(shard int) (lo, hi int) {
-	if shard < 0 || shard >= p.nshards {
-		panic(fmt.Sprintf("shapley: observation shard %d out of [0,%d)", shard, p.nshards))
+// waveBounds cuts a permutation budget into the cumulative check points of
+// the tolerance schedule: the first wave is budget/8 (at least 16, at most
+// the budget) and each later wave doubles the cumulative count until the
+// budget is reached. Doubling keeps the number of completion solves
+// logarithmic in the budget while the early check points stay cheap enough
+// that a fast-converging job saves most of its observations. The bounds
+// are a pure function of the budget — never of shard count, worker count,
+// or anything observed at run time — which is what lets the stopping
+// decision stay byte-identical across scheduling configurations.
+func waveBounds(budget int) []int {
+	first := budget / 8
+	if first < 16 {
+		first = 16
 	}
-	m := len(p.perms)
-	return shard * m / p.nshards, (shard + 1) * m / p.nshards
+	if first > budget {
+		first = budget
+	}
+	bounds := []int{first}
+	for last := first; last < budget; {
+		last *= 2
+		if last > budget {
+			last = budget
+		}
+		bounds = append(bounds, last)
+	}
+	return bounds
+}
+
+// waveRange returns the half-open permutation range [lo, hi) of wave w.
+func (p *MonteCarloPlan) waveRange(w int) (lo, hi int) {
+	if w > 0 {
+		lo = p.bounds[w-1]
+	}
+	return lo, p.bounds[w]
+}
+
+// scheduleWave appends the current wave's shard slices (contiguous,
+// disjoint, covering the wave's permutations) and returns how many it
+// added. The requested shard count is clamped to the wave's permutation
+// count so every shard owns at least one permutation.
+func (p *MonteCarloPlan) scheduleWave() int {
+	lo, hi := p.waveRange(p.wave)
+	k := p.cfg.Shards
+	if k <= 0 {
+		k = 1
+	}
+	if k > hi-lo {
+		k = hi - lo
+	}
+	for i := 0; i < k; i++ {
+		p.slices = append(p.slices, waveSlice{
+			wave: p.wave,
+			lo:   lo + i*(hi-lo)/k,
+			hi:   lo + (i+1)*(hi-lo)/k,
+		})
+		p.shardVals = append(p.shardVals, nil)
+	}
+	return k
+}
+
+// Shards returns the number of observation shards scheduled so far (the
+// first wave's count right after construction; Advance grows it).
+func (p *MonteCarloPlan) Shards() int { return len(p.slices) }
+
+// Waves returns the per-wave statistics recorded by Advance so far.
+func (p *MonteCarloPlan) Waves() []WaveStat { return p.stats }
+
+// Used returns the number of permutations the finished plan consumed, or
+// 0 before Advance has returned 0.
+func (p *MonteCarloPlan) Used() int {
+	if !p.finished {
+		return 0
+	}
+	return p.bounds[p.wave]
 }
 
 // walkPrefixes visits every (round, prefix-column) observation cell for
@@ -165,14 +264,14 @@ func (p *MonteCarloPlan) walkPrefixes(ctx context.Context, lo, hi int, visit fun
 	return nil
 }
 
-// ObserveShard collects the distinct prefix cells reachable from the
-// shard's permutations and evaluates them through the plan's source on a
-// bounded pool (cfg.Workers per shard). Distinct shards may run
-// concurrently — even across plans sharing one evaluator — because the
-// source memoizes and deduplicates in-flight evaluations; a cell two
+// ObserveShard collects the distinct prefix cells reachable from one
+// scheduled shard's permutation slice and evaluates them through the
+// plan's source on a bounded pool (cfg.Workers per shard). Distinct shards
+// may run concurrently — even across plans sharing one evaluator — because
+// the source memoizes and deduplicates in-flight evaluations; a cell two
 // shards both reach is paid for once.
 func (p *MonteCarloPlan) ObserveShard(ctx context.Context, shard int) error {
-	lo, hi := p.shardRange(shard)
+	lo, hi := p.ShardSlice(shard)
 	vals, err := p.observeRange(ctx, lo, hi)
 	if err != nil {
 		return err
@@ -184,8 +283,7 @@ func (p *MonteCarloPlan) ObserveShard(ctx context.Context, shard int) error {
 // observeRange collects the distinct prefix cells reachable from the
 // permutation slice [lo, hi) and evaluates them through the plan's
 // source, returning the evaluated-cell map without touching any shard
-// state. It backs the local observe stages of both plan kinds and the
-// worker-side ObserveSlice.
+// state. It backs ObserveShard and the worker-side ObserveSlice.
 func (p *MonteCarloPlan) observeRange(ctx context.Context, lo, hi int) (map[obsCell]float64, error) {
 	seen := make(map[obsCell]bool)
 	var keys []obsCell
@@ -213,93 +311,143 @@ func (p *MonteCarloPlan) observeRange(ctx context.Context, lo, hi int) (map[obsC
 	return shardVals, nil
 }
 
-// Merge records the shard-evaluated cells into the store by re-walking the
-// full serial visit order, so the observation list is byte-identical to
-// the single-shard pipeline's regardless of how many shards ran or in what
-// order they finished. Every shard must have been observed first.
-func (p *MonteCarloPlan) Merge(ctx context.Context) error {
+// Advance is the wave checkpoint: it merges the current wave's shard
+// observations into the store in deterministic serial order, solves the
+// completion (warm-started from the previous wave's factors, so the
+// re-solve converges in a fraction of the sweeps), re-estimates every
+// client over all merged permutations, and applies the convergence rule.
+// It returns the number of newly scheduled observation shards — 0 means
+// the plan converged (or exhausted its budget) and Extract may run. Every
+// shard scheduled so far must have been observed first.
+func (p *MonteCarloPlan) Advance(ctx context.Context) (more int, err error) {
+	if p.finished {
+		return 0, errors.New("shapley: Advance after the plan finished")
+	}
+	lo, hi := p.waveRange(p.wave)
+
+	// Merge the wave: union its shard maps (overlapping cells carry equal
+	// values — the source is a deterministic memoized function of the
+	// trace), then record the wave's *new* cells by re-walking the wave's
+	// permutation range in the serial pipeline's visit order. Cells already
+	// observed by an earlier wave are ignored by the store, so the merged
+	// observation list is identical to a serial pipeline that walked wave
+	// after wave — regardless of shard count or completion order.
 	combined := make(map[obsCell]float64)
-	for shard, vals := range p.shardVals {
-		if vals == nil {
-			return fmt.Errorf("shapley: observation shard %d/%d was not run before merge", shard, p.nshards)
+	shards := 0
+	for shard, sl := range p.slices {
+		if sl.wave != p.wave {
+			continue
 		}
-		// Overlapping cells across shards carry equal values (the source
-		// is a deterministic memoized function of the trace), so the
-		// union is well defined.
+		vals := p.shardVals[shard]
+		if vals == nil {
+			return 0, fmt.Errorf("shapley: observation shard %d (wave %d) was not run before Advance", shard, p.wave)
+		}
 		for k, v := range vals {
 			combined[k] = v
 		}
+		shards++
 	}
 	var missing error
-	err := p.walkPrefixes(ctx, 0, len(p.perms), func(round, col int) {
+	err = p.walkPrefixes(ctx, lo, hi, func(round, col int) {
 		v, ok := combined[obsCell{round: round, col: col}]
 		if !ok && missing == nil {
-			// Cannot happen while shardRange covers every permutation; a
+			// Cannot happen while the wave's slices cover its range; a
 			// loud failure beats silently observing a zero utility.
 			missing = fmt.Errorf("shapley: merge visited cell (%d,%d) no shard evaluated", round, col)
 		}
-		// Store.Observe ignores duplicates, so the first serial-order
-		// visit of each cell wins — exactly the serial pipeline's list.
 		p.store.Observe(round, p.store.ColumnSet(col), v)
 	})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if missing != nil {
-		return missing
+		return 0, missing
 	}
-	p.merged = true
-	return nil
+
+	// Complete over everything merged so far. The factor shapes are fixed
+	// by the full-budget column registration, so the previous wave's
+	// factors align row-for-row and warm-start the solve; a warm solve
+	// needs no restarts — its job is refinement, not basin search.
+	cc := p.cfg.Completion
+	if cc.Workers == 0 {
+		cc.Workers = p.cfg.Workers
+	}
+	if p.completion != nil {
+		cc.Warm = &mc.Warm{W: p.completion.W, H: p.completion.H}
+		cc.Restarts = 1
+	}
+	res, err := mc.Complete(toEntries(p.store.Observations()), p.t, p.store.NumColumns(), cc)
+	if err != nil {
+		return 0, fmt.Errorf("shapley: completing reduced utility matrix (wave %d): %w", p.wave, err)
+	}
+	est, err := p.estimate(ctx, hi, res)
+	if err != nil {
+		return 0, err
+	}
+
+	// The convergence rule — a pure function of the merged estimates: stop
+	// once no client's estimate moved more than the tolerance since the
+	// previous wave. The first wave has nothing to compare against and
+	// never stops early (MaxDelta −1).
+	delta := -1.0
+	converged := false
+	if p.wave > 0 {
+		delta = 0
+		for i, v := range est {
+			if d := math.Abs(v - p.est[i]); d > delta {
+				delta = d
+			}
+		}
+		converged = delta <= p.cfg.Tolerance
+	}
+	p.stats = append(p.stats, WaveStat{
+		Samples:              hi,
+		Shards:               shards,
+		CompletionIterations: res.Iterations,
+		MaxDelta:             delta,
+	})
+	p.completion = res
+	p.est = est
+
+	if converged || p.wave == len(p.bounds)-1 {
+		p.finished = true
+		return 0, nil
+	}
+	p.wave++
+	return p.scheduleWave(), nil
 }
 
-// Complete solves the reduced matrix-completion problem (13) over the
-// merged observations.
-func (p *MonteCarloPlan) Complete(ctx context.Context) error {
-	if !p.merged {
-		return errors.New("shapley: Complete before Merge")
+// Extract assembles the result from the last wave's completion and
+// estimates. The unobserved-column diagnostic counts only columns
+// reachable from the permutations actually used — columns registered for
+// the unsampled remainder of a tolerance run's budget are not "missing",
+// they were deliberately skipped.
+func (p *MonteCarloPlan) Extract(ctx context.Context) (*MonteCarloResult, error) {
+	if !p.finished {
+		return nil, errors.New("shapley: Extract before the plan finished")
 	}
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
-	completion := p.cfg.Completion
-	if completion.Workers == 0 {
-		completion.Workers = p.cfg.Workers
-	}
-	res, err := mc.Complete(toEntries(p.store.Observations()), p.t, p.store.NumColumns(), completion)
-	if err != nil {
-		return fmt.Errorf("shapley: completing reduced utility matrix: %w", err)
-	}
-	p.completion = res
-	return nil
-}
-
-// Extract estimates ComFedSV via the permutation form (12) from the
-// completed factorization.
-func (p *MonteCarloPlan) Extract(ctx context.Context) (*MonteCarloResult, error) {
-	if p.completion == nil {
-		return nil, errors.New("shapley: Extract before Complete")
-	}
-	res := p.completion
-
-	// Count never-observed columns (diagnostic for Assumption 1).
 	observed := make([]bool, p.store.NumColumns())
 	for _, o := range p.store.Observations() {
 		observed[o.Col] = true
 	}
+	reachable := make([]bool, p.store.NumColumns())
+	for _, cols := range p.prefixCols[:p.Used()] {
+		for _, c := range cols {
+			reachable[c] = true
+		}
+	}
 	missing := 0
-	for _, ok := range observed {
-		if !ok {
+	for c, ok := range reachable {
+		if ok && !observed[c] {
 			missing++
 		}
 	}
-
-	values, err := p.estimate(ctx, len(p.perms), res)
-	if err != nil {
-		return nil, err
-	}
 	return &MonteCarloResult{
-		Values:            values,
-		Completion:        res,
+		Values:            p.est,
+		Completion:        p.completion,
 		Store:             p.store,
 		UnobservedColumns: missing,
 	}, nil
@@ -308,9 +456,7 @@ func (p *MonteCarloPlan) Extract(ctx context.Context) (*MonteCarloResult, error)
 // estimate computes the per-client ComFedSV estimates ŝ_i of the
 // permutation form (12) restricted to the first m sampled permutations:
 // the average over those permutations of the summed completed marginal
-// contributions. The empty prefix has utility 0. It is shared by the
-// full-budget Extract (m = all permutations) and the adaptive plan's
-// per-wave running estimates (m = permutations merged so far).
+// contributions. The empty prefix has utility 0.
 func (p *MonteCarloPlan) estimate(ctx context.Context, m int, res *mc.Result) ([]float64, error) {
 	values := make([]float64, p.n)
 	for i, perm := range p.perms[:m] {

@@ -44,7 +44,7 @@ func TestMonteCarloShardCountInvariant(t *testing.T) {
 }
 
 // TestMonteCarloPlanShardOrderInvariant runs the shards of one plan in
-// reverse and concurrently: Merge must still record the serial order, so
+// reverse and concurrently: Advance must still record the serial order, so
 // the result matches the plain pipeline byte for byte.
 func TestMonteCarloPlanShardOrderInvariant(t *testing.T) {
 	e := duplicatedEvaluator(t, 501)
@@ -64,10 +64,7 @@ func TestMonteCarloPlanShardOrderInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := p.Merge(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Complete(ctx); err != nil {
+	if _, err := p.Advance(ctx); err != nil {
 		t.Fatal(err)
 	}
 	got, err := p.Extract(ctx)
@@ -102,10 +99,7 @@ func TestMonteCarloPlanShardOrderInvariant(t *testing.T) {
 			t.Fatalf("shard %d: %v", shard, err)
 		}
 	}
-	if err := p2.Merge(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := p2.Complete(ctx); err != nil {
+	if _, err := p2.Advance(ctx); err != nil {
 		t.Fatal(err)
 	}
 	got2, err := p2.Extract(ctx)
@@ -129,20 +123,17 @@ func TestMonteCarloPlanStageOrderErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Merge(ctx); err == nil {
-		t.Fatal("Merge before observing every shard must fail")
-	}
-	if err := p.Complete(ctx); err == nil {
-		t.Fatal("Complete before Merge must fail")
+	if _, err := p.Advance(ctx); err == nil {
+		t.Fatal("Advance before observing every shard must fail")
 	}
 	if _, err := p.Extract(ctx); err == nil {
-		t.Fatal("Extract before Complete must fail")
+		t.Fatal("Extract before Advance must fail")
 	}
 	if err := p.ObserveShard(ctx, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Merge(ctx); err == nil {
-		t.Fatal("Merge with an unobserved shard must fail")
+	if _, err := p.Advance(ctx); err == nil {
+		t.Fatal("Advance with an unobserved shard must fail")
 	}
 
 	ep, err := NewExactPlan(e, mc.DefaultConfig(3))

@@ -51,9 +51,9 @@ func exportObservations(lo, hi int, vals map[obsCell]float64) *ShardObservations
 	return &ShardObservations{Lo: lo, Hi: hi, Cells: cells, Digest: shardDigest(vals)}
 }
 
-// toMap rebuilds the evaluated-cell map. A duplicated coordinate would
-// make the recomputed digest disagree with the canonical export, so
-// Verify catches it.
+// toMap rebuilds the evaluated-cell map. It keeps the last value of a
+// repeated coordinate, so Verify rejects repeats before an import relies
+// on it.
 func (o *ShardObservations) toMap() map[obsCell]float64 {
 	vals := make(map[obsCell]float64, len(o.Cells))
 	for _, c := range o.Cells {
@@ -63,15 +63,23 @@ func (o *ShardObservations) toMap() map[obsCell]float64 {
 }
 
 // Stamp recomputes the content digest from the cells and stamps it,
-// making a hand-constructed ShardObservations pass Verify — for tests
-// and tooling that fabricate wire payloads; plan exports stamp their
-// digests during export.
+// making a hand-constructed ShardObservations with canonically ordered
+// cells pass Verify — for tests and tooling that fabricate wire payloads;
+// plan exports stamp their digests during export.
 func (o *ShardObservations) Stamp() { o.Digest = shardDigest(o.toMap()) }
 
-// Verify recomputes the content digest from the cells and checks it
-// against the stamped one, catching wire corruption, duplicated
-// coordinates, and tampering in one pass.
+// Verify checks that the cells are in strict canonical order — each
+// (round, col) strictly after its predecessor, so no coordinate repeats —
+// and that the recomputed content digest matches the stamped one,
+// catching wire corruption, duplicated or reordered cells, and tampering
+// in one pass.
 func (o *ShardObservations) Verify() error {
+	for i := 1; i < len(o.Cells); i++ {
+		a, b := o.Cells[i-1], o.Cells[i]
+		if b.Round < a.Round || (b.Round == a.Round && b.Col <= a.Col) {
+			return fmt.Errorf("shapley: shard observation cell %d (%d,%d) is not strictly after (%d,%d)", i, b.Round, b.Col, a.Round, a.Col)
+		}
+	}
 	if got := shardDigest(o.toMap()); got != o.Digest {
 		return fmt.Errorf("shapley: shard observations digest mismatch: recomputed %s, stamped %s", got, o.Digest)
 	}
@@ -83,15 +91,11 @@ func (o *ShardObservations) Verify() error {
 func (p *MonteCarloPlan) Budget() int { return len(p.perms) }
 
 // ShardSlice returns the half-open permutation slice [lo, hi) owned by a
-// planned shard — the coordinates a lease ships to a remote worker.
-func (p *MonteCarloPlan) ShardSlice(shard int) (lo, hi int) { return p.shardRange(shard) }
-
-// ShardSlice returns the half-open permutation slice [lo, hi) owned by a
-// scheduled shard (the adaptive plan's slices address the same global
-// permutation set as the fixed plan's).
-func (p *AdaptivePlan) ShardSlice(shard int) (lo, hi int) {
+// scheduled shard — the coordinates a lease ships to a remote worker. A
+// shard index the plan has not scheduled panics.
+func (p *MonteCarloPlan) ShardSlice(shard int) (lo, hi int) {
 	if shard < 0 || shard >= len(p.slices) {
-		panic(fmt.Sprintf("shapley: adaptive observation shard %d out of [0,%d)", shard, len(p.slices)))
+		panic(fmt.Sprintf("shapley: observation shard %d out of [0,%d)", shard, len(p.slices)))
 	}
 	sl := p.slices[shard]
 	return sl.lo, sl.hi
@@ -116,38 +120,27 @@ func (p *MonteCarloPlan) ObserveSlice(ctx context.Context, lo, hi int) (*ShardOb
 
 // ImportShard installs a remotely evaluated shard's observations as if
 // ObserveShard had run locally: the slice coordinates must match the
-// shard's planned range and the content digest must verify. After a
-// successful import, ShardDigest(shard) returns the imported digest and
-// Merge consumes the cells exactly as it would local ones.
+// shard's planned range, every cell must lie inside the plan's
+// dimensions, and the content digest must verify. After a successful
+// import, ShardDigest(shard) returns the imported digest and Advance
+// consumes the cells exactly as it would local ones.
 func (p *MonteCarloPlan) ImportShard(shard int, obs *ShardObservations) error {
-	lo, hi := p.shardRange(shard)
-	return importShard(obs, lo, hi, p.t, p.store.NumColumns(), &p.shardVals[shard])
-}
-
-// ImportShard installs a remotely evaluated shard's observations on an
-// adaptive plan; see MonteCarloPlan.ImportShard.
-func (p *AdaptivePlan) ImportShard(shard int, obs *ShardObservations) error {
 	lo, hi := p.ShardSlice(shard)
-	return importShard(obs, lo, hi, p.base.t, p.base.store.NumColumns(), &p.shardVals[shard])
-}
-
-// importShard validates one wire-form shard result against its planned
-// slice and the plan's dimensions, then installs the cell map.
-func importShard(obs *ShardObservations, lo, hi, rounds, cols int, dst *map[obsCell]float64) error {
 	if obs == nil {
 		return fmt.Errorf("shapley: nil shard observations")
 	}
 	if obs.Lo != lo || obs.Hi != hi {
 		return fmt.Errorf("shapley: shard observations cover permutations [%d,%d) but the planned slice is [%d,%d)", obs.Lo, obs.Hi, lo, hi)
 	}
+	cols := p.store.NumColumns()
 	for _, c := range obs.Cells {
-		if c.Round < 0 || c.Round >= rounds || c.Col < 0 || c.Col >= cols {
-			return fmt.Errorf("shapley: shard observation cell (%d,%d) outside plan dimensions %d×%d", c.Round, c.Col, rounds, cols)
+		if c.Round < 0 || c.Round >= p.t || c.Col < 0 || c.Col >= cols {
+			return fmt.Errorf("shapley: shard observation cell (%d,%d) outside plan dimensions %d×%d", c.Round, c.Col, p.t, cols)
 		}
 	}
 	if err := obs.Verify(); err != nil {
 		return err
 	}
-	*dst = obs.toMap()
+	p.shardVals[shard] = obs.toMap()
 	return nil
 }

@@ -20,10 +20,10 @@ import (
 //	Prepare        final-model metrics, FedSV, observation-plan setup
 //	ObserveShard×S disjoint Monte-Carlo permutation slices evaluate their
 //	               prefix cells (safe to run concurrently)
-//	Complete       deterministic serial-order merge into the utility
-//	               matrix, then the ALS completion solve; in adaptive
-//	               (tolerance-driven) mode it is the wave checkpoint and
-//	               may return additional observation shards to schedule
+//	Complete       the wave checkpoint: deterministic serial-order merge
+//	               into the utility matrix, then the ALS completion solve;
+//	               in tolerance mode it may return additional observation
+//	               shards to schedule
 //	Extract        Shapley extraction and report assembly
 //
 // Run drives the stages serially; Value/ValueCtx and ValueRun/ValueRunCtx
@@ -45,7 +45,6 @@ type Valuation struct {
 
 	report   *Report
 	mcPlan   *shapley.MonteCarloPlan
-	adaptive *shapley.AdaptivePlan
 	exact    *shapley.ExactPlan
 	shards   int
 	observed atomic.Int64
@@ -74,44 +73,44 @@ func (v *Valuation) emitTime(stage string, shard int, start time.Time) {
 	}
 }
 
-// valuationBudget resolves the Monte-Carlo permutation budget and the
-// valuation mode from the options: fixed budget (MonteCarloSamples, no
-// tolerance), adaptive (Tolerance plus a budget via MonteCarloSamples or
-// MaxPermutations), or exact (neither). Contradictory combinations fail
-// loudly here, before any training-trace work is spent.
-func valuationBudget(opts Options) (budget int, adaptive bool, err error) {
+// valuationBudget resolves the Monte-Carlo permutation budget from the
+// options: MonteCarloSamples for a fixed budget, MonteCarloSamples or
+// MaxPermutations under a Tolerance, or 0 for the exact pipeline.
+// Contradictory combinations fail loudly here, before any training-trace
+// work is spent.
+func valuationBudget(opts Options) (int, error) {
 	if opts.MaxPermutations < 0 {
-		return 0, false, fmt.Errorf("comfedsv: negative MaxPermutations %d", opts.MaxPermutations)
+		return 0, fmt.Errorf("comfedsv: negative MaxPermutations %d", opts.MaxPermutations)
 	}
 	if opts.Tolerance != 0 && (math.IsNaN(opts.Tolerance) || math.IsInf(opts.Tolerance, 0) || opts.Tolerance < 0) {
-		return 0, false, fmt.Errorf("comfedsv: tolerance must be positive and finite, got %v", opts.Tolerance)
+		return 0, fmt.Errorf("comfedsv: tolerance must be positive and finite, got %v", opts.Tolerance)
 	}
 	if opts.Tolerance == 0 {
 		if opts.MaxPermutations > 0 {
-			return 0, false, errors.New("comfedsv: MaxPermutations requires Tolerance; fixed-budget runs use MonteCarloSamples")
+			return 0, errors.New("comfedsv: MaxPermutations requires Tolerance; fixed-budget runs use MonteCarloSamples")
 		}
-		return opts.MonteCarloSamples, false, nil
+		return opts.MonteCarloSamples, nil
 	}
-	budget = opts.MonteCarloSamples
+	budget := opts.MonteCarloSamples
 	if opts.MaxPermutations > 0 {
 		if budget > 0 && budget != opts.MaxPermutations {
-			return 0, false, fmt.Errorf("comfedsv: MonteCarloSamples (%d) and MaxPermutations (%d) disagree", budget, opts.MaxPermutations)
+			return 0, fmt.Errorf("comfedsv: MonteCarloSamples (%d) and MaxPermutations (%d) disagree", budget, opts.MaxPermutations)
 		}
 		budget = opts.MaxPermutations
 	}
 	if budget <= 0 {
-		return 0, false, errors.New("comfedsv: Tolerance requires a positive permutation budget (MonteCarloSamples or MaxPermutations)")
+		return 0, errors.New("comfedsv: Tolerance requires a positive permutation budget (MonteCarloSamples or MaxPermutations)")
 	}
-	return budget, true, nil
+	return budget, nil
 }
 
 // Prepare computes the final-model metrics and the FedSV baseline, then
 // builds the ComFedSV observation plan. It returns the number of
 // observation shards to schedule (always 1 for the exact pipeline — its
 // observation region has no permutation structure to shard; the first
-// wave's count for an adaptive plan, whose Complete may schedule more).
+// wave's count under a tolerance, whose Complete may schedule more).
 func (v *Valuation) Prepare(ctx context.Context) (int, error) {
-	budget, adaptive, err := valuationBudget(v.opts)
+	budget, err := valuationBudget(v.opts)
 	if err != nil {
 		return 0, err
 	}
@@ -131,37 +130,21 @@ func (v *Valuation) Prepare(ctx context.Context) (int, error) {
 
 	mcCfg := mc.DefaultConfig(v.opts.Rank)
 	mcCfg.Workers = v.opts.Parallelism
-	switch {
-	case adaptive:
-		plan, err := shapley.NewAdaptivePlan(ctx, v.session, shapley.AdaptiveConfig{
-			MonteCarloConfig: shapley.MonteCarloConfig{
-				Samples:    budget,
-				Completion: mcCfg,
-				Seed:       v.opts.Seed + 1,
-				Workers:    v.opts.Parallelism,
-				Shards:     v.opts.Shards,
-			},
-			Tolerance: v.opts.Tolerance,
-		})
-		if err != nil {
-			return 0, stageErr(ctx, "valuation", err)
-		}
-		v.adaptive = plan
-		v.shards = plan.Shards()
-	case budget > 0:
+	if budget > 0 {
 		plan, err := shapley.NewMonteCarloPlan(ctx, v.session, shapley.MonteCarloConfig{
 			Samples:    budget,
 			Completion: mcCfg,
 			Seed:       v.opts.Seed + 1,
 			Workers:    v.opts.Parallelism,
 			Shards:     v.opts.Shards,
+			Tolerance:  v.opts.Tolerance,
 		})
 		if err != nil {
 			return 0, stageErr(ctx, "valuation", err)
 		}
 		v.mcPlan = plan
 		v.shards = plan.Shards()
-	default:
+	} else {
 		plan, err := shapley.NewExactPlan(v.session, mcCfg)
 		if err != nil {
 			return 0, stageErr(ctx, "valuation", err)
@@ -205,12 +188,9 @@ func (v *Valuation) Shards() int { return v.shards }
 func (v *Valuation) ObserveShard(ctx context.Context, shard int) error {
 	start := time.Now()
 	var err error
-	switch {
-	case v.adaptive != nil:
-		err = v.adaptive.ObserveShard(ctx, shard)
-	case v.mcPlan != nil:
+	if v.mcPlan != nil {
 		err = v.mcPlan.ObserveShard(ctx, shard)
-	default:
+	} else {
 		err = v.exact.Observe(ctx)
 	}
 	if err != nil {
@@ -232,14 +212,10 @@ func (v *Valuation) TrainedRun() *TrainedRun { return v.tr }
 // pipelines (no permutation structure to shard) and unobserved shards
 // return "".
 func (v *Valuation) ShardDigest(shard int) string {
-	switch {
-	case v.adaptive != nil:
-		return v.adaptive.ShardDigest(shard)
-	case v.mcPlan != nil:
-		return v.mcPlan.ShardDigest(shard)
-	default:
+	if v.mcPlan == nil {
 		return ""
 	}
+	return v.mcPlan.ShardDigest(shard)
 }
 
 // ObservationBudget returns the job's resolved permutation budget — the
@@ -247,32 +223,21 @@ func (v *Valuation) ShardDigest(shard int) string {
 // plan matches this valuation's. Exact pipelines (no permutation
 // structure) return 0; call it after Prepare.
 func (v *Valuation) ObservationBudget() int {
-	switch {
-	case v.adaptive != nil:
-		return v.adaptive.Budget()
-	case v.mcPlan != nil:
-		return v.mcPlan.Budget()
-	default:
+	if v.mcPlan == nil {
 		return 0
 	}
+	return v.mcPlan.Budget()
 }
 
 // ShardSlice returns the half-open permutation slice [lo, hi) owned by a
 // scheduled observation shard — the coordinates a lease ships to a remote
 // worker. ok is false for exact pipelines and shards the plan has not
-// scheduled (adaptive waves schedule shards as they advance).
+// scheduled (tolerance waves schedule shards as they advance).
 func (v *Valuation) ShardSlice(shard int) (lo, hi int, ok bool) {
-	if shard < 0 || shard >= v.shards {
+	if v.mcPlan == nil || shard < 0 || shard >= v.shards {
 		return 0, 0, false
 	}
-	switch {
-	case v.adaptive != nil:
-		lo, hi = v.adaptive.ShardSlice(shard)
-	case v.mcPlan != nil:
-		lo, hi = v.mcPlan.ShardSlice(shard)
-	default:
-		return 0, 0, false
-	}
+	lo, hi = v.mcPlan.ShardSlice(shard)
 	return lo, hi, true
 }
 
@@ -283,51 +248,35 @@ func (v *Valuation) ShardSlice(shard int) (lo, hi int, ok bool) {
 // After a successful import, ShardDigest(shard) returns the imported
 // digest and the merge consumes the cells exactly as local ones.
 func (v *Valuation) ImportShard(shard int, obs *ShardObservations) error {
-	var err error
-	switch {
-	case v.adaptive != nil:
-		err = v.adaptive.ImportShard(shard, obs)
-	case v.mcPlan != nil:
-		err = v.mcPlan.ImportShard(shard, obs)
-	default:
+	if v.mcPlan == nil {
 		return errors.New("comfedsv: exact pipelines have no observation shards to import")
 	}
-	if err != nil {
+	if err := v.mcPlan.ImportShard(shard, obs); err != nil {
 		return err
 	}
 	v.emit(Progress{Stage: StageObserve, Done: int(v.observed.Add(1)), Total: v.shards})
 	return nil
 }
 
-// Complete merges the shard observations in deterministic serial order and
-// solves the matrix-completion problem. In adaptive mode it is the wave
-// checkpoint: it returns the number of additional observation shards the
-// caller must schedule before calling Complete again (their indices
-// continue where the previous wave's left off), or 0 when the estimates
-// converged and Extract may run. Fixed-budget and exact pipelines always
-// return 0 — one Complete finishes them.
+// Complete is the wave checkpoint: it merges the shard observations in
+// deterministic serial order and solves the matrix-completion problem. It
+// returns the number of additional observation shards the caller must
+// schedule before calling Complete again (their indices continue where
+// the previous wave's left off), or 0 when the plan finished and Extract
+// may run. Only a tolerance run schedules more; fixed-budget and exact
+// pipelines always return 0 — one Complete finishes them.
 func (v *Valuation) Complete(ctx context.Context) (int, error) {
 	v.emit(Progress{Stage: StageComplete, Done: 0, Total: 1})
 	start := time.Now()
 	more := 0
-	switch {
-	case v.adaptive != nil:
-		m, err := v.adaptive.Advance(ctx)
-		if err != nil {
-			return 0, stageErr(ctx, "valuation", err)
-		}
-		more = m
-	case v.mcPlan != nil:
-		if err := v.mcPlan.Merge(ctx); err != nil {
-			return 0, stageErr(ctx, "valuation", err)
-		}
-		if err := v.mcPlan.Complete(ctx); err != nil {
-			return 0, stageErr(ctx, "valuation", err)
-		}
-	default:
-		if err := v.exact.Complete(ctx); err != nil {
-			return 0, stageErr(ctx, "valuation", err)
-		}
+	var err error
+	if v.mcPlan != nil {
+		more, err = v.mcPlan.Advance(ctx)
+	} else {
+		err = v.exact.Complete(ctx)
+	}
+	if err != nil {
+		return 0, stageErr(ctx, "valuation", err)
 	}
 	v.emitTime(StageComplete, -1, start)
 	v.emit(Progress{Stage: StageComplete, Done: 1, Total: 1})
@@ -343,33 +292,31 @@ func (v *Valuation) Complete(ctx context.Context) (int, error) {
 func (v *Valuation) Extract(ctx context.Context) (*Report, error) {
 	v.emit(Progress{Stage: StageShapley, Done: 0, Total: 1})
 	start := time.Now()
-	if v.adaptive != nil {
-		res, err := v.adaptive.Extract(ctx)
-		if err != nil {
-			return nil, stageErr(ctx, "valuation", err)
-		}
-		v.report.ComFedSV = res.Values
-		v.report.ObservedDensity = res.Store.Density()
-		v.report.CompletionRMSE = res.Completion.TrainRMSE
-		v.report.ObservationsUsed = v.adaptive.Used()
-		v.report.ObservationsBudget = v.adaptive.Budget()
-	} else if v.mcPlan != nil {
+	var (
+		values     []float64
+		store      *utility.Store
+		completion *mc.Result
+	)
+	if v.mcPlan != nil {
 		res, err := v.mcPlan.Extract(ctx)
 		if err != nil {
 			return nil, stageErr(ctx, "valuation", err)
 		}
-		v.report.ComFedSV = res.Values
-		v.report.ObservedDensity = res.Store.Density()
-		v.report.CompletionRMSE = res.Completion.TrainRMSE
+		values, store, completion = res.Values, res.Store, res.Completion
+		if v.opts.Tolerance > 0 {
+			v.report.ObservationsUsed = v.mcPlan.Used()
+			v.report.ObservationsBudget = v.mcPlan.Budget()
+		}
 	} else {
 		res, err := v.exact.Extract(ctx)
 		if err != nil {
 			return nil, stageErr(ctx, "valuation", err)
 		}
-		v.report.ComFedSV = res.Values
-		v.report.ObservedDensity = res.Store.Density()
-		v.report.CompletionRMSE = res.Completion.TrainRMSE
+		values, store, completion = res.Values, res.Store, res.Completion
 	}
+	v.report.ComFedSV = values
+	v.report.ObservedDensity = store.Density()
+	v.report.CompletionRMSE = completion.TrainRMSE
 	// The session counts the distinct cells *this* valuation requested —
 	// what a standalone evaluator would have paid — so run-backed reports
 	// stay byte-identical to inline ones.
@@ -387,7 +334,7 @@ func (v *Valuation) Stats() EvalStats {
 }
 
 // Run drives every stage serially: prepare, each observation shard in
-// order, complete, extract — looping observe→complete while an adaptive
+// order, complete, extract — looping observe→complete while a tolerance
 // plan keeps scheduling waves. It is the one-goroutine execution of the
 // same graph the comfedsvd scheduler interleaves across its pool.
 func (v *Valuation) Run(ctx context.Context) (*Report, error) {
