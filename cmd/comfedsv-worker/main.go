@@ -2,19 +2,20 @@
 // a work-pull daemon that registers with a comfedsvd coordinator, long-polls
 // POST /v1/worker/lease for observation-shard leases, evaluates each leased
 // permutation slice against the training trace hydrated from the shared run
-// store, and reports the observed utility cells back with their content
-// digest. The coordinator verifies every digest before merging, so adding
-// workers (or losing one mid-shard — its lease expires and the shard is
-// re-leased) never changes a byte of any report.
+// store, and reports every prefix cell of the slice back as one
+// digest-stamped cell batch. The coordinator verifies the batch, preloads
+// it, and observes the shard from its own cache, so adding workers (or
+// losing one mid-shard — its lease expires and the shard is re-leased)
+// never changes a byte of any report.
 //
 // Hydrated runs are cached by run ID alone — utility cells are pure
 // functions of the trace, independent of any job's budget or seed — and
 // warm-started from the run's `<runID>.cells` sidecar when present, so a
 // worker skips every evaluation some earlier job, process, or peer
-// already paid for. Each completion ships the cells the lease newly
-// evaluated back to the coordinator, which persists them for the next
-// reader. A damaged sidecar is quarantined and the run proceeds cold;
-// the cache is an optimization, never a correctness dependency.
+// already paid for. The coordinator persists whatever a completion's
+// batch adds to its cache for the next reader. A damaged sidecar is
+// quarantined and the run proceeds cold; the cache is an optimization,
+// never a correctness dependency.
 //
 // The worker needs exactly two things from the deployment: the
 // coordinator's base URL and the same -runs-dir the coordinator persists
@@ -244,7 +245,7 @@ func (w *worker) serve(ctx context.Context, lease *dispatch.Lease) {
 		"shard", t.Shard, "lo", t.Lo, "hi", t.Hi)
 	log.Info("lease granted")
 	start := time.Now()
-	obs, cells, err := w.observe(ctx, t)
+	cells, err := w.observe(ctx, t)
 	if err != nil {
 		if ctx.Err() != nil {
 			// Shutdown mid-shard: the deferred deregister revokes the
@@ -258,42 +259,27 @@ func (w *worker) serve(ctx context.Context, lease *dispatch.Lease) {
 		}
 		return
 	}
-	if err := w.client.Complete(ctx, lease.ID, obs, cells); err != nil {
-		// The cell delta dies with the failed report — ExportNewCells
-		// already drained it. Only an optimization is lost: the
-		// re-leased shard (here or elsewhere) re-derives the cells.
+	if err := w.client.Complete(ctx, lease.ID, cells); err != nil {
 		log.Warn("reporting shard", "error", err)
 		return
 	}
-	newCells := 0
-	if cells != nil {
-		newCells = len(cells.Cells)
-	}
-	log.Info("shard completed", "cells", len(obs.Cells), "digest", obs.Digest,
-		"new_cache_cells", newCells,
+	log.Info("shard completed", "cells", len(cells.Cells), "digest", cells.Digest,
 		"elapsed", time.Since(start).Round(time.Millisecond))
 }
 
 // observe evaluates the leased permutation slice against the cached
 // (sidecar-warmed) run, rebuilding the job's observation plan for this
-// lease, and drains the newly evaluated utility cells to ship home with
-// the completion. serve calls are serial, so the drained delta is
-// exactly this lease's contribution (plus any cells a previously failed
-// report lost custody of — re-exporting those is harmless).
-func (w *worker) observe(ctx context.Context, t dispatch.Task) (*comfedsv.ShardObservations, *comfedsv.CellBatch, error) {
+// lease, and returns every prefix cell of the slice.
+func (w *worker) observe(ctx context.Context, t dispatch.Task) (*comfedsv.CellBatch, error) {
 	tr, err := w.trainedRun(t.RunID)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	so, err := comfedsv.NewShardObserver(ctx, tr, t.Budget, t.Seed, w.parallelism)
 	if err != nil {
-		return nil, nil, fmt.Errorf("rebuilding observation plan for run %s: %w", t.RunID, err)
+		return nil, fmt.Errorf("rebuilding observation plan for run %s: %w", t.RunID, err)
 	}
-	obs, err := so.ObserveSlice(ctx, t.Lo, t.Hi)
-	if err != nil {
-		return nil, nil, err
-	}
-	return obs, tr.ExportNewCells(), nil
+	return so.ObserveSlice(ctx, t.Lo, t.Hi)
 }
 
 // trainedRun returns the cached hydrated run for runID, loading the

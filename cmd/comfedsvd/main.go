@@ -47,7 +47,7 @@ func main() {
 		queue      = flag.Int("queue", 64, "max queued jobs before submissions are rejected")
 		storeDir   = flag.String("store", "", "directory for persisted job reports (empty = in-memory only)")
 		runsDir    = flag.String("runs-dir", "", "directory for persisted shared training runs (empty = in-memory only)")
-		noCells    = flag.Bool("no-cell-cache", false, "disable the persistent utility-cell cache (with -runs-dir): no sidecar reads on run load, no flushes at merge/completion, no worker-delta absorption; reports are unchanged either way")
+		noCells    = flag.Bool("no-cell-cache", false, "disable the persistent utility-cell cache (with -runs-dir): no sidecar reads on run load, no flushes at merge/completion or of remote shard batches (those still warm memory); reports are unchanged either way")
 		jobTTL     = flag.Duration("job-ttl", 0, "evict terminal jobs (memory and store) this long after they finish (0 = keep forever)")
 		retries    = flag.Int("max-task-retries", 3, "max re-executions of a transiently failed stage task before the job fails")
 		taskTO     = flag.Duration("task-timeout", 0, "per-task execution deadline; a timed-out task is retried as transient (0 = none)")

@@ -285,7 +285,8 @@ type EvalStats struct {
 }
 
 // CellBatch is a canonical, digest-stamped batch of memoized utility cells
-// — the unit of the persistent run-scoped cell cache. Re-exported so the
+// — the unit of the persistent run-scoped cell cache and the payload a
+// remote worker returns for an observation shard. Re-exported so the
 // service, the dispatch wire, and the worker daemon speak one type.
 type CellBatch = utility.CellBatch
 
@@ -303,8 +304,7 @@ func (tr *TrainedRun) PreloadCells(b *CellBatch) (int, error) {
 
 // ExportNewCells drains and returns the cells this process evaluated since
 // the last drain (excluding preloaded ones) as a stamped canonical batch,
-// or nil if nothing new was evaluated — what a service flush persists and
-// a worker ships with its shard completions.
+// or nil if nothing new was evaluated — what a service flush persists.
 func (tr *TrainedRun) ExportNewCells() *CellBatch {
 	return tr.eval.ExportNew()
 }

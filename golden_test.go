@@ -170,7 +170,7 @@ func TestGoldenReportsAndShardDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	wire, _ := json.Marshal(payload)
-	if got, want := goldenSum(wire), "4a00de5aad4dd4bc8395bf745686316598a310630a11f203d1628e1dc5af9fcc"; got != want {
+	if got, want := goldenSum(wire), "0823fb62731ee8d5dc173b8edd59d1b47eab7a1d4b4ebeb1de3ff3879a461ad4"; got != want {
 		t.Errorf("ObserveSlice payload sha256 %s, want %s\n%s", got, want, wire)
 	}
 }

@@ -568,7 +568,7 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "comfedsvd_run_cache_misses_total{run_id=%q} %d\n", rc.ID, rc.Misses)
 	}
 
-	b.WriteString("# HELP comfedsvd_cellcache_preloaded_total Utility cells warm-started into run evaluators from sidecars and worker deltas.\n# TYPE comfedsvd_cellcache_preloaded_total counter\n")
+	b.WriteString("# HELP comfedsvd_cellcache_preloaded_total Utility cells warm-started into run evaluators from sidecars and remote shard batches.\n# TYPE comfedsvd_cellcache_preloaded_total counter\n")
 	fmt.Fprintf(&b, "comfedsvd_cellcache_preloaded_total %d\n", m.CellsPreloaded)
 	b.WriteString("# HELP comfedsvd_cellcache_persisted_total Utility cells durably appended to run cell-cache sidecars.\n# TYPE comfedsvd_cellcache_persisted_total counter\n")
 	fmt.Fprintf(&b, "comfedsvd_cellcache_persisted_total %d\n", m.CellsPersisted)

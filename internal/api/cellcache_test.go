@@ -109,7 +109,7 @@ func TestCellCacheMetricsExposition(t *testing.T) {
 // ClientsPerRound ≤ 20 the FedSV baseline enumerates every subset of
 // each round's selection during Prepare — before observation dispatches —
 // so a remote worker's observation cells are always already cached on
-// the daemon and a worker delta can never contribute anything new. Above
+// the daemon and a worker batch can never contribute anything new. Above
 // 20 selected clients FedSV degrades to its sampled estimator (a
 // different seed stream than the observation plan), so the cells workers
 // evaluate are genuinely absent from the daemon's evaluator and the
@@ -172,8 +172,8 @@ func bigMCJobBody(t *testing.T, runID string, seed int64) []byte {
 
 // runCellWorker is cmd/comfedsv-worker's warm-start loop in-process: it
 // keys its trace cache by run ID alone, hydrates the evaluator from the
-// shared store's cell sidecar, and ships each completion's new cells back
-// with the observations.
+// shared store's cell sidecar, and reports every cell of each leased
+// slice as one stamped batch.
 // Closing ready signals that the worker is registered, so the test can
 // submit knowing the shards will go remote instead of falling back local.
 func runCellWorker(ctx context.Context, t *testing.T, base, id, runsDir string, ready chan<- struct{}) {
@@ -220,14 +220,67 @@ func runCellWorker(ctx context.Context, t *testing.T, base, id, runsDir string, 
 			cl.Fail(ctx, lease.ID, err.Error())
 			continue
 		}
-		obs, err := so.ObserveSlice(ctx, task.Lo, task.Hi)
+		cells, err := so.ObserveSlice(ctx, task.Lo, task.Hi)
 		if err != nil {
 			cl.Fail(ctx, lease.ID, err.Error())
 			continue
 		}
-		if err := cl.Complete(ctx, lease.ID, obs, tr.ExportNewCells()); err != nil && ctx.Err() == nil {
+		if err := cl.Complete(ctx, lease.ID, cells); err != nil && ctx.Err() == nil {
 			t.Errorf("worker %s: complete: %v", id, err)
 		}
+	}
+}
+
+// TestDistributedBigJobByteIdenticalToLocal pins local-vs-distributed
+// byte identity where a round selects more than 20 clients: FedSV then
+// samples instead of enumerating, so the cells a remote shard reaches are
+// absent from the daemon's evaluator when the batch arrives. The
+// coordinator still observes the shard through the job's session, so
+// utility_calls — and every other report byte — match the local run.
+// With the cell cache disabled the batches still warm memory, but no
+// sidecar is written.
+func TestDistributedBigJobByteIdenticalToLocal(t *testing.T) {
+	const seed = 59
+	payload := bigJob(seed)
+
+	localTS := testDaemon(t, service.Config{Workers: 2, RunStore: mustRunStore(t, t.TempDir())})
+	localRun := registerRun(t, localTS.URL, payload)
+	localID := submitAndWait(t, localTS.URL, bigMCJobBody(t, localRun, seed))
+	code, want := getBody(t, localTS.URL+"/v1/jobs/"+localID+"/report")
+	if code != http.StatusOK {
+		t.Fatalf("GET local report: %d", code)
+	}
+
+	for _, noCache := range []bool{false, true} {
+		runsDir := t.TempDir()
+		coord := dispatch.NewCoordinator(dispatch.Config{LeaseTTL: time.Minute, WorkerTTL: time.Hour})
+		ts := dispatchDaemon(t, runsDir, coord, service.Config{Workers: 2, DisableCellCache: noCache})
+		runID := registerRun(t, ts.URL, payload)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		ready := make(chan struct{})
+		go runCellWorker(ctx, t, ts.URL, "w1", runsDir, ready)
+		<-ready
+
+		id := submitAndWait(t, ts.URL, bigMCJobBody(t, runID, seed))
+		code, got := getBody(t, ts.URL+"/v1/jobs/"+id+"/report")
+		if code != http.StatusOK {
+			t.Fatalf("no-cell-cache=%v: GET distributed report: %d", noCache, code)
+		}
+		if !bytes.Equal(want, got) {
+			t.Fatalf("no-cell-cache=%v: distributed report differs from all-local execution:\n%s\nvs\n%s", noCache, got, want)
+		}
+		if st := coord.Stats(); st.LeasesCompleted != 3 || st.DigestMismatches != 0 {
+			t.Fatalf("no-cell-cache=%v: stats after distributed run: %+v, want 3 completed leases", noCache, st)
+		}
+		met := daemonMetrics(t, ts.URL)
+		if v := cellMetric(t, met, "comfedsvd_cellcache_preloaded_total"); v == 0 {
+			t.Fatalf("no-cell-cache=%v: remote batches were not preloaded", noCache)
+		}
+		if got := mustRunStore(t, runsDir).HasCells(runID); got == noCache {
+			t.Fatalf("no-cell-cache=%v: sidecar present = %v", noCache, got)
+		}
+		cancel()
 	}
 }
 
@@ -261,7 +314,7 @@ func TestRemoteWorkerCellCacheWarmStart(t *testing.T) {
 		t.Fatal("worker-evaluated cells never reached the daemon's sidecar")
 	}
 	if v := cellMetric(t, met1, "comfedsvd_cellcache_preloaded_total"); v == 0 {
-		t.Fatal("worker deltas were not absorbed into the daemon's evaluator")
+		t.Fatal("worker batches were not absorbed into the daemon's evaluator")
 	}
 	cancel1()
 

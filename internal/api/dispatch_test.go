@@ -15,6 +15,7 @@ import (
 	"comfedsv/internal/dispatch"
 	"comfedsv/internal/persist"
 	"comfedsv/internal/service"
+	"comfedsv/internal/utility"
 )
 
 // dispatchDaemon is comfedsvd with -dispatch: a Manager wired to a shard
@@ -44,7 +45,7 @@ func dispatchDaemon(t *testing.T, runsDir string, coord *dispatch.Coordinator, c
 
 // runWorker is cmd/comfedsv-worker's loop in-process: register, long-poll
 // for leases, hydrate the trace from the shared run store, evaluate the
-// leased permutation slice, and report the cells with their digest.
+// leased permutation slice, and report its cells as one stamped batch.
 func runWorker(ctx context.Context, t *testing.T, base, id, runsDir string) {
 	runs, err := persist.NewRunStore(runsDir)
 	if err != nil {
@@ -80,12 +81,12 @@ func runWorker(ctx context.Context, t *testing.T, base, id, runsDir string) {
 			}
 			observers[key] = so
 		}
-		obs, err := so.ObserveSlice(ctx, task.Lo, task.Hi)
+		cells, err := so.ObserveSlice(ctx, task.Lo, task.Hi)
 		if err != nil {
 			cl.Fail(ctx, lease.ID, err.Error())
 			continue
 		}
-		if err := cl.Complete(ctx, lease.ID, obs, nil); err != nil && ctx.Err() == nil {
+		if err := cl.Complete(ctx, lease.ID, cells); err != nil && ctx.Err() == nil {
 			t.Errorf("worker %s: complete: %v", id, err)
 		}
 	}
@@ -219,9 +220,9 @@ func TestDistributedObservationByteIdenticalWithWorkerLoss(t *testing.T) {
 
 	// The straggler's late completion is rejected at the HTTP layer with a
 	// 409 — its lease was revoked and the shard re-leased.
-	straggler := &comfedsv.ShardObservations{Lo: doomedLease.Task.Lo, Hi: doomedLease.Task.Hi}
+	straggler := &comfedsv.CellBatch{}
 	straggler.Stamp()
-	err := doomed.Complete(ctx, doomedLease.ID, straggler, nil)
+	err := doomed.Complete(ctx, doomedLease.ID, straggler)
 	if err == nil || !strings.Contains(err.Error(), "409") {
 		t.Fatalf("straggler completion: %v, want 409 conflict", err)
 	}
@@ -317,4 +318,69 @@ func waitJobDone(t *testing.T, base, id string) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("distributed job did not finish in time")
+}
+
+// TestWorkerCompleteRejectsObservationsBody pins the one-payload wire: a
+// completion body in the retired {"lease_id","observations"} shape is
+// refused by the strict decoder with a 400, not mistaken for a lease
+// result (an unknown lease alone would be a 409).
+func TestWorkerCompleteRejectsObservationsBody(t *testing.T) {
+	coord := dispatch.NewCoordinator(dispatch.Config{WorkerTTL: time.Hour})
+	ts := dispatchDaemon(t, t.TempDir(), coord, service.Config{Workers: 1})
+	body := []byte(`{"lease_id":"lease-1","observations":{"lo":0,"hi":4,"cells":[{"round":0,"col":1,"value":0.5}],"digest":"0123456789abcdef"}}`)
+	if code := postJSON(t, ts.URL+"/v1/worker/complete", body, nil); code != http.StatusBadRequest {
+		t.Fatalf("POST /v1/worker/complete with an observations body: %d, want 400", code)
+	}
+}
+
+// TestRemoteBatchRejectedByPreloadFailsJob pins the trust boundary past
+// the wire: a completion whose batch verifies (canonical order, matching
+// digest) but addresses a different client universe is accepted by the
+// coordinator, rejected by the preload into the job's evaluator, and
+// fails the job instead of being observed.
+func TestRemoteBatchRejectedByPreloadFailsJob(t *testing.T) {
+	payload, _, _, _ := tinyJob(43)
+	coord := dispatch.NewCoordinator(dispatch.Config{WorkerTTL: time.Hour})
+	ts := dispatchDaemon(t, t.TempDir(), coord, service.Config{Workers: 1})
+	runID := registerRun(t, ts.URL, payload)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cl := dispatch.NewClient(ts.URL, "liar")
+	if _, err := cl.Register(ctx); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	var sub struct {
+		ID string `json:"id"`
+	}
+	if code := postJSON(t, ts.URL+"/v1/jobs", mcJobBody(t, runID, 43), &sub); code != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: %d", code)
+	}
+	lease, err := cl.Lease(ctx, 10*time.Second)
+	if err != nil || lease == nil {
+		t.Fatalf("lease: %v, %v", lease, err)
+	}
+	bad := &utility.CellBatch{N: 1000, Cells: []utility.SnapshotCell{{Round: 0, Key: strings.Repeat("00", 8*16-1) + "01", Value: 0.5}}}
+	bad.Stamp()
+	if err := cl.Complete(ctx, lease.ID, bad); err != nil {
+		t.Fatalf("complete: %v", err)
+	}
+
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		var st service.Status
+		if code := getJSON(t, ts.URL+"/v1/jobs/"+sub.ID, &st); code != http.StatusOK {
+			t.Fatalf("GET status: %d", code)
+		}
+		if st.State.Terminal() {
+			if st.State != service.StateFailed || !strings.Contains(st.Error, "remote cell batch rejected") {
+				t.Fatalf("job ended %s (%q), want failed on the rejected batch", st.State, st.Error)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job never failed")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }

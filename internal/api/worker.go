@@ -18,7 +18,7 @@ import (
 //	POST /v1/worker/heartbeat   refresh a worker's liveness
 //	POST /v1/worker/deregister  graceful worker shutdown; revokes its leases
 //	POST /v1/worker/lease       long-poll for the next shard task (204 = no work)
-//	POST /v1/worker/complete    report a digest-verified shard result
+//	POST /v1/worker/complete    report a shard's digest-stamped cell batch
 //	POST /v1/worker/fail        report a worker-side failure for a lease
 //
 // Error codes: 409 for an unknown or already-revoked lease (the shard was
@@ -125,7 +125,7 @@ func (s *Server) workerComplete(w http.ResponseWriter, r *http.Request) {
 	if !decodeWorker(w, r, &req) {
 		return
 	}
-	err := s.dispatch.Complete(req.LeaseID, req.Observations, req.Cells)
+	err := s.dispatch.Complete(req.LeaseID, req.Cells)
 	var mismatch *dispatch.DigestMismatchError
 	switch {
 	case errors.Is(err, dispatch.ErrUnknownLease):
@@ -177,6 +177,6 @@ func (s *Server) writeDispatchMetrics(b interface{ WriteString(string) (int, err
 	b.WriteString(fmt.Sprintf("comfedsvd_dispatch_leases_failed_total %d\n", st.LeasesFailed))
 	b.WriteString("# HELP comfedsvd_dispatch_leases_expired_total Leases revoked by deadline expiry or worker loss.\n# TYPE comfedsvd_dispatch_leases_expired_total counter\n")
 	b.WriteString(fmt.Sprintf("comfedsvd_dispatch_leases_expired_total %d\n", st.LeasesExpired))
-	b.WriteString("# HELP comfedsvd_dispatch_digest_mismatches_total Determinism violations detected at the wire (disagreeing shard digests).\n# TYPE comfedsvd_dispatch_digest_mismatches_total counter\n")
+	b.WriteString("# HELP comfedsvd_dispatch_digest_mismatches_total Determinism violations detected at the wire (unverifiable or disagreeing cell-batch digests).\n# TYPE comfedsvd_dispatch_digest_mismatches_total counter\n")
 	b.WriteString(fmt.Sprintf("comfedsvd_dispatch_digest_mismatches_total %d\n", st.DigestMismatches))
 }

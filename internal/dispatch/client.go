@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"comfedsv/internal/shapley"
 	"comfedsv/internal/utility"
 )
 
@@ -37,13 +36,11 @@ type LeaseRequest struct {
 	WaitSeconds float64 `json:"wait_seconds,omitempty"`
 }
 
-// CompleteRequest reports one evaluated shard with its content digest,
-// optionally piggybacking the worker's newly evaluated utility cells so
-// the coordinator can warm the run's shared cache.
+// CompleteRequest reports one evaluated shard: every prefix cell of the
+// leased slice as a digest-stamped batch.
 type CompleteRequest struct {
-	LeaseID      string                     `json:"lease_id"`
-	Observations *shapley.ShardObservations `json:"observations"`
-	Cells        *utility.CellBatch         `json:"cells,omitempty"`
+	LeaseID string             `json:"lease_id"`
+	Cells   *utility.CellBatch `json:"cells"`
 }
 
 // FailRequest reports a worker-side failure evaluating a lease.
@@ -157,10 +154,9 @@ func (c *Client) Lease(ctx context.Context, wait time.Duration) (*Lease, error) 
 	return &lease, nil
 }
 
-// Complete reports one evaluated shard, optionally with the worker's
-// cell-cache delta.
-func (c *Client) Complete(ctx context.Context, leaseID string, obs *shapley.ShardObservations, cells *utility.CellBatch) error {
-	_, err := c.post(ctx, "/v1/worker/complete", CompleteRequest{LeaseID: leaseID, Observations: obs, Cells: cells}, nil)
+// Complete reports one evaluated shard's cell batch.
+func (c *Client) Complete(ctx context.Context, leaseID string, cells *utility.CellBatch) error {
+	_, err := c.post(ctx, "/v1/worker/complete", CompleteRequest{LeaseID: leaseID, Cells: cells}, nil)
 	return err
 }
 

@@ -10,27 +10,25 @@
 //     work — a task is an exact permutation slice of a job whose plan is
 //     a pure function of (trace, budget, seed), so any worker that
 //     rebuilds the plan from the shared run store derives identical
-//     observations.
+//     cells.
 //   - Workers long-poll for leases, hydrate the training trace from the
 //     shared persist.RunStore via the content-addressed run ID, evaluate
-//     their slice locally, and report the cells with their content
-//     digest. The coordinator verifies the digest on import and compares
-//     duplicate completions of re-leased tasks — a mismatch is a loud
-//     determinism failure, never a silently different report.
+//     their slice locally, and report every prefix cell of it as one
+//     utility.CellBatch keyed by (round, coalition). The coordinator
+//     verifies the batch's order and digest and compares duplicate
+//     completions of re-leased tasks — a mismatch is a loud determinism
+//     failure, never a silently different report. It cannot check the
+//     cells against the training trace; the waiting Execute's caller
+//     preloads the batch into the job's evaluator (which bounds-checks
+//     every cell) and then observes the shard from cache.
 //   - A lease lost to a dead or expired worker fails the waiting Execute
 //     with a transient error, which rides the scheduler's existing
 //     deterministic retry ladder back to a fresh lease (or to local
 //     execution when no live workers remain).
-//   - Completions may piggyback the worker's newly evaluated utility
-//     cells (a utility.CellBatch). The coordinator carries the batch
-//     opaquely — it cannot verify cells without the training trace — and
-//     hands it to the waiting Execute, whose caller preloads and persists
-//     it. Losing a delta (failed lease, straggler) is only a lost
-//     optimization, never a correctness issue.
 //
 // The package is dependency-free beyond the standard library and the
-// internal/shapley and internal/utility wire types, so service and api
-// can both import it without cycles.
+// internal/utility wire type, so service and api can both import it
+// without cycles.
 package dispatch
 
 import (
@@ -41,7 +39,6 @@ import (
 	"sync"
 	"time"
 
-	"comfedsv/internal/shapley"
 	"comfedsv/internal/utility"
 )
 
@@ -61,9 +58,9 @@ func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) 
 // Task is one observation-shard lease payload: everything a worker needs
 // to rebuild the job's observation plan from the shared run store and
 // evaluate its permutation slice. Budget and Seed are the plan identity —
-// permutation sampling and prefix-column registration are pure functions
-// of (trace, Budget, Seed), so the worker's dense column indices match
-// the coordinator's.
+// permutation sampling is a pure function of (trace, Budget, Seed), so the
+// worker evaluates exactly the prefix cells the coordinator's shard
+// reaches.
 type Task struct {
 	// JobID is the owning job (diagnostic; not needed to compute).
 	JobID string `json:"job_id"`
@@ -83,7 +80,7 @@ type Task struct {
 
 // key addresses a task for duplicate-completion digest comparison: two
 // executions of the same slice of the same job must derive identical
-// observations.
+// cells.
 func (t Task) key() string {
 	return fmt.Sprintf("%s/%d:%d-%d", t.JobID, t.Shard, t.Lo, t.Hi)
 }
@@ -129,7 +126,7 @@ func (e *WorkerError) Error() string {
 func (e *WorkerError) Transient() bool { return true }
 
 // DigestMismatchError reports two executions of one task deriving
-// different observation digests — a determinism violation. It is NOT
+// different cell-batch digests — a determinism violation. It is NOT
 // transient: retrying cannot make both answers right, so it fails loudly.
 type DigestMismatchError struct {
 	Key       string
@@ -196,8 +193,7 @@ type Stats struct {
 
 // outcome resolves one Execute.
 type outcome struct {
-	obs   *shapley.ShardObservations
-	cells *utility.CellBatch // optional cache delta riding the completion
+	cells *utility.CellBatch
 	err   error
 }
 
@@ -336,21 +332,21 @@ func (c *Coordinator) liveWorkersLocked() int {
 }
 
 // Execute queues one shard task for remote execution and blocks until a
-// worker returns a digest-verified result, the lease chain fails, or ctx
-// is done. Lost leases and worker-side failures return transient errors
-// (the scheduler's retry ladder re-executes, re-evaluating remote
+// worker returns a digest-verified cell batch, the lease chain fails, or
+// ctx is done. Lost leases and worker-side failures return transient
+// errors (the scheduler's retry ladder re-executes, re-evaluating remote
 // eligibility); a digest mismatch returns a permanent determinism error.
-// The returned CellBatch is the worker's unverified cache delta, nil
-// when the completion carried none.
-func (c *Coordinator) Execute(ctx context.Context, task Task) (*shapley.ShardObservations, *utility.CellBatch, error) {
+// The batch's cells are not yet checked against the job's trace — the
+// caller's preload does that.
+func (c *Coordinator) Execute(ctx context.Context, task Task) (*utility.CellBatch, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, nil, ErrClosed
+		return nil, ErrClosed
 	}
 	if c.liveWorkersLocked() == 0 {
 		c.mu.Unlock()
-		return nil, nil, ErrNoWorkers
+		return nil, ErrNoWorkers
 	}
 	entry := &pending{task: task, done: make(chan outcome, 1)}
 	c.queue = append(c.queue, entry)
@@ -360,17 +356,17 @@ func (c *Coordinator) Execute(ctx context.Context, task Task) (*shapley.ShardObs
 	for {
 		select {
 		case out := <-entry.done:
-			return out.obs, out.cells, out.err
+			return out.cells, out.err
 		case <-ctx.Done():
 			c.abandon(entry)
-			return nil, nil, ctx.Err()
+			return nil, ctx.Err()
 		case <-c.cfg.Clock.After(c.cfg.WorkerTTL):
 			// Re-check the fleet while queued: a task enqueued just before
 			// the last worker died would otherwise wait forever — nobody
 			// polls an empty registry. Leased entries keep their own
 			// deadline watchdog.
 			if c.withdrawIfStranded(entry) {
-				return nil, nil, ErrNoWorkers
+				return nil, ErrNoWorkers
 			}
 		}
 	}
@@ -528,21 +524,19 @@ func (c *Coordinator) resolveLocked(id string) (*activeLease, bool) {
 	return al, true
 }
 
-// Complete resolves a lease with a worker's result. The observations are
-// digest-verified (stamped digest recomputed from the cells) and
-// compared against any earlier verified execution of the same task — a
-// disagreement is a loud determinism failure charged to this call, and
-// the waiting Execute (if any) also fails permanently. A completion for
-// an unknown or already-revoked lease returns ErrUnknownLease after the
-// digest comparison, so a straggler worker still gets its answer checked.
-// cells, if non-nil, is the worker's utility-cache delta; it is carried
-// opaquely to the waiting Execute (the coordinator has no trace to
-// verify it against — the service-side preload does).
-func (c *Coordinator) Complete(leaseID string, obs *shapley.ShardObservations, cells *utility.CellBatch) error {
-	if obs == nil {
-		return errors.New("dispatch: nil observations")
+// Complete resolves a lease with a worker's cell batch. The batch is
+// verified (canonical order, stamped digest recomputed from the cells)
+// and its digest compared against any earlier verified execution of the
+// same task — a disagreement is a loud determinism failure charged to
+// this call, and the waiting Execute (if any) also fails permanently. A
+// completion for an unknown or already-revoked lease returns
+// ErrUnknownLease after the self-verification, so a straggler worker
+// still gets its answer checked.
+func (c *Coordinator) Complete(leaseID string, cells *utility.CellBatch) error {
+	if cells == nil {
+		return errors.New("dispatch: nil cell batch")
 	}
-	if err := obs.Verify(); err != nil {
+	if err := cells.Verify(); err != nil {
 		c.mu.Lock()
 		c.mismatches++
 		c.mu.Unlock()
@@ -562,16 +556,16 @@ func (c *Coordinator) Complete(leaseID string, obs *shapley.ShardObservations, c
 		// lease, digest already self-verified: reject the report.
 		return ErrUnknownLease
 	}
-	if want, ok := c.digests[key]; ok && want != obs.Digest {
+	if want, ok := c.digests[key]; ok && want != cells.Digest {
 		c.mismatches++
-		err := &DigestMismatchError{Key: key, Got: obs.Digest, Want: want}
+		err := &DigestMismatchError{Key: key, Got: cells.Digest, Want: want}
 		al.entry.done <- outcome{err: err}
 		return err
 	}
-	c.digests[key] = obs.Digest
+	c.digests[key] = cells.Digest
 	c.completed++
-	c.logf("lease completed", "lease", leaseID, "worker", al.worker, "digest", obs.Digest)
-	al.entry.done <- outcome{obs: obs, cells: cells}
+	c.logf("lease completed", "lease", leaseID, "worker", al.worker, "digest", cells.Digest)
+	al.entry.done <- outcome{cells: cells}
 	return nil
 }
 
@@ -588,25 +582,6 @@ func (c *Coordinator) Fail(leaseID, msg string) error {
 	c.failed++
 	c.logf("lease failed", "lease", leaseID, "worker", al.worker, "error", msg)
 	al.entry.done <- outcome{err: &WorkerError{LeaseID: leaseID, Msg: msg}}
-	return nil
-}
-
-// VerifyDigest compares an externally journaled digest for a task
-// against the coordinator's pinned one, pinning it if absent — the seam
-// the scheduler uses to tie the lease table to the job journal's shard
-// digests.
-func (c *Coordinator) VerifyDigest(task Task, digest string) error {
-	if digest == "" {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	key := task.key()
-	if want, ok := c.digests[key]; ok && want != digest {
-		c.mismatches++
-		return &DigestMismatchError{Key: key, Got: digest, Want: want}
-	}
-	c.digests[key] = digest
 	return nil
 }
 

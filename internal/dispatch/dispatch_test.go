@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"comfedsv/internal/faultinject"
-	"comfedsv/internal/shapley"
+	"comfedsv/internal/utility"
 )
 
 // transient mirrors the structural retry classifier shared with
@@ -21,9 +21,9 @@ func transient(err error) bool {
 	return false
 }
 
-// mkObs fabricates a digest-valid wire payload for a slice.
-func mkObs(lo, hi int, cells ...shapley.ObservedCell) *shapley.ShardObservations {
-	obs := &shapley.ShardObservations{Lo: lo, Hi: hi, Cells: cells}
+// mkObs fabricates a digest-valid wire payload.
+func mkObs(cells ...utility.SnapshotCell) *utility.CellBatch {
+	obs := &utility.CellBatch{N: 4, Cells: cells}
 	obs.Stamp()
 	return obs
 }
@@ -36,8 +36,8 @@ func testTask() Task {
 func execute(c *Coordinator, task Task) chan outcome {
 	ch := make(chan outcome, 1)
 	go func() {
-		obs, _, err := c.Execute(context.Background(), task)
-		ch <- outcome{obs: obs, err: err}
+		cells, err := c.Execute(context.Background(), task)
+		ch <- outcome{cells: cells, err: err}
 	}()
 	return ch
 }
@@ -72,16 +72,16 @@ func TestLeaseLifecycle(t *testing.T) {
 		t.Fatalf("leased task = %+v, want %+v", lease.Task, testTask())
 	}
 
-	obs := mkObs(0, 4, shapley.ObservedCell{Round: 0, Col: 1, Value: 0.5})
-	if err := c.Complete(lease.ID, obs, nil); err != nil {
+	obs := mkObs(utility.SnapshotCell{Round: 0, Mask: 2, Value: 0.5})
+	if err := c.Complete(lease.ID, obs); err != nil {
 		t.Fatalf("Complete: %v", err)
 	}
 	out := waitOutcome(t, done)
 	if out.err != nil {
 		t.Fatalf("Execute: %v", out.err)
 	}
-	if out.obs.Digest != obs.Digest {
-		t.Fatalf("Execute returned digest %s, want %s", out.obs.Digest, obs.Digest)
+	if out.cells.Digest != obs.Digest {
+		t.Fatalf("Execute returned digest %s, want %s", out.cells.Digest, obs.Digest)
 	}
 
 	st := c.Stats()
@@ -93,7 +93,7 @@ func TestLeaseLifecycle(t *testing.T) {
 func TestExecuteFailsFastWithoutWorkers(t *testing.T) {
 	c := NewCoordinator(Config{})
 	defer c.Close()
-	_, _, err := c.Execute(context.Background(), testTask())
+	_, err := c.Execute(context.Background(), testTask())
 	if !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("Execute without workers: %v, want ErrNoWorkers", err)
 	}
@@ -130,7 +130,7 @@ func TestLeaseExpiryDeliversTransientLostLease(t *testing.T) {
 	}
 
 	// The straggler's late completion is rejected, not merged.
-	if err := c.Complete(lease.ID, mkObs(0, 4), nil); !errors.Is(err, ErrUnknownLease) {
+	if err := c.Complete(lease.ID, mkObs()); !errors.Is(err, ErrUnknownLease) {
 		t.Fatalf("Complete on expired lease: %v, want ErrUnknownLease", err)
 	}
 	if st := c.Stats(); st.LeasesExpired != 1 {
@@ -230,13 +230,13 @@ func TestReLeaseAfterWorkerFailureKeepsDigestPinned(t *testing.T) {
 	}
 
 	// Second execution completes; its digest is pinned.
-	obs := mkObs(0, 4, shapley.ObservedCell{Round: 1, Col: 0, Value: -0.25})
+	obs := mkObs(utility.SnapshotCell{Round: 1, Mask: 1, Value: -0.25})
 	done = execute(c, testTask())
 	lease2, err := c.Lease(context.Background(), "w1")
 	if err != nil {
 		t.Fatalf("Lease: %v", err)
 	}
-	if err := c.Complete(lease2.ID, obs, nil); err != nil {
+	if err := c.Complete(lease2.ID, obs); err != nil {
 		t.Fatalf("Complete: %v", err)
 	}
 	if out := waitOutcome(t, done); out.err != nil {
@@ -249,8 +249,8 @@ func TestReLeaseAfterWorkerFailureKeepsDigestPinned(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Lease: %v", err)
 	}
-	bad := mkObs(0, 4, shapley.ObservedCell{Round: 1, Col: 0, Value: 0.75})
-	err = c.Complete(lease3.ID, bad, nil)
+	bad := mkObs(utility.SnapshotCell{Round: 1, Mask: 1, Value: 0.75})
+	err = c.Complete(lease3.ID, bad)
 	var mismatch *DigestMismatchError
 	if !errors.As(err, &mismatch) {
 		t.Fatalf("Complete with diverging digest: %v, want DigestMismatchError", err)
@@ -267,41 +267,6 @@ func TestReLeaseAfterWorkerFailureKeepsDigestPinned(t *testing.T) {
 	}
 }
 
-func TestVerifyDigestPinsJournaledDigest(t *testing.T) {
-	c := NewCoordinator(Config{})
-	defer c.Close()
-	if err := c.Register("w1"); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	obs := mkObs(0, 4, shapley.ObservedCell{Round: 0, Col: 0, Value: 1})
-
-	// The scheduler pins a recovered job's journaled digest before
-	// re-leasing its shard; a wire result must then match it.
-	if err := c.VerifyDigest(testTask(), obs.Digest); err != nil {
-		t.Fatalf("VerifyDigest pin: %v", err)
-	}
-	if err := c.VerifyDigest(testTask(), obs.Digest); err != nil {
-		t.Fatalf("VerifyDigest re-check: %v", err)
-	}
-	var mismatch *DigestMismatchError
-	if err := c.VerifyDigest(testTask(), "fnv64a:dead"); !errors.As(err, &mismatch) {
-		t.Fatalf("VerifyDigest with diverging digest: %v, want DigestMismatchError", err)
-	}
-
-	done := execute(c, testTask())
-	lease, err := c.Lease(context.Background(), "w1")
-	if err != nil {
-		t.Fatalf("Lease: %v", err)
-	}
-	bad := mkObs(0, 4, shapley.ObservedCell{Round: 0, Col: 0, Value: 2})
-	if err := c.Complete(lease.ID, bad, nil); !errors.As(err, &mismatch) {
-		t.Fatalf("Complete against journaled digest: %v, want DigestMismatchError", err)
-	}
-	if out := waitOutcome(t, done); !errors.As(out.err, &mismatch) {
-		t.Fatalf("Execute: %v, want DigestMismatchError", out.err)
-	}
-}
-
 func TestCompleteRejectsCorruptPayload(t *testing.T) {
 	c := NewCoordinator(Config{})
 	defer c.Close()
@@ -313,9 +278,9 @@ func TestCompleteRejectsCorruptPayload(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Lease: %v", err)
 	}
-	obs := mkObs(0, 4, shapley.ObservedCell{Round: 0, Col: 0, Value: 1})
+	obs := mkObs(utility.SnapshotCell{Round: 0, Mask: 1, Value: 1})
 	obs.Cells[0].Value = 99 // corrupt after stamping
-	if err := c.Complete(lease.ID, obs, nil); err == nil {
+	if err := c.Complete(lease.ID, obs); err == nil {
 		t.Fatal("Complete accepted a payload whose digest does not verify")
 	}
 	if st := c.Stats(); st.DigestMismatches != 1 {
@@ -366,7 +331,7 @@ func TestCloseFailsQueuedAndLeased(t *testing.T) {
 	if out := waitOutcome(t, queued); !errors.Is(out.err, ErrClosed) {
 		t.Fatalf("queued Execute after Close: %v, want ErrClosed", out.err)
 	}
-	if err := c.Complete(lease.ID, mkObs(0, 4), nil); err == nil {
+	if err := c.Complete(lease.ID, mkObs()); err == nil {
 		t.Fatal("Complete after Close succeeded")
 	}
 	if _, err := c.Lease(context.Background(), "w1"); !errors.Is(err, ErrClosed) {
@@ -383,7 +348,7 @@ func TestAbandonedExecuteRevokesLease(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.Execute(ctx, testTask())
+		_, err := c.Execute(ctx, testTask())
 		done <- err
 	}()
 	lease, err := c.Lease(context.Background(), "w1")
@@ -397,7 +362,7 @@ func TestAbandonedExecuteRevokesLease(t *testing.T) {
 	// The revocation lands asynchronously with the cancellation.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if err := c.Complete(lease.ID, mkObs(0, 4), nil); errors.Is(err, ErrUnknownLease) {
+		if err := c.Complete(lease.ID, mkObs()); errors.Is(err, ErrUnknownLease) {
 			return
 		}
 		if time.Now().After(deadline) {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"fmt"
 
 	"comfedsv"
 	"comfedsv/internal/faultinject"
@@ -13,8 +14,8 @@ import (
 // evaluated utility cells. A run's evaluator is warm-started from the
 // sidecar when the trace becomes available (freshly trained or recovered
 // from disk), newly evaluated cells are flushed back at the merge-wave
-// and job-completion boundaries, and remote workers ship their deltas
-// home with each shard completion. Cells are pure functions of the
+// and job-completion boundaries, and a remote shard's cell batch is
+// appended when it adds anything. Cells are pure functions of the
 // training trace, so a warm cache returns exactly the values a cold one
 // would recompute — reports stay byte-identical; only the wall-clock
 // changes.
@@ -30,7 +31,7 @@ import (
 const (
 	cellStageMerge   = "merge"   // completeTask, after a merge wave
 	cellStageExtract = "extract" // extractTask, before the report persists
-	cellStageWorker  = "worker"  // remoteObserve, absorbing a worker delta
+	cellStageWorker  = "worker"  // remoteObserve, absorbing a worker batch
 )
 
 // cellCacheEnabled reports whether the persistent cell cache is active.
@@ -127,25 +128,18 @@ func (m *Manager) flushCells(j *job, stage string) error {
 	return nil
 }
 
-// absorbCells installs a remote worker's cell delta into the job's run
-// evaluator and, when it contributed anything new, appends the batch to
-// the sidecar so the warmth survives a restart. The batch is verified
-// here (digest plus per-cell bounds against the actual run) — dispatch
-// carried it opaquely. A bad batch is dropped with a log line, never
-// quarantining the sidecar it never touched; an append failure is
-// best-effort except for a simulated crash, mirroring flushCells.
-func (m *Manager) absorbCells(j *job, b *utility.CellBatch) error {
-	if b == nil || j.runID == "" || !m.cellCacheEnabled() {
-		return nil
-	}
-	tr := jobTrainedRun(j)
-	if tr == nil {
-		return nil
-	}
+// absorbCells preloads a remote shard's cell batch into the job's run
+// evaluator tr — always, so the shard's local observation that follows runs
+// entirely from cache — and, when the persistent cell cache is enabled
+// and the batch contributed anything new, appends it to the sidecar so
+// the warmth survives a restart. The preload checks every cell against
+// the actual run (dispatch could verify only the digest); a rejected
+// batch fails the shard. An append failure is best-effort except for a
+// simulated crash, mirroring flushCells.
+func (m *Manager) absorbCells(j *job, tr *comfedsv.TrainedRun, b *utility.CellBatch) error {
 	added, err := tr.PreloadCells(b)
 	if err != nil {
-		m.logJob("worker cell batch rejected", j, "error", err.Error())
-		return nil
+		return fmt.Errorf("service: remote cell batch rejected: %w", err)
 	}
 	if added == 0 {
 		// Everything in the batch is already cached locally (durable, or
@@ -156,6 +150,9 @@ func (m *Manager) absorbCells(j *job, b *utility.CellBatch) error {
 	m.mu.Lock()
 	m.cellsPreloaded += int64(added)
 	m.mu.Unlock()
+	if !m.cellCacheEnabled() {
+		return nil
+	}
 	if err := m.cfg.RunStore.AppendCells(j.runID, b, cellStageWorker, m.cfg.FaultHook); err != nil {
 		if errors.Is(err, faultinject.ErrCrash) {
 			return err

@@ -45,7 +45,7 @@ type Metrics struct {
 
 	// Persistent cell-cache counters. CellsPreloaded counts cells
 	// warm-started into run evaluators (from sidecars at trace load and
-	// from worker deltas); CellsPersisted counts cells durably appended
+	// from remote shard batches); CellsPersisted counts cells durably appended
 	// to sidecars; CellsWarmHits counts cache hits served by a preloaded
 	// cell — evaluations some earlier process or worker paid for;
 	// CellsCorrupt counts sidecars quarantined as damaged.

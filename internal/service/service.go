@@ -153,7 +153,9 @@ type Config struct {
 	// evaluations the first job already paid for. Cells are pure functions
 	// of the trace, so warmth never changes a byte of any report; the knob
 	// exists for A/B comparison and for tests that need a guaranteed cold
-	// cache.
+	// cache. Remote shard batches are still preloaded in memory — the
+	// coordinator observes a remote shard from them — but never reach the
+	// sidecar.
 	DisableCellCache bool
 	// DefaultParallelism is the Options.Parallelism applied to submissions
 	// that leave it 0: the per-task CPU budget for the valuation hot path.
@@ -367,8 +369,8 @@ type Manager struct {
 	janitorStop chan struct{}
 
 	// Cell-cache counters (guarded by mu): cells warm-started into run
-	// evaluators from sidecars and worker deltas, cells durably appended
-	// to sidecars, and sidecars quarantined as corrupt.
+	// evaluators from sidecars and remote shard batches, cells durably
+	// appended to sidecars, and sidecars quarantined as corrupt.
 	cellsPreloaded int64
 	cellsPersisted int64
 	cellsCorrupt   int64

@@ -46,12 +46,12 @@ type traceCarrier interface {
 // observation shards can be leased to remote workers: the shard's
 // permutation slice plus the plan identity (budget, with the seed coming
 // from the job options) let a worker rebuild an identical plan from the
-// shared run store, and ImportShard installs the digest-verified result
-// as if the shard had run locally.
+// shared run store and evaluate the shard's cells, which the coordinator
+// preloads before observing the shard itself from cache.
 type remoteShardable interface {
+	traceCarrier
 	ObservationBudget() int
 	ShardSlice(shard int) (lo, hi int, ok bool)
-	ImportShard(shard int, obs *comfedsv.ShardObservations) error
 }
 
 // newValuation picks the staged pipeline for a submission: the real
@@ -175,10 +175,6 @@ func (p *pipelineValuation) ObservationBudget() int { return p.v.ObservationBudg
 
 func (p *pipelineValuation) ShardSlice(shard int) (int, int, bool) { return p.v.ShardSlice(shard) }
 
-func (p *pipelineValuation) ImportShard(shard int, obs *comfedsv.ShardObservations) error {
-	return p.v.ImportShard(shard, obs)
-}
-
 // monoValuation runs a whole legacy Config.Value / Config.ValueRun hook as
 // a single observation task, so substituted pipelines keep working on the
 // staged scheduler: a one-shard graph whose observe stage is the entire
@@ -253,8 +249,10 @@ func (m *Manager) prepareTask(j *job) *task {
 // digest, and — on a recovered job — verifies the re-executed shard
 // re-derived exactly the observations the journal recorded, turning any
 // determinism violation into a loud failure instead of a silently
-// different report. The last shard to finish enqueues the
-// merge+completion stage.
+// different report. A remote shard first preloads the worker's cells, so
+// its local observation runs entirely from cache and its digest, journal
+// record, and utility-call count are those of a local run. The last
+// shard to finish enqueues the merge+completion stage.
 func (m *Manager) observeTask(j *job, shard int) *task {
 	t := &task{
 		j:     j,
@@ -266,7 +264,8 @@ func (m *Manager) observeTask(j *job, shard int) *task {
 			if err := m.remoteObserve(ctx, j, shard); err != nil {
 				return err
 			}
-		} else if err := j.val.ObserveShard(ctx, shard); err != nil {
+		}
+		if err := j.val.ObserveShard(ctx, shard); err != nil {
 			return err
 		}
 		var digest string
@@ -288,16 +287,13 @@ func (m *Manager) observeTask(j *job, shard int) *task {
 	return t
 }
 
-// remoteObserve executes one observation shard through the dispatch
-// coordinator: the shard's permutation slice is leased to a remote
-// worker, which rebuilds the job's plan from the shared run store and
-// returns digest-verified observations that ImportShard installs as if
-// the shard had run locally. On a recovered job the journaled shard
-// digest is pinned in the coordinator first, so the worker's result is
-// compared against it at the wire — the HTTP-layer half of the
-// determinism contract. Lost leases and worker failures return transient
-// errors; the retry ladder re-executes the task, re-evaluating remote
-// eligibility.
+// remoteObserve evaluates one observation shard's cells through the
+// dispatch coordinator: the shard's permutation slice is leased to a
+// remote worker, which rebuilds the job's plan from the shared run store
+// and returns every prefix cell of the slice as a digest-verified batch;
+// absorbCells preloads it into the job's evaluator. Lost leases and
+// worker failures return transient errors; the retry ladder re-executes
+// the task, re-evaluating remote eligibility.
 func (m *Manager) remoteObserve(ctx context.Context, j *job, shard int) error {
 	rv, ok := j.val.(remoteShardable)
 	if !ok {
@@ -316,21 +312,11 @@ func (m *Manager) remoteObserve(ctx context.Context, j *job, shard int) error {
 		Budget: rv.ObservationBudget(),
 		Seed:   j.opts.Seed,
 	}
-	if want, ok := j.wantDigests[shard]; ok {
-		if err := m.cfg.Dispatcher.VerifyDigest(task, want); err != nil {
-			return err
-		}
-	}
-	obs, cells, err := m.cfg.Dispatcher.Execute(ctx, task)
+	cells, err := m.cfg.Dispatcher.Execute(ctx, task)
 	if err != nil {
 		return err
 	}
-	if err := rv.ImportShard(shard, obs); err != nil {
-		return err
-	}
-	// The worker's cache delta rides the completion: warm the shared
-	// evaluator and persist the batch so the warmth survives a restart.
-	return m.absorbCells(j, cells)
+	return m.absorbCells(j, rv.TrainedRun(), cells)
 }
 
 // completeTask merges the shards in deterministic serial order and runs

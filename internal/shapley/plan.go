@@ -272,19 +272,24 @@ func (p *MonteCarloPlan) walkPrefixes(ctx context.Context, lo, hi int, visit fun
 // shards both reach is paid for once.
 func (p *MonteCarloPlan) ObserveShard(ctx context.Context, shard int) error {
 	lo, hi := p.ShardSlice(shard)
-	vals, err := p.observeRange(ctx, lo, hi)
+	keys, _, vals, err := p.observeRange(ctx, lo, hi)
 	if err != nil {
 		return err
 	}
-	p.shardVals[shard] = vals
+	shardVals := make(map[obsCell]float64, len(keys))
+	for i, k := range keys {
+		shardVals[k] = vals[i]
+	}
+	p.shardVals[shard] = shardVals
 	return nil
 }
 
 // observeRange collects the distinct prefix cells reachable from the
 // permutation slice [lo, hi) and evaluates them through the plan's
-// source, returning the evaluated-cell map without touching any shard
-// state. It backs ObserveShard and the worker-side ObserveSlice.
-func (p *MonteCarloPlan) observeRange(ctx context.Context, lo, hi int) (map[obsCell]float64, error) {
+// source, returning them in first-visit order — as column keys and as
+// utility cells — with their values, without touching any shard state. It
+// backs ObserveShard and the worker-side ObserveSlice.
+func (p *MonteCarloPlan) observeRange(ctx context.Context, lo, hi int) ([]obsCell, []utility.Cell, []float64, error) {
 	seen := make(map[obsCell]bool)
 	var keys []obsCell
 	var cells []utility.Cell
@@ -298,17 +303,13 @@ func (p *MonteCarloPlan) observeRange(ctx context.Context, lo, hi int) (map[obsC
 		cells = append(cells, utility.Cell{Round: round, Subset: p.store.ColumnSet(col)})
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	vals, err := p.src.UtilityBatchCtx(ctx, cells, p.cfg.Workers)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	shardVals := make(map[obsCell]float64, len(keys))
-	for i, k := range keys {
-		shardVals[k] = vals[i]
-	}
-	return shardVals, nil
+	return keys, cells, vals, nil
 }
 
 // Advance is the wave checkpoint: it merges the current wave's shard

@@ -3,45 +3,18 @@ package shapley
 import (
 	"context"
 	"reflect"
-	"strings"
 	"testing"
 )
 
-// TestShardObservationsVerifyRejectsNonCanonicalCells pins the wire
-// contract a remote worker's payload must meet: cells strictly ordered by
-// (round, col). A stamped digest alone does not catch repeats or
-// reordering, because the digest hashes the deduplicated, sorted cell map.
-func TestShardObservationsVerifyRejectsNonCanonicalCells(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		cells []ObservedCell
-		bad   bool
-	}{
-		{"canonical", []ObservedCell{{0, 1, 0.5}, {0, 2, 0.25}, {1, 0, 0.75}}, false},
-		{"exact duplicate", []ObservedCell{{0, 1, 0.5}, {0, 1, 0.5}}, true},
-		{"conflicting duplicate", []ObservedCell{{0, 1, 0.5}, {0, 1, 0.7}}, true},
-		{"unsorted", []ObservedCell{{1, 0, 0.75}, {0, 1, 0.5}}, true},
-	} {
-		obs := &ShardObservations{Lo: 0, Hi: 4, Cells: tc.cells}
-		obs.Stamp()
-		err := obs.Verify()
-		if tc.bad && (err == nil || !strings.Contains(err.Error(), "not strictly after")) {
-			t.Errorf("%s: Verify = %v, want an ordering error", tc.name, err)
-		}
-		if !tc.bad && err != nil {
-			t.Errorf("%s: Verify = %v, want nil", tc.name, err)
-		}
-	}
-}
-
 // runImported drives a coordinator plan whose every shard, across every
-// wave, is observed by a separate worker-side plan (a fixed plan over the
-// same budget and seed, on its own evaluator) through ObserveSlice and
-// installed with ImportShard.
+// wave, is evaluated by a separate worker-side plan (a fixed plan over the
+// same budget and seed, on its own evaluator) through ObserveSlice; the
+// coordinator preloads the batch and observes the shard from cache.
 func runImported(t *testing.T, cfg MonteCarloConfig) (*MonteCarloPlan, *MonteCarloResult) {
 	t.Helper()
 	ctx := context.Background()
-	p, err := NewMonteCarloPlan(ctx, duplicatedEvaluator(t, 500), cfg)
+	src := duplicatedEvaluator(t, 500)
+	p, err := NewMonteCarloPlan(ctx, src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,15 +25,19 @@ func runImported(t *testing.T, cfg MonteCarloConfig) (*MonteCarloPlan, *MonteCar
 	for next := 0; next < p.Shards(); {
 		for ; next < p.Shards(); next++ {
 			lo, hi := p.ShardSlice(next)
-			obs, err := worker.ObserveSlice(ctx, lo, hi)
+			cells, err := worker.ObserveSlice(ctx, lo, hi)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := p.ImportShard(next, obs); err != nil {
+			if _, err := src.Preload(cells); err != nil {
 				t.Fatalf("shard %d: %v", next, err)
 			}
-			if got := p.ShardDigest(next); got != obs.Digest {
-				t.Fatalf("shard %d digest %q after import, want %q", next, got, obs.Digest)
+			calls := src.Calls()
+			if err := p.ObserveShard(ctx, next); err != nil {
+				t.Fatal(err)
+			}
+			if got := src.Calls(); got != calls {
+				t.Fatalf("shard %d paid %d evaluations after preloading its cells, want 0", next, got-calls)
 			}
 		}
 		if _, err := p.Advance(ctx); err != nil {
@@ -104,37 +81,5 @@ func TestImportShardMatchesLocalObservation(t *testing.T) {
 				t.Fatalf("%s: shard %d digest %q, local %q", tc.name, shard, remote.ShardDigest(shard), local.ShardDigest(shard))
 			}
 		}
-	}
-}
-
-// TestImportShardRejectsMisaddressedPayloads pins the import guards: a
-// payload for a different slice and a cell outside the plan's dimensions
-// fail, even when the payload's digest verifies.
-func TestImportShardRejectsMisaddressedPayloads(t *testing.T) {
-	ctx := context.Background()
-	p, err := NewMonteCarloPlan(ctx, duplicatedEvaluator(t, 500), planConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := p.ShardSlice(1)
-	obs, err := p.ObserveSlice(ctx, lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.ImportShard(0, obs); err == nil || !strings.Contains(err.Error(), "planned slice") {
-		t.Fatalf("import into the wrong shard = %v, want a slice mismatch", err)
-	}
-	for _, c := range []ObservedCell{{Round: p.t, Col: 0}, {Round: 0, Col: p.store.NumColumns()}, {Round: -1, Col: 0}} {
-		bad := &ShardObservations{Lo: lo, Hi: hi, Cells: []ObservedCell{c}}
-		bad.Stamp()
-		if err := p.ImportShard(1, bad); err == nil || !strings.Contains(err.Error(), "outside plan dimensions") {
-			t.Fatalf("import of cell (%d,%d) = %v, want a dimension error", c.Round, c.Col, err)
-		}
-	}
-	if p.ShardDigest(1) != "" {
-		t.Fatal("a rejected import installed observations")
-	}
-	if err := p.ImportShard(1, obs); err != nil {
-		t.Fatal(err)
 	}
 }

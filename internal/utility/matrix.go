@@ -42,8 +42,8 @@ type evalShard struct {
 	cache    map[cellKey]float64
 	inflight map[cellKey]chan struct{}
 	// pending lists the cells this stripe evaluated (not preloaded) since
-	// the last ExportNew drain — the delta the persistent cell cache and
-	// the dispatch path ship.
+	// the last ExportNew drain — the delta the persistent cell cache
+	// appends.
 	pending []cellKey
 	// preloaded marks cells installed by Preload rather than evaluated
 	// here, so lookups served by a warm start are attributable.
@@ -163,7 +163,7 @@ func (e *Evaluator) Preload(b *CellBatch) (int, error) {
 // misses this evaluator actually paid for, excluding preloaded ones — as
 // a canonical stamped batch, or nil if nothing new was evaluated. It is
 // the producer half of the persistent cell cache: the service flushes
-// drains to the run's sidecar, workers ship them with shard completions.
+// drains to the run's sidecar.
 // Safe for concurrent use with evaluations; a cell evaluated concurrently
 // with the drain lands in the next batch.
 func (e *Evaluator) ExportNew() *CellBatch {

@@ -23,12 +23,11 @@ type SnapshotCell struct {
 }
 
 // CellBatch is a canonical batch of memoized cells — the unit the
-// cell-cache sidecar appends and the dispatch path ships between workers
-// and the coordinator. Cells are sorted by (round, coalition) and Digest
-// is an FNV-1a content hash over coordinates and raw IEEE-754 value bits,
-// mirroring the shapley.ShardObservations wire conventions, so an import
-// can verify a batch is exactly what its producer evaluated before
-// trusting a byte of it.
+// cell-cache sidecar appends and the one payload a remote worker ships
+// back for an observation shard. Cells are strictly sorted by (round,
+// coalition) and Digest is an FNV-1a content hash over coordinates and
+// raw IEEE-754 value bits, so an import can verify a batch is exactly
+// what its producer evaluated before trusting a byte of it.
 type CellBatch struct {
 	// N is the client universe size the cells were evaluated over; a
 	// preload checks it against the evaluator's run so a mis-addressed
@@ -74,33 +73,52 @@ func (b *CellBatch) digest() string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// sort orders the cells canonically: by round, then by coalition (mask for
+// cellLess orders cells canonically: by round, then by coalition (mask for
 // small universes, key string otherwise — hex encoding preserves byte
 // order, so the comparison is deterministic either way).
-func (b *CellBatch) sort() {
-	sort.Slice(b.Cells, func(i, j int) bool {
-		a, c := &b.Cells[i], &b.Cells[j]
-		if a.Round != c.Round {
-			return a.Round < c.Round
-		}
-		if a.Mask != c.Mask {
-			return a.Mask < c.Mask
-		}
-		return a.Key < c.Key
-	})
+func cellLess(a, c *SnapshotCell) bool {
+	if a.Round != c.Round {
+		return a.Round < c.Round
+	}
+	if a.Mask != c.Mask {
+		return a.Mask < c.Mask
+	}
+	return a.Key < c.Key
+}
+
+// NewCellBatch builds a stamped canonical batch over a universe of n
+// clients from evaluated cells and their utilities (vals[i] is the value
+// of cells[i]). The cells must be distinct and non-empty.
+func NewCellBatch(n int, cells []Cell, vals []float64) *CellBatch {
+	b := &CellBatch{N: n, Cells: make([]SnapshotCell, len(cells))}
+	for i, c := range cells {
+		mask, key := snapshotKey(cellKey{t: c.Round, set: c.Subset.cacheKey()})
+		b.Cells[i] = SnapshotCell{Round: c.Round, Mask: mask, Key: key, Value: vals[i]}
+	}
+	b.Stamp()
+	return b
 }
 
 // Stamp sorts the cells canonically and stamps the content digest — for
 // producers and for tests that fabricate batches by hand.
 func (b *CellBatch) Stamp() {
-	b.sort()
+	sort.Slice(b.Cells, func(i, j int) bool { return cellLess(&b.Cells[i], &b.Cells[j]) })
 	b.Digest = b.digest()
 }
 
-// Verify recomputes the content digest and checks it against the stamped
-// one, catching disk or wire corruption, reordering, and tampering in one
-// pass.
+// Verify checks that the cells are in strict canonical order — each cell
+// strictly after its predecessor, so no coalition repeats within a round —
+// and that the recomputed content digest matches the stamped one,
+// catching disk or wire corruption, duplicated or reordered cells, and
+// tampering in one pass. The digest alone hashes cells in their given
+// order, so it cannot tell a repeated or unsorted batch from a canonical
+// one.
 func (b *CellBatch) Verify() error {
+	for i := 1; i < len(b.Cells); i++ {
+		if !cellLess(&b.Cells[i-1], &b.Cells[i]) {
+			return fmt.Errorf("utility: cell %d (round %d) is not strictly after cell %d in (round, coalition) order", i, b.Cells[i].Round, i-1)
+		}
+	}
 	if got := b.digest(); got != b.Digest {
 		return fmt.Errorf("utility: cell batch digest mismatch: recomputed %s, stamped %s", got, b.Digest)
 	}

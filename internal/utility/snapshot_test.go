@@ -1,8 +1,13 @@
 package utility
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
+
+	"comfedsv/internal/dataset"
+	"comfedsv/internal/fl"
 )
 
 func TestCellBatchStampVerify(t *testing.T) {
@@ -223,4 +228,121 @@ func TestPreloadNilAndEmpty(t *testing.T) {
 	if e.ExportNew() != nil {
 		t.Fatal("empty evaluator exported a batch")
 	}
+}
+
+// TestCellBatchVerifyRejectsNonCanonicalCells pins the order contract a
+// batch must meet: cells strictly ascending in (round, mask, key). The
+// digest hashes cells in their given order, so without the order check a
+// duplicated, conflicting, or unsorted batch stamped over its own order
+// would verify.
+func TestCellBatchVerifyRejectsNonCanonicalCells(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		n     int
+		cells []SnapshotCell
+		bad   bool
+	}{
+		{"canonical", 4, []SnapshotCell{{Round: 0, Mask: 1, Value: 0.5}, {Round: 0, Mask: 2, Value: 0.25}, {Round: 1, Mask: 1, Value: 0.75}}, false},
+		{"canonical keys", 70, []SnapshotCell{{Round: 0, Key: strings.Repeat("00", 15) + "01", Value: 0.5}, {Round: 0, Key: strings.Repeat("00", 15) + "02", Value: 0.25}}, false},
+		{"exact duplicate", 4, []SnapshotCell{{Round: 0, Mask: 1, Value: 0.5}, {Round: 0, Mask: 1, Value: 0.5}}, true},
+		{"conflicting duplicate", 4, []SnapshotCell{{Round: 0, Mask: 1, Value: 0.5}, {Round: 0, Mask: 1, Value: 0.7}}, true},
+		{"unsorted", 4, []SnapshotCell{{Round: 1, Mask: 1, Value: 0.75}, {Round: 0, Mask: 2, Value: 0.5}}, true},
+		{"unsorted masks", 4, []SnapshotCell{{Round: 0, Mask: 2, Value: 0.75}, {Round: 0, Mask: 1, Value: 0.5}}, true},
+		{"duplicate key", 70, []SnapshotCell{{Round: 0, Key: strings.Repeat("00", 15) + "01", Value: 0.5}, {Round: 0, Key: strings.Repeat("00", 15) + "01", Value: 0.5}}, true},
+	} {
+		b := &CellBatch{N: tc.n, Cells: tc.cells}
+		b.Digest = b.digest() // stamped over the given order, unsorted
+		err := b.Verify()
+		if tc.bad && (err == nil || !strings.Contains(err.Error(), "not strictly after")) {
+			t.Errorf("%s: Verify = %v, want an ordering error", tc.name, err)
+		}
+		if !tc.bad && err != nil {
+			t.Errorf("%s: Verify = %v, want nil", tc.name, err)
+		}
+	}
+}
+
+// TestNewCellBatch pins the worker-side constructor: cells given in any
+// order come back canonical, stamped, and round-trip through Preload into
+// exactly the evaluated values, in both the mask and the hex-key encoding.
+func TestNewCellBatch(t *testing.T) {
+	for _, n := range []int{4, 70} {
+		run := &fl.Run{Clients: make([]*dataset.Dataset, n), Rounds: make([]fl.Round, 2)}
+		cells := []Cell{
+			{Round: 1, Subset: FromMembers(n, []int{0, 2})},
+			{Round: 0, Subset: FromMembers(n, []int{3})},
+			{Round: 1, Subset: FromMembers(n, []int{1})},
+		}
+		vals := []float64{0.25, -1.5, 0.125}
+		b := NewCellBatch(n, cells, vals)
+		if err := b.Verify(); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if b.N != n || len(b.Cells) != len(cells) || b.Cells[0].Round != 0 {
+			t.Fatalf("n=%d: batch %+v is not the canonical form of the cells", n, b)
+		}
+		e := NewEvaluator(run)
+		if added, err := e.Preload(b); err != nil || added != len(cells) {
+			t.Fatalf("n=%d: Preload = (%d, %v), want (%d, nil)", n, added, err, len(cells))
+		}
+		for i, c := range cells {
+			if got := e.Utility(c.Round, c.Subset); got != vals[i] {
+				t.Fatalf("n=%d: cell %d preloaded as %v, want %v", n, i, got, vals[i])
+			}
+		}
+		if e.Calls() != 0 {
+			t.Fatalf("n=%d: preloaded lookups paid %d evaluations", n, e.Calls())
+		}
+	}
+}
+
+// FuzzCellBatchPreload drives the worker-completion trust boundary with
+// arbitrary bytes: a strict JSON decode (unknown fields rejected, as the
+// worker endpoints decode), Verify, then Preload into small evaluators of
+// 4 and 70 clients (the mask and the hex-key encodings). Nothing may
+// panic, a batch Verify rejects must not preload, and a rejected batch
+// must leave the evaluator's preloaded count unchanged.
+func FuzzCellBatchPreload(f *testing.F) {
+	valid := &CellBatch{N: 4, Cells: []SnapshotCell{{Round: 0, Mask: 0b11, Value: 0.5}, {Round: 1, Mask: 0b1, Value: -0.25}}}
+	valid.Stamp()
+	dup := &CellBatch{N: 4, Cells: []SnapshotCell{{Round: 0, Mask: 1, Value: 0.5}, {Round: 0, Mask: 1, Value: 0.7}}}
+	dup.Digest = dup.digest()
+	wide := NewCellBatch(70, []Cell{{Round: 0, Subset: FromMembers(70, []int{0, 65})}, {Round: 1, Subset: FromMembers(70, []int{69})}}, []float64{1, 2})
+	for _, b := range []*CellBatch{valid, dup, wide} {
+		raw, err := json.Marshal(b)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	runs := []*fl.Run{
+		{Clients: make([]*dataset.Dataset, 4), Rounds: make([]fl.Round, 2)},
+		{Clients: make([]*dataset.Dataset, 70), Rounds: make([]fl.Round, 2)},
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		b := new(CellBatch)
+		if err := dec.Decode(b); err != nil {
+			return
+		}
+		verr := b.Verify()
+		for _, run := range runs {
+			e := NewEvaluator(run)
+			before := e.Preloaded()
+			added, err := e.Preload(b)
+			if err != nil {
+				if added != 0 || e.Preloaded() != before {
+					t.Fatalf("rejected batch changed the evaluator: added %d, preloaded %d → %d (%v)", added, before, e.Preloaded(), err)
+				}
+				continue
+			}
+			if verr != nil && len(b.Cells) > 0 {
+				t.Fatalf("Preload accepted a batch Verify rejects: %v", verr)
+			}
+			if e.Preloaded() != before+added {
+				t.Fatalf("accepted batch: preloaded %d → %d, added %d", before, e.Preloaded(), added)
+			}
+		}
+	})
 }

@@ -7,26 +7,16 @@ import (
 	"comfedsv/internal/shapley"
 )
 
-// ShardObservations is the wire form of one observation shard's evaluated
-// utility cells — the payload a comfedsv-worker ships back to the
-// comfedsvd coordinator, carrying the same content digest the job journal
-// records for locally executed shards.
-type ShardObservations = shapley.ShardObservations
-
-// ObservedCell is one evaluated utility-matrix entry in wire form.
-type ObservedCell = shapley.ObservedCell
-
 // ShardObserver is the worker-side half of distributed observation: a
 // Monte-Carlo observation plan rebuilt from a trained run plus the
 // coordinator's (budget, seed) lease parameters, able to evaluate any
-// permutation slice of the job. Permutation sampling and prefix-column
-// registration are pure functions of (trace, budget, seed), so the
-// worker's dense column indices — and therefore its observation digests —
-// match the coordinator's exactly.
+// permutation slice of the job. Permutation sampling is a pure function
+// of (trace, budget, seed), so the worker evaluates exactly the prefix
+// cells the coordinator's shard reaches.
 //
 // A ShardObserver only observes. It never merges, completes, or extracts;
-// those stages stay on the coordinator, which verifies each imported
-// shard's digest before merging.
+// those stages stay on the coordinator, which preloads each returned
+// batch into its own evaluator and then observes the shard from cache.
 type ShardObserver struct {
 	plan *shapley.MonteCarloPlan
 }
@@ -57,8 +47,9 @@ func NewShardObserver(ctx context.Context, tr *TrainedRun, budget int, seed int6
 func (o *ShardObserver) Budget() int { return o.plan.Budget() }
 
 // ObserveSlice evaluates the prefix cells of the permutation slice
-// [lo, hi) and returns them in wire form with their content digest.
-// Distinct slices are safe to evaluate concurrently.
-func (o *ShardObserver) ObserveSlice(ctx context.Context, lo, hi int) (*ShardObservations, error) {
+// [lo, hi) and returns every one of them as a digest-stamped CellBatch
+// keyed by (round, coalition). Distinct slices are safe to evaluate
+// concurrently.
+func (o *ShardObserver) ObserveSlice(ctx context.Context, lo, hi int) (*CellBatch, error) {
 	return o.plan.ObserveSlice(ctx, lo, hi)
 }

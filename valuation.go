@@ -241,23 +241,6 @@ func (v *Valuation) ShardSlice(shard int) (lo, hi int, ok bool) {
 	return lo, hi, true
 }
 
-// ImportShard installs a remotely evaluated shard's observations as if
-// ObserveShard had run locally: the slice coordinates must match the
-// shard's planned range and the content digest must verify, so a corrupt
-// or mis-addressed result fails loudly instead of perturbing the report.
-// After a successful import, ShardDigest(shard) returns the imported
-// digest and the merge consumes the cells exactly as local ones.
-func (v *Valuation) ImportShard(shard int, obs *ShardObservations) error {
-	if v.mcPlan == nil {
-		return errors.New("comfedsv: exact pipelines have no observation shards to import")
-	}
-	if err := v.mcPlan.ImportShard(shard, obs); err != nil {
-		return err
-	}
-	v.emit(Progress{Stage: StageObserve, Done: int(v.observed.Add(1)), Total: v.shards})
-	return nil
-}
-
 // Complete is the wave checkpoint: it merges the shard observations in
 // deterministic serial order and solves the matrix-completion problem. It
 // returns the number of additional observation shards the caller must
