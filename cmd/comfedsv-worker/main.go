@@ -297,7 +297,16 @@ func (w *worker) trainedRun(runID string) (*comfedsv.TrainedRun, error) {
 		return nil, fmt.Errorf("hydrating run %s: %w", runID, err)
 	}
 	tr = comfedsv.NewTrainedRun(run)
-	w.hydrateCells(runID, tr)
+	// The sidecar warm start is best-effort: a damaged sidecar is
+	// quarantined and the run proceeds cold — a lease never fails over a
+	// cache.
+	added, err := w.runs.PreloadCells(runID, tr.PreloadCells, nil)
+	if err != nil {
+		w.log.Warn("cell cache corrupt, quarantined", "run", runID, "error", err)
+	}
+	if added > 0 {
+		w.log.Info("cell cache preloaded", "run", runID, "cells", added)
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if cached, ok := w.trained[runID]; ok {
@@ -311,36 +320,4 @@ func (w *worker) trainedRun(runID string) (*comfedsv.TrainedRun, error) {
 	}
 	w.trained[runID] = tr
 	return tr, nil
-}
-
-// hydrateCells warm-starts a freshly hydrated run from its cell-cache
-// sidecar. Strictly best-effort: a damaged sidecar is quarantined
-// (keeping any batches that verified before the damage) and the run
-// proceeds cold — the lease must never fail over a cache.
-func (w *worker) hydrateCells(runID string, tr *comfedsv.TrainedRun) {
-	batches, err := w.runs.ReadCells(runID)
-	if err != nil {
-		w.quarantineCells(runID, err)
-		return
-	}
-	added := 0
-	for _, b := range batches {
-		n, perr := tr.PreloadCells(b)
-		if perr != nil {
-			w.quarantineCells(runID, perr)
-			break
-		}
-		added += n
-	}
-	if added > 0 {
-		w.log.Info("cell cache preloaded", "run", runID, "cells", added, "batches", len(batches))
-	}
-}
-
-func (w *worker) quarantineCells(runID string, cause error) {
-	dst, qerr := w.runs.QuarantineCells(runID)
-	if qerr != nil {
-		dst = "(rename failed: " + qerr.Error() + ")"
-	}
-	w.log.Warn("cell cache corrupt, quarantined", "run", runID, "quarantine", dst, "error", cause)
 }

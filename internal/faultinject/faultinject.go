@@ -42,10 +42,12 @@ const (
 	// "extract", or "worker"); Shard is -1; JobID carries the run ID.
 	OpCellsBefore = "cells.before"
 	OpCellsAfter  = "cells.after"
-	// OpQuarantine is consulted between a journal quarantine's rename and
-	// the directory sync that makes it durable — an injected crash here
-	// models losing the directory update, the window in which a crashed
-	// daemon can resurrect a quarantined journal. Stage is "quarantine".
+	// OpQuarantine is consulted between a journal's or cell sidecar's
+	// quarantine rename and the directory sync that makes it durable — an
+	// injected crash here models losing the directory update, the window
+	// in which a crashed daemon can resurrect a quarantined file. Stage is
+	// "quarantine"; Shard is -1; JobID carries the job ID for a journal
+	// and the run ID for a sidecar.
 	OpQuarantine = "store.quarantine"
 )
 

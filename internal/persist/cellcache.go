@@ -1,23 +1,12 @@
 package persist
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
+	"io/fs"
 
 	"comfedsv/internal/faultinject"
 	"comfedsv/internal/utility"
-)
-
-// Cell-cache sidecar suffixes. Each run may carry a `<runID>.cells` file
-// next to its trace: an append-only log of utility.CellBatch JSON lines,
-// the durable half of the run-scoped utility-cell cache.
-const (
-	cellsSuffix        = ".cells"
-	cellsCorruptSuffix = ".cells.corrupt"
 )
 
 // ErrCorruptCellCache reports a cell-cache sidecar whose decoded prefix is
@@ -29,11 +18,21 @@ const (
 // remedy is QuarantineCells and a cold start, never a failed job.
 var ErrCorruptCellCache = errors.New("persist: corrupt cell cache")
 
-func (s *RunStore) cellsPath(id, suffix string) (string, error) {
-	if !ValidJobID(id) {
-		return "", fmt.Errorf("persist: invalid run id %q", id)
-	}
-	return filepath.Join(s.dir, id+suffix), nil
+// Cell-cache sidecar suffixes. Each run may carry a `<runID>.cells` file
+// next to its trace: an append-only log of utility.CellBatch JSON lines,
+// the durable half of the run-scoped utility-cell cache.
+const (
+	cellsSuffix        = ".cells"
+	cellsCorruptSuffix = ".cells.corrupt"
+)
+
+var cellsLog = appendLog{
+	name:          "cell cache",
+	suffix:        cellsSuffix,
+	corruptSuffix: cellsCorruptSuffix,
+	before:        faultinject.OpCellsBefore,
+	after:         faultinject.OpCellsAfter,
+	errCorrupt:    ErrCorruptCellCache,
 }
 
 // AppendCells durably appends one batch of evaluated cells to run id's
@@ -46,41 +45,7 @@ func (s *RunStore) AppendCells(id string, b *utility.CellBatch, stage string, ho
 	if b == nil || len(b.Cells) == 0 {
 		return nil
 	}
-	path, err := s.cellsPath(id, cellsSuffix)
-	if err != nil {
-		return err
-	}
-	line, err := json.Marshal(b)
-	if err != nil {
-		return fmt.Errorf("persist: encoding cell batch: %w", err)
-	}
-	line = append(line, '\n')
-	if hook != nil {
-		if err := hook(faultinject.Point{Op: faultinject.OpCellsBefore, Stage: stage, Shard: -1, JobID: id}); err != nil {
-			return err
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("persist: opening cell cache: %w", err)
-	}
-	if _, err := f.Write(line); err != nil {
-		f.Close()
-		return fmt.Errorf("persist: appending cell batch: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("persist: syncing cell cache: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("persist: closing cell cache: %w", err)
-	}
-	if hook != nil {
-		if err := hook(faultinject.Point{Op: faultinject.OpCellsAfter, Stage: stage, Shard: -1, JobID: id}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.appendLine(cellsLog, id, b, hook, faultinject.Point{Stage: stage, Shard: -1, JobID: id})
 }
 
 // ReadCells decodes run id's cell-cache sidecar into its durable batches.
@@ -91,84 +56,56 @@ func (s *RunStore) AppendCells(id string, b *utility.CellBatch, stage string, ho
 // Batch digests are NOT verified here — the evaluator's Preload does that
 // against the run it actually serves.
 func (s *RunStore) ReadCells(id string) ([]*utility.CellBatch, error) {
-	path, err := s.cellsPath(id, cellsSuffix)
-	if err != nil {
-		return nil, err
+	batches, err := readLines[*utility.CellBatch](s.keyed, cellsLog, id)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
+	return batches, err
+}
+
+// PreloadCells warm-starts an evaluator from run id's sidecar: it hands
+// each durable batch, in order, to install (the evaluator's Preload) and
+// returns the cells added. A cache never fails its caller, so a sidecar
+// that does not decode, or a batch install rejects, is quarantined (hook
+// as in QuarantineCells) while the batches installed before the damage
+// stay; the returned error then names the cause and the quarantine path.
+func (s *RunStore) PreloadCells(id string, install func(*utility.CellBatch) (int, error), hook faultinject.Hook) (int, error) {
+	batches, err := s.ReadCells(id)
+	added := 0
+	for _, b := range batches {
+		n, perr := install(b)
+		if perr != nil {
+			err = perr
+			break
 		}
-		return nil, fmt.Errorf("persist: reading cell cache: %w", err)
+		added += n
 	}
-	// Only newline-terminated lines are durable batches; a trailing
-	// fragment is the torn write of a dying process, not corruption.
-	if i := bytes.LastIndexByte(data, '\n'); i < 0 {
-		data = nil
-	} else {
-		data = data[:i+1]
+	if err == nil {
+		return added, nil
 	}
-	var batches []*utility.CellBatch
-	for lineNo, line := range bytes.Split(data, []byte{'\n'}) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		b := new(utility.CellBatch)
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(b); err != nil {
-			return nil, fmt.Errorf("%w: %s line %d: %v", ErrCorruptCellCache, id, lineNo+1, err)
-		}
-		batches = append(batches, b)
+	dst, qerr := s.QuarantineCells(id, hook)
+	if qerr != nil {
+		dst = "(rename failed: " + qerr.Error() + ")"
 	}
-	return batches, nil
+	return added, fmt.Errorf("persist: cell cache quarantined to %s: %w", dst, err)
 }
 
 // HasCells reports whether a cell-cache sidecar exists for run id.
-func (s *RunStore) HasCells(id string) bool {
-	path, err := s.cellsPath(id, cellsSuffix)
-	if err != nil {
-		return false
-	}
-	_, err = os.Stat(path)
-	return err == nil
-}
+func (s *RunStore) HasCells(id string) bool { return s.has(id, cellsSuffix) }
 
 // QuarantineCells renames run id's sidecar to its .corrupt name so a
 // damaged cache stops poisoning every warm start but stays available for
-// inspection, then fsyncs the directory. The next writer starts a fresh
-// sidecar; the next reader sees a cold cache. It returns the quarantine
-// path.
-func (s *RunStore) QuarantineCells(id string) (string, error) {
-	path, err := s.cellsPath(id, cellsSuffix)
-	if err != nil {
-		return "", err
-	}
-	dst, err := s.cellsPath(id, cellsCorruptSuffix)
-	if err != nil {
-		return "", err
-	}
-	if err := os.Rename(path, dst); err != nil {
-		return "", fmt.Errorf("persist: quarantining cell cache: %w", err)
-	}
-	if err := syncDir(s.dir); err != nil {
-		return "", err
-	}
-	return dst, nil
+// inspection, then fsyncs the directory. The hook, if non-nil, is
+// consulted between the rename and the directory sync
+// (faultinject.OpQuarantine, JobID carrying the run ID); pass nil in
+// production. The next writer starts a fresh sidecar; the next reader
+// sees a cold cache. It returns the quarantine path.
+func (s *RunStore) QuarantineCells(id string, hook faultinject.Hook) (string, error) {
+	return s.quarantine(cellsLog, id, hook)
 }
 
 // RemoveCells deletes run id's sidecar and any quarantined copy. Missing
 // files are not an error.
 func (s *RunStore) RemoveCells(id string) error {
-	for _, suffix := range []string{cellsSuffix, cellsCorruptSuffix} {
-		path, err := s.cellsPath(id, suffix)
-		if err != nil {
-			return err
-		}
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("persist: %w", err)
-		}
-	}
-	return syncDir(s.dir)
+	return s.remove(id, cellsSuffix, cellsCorruptSuffix)
 }

@@ -137,7 +137,7 @@ func TestCellCacheCompleteBadLineIsCorrupt(t *testing.T) {
 	}
 
 	// Quarantine: the sidecar moves aside, the cache reads cold again.
-	dst, err := store.QuarantineCells(id)
+	dst, err := store.QuarantineCells(id, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 
 	"comfedsv/internal/fl"
@@ -23,7 +20,7 @@ import (
 // no two writers target the same job ID, which the service's one-worker-
 // per-job discipline guarantees.
 type JobStore struct {
-	dir string
+	keyed
 }
 
 const (
@@ -33,122 +30,25 @@ const (
 
 // NewJobStore opens (creating if needed) a job store rooted at dir.
 func NewJobStore(dir string) (*JobStore, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("persist: empty job store directory")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("persist: creating job store: %w", err)
-	}
-	return &JobStore{dir: dir}, nil
-}
-
-// Dir returns the store's root directory.
-func (s *JobStore) Dir() string { return s.dir }
-
-// ValidJobID reports whether id is usable as a job key: non-empty, at most
-// 128 bytes, and limited to [A-Za-z0-9._-] with no leading dot — which
-// keeps every key a single safe file-name component.
-func ValidJobID(id string) bool {
-	if id == "" || len(id) > 128 || id[0] == '.' {
-		return false
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9':
-		case c == '.' || c == '_' || c == '-':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-func (s *JobStore) path(id, suffix string) (string, error) {
-	if !ValidJobID(id) {
-		return "", fmt.Errorf("persist: invalid job id %q", id)
-	}
-	return filepath.Join(s.dir, id+suffix), nil
-}
-
-// writeAtomic writes a file under dir via temp file + fsync + rename, so a
-// crashed writer never leaves a half-written artifact behind a valid name.
-// Shared by JobStore and RunStore.
-func writeAtomic(dir, path string, write func(*os.File) error) error {
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	// Flush data before the rename: on common filesystems a rename can
-	// survive a crash that the unsynced data does not, which would leave a
-	// truncated artifact behind a valid name.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("persist: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a just-completed rename or remove of an
-// entry in it is durable. A failure is surfaced, never swallowed: an
-// unsynced directory update can be undone by a crash, resurrecting a
-// name the caller believes is gone or losing one it believes exists.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("persist: opening directory for sync: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("persist: syncing directory: %w", err)
-	}
-	return nil
-}
-
-// SaveJobRun persists the training trace of job id.
-func (s *JobStore) SaveJobRun(id string, run *fl.Run) error {
-	path, err := s.path(id, runSuffix)
-	if err != nil {
-		return err
-	}
-	return writeAtomic(s.dir, path, func(f *os.File) error { return SaveRun(f, run) })
-}
-
-// LoadJobRun reads the training trace of job id.
-func (s *JobStore) LoadJobRun(id string) (*fl.Run, error) {
-	path, err := s.path(id, runSuffix)
+	k, err := openKeyed(dir, "job")
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	defer f.Close()
-	return LoadRun(f)
+	return &JobStore{k}, nil
 }
+
+// SaveJobRun persists the training trace of job id.
+func (s *JobStore) SaveJobRun(id string, run *fl.Run) error { return s.saveRun(id, run) }
+
+// LoadJobRun reads the training trace of job id.
+func (s *JobStore) LoadJobRun(id string) (*fl.Run, error) { return s.loadRun(id) }
 
 // SaveJobReport persists a valuation report for job id. The report may be
 // any JSON-encodable value; the service stores comfedsv.Report. Go's JSON
 // encoder emits shortest-round-trip float literals, so valuations survive
 // a save/load cycle bit-identical.
 func (s *JobStore) SaveJobReport(id string, report any) error {
-	path, err := s.path(id, reportSuffix)
-	if err != nil {
-		return err
-	}
-	return writeAtomic(s.dir, path, func(f *os.File) error {
+	return s.writeFile(id, reportSuffix, func(f *os.File) error {
 		enc := json.NewEncoder(f)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(report); err != nil {
@@ -160,79 +60,28 @@ func (s *JobStore) SaveJobReport(id string, report any) error {
 
 // LoadJobReport reads the report of job id into out.
 func (s *JobStore) LoadJobReport(id string, out any) error {
-	path, err := s.path(id, reportSuffix)
-	if err != nil {
-		return err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	defer f.Close()
-	if err := json.NewDecoder(f).Decode(out); err != nil {
-		return fmt.Errorf("persist: decoding report: %w", err)
-	}
-	return nil
+	return s.readFile(id, reportSuffix, func(f *os.File) error {
+		if err := json.NewDecoder(f).Decode(out); err != nil {
+			return fmt.Errorf("persist: decoding report: %w", err)
+		}
+		return nil
+	})
 }
 
 // ReportModTime returns the modification time of job id's stored report —
 // a stand-in for submission/completion times when recovering jobs from a
 // previous process.
-func (s *JobStore) ReportModTime(id string) (time.Time, error) {
-	path, err := s.path(id, reportSuffix)
-	if err != nil {
-		return time.Time{}, err
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		return time.Time{}, fmt.Errorf("persist: %w", err)
-	}
-	return info.ModTime(), nil
-}
+func (s *JobStore) ReportModTime(id string) (time.Time, error) { return s.modTime(id, reportSuffix) }
 
 // HasJobReport reports whether a report exists for job id.
-func (s *JobStore) HasJobReport(id string) bool {
-	path, err := s.path(id, reportSuffix)
-	if err != nil {
-		return false
-	}
-	_, err = os.Stat(path)
-	return err == nil
-}
+func (s *JobStore) HasJobReport(id string) bool { return s.has(id, reportSuffix) }
 
 // ListJobReports returns the sorted IDs of all jobs with a stored report.
-func (s *JobStore) ListJobReports() ([]string, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	var ids []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, reportSuffix) {
-			continue
-		}
-		id := strings.TrimSuffix(name, reportSuffix)
-		if ValidJobID(id) {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	return ids, nil
-}
+func (s *JobStore) ListJobReports() ([]string, error) { return s.list(reportSuffix) }
 
 // DeleteJob removes every artifact stored for job id — trace, report,
 // journal, and any quarantined journal. Missing artifacts are not an
 // error.
 func (s *JobStore) DeleteJob(id string) error {
-	for _, suffix := range []string{runSuffix, reportSuffix, journalSuffix, corruptSuffix} {
-		path, err := s.path(id, suffix)
-		if err != nil {
-			return err
-		}
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("persist: %w", err)
-		}
-	}
-	return syncDir(s.dir)
+	return s.remove(id, runSuffix, reportSuffix, journalSuffix, corruptSuffix)
 }

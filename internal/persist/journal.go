@@ -1,13 +1,10 @@
 package persist
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -62,32 +59,44 @@ type JournalRecord struct {
 	Request json.RawMessage `json:"request,omitempty"`
 }
 
+var journalLog = appendLog{
+	name:          "journal",
+	suffix:        journalSuffix,
+	corruptSuffix: corruptSuffix,
+	before:        faultinject.OpJournalBefore,
+	after:         faultinject.OpJournalAfter,
+	errCorrupt:    ErrCorruptJournal,
+}
+
 // Journal is one job's append-only task journal: each Append marshals a
 // record to a single JSON line, writes it in one call, and fsyncs before
 // returning, so every acknowledged record survives a crash and a torn
-// write can only ever be the trailing line. A Journal is safe for
-// concurrent use; the service serializes appends per task anyway.
+// write can only ever be the trailing line. A Journal holds no file
+// handle between appends. It is safe for concurrent use; the service
+// serializes appends per task anyway.
 type Journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	id   string
-	hook faultinject.Hook
-	dead error // non-nil after a simulated crash: appends are dropped
+	mu    sync.Mutex
+	store *JobStore
+	id    string
+	hook  faultinject.Hook
+	dead  error // non-nil after a simulated crash: appends are dropped
 }
 
-// OpenJournal opens (creating if needed) the append-only journal of job
-// id. The hook, if non-nil, is consulted before and after every append —
-// the crash-point seam of the chaos suites; pass nil in production.
+// OpenJournal creates job id's journal if it does not exist and returns
+// its appender. The hook, if non-nil, is consulted before and after every
+// append — the crash-point seam of the chaos suites; pass nil in
+// production.
 func (s *JobStore) OpenJournal(id string, hook faultinject.Hook) (*Journal, error) {
 	path, err := s.path(id, journalSuffix)
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("persist: opening journal: %w", err)
 	}
-	return &Journal{f: f, id: id, hook: hook}, nil
+	f.Close()
+	return &Journal{store: s, id: id, hook: hook}, nil
 }
 
 // Append durably appends one record: marshal, single write, fsync. After
@@ -96,37 +105,10 @@ func (s *JobStore) OpenJournal(id string, hook faultinject.Hook) (*Journal, erro
 // left it, and every subsequent Append returns the crash error without
 // touching the file.
 func (j *Journal) Append(rec JournalRecord) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("persist: encoding journal record: %w", err)
-	}
-	line = append(line, '\n')
-
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.dead != nil {
 		return j.dead
-	}
-	if err := j.fire(faultinject.OpJournalBefore, rec); err != nil {
-		return err
-	}
-	if _, err := j.f.Write(line); err != nil {
-		return fmt.Errorf("persist: appending journal record: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("persist: syncing journal: %w", err)
-	}
-	if err := j.fire(faultinject.OpJournalAfter, rec); err != nil {
-		return err
-	}
-	return nil
-}
-
-// fire consults the fault hook at one journal point, latching a
-// simulated crash. Callers hold j.mu.
-func (j *Journal) fire(op string, rec JournalRecord) error {
-	if j.hook == nil {
-		return nil
 	}
 	stage := rec.Type
 	if rec.Type == RecTask && rec.Stage != "" {
@@ -135,19 +117,12 @@ func (j *Journal) fire(op string, rec JournalRecord) error {
 		// record type.
 		stage = rec.Stage
 	}
-	err := j.hook(faultinject.Point{Op: op, Stage: stage, Shard: rec.Shard, JobID: j.id})
+	pt := faultinject.Point{Stage: stage, Shard: rec.Shard, JobID: j.id}
+	err := j.store.appendLine(journalLog, j.id, rec, j.hook, pt)
 	if errors.Is(err, faultinject.ErrCrash) {
 		j.dead = err
 	}
 	return err
-}
-
-// Close releases the journal's file handle. The file stays on disk;
-// RemoveJournal deletes it.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
 }
 
 // ReadJournal decodes job id's journal. A torn trailing line (no
@@ -158,36 +133,9 @@ func (j *Journal) Close() error {
 // all returns (nil, nil): that is a process that died before its first
 // fsync — the job never durably existed — not corruption.
 func (s *JobStore) ReadJournal(id string) ([]JournalRecord, error) {
-	path, err := s.path(id, journalSuffix)
-	if err != nil {
+	recs, err := readLines[JournalRecord](s.keyed, journalLog, id)
+	if err != nil || len(recs) == 0 {
 		return nil, err
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("persist: reading journal: %w", err)
-	}
-	// Only newline-terminated lines are durable records; a trailing
-	// fragment is the torn write of a dying process, not corruption.
-	if i := bytes.LastIndexByte(data, '\n'); i < 0 {
-		data = nil
-	} else {
-		data = data[:i+1]
-	}
-	var recs []JournalRecord
-	for lineNo, line := range bytes.Split(data, []byte{'\n'}) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var rec JournalRecord
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&rec); err != nil {
-			return nil, fmt.Errorf("%w: %s line %d: %v", ErrCorruptJournal, id, lineNo+1, err)
-		}
-		recs = append(recs, rec)
-	}
-	if len(recs) == 0 {
-		return nil, nil
 	}
 	if recs[0].Type != RecSubmit || len(recs[0].Request) == 0 {
 		return nil, fmt.Errorf("%w: %s does not start with a submit record", ErrCorruptJournal, id)
@@ -197,78 +145,23 @@ func (s *JobStore) ReadJournal(id string) ([]JournalRecord, error) {
 
 // ListJournals returns the sorted IDs of every job with a journal on
 // disk — the in-flight jobs a previous process left behind.
-func (s *JobStore) ListJournals() ([]string, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	var ids []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, journalSuffix) {
-			continue
-		}
-		id := strings.TrimSuffix(name, journalSuffix)
-		if ValidJobID(id) {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	return ids, nil
-}
+func (s *JobStore) ListJournals() ([]string, error) { return s.list(journalSuffix) }
 
 // QuarantineJournal renames job id's journal to its .corrupt name so a
 // damaged file stops being replayed on every startup but stays available
-// for inspection, then fsyncs the directory — without the sync, a crash
-// right after the rename can resurrect the corrupt journal and re-fail
-// every subsequent startup. The hook, if non-nil, is consulted between
-// the rename and the directory sync (faultinject.OpQuarantine — the
-// crash window the resurrection chaos suite targets); pass nil in
-// production. It returns the quarantine path.
+// for inspection, then fsyncs the directory. The hook, if non-nil, is
+// consulted between the rename and the directory sync
+// (faultinject.OpQuarantine); pass nil in production. It returns the
+// quarantine path.
 func (s *JobStore) QuarantineJournal(id string, hook faultinject.Hook) (string, error) {
-	path, err := s.path(id, journalSuffix)
-	if err != nil {
-		return "", err
-	}
-	dst, err := s.path(id, corruptSuffix)
-	if err != nil {
-		return "", err
-	}
-	if err := os.Rename(path, dst); err != nil {
-		return "", fmt.Errorf("persist: quarantining journal: %w", err)
-	}
-	if hook != nil {
-		if err := hook(faultinject.Point{Op: faultinject.OpQuarantine, Stage: "quarantine", Shard: -1, JobID: id}); err != nil {
-			return "", err
-		}
-	}
-	if err := syncDir(s.dir); err != nil {
-		return "", err
-	}
-	return dst, nil
+	return s.quarantine(journalLog, id, hook)
 }
 
 // RemoveJournal deletes job id's journal and fsyncs the directory so the
 // deletion is durable — a resurrected journal would make a restarted
 // daemon replay a job that already finished. A missing file is not an
 // error.
-func (s *JobStore) RemoveJournal(id string) error {
-	path, err := s.path(id, journalSuffix)
-	if err != nil {
-		return err
-	}
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("persist: %w", err)
-	}
-	return syncDir(s.dir)
-}
+func (s *JobStore) RemoveJournal(id string) error { return s.remove(id, journalSuffix) }
 
 // HasJournal reports whether a journal exists for job id.
-func (s *JobStore) HasJournal(id string) bool {
-	path, err := s.path(id, journalSuffix)
-	if err != nil {
-		return false
-	}
-	_, err = os.Stat(path)
-	return err == nil
-}
+func (s *JobStore) HasJournal(id string) bool { return s.has(id, journalSuffix) }

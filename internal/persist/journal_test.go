@@ -46,9 +46,6 @@ func TestJournalAppendReadRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
 	got, err := s.ReadJournal("job-1")
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +73,6 @@ func TestJournalTornTrailingWriteIsDropped(t *testing.T) {
 	if err := j.Append(JournalRecord{Type: RecTask, Stage: "prepare", Shards: 1}); err != nil {
 		t.Fatal(err)
 	}
-	j.Close()
 	// Simulate a crash mid-append: a partial record with no newline.
 	path := filepath.Join(s.Dir(), "job-torn.journal")
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -106,7 +102,6 @@ func TestJournalCompleteGarbageLineIsCorrupt(t *testing.T) {
 	if err := j.Append(submitRec(t)); err != nil {
 		t.Fatal(err)
 	}
-	j.Close()
 	path := filepath.Join(s.Dir(), "job-bad.journal")
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -132,7 +127,6 @@ func TestJournalMissingSubmitIsCorrupt(t *testing.T) {
 	if err := j.Append(JournalRecord{Type: RecTask, Stage: "prepare"}); err != nil {
 		t.Fatal(err)
 	}
-	j.Close()
 	if _, err := s.ReadJournal("job-nosubmit"); !errors.Is(err, ErrCorruptJournal) {
 		t.Fatalf("want ErrCorruptJournal for journal without submit, got %v", err)
 	}
@@ -142,11 +136,10 @@ func TestJournalEmptyIsNotCorrupt(t *testing.T) {
 	// A journal with no durable records is a process that died before its
 	// first fsync — the job never durably existed. Recovery forgets it.
 	s := newTestStore(t)
-	j, err := s.OpenJournal("job-empty", nil)
+	_, err := s.OpenJournal("job-empty", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Close()
 	recs, err := s.ReadJournal("job-empty")
 	if err != nil || recs != nil {
 		t.Fatalf("empty journal must read as (nil, nil), got %v, %v", recs, err)
@@ -162,7 +155,6 @@ func TestQuarantineJournal(t *testing.T) {
 	if err := j.Append(submitRec(t)); err != nil {
 		t.Fatal(err)
 	}
-	j.Close()
 	dst, err := s.QuarantineJournal("job-q", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +187,6 @@ func TestListJournalsAndRemove(t *testing.T) {
 		if err := j.Append(submitRec(t)); err != nil {
 			t.Fatal(err)
 		}
-		j.Close()
 	}
 	ids, err := s.ListJournals()
 	if err != nil {
@@ -233,7 +224,6 @@ func TestJournalCrashBeforeAppendLosesRecord(t *testing.T) {
 	if err := j.Append(JournalRecord{Type: RecTask, Stage: "observe"}); !errors.Is(err, faultinject.ErrCrash) {
 		t.Fatalf("dead journal accepted an append: %v", err)
 	}
-	j.Close()
 	got, err := s.ReadJournal("job-cb")
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +247,6 @@ func TestJournalCrashAfterAppendKeepsRecord(t *testing.T) {
 	if !errors.Is(err, faultinject.ErrCrash) {
 		t.Fatalf("want ErrCrash, got %v", err)
 	}
-	j.Close()
 	got, err := s.ReadJournal("job-ca")
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +265,6 @@ func TestDeleteJobRemovesJournalArtifacts(t *testing.T) {
 	if err := j.Append(submitRec(t)); err != nil {
 		t.Fatal(err)
 	}
-	j.Close()
 	if err := s.SaveJobReport("job-del", map[string]int{"x": 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +274,6 @@ func TestDeleteJobRemovesJournalArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	j2.Append(submitRec(t))
-	j2.Close()
 	if _, err := s.QuarantineJournal("job-del2", nil); err != nil {
 		t.Fatal(err)
 	}

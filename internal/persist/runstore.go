@@ -1,11 +1,6 @@
 package persist
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 
 	"comfedsv/internal/fl"
@@ -24,110 +19,37 @@ import (
 // the same run ID — which content addressing plus the service's
 // train-once-per-ID discipline guarantees.
 type RunStore struct {
-	dir string
+	keyed
 }
 
 // NewRunStore opens (creating if needed) a run store rooted at dir.
 func NewRunStore(dir string) (*RunStore, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("persist: empty run store directory")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("persist: creating run store: %w", err)
-	}
-	return &RunStore{dir: dir}, nil
-}
-
-// Dir returns the store's root directory.
-func (s *RunStore) Dir() string { return s.dir }
-
-// path validates the ID (run IDs obey the same single-file-component rules
-// as job IDs) and returns the run file path.
-func (s *RunStore) path(id string) (string, error) {
-	if !ValidJobID(id) {
-		return "", fmt.Errorf("persist: invalid run id %q", id)
-	}
-	return filepath.Join(s.dir, id+runSuffix), nil
-}
-
-// SaveRun persists the training trace under the given run ID.
-func (s *RunStore) SaveRun(id string, run *fl.Run) error {
-	path, err := s.path(id)
-	if err != nil {
-		return err
-	}
-	return writeAtomic(s.dir, path, func(f *os.File) error { return SaveRun(f, run) })
-}
-
-// LoadRun reads the training trace stored under the given run ID.
-func (s *RunStore) LoadRun(id string) (*fl.Run, error) {
-	path, err := s.path(id)
+	k, err := openKeyed(dir, "run")
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	defer f.Close()
-	return LoadRun(f)
+	return &RunStore{k}, nil
 }
 
+// SaveRun persists the training trace under the given run ID.
+func (s *RunStore) SaveRun(id string, run *fl.Run) error { return s.saveRun(id, run) }
+
+// LoadRun reads the training trace stored under the given run ID.
+func (s *RunStore) LoadRun(id string) (*fl.Run, error) { return s.loadRun(id) }
+
 // HasRun reports whether a trace exists for the given run ID.
-func (s *RunStore) HasRun(id string) bool {
-	path, err := s.path(id)
-	if err != nil {
-		return false
-	}
-	_, err = os.Stat(path)
-	return err == nil
-}
+func (s *RunStore) HasRun(id string) bool { return s.has(id, runSuffix) }
 
 // ModTime returns the modification time of the stored trace — a stand-in
 // for the training time when recovering runs from a previous process.
-func (s *RunStore) ModTime(id string) (time.Time, error) {
-	path, err := s.path(id)
-	if err != nil {
-		return time.Time{}, err
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		return time.Time{}, fmt.Errorf("persist: %w", err)
-	}
-	return info.ModTime(), nil
-}
+func (s *RunStore) ModTime(id string) (time.Time, error) { return s.modTime(id, runSuffix) }
 
 // ListRuns returns the sorted IDs of every stored run.
-func (s *RunStore) ListRuns() ([]string, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	var ids []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, runSuffix) {
-			continue
-		}
-		id := strings.TrimSuffix(name, runSuffix)
-		if ValidJobID(id) {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	return ids, nil
-}
+func (s *RunStore) ListRuns() ([]string, error) { return s.list(runSuffix) }
 
 // DeleteRun removes the stored trace along with the run's cell-cache
 // sidecar and any quarantined copy — cached cells are meaningless without
 // their trace. Missing files are not an error.
 func (s *RunStore) DeleteRun(id string) error {
-	path, err := s.path(id)
-	if err != nil {
-		return err
-	}
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("persist: %w", err)
-	}
-	return s.RemoveCells(id)
+	return s.remove(id, runSuffix, cellsSuffix, cellsCorruptSuffix)
 }

@@ -44,47 +44,25 @@ func (m *Manager) cellCacheEnabled() bool {
 // (trainRun, or runTrained's loadOnce) — so no job can be evaluating
 // against tr yet, but the path is safe either way: Preload only installs
 // absent cells. Every failure degrades to a cold cache: a damaged
-// sidecar is quarantined (batches that verified before the damage stay
-// installed — they are known-good) and the run proceeds.
+// sidecar is quarantined and counted (batches that verified before the
+// damage stay installed — they are known-good) and the run proceeds.
 func (m *Manager) preloadCells(id string, tr *comfedsv.TrainedRun) {
 	if !m.cellCacheEnabled() || tr == nil {
 		return
 	}
-	batches, err := m.cfg.RunStore.ReadCells(id)
-	if err != nil {
-		m.quarantineCells(id, err)
-		return
-	}
-	added := 0
-	for _, b := range batches {
-		n, perr := tr.PreloadCells(b)
-		if perr != nil {
-			m.quarantineCells(id, perr)
-			break
-		}
-		added += n
-	}
-	if added == 0 {
-		return
-	}
+	added, err := m.cfg.RunStore.PreloadCells(id, tr.PreloadCells, m.cfg.FaultHook)
 	m.mu.Lock()
 	m.cellsPreloaded += int64(added)
-	m.mu.Unlock()
-	m.logRun("cell cache preloaded", id, "cells", added, "batches", len(batches))
-}
-
-// quarantineCells renames a damaged sidecar out of the preload path and
-// counts the corruption. The run continues cold — a broken cache must
-// never fail a run or a job.
-func (m *Manager) quarantineCells(id string, cause error) {
-	dst, qerr := m.cfg.RunStore.QuarantineCells(id)
-	if qerr != nil {
-		dst = "(rename failed: " + qerr.Error() + ")"
+	if err != nil {
+		m.cellsCorrupt++
 	}
-	m.mu.Lock()
-	m.cellsCorrupt++
 	m.mu.Unlock()
-	m.logRun("cell cache corrupt, quarantined", id, "quarantine", dst, "error", cause.Error())
+	if err != nil {
+		m.logRun("cell cache corrupt, quarantined", id, "error", err.Error())
+	}
+	if added > 0 {
+		m.logRun("cell cache preloaded", id, "cells", added)
+	}
 }
 
 // jobTrainedRun returns the shared TrainedRun a run-backed job values

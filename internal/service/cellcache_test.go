@@ -310,6 +310,72 @@ func TestCorruptSidecarQuarantinedJobRunsCold(t *testing.T) {
 	}
 }
 
+// TestSidecarQuarantineCrashResurrectionReQuarantines is the sidecar twin
+// of TestQuarantineCrashResurrectionReQuarantines: a crash between the
+// sidecar quarantine's rename and its directory sync
+// (faultinject.OpQuarantine) can lose the rename and resurrect the corrupt
+// sidecar. The next daemon must quarantine it again and run the job cold
+// to the report a clean daemon produces.
+func TestSidecarQuarantineCrashResurrectionReQuarantines(t *testing.T) {
+	const seed = 71
+	req := cellRequest(seed, 2, 2)
+
+	cleanJobDir, cleanRunDir := t.TempDir(), t.TempDir()
+	cleanJobs, cleanRuns := cellStores(t, cleanJobDir, cleanRunDir)
+	m0 := newManager(t, Config{Workers: 2, Store: cleanJobs, RunStore: cleanRuns})
+	want := runCellJob(t, m0, cleanJobDir, tinySpec(seed), req)
+
+	jobDir, runDir := t.TempDir(), t.TempDir()
+	side := filepath.Join(runDir, req.RunID+".cells")
+	if err := os.WriteFile(side, []byte("{definitely not json\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// The first daemon trains the run, finds the corrupt sidecar during
+	// the warm start, and crashes in the quarantine window. It survives —
+	// a cache never fails a run — but the rename never became durable.
+	crash := faultinject.CrashNth(faultinject.OpQuarantine, "quarantine", 1)
+	var crashedAt atomic.Value
+	hook := func(p faultinject.Point) error {
+		err := crash(p)
+		if errors.Is(err, faultinject.ErrCrash) {
+			crashedAt.Store(p.JobID)
+		}
+		return err
+	}
+	jobs1, runs1 := cellStores(t, jobDir, runDir)
+	m1 := newManager(t, Config{Workers: 2, Store: jobs1, RunStore: runs1, FaultHook: hook})
+	st, _, err := m1.CreateRun(tinySpec(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitRunTerminal(t, m1, st.ID); got.State != RunReady {
+		t.Fatalf("run finished %s (%s), want ready", got.State, got.Error)
+	}
+	if at, _ := crashedAt.Load().(string); at != req.RunID {
+		t.Fatalf("sidecar quarantine crash point fired for %q, want run %s", at, req.RunID)
+	}
+	// Abandon m1 and roll the rename back, modeling the lost directory
+	// update.
+	if err := os.Rename(side+".corrupt", side); err != nil {
+		t.Fatal(err)
+	}
+
+	jobs2, runs2 := cellStores(t, jobDir, runDir)
+	m2 := newManager(t, Config{Workers: 2, Store: jobs2, RunStore: runs2})
+	got := runCellJob(t, m2, jobDir, tinySpec(seed), req)
+	if !bytes.Equal(want, got) {
+		t.Fatal("job over the resurrected sidecar is not byte-identical to the clean run")
+	}
+	met := m2.Metrics()
+	if met.CellsCorrupt != 1 || met.CellsPreloaded != 0 {
+		t.Fatalf("resurrected sidecar: corrupt=%d preloaded=%d, want 1/0", met.CellsCorrupt, met.CellsPreloaded)
+	}
+	if _, err := os.Stat(side + ".corrupt"); err != nil {
+		t.Fatalf("sidecar not re-quarantined: %v", err)
+	}
+}
+
 // TestCellFlushCrashEverywhereResumesByteIdentical sweeps simulated
 // process death across every sidecar-append point the job actually
 // executes — before and after each fsync — and requires the restarted

@@ -53,7 +53,7 @@ func (m *Manager) appendJournal(j *job, rec persist.JournalRecord) error {
 //
 //	simulated crash    freeze the file as the dying process left it —
 //	                   restart resumes the job from it
-//	done               close; a successfully persisted report already
+//	done               nothing; a successfully persisted report already
 //	                   removed the file, a persistence failure leaves it
 //	                   so a restart recomputes the report
 //	user cancel        remove; the user does not want a restart to
@@ -72,7 +72,6 @@ func (m *Manager) sealJournal(j *job) {
 	if jr == nil {
 		return
 	}
-	defer jr.Close()
 	switch {
 	case errors.Is(jerr, faultinject.ErrCrash):
 	case state == StateDone:
@@ -282,17 +281,15 @@ func (m *Manager) openSubmitJournal(j *job) error {
 		Options: j.opts,
 	})
 	if err != nil {
-		jr.Close()
 		m.logJob("journal submit encode failed", j, "error", err.Error())
 		return nil
 	}
 	aerr := jr.Append(persist.JournalRecord{Type: persist.RecSubmit, Time: m.clock.Now(), Request: payload})
 	if errors.Is(aerr, faultinject.ErrCrash) {
-		j.journal = jr // sealJournal closes it; the crash freezes the file
+		j.journal = jr // the dead journal freezes the file
 		return aerr
 	}
 	if aerr != nil {
-		jr.Close()
 		m.logJob("journal submit append failed", j, "error", aerr.Error())
 		return nil
 	}
