@@ -1,10 +1,9 @@
-# Developer entry points. `make bench` regenerates the perf-anchor JSON
-# (see README "Observability" and the committed BENCH_XXXX.json snapshots);
-# `make bench-smoke` is the CI-sized variant.
+# Developer entry points. `make bench` and `make bench-smoke` run the
+# end-to-end benchmark (perfbench/, contract in BENCHMARK.json) over its
+# three workloads; see perfbench/README.md.
 
 GO    ?= go
-OUT   ?= bench.json
-CPUS  ?= 1,2,4
+OUT   ?= bench.jsonl
 
 .PHONY: build vet test race bench bench-smoke
 
@@ -20,13 +19,26 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Full perf anchor: sweeps GOMAXPROCS over $(CPUS) and writes $(OUT).
-# To commit a new trajectory point: make bench OUT=BENCH_XXXX.json
-# (next number in sequence), then record the delta in CHANGES.md.
-bench:
-	$(GO) run ./cmd/benchjson -cpu $(CPUS) -out $(OUT)
+# perfbench runs the three BENCHMARK.json workloads for $(1) seconds each
+# and appends each run's JSON result line to $(OUT). perfbench exits 0 on
+# a run whose outputs failed their checks, so the recipe fails unless
+# every result line of this invocation says "correct":true.
+define perfbench
+	@fail=0; for w in warm_mc cold_mlp durable_http; do \
+		res=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds $(1) --trace 0) || exit 1; \
+		printf '%s\n' "$$res"; \
+		line=$$(printf '%s\n' "$$res" | tail -n 1); \
+		printf '%s\n' "$$line" >> $(OUT); \
+		case "$$line" in *'"correct":true'*) ;; *) echo "bench: $$w: result is not correct" >&2; fail=1 ;; esac; \
+	done; exit $$fail
+endef
 
-# CI-sized smoke: small fixtures, single repetition, one GOMAXPROCS value.
-# Proves the harness runs and the JSON schema stays parseable.
+# Full run: the 25 s window BENCHMARK.json declares.
+bench:
+	$(call perfbench,25)
+
+# CI-sized run: a 1 s window. Its numbers have too thin a p90 tail to
+# compare (perfbench warns so), but every output is still checked, so an
+# incorrect report fails the target.
 bench-smoke:
-	$(GO) run ./cmd/benchjson -quick -cpu 1 -out $(OUT)
+	$(call perfbench,1)

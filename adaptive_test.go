@@ -142,6 +142,67 @@ func TestAdaptiveValuationConcurrentWavesMatchSerial(t *testing.T) {
 	}
 }
 
+// TestAdaptiveSavesUtilityCallsWithinTolerance is the payoff contract of
+// tolerance mode on a job large enough for early stopping to matter: 24
+// separable 2-D clients put the full-participation warm-up round past the
+// exact FedSV enumeration limit, so Monte-Carlo observation cells dominate
+// the utility bill. At tolerance 0.05 the run must stop before its
+// 400-permutation budget, pay at least 30% fewer utility calls than the
+// fixed-budget run, and keep every ComFedSV value within the tolerance of
+// the fixed-budget one. All three quantities are deterministic.
+func TestAdaptiveSavesUtilityCallsWithinTolerance(t *testing.T) {
+	mk := func(off float64, points int) Client {
+		var c Client
+		for i := 0; i < points; i++ {
+			x := off + float64(i)*0.17
+			label := 0
+			if x > 1 {
+				label = 1
+			}
+			c.X = append(c.X, []float64{x, 1 - x})
+			c.Y = append(c.Y, label)
+		}
+		return c
+	}
+	var clients []Client
+	for i := 0; i < 24; i++ {
+		clients = append(clients, mk(-0.5+float64(i)*0.15, 24))
+	}
+	test := mk(0.25, 32)
+	opts := DefaultOptions(2)
+	opts.Rounds = 10
+	opts.ClientsPerRound = 3
+	opts.Seed = 83
+	opts.MonteCarloSamples = 400
+
+	fixed, err := ValueCtx(context.Background(), clients, test, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tol = 0.05
+	opts.Tolerance = tol
+	adaptive, err := ValueCtx(context.Background(), clients, test, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if adaptive.ObservationsUsed >= adaptive.ObservationsBudget {
+		t.Fatalf("no early stop: used %d of %d permutations", adaptive.ObservationsUsed, adaptive.ObservationsBudget)
+	}
+	if savings := 1 - float64(adaptive.UtilityCalls)/float64(fixed.UtilityCalls); savings < 0.30 {
+		t.Errorf("utility calls %d -> %d save %.1f%%, want at least 30%%", fixed.UtilityCalls, adaptive.UtilityCalls, savings*100)
+	}
+	var maxDev float64
+	for i, v := range adaptive.ComFedSV {
+		maxDev = math.Max(maxDev, math.Abs(v-fixed.ComFedSV[i]))
+	}
+	if maxDev > tol {
+		t.Errorf("max |ComFedSV - fixed| = %v, past tolerance %v", maxDev, tol)
+	}
+	t.Logf("permutations %d/%d, utility calls %d -> %d, max deviation %.4g",
+		adaptive.ObservationsUsed, adaptive.ObservationsBudget, fixed.UtilityCalls, adaptive.UtilityCalls, maxDev)
+}
+
 // TestAdaptiveOptionValidation pins the facade's knob contract: the
 // contradictory and malformed combinations fail loudly before any
 // training-trace work, and MaxPermutations works as the budget alias.

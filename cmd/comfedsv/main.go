@@ -1,6 +1,6 @@
 // Command comfedsv regenerates every figure of the paper's evaluation
 // (Section VII). Each experiment prints the same rows/series the paper
-// plots; see EXPERIMENTS.md for the paper-vs-measured record.
+// plots at the paper-shaped default scale; -exp all runs every one.
 //
 // Usage:
 //

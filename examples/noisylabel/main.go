@@ -39,6 +39,6 @@ func main() {
 	}
 	fmt.Println("\nBoth metrics generally improve with participation (the paper's Fig. 7 trend).")
 	fmt.Println("At this scaled-down round budget the Monte-Carlo completion is noisy, so the")
-	fmt.Println("two metrics trade places between cells; see EXPERIMENTS.md for the full-scale")
-	fmt.Println("numbers and the recorded deviation from the paper's ordering.")
+	fmt.Println("two metrics trade places between cells; run `comfedsv -exp fig7` (or")
+	fmt.Println("`-exp all` for every figure) for the full-scale numbers.")
 }
