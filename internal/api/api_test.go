@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"comfedsv"
+	"comfedsv/internal/faultinject"
 	"comfedsv/internal/service"
 )
 
@@ -234,20 +236,15 @@ func TestDaemonValidation(t *testing.T) {
 	}
 }
 
+// holdPrepare is a fault hook that parks every job's prepare task until
+// release yields, so a test can act on a job it knows is unfinished.
+func holdPrepare(release <-chan struct{}) faultinject.Hook {
+	return faultinject.Notify(faultinject.OpTask, "prepare", func(faultinject.Point) { <-release })
+}
+
 func TestDaemonReportBeforeDoneAndCancel(t *testing.T) {
 	release := make(chan struct{})
-	defer close(release)
-	ts := testDaemon(t, service.Config{
-		Workers: 1,
-		Value: func(ctx context.Context, _ []comfedsv.Client, _ comfedsv.Client, _ comfedsv.Options) (*comfedsv.Report, error) {
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-release:
-				return &comfedsv.Report{FedSV: []float64{1}, ComFedSV: []float64{1}}, nil
-			}
-		},
-	})
+	ts := testDaemon(t, service.Config{Workers: 1, FaultHook: holdPrepare(release)})
 
 	payload, _, _, _ := tinyJob(1)
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(payload))
@@ -275,6 +272,7 @@ func TestDaemonReportBeforeDoneAndCancel(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cancel: %d, want 200", resp.StatusCode)
 	}
+	close(release)
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -535,17 +533,7 @@ func TestDaemonRunValidationAndDelete(t *testing.T) {
 func TestDaemonDeleteRunConflict(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	ts := testDaemon(t, service.Config{
-		Workers: 1,
-		ValueRun: func(ctx context.Context, tr *comfedsv.TrainedRun, opts comfedsv.Options) (*comfedsv.Report, comfedsv.EvalStats, error) {
-			select {
-			case <-ctx.Done():
-				return nil, comfedsv.EvalStats{}, ctx.Err()
-			case <-release:
-				return &comfedsv.Report{FedSV: []float64{1}, ComFedSV: []float64{1}}, comfedsv.EvalStats{Hits: 1}, nil
-			}
-		},
-	})
+	ts := testDaemon(t, service.Config{Workers: 1, FaultHook: holdPrepare(release)})
 	payload, _, _, _ := tinyJob(33)
 	var created struct {
 		ID string `json:"id"`
@@ -681,17 +669,7 @@ func TestDaemonShardsByteIdenticalEndToEnd(t *testing.T) {
 // job runs, 204 once terminal, 404 afterwards and for unknown jobs.
 func TestDaemonDeleteJob(t *testing.T) {
 	release := make(chan struct{})
-	ts := testDaemon(t, service.Config{
-		Workers: 1,
-		Value: func(ctx context.Context, _ []comfedsv.Client, _ comfedsv.Client, _ comfedsv.Options) (*comfedsv.Report, error) {
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-release:
-				return &comfedsv.Report{FedSV: []float64{1}, ComFedSV: []float64{1}}, nil
-			}
-		},
-	})
+	ts := testDaemon(t, service.Config{Workers: 1, FaultHook: holdPrepare(release)})
 
 	del := func(id string) int {
 		req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
@@ -823,32 +801,52 @@ func TestDaemonMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// submittedParallelism is a slog handler keeping the parallelism
+// attribute of every "job submitted" record: the effective Options the
+// job's pipeline runs with.
+type submittedParallelism struct {
+	mu   sync.Mutex
+	seen []int
+}
+
+func (h *submittedParallelism) Enabled(context.Context, slog.Level) bool { return true }
+func (h *submittedParallelism) Handle(_ context.Context, r slog.Record) error {
+	if r.Message != "job submitted" {
+		return nil
+	}
+	r.Attrs(func(a slog.Attr) bool {
+		if a.Key == "parallelism" {
+			h.mu.Lock()
+			h.seen = append(h.seen, int(a.Value.Int64()))
+			h.mu.Unlock()
+		}
+		return true
+	})
+	return nil
+}
+func (h *submittedParallelism) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h *submittedParallelism) WithGroup(string) slog.Handler      { return h }
+
 // TestDaemonParallelismOption checks the parallelism knob end to end: an
 // explicit "parallelism" field reaches the pipeline's Options, and an
 // absent one picks up the daemon's configured default.
 func TestDaemonParallelismOption(t *testing.T) {
-	var mu sync.Mutex
-	var seen []int
+	h := &submittedParallelism{}
 	cfg := service.Config{
 		Workers:            1,
 		DefaultParallelism: 3,
-		Value: func(ctx context.Context, clients []comfedsv.Client, test comfedsv.Client, opts comfedsv.Options) (*comfedsv.Report, error) {
-			mu.Lock()
-			seen = append(seen, opts.Parallelism)
-			mu.Unlock()
-			return &comfedsv.Report{FedSV: []float64{0}, ComFedSV: []float64{0}}, nil
-		},
+		Logger:             slog.New(h),
 	}
 	ts := testDaemon(t, cfg)
 
-	explicit := `{"clients": [{"x": [[1]], "y": [0]}], "test": {"x": [[1]], "y": [0]}, "options": {"num_classes": 2, "parallelism": 2}}`
+	explicit := `{"clients": [{"x": [[1]], "y": [0]}], "test": {"x": [[1]], "y": [0]}, "options": {"num_classes": 2, "clients_per_round": 1, "parallelism": 2}}`
 	submitAndWait(t, ts.URL, []byte(explicit))
-	defaulted := `{"clients": [{"x": [[1]], "y": [0]}], "test": {"x": [[1]], "y": [0]}, "options": {"num_classes": 2}}`
+	defaulted := `{"clients": [{"x": [[1]], "y": [0]}], "test": {"x": [[1]], "y": [0]}, "options": {"num_classes": 2, "clients_per_round": 1}}`
 	submitAndWait(t, ts.URL, []byte(defaulted))
 
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != 2 || seen[0] != 2 || seen[1] != 3 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if seen := h.seen; len(seen) != 2 || seen[0] != 2 || seen[1] != 3 {
 		t.Fatalf("pipeline saw parallelism %v, want [2 3]", seen)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"comfedsv"
 	"comfedsv/internal/faultinject"
 	"comfedsv/internal/persist"
 	"comfedsv/internal/service"
@@ -180,14 +179,10 @@ func TestDaemonQueueFullReturns429WithRetryAfter(t *testing.T) {
 	ts, _ := crashableDaemon(t, service.Config{
 		Workers:    1,
 		QueueDepth: 1,
-		Value: func(ctx context.Context, _ []comfedsv.Client, _ comfedsv.Client, _ comfedsv.Options) (*comfedsv.Report, error) {
+		FaultHook: faultinject.Notify(faultinject.OpTask, "prepare", func(faultinject.Point) {
 			started <- struct{}{}
-			select {
-			case <-gate:
-			case <-ctx.Done():
-			}
-			return &comfedsv.Report{}, nil
-		},
+			<-gate
+		}),
 	})
 	raw, _, _, _ := tinyJob(1)
 	submitOnly(t, ts.URL, raw) // occupies the worker

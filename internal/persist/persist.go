@@ -44,21 +44,52 @@ func SpecFor(m model.Model) (ModelSpec, error) {
 	}
 }
 
-// Build reconstructs the model described by the spec.
+// maxSpecSize bounds every size in a ModelSpec, so a spec read from
+// untrusted bytes cannot overflow the parameter-count arithmetic.
+const maxSpecSize = 1 << 16
+
+// Build reconstructs the model described by the spec. It rejects sizes
+// outside [1, maxSpecSize] and CNN images too small for a 3×3 valid
+// convolution followed by 2×2 pooling.
 func (s ModelSpec) Build() (model.Model, error) {
+	sizes := []int{s.Classes}
+	switch s.Kind {
+	case "logreg":
+		sizes = append(sizes, s.Dim)
+	case "mlp":
+		sizes = append(sizes, s.Dim, s.Hidden)
+	case "cnn":
+		if s.Shape == nil {
+			return nil, fmt.Errorf("persist: cnn spec without shape")
+		}
+		if s.Shape.Height < 4 || s.Shape.Width < 4 {
+			return nil, fmt.Errorf("persist: cnn image %dx%d too small", s.Shape.Height, s.Shape.Width)
+		}
+		sizes = append(sizes, s.Filters, s.Shape.Height, s.Shape.Width, s.Shape.Channels)
+	default:
+		return nil, fmt.Errorf("persist: unknown model kind %q", s.Kind)
+	}
+	for _, n := range sizes {
+		if n < 1 || n > maxSpecSize {
+			return nil, fmt.Errorf("persist: %s spec size %d out of range [1,%d]", s.Kind, n, maxSpecSize)
+		}
+	}
 	switch s.Kind {
 	case "logreg":
 		return model.NewLogisticRegression(s.Dim, s.Classes), nil
 	case "mlp":
 		return model.NewMLP(s.Dim, s.Hidden, s.Classes), nil
-	case "cnn":
-		if s.Shape == nil {
-			return nil, fmt.Errorf("persist: cnn spec without shape")
-		}
-		return model.NewCNN(*s.Shape, s.Filters, s.Classes), nil
 	default:
-		return nil, fmt.Errorf("persist: unknown model kind %q", s.Kind)
+		return model.NewCNN(*s.Shape, s.Filters, s.Classes), nil
 	}
+}
+
+// inputDim is the feature width the spec's model reads.
+func (s ModelSpec) inputDim() int {
+	if s.Kind == "cnn" {
+		return s.Shape.Size()
+	}
+	return s.Dim
 }
 
 // datasetFile is the JSON form of a dataset.
@@ -73,7 +104,9 @@ func toDatasetFile(d *dataset.Dataset) datasetFile {
 	return datasetFile{X: d.X, Y: d.Y, NumClasses: d.NumClasses, Shape: d.Shape}
 }
 
-func (f datasetFile) toDataset() (*dataset.Dataset, error) {
+// toDataset validates the dataset on its own and against the model that
+// evaluates it: rows as wide as the model's input, labels among its classes.
+func (f datasetFile) toDataset(spec ModelSpec) (*dataset.Dataset, error) {
 	d := &dataset.Dataset{X: f.X, Y: f.Y, NumClasses: f.NumClasses, Shape: f.Shape}
 	if d.X == nil {
 		d.X = [][]float64{}
@@ -83,6 +116,14 @@ func (f datasetFile) toDataset() (*dataset.Dataset, error) {
 	}
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("persist: invalid dataset: %w", err)
+	}
+	if d.Len() > 0 && d.Dim() != spec.inputDim() {
+		return nil, fmt.Errorf("persist: dataset dim %d, model reads %d", d.Dim(), spec.inputDim())
+	}
+	for i, y := range d.Y {
+		if y >= spec.Classes {
+			return nil, fmt.Errorf("persist: label %d at row %d, model has %d classes", y, i, spec.Classes)
+		}
 	}
 	return d, nil
 }
@@ -135,7 +176,8 @@ func SaveRun(w io.Writer, run *fl.Run) error {
 }
 
 // LoadRun reads a run previously written by SaveRun and validates its
-// internal consistency (parameter lengths, selection indices, shapes).
+// internal consistency (model sizes, parameter lengths, selection indices,
+// dataset widths and labels), so every utility of the loaded run evaluates.
 func LoadRun(r io.Reader) (*fl.Run, error) {
 	var f runFile
 	dec := json.NewDecoder(r)
@@ -149,13 +191,13 @@ func LoadRun(r io.Reader) (*fl.Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	test, err := f.Test.toDataset()
+	test, err := f.Test.toDataset(f.Model)
 	if err != nil {
 		return nil, fmt.Errorf("persist: test set: %w", err)
 	}
 	run := &fl.Run{Model: m, Test: test, Final: f.Final}
 	for i, cf := range f.Clients {
-		c, err := cf.toDataset()
+		c, err := cf.toDataset(f.Model)
 		if err != nil {
 			return nil, fmt.Errorf("persist: client %d: %w", i, err)
 		}

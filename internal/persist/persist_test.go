@@ -157,6 +157,55 @@ func TestLoadValidatesSelection(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsUnevaluableTraces pins the model-versus-data checks:
+// each trace is internally consistent in its lengths, yet building its
+// model or evaluating a utility on it would panic (or, for a negative
+// dim, read no features at all), so LoadRun must refuse it.
+func TestLoadRejectsUnevaluableTraces(t *testing.T) {
+	cases := []struct{ name, trace string }{
+		{"cnn image too small", `{"version":1,"model":{"kind":"cnn","filters":1,"classes":2,"shape":{"Height":2,"Width":2,"Channels":1}},"test":{"x":[[0,0,0,0]],"y":[0],"num_classes":2},"clients":[{"x":[[0,0,0,0]],"y":[1],"num_classes":2}],"rounds":[{"global":[0],"locals":[[0]],"selected":[0]}],"final":[0]}`},
+		{"logreg dim below data", `{"version":1,"model":{"kind":"logreg","dim":1,"classes":2},"test":{"x":[[0,1,2]],"y":[0],"num_classes":2},"clients":[{"x":[[1,2,3]],"y":[1],"num_classes":2}],"rounds":[{"global":[0,0,0,0],"locals":[[0,0,0,0]],"selected":[0]}],"final":[0,0,0,0]}`},
+		{"labels beyond model classes", `{"version":1,"model":{"kind":"logreg","dim":2,"classes":2},"test":{"x":[[0,1],[1,0]],"y":[5,7],"num_classes":10},"clients":[{"x":[[0,1]],"y":[0],"num_classes":10}],"rounds":[{"global":[0,0,0,0,0,0],"locals":[[0,0,0,0,0,0]],"selected":[0]}],"final":[0,0,0,0,0,0]}`},
+		{"negative dim", `{"version":1,"model":{"kind":"logreg","dim":-1,"classes":2},"test":{"x":[],"y":[],"num_classes":2},"clients":[{"x":[],"y":[],"num_classes":2}],"rounds":[{"global":[],"locals":[[]],"selected":[0]}],"final":[]}`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := LoadRun(strings.NewReader(tc.trace)); err == nil {
+				t.Fatal("LoadRun accepted a trace it cannot evaluate")
+			}
+		})
+	}
+}
+
+// FuzzLoadRun feeds arbitrary bytes to the saved-trace decoder, which
+// workers and recovering daemons read from disk. It must not panic, and
+// every trace it accepts must save and load back to the same bytes and
+// evaluate the round-0 utility of its selected clients.
+func FuzzLoadRun(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		run, err := LoadRun(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := SaveRun(&first, run); err != nil {
+			t.Fatalf("loaded run does not save: %v", err)
+		}
+		again, err := LoadRun(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("saved run does not load back: %v", err)
+		}
+		if err := SaveRun(&second, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("round trip changed the run:\n%s\n%s", first.Bytes(), second.Bytes())
+		}
+		sel := utility.FromMembers(run.NumClients(), run.Rounds[0].Selected)
+		utility.NewEvaluator(run).Utility(0, sel)
+	})
+}
+
 func TestReportRoundTrip(t *testing.T) {
 	rep := &Report{Methods: map[string][]float64{
 		"fedsv":    {1, 2, 3},

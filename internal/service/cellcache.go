@@ -66,8 +66,8 @@ func (m *Manager) preloadCells(id string, tr *comfedsv.TrainedRun) {
 }
 
 // jobTrainedRun returns the shared TrainedRun a run-backed job values
-// against, nil when the pipeline has none to expose (scripted tests,
-// monolithic hooks, or a stage before Prepare resolved the run).
+// against, nil when the pipeline has none to expose (scripted tests, or a
+// stage before Prepare resolved the run).
 func jobTrainedRun(j *job) *comfedsv.TrainedRun {
 	tc, ok := j.val.(traceCarrier)
 	if !ok {

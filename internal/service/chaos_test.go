@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"comfedsv"
 	"comfedsv/internal/faultinject"
 	"comfedsv/internal/persist"
 )
@@ -299,13 +298,13 @@ func TestTaskTimeoutRetriesTransiently(t *testing.T) {
 		TaskTimeout:    20 * time.Millisecond,
 		MaxTaskRetries: 2,
 		RetryBaseDelay: time.Millisecond,
-		Value: func(ctx context.Context, _ []comfedsv.Client, _ comfedsv.Client, _ comfedsv.Options) (*comfedsv.Report, error) {
+		buildValuation: oneShard(func(ctx context.Context) error {
 			if calls.Add(1) == 1 {
 				<-ctx.Done() // first attempt hangs until the deadline fires
-				return nil, ctx.Err()
+				return ctx.Err()
 			}
-			return &comfedsv.Report{}, nil
-		},
+			return nil
+		}),
 	})
 	id, err := m.Submit(tinyRequest(3))
 	if err != nil {
@@ -329,10 +328,10 @@ func TestJobDeadlineFailsOverdueJob(t *testing.T) {
 		Workers:    1,
 		JobTimeout: time.Minute,
 		Clock:      clk,
-		Value: func(ctx context.Context, _ []comfedsv.Client, _ comfedsv.Client, _ comfedsv.Options) (*comfedsv.Report, error) {
+		buildValuation: oneShard(func(ctx context.Context) error {
 			<-ctx.Done()
-			return nil, ctx.Err()
-		},
+			return ctx.Err()
+		}),
 	})
 	id, err := m.Submit(tinyRequest(3))
 	if err != nil {
@@ -498,15 +497,15 @@ func TestTornJournalTailResumesJob(t *testing.T) {
 func TestUserCancelRemovesJournalShutdownKeepsIt(t *testing.T) {
 	gate := make(chan struct{})
 	blocked := make(chan struct{}, 2)
-	blockingValue := func(ctx context.Context, _ []comfedsv.Client, _ comfedsv.Client, _ comfedsv.Options) (*comfedsv.Report, error) {
+	blockingValuation := oneShard(func(ctx context.Context) error {
 		blocked <- struct{}{}
 		select {
 		case <-gate:
-			return &comfedsv.Report{}, nil
+			return nil
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
-	}
+	})
 
 	// User cancel: journal gone.
 	dirA := t.TempDir()
@@ -514,7 +513,7 @@ func TestUserCancelRemovesJournalShutdownKeepsIt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mA := newManager(t, Config{Workers: 1, Store: storeA, Value: blockingValue})
+	mA := newManager(t, Config{Workers: 1, Store: storeA, buildValuation: blockingValuation})
 	idA, err := mA.Submit(tinyRequest(1))
 	if err != nil {
 		t.Fatal(err)
@@ -536,7 +535,7 @@ func TestUserCancelRemovesJournalShutdownKeepsIt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mB, err := NewManager(Config{Workers: 1, Store: storeB, Value: blockingValue})
+	mB, err := NewManager(Config{Workers: 1, Store: storeB, buildValuation: blockingValuation})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,9 +555,7 @@ func TestUserCancelRemovesJournalShutdownKeepsIt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mB2 := newManager(t, Config{Workers: 1, Store: storeB2, Value: func(context.Context, []comfedsv.Client, comfedsv.Client, comfedsv.Options) (*comfedsv.Report, error) {
-		return &comfedsv.Report{}, nil
-	}})
+	mB2 := newManager(t, Config{Workers: 1, Store: storeB2, buildValuation: oneShard(nil)})
 	if st := waitTerminal(t, mB2, idB); st.State != StateDone {
 		t.Fatalf("resumed job after shutdown finished %s (%s)", st.State, st.Error)
 	}
@@ -576,14 +573,14 @@ func TestQueueFullRejectionIsCounted(t *testing.T) {
 	m := newManager(t, Config{
 		Workers:    1,
 		QueueDepth: 1,
-		Value: func(ctx context.Context, _ []comfedsv.Client, _ comfedsv.Client, _ comfedsv.Options) (*comfedsv.Report, error) {
+		buildValuation: oneShard(func(ctx context.Context) error {
 			started <- struct{}{}
 			select {
 			case <-gate:
 			case <-ctx.Done():
 			}
-			return &comfedsv.Report{}, nil
-		},
+			return nil
+		}),
 	})
 	if _, err := m.Submit(tinyRequest(1)); err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ func TestConcurrentCreateRunTrainsExactlyOnce(t *testing.T) {
 	var trainings atomic.Int64
 	m := newManager(t, Config{
 		Workers: 2,
-		Train: func(ctx context.Context, clients []comfedsv.Client, test comfedsv.Client, opts comfedsv.Options) (*comfedsv.TrainedRun, error) {
+		train: func(ctx context.Context, clients []comfedsv.Client, test comfedsv.Client, opts comfedsv.Options) (*comfedsv.TrainedRun, error) {
 			trainings.Add(1)
 			return comfedsv.TrainCtx(ctx, clients, test, opts)
 		},

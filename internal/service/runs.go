@@ -297,7 +297,7 @@ func (m *Manager) train(ctx context.Context, spec RunSpec) (tr *comfedsv.Trained
 			tr, err = nil, fmt.Errorf("service: run training panicked: %v\n%s", r, debug.Stack())
 		}
 	}()
-	return m.cfg.Train(ctx, spec.Clients, spec.Test, spec.Options)
+	return m.cfg.train(ctx, spec.Clients, spec.Test, spec.Options)
 }
 
 // runTrained returns the entry's TrainedRun once training has completed,

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"comfedsv"
+	"comfedsv/internal/faultinject"
 	"comfedsv/internal/persist"
 )
 
@@ -253,7 +254,7 @@ func TestDeleteRunLifecycle(t *testing.T) {
 	valueRelease := make(chan struct{})
 	m := newManager(t, Config{
 		Workers: 1,
-		Train: func(ctx context.Context, clients []comfedsv.Client, test comfedsv.Client, opts comfedsv.Options) (*comfedsv.TrainedRun, error) {
+		train: func(ctx context.Context, clients []comfedsv.Client, test comfedsv.Client, opts comfedsv.Options) (*comfedsv.TrainedRun, error) {
 			select {
 			case <-ctx.Done():
 				return nil, ctx.Err()
@@ -261,14 +262,7 @@ func TestDeleteRunLifecycle(t *testing.T) {
 			}
 			return comfedsv.TrainCtx(ctx, clients, test, opts)
 		},
-		ValueRun: func(ctx context.Context, tr *comfedsv.TrainedRun, opts comfedsv.Options) (*comfedsv.Report, comfedsv.EvalStats, error) {
-			select {
-			case <-ctx.Done():
-				return nil, comfedsv.EvalStats{}, ctx.Err()
-			case <-valueRelease:
-			}
-			return comfedsv.ValueRunCtx(ctx, tr, opts)
-		},
+		buildValuation: blockingValuation(valueRelease),
 	})
 
 	st, _, err := m.CreateRun(tinySpec(3))
@@ -310,19 +304,14 @@ func TestDeleteRunLifecycle(t *testing.T) {
 
 // TestCancelRunBackedJobKeepsRunUsable cancels a job mid-valuation and
 // then proves the shared run and its evaluator still serve later jobs
-// correctly.
+// correctly. The fault hook holds the victim's observation shards — after
+// its prepare stage ran FedSV against the run's evaluator — until the
+// cancel has landed.
 func TestCancelRunBackedJobKeepsRunUsable(t *testing.T) {
 	release := make(chan struct{})
 	m := newManager(t, Config{
-		Workers: 1,
-		ValueRun: func(ctx context.Context, tr *comfedsv.TrainedRun, opts comfedsv.Options) (*comfedsv.Report, comfedsv.EvalStats, error) {
-			select {
-			case <-ctx.Done():
-				return nil, comfedsv.EvalStats{}, ctx.Err()
-			case <-release:
-			}
-			return comfedsv.ValueRunCtx(ctx, tr, opts)
-		},
+		Workers:   1,
+		FaultHook: faultinject.Notify(faultinject.OpTask, taskObserve, func(faultinject.Point) { <-release }),
 	})
 	st, _, err := m.CreateRun(tinySpec(11))
 	if err != nil {
@@ -349,6 +338,7 @@ func TestCancelRunBackedJobKeepsRunUsable(t *testing.T) {
 	if err := m.Cancel(victim); err != nil {
 		t.Fatal(err)
 	}
+	close(release)
 	if s := waitTerminal(t, m, victim); s.State != StateFailed || s.Error != ErrCancelled.Error() {
 		t.Fatalf("cancelled job: state %s error %q", s.State, s.Error)
 	}
@@ -361,7 +351,6 @@ func TestCancelRunBackedJobKeepsRunUsable(t *testing.T) {
 	}
 
 	// A subsequent job over the same run must produce the inline result.
-	close(release)
 	next, err := m.Submit(Request{RunID: st.ID, Options: tinyRequest(11).Options})
 	if err != nil {
 		t.Fatal(err)
@@ -390,13 +379,20 @@ func TestCancelRunBackedJobKeepsRunUsable(t *testing.T) {
 // training completes, and can be cancelled while it waits.
 func TestJobOnTrainingRunStaysQueuedWithoutStarvingWorkers(t *testing.T) {
 	trainRelease := make(chan struct{})
+	runTraining := make(chan struct{})
+	var trainings atomic.Int32
 	m := newManager(t, Config{
 		Workers: 1,
-		Train: func(ctx context.Context, clients []comfedsv.Client, test comfedsv.Client, opts comfedsv.Options) (*comfedsv.TrainedRun, error) {
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-trainRelease:
+		train: func(ctx context.Context, clients []comfedsv.Client, test comfedsv.Client, opts comfedsv.Options) (*comfedsv.TrainedRun, error) {
+			// Only the shared run's training, the first, is held; the
+			// inline job trains through the same seam unhindered.
+			if trainings.Add(1) == 1 {
+				close(runTraining)
+				select {
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				case <-trainRelease:
+				}
 			}
 			return comfedsv.TrainCtx(ctx, clients, test, opts)
 		},
@@ -405,6 +401,7 @@ func TestJobOnTrainingRunStaysQueuedWithoutStarvingWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	<-runTraining
 	waiting, err := m.Submit(Request{RunID: st.ID, Options: tinyRequest(13).Options})
 	if err != nil {
 		t.Fatal(err)
@@ -422,6 +419,9 @@ func TestJobOnTrainingRunStaysQueuedWithoutStarvingWorkers(t *testing.T) {
 	}
 	if s := waitTerminal(t, m, inline); s.State != StateDone {
 		t.Fatalf("inline job behind a training-blocked job finished %s (%s)", s.State, s.Error)
+	}
+	if n := trainings.Load(); n != 2 {
+		t.Fatalf("%d trainings through the train seam, want 2: the run's and the inline job's", n)
 	}
 	if s, _ := m.Status(waiting); s.State != StateQueued {
 		t.Fatalf("run-backed job is %s during training, want queued", s.State)
@@ -484,7 +484,7 @@ func TestFailedRunRetriesOnReRegister(t *testing.T) {
 	failFirst.Store(true)
 	m := newManager(t, Config{
 		Workers: 1,
-		Train: func(ctx context.Context, clients []comfedsv.Client, test comfedsv.Client, opts comfedsv.Options) (*comfedsv.TrainedRun, error) {
+		train: func(ctx context.Context, clients []comfedsv.Client, test comfedsv.Client, opts comfedsv.Options) (*comfedsv.TrainedRun, error) {
 			if failFirst.Swap(false) {
 				return nil, errors.New("transient failure")
 			}
@@ -524,7 +524,7 @@ func TestFailedRunRetriesOnReRegister(t *testing.T) {
 func TestRunPanicFailsRunNotProcess(t *testing.T) {
 	m := newManager(t, Config{
 		Workers: 1,
-		Train: func(context.Context, []comfedsv.Client, comfedsv.Client, comfedsv.Options) (*comfedsv.TrainedRun, error) {
+		train: func(context.Context, []comfedsv.Client, comfedsv.Client, comfedsv.Options) (*comfedsv.TrainedRun, error) {
 			panic("poisoned spec")
 		},
 	})

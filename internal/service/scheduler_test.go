@@ -46,6 +46,9 @@ type fakeValuation struct {
 	log         *taskLog
 	prepareGate <-chan struct{} // if non-nil, Prepare blocks until closed
 	observeGate map[int]<-chan struct{}
+	// observe, if non-nil, runs in every ObserveShard after its gate:
+	// tests script hangs, panics, and failures with it.
+	observe func(ctx context.Context) error
 
 	// extractStarted, if non-nil, is closed when Extract begins;
 	// extractGate, if non-nil, blocks Extract (deliberately ignoring the
@@ -79,6 +82,11 @@ func (f *fakeValuation) ObserveShard(ctx context.Context, shard int) error {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-gate:
+		}
+	}
+	if f.observe != nil {
+		if err := f.observe(ctx); err != nil {
+			return err
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -518,12 +526,10 @@ func TestJobTTLEvictsTerminalJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := newManager(t, Config{
-		Workers: 1,
-		Store:   store,
-		JobTTL:  50 * time.Millisecond,
-		Value: func(context.Context, []comfedsv.Client, comfedsv.Client, comfedsv.Options) (*comfedsv.Report, error) {
-			return &comfedsv.Report{FedSV: []float64{1}, ComFedSV: []float64{1}}, nil
-		},
+		Workers:        1,
+		Store:          store,
+		JobTTL:         50 * time.Millisecond,
+		buildValuation: oneShard(nil),
 	})
 	id, err := m.Submit(tinyRequest(1))
 	if err != nil {
@@ -563,7 +569,7 @@ func TestDeleteJobLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	release := make(chan struct{})
-	m := newManager(t, Config{Workers: 1, Store: store, Value: blockingValue(release)})
+	m := newManager(t, Config{Workers: 1, Store: store, buildValuation: blockingValuation(release)})
 
 	if err := m.DeleteJob("job-doesnotexist"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("delete unknown job: %v, want ErrNotFound", err)

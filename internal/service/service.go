@@ -181,16 +181,6 @@ type Config struct {
 	// Store is configured, from disk — once they have been finished for at
 	// least this long. 0 keeps jobs forever.
 	JobTTL time.Duration
-	// Value, if non-nil, replaces the staged pipeline for inline jobs with
-	// a single monolithic task — the substitution hook tests and custom
-	// pipelines use. Nil (the default) runs the staged comfedsv pipeline.
-	Value func(ctx context.Context, clients []comfedsv.Client, test comfedsv.Client, opts comfedsv.Options) (*comfedsv.Report, error)
-	// Train trains one shared run for the registry. Nil means
-	// comfedsv.TrainCtx.
-	Train func(ctx context.Context, clients []comfedsv.Client, test comfedsv.Client, opts comfedsv.Options) (*comfedsv.TrainedRun, error)
-	// ValueRun, if non-nil, replaces the staged pipeline for run-backed
-	// jobs with a single monolithic task. Nil runs the staged pipeline.
-	ValueRun func(ctx context.Context, tr *comfedsv.TrainedRun, opts comfedsv.Options) (*comfedsv.Report, comfedsv.EvalStats, error)
 	// Logger, if non-nil, receives structured job and run lifecycle events
 	// (submit/start/finish/fail/evict transitions with job and run IDs).
 	// Nil disables lifecycle logging. The logger only observes; it never
@@ -242,6 +232,10 @@ type Config struct {
 	// timing. It must be cheap and infallible; the returned valuation's
 	// stages carry the real work.
 	buildValuation func(req Request, opts comfedsv.Options) stagedValuation
+	// train trains every trace the manager needs: inline jobs' and shared
+	// runs'. Nil means comfedsv.TrainCtx; in-package tests substitute it
+	// to hold or fail training.
+	train func(ctx context.Context, clients []comfedsv.Client, test comfedsv.Client, opts comfedsv.Options) (*comfedsv.TrainedRun, error)
 }
 
 type job struct {
@@ -418,8 +412,8 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.DefaultShards <= 0 {
 		cfg.DefaultShards = 1
 	}
-	if cfg.Train == nil {
-		cfg.Train = comfedsv.TrainCtx
+	if cfg.train == nil {
+		cfg.train = comfedsv.TrainCtx
 	}
 	if cfg.RetryBaseDelay <= 0 {
 		cfg.RetryBaseDelay = 50 * time.Millisecond
@@ -937,13 +931,13 @@ func (m *Manager) remoteEligibleLocked(t *task) bool {
 	return d.HasLiveWorkers()
 }
 
-// execute runs one stage task, converting a panic in the pipeline (or in a
-// substituted Config.Value / Config.ValueRun) into a task failure with the
-// goroutine stack in the job error: one poisoned job must not take down
-// the daemon and every other job with it. The fault hook is consulted
-// first — its faults become task failures, panics, or simulated crashes —
-// and a positive Config.TaskTimeout bounds the execution, an expiry
-// failing the task transiently so the retry ladder gets another shot.
+// execute runs one stage task, converting a panic in the pipeline into a
+// task failure with the goroutine stack in the job error: one poisoned job
+// must not take down the daemon and every other job with it. The fault
+// hook is consulted first — its faults become task failures, panics, or
+// simulated crashes — and a positive Config.TaskTimeout bounds the
+// execution, an expiry failing the task transiently so the retry ladder
+// gets another shot.
 func (m *Manager) execute(t *task) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -136,22 +136,25 @@ func TestManagerConcurrentJobs(t *testing.T) {
 	}
 }
 
-// blockingValue parks jobs until released, making queue pressure and
-// cancellation deterministic.
-func blockingValue(release <-chan struct{}) func(context.Context, []comfedsv.Client, comfedsv.Client, comfedsv.Options) (*comfedsv.Report, error) {
-	return func(ctx context.Context, _ []comfedsv.Client, _ comfedsv.Client, _ comfedsv.Options) (*comfedsv.Report, error) {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-release:
-			return &comfedsv.Report{FedSV: []float64{1}, ComFedSV: []float64{1}}, nil
-		}
+// oneShard scripts every submission as a one-shard fakeValuation —
+// Prepare, one observation shard running observe, Complete, Extract.
+func oneShard(observe func(ctx context.Context) error) func(Request, comfedsv.Options) stagedValuation {
+	return func(Request, comfedsv.Options) stagedValuation {
+		return &fakeValuation{name: "job", shards: 1, log: &taskLog{}, observe: observe}
+	}
+}
+
+// blockingValuation parks each job's one observation shard until
+// released, making queue pressure and cancellation deterministic.
+func blockingValuation(release <-chan struct{}) func(Request, comfedsv.Options) stagedValuation {
+	return func(Request, comfedsv.Options) stagedValuation {
+		return &fakeValuation{name: "job", shards: 1, log: &taskLog{}, observeGate: map[int]<-chan struct{}{0: release}}
 	}
 }
 
 func TestManagerQueueFull(t *testing.T) {
 	release := make(chan struct{})
-	m := newManager(t, Config{Workers: 1, QueueDepth: 1, Value: blockingValue(release)})
+	m := newManager(t, Config{Workers: 1, QueueDepth: 1, buildValuation: blockingValuation(release)})
 	first, err := m.Submit(tinyRequest(1))
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +182,7 @@ func TestManagerQueueFull(t *testing.T) {
 func TestManagerCancelRunning(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	m := newManager(t, Config{Workers: 1, Value: blockingValue(release)})
+	m := newManager(t, Config{Workers: 1, buildValuation: blockingValuation(release)})
 	id, err := m.Submit(tinyRequest(1))
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +212,7 @@ func TestManagerCancelRunning(t *testing.T) {
 func TestManagerCancelQueued(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	m := newManager(t, Config{Workers: 1, QueueDepth: 4, Value: blockingValue(release)})
+	m := newManager(t, Config{Workers: 1, QueueDepth: 4, buildValuation: blockingValuation(release)})
 	blocker, err := m.Submit(tinyRequest(1))
 	if err != nil {
 		t.Fatal(err)
@@ -318,9 +321,9 @@ func TestManagerPersistsAndRecovers(t *testing.T) {
 func TestManagerRecoversPanickingJob(t *testing.T) {
 	m := newManager(t, Config{
 		Workers: 1,
-		Value: func(context.Context, []comfedsv.Client, comfedsv.Client, comfedsv.Options) (*comfedsv.Report, error) {
+		buildValuation: oneShard(func(context.Context) error {
 			panic("poisoned job")
-		},
+		}),
 	})
 	id, err := m.Submit(tinyRequest(1))
 	if err != nil {
@@ -367,7 +370,7 @@ func TestManagerTooManyClientsFailsJobNotProcess(t *testing.T) {
 func TestManagerCancelQueuedFreesSlot(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	m := newManager(t, Config{Workers: 1, QueueDepth: 1, Value: blockingValue(release)})
+	m := newManager(t, Config{Workers: 1, QueueDepth: 1, buildValuation: blockingValuation(release)})
 	blocker, err := m.Submit(tinyRequest(1))
 	if err != nil {
 		t.Fatal(err)
@@ -400,7 +403,7 @@ func TestManagerCancelQueuedFreesSlot(t *testing.T) {
 func TestManagerShutdownAbortsBacklogOnDeadline(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	m, err := NewManager(Config{Workers: 1, QueueDepth: 8, Value: blockingValue(release)})
+	m, err := NewManager(Config{Workers: 1, QueueDepth: 8, buildValuation: blockingValuation(release)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,14 +503,14 @@ func TestManagerShutdownDrainsQueuedJobs(t *testing.T) {
 func TestDefaultParallelismFairShare(t *testing.T) {
 	var mu sync.Mutex
 	var seen []int
-	capture := func(ctx context.Context, clients []comfedsv.Client, test comfedsv.Client, opts comfedsv.Options) (*comfedsv.Report, error) {
+	capture := func(_ Request, opts comfedsv.Options) stagedValuation {
 		mu.Lock()
 		seen = append(seen, opts.Parallelism)
 		mu.Unlock()
-		return &comfedsv.Report{}, nil
+		return &fakeValuation{name: "capture", shards: 1, log: &taskLog{}}
 	}
 
-	m := newManager(t, Config{Workers: 1, Value: capture})
+	m := newManager(t, Config{Workers: 1, buildValuation: capture})
 	wantShare := runtime.GOMAXPROCS(0) / 1
 	if m.DefaultParallelism() != wantShare {
 		t.Fatalf("DefaultParallelism = %d, want %d", m.DefaultParallelism(), wantShare)

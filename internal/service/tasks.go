@@ -30,7 +30,7 @@ type stagedValuation interface {
 // shardDigester is optionally implemented by pipelines whose observation
 // shards can hash their evaluated cells — the content token the journal
 // records and crash recovery verifies re-executed shards against.
-// Scripted test pipelines and legacy monolithic hooks simply lack it.
+// Scripted test pipelines simply lack it.
 type shardDigester interface {
 	ShardDigest(shard int) string
 }
@@ -55,20 +55,14 @@ type remoteShardable interface {
 }
 
 // newValuation picks the staged pipeline for a submission: the real
-// comfedsv Valuation (inline or run-backed), a legacy monolithic hook, or
-// the test script. It is cheap — all heavy work happens inside the
-// returned stages, on workers, under the job's context.
+// comfedsv Valuation, inline or run-backed, or the test script. It is
+// cheap — all heavy work happens inside the returned stages, on workers,
+// under the job's context.
 func (m *Manager) newValuation(j *job) stagedValuation {
 	if m.cfg.buildValuation != nil {
 		return m.cfg.buildValuation(j.req, j.opts)
 	}
 	if j.runID == "" {
-		if m.cfg.Value != nil {
-			return &monoValuation{run: func(ctx context.Context) (*comfedsv.Report, *comfedsv.EvalStats, error) {
-				rep, err := m.cfg.Value(ctx, j.req.Clients, j.req.Test, j.opts)
-				return rep, nil, err
-			}}
-		}
 		return &pipelineValuation{build: func(ctx context.Context) (*comfedsv.Valuation, bool, error) {
 			// A recovered job resumes from its persisted trace when the
 			// crash happened after the prepare checkpoint; otherwise it
@@ -80,7 +74,7 @@ func (m *Manager) newValuation(j *job) stagedValuation {
 					return comfedsv.NewValuation(comfedsv.NewTrainedRun(run), j.opts), false, nil
 				}
 			}
-			tr, err := comfedsv.TrainCtx(ctx, j.req.Clients, j.req.Test, j.opts)
+			tr, err := m.cfg.train(ctx, j.req.Clients, j.req.Test, j.opts)
 			if err != nil {
 				return nil, false, err
 			}
@@ -89,7 +83,7 @@ func (m *Manager) newValuation(j *job) stagedValuation {
 			return comfedsv.NewValuation(tr, j.opts), false, nil
 		}}
 	}
-	resolve := func(ctx context.Context) (*comfedsv.TrainedRun, error) {
+	return &pipelineValuation{build: func(ctx context.Context) (*comfedsv.Valuation, bool, error) {
 		// The entry is pinned by the submit-time refcount. It may still be
 		// training — the scheduler keeps the job ineligible while it is,
 		// but a recovered or racing entry can reach here early, so wait on
@@ -99,32 +93,12 @@ func (m *Manager) newValuation(j *job) stagedValuation {
 		m.mu.Unlock()
 		select {
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, false, ctx.Err()
 		case <-e.done:
 		}
 		tr, err := m.runTrained(e)
 		if err != nil {
-			return nil, fmt.Errorf("service: run %s: %w", j.runID, err)
-		}
-		return tr, nil
-	}
-	if m.cfg.ValueRun != nil {
-		return &monoValuation{run: func(ctx context.Context) (*comfedsv.Report, *comfedsv.EvalStats, error) {
-			tr, err := resolve(ctx)
-			if err != nil {
-				return nil, nil, err
-			}
-			rep, stats, err := m.cfg.ValueRun(ctx, tr, j.opts)
-			if err != nil {
-				return nil, nil, err
-			}
-			return rep, &stats, nil
-		}}
-	}
-	return &pipelineValuation{build: func(ctx context.Context) (*comfedsv.Valuation, bool, error) {
-		tr, err := resolve(ctx)
-		if err != nil {
-			return nil, false, err
+			return nil, false, fmt.Errorf("service: run %s: %w", j.runID, err)
 		}
 		return comfedsv.NewValuation(tr, j.opts), true, nil
 	}}
@@ -174,33 +148,6 @@ func (p *pipelineValuation) TrainedRun() *comfedsv.TrainedRun { return p.v.Train
 func (p *pipelineValuation) ObservationBudget() int { return p.v.ObservationBudget() }
 
 func (p *pipelineValuation) ShardSlice(shard int) (int, int, bool) { return p.v.ShardSlice(shard) }
-
-// monoValuation runs a whole legacy Config.Value / Config.ValueRun hook as
-// a single observation task, so substituted pipelines keep working on the
-// staged scheduler: a one-shard graph whose observe stage is the entire
-// valuation.
-type monoValuation struct {
-	run   func(ctx context.Context) (*comfedsv.Report, *comfedsv.EvalStats, error)
-	rep   *comfedsv.Report
-	stats *comfedsv.EvalStats
-}
-
-func (mv *monoValuation) Prepare(context.Context) (int, error) { return 1, nil }
-
-func (mv *monoValuation) ObserveShard(ctx context.Context, _ int) error {
-	rep, stats, err := mv.run(ctx)
-	if err != nil {
-		return err
-	}
-	mv.rep, mv.stats = rep, stats
-	return nil
-}
-
-func (mv *monoValuation) Complete(context.Context) (int, error) { return 0, nil }
-
-func (mv *monoValuation) Extract(context.Context) (*comfedsv.Report, error) { return mv.rep, nil }
-
-func (mv *monoValuation) Stats() *comfedsv.EvalStats { return mv.stats }
 
 // prepareTask is a job's first stage: build the pipeline (training inline
 // jobs, resolving shared runs) and plan the observation shards. Before the

@@ -145,7 +145,7 @@ func TestLifecycleLogging(t *testing.T) {
 func TestLifecycleLoggingFailure(t *testing.T) {
 	h := &recordingHandler{}
 	release := make(chan struct{})
-	m := newManager(t, Config{Workers: 1, Logger: slog.New(h), Value: blockingValue(release)})
+	m := newManager(t, Config{Workers: 1, Logger: slog.New(h), buildValuation: blockingValuation(release)})
 	defer close(release)
 	if _, err := m.Submit(tinyRequest(14)); err != nil {
 		t.Fatal(err)
