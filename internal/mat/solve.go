@@ -7,13 +7,18 @@ import (
 )
 
 // This file holds the allocation-free kernel variants behind Cholesky,
-// CholeskySolve, and RidgeSolve. The ALS matrix-completion solver calls a
-// small ridge solve once per factor row per sweep — hundreds of thousands of
-// times per completion — so these kernels accumulate the Gram matrix in
+// CholeskySolve, and RidgeSolve. The ALS matrix-completion solver needs a
+// small ridge solve for every factor row in every sweep — hundreds of
+// thousands per completion — so these kernels accumulate the Gram matrix in
 // place, factor in place, and substitute in place, with slice-based inner
-// loops instead of bounds-checked At/Set. The allocating wrappers in
-// dense.go delegate here; both produce bit-identical results (the summation
-// order is unchanged).
+// loops instead of bounds-checked At/Set. A ridge solve has two halves:
+// RidgeFactorInto (Gram + λI and its Cholesky factor, which depend only on
+// the features) and RidgeSolveFactoredInto (the right-hand side and the two
+// triangular solves). RidgeSolveInto runs both; ALS runs the first half once
+// per observed pattern that several factor rows share and the second half
+// per row, which gives the same bits as a fused solve per row. The
+// allocating wrappers in dense.go delegate here; all paths produce
+// bit-identical results (the summation order is unchanged).
 
 // CholeskyInto computes the lower-triangular factor L with a = L Lᵀ into l,
 // which must be a square matrix of a's shape (its prior contents are
@@ -84,7 +89,7 @@ func CholeskySolveInto(l *Dense, b, x, y []float64) {
 	}
 }
 
-// RidgeScratch holds the working storage of RidgeSolveInto so a caller
+// RidgeScratch holds the working storage of the ridge kernels so a caller
 // solving many same-rank ridge systems (one per factor row per ALS sweep)
 // allocates once per worker instead of once per solve. The zero value is
 // usable; buffers grow on demand and are reused across ranks.
@@ -98,12 +103,12 @@ type RidgeScratch struct {
 // NewRidgeScratch returns scratch pre-sized for rank-r solves.
 func NewRidgeScratch(r int) *RidgeScratch {
 	s := &RidgeScratch{}
-	s.reset(r)
+	s.resize(r)
 	return s
 }
 
-// reset sizes the buffers for rank r and zeroes the accumulators.
-func (s *RidgeScratch) reset(r int) {
+// resize sizes the buffers for rank r without clearing them.
+func (s *RidgeScratch) resize(r int) {
 	if s.gram == nil || s.gram.rows < r {
 		s.gram = NewDense(r, r)
 		s.chol = NewDense(r, r)
@@ -119,12 +124,6 @@ func (s *RidgeScratch) reset(r int) {
 		s.rhs = s.rhs[:r]
 		s.y = s.y[:r]
 	}
-	for i := range s.gram.data {
-		s.gram.data[i] = 0
-	}
-	for i := range s.rhs {
-		s.rhs[i] = 0
-	}
 }
 
 // ErrRidgeNoObservations is returned by the ridge solvers when called with
@@ -133,9 +132,9 @@ var ErrRidgeNoObservations = errors.New("mat: ridge with no observations")
 
 // RidgeSolveInto solves (AᵀA + λI) x = Aᵀ b into dst (length must equal the
 // feature dimension) without allocating: the Gram matrix, Cholesky factor,
-// and substitution buffers live in s. It is the allocation-free core of
-// RidgeSolve and the workhorse of the parallel ALS solver, where each
-// worker owns one scratch.
+// and substitution buffers live in s. It is RidgeFactorInto followed by
+// RidgeSolveFactoredInto, the allocation-free core of RidgeSolve and the
+// workhorse of the parallel ALS solver, where each worker owns one scratch.
 func RidgeSolveInto(features [][]float64, targets []float64, lambda float64, dst []float64, s *RidgeScratch) error {
 	if len(features) != len(targets) {
 		panic(fmt.Sprintf("mat: ridge rows %d != targets %d", len(features), len(targets)))
@@ -143,23 +142,38 @@ func RidgeSolveInto(features [][]float64, targets []float64, lambda float64, dst
 	if len(features) == 0 {
 		return ErrRidgeNoObservations
 	}
-	r := len(features[0])
-	if len(dst) != r {
-		panic(fmt.Sprintf("mat: ridge destination %d != rank %d", len(dst), r))
+	s.resize(len(features[0]))
+	if err := RidgeFactorInto(features, lambda, s.chol, s); err != nil {
+		return err
 	}
-	s.reset(r)
+	RidgeSolveFactoredInto(features, targets, s.chol, dst, s)
+	return nil
+}
+
+// RidgeFactorInto forms the ridge Gram matrix AᵀA + λI of features in s
+// and writes its Cholesky factor into l, an r×r matrix for rank-r features.
+// Any number of RidgeSolveFactoredInto calls can then solve against l for
+// different targets over the same features: an ALS sweep factors once for
+// all factor rows that share one observed pattern. Only the Gram matrix's
+// lower triangle is accumulated, since CholeskyInto reads no other part.
+func RidgeFactorInto(features [][]float64, lambda float64, l *Dense, s *RidgeScratch) error {
+	if len(features) == 0 {
+		return ErrRidgeNoObservations
+	}
+	r := len(features[0])
+	s.resize(r)
 	gd := s.gram.data
-	rhs := s.rhs
-	for row, f := range features {
+	for i := range gd {
+		gd[i] = 0
+	}
+	for _, f := range features {
 		if len(f) != r {
 			panic("mat: ragged feature rows")
 		}
-		t := targets[row]
 		for i := 0; i < r; i++ {
 			fi := f[i]
-			rhs[i] += fi * t
-			gi := gd[i*r : i*r+r]
-			for j := 0; j < r; j++ {
+			gi := gd[i*r : i*r+i+1]
+			for j := range gi {
 				gi[j] += fi * f[j]
 			}
 		}
@@ -167,9 +181,36 @@ func RidgeSolveInto(features [][]float64, targets []float64, lambda float64, dst
 	for i := 0; i < r; i++ {
 		gd[i*r+i] += lambda
 	}
-	if err := CholeskyInto(s.chol, s.gram); err != nil {
-		return err
+	return CholeskyInto(l, s.gram)
+}
+
+// RidgeSolveFactoredInto forms Aᵀ b and solves (AᵀA + λI) x = Aᵀ b into dst,
+// given the factor l that RidgeFactorInto wrote for the same features and λ.
+// It reads l only, so many workers may solve against one shared factor,
+// each with its own scratch. Together the two halves compute exactly what
+// one fused solve would: every Gram and right-hand-side entry accumulates
+// the same products in the same order.
+func RidgeSolveFactoredInto(features [][]float64, targets []float64, l *Dense, dst []float64, s *RidgeScratch) {
+	if len(features) != len(targets) {
+		panic(fmt.Sprintf("mat: ridge rows %d != targets %d", len(features), len(targets)))
 	}
-	CholeskySolveInto(s.chol, rhs, dst, s.y)
-	return nil
+	r := l.rows
+	if len(dst) != r {
+		panic(fmt.Sprintf("mat: ridge destination %d != rank %d", len(dst), r))
+	}
+	s.resize(r)
+	rhs := s.rhs
+	for i := range rhs {
+		rhs[i] = 0
+	}
+	for row, f := range features {
+		if len(f) != r {
+			panic("mat: ragged feature rows")
+		}
+		t := targets[row]
+		for i := 0; i < r; i++ {
+			rhs[i] += f[i] * t
+		}
+	}
+	CholeskySolveInto(l, rhs, dst, s.y)
 }

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"math"
 	"testing"
 )
 
@@ -146,5 +147,42 @@ func TestRidgeSolveIntoZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("RidgeSolveInto allocated %v times per run, want 0", allocs)
+	}
+}
+
+// TestRidgeFactorSolveMatchesRidgeSolveInto: one factor shared by several
+// solves over the same features gives every solve the bits of a fused
+// RidgeSolveInto, whatever the factor buffer held before.
+func TestRidgeFactorSolveMatchesRidgeSolveInto(t *testing.T) {
+	for _, r := range []int{1, 3, 5} {
+		features, targets := ridgeFixture(12, r)
+		l := NewDense(r, r)
+		for i := range l.data {
+			l.data[i] = 1e9
+		}
+		if err := RidgeFactorInto(features, 0.3, l, NewRidgeScratch(r)); err != nil {
+			t.Fatalf("r=%d: %v", r, err)
+		}
+		solver := NewRidgeScratch(r)
+		for shift := 0; shift < 3; shift++ {
+			b := make([]float64, len(targets))
+			for i := range b {
+				b[i] = targets[(i+shift)%len(targets)] * float64(shift+1)
+			}
+			want := make([]float64, r)
+			if err := RidgeSolveInto(features, b, 0.3, want, NewRidgeScratch(r)); err != nil {
+				t.Fatalf("r=%d: %v", r, err)
+			}
+			got := make([]float64, r)
+			RidgeSolveFactoredInto(features, b, l, got, solver)
+			for i := range want {
+				if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+					t.Fatalf("r=%d targets %d: solution differs at %d: %v vs %v", r, shift, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	if err := RidgeFactorInto(nil, 0.1, NewDense(1, 1), NewRidgeScratch(1)); err != ErrRidgeNoObservations {
+		t.Fatalf("err = %v, want ErrRidgeNoObservations", err)
 	}
 }

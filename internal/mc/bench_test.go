@@ -73,10 +73,14 @@ func sortedInts(xs []int) []int {
 }
 
 // TestPatternedEntriesShape pins the production shape BenchmarkComplete's
-// patterned case claims to have.
+// patterned case claims to have, and that the ALS sweep shares a factor
+// across its columns: sharing keys on the ordered entry sequence, so the
+// 33 row sets must also be 33 shared column patterns covering every
+// column, while no two rows of W repeat a pattern.
 func TestPatternedEntriesShape(t *testing.T) {
+	obs := patternedEntries(5, 42)
 	byCol := map[int][]int{}
-	for _, e := range patternedEntries(5, 42) {
+	for _, e := range obs {
 		byCol[e.Col] = append(byCol[e.Col], e.Row)
 	}
 	single := 0
@@ -91,6 +95,17 @@ func TestPatternedEntriesShape(t *testing.T) {
 		t.Fatalf("%d observed columns, %d with one entry, %d row patterns; want %d, 1254, 33",
 			len(byCol), single, len(patterns), patternedCols)
 	}
+	plan := newALSPlan(obs, patternedRows, patternedCols)
+	sharedCols := 0
+	for _, k := range plan.h.shared {
+		if k >= 0 {
+			sharedCols++
+		}
+	}
+	if len(plan.h.reps) != 33 || sharedCols != patternedCols || len(plan.w.reps) != 0 {
+		t.Fatalf("%d shared column factors over %d columns, %d shared row factors; want 33, %d, 0",
+			len(plan.h.reps), sharedCols, len(plan.w.reps), patternedCols)
+	}
 }
 
 // BenchmarkComplete measures the ALS solver at rank 5 across worker counts
@@ -103,7 +118,8 @@ func TestPatternedEntriesShape(t *testing.T) {
 //     demonstrates multicore scaling on machines with spare cores.
 //   - patterned/workers-N: the 30×1288 shape of patternedEntries, where
 //     1254 columns have one observed entry and all columns together show
-//     33 distinct observed-row patterns.
+//     33 distinct observed-row patterns, so every H half-sweep factors 33
+//     Gram matrices and solves 1288 columns against them.
 func BenchmarkComplete(b *testing.B) {
 	bench := func(b *testing.B, obs []Entry, rows, cols int) {
 		for _, workers := range []int{1, 2, 4, 8} {

@@ -7,9 +7,22 @@
 // scratch with two backends: alternating least squares (the default —
 // deterministic, each factor row is a small ridge regression solved by
 // Cholesky) and stochastic gradient descent (LIBPMF-style updates).
+//
+// A utility matrix is highly patterned: most Monte-Carlo prefix columns are
+// observed in a single round, so many factor rows observe the same ordered
+// sequence of opposite-factor indices and so have the same ridge Gram
+// matrix. ALS groups the rows of W and of H by that pattern once per
+// Complete call. Each half-sweep first factors Gram + λI once for every
+// pattern at least two rows observe, then solves every row: a row of a
+// shared pattern forms only its right-hand side and runs two triangular
+// solves against the shared factor, a row of a unique pattern runs one
+// fused ridge solve, and a row with no entries is zeroed. Shared and fused
+// solves accumulate the same products in the same order, so the result is
+// bit-identical to solving every row on its own, for any worker count.
 package mc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -177,11 +190,17 @@ func Complete(obs []Entry, rows, cols int, cfg Config) (*Result, error) {
 		}
 		return nil
 	}
+	// The observation layout is a function of obs alone, so every restart
+	// reads the same one.
+	var plan *alsPlan
+	if cfg.Solver == ALS {
+		plan = newALSPlan(obs, rows, cols)
+	}
 	results := make([]*Result, restarts)
 	errs := make([]error, restarts)
 	if conc <= 1 {
 		for attempt := 0; attempt < restarts; attempt++ {
-			results[attempt], errs[attempt] = completeOnce(obs, rows, cols, cfg, cfg.Seed+int64(attempt), workers, warmFor(attempt))
+			results[attempt], errs[attempt] = completeOnce(obs, plan, rows, cols, cfg, cfg.Seed+int64(attempt), workers, warmFor(attempt))
 		}
 	} else {
 		sem := make(chan struct{}, conc)
@@ -192,7 +211,7 @@ func Complete(obs []Entry, rows, cols int, cfg Config) (*Result, error) {
 			go func(attempt int) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				results[attempt], errs[attempt] = completeOnce(obs, rows, cols, cfg, cfg.Seed+int64(attempt), inner, warmFor(attempt))
+				results[attempt], errs[attempt] = completeOnce(obs, plan, rows, cols, cfg, cfg.Seed+int64(attempt), inner, warmFor(attempt))
 			}(attempt)
 		}
 		wg.Wait()
@@ -210,29 +229,30 @@ func Complete(obs []Entry, rows, cols int, cfg Config) (*Result, error) {
 	return best, nil
 }
 
-func completeOnce(obs []Entry, rows, cols int, cfg Config, seed int64, workers int, warm *Warm) (*Result, error) {
-	g := rng.New(seed)
-	scale := 1 / math.Sqrt(float64(cfg.Rank))
-	if warm != nil && (warm.W == nil || warm.H == nil || warm.W.Cols() != cfg.Rank || warm.H.Cols() != cfg.Rank) {
-		warm = nil // rank mismatch: the warm factors cannot seed this problem
-	}
-	var w, h *mat.Dense
-	if warm != nil {
-		w = warmFactor(rows, cfg.Rank, scale, g, warm.W)
-		h = warmFactor(cols, cfg.Rank, scale, g, warm.H)
-	} else {
-		w = randomFactor(rows, cfg.Rank, scale, g)
-		h = randomFactor(cols, cfg.Rank, scale, g)
-	}
-
+func completeOnce(obs []Entry, plan *alsPlan, rows, cols int, cfg Config, seed int64, workers int, warm *Warm) (*Result, error) {
+	w, h, g := initFactors(rows, cols, cfg, seed, warm)
 	switch cfg.Solver {
 	case ALS:
-		return completeALS(obs, w, h, cfg, workers)
+		return completeALS(obs, plan, w, h, cfg, workers)
 	case SGD:
 		return completeSGD(obs, w, h, cfg, g)
 	default:
 		return nil, fmt.Errorf("mc: unknown solver %v", cfg.Solver)
 	}
+}
+
+// initFactors draws one attempt's starting factors, warm-started from warm
+// when its rank matches, and returns the RNG positioned after the draws.
+func initFactors(rows, cols int, cfg Config, seed int64, warm *Warm) (w, h *mat.Dense, g *rng.RNG) {
+	g = rng.New(seed)
+	scale := 1 / math.Sqrt(float64(cfg.Rank))
+	if warm != nil && (warm.W == nil || warm.H == nil || warm.W.Cols() != cfg.Rank || warm.H.Cols() != cfg.Rank) {
+		warm = nil // rank mismatch: the warm factors cannot seed this problem
+	}
+	if warm != nil {
+		return warmFactor(rows, cfg.Rank, scale, g, warm.W), warmFactor(cols, cfg.Rank, scale, g, warm.H), g
+	}
+	return randomFactor(rows, cfg.Rank, scale, g), randomFactor(cols, cfg.Rank, scale, g), g
 }
 
 func validate(obs []Entry, rows, cols int, cfg Config) error {
@@ -245,18 +265,34 @@ func validate(obs []Entry, rows, cols int, cfg Config) error {
 	if cfg.Lambda <= 0 {
 		return fmt.Errorf("mc: lambda must be positive for a well-posed problem, got %v", cfg.Lambda)
 	}
+	if !finite(cfg.Lambda) {
+		return fmt.Errorf("mc: lambda must be finite, got %v", cfg.Lambda)
+	}
+	if !finite(cfg.Tol) {
+		return fmt.Errorf("mc: tolerance must be finite, got %v", cfg.Tol)
+	}
+	if cfg.Solver == SGD && !finite(cfg.LearningRate) {
+		return fmt.Errorf("mc: learning rate must be finite, got %v", cfg.LearningRate)
+	}
 	if cfg.MaxIter <= 0 {
 		return fmt.Errorf("mc: max iterations must be positive, got %d", cfg.MaxIter)
 	}
 	if len(obs) == 0 {
 		return errors.New("mc: no observations")
 	}
-	for _, e := range obs {
+	for i, e := range obs {
 		if e.Row < 0 || e.Row >= rows || e.Col < 0 || e.Col >= cols {
 			return fmt.Errorf("mc: observation (%d,%d) outside %dx%d", e.Row, e.Col, rows, cols)
 		}
+		if !finite(e.Val) {
+			return fmt.Errorf("mc: observation %d at (%d,%d) has non-finite value %v", i, e.Row, e.Col, e.Val)
+		}
 	}
 	return nil
+}
+
+func finite(x float64) bool {
+	return !math.IsNaN(x) && !math.IsInf(x, 0)
 }
 
 func randomFactor(n, r int, scale float64, g *rng.RNG) *mat.Dense {
@@ -311,16 +347,107 @@ func newALSScratch(rank int) *alsScratch {
 	return &alsScratch{ridge: mat.NewRidgeScratch(rank)}
 }
 
-func completeALS(obs []Entry, w, h *mat.Dense, cfg Config, workers int) (*Result, error) {
-	rows, _ := w.Dims()
-	cols, _ := h.Dims()
+// gather points the scratch's feature views at the opposite-factor rows the
+// entries observe, in entry order, and copies their values as targets. If
+// rowSide is true, entries index the opposite factor by Col, else by Row.
+func (sc *alsScratch) gather(entries []Entry, opposite *mat.Dense, rowSide bool) ([][]float64, []float64) {
+	if cap(sc.features) < len(entries) {
+		sc.features = make([][]float64, len(entries))
+		sc.targets = make([]float64, len(entries))
+	}
+	features := sc.features[:len(entries)]
+	targets := sc.targets[:len(entries)]
+	for i, e := range entries {
+		if rowSide {
+			features[i] = opposite.Row(e.Col)
+		} else {
+			features[i] = opposite.Row(e.Row)
+		}
+		targets[i] = e.Val
+	}
+	return features, targets
+}
+
+// alsPlan is the observation layout of one completion: the entries of every
+// row of W and of H, grouped by observed pattern. It is a function of the
+// observations alone, so Complete builds it once and every restart reads it.
+type alsPlan struct {
+	w, h alsSide
+}
+
+// alsSide is the layout of one factor's rows. A row's pattern is the
+// ordered sequence of opposite-factor indices its entries observe. Rows of
+// one pattern have the same ridge features in the same order, hence the
+// same Gram + λI and the same Cholesky factor down to the last bit.
+type alsSide struct {
+	rowSide bool      // entries index the opposite factor by Col (rows of W)
+	groups  [][]Entry // groups[i]: the entries of factor row i, in input order
+	// shared[i] is the index of row i's pattern in reps when at least two
+	// rows observe that pattern, and -1 otherwise (a unique pattern, or no
+	// entries at all).
+	shared []int
+	// reps[k] is the first row of shared pattern k.
+	reps []int
+}
+
+func newALSPlan(obs []Entry, rows, cols int) *alsPlan {
 	byRow := make([][]Entry, rows)
 	byCol := make([][]Entry, cols)
 	for _, e := range obs {
 		byRow[e.Row] = append(byRow[e.Row], e)
 		byCol[e.Col] = append(byCol[e.Col], e)
 	}
+	return &alsPlan{w: newALSSide(byRow, true), h: newALSSide(byCol, false)}
+}
 
+// newALSSide groups rows by pattern. Only a pattern that at least two rows
+// observe gets a shared factor: for a unique pattern, factoring apart from
+// the solve would only add work.
+func newALSSide(groups [][]Entry, rowSide bool) alsSide {
+	side := alsSide{rowSide: rowSide, groups: groups, shared: make([]int, len(groups))}
+	ids := make(map[string]int)
+	var first, count []int
+	var key []byte
+	for i, entries := range groups {
+		side.shared[i] = -1
+		if len(entries) == 0 {
+			continue
+		}
+		key = key[:0]
+		for _, e := range entries {
+			j := e.Row
+			if rowSide {
+				j = e.Col
+			}
+			key = binary.LittleEndian.AppendUint32(key, uint32(j))
+		}
+		id, ok := ids[string(key)]
+		if !ok {
+			id = len(count)
+			ids[string(key)] = id
+			first = append(first, i)
+			count = append(count, 0)
+		}
+		count[id]++
+		side.shared[i] = id
+	}
+	rep := make([]int, len(count))
+	for id, n := range count {
+		rep[id] = -1
+		if n >= 2 {
+			rep[id] = len(side.reps)
+			side.reps = append(side.reps, first[id])
+		}
+	}
+	for i, id := range side.shared {
+		if id >= 0 {
+			side.shared[i] = rep[id]
+		}
+	}
+	return side
+}
+
+func completeALS(obs []Entry, plan *alsPlan, w, h *mat.Dense, cfg Config, workers int) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -328,6 +455,8 @@ func completeALS(obs []Entry, w, h *mat.Dense, cfg Config, workers int) (*Result
 	for i := range scratches {
 		scratches[i] = newALSScratch(cfg.Rank)
 	}
+	wFactors := sharedFactors(len(plan.w.reps), cfg.Rank)
+	hFactors := sharedFactors(len(plan.h.reps), cfg.Rank)
 
 	prev := math.Inf(1)
 	iters := 0
@@ -338,10 +467,10 @@ func completeALS(obs []Entry, w, h *mat.Dense, cfg Config, workers int) (*Result
 		// fixed opposite factor and writes its own disjoint row slice, so
 		// the rows can be solved on any worker in any order without
 		// changing a single bit of the result.
-		if err := updateFactor(byRow, h, w, cfg, true, workers, scratches); err != nil {
+		if err := plan.w.update(h, w, wFactors, cfg, workers, scratches); err != nil {
 			return nil, err
 		}
-		if err := updateFactor(byCol, w, h, cfg, false, workers, scratches); err != nil {
+		if err := plan.h.update(w, h, hFactors, cfg, workers, scratches); err != nil {
 			return nil, err
 		}
 		obj, _ := objective(obs, w, h, cfg.Lambda)
@@ -355,18 +484,59 @@ func completeALS(obs []Entry, w, h *mat.Dense, cfg Config, workers int) (*Result
 	return &Result{W: w, H: h, Objective: obj, Iterations: iters, TrainRMSE: rmse}, nil
 }
 
-// updateFactor solves the ridge sub-problem for every row of target against
-// the fixed opposite factor, fanning the rows out over workers goroutines.
-// groups[i] holds the observations of target row i.
-func updateFactor(groups [][]Entry, opposite, target *mat.Dense, cfg Config, rowSide bool, workers int, scratches []*alsScratch) error {
-	n := len(groups)
+// sharedFactors allocates the Cholesky factors of n shared patterns, one
+// rank×rank matrix each over a single backing array.
+func sharedFactors(n, rank int) []*mat.Dense {
+	data := make([]float64, n*rank*rank)
+	out := make([]*mat.Dense, n)
+	for k := range out {
+		out[k] = mat.NewDenseData(rank, rank, data[k*rank*rank:(k+1)*rank*rank])
+	}
+	return out
+}
+
+// update solves the ridge sub-problem of every row of target against the
+// fixed opposite factor in two passes over workers goroutines. The factor
+// pass forms Gram + λI and its Cholesky factor once per shared pattern; the
+// solve pass then gives each row of a shared pattern only its right-hand
+// side and the two triangular solves against that factor, while a row of
+// a unique pattern runs the fused ridge solve. Shared and fused paths
+// accumulate the same products in the same order, so the factors are
+// bit-identical to one fused solve per row.
+func (s *alsSide) update(opposite, target *mat.Dense, factors []*mat.Dense, cfg Config, workers int, scratches []*alsScratch) error {
+	err := parallelFor(len(s.reps), workers, func(wk, k int) error {
+		entries := s.groups[s.reps[k]]
+		features, _ := scratches[wk].gather(entries, opposite, s.rowSide)
+		if err := mat.RidgeFactorInto(features, effLambda(cfg, len(entries)), factors[k], scratches[wk].ridge); err != nil {
+			return fmt.Errorf("mc: ridge sub-problem: %w", err)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	return parallelFor(len(s.groups), workers, func(wk, i int) error {
+		entries, sc := s.groups[i], scratches[wk]
+		if k := s.shared[i]; k >= 0 {
+			features, targets := sc.gather(entries, opposite, s.rowSide)
+			mat.RidgeSolveFactoredInto(features, targets, factors[k], target.Row(i), sc.ridge)
+			return nil
+		}
+		return ridgeUpdate(entries, opposite, target.Row(i), effLambda(cfg, len(entries)), s.rowSide, sc)
+	})
+}
+
+// parallelFor runs fn(wk, i) for every i in [0, n) on up to workers
+// goroutines, wk being the index of the goroutine (and of its scratch).
+// Items are claimed in index order; it returns the error of the lowest
+// worker that failed.
+func parallelFor(n, workers int, fn func(wk, i int) error) error {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		sc := scratches[0]
 		for i := 0; i < n; i++ {
-			if err := ridgeUpdate(groups[i], opposite, target.Row(i), effLambda(cfg, len(groups[i])), rowSide, sc); err != nil {
+			if err := fn(0, i); err != nil {
 				return err
 			}
 		}
@@ -379,13 +549,12 @@ func updateFactor(groups [][]Entry, opposite, target *mat.Dense, cfg Config, row
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
-			sc := scratches[wk]
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				if err := ridgeUpdate(groups[i], opposite, target.Row(i), effLambda(cfg, len(groups[i])), rowSide, sc); err != nil {
+				if err := fn(wk, i); err != nil {
 					errs[wk] = err
 					return
 				}
@@ -421,20 +590,7 @@ func ridgeUpdate(entries []Entry, opposite *mat.Dense, dst []float64, lambda flo
 		}
 		return nil
 	}
-	if cap(sc.features) < len(entries) {
-		sc.features = make([][]float64, len(entries))
-		sc.targets = make([]float64, len(entries))
-	}
-	features := sc.features[:len(entries)]
-	targets := sc.targets[:len(entries)]
-	for i, e := range entries {
-		if rowSide {
-			features[i] = opposite.Row(e.Col)
-		} else {
-			features[i] = opposite.Row(e.Row)
-		}
-		targets[i] = e.Val
-	}
+	features, targets := sc.gather(entries, opposite, rowSide)
 	if err := mat.RidgeSolveInto(features, targets, lambda, dst, sc.ridge); err != nil {
 		return fmt.Errorf("mc: ridge sub-problem: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -176,6 +177,58 @@ func TestValidation(t *testing.T) {
 				t.Fatal("expected validation error")
 			}
 		})
+	}
+}
+
+// TestCompleteRejectsNonFiniteInputs: a NaN or infinite value or
+// parameter is a validation error that names the culprit, not a numerical
+// failure deep in a solver or a silently non-finite fit.
+func TestCompleteRejectsNonFiniteInputs(t *testing.T) {
+	obs := func(v float64) []Entry {
+		return []Entry{{Row: 0, Col: 0, Val: 1}, {Row: 1, Col: 0, Val: 2}, {Row: 1, Col: 1, Val: v}}
+	}
+	cases := []struct {
+		name string
+		obs  []Entry
+		mut  func(*Config)
+		want string
+	}{
+		{"NaN value", obs(math.NaN()), nil, "observation 2 at (1,1) has non-finite value NaN"},
+		{"+Inf value", obs(math.Inf(1)), nil, "observation 2 at (1,1) has non-finite value +Inf"},
+		{"-Inf value", obs(math.Inf(-1)), nil, "observation 2 at (1,1) has non-finite value -Inf"},
+		{"NaN value under SGD", obs(math.NaN()), func(c *Config) { c.Solver = SGD }, "non-finite value NaN"},
+		{"+Inf lambda", obs(3), func(c *Config) { c.Lambda = math.Inf(1) }, "lambda must be finite"},
+		{"NaN lambda", obs(3), func(c *Config) { c.Lambda = math.NaN() }, "lambda must be finite"},
+		{"NaN tolerance", obs(3), func(c *Config) { c.Tol = math.NaN() }, "tolerance must be finite"},
+		{"-Inf tolerance", obs(3), func(c *Config) { c.Tol = math.Inf(-1) }, "tolerance must be finite"},
+		{"NaN SGD learning rate", obs(3), func(c *Config) { c.Solver = SGD; c.LearningRate = math.NaN() }, "learning rate must be finite"},
+		{"+Inf SGD learning rate", obs(3), func(c *Config) { c.Solver = SGD; c.LearningRate = math.Inf(1) }, "learning rate must be finite"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(2)
+			if tc.mut != nil {
+				tc.mut(&cfg)
+			}
+			_, err := Complete(tc.obs, 2, 2, cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+	// ALS ignores the learning rate, so a non-finite one changes nothing.
+	cfg := DefaultConfig(2)
+	want, err := Complete(obs(3), 2, 2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.LearningRate = math.NaN()
+	got, err := Complete(obs(3), 2, 2, cfg)
+	if err != nil {
+		t.Fatalf("ALS with a NaN learning rate: %v", err)
+	}
+	if !mat.Equal(got.W, want.W, 0) || !mat.Equal(got.H, want.H, 0) || got.Objective != want.Objective {
+		t.Fatal("ALS result depends on the learning rate")
 	}
 }
 
