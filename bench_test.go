@@ -346,14 +346,56 @@ func BenchmarkAblationEBH(b *testing.B) {
 	}
 }
 
-// BenchmarkUtilityEvaluation measures the cost of one utility-matrix cell.
+// BenchmarkUtilityEvaluation measures one paid utility-matrix cell: the
+// coalition's FedAvg aggregate plus the test-loss forward pass, through
+// fl.Run.UtilityInto on a warmed scratch, so no memo answers it. The shapes
+// are the perfbench ones: cold_mlp's MLP (64→16→10 on 100 test points) and
+// durable_http's logistic regression (20 features × 10 classes on 192 test
+// points).
 func BenchmarkUtilityEvaluation(b *testing.B) {
-	e := benchEvaluator(b, 8, 4, 3)
-	s := utility.FromMembers(8, []int{0, 2, 4, 6})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Rotate rounds so memoization does not trivialize the loop.
-		_ = e.Utility(i%4, s)
+	b.Run("mlp-64x16x10-test-100", func(b *testing.B) {
+		all := dataset.GenerateImages(dataset.MNISTLikeConfig(210), 8*40+100)
+		test, train := splitFirst(all, 100)
+		benchPaidCell(b, model.NewMLP(all.Dim(), 16, all.NumClasses), dataset.PartitionIID(train, 8, rng.New(211)), test)
+	})
+	b.Run("logreg-20x10-test-192", func(b *testing.B) {
+		cfg := dataset.DefaultSyntheticConfig(1, 1, 212)
+		cfg.Dim = 20
+		sizes := make([]int, 24)
+		for i := range sizes {
+			sizes[i] = 48
+		}
+		var clients, tests []*dataset.Dataset
+		for _, d := range dataset.GenerateSynthetic(cfg, sizes) {
+			test, train := splitFirst(d, 8)
+			clients, tests = append(clients, train), append(tests, test)
+		}
+		benchPaidCell(b, model.NewLogisticRegression(cfg.Dim, cfg.NumClasses), clients, dataset.Concat(tests...))
+	})
+}
+
+var sinkUtility float64
+
+// splitFirst returns the first n examples of d and the rest.
+func splitFirst(d *dataset.Dataset, n int) (head, rest *dataset.Dataset) {
+	idx := make([]int, d.Len())
+	for i := range idx {
+		idx[i] = i
+	}
+	return d.Subset(idx[:n]), d.Subset(idx[n:])
+}
+
+func benchPaidCell(b *testing.B, m model.Model, clients []*dataset.Dataset, test *dataset.Dataset) {
+	run, err := fl.TrainRun(fl.DefaultConfig(2, 4), m, clients, test)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sc fl.UtilityScratch
+	s := []int{0, 2, 4, 6}
+	run.UtilityInto(&sc, 1, s)
+	b.ReportAllocs()
+	for b.Loop() {
+		sinkUtility = run.UtilityInto(&sc, 1, s)
 	}
 }
 

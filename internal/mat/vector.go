@@ -17,6 +17,50 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
+// DotRows stores Dot(w[r*stride:r*stride+cols], x) into dst[r] for every
+// row r < len(dst): the product of a row-major weight block with one
+// example. It panics where Dot would: when len(x) != cols, so a ragged
+// example never reads past its row into the next row's weights or a bias
+// stored in the stride's gap. It also panics when the rows overlap
+// (stride < cols) or overrun w.
+//
+// A single dot is one serial add chain, so it runs at the latency of a
+// floating-point add per element. DotRows walks four rows at once with
+// four independent accumulators, each repeating Dot's own s += w[i]*x[i]
+// sequence, so the adds of different rows overlap in the pipeline and
+// every result keeps Dot's bits. A tail of fewer than four rows calls Dot.
+func DotRows(dst, w []float64, cols, stride int, x []float64) {
+	if len(x) != cols {
+		panic(fmt.Sprintf("mat: dot length mismatch %d vs %d", cols, len(x)))
+	}
+	rows := len(dst)
+	if rows == 0 {
+		return
+	}
+	if stride < cols || (rows-1)*stride+cols > len(w) {
+		panic(fmt.Sprintf("mat: %d rows of %d at stride %d do not fit %d weights", rows, cols, stride, len(w)))
+	}
+	r := 0
+	for ; r+4 <= rows; r += 4 {
+		o := r * stride
+		w0 := w[o:][:len(x)]
+		w1 := w[o+stride:][:len(x)]
+		w2 := w[o+2*stride:][:len(x)]
+		w3 := w[o+3*stride:][:len(x)]
+		var s0, s1, s2, s3 float64
+		for i, xi := range x {
+			s0 += w0[i] * xi
+			s1 += w1[i] * xi
+			s2 += w2[i] * xi
+			s3 += w3[i] * xi
+		}
+		dst[r], dst[r+1], dst[r+2], dst[r+3] = s0, s1, s2, s3
+	}
+	for ; r < rows; r++ {
+		dst[r] = Dot(w[r*stride:r*stride+cols], x)
+	}
+}
+
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v []float64) float64 {
 	var s float64

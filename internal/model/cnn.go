@@ -150,9 +150,9 @@ func (m *CNN) forward(p, x []float64, s *cnnScratch) {
 	}
 	// Dense head.
 	ps := m.pooledSize()
-	for cls := 0; cls < m.Classes; cls++ {
-		row := denseW[cls*ps : (cls+1)*ps]
-		s.logits[cls] = mat.Dot(row, s.pooled) + denseB[cls]
+	mat.DotRows(s.logits, denseW, ps, ps, s.pooled)
+	for cls := range s.logits {
+		s.logits[cls] += denseB[cls]
 	}
 }
 

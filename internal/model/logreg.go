@@ -34,16 +34,13 @@ func (m *LogisticRegression) InitParams(g *rng.RNG) []float64 {
 	return g.NormalVec(m.NumParams(), 0, 0.01)
 }
 
-// weights returns the weight row and bias of class c as views into params.
-func (m *LogisticRegression) weights(params []float64, c int) (w []float64, bias int) {
-	base := c * (m.Dim + 1)
-	return params[base : base+m.Dim], base + m.Dim
-}
-
+// logits stores each class's score into out, one entry per class: its
+// weight row params[c*(Dim+1):][:Dim] dotted with x, plus the bias in the
+// last slot of the row's stride.
 func (m *LogisticRegression) logits(params, x, out []float64) {
-	for c := 0; c < m.Classes; c++ {
-		w, b := m.weights(params, c)
-		out[c] = mat.Dot(w, x) + params[b]
+	mat.DotRows(out, params, m.Dim, m.Dim+1, x)
+	for c := range out {
+		out[c] += params[c*(m.Dim+1)+m.Dim]
 	}
 }
 

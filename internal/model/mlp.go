@@ -64,13 +64,13 @@ func (m *MLP) slices(p []float64) (w1, b1, w2, b2 []float64) {
 // forward computes hidden activations and logits for one example.
 func (m *MLP) forward(p, x, hidden, logits []float64) {
 	w1, b1, w2, b2 := m.slices(p)
-	for h := 0; h < m.Hidden; h++ {
-		row := w1[h*m.Dim : (h+1)*m.Dim]
-		hidden[h] = math.Tanh(mat.Dot(row, x) + b1[h])
+	mat.DotRows(hidden, w1, m.Dim, m.Dim, x)
+	for h := range hidden {
+		hidden[h] = math.Tanh(hidden[h] + b1[h])
 	}
-	for c := 0; c < m.Classes; c++ {
-		row := w2[c*m.Hidden : (c+1)*m.Hidden]
-		logits[c] = mat.Dot(row, hidden) + b2[c]
+	mat.DotRows(logits, w2, m.Hidden, m.Hidden, hidden)
+	for c := range logits {
+		logits[c] += b2[c]
 	}
 }
 
