@@ -130,9 +130,6 @@ func main() {
 	}
 
 	apiSrv := api.NewServer(mgr)
-	if coord != nil {
-		apiSrv.SetDispatcher(coord)
-	}
 	// Access logs are chatty under load, so they go out at debug level;
 	// lifecycle events (submit/start/done/failed) stay at info.
 	apiSrv.SetLogger(slog.New(handler).With("component", "http"))

@@ -26,20 +26,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"math/rand/v2"
 	"net/http"
-	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"comfedsv"
 	"comfedsv/internal/dispatch"
 	"comfedsv/internal/service"
-	"comfedsv/internal/telemetry"
 )
 
 // maxRequestBytes bounds a job submission body (feature matrices can be
@@ -54,9 +50,10 @@ type Server struct {
 	dispatch *dispatch.Coordinator
 }
 
-// NewServer wraps a manager.
+// NewServer wraps a manager. With a shard coordinator in the manager's
+// Config.Dispatcher, the /v1/worker endpoints are mounted too.
 func NewServer(mgr *service.Manager) *Server {
-	return &Server{mgr: mgr, started: time.Now()}
+	return &Server{mgr: mgr, started: time.Now(), dispatch: mgr.Dispatcher()}
 }
 
 // SetLogger enables structured request logging: one record per completed
@@ -505,94 +502,13 @@ func (s *Server) deleteJob(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// metrics renders the scheduler counters in the Prometheus text exposition
-// format (version 0.0.4) — job states, queue and task depths, executed
-// stage tasks, TTL evictions, the per-run utility-cache ledgers, and the
-// per-stage latency histograms (_bucket/_sum/_count series).
+// metrics renders every family the manager registered (scheduler
+// counters, job and task latency histograms, cell-cache and dispatch
+// counters) in the Prometheus text exposition format (version 0.0.4).
 func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
-	m := s.mgr.Metrics()
-	var b strings.Builder
-
-	b.WriteString("# HELP comfedsvd_jobs Number of jobs by lifecycle state.\n# TYPE comfedsvd_jobs gauge\n")
-	for _, st := range []service.State{service.StateQueued, service.StateRunning, service.StateDone, service.StateFailed} {
-		fmt.Fprintf(&b, "comfedsvd_jobs{state=%q} %d\n", string(st), m.Jobs[st])
-	}
-
-	b.WriteString("# HELP comfedsvd_runs Number of shared training runs by state.\n# TYPE comfedsvd_runs gauge\n")
-	for _, st := range []service.RunState{service.RunTraining, service.RunReady, service.RunFailed} {
-		fmt.Fprintf(&b, "comfedsvd_runs{state=%q} %d\n", string(st), m.Runs[st])
-	}
-
-	b.WriteString("# HELP comfedsvd_queue_depth Jobs waiting to start (bounded by -queue).\n# TYPE comfedsvd_queue_depth gauge\n")
-	fmt.Fprintf(&b, "comfedsvd_queue_depth %d\n", m.QueuedJobs)
-	b.WriteString("# HELP comfedsvd_ready_tasks Stage tasks eligible to run now.\n# TYPE comfedsvd_ready_tasks gauge\n")
-	fmt.Fprintf(&b, "comfedsvd_ready_tasks %d\n", m.ReadyTasks)
-	b.WriteString("# HELP comfedsvd_inflight_tasks Stage tasks executing on workers.\n# TYPE comfedsvd_inflight_tasks gauge\n")
-	fmt.Fprintf(&b, "comfedsvd_inflight_tasks %d\n", m.InflightTasks)
-
-	b.WriteString("# HELP comfedsvd_tasks_executed_total Completed stage tasks by pipeline stage.\n# TYPE comfedsvd_tasks_executed_total counter\n")
-	stages := make([]string, 0, len(m.TasksExecuted))
-	for stage := range m.TasksExecuted {
-		stages = append(stages, stage)
-	}
-	sort.Strings(stages)
-	for _, stage := range stages {
-		fmt.Fprintf(&b, "comfedsvd_tasks_executed_total{stage=%q} %d\n", stage, m.TasksExecuted[stage])
-	}
-	b.WriteString("# HELP comfedsvd_shard_tasks_executed_total Observation shard tasks executed.\n# TYPE comfedsvd_shard_tasks_executed_total counter\n")
-	fmt.Fprintf(&b, "comfedsvd_shard_tasks_executed_total %d\n", m.ShardTasksExecuted)
-	b.WriteString("# HELP comfedsvd_jobs_evicted_total Terminal jobs evicted by the TTL janitor.\n# TYPE comfedsvd_jobs_evicted_total counter\n")
-	fmt.Fprintf(&b, "comfedsvd_jobs_evicted_total %d\n", m.JobsEvicted)
-	b.WriteString("# HELP comfedsvd_task_retries_total Transient task failures re-executed via backoff, by pipeline stage.\n# TYPE comfedsvd_task_retries_total counter\n")
-	retryStages := make([]string, 0, len(m.TaskRetries))
-	for stage := range m.TaskRetries {
-		retryStages = append(retryStages, stage)
-	}
-	sort.Strings(retryStages)
-	for _, stage := range retryStages {
-		fmt.Fprintf(&b, "comfedsvd_task_retries_total{stage=%q} %d\n", stage, m.TaskRetries[stage])
-	}
-	b.WriteString("# HELP comfedsvd_jobs_recovered_total Jobs resumed from crash journals at daemon startup.\n# TYPE comfedsvd_jobs_recovered_total counter\n")
-	fmt.Fprintf(&b, "comfedsvd_jobs_recovered_total %d\n", m.JobsRecovered)
-	b.WriteString("# HELP comfedsvd_jobs_rejected_total Job submissions refused by the queue bound.\n# TYPE comfedsvd_jobs_rejected_total counter\n")
-	fmt.Fprintf(&b, "comfedsvd_jobs_rejected_total %d\n", m.JobsRejected)
-	b.WriteString("# HELP comfedsvd_observations_skipped_total Budgeted permutations adaptive jobs never sampled because their estimates converged early.\n# TYPE comfedsvd_observations_skipped_total counter\n")
-	fmt.Fprintf(&b, "comfedsvd_observations_skipped_total %d\n", m.ObservationsSkipped)
-
-	b.WriteString("# HELP comfedsvd_run_cache_hits_total Utility-cache lookups amortized by a run's shared memo table.\n# TYPE comfedsvd_run_cache_hits_total counter\n")
-	for _, rc := range m.RunCaches {
-		fmt.Fprintf(&b, "comfedsvd_run_cache_hits_total{run_id=%q} %d\n", rc.ID, rc.Hits)
-	}
-	b.WriteString("# HELP comfedsvd_run_cache_misses_total Distinct test-loss evaluations paid per run.\n# TYPE comfedsvd_run_cache_misses_total counter\n")
-	for _, rc := range m.RunCaches {
-		fmt.Fprintf(&b, "comfedsvd_run_cache_misses_total{run_id=%q} %d\n", rc.ID, rc.Misses)
-	}
-
-	b.WriteString("# HELP comfedsvd_cellcache_preloaded_total Utility cells warm-started into run evaluators from sidecars and remote shard batches.\n# TYPE comfedsvd_cellcache_preloaded_total counter\n")
-	fmt.Fprintf(&b, "comfedsvd_cellcache_preloaded_total %d\n", m.CellsPreloaded)
-	b.WriteString("# HELP comfedsvd_cellcache_persisted_total Utility cells durably appended to run cell-cache sidecars.\n# TYPE comfedsvd_cellcache_persisted_total counter\n")
-	fmt.Fprintf(&b, "comfedsvd_cellcache_persisted_total %d\n", m.CellsPersisted)
-	b.WriteString("# HELP comfedsvd_cellcache_hit_total Utility-cache hits served by a preloaded cell (evaluations an earlier process or worker paid for).\n# TYPE comfedsvd_cellcache_hit_total counter\n")
-	fmt.Fprintf(&b, "comfedsvd_cellcache_hit_total %d\n", m.CellsWarmHits)
-	b.WriteString("# HELP comfedsvd_cellcache_corrupt_total Cell-cache sidecars quarantined as corrupt (runs degraded to a cold cache).\n# TYPE comfedsvd_cellcache_corrupt_total counter\n")
-	fmt.Fprintf(&b, "comfedsvd_cellcache_corrupt_total %d\n", m.CellsCorrupt)
-
-	telemetry.WritePrometheusFamily(&b, "comfedsvd_task_duration_seconds",
-		"Wall-clock execution time of scheduler stage tasks, by pipeline stage.",
-		"stage", m.TaskLatency)
-	telemetry.WritePrometheusFamily(&b, "comfedsvd_valuation_stage_duration_seconds",
-		"Wall-clock time of comfedsv pipeline stages (train and fedsv run inside the prepare task).",
-		"stage", m.ValuationStageLatency)
-	b.WriteString("# HELP comfedsvd_job_duration_seconds Submit-to-finish latency of completed jobs.\n# TYPE comfedsvd_job_duration_seconds histogram\n")
-	m.JobDuration.WritePrometheus(&b, "comfedsvd_job_duration_seconds", "")
-	b.WriteString("# HELP comfedsvd_job_queue_wait_seconds Submit-to-start queue wait of started jobs.\n# TYPE comfedsvd_job_queue_wait_seconds histogram\n")
-	m.JobQueueWait.WritePrometheus(&b, "comfedsvd_job_queue_wait_seconds", "")
-
-	s.writeDispatchMetrics(&b)
-
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	io.WriteString(w, b.String())
+	// A failed write means the client went away; there is no one to tell.
+	_ = s.mgr.WriteMetrics(w)
 }
 
 func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {

@@ -33,9 +33,7 @@ func dispatchDaemon(t *testing.T, runsDir string, coord *dispatch.Coordinator, c
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(mgr)
-	srv.SetDispatcher(coord)
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(NewServer(mgr).Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		coord.Close()

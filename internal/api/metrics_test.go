@@ -8,12 +8,15 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"comfedsv/internal/dispatch"
 	"comfedsv/internal/service"
 )
 
@@ -263,6 +266,60 @@ func TestMetricsHistogramExposition(t *testing.T) {
 	if waitCounts[""] != jobs {
 		t.Fatalf("queue wait count = %v, want %d", waitCounts[""], jobs)
 	}
+}
+
+// TestMetricsExpositionPinned serves /v1/metrics for a fixed scenario —
+// two workers, a shard coordinator in Config.Dispatcher, two tiny jobs —
+// and compares it with testdata/metrics.golden: every family name, HELP
+// text, TYPE, order, label set and non-histogram value. The golden was
+// rendered by the hand-written exposition the registry replaced, so it
+// pins that the registry changed no byte. _bucket and _sum values depend
+// on wall-clock timing and are masked on both sides.
+func TestMetricsExpositionPinned(t *testing.T) {
+	coord := dispatch.NewCoordinator(dispatch.Config{})
+	t.Cleanup(coord.Close)
+	ts := testDaemon(t, service.Config{Workers: 2, Dispatcher: coord})
+	for _, seed := range []int64{40, 41} {
+		payload, _, _, _ := tinyJob(seed)
+		submitAndWait(t, ts.URL, payload)
+	}
+	got := maskHistogramValues(daemonMetrics(t, ts.URL))
+	want, err := os.ReadFile(filepath.Join("testdata", "metrics.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("exposition line %d = %q, golden %q; full body:\n%s", i+1, g, w, got)
+		}
+	}
+}
+
+// maskHistogramValues replaces the value of every _bucket and _sum sample
+// with "masked".
+func maskHistogramValues(body []byte) []byte {
+	lines := strings.SplitAfter(string(body), "\n")
+	for i, line := range lines {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name := line
+		if k := strings.IndexAny(line, "{ "); k >= 0 {
+			name = line[:k]
+		}
+		if strings.HasSuffix(name, "_bucket") || strings.HasSuffix(name, "_sum") {
+			lines[i] = line[:strings.LastIndexByte(line, ' ')+1] + "masked\n"
+		}
+	}
+	return []byte(strings.Join(lines, ""))
 }
 
 // TestJobStatusTimingFields: job status JSON carries the lifecycle

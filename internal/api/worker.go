@@ -12,7 +12,7 @@ import (
 )
 
 // Worker endpoints — the coordinator half of the distributed observation
-// protocol. Registered only when a dispatcher is attached:
+// protocol. Registered only when the manager has a Config.Dispatcher:
 //
 //	POST /v1/worker/register    announce a worker; returns lease/liveness windows
 //	POST /v1/worker/heartbeat   refresh a worker's liveness
@@ -31,11 +31,6 @@ const maxLeaseWait = 2 * time.Minute
 
 // defaultLeaseWait applies when the worker does not ask for a window.
 const defaultLeaseWait = 30 * time.Second
-
-// SetDispatcher attaches the shard coordinator and enables the
-// /v1/worker endpoints plus the dispatch metrics families. Call before
-// Handler.
-func (s *Server) SetDispatcher(d *dispatch.Coordinator) { s.dispatch = d }
 
 func (s *Server) workerRoutes(mux *http.ServeMux) {
 	if s.dispatch == nil {
@@ -154,29 +149,4 @@ func (s *Server) workerFail(w http.ResponseWriter, r *http.Request) {
 	default:
 		w.WriteHeader(http.StatusNoContent)
 	}
-}
-
-// writeDispatchMetrics renders the coordinator's lease and worker
-// counters as comfedsvd_dispatch_* Prometheus families.
-func (s *Server) writeDispatchMetrics(b interface{ WriteString(string) (int, error) }) {
-	if s.dispatch == nil {
-		return
-	}
-	st := s.dispatch.Stats()
-	b.WriteString("# HELP comfedsvd_dispatch_workers_live Registered remote workers within the liveness window.\n# TYPE comfedsvd_dispatch_workers_live gauge\n")
-	b.WriteString(fmt.Sprintf("comfedsvd_dispatch_workers_live %d\n", st.WorkersLive))
-	b.WriteString("# HELP comfedsvd_dispatch_tasks_queued Shard tasks awaiting a lease.\n# TYPE comfedsvd_dispatch_tasks_queued gauge\n")
-	b.WriteString(fmt.Sprintf("comfedsvd_dispatch_tasks_queued %d\n", st.TasksQueued))
-	b.WriteString("# HELP comfedsvd_dispatch_leases_active Granted, unresolved shard leases.\n# TYPE comfedsvd_dispatch_leases_active gauge\n")
-	b.WriteString(fmt.Sprintf("comfedsvd_dispatch_leases_active %d\n", st.LeasesActive))
-	b.WriteString("# HELP comfedsvd_dispatch_leases_granted_total Shard leases granted to workers.\n# TYPE comfedsvd_dispatch_leases_granted_total counter\n")
-	b.WriteString(fmt.Sprintf("comfedsvd_dispatch_leases_granted_total %d\n", st.LeasesGranted))
-	b.WriteString("# HELP comfedsvd_dispatch_leases_completed_total Leases resolved by a digest-verified result.\n# TYPE comfedsvd_dispatch_leases_completed_total counter\n")
-	b.WriteString(fmt.Sprintf("comfedsvd_dispatch_leases_completed_total %d\n", st.LeasesCompleted))
-	b.WriteString("# HELP comfedsvd_dispatch_leases_failed_total Leases the worker reported as failed.\n# TYPE comfedsvd_dispatch_leases_failed_total counter\n")
-	b.WriteString(fmt.Sprintf("comfedsvd_dispatch_leases_failed_total %d\n", st.LeasesFailed))
-	b.WriteString("# HELP comfedsvd_dispatch_leases_expired_total Leases revoked by deadline expiry or worker loss.\n# TYPE comfedsvd_dispatch_leases_expired_total counter\n")
-	b.WriteString(fmt.Sprintf("comfedsvd_dispatch_leases_expired_total %d\n", st.LeasesExpired))
-	b.WriteString("# HELP comfedsvd_dispatch_digest_mismatches_total Determinism violations detected at the wire (unverifiable or disagreeing cell-batch digests).\n# TYPE comfedsvd_dispatch_digest_mismatches_total counter\n")
-	b.WriteString(fmt.Sprintf("comfedsvd_dispatch_digest_mismatches_total %d\n", st.DigestMismatches))
 }

@@ -26,9 +26,9 @@
 //     deterministic retry ladder back to a fresh lease (or to local
 //     execution when no live workers remain).
 //
-// The package is dependency-free beyond the standard library and the
-// internal/utility wire type, so service and api can both import it
-// without cycles.
+// The package is dependency-free beyond the standard library, the
+// internal/utility wire type and internal/telemetry, so service and api
+// can both import it without cycles.
 package dispatch
 
 import (
@@ -39,6 +39,7 @@ import (
 	"sync"
 	"time"
 
+	"comfedsv/internal/telemetry"
 	"comfedsv/internal/utility"
 )
 
@@ -169,7 +170,7 @@ type Config struct {
 }
 
 // Stats is a point-in-time snapshot of coordinator counters, exported
-// through /v1/metrics.
+// through /v1/metrics by RegisterMetrics.
 type Stats struct {
 	// WorkersLive is the number of registered workers within liveness.
 	WorkersLive int
@@ -599,6 +600,22 @@ func (c *Coordinator) Stats() Stats {
 		LeasesExpired:    c.expired,
 		DigestMismatches: c.mismatches,
 	}
+}
+
+// RegisterMetrics registers the coordinator's comfedsvd_dispatch_*
+// families on r; each renders from a Stats snapshot at scrape time.
+func (c *Coordinator) RegisterMetrics(r *telemetry.Registry) {
+	stat := func(name, help, typ string, value func(Stats) int64) {
+		r.Func(name, help, typ, "", func(emit func(string, int64)) { emit("", value(c.Stats())) })
+	}
+	stat("comfedsvd_dispatch_workers_live", "Registered remote workers within the liveness window.", "gauge", func(s Stats) int64 { return int64(s.WorkersLive) })
+	stat("comfedsvd_dispatch_tasks_queued", "Shard tasks awaiting a lease.", "gauge", func(s Stats) int64 { return int64(s.TasksQueued) })
+	stat("comfedsvd_dispatch_leases_active", "Granted, unresolved shard leases.", "gauge", func(s Stats) int64 { return int64(s.LeasesActive) })
+	stat("comfedsvd_dispatch_leases_granted_total", "Shard leases granted to workers.", "counter", func(s Stats) int64 { return int64(s.LeasesGranted) })
+	stat("comfedsvd_dispatch_leases_completed_total", "Leases resolved by a digest-verified result.", "counter", func(s Stats) int64 { return int64(s.LeasesCompleted) })
+	stat("comfedsvd_dispatch_leases_failed_total", "Leases the worker reported as failed.", "counter", func(s Stats) int64 { return int64(s.LeasesFailed) })
+	stat("comfedsvd_dispatch_leases_expired_total", "Leases revoked by deadline expiry or worker loss.", "counter", func(s Stats) int64 { return int64(s.LeasesExpired) })
+	stat("comfedsvd_dispatch_digest_mismatches_total", "Determinism violations detected at the wire (unverifiable or disagreeing cell-batch digests).", "counter", func(s Stats) int64 { return int64(s.DigestMismatches) })
 }
 
 // Close shuts the coordinator down: queued and leased tasks fail with

@@ -113,7 +113,7 @@ func TestAdaptiveJobEndToEnd(t *testing.T) {
 			st.ObservationsUsed, st.ObservationsBudget, base.ObservationsUsed, base.ObservationsBudget)
 	}
 	skipped := int64(base.ObservationsBudget - base.ObservationsUsed)
-	if got := m.Metrics().ObservationsSkipped; got != skipped {
+	if got := m.met.obsSkipped.Value(); got != skipped {
 		t.Fatalf("ObservationsSkipped = %d, want %d", got, skipped)
 	}
 
@@ -126,7 +126,7 @@ func TestAdaptiveJobEndToEnd(t *testing.T) {
 				tc.shards, tc.parallelism, body, baseBody)
 		}
 	}
-	if got, want := m.Metrics().ObservationsSkipped, skipped*5; got != want {
+	if got, want := m.met.obsSkipped.Value(), skipped*5; got != want {
 		t.Fatalf("ObservationsSkipped after 5 jobs = %d, want %d", got, want)
 	}
 }

@@ -51,13 +51,9 @@ func (m *Manager) preloadCells(id string, tr *comfedsv.TrainedRun) {
 		return
 	}
 	added, err := m.cfg.RunStore.PreloadCells(id, tr.PreloadCells, m.cfg.FaultHook)
-	m.mu.Lock()
-	m.cellsPreloaded += int64(added)
+	m.met.cellsPreloaded.Add(int64(added))
 	if err != nil {
-		m.cellsCorrupt++
-	}
-	m.mu.Unlock()
-	if err != nil {
+		m.met.cellsCorrupt.Inc()
 		m.logRun("cell cache corrupt, quarantined", id, "error", err.Error())
 	}
 	if added > 0 {
@@ -100,9 +96,7 @@ func (m *Manager) flushCells(j *job, stage string) error {
 		m.logJob("cell cache append failed", j, "stage", stage, "error", err.Error())
 		return nil
 	}
-	m.mu.Lock()
-	m.cellsPersisted += int64(len(b.Cells))
-	m.mu.Unlock()
+	m.met.cellsPersisted.Add(int64(len(b.Cells)))
 	return nil
 }
 
@@ -125,9 +119,7 @@ func (m *Manager) absorbCells(j *job, tr *comfedsv.TrainedRun, b *utility.CellBa
 		// sidecar with duplicates.
 		return nil
 	}
-	m.mu.Lock()
-	m.cellsPreloaded += int64(added)
-	m.mu.Unlock()
+	m.met.cellsPreloaded.Add(int64(added))
 	if !m.cellCacheEnabled() {
 		return nil
 	}
@@ -138,8 +130,6 @@ func (m *Manager) absorbCells(j *job, tr *comfedsv.TrainedRun, b *utility.CellBa
 		m.logJob("cell cache append failed", j, "stage", cellStageWorker, "error", err.Error())
 		return nil
 	}
-	m.mu.Lock()
-	m.cellsPersisted += int64(len(b.Cells))
-	m.mu.Unlock()
+	m.met.cellsPersisted.Add(int64(len(b.Cells)))
 	return nil
 }

@@ -90,16 +90,15 @@ func runCellJob(t *testing.T, m *Manager, jobDir string, spec RunSpec, req Reque
 }
 
 // runMisses returns the shared run's distinct-evaluation count from the
-// manager's metrics snapshot.
+// manager's /v1/metrics exposition.
 func runMisses(t *testing.T, m *Manager, runID string) int {
 	t.Helper()
-	for _, rc := range m.Metrics().RunCaches {
-		if rc.ID == runID {
-			return rc.Misses
-		}
+	series := fmt.Sprintf("comfedsvd_run_cache_misses_total{run_id=%q}", runID)
+	v, ok := scrape(t, m)[series]
+	if !ok {
+		t.Fatalf("run %s missing from metrics", runID)
 	}
-	t.Fatalf("run %s missing from metrics", runID)
-	return 0
+	return int(v)
 }
 
 // TestWarmCacheByteIdenticalAcrossRestart is the tentpole acceptance test
@@ -121,12 +120,12 @@ func TestWarmCacheByteIdenticalAcrossRestart(t *testing.T) {
 
 			m1 := newManager(t, Config{Workers: 2, Store: jobs1, RunStore: runs1})
 			cold := runCellJob(t, m1, jobDir, tinySpec(seed), req)
-			met1 := m1.Metrics()
-			if met1.CellsPersisted == 0 {
+			met1 := &m1.met
+			if met1.cellsPersisted.Value() == 0 {
 				t.Fatal("cold job persisted no cells")
 			}
-			if met1.CellsPreloaded != 0 || met1.CellsCorrupt != 0 {
-				t.Fatalf("cold manager preloaded=%d corrupt=%d, want 0/0", met1.CellsPreloaded, met1.CellsCorrupt)
+			if met1.cellsPreloaded.Value() != 0 || met1.cellsCorrupt.Value() != 0 {
+				t.Fatalf("cold manager preloaded=%d corrupt=%d, want 0/0", met1.cellsPreloaded.Value(), met1.cellsCorrupt.Value())
 			}
 			if !runs1.HasCells(req.RunID) {
 				t.Fatal("no cell sidecar on disk after the cold job")
@@ -140,11 +139,11 @@ func TestWarmCacheByteIdenticalAcrossRestart(t *testing.T) {
 			if !bytes.Equal(cold, warm) {
 				t.Fatalf("warm report is not byte-identical to cold:\n%s\nvs\n%s", warm, cold)
 			}
-			met2 := m2.Metrics()
-			if met2.CellsPreloaded == 0 {
+			met2 := &m2.met
+			if met2.cellsPreloaded.Value() == 0 {
 				t.Fatal("restarted manager preloaded no cells from the sidecar")
 			}
-			if met2.CellsWarmHits == 0 {
+			if scrape(t, m2)["comfedsvd_cellcache_hit_total"] == 0 {
 				t.Fatal("warm job recorded no warm hits")
 			}
 			// The identical job re-evaluates nothing: every cell the cold
@@ -153,6 +152,35 @@ func TestWarmCacheByteIdenticalAcrossRestart(t *testing.T) {
 				t.Fatalf("warm job paid %d evaluations, want 0 (hit rate below 100%%)", miss)
 			}
 		})
+	}
+}
+
+// TestCellCacheHitCounterSurvivesDeleteRun: comfedsvd_cellcache_hit_total
+// is a counter, so deleting a warm run must not lower it. The restart
+// fixture makes the run warm: a cold manager fills its sidecar, and a
+// restarted one serves the identical job from preloaded cells.
+func TestCellCacheHitCounterSurvivesDeleteRun(t *testing.T) {
+	const seed = 73
+	req := cellRequest(seed, 2, 2)
+	jobDir, runDir := t.TempDir(), t.TempDir()
+	jobs1, runs1 := cellStores(t, jobDir, runDir)
+	m1 := newManager(t, Config{Workers: 2, Store: jobs1, RunStore: runs1})
+	runCellJob(t, m1, jobDir, tinySpec(seed), req)
+	shutdown(t, m1)
+
+	jobs2, runs2 := cellStores(t, jobDir, runDir)
+	m2 := newManager(t, Config{Workers: 2, Store: jobs2, RunStore: runs2})
+	runCellJob(t, m2, jobDir, tinySpec(seed), req)
+	const series = "comfedsvd_cellcache_hit_total"
+	before := scrape(t, m2)[series]
+	if before == 0 {
+		t.Fatal("warm job served no warm hits")
+	}
+	if err := m2.DeleteRun(req.RunID); err != nil {
+		t.Fatal(err)
+	}
+	if after := scrape(t, m2)[series]; after != before {
+		t.Fatalf("%s went %v -> %v across DeleteRun, want unchanged", series, before, after)
 	}
 }
 
@@ -199,8 +227,8 @@ func TestDisableCellCacheKnob(t *testing.T) {
 	if !bytes.Equal(want, got) {
 		t.Fatal("disabling the cell cache changed the report bytes")
 	}
-	if met := m1.Metrics(); met.CellsPersisted != 0 || met.CellsPreloaded != 0 {
-		t.Fatalf("disabled cache still moved cells: persisted=%d preloaded=%d", met.CellsPersisted, met.CellsPreloaded)
+	if met := &m1.met; met.cellsPersisted.Value() != 0 || met.cellsPreloaded.Value() != 0 {
+		t.Fatalf("disabled cache still moved cells: persisted=%d preloaded=%d", met.cellsPersisted.Value(), met.cellsPreloaded.Value())
 	}
 	if runs.HasCells(req.RunID) {
 		t.Fatal("disabled cache still wrote a sidecar")
@@ -213,8 +241,8 @@ func TestDisableCellCacheKnob(t *testing.T) {
 	if !bytes.Equal(want, again) {
 		t.Fatal("disabled-cache restart changed the report bytes")
 	}
-	if met := m2.Metrics(); met.CellsPreloaded != 0 || met.CellsWarmHits != 0 {
-		t.Fatalf("disabled cache warm-started anyway: preloaded=%d hits=%d", met.CellsPreloaded, met.CellsWarmHits)
+	if preloaded, hits := m2.met.cellsPreloaded.Value(), scrape(t, m2)["comfedsvd_cellcache_hit_total"]; preloaded != 0 || hits != 0 {
+		t.Fatalf("disabled cache warm-started anyway: preloaded=%d hits=%v", preloaded, hits)
 	}
 }
 
@@ -271,8 +299,8 @@ func TestCorruptSidecarQuarantinedJobRunsCold(t *testing.T) {
 			if !bytes.Equal(want, got) {
 				t.Fatal("job over a corrupt sidecar is not byte-identical to the clean run")
 			}
-			met := m2.Metrics()
-			if met.CellsCorrupt == 0 {
+			met := &m2.met
+			if met.cellsCorrupt.Value() == 0 {
 				t.Fatal("corrupt sidecar not counted")
 			}
 			if _, err := os.Stat(side + ".corrupt"); err != nil {
@@ -282,15 +310,15 @@ func TestCorruptSidecarQuarantinedJobRunsCold(t *testing.T) {
 				// A bad digest is caught at preload time: the valid batches
 				// before it install fine, so the job runs fully warm and has
 				// nothing new to flush.
-				if met.CellsPreloaded == 0 {
+				if met.cellsPreloaded.Value() == 0 {
 					t.Fatal("valid batches before the corrupt one were not preloaded")
 				}
 			} else {
 				// An unparseable line poisons the whole read: the job runs
 				// cold and its flushes start a clean sidecar a third daemon
 				// warm-starts from as if nothing happened.
-				if met.CellsPreloaded != 0 {
-					t.Fatalf("unreadable sidecar still preloaded %d cells", met.CellsPreloaded)
+				if met.cellsPreloaded.Value() != 0 {
+					t.Fatalf("unreadable sidecar still preloaded %d cells", met.cellsPreloaded.Value())
 				}
 				if !runs2.HasCells(req.RunID) {
 					t.Fatal("no fresh sidecar after the recovering job")
@@ -302,7 +330,7 @@ func TestCorruptSidecarQuarantinedJobRunsCold(t *testing.T) {
 				if !bytes.Equal(want, again) {
 					t.Fatal("post-quarantine warm start is not byte-identical")
 				}
-				if m3.Metrics().CellsPreloaded == 0 {
+				if m3.met.cellsPreloaded.Value() == 0 {
 					t.Fatal("fresh sidecar after quarantine did not warm-start the next daemon")
 				}
 			}
@@ -367,9 +395,9 @@ func TestSidecarQuarantineCrashResurrectionReQuarantines(t *testing.T) {
 	if !bytes.Equal(want, got) {
 		t.Fatal("job over the resurrected sidecar is not byte-identical to the clean run")
 	}
-	met := m2.Metrics()
-	if met.CellsCorrupt != 1 || met.CellsPreloaded != 0 {
-		t.Fatalf("resurrected sidecar: corrupt=%d preloaded=%d, want 1/0", met.CellsCorrupt, met.CellsPreloaded)
+	met := &m2.met
+	if met.cellsCorrupt.Value() != 1 || met.cellsPreloaded.Value() != 0 {
+		t.Fatalf("resurrected sidecar: corrupt=%d preloaded=%d, want 1/0", met.cellsCorrupt.Value(), met.cellsPreloaded.Value())
 	}
 	if _, err := os.Stat(side + ".corrupt"); err != nil {
 		t.Fatalf("sidecar not re-quarantined: %v", err)

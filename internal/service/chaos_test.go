@@ -486,8 +486,8 @@ func TestTornJournalTailResumesJob(t *testing.T) {
 	if got := reportBytes(t, dir, id); !bytes.Equal(got, want) {
 		t.Fatal("torn-tail resumed report diverges from baseline")
 	}
-	if m2.Metrics().JobsRecovered != 1 {
-		t.Fatalf("jobs_recovered = %d, want 1", m2.Metrics().JobsRecovered)
+	if n := m2.met.jobsRecovered.Value(); n != 1 {
+		t.Fatalf("jobs_recovered = %d, want 1", n)
 	}
 }
 
@@ -559,8 +559,8 @@ func TestUserCancelRemovesJournalShutdownKeepsIt(t *testing.T) {
 	if st := waitTerminal(t, mB2, idB); st.State != StateDone {
 		t.Fatalf("resumed job after shutdown finished %s (%s)", st.State, st.Error)
 	}
-	if mB2.Metrics().JobsRecovered != 1 {
-		t.Fatalf("jobs_recovered = %d, want 1", mB2.Metrics().JobsRecovered)
+	if n := mB2.met.jobsRecovered.Value(); n != 1 {
+		t.Fatalf("jobs_recovered = %d, want 1", n)
 	}
 }
 
@@ -592,7 +592,7 @@ func TestQueueFullRejectionIsCounted(t *testing.T) {
 	if _, err := m.Submit(tinyRequest(3)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third submission: %v, want ErrQueueFull", err)
 	}
-	if n := m.Metrics().JobsRejected; n != 1 {
+	if n := m.met.jobsRejected.Value(); n != 1 {
 		t.Fatalf("jobs_rejected = %d, want 1", n)
 	}
 }

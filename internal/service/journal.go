@@ -231,7 +231,7 @@ func (m *Manager) resumeJob(id string, req journalRequest, recs []persist.Journa
 	m.jobs[id] = j
 	m.order = append(m.order, id)
 	m.enqueueLocked(j, m.prepareTask(j))
-	m.jobsRecovered++
+	m.met.jobsRecovered.Inc()
 	m.logJob("job recovered", j, "journaled_shards", len(digests))
 }
 
@@ -248,18 +248,7 @@ func (m *Manager) instrumentOptions(j *job, opts comfedsv.Options) comfedsv.Opti
 			prev(p)
 		}
 	}
-	prevTime := opts.OnStageTime
-	opts.OnStageTime = func(st comfedsv.StageTiming) {
-		// valHist's keys are fixed at construction, so this lookup is
-		// lock-free; unknown stages are dropped rather than racing a map
-		// write on the hot path.
-		if h, ok := m.valHist[st.Stage]; ok {
-			h.ObserveDuration(st.Duration)
-		}
-		if prevTime != nil {
-			prevTime(st)
-		}
-	}
+	m.observeStageTimes(&opts)
 	return opts
 }
 

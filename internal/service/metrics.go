@@ -1,135 +1,155 @@
 package service
 
-import "comfedsv/internal/telemetry"
+import (
+	"io"
 
-// Metrics is a point-in-time snapshot of the manager's operational
-// counters, the data source of the daemon's /v1/metrics endpoint. All
-// fields are plain values safe to retain and render after the lock is
-// released.
-type Metrics struct {
-	// Jobs counts jobs by lifecycle state; Runs counts shared runs.
-	Jobs map[State]int
-	Runs map[RunState]int
-	// QueuedJobs is the number of jobs waiting to start (the quantity
-	// bounded by Config.QueueDepth).
-	QueuedJobs int
-	// ReadyTasks is the number of stage tasks currently eligible to run;
-	// InflightTasks is the number executing on workers right now.
-	ReadyTasks    int
-	InflightTasks int
-	// TasksExecuted counts completed stage tasks by stage name (prepare,
-	// observe, complete, shapley) over the manager's lifetime, including
-	// failed executions.
-	TasksExecuted map[string]int64
-	// ShardTasksExecuted is TasksExecuted's observe entry: the number of
-	// observation shard tasks the scheduler has run.
-	ShardTasksExecuted int64
-	// JobsEvicted counts terminal jobs removed by the TTL janitor.
-	JobsEvicted int64
-	// TaskRetries counts transient task failures re-executed via the
-	// backoff ladder, by stage name.
-	TaskRetries map[string]int64
-	// JobsRecovered counts jobs resumed from crash journals at startup;
-	// JobsRejected counts submissions turned away by the queue bound.
-	JobsRecovered int64
-	JobsRejected  int64
-	// ObservationsSkipped counts budgeted permutations that adaptive
-	// (tolerance-driven) jobs never had to sample because their estimates
-	// converged early, summed over every finished adaptive job — the
-	// daemon-lifetime early-stop savings.
-	ObservationsSkipped int64
-	// RunCaches holds the per-run utility-cache ledgers in registration
-	// order: misses are distinct test-loss evaluations paid for, hits are
-	// lookups amortized by the shared memo table.
-	RunCaches []RunCacheMetric
+	"comfedsv"
+	"comfedsv/internal/telemetry"
+)
 
-	// Persistent cell-cache counters. CellsPreloaded counts cells
-	// warm-started into run evaluators (from sidecars at trace load and
-	// from remote shard batches); CellsPersisted counts cells durably appended
-	// to sidecars; CellsWarmHits counts cache hits served by a preloaded
-	// cell — evaluations some earlier process or worker paid for;
-	// CellsCorrupt counts sidecars quarantined as damaged.
-	CellsPreloaded int64
-	CellsPersisted int64
-	CellsWarmHits  int64
-	CellsCorrupt   int64
-
-	// TaskLatency holds per-stage latency histograms of scheduler task
-	// executions, keyed by stage name (prepare, observe, complete,
-	// shapley). Each observation is one task's wall-clock execution time.
-	TaskLatency map[string]telemetry.HistogramSnapshot
-	// ValuationStageLatency holds latency histograms of the comfedsv
-	// pipeline stages (train, fedsv, observe, complete, shapley) as
-	// reported by the library's stage-timing hook — a finer split than
-	// TaskLatency (train and fedsv both live inside the prepare task).
-	ValuationStageLatency map[string]telemetry.HistogramSnapshot
-	// JobDuration is the submit→finish latency histogram of done jobs;
-	// JobQueueWait is the submit→start wait of every job that started.
-	JobDuration  telemetry.HistogramSnapshot
-	JobQueueWait telemetry.HistogramSnapshot
+// managerMetrics holds the handles of the manager's /v1/metrics families.
+// Every handle is atomic, so the scheduler feeds them without m.mu.
+type managerMetrics struct {
+	tasksExecuted, taskRetries                   *telemetry.CounterVec
+	shardTasks, jobsEvicted                      *telemetry.Counter
+	jobsRecovered, jobsRejected                  *telemetry.Counter
+	obsSkipped                                   *telemetry.Counter
+	cellsPreloaded, cellsPersisted, cellsCorrupt *telemetry.Counter
+	taskLatency, stageLatency                    *telemetry.HistogramVec
+	jobDuration, queueWait                       *telemetry.Histogram
+	// deletedWarmHits keeps the warm hits of deleted runs, so that
+	// comfedsvd_cellcache_hit_total never goes backwards.
+	deletedWarmHits telemetry.Counter
 }
 
-// RunCacheMetric is one shared run's cumulative cache ledger.
-type RunCacheMetric struct {
-	ID     string
-	Hits   int
-	Misses int
-}
-
-// Metrics snapshots the manager's counters.
-func (m *Manager) Metrics() Metrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	snap := Metrics{
-		Jobs:                  make(map[State]int, 4),
-		Runs:                  make(map[RunState]int, 3),
-		QueuedJobs:            m.queued,
-		InflightTasks:         m.inflight,
-		TasksExecuted:         make(map[string]int64, len(m.tasksDone)),
-		JobsEvicted:           m.jobsEvicted,
-		TaskRetries:           make(map[string]int64, len(m.taskRetries)),
-		JobsRecovered:         m.jobsRecovered,
-		JobsRejected:          m.jobsRejected,
-		ObservationsSkipped:   m.obsSkipped,
-		CellsPreloaded:        m.cellsPreloaded,
-		CellsPersisted:        m.cellsPersisted,
-		CellsCorrupt:          m.cellsCorrupt,
-		TaskLatency:           make(map[string]telemetry.HistogramSnapshot, len(m.taskHist)),
-		ValuationStageLatency: make(map[string]telemetry.HistogramSnapshot, len(m.valHist)),
-		JobDuration:           m.jobHist.Snapshot(),
-		JobQueueWait:          m.waitHist.Snapshot(),
-	}
-	for stage, h := range m.taskHist {
-		snap.TaskLatency[stage] = h.Snapshot()
-	}
-	for stage, h := range m.valHist {
-		snap.ValuationStageLatency[stage] = h.Snapshot()
-	}
-	for _, j := range m.jobs {
-		snap.Jobs[j.state]++
-	}
-	for _, j := range m.ring {
-		snap.ReadyTasks += len(j.ready)
-	}
-	for stage, n := range m.tasksDone {
-		snap.TasksExecuted[stage] = n
-	}
-	for stage, n := range m.taskRetries {
-		snap.TaskRetries[stage] = n
-	}
-	snap.ShardTasksExecuted = m.tasksDone[taskObserve]
-	for _, id := range m.runOrder {
-		e := m.runs[id]
-		snap.Runs[e.state]++
-		rc := RunCacheMetric{ID: id}
-		if e.tr != nil {
-			cs := e.tr.CacheStats()
-			rc.Hits = cs.Hits
-			rc.Misses = cs.Misses
-			_, warm := e.tr.CellCacheStats()
-			snap.CellsWarmHits += int64(warm)
+// registerMetrics registers every /v1/metrics family of the manager, in
+// exposition order, and keeps the handles the scheduler feeds; a new
+// signal is one registration here. With Config.Dispatcher set, the
+// coordinator's comfedsvd_dispatch_* families follow.
+func (m *Manager) registerMetrics() {
+	r := &m.registry
+	r.Func("comfedsvd_jobs", "Number of jobs by lifecycle state.", "gauge", "state", func(emit func(string, int64)) {
+		counts := m.Counts()
+		for _, st := range []State{StateQueued, StateRunning, StateDone, StateFailed} {
+			emit(string(st), int64(counts[st]))
 		}
-		snap.RunCaches = append(snap.RunCaches, rc)
+	})
+	r.Func("comfedsvd_runs", "Number of shared training runs by state.", "gauge", "state", func(emit func(string, int64)) {
+		counts := m.RunCounts()
+		for _, st := range []RunState{RunTraining, RunReady, RunFailed} {
+			emit(string(st), int64(counts[st]))
+		}
+	})
+	gauge := func(name, help string, value func() int) {
+		r.Func(name, help, "gauge", "", func(emit func(string, int64)) {
+			m.mu.Lock()
+			v := value()
+			m.mu.Unlock()
+			emit("", int64(v))
+		})
 	}
-	return snap
+	gauge("comfedsvd_queue_depth", "Jobs waiting to start (bounded by -queue).", func() int { return m.queued })
+	gauge("comfedsvd_ready_tasks", "Stage tasks eligible to run now.", func() int {
+		n := 0
+		for _, j := range m.ring {
+			n += len(j.ready)
+		}
+		return n
+	})
+	gauge("comfedsvd_inflight_tasks", "Stage tasks executing on workers.", func() int { return m.inflight })
+
+	met := &m.met
+	met.tasksExecuted = r.CounterVec("comfedsvd_tasks_executed_total", "Completed stage tasks by pipeline stage.", "stage")
+	met.shardTasks = r.Counter("comfedsvd_shard_tasks_executed_total", "Observation shard tasks executed.")
+	met.jobsEvicted = r.Counter("comfedsvd_jobs_evicted_total", "Terminal jobs evicted by the TTL janitor.")
+	met.taskRetries = r.CounterVec("comfedsvd_task_retries_total", "Transient task failures re-executed via backoff, by pipeline stage.", "stage")
+	met.jobsRecovered = r.Counter("comfedsvd_jobs_recovered_total", "Jobs resumed from crash journals at daemon startup.")
+	met.jobsRejected = r.Counter("comfedsvd_jobs_rejected_total", "Job submissions refused by the queue bound.")
+	met.obsSkipped = r.Counter("comfedsvd_observations_skipped_total", "Budgeted permutations adaptive jobs never sampled because their estimates converged early.")
+
+	runCache := func(name, help string, value func(comfedsv.EvalStats) int) {
+		r.Func(name, help, "counter", "run_id", func(emit func(string, int64)) {
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			for _, id := range m.runOrder {
+				v := 0
+				if tr := m.runs[id].tr; tr != nil {
+					v = value(tr.CacheStats())
+				}
+				emit(id, int64(v))
+			}
+		})
+	}
+	runCache("comfedsvd_run_cache_hits_total", "Utility-cache lookups amortized by a run's shared memo table.", func(s comfedsv.EvalStats) int { return s.Hits })
+	runCache("comfedsvd_run_cache_misses_total", "Distinct test-loss evaluations paid per run.", func(s comfedsv.EvalStats) int { return s.Misses })
+
+	met.cellsPreloaded = r.Counter("comfedsvd_cellcache_preloaded_total", "Utility cells warm-started into run evaluators from sidecars and remote shard batches.")
+	met.cellsPersisted = r.Counter("comfedsvd_cellcache_persisted_total", "Utility cells durably appended to run cell-cache sidecars.")
+	r.Func("comfedsvd_cellcache_hit_total", "Utility-cache hits served by a preloaded cell (evaluations an earlier process or worker paid for).", "counter", "", func(emit func(string, int64)) {
+		// Live runs plus deleted ones: DeleteRun hands a run's hits over
+		// under m.mu, so no scrape counts them twice or not at all.
+		m.mu.Lock()
+		n := met.deletedWarmHits.Value()
+		for _, e := range m.runs {
+			if e.tr != nil {
+				_, warm := e.tr.CellCacheStats()
+				n += int64(warm)
+			}
+		}
+		m.mu.Unlock()
+		emit("", n)
+	})
+	met.cellsCorrupt = r.Counter("comfedsvd_cellcache_corrupt_total", "Cell-cache sidecars quarantined as corrupt (runs degraded to a cold cache).")
+
+	met.taskLatency = r.HistogramVec("comfedsvd_task_duration_seconds", "Wall-clock execution time of scheduler stage tasks, by pipeline stage.", "stage")
+	for _, stage := range []string{taskPrepare, taskObserve, taskComplete, taskShapley} {
+		met.taskLatency.With(stage)
+	}
+	met.stageLatency = r.HistogramVec("comfedsvd_valuation_stage_duration_seconds", "Wall-clock time of comfedsv pipeline stages (train and fedsv run inside the prepare task).", "stage")
+	for _, stage := range []string{comfedsv.StageTrain, comfedsv.StageFedSV, comfedsv.StageObserve, comfedsv.StageComplete, comfedsv.StageShapley} {
+		met.stageLatency.With(stage)
+	}
+	met.jobDuration = r.Histogram("comfedsvd_job_duration_seconds", "Submit-to-finish latency of completed jobs.")
+	met.queueWait = r.Histogram("comfedsvd_job_queue_wait_seconds", "Submit-to-start queue wait of started jobs.")
+
+	if d := m.cfg.Dispatcher; d != nil {
+		d.RegisterMetrics(r)
+	}
+}
+
+// observeStageTimes chains the valuation-stage latency histogram in front
+// of opts.OnStageTime. The hook only observes; no report byte depends on
+// it.
+func (m *Manager) observeStageTimes(opts *comfedsv.Options) {
+	prev := opts.OnStageTime
+	opts.OnStageTime = func(st comfedsv.StageTiming) {
+		m.met.stageLatency.With(st.Stage).ObserveDuration(st.Duration)
+		if prev != nil {
+			prev(st)
+		}
+	}
+}
+
+// WriteMetrics renders every registered family in the Prometheus text
+// exposition format (version 0.0.4): the body of GET /v1/metrics.
+func (m *Manager) WriteMetrics(w io.Writer) error { return m.registry.WritePrometheus(w) }
+
+// Metrics is the slice of the manager's telemetry that in-process
+// benchmark harnesses read as values; WriteMetrics renders all of it.
+// Each field carries the values of the family named beside it.
+type Metrics struct {
+	TasksExecuted         map[string]int64                       // comfedsvd_tasks_executed_total
+	TaskRetries           map[string]int64                       // comfedsvd_task_retries_total
+	CellsPersisted        int64                                  // comfedsvd_cellcache_persisted_total
+	ValuationStageLatency map[string]telemetry.HistogramSnapshot // comfedsvd_valuation_stage_duration_seconds
+}
+
+// Metrics snapshots the counters in Metrics.
+func (m *Manager) Metrics() Metrics {
+	return Metrics{
+		TasksExecuted:         m.met.tasksExecuted.Values(),
+		TaskRetries:           m.met.taskRetries.Values(),
+		CellsPersisted:        m.met.cellsPersisted.Value(),
+		ValuationStageLatency: m.met.stageLatency.Snapshot(),
+	}
 }

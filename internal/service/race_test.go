@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -195,7 +198,7 @@ func TestConcurrentShardedJobsShareOneRun(t *testing.T) {
 			t.Fatalf("job %d ledger %+v does not sum to its %d utility calls", i, s.CacheStats, rep.UtilityCalls)
 		}
 	}
-	if got := m.Metrics().ShardTasksExecuted; got != jobs*4 {
+	if got := m.met.shardTasks.Value(); got != jobs*4 {
 		t.Fatalf("shard tasks executed = %d, want %d", got, jobs*4)
 	}
 }
@@ -268,4 +271,118 @@ func TestSnapshotReadsRaceFreeUnderLoad(t *testing.T) {
 	waitTerminal(t, m, ids[len(ids)-1])
 	close(stop)
 	wg.Wait()
+}
+
+// TestMetricsCountersMonotoneUnderLoad scrapes WriteMetrics in a loop
+// (run with -race) while inline jobs run and warm and fresh runs are
+// created, valued against and deleted. Every _total sample must be
+// non-decreasing from one scrape to the next; only the per-run series of
+// a deleted run may vanish or drop.
+func TestMetricsCountersMonotoneUnderLoad(t *testing.T) {
+	jobDir, runDir := t.TempDir(), t.TempDir()
+	warmSeeds, freshSeeds := []int64{75, 76}, []int64{77, 78}
+	jobs1, runs1 := cellStores(t, jobDir, runDir)
+	m1 := newManager(t, Config{Workers: 2, Store: jobs1, RunStore: runs1})
+	for _, seed := range warmSeeds {
+		runCellJob(t, m1, jobDir, tinySpec(seed), cellRequest(seed, 2, 2))
+	}
+	shutdown(t, m1)
+
+	jobs2, runs2 := cellStores(t, jobDir, runDir)
+	m := newManager(t, Config{Workers: 2, Store: jobs2, RunStore: runs2})
+	var mu sync.Mutex
+	deleted := make(map[string]bool) // run_id label pairs of deleted runs
+	stop := make(chan struct{})
+	scrapes := 0
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		prev := make(map[string]float64)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var b strings.Builder
+			if err := m.WriteMetrics(&b); err != nil {
+				t.Error(err)
+				return
+			}
+			scrapes++
+			for _, line := range strings.Split(b.String(), "\n") {
+				sp := strings.LastIndexByte(line, ' ')
+				if strings.HasPrefix(line, "#") || sp < 0 {
+					continue
+				}
+				series := line[:sp]
+				name, labels, _ := strings.Cut(series, "{")
+				if !strings.HasSuffix(name, "_total") {
+					continue
+				}
+				v, err := strconv.ParseFloat(line[sp+1:], 64)
+				if err != nil {
+					t.Errorf("malformed sample line %q", line)
+					return
+				}
+				if old, ok := prev[series]; ok && v < old {
+					mu.Lock()
+					exempt := deleted[strings.TrimSuffix(labels, "}")]
+					mu.Unlock()
+					if !exempt {
+						t.Errorf("%s went %v -> %v between scrapes", series, old, v)
+					}
+				}
+				prev[series] = v
+			}
+		}
+	}()
+	stopScraper := sync.OnceFunc(func() {
+		close(stop)
+		wg.Wait()
+	})
+	defer stopScraper()
+	deleteRun := func(id string) {
+		mu.Lock()
+		deleted[fmt.Sprintf("run_id=%q", id)] = true
+		mu.Unlock()
+		if err := m.DeleteRun(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var inline []string
+	for seed := int64(80); seed < 86; seed++ {
+		req := tinyRequest(seed)
+		req.Options.MonteCarloSamples = 40
+		req.Options.Shards = 3
+		id, err := m.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inline = append(inline, id)
+	}
+	for _, seed := range warmSeeds {
+		req := cellRequest(seed, 2, 2)
+		runCellJob(t, m, jobDir, tinySpec(seed), req)
+		deleteRun(req.RunID)
+	}
+	for _, seed := range freshSeeds {
+		req := cellRequest(seed, 2, 2)
+		runCellJob(t, m, jobDir, tinySpec(seed), req)
+		deleteRun(req.RunID)
+	}
+	for _, id := range inline {
+		if st := waitTerminal(t, m, id); st.State != StateDone {
+			t.Fatalf("inline job finished %s (%s)", st.State, st.Error)
+		}
+	}
+	stopScraper()
+	if scrapes < 2 {
+		t.Fatalf("only %d scrapes ran", scrapes)
+	}
+	if hits := scrape(t, m)["comfedsvd_cellcache_hit_total"]; hits == 0 {
+		t.Fatal("warm hits of the deleted warm runs were lost")
+	}
 }

@@ -233,17 +233,9 @@ func (m *Manager) logRun(msg, id string, args ...any) {
 func (m *Manager) trainRun(ctx context.Context, e *runEntry, spec RunSpec) {
 	defer m.runWG.Done()
 	// Shared-run trainings feed the same train-stage latency histogram as
-	// inline-job trainings (the hook only observes; run identity ignores
-	// it, and Options is this goroutine's copy of the spec).
-	prevTime := spec.Options.OnStageTime
-	spec.Options.OnStageTime = func(st comfedsv.StageTiming) {
-		if h, ok := m.valHist[st.Stage]; ok {
-			h.ObserveDuration(st.Duration)
-		}
-		if prevTime != nil {
-			prevTime(st)
-		}
-	}
+	// inline-job trainings (run identity ignores the hook, and Options is
+	// this goroutine's copy of the spec).
+	m.observeStageTimes(&spec.Options)
 	tr, err := m.train(ctx, spec)
 	// Like job reports, a persistence failure must not discard a
 	// successfully trained run: it stays usable in memory with the store
@@ -408,6 +400,12 @@ func (m *Manager) DeleteRun(id string) error {
 		if err := m.cfg.RunStore.DeleteRun(id); err != nil {
 			return err
 		}
+	}
+	if e.tr != nil {
+		// Hand the run's warm hits to the retained counter under the same
+		// lock as the removal, so the warm-hit counter never drops.
+		_, warm := e.tr.CellCacheStats()
+		m.met.deletedWarmHits.Add(int64(warm))
 	}
 	delete(m.runs, id)
 	for i, rid := range m.runOrder {

@@ -201,10 +201,10 @@ func TestSchedulerFairnessSmallJobInterleaves(t *testing.T) {
 // tests of the scheduling primitives.
 func bareManager() *Manager {
 	m := &Manager{
-		jobs:      make(map[string]*job),
-		runs:      make(map[string]*runEntry),
-		tasksDone: make(map[string]int64),
+		jobs: make(map[string]*job),
+		runs: make(map[string]*runEntry),
 	}
+	m.registerMetrics()
 	m.cond = sync.NewCond(&m.mu)
 	return m
 }
@@ -554,7 +554,7 @@ func TestJobTTLEvictsTerminalJobs(t *testing.T) {
 	if store.HasJobReport(id) {
 		t.Fatal("eviction left the persisted report behind")
 	}
-	if m.Metrics().JobsEvicted == 0 {
+	if m.met.jobsEvicted.Value() == 0 {
 		t.Fatal("eviction counter did not move")
 	}
 }
@@ -627,20 +627,21 @@ func TestMetricsCounters(t *testing.T) {
 	if st := waitTerminal(t, m, id); st.State != StateDone {
 		t.Fatalf("job finished %s (%s)", st.State, st.Error)
 	}
-	got := m.Metrics()
-	if got.Jobs[StateDone] != 1 {
-		t.Fatalf("done jobs = %d, want 1", got.Jobs[StateDone])
+	got := scrape(t, m)
+	want := map[string]float64{
+		`comfedsvd_jobs{state="done"}`:                     1,
+		`comfedsvd_shard_tasks_executed_total`:             3,
+		`comfedsvd_tasks_executed_total{stage="prepare"}`:  1,
+		`comfedsvd_tasks_executed_total{stage="observe"}`:  3,
+		`comfedsvd_tasks_executed_total{stage="complete"}`: 1,
+		`comfedsvd_tasks_executed_total{stage="shapley"}`:  1,
+		`comfedsvd_queue_depth`:                            0,
+		`comfedsvd_inflight_tasks`:                         0,
+		`comfedsvd_ready_tasks`:                            0,
 	}
-	if got.ShardTasksExecuted != 3 {
-		t.Fatalf("shard tasks executed = %d, want 3", got.ShardTasksExecuted)
-	}
-	want := map[string]int64{taskPrepare: 1, taskObserve: 3, taskComplete: 1, taskShapley: 1}
-	for stage, n := range want {
-		if got.TasksExecuted[stage] != n {
-			t.Fatalf("tasks executed[%s] = %d, want %d (all: %v)", stage, got.TasksExecuted[stage], n, got.TasksExecuted)
+	for series, n := range want {
+		if v, ok := got[series]; !ok || v != n {
+			t.Fatalf("%s = %v (present %v), want %v", series, v, ok, n)
 		}
-	}
-	if got.QueuedJobs != 0 || got.InflightTasks != 0 || got.ReadyTasks != 0 {
-		t.Fatalf("idle manager reports queued=%d inflight=%d ready=%d", got.QueuedJobs, got.InflightTasks, got.ReadyTasks)
 	}
 }

@@ -357,40 +357,17 @@ type Manager struct {
 	closed   bool
 	aborted  bool
 
-	tasksDone   map[string]int64 // executed task counts by stage name
-	jobsEvicted int64
-	obsSkipped  int64 // budgeted-but-unsampled permutations of done adaptive jobs
 	janitorStop chan struct{}
 
-	// Cell-cache counters (guarded by mu): cells warm-started into run
-	// evaluators from sidecars and remote shard batches, cells durably
-	// appended to sidecars, and sidecars quarantined as corrupt.
-	cellsPreloaded int64
-	cellsPersisted int64
-	cellsCorrupt   int64
-
-	// Fault-tolerance state. pendingRetries counts tasks sleeping out a
-	// retry backoff across all jobs — workers must not exit while one is
-	// pending. taskRetries counts retries by stage; jobsRecovered counts
-	// jobs resumed from journals at startup; jobsRejected counts
-	// submissions turned away by the queue bound.
+	// pendingRetries counts tasks sleeping out a retry backoff across all
+	// jobs — workers must not exit while one is pending.
 	pendingRetries int
-	taskRetries    map[string]int64
-	jobsRecovered  int64
-	jobsRejected   int64
 	clock          Clock
 
-	// Latency telemetry. taskHist holds per-stage task-execution
-	// histograms (map writes guarded by mu; the histograms themselves are
-	// atomic). valHist holds per-pipeline-stage histograms fed by the
-	// comfedsv.Options.OnStageTime hook — its keys are fixed at
-	// construction and the map is never written afterwards, so the hook
-	// reads it without the lock. jobHist tracks submit→finish of done
-	// jobs; waitHist tracks submit→start queue wait.
-	taskHist map[string]*telemetry.Histogram
-	valHist  map[string]*telemetry.Histogram
-	jobHist  *telemetry.Histogram
-	waitHist *telemetry.Histogram
+	// registry holds every /v1/metrics family (registerMetrics); met
+	// holds the handles the scheduler feeds.
+	registry telemetry.Registry
+	met      managerMetrics
 }
 
 // NewManager starts a manager and its worker pool. If cfg.Store holds
@@ -426,20 +403,9 @@ func NewManager(cfg Config) (*Manager, error) {
 		clock:       cfg.Clock,
 		jobs:        make(map[string]*job),
 		runs:        make(map[string]*runEntry),
-		tasksDone:   make(map[string]int64),
-		taskRetries: make(map[string]int64),
 		janitorStop: make(chan struct{}),
-		taskHist:    make(map[string]*telemetry.Histogram, 4),
-		valHist:     make(map[string]*telemetry.Histogram, 5),
-		jobHist:     telemetry.NewHistogram(),
-		waitHist:    telemetry.NewHistogram(),
 	}
-	for _, stage := range []string{taskPrepare, taskObserve, taskComplete, taskShapley} {
-		m.taskHist[stage] = telemetry.NewHistogram()
-	}
-	for _, stage := range []string{comfedsv.StageTrain, comfedsv.StageFedSV, comfedsv.StageObserve, comfedsv.StageComplete, comfedsv.StageShapley} {
-		m.valHist[stage] = telemetry.NewHistogram()
-	}
+	m.registerMetrics()
 	m.cond = sync.NewCond(&m.mu)
 	if cfg.RunStore != nil {
 		ids, err := cfg.RunStore.ListRuns()
@@ -497,6 +463,10 @@ func NewManager(cfg Config) (*Manager, error) {
 // Workers returns the worker-pool size.
 func (m *Manager) Workers() int { return m.cfg.Workers }
 
+// Dispatcher returns Config.Dispatcher: the shard coordinator whose
+// worker endpoints the HTTP server mounts, nil when execution is local.
+func (m *Manager) Dispatcher() *dispatch.Coordinator { return m.cfg.Dispatcher }
+
 // DefaultParallelism returns the per-task parallelism applied to
 // submissions that don't set their own.
 func (m *Manager) DefaultParallelism() int { return m.cfg.DefaultParallelism }
@@ -545,7 +515,7 @@ func (m *Manager) Submit(req Request) (string, error) {
 		return "", ErrShutdown
 	}
 	if m.queued >= m.cfg.QueueDepth {
-		m.jobsRejected++
+		m.met.jobsRejected.Inc()
 		m.mu.Unlock()
 		cancel()
 		return "", ErrQueueFull
@@ -877,7 +847,7 @@ func (m *Manager) worker() {
 			// started and submitted are written once, before this point,
 			// so reading them without the lock is safe.
 			wait := t.j.started.Sub(t.j.submitted)
-			m.waitHist.ObserveDuration(wait)
+			m.met.queueWait.ObserveDuration(wait)
 			m.logJob("job started", t.j, "queue_wait_ms", wait.Milliseconds())
 			if m.cfg.JobTimeout > 0 {
 				m.wg.Add(1)
@@ -992,8 +962,11 @@ func (m *Manager) taskDone(t *task, err error, dur time.Duration) {
 	j := t.j
 	j.inflight--
 	m.inflight--
-	m.tasksDone[t.stage]++
-	m.taskHistLocked(t.stage).ObserveDuration(dur)
+	m.met.tasksExecuted.With(t.stage).Inc()
+	if t.stage == taskObserve {
+		m.met.shardTasks.Inc()
+	}
+	m.met.taskLatency.With(t.stage).ObserveDuration(dur)
 	if j.stageNanos == nil {
 		j.stageNanos = make(map[string]int64, 4)
 	}
@@ -1007,7 +980,7 @@ func (m *Manager) taskDone(t *task, err error, dur time.Duration) {
 		t.attempt++
 		j.retries++
 		j.lastErr = err.Error()
-		m.taskRetries[t.stage]++
+		m.met.taskRetries.With(t.stage).Inc()
 		j.pendingRetries++
 		m.pendingRetries++
 		delay := m.retryDelay(j, t.stage, t.shard, t.attempt)
@@ -1055,18 +1028,6 @@ func (m *Manager) taskDone(t *task, err error, dur time.Duration) {
 	}
 }
 
-// taskHistLocked returns the latency histogram for a stage, creating it
-// for stage names outside the standard pipeline (scripted test graphs).
-// Callers hold m.mu.
-func (m *Manager) taskHistLocked(stage string) *telemetry.Histogram {
-	h, ok := m.taskHist[stage]
-	if !ok {
-		h = telemetry.NewHistogram()
-		m.taskHist[stage] = h
-	}
-	return h
-}
-
 // failLocked moves a non-terminal job to StateFailed, releases its request
 // payload and pipeline (client datasets can be large; only the report
 // matters after a terminal state), and drops its shared-run reference.
@@ -1101,7 +1062,7 @@ func (m *Manager) completeJobLocked(j *job) {
 	j.sealJ, j.journal = j.journal, nil
 	m.releaseRunLocked(j)
 	dur := j.finished.Sub(j.submitted)
-	m.jobHist.ObserveDuration(dur)
+	m.met.jobDuration.ObserveDuration(dur)
 	m.logJob("job done", j, "duration_ms", dur.Milliseconds(), "shards", j.shardsTotal)
 }
 
@@ -1215,7 +1176,7 @@ func (m *Manager) evictExpired(ttl time.Duration) {
 		j, ok := m.jobs[id]
 		if ok && j.state.Terminal() {
 			m.removeJobLocked(id)
-			m.jobsEvicted++
+			m.met.jobsEvicted.Inc()
 		} else {
 			j = nil
 		}

@@ -355,7 +355,7 @@ func (m *Manager) extractTask(j *job) *task {
 			j.persistErr = persistErr
 			j.cacheStats = j.val.Stats()
 			if rep.ObservationsBudget > rep.ObservationsUsed {
-				m.obsSkipped += int64(rep.ObservationsBudget - rep.ObservationsUsed)
+				m.met.obsSkipped.Add(int64(rep.ObservationsBudget - rep.ObservationsUsed))
 			}
 			m.mu.Unlock()
 			return nil

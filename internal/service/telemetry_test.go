@@ -3,11 +3,36 @@ package service
 import (
 	"context"
 	"log/slog"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
 	"comfedsv"
 )
+
+// scrape renders m's /v1/metrics exposition and returns every sample's
+// value keyed by its series (name plus label set, as rendered).
+func scrape(t *testing.T, m *Manager) map[string]float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := m.WriteMetrics(&b); err != nil {
+		t.Fatal(err)
+	}
+	samples := make(map[string]float64)
+	for _, line := range strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		series, value, ok := strings.Cut(line, " ")
+		v, err := strconv.ParseFloat(value, 64)
+		if !ok || err != nil {
+			t.Fatalf("malformed sample line %q", line)
+		}
+		samples[series] = v
+	}
+	return samples
+}
 
 // TestStatusStageSeconds: a finished job's status reports where its wall
 // clock went, with one entry per executed pipeline stage.
@@ -37,8 +62,8 @@ func TestStatusStageSeconds(t *testing.T) {
 	}
 }
 
-// TestMetricsLatencyHistograms: after jobs complete, the metrics snapshot
-// carries consistent per-stage task histograms, the finer valuation-stage
+// TestMetricsLatencyHistograms: after jobs complete, the metric handles
+// carry consistent per-stage task histograms, the finer valuation-stage
 // histograms, and job duration/queue-wait histograms.
 func TestMetricsLatencyHistograms(t *testing.T) {
 	m := newManager(t, Config{Workers: 2})
@@ -53,27 +78,28 @@ func TestMetricsLatencyHistograms(t *testing.T) {
 		t.Fatalf("job finished %s (%s)", st.State, st.Error)
 	}
 
-	snap := m.Metrics()
-	if got := snap.TaskLatency[taskObserve].Count; got != 3 {
+	taskLatency := m.met.taskLatency.Snapshot()
+	if got := taskLatency[taskObserve].Count; got != 3 {
 		t.Fatalf("observe task observations = %d, want 3 (one per shard)", got)
 	}
 	for _, stage := range []string{taskPrepare, taskComplete, taskShapley} {
-		if got := snap.TaskLatency[stage].Count; got != 1 {
+		if got := taskLatency[stage].Count; got != 1 {
 			t.Fatalf("%s task observations = %d, want 1", stage, got)
 		}
 	}
 	// The library-stage split: training and FedSV happen inside the
 	// prepare task but get their own histograms via the timing hook.
 	for _, stage := range []string{comfedsv.StageTrain, comfedsv.StageFedSV, comfedsv.StageObserve, comfedsv.StageComplete, comfedsv.StageShapley} {
-		if got := snap.ValuationStageLatency[stage].Count; got == 0 {
+		if got := m.Metrics().ValuationStageLatency[stage].Count; got == 0 {
 			t.Fatalf("valuation stage %q has no observations", stage)
 		}
 	}
-	if snap.JobDuration.Count != 1 || snap.JobQueueWait.Count != 1 {
-		t.Fatalf("job histograms: duration=%d wait=%d, want 1/1", snap.JobDuration.Count, snap.JobQueueWait.Count)
+	jobDuration, queueWait := m.met.jobDuration.Snapshot(), m.met.queueWait.Snapshot()
+	if jobDuration.Count != 1 || queueWait.Count != 1 {
+		t.Fatalf("job histograms: duration=%d wait=%d, want 1/1", jobDuration.Count, queueWait.Count)
 	}
 	// Internal consistency of every exported snapshot.
-	for stage, s := range snap.TaskLatency {
+	for stage, s := range taskLatency {
 		cum := s.Cumulative()
 		if cum[len(cum)-1] != s.Count {
 			t.Fatalf("stage %q: +Inf bucket %d != count %d", stage, cum[len(cum)-1], s.Count)

@@ -1,7 +1,8 @@
 // Package telemetry provides the lock-cheap operational instrumentation
-// primitives behind the comfedsvd daemon's /v1/metrics endpoint: atomic
-// counters and fixed-bucket latency histograms, plus a renderer for the
-// Prometheus text exposition format (version 0.0.4).
+// behind the comfedsvd daemon's /v1/metrics endpoint: atomic counters,
+// fixed-bucket latency histograms, one-label vectors of both, render-time
+// function families for values kept elsewhere, and a Registry that renders
+// every family as one Prometheus text exposition (version 0.0.4).
 //
 // The package is deliberately tiny and dependency-free. Observation is a
 // single atomic add per bucket plus one for the sum — safe to call from
@@ -13,10 +14,12 @@
 package telemetry
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -169,18 +172,151 @@ func (s HistogramSnapshot) WritePrometheus(w io.Writer, name, labels string) {
 	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, s.Count)
 }
 
-// WritePrometheusFamily renders a labelled histogram family: one
-// `# HELP`/`# TYPE` header, then each snapshot's series under
-// `labelName="key"`, in sorted key order so the exposition is
-// deterministic.
-func WritePrometheusFamily(w io.Writer, name, help, labelName string, series map[string]HistogramSnapshot) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	keys := make([]string, 0, len(series))
-	for k := range series {
+// Registry holds metric families in registration order and renders them
+// with one WritePrometheus. Each constructor registers one family and
+// returns its handle. The zero value is ready to use, and all methods are
+// safe for concurrent use.
+type Registry struct {
+	mu   sync.Mutex
+	fams []family
+}
+
+// family is one registered metric family: its header and a function that
+// writes its samples.
+type family struct {
+	name, help, typ string
+	write           func(w io.Writer)
+}
+
+func (r *Registry) register(name, help, typ string, write func(w io.Writer)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.fams = append(r.fams, family{name: name, help: help, typ: typ, write: write})
+}
+
+// Func registers a family of type typ ("counter" or "gauge") whose samples
+// collect computes at render time, in the order it emits them. With an
+// empty label the family is unlabelled and collect emits once with an
+// empty label value. A counter's collect must never report a smaller
+// value than before.
+func (r *Registry) Func(name, help, typ, label string, collect func(emit func(labelValue string, v int64))) {
+	r.register(name, help, typ, func(w io.Writer) {
+		collect(func(value string, v int64) {
+			if label == "" {
+				fmt.Fprintf(w, "%s %d\n", name, v)
+			} else {
+				fmt.Fprintf(w, "%s{%s=%q} %d\n", name, label, value, v)
+			}
+		})
+	})
+}
+
+// Counter registers an unlabelled counter family.
+func (r *Registry) Counter(name, help string) *Counter {
+	c := new(Counter)
+	r.Func(name, help, "counter", "", func(emit func(string, int64)) { emit("", c.Value()) })
+	return c
+}
+
+// CounterVec registers a counter family with one label. A child series
+// appears once With creates it; series render in sorted label order.
+func (r *Registry) CounterVec(name, help, label string) *CounterVec {
+	v := &CounterVec{newVec(func() *Counter { return new(Counter) })}
+	r.Func(name, help, "counter", label, func(emit func(string, int64)) {
+		v.each(func(value string, c *Counter) { emit(value, c.Value()) })
+	})
+	return v
+}
+
+// Histogram registers an unlabelled histogram family over DefBuckets.
+func (r *Registry) Histogram(name, help string) *Histogram {
+	h := NewHistogram()
+	r.register(name, help, "histogram", func(w io.Writer) { h.Snapshot().WritePrometheus(w, name, "") })
+	return h
+}
+
+// HistogramVec registers a histogram family with one label, every child
+// over DefBuckets. Children render in sorted label order; create up front
+// with With the ones that should render before their first observation.
+func (r *Registry) HistogramVec(name, help, label string) *HistogramVec {
+	v := &HistogramVec{newVec(func() *Histogram { return NewHistogram() })}
+	r.register(name, help, "histogram", func(w io.Writer) {
+		v.each(func(value string, h *Histogram) {
+			h.Snapshot().WritePrometheus(w, name, fmt.Sprintf("%s=%q", label, value))
+		})
+	})
+	return v
+}
+
+// WritePrometheus renders every family in registration order: a
+// `# HELP`/`# TYPE` header, then the family's samples. The body is built
+// in memory and written with one Write.
+func (r *Registry) WritePrometheus(w io.Writer) error {
+	r.mu.Lock()
+	fams := r.fams // registration only appends, so this prefix never changes
+	r.mu.Unlock()
+	var b bytes.Buffer
+	for _, f := range fams {
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+		f.write(&b)
+	}
+	_, err := w.Write(b.Bytes())
+	return err
+}
+
+// vec is the child table shared by CounterVec and HistogramVec.
+type vec[T any] struct {
+	newChild func() *T
+	mu       sync.Mutex
+	children map[string]*T
+}
+
+func newVec[T any](newChild func() *T) vec[T] {
+	return vec[T]{newChild: newChild, children: make(map[string]*T)}
+}
+
+// With returns the child for one label value, creating it on first use.
+func (v *vec[T]) With(value string) *T {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	c, ok := v.children[value]
+	if !ok {
+		c = v.newChild()
+		v.children[value] = c
+	}
+	return c
+}
+
+// each calls fn for every child in sorted label order.
+func (v *vec[T]) each(fn func(value string, c *T)) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	keys := make([]string, 0, len(v.children))
+	for k := range v.children {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		series[k].WritePrometheus(w, name, fmt.Sprintf("%s=%q", labelName, k))
+		fn(k, v.children[k])
 	}
+}
+
+// CounterVec is a counter family with one label.
+type CounterVec struct{ vec[Counter] }
+
+// Values returns every child's current count by label value.
+func (v *CounterVec) Values() map[string]int64 {
+	out := make(map[string]int64)
+	v.each(func(value string, c *Counter) { out[value] = c.Value() })
+	return out
+}
+
+// HistogramVec is a histogram family with one label.
+type HistogramVec struct{ vec[Histogram] }
+
+// Snapshot returns every child's snapshot by label value.
+func (v *HistogramVec) Snapshot() map[string]HistogramSnapshot {
+	out := make(map[string]HistogramSnapshot)
+	v.each(func(value string, h *Histogram) { out[value] = h.Snapshot() })
+	return out
 }
