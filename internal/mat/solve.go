@@ -14,11 +14,19 @@ import (
 // loops instead of bounds-checked At/Set. A ridge solve has two halves:
 // RidgeFactorInto (Gram + λI and its Cholesky factor, which depend only on
 // the features) and RidgeSolveFactoredInto (the right-hand side and the two
-// triangular solves). RidgeSolveInto runs both; ALS runs the first half once
-// per observed pattern that several factor rows share and the second half
-// per row, which gives the same bits as a fused solve per row. The
-// allocating wrappers in dense.go delegate here; all paths produce
-// bit-identical results (the summation order is unchanged).
+// triangular solves). RidgeSolveInto runs both. ALS runs the first half once
+// per observed pattern that several factor rows share, then solves the rows
+// of that pattern four at a time with RidgeSolveFactoredBlockInto, and a
+// remainder of one to three rows with RidgeSolveFactoredInto.
+//
+// A triangular solve is a serial chain of dependent subtractions and one
+// division per unknown, so a single solve runs at the latency of those
+// operations. The block kernel runs four independent chains side by side,
+// the way DotRows interleaves four dot products, and the Gram accumulation
+// adds four feature rows per load and store of each entry. Every value
+// still receives the same products in the same order, so all paths —
+// fused, factored, block, and the allocating wrappers in dense.go — give
+// bit-identical results.
 
 // CholeskyInto computes the lower-triangular factor L with a = L Lᵀ into l,
 // which must be a square matrix of a's shape (its prior contents are
@@ -98,6 +106,10 @@ type RidgeScratch struct {
 	chol *Dense
 	rhs  []float64
 	y    []float64
+	// rhs4 and y4 are the block kernel's four right-hand sides and forward
+	// solutions, interleaved: entry i of column c is at 4*i+c.
+	rhs4 []float64
+	y4   []float64
 }
 
 // NewRidgeScratch returns scratch pre-sized for rank-r solves.
@@ -114,6 +126,8 @@ func (s *RidgeScratch) resize(r int) {
 		s.chol = NewDense(r, r)
 		s.rhs = make([]float64, r)
 		s.y = make([]float64, r)
+		s.rhs4 = make([]float64, 4*r)
+		s.y4 = make([]float64, 4*r)
 		return
 	}
 	if s.gram.rows > r {
@@ -123,6 +137,8 @@ func (s *RidgeScratch) resize(r int) {
 		s.chol = NewDenseData(r, r, s.chol.data[:r*r])
 		s.rhs = s.rhs[:r]
 		s.y = s.y[:r]
+		s.rhs4 = s.rhs4[:4*r]
+		s.y4 = s.y4[:4*r]
 	}
 }
 
@@ -156,6 +172,8 @@ func RidgeSolveInto(features [][]float64, targets []float64, lambda float64, dst
 // different targets over the same features: an ALS sweep factors once for
 // all factor rows that share one observed pattern. Only the Gram matrix's
 // lower triangle is accumulated, since CholeskyInto reads no other part.
+// Feature rows are added four at a time, each entry taking their four
+// products in row order, which is the order a row-at-a-time loop adds them.
 func RidgeFactorInto(features [][]float64, lambda float64, l *Dense, s *RidgeScratch) error {
 	if len(features) == 0 {
 		return ErrRidgeNoObservations
@@ -166,7 +184,28 @@ func RidgeFactorInto(features [][]float64, lambda float64, l *Dense, s *RidgeScr
 	for i := range gd {
 		gd[i] = 0
 	}
-	for _, f := range features {
+	n := len(features)
+	q := 0
+	for ; q+4 <= n; q += 4 {
+		f0, f1, f2, f3 := features[q], features[q+1], features[q+2], features[q+3]
+		if len(f0) != r || len(f1) != r || len(f2) != r || len(f3) != r {
+			panic("mat: ragged feature rows")
+		}
+		for i := 0; i < r; i++ {
+			a0, a1, a2, a3 := f0[i], f1[i], f2[i], f3[i]
+			gi := gd[i*r : i*r+i+1]
+			b0, b1, b2, b3 := f0[:len(gi)], f1[:len(gi)], f2[:len(gi)], f3[:len(gi)]
+			for j, g := range gi {
+				g += a0 * b0[j]
+				g += a1 * b1[j]
+				g += a2 * b2[j]
+				g += a3 * b3[j]
+				gi[j] = g
+			}
+		}
+	}
+	for ; q < n; q++ {
+		f := features[q]
 		if len(f) != r {
 			panic("mat: ragged feature rows")
 		}
@@ -213,4 +252,74 @@ func RidgeSolveFactoredInto(features [][]float64, targets []float64, l *Dense, d
 		}
 	}
 	CholeskySolveInto(l, rhs, dst, s.y)
+}
+
+// RidgeSolveFactoredBlockInto solves four ridge systems over the same
+// features and factor at once: dst[c] gets what
+// RidgeSolveFactoredInto(features, targets[c], l, dst[c], s) would write,
+// bit for bit. One pass over the features accumulates all four right-hand
+// sides, and the forward and back substitutions run the four columns'
+// chains interleaved, each column taking its own products in the single
+// solve's order. The four dst slices must not overlap.
+func RidgeSolveFactoredBlockInto(features [][]float64, targets [4][]float64, l *Dense, dst [4][]float64, s *RidgeScratch) {
+	r := l.rows
+	for c := range targets {
+		if len(targets[c]) != len(features) {
+			panic(fmt.Sprintf("mat: ridge rows %d != targets %d", len(features), len(targets[c])))
+		}
+		if len(dst[c]) != r {
+			panic(fmt.Sprintf("mat: ridge destination %d != rank %d", len(dst[c]), r))
+		}
+	}
+	s.resize(r)
+	b := s.rhs4
+	for i := range b {
+		b[i] = 0
+	}
+	t0, t1, t2, t3 := targets[0], targets[1], targets[2], targets[3]
+	for row, f := range features {
+		if len(f) != r {
+			panic("mat: ragged feature rows")
+		}
+		a0, a1, a2, a3 := t0[row], t1[row], t2[row], t3[row]
+		for i, fi := range f {
+			bi := b[4*i : 4*i+4]
+			bi[0] += fi * a0
+			bi[1] += fi * a1
+			bi[2] += fi * a2
+			bi[3] += fi * a3
+		}
+	}
+	ld, y := l.data, s.y4
+	// Forward substitution: L y_c = b_c.
+	for i := 0; i < r; i++ {
+		li := ld[i*r : i*r+i+1]
+		bi := b[4*i : 4*i+4]
+		s0, s1, s2, s3 := bi[0], bi[1], bi[2], bi[3]
+		for k, lik := range li[:i] {
+			yk := y[4*k : 4*k+4]
+			s0 -= lik * yk[0]
+			s1 -= lik * yk[1]
+			s2 -= lik * yk[2]
+			s3 -= lik * yk[3]
+		}
+		d := li[i]
+		yi := y[4*i : 4*i+4]
+		yi[0], yi[1], yi[2], yi[3] = s0/d, s1/d, s2/d, s3/d
+	}
+	// Back substitution: Lᵀ x_c = y_c.
+	x0, x1, x2, x3 := dst[0][:r], dst[1][:r], dst[2][:r], dst[3][:r]
+	for i := r - 1; i >= 0; i-- {
+		yi := y[4*i : 4*i+4]
+		s0, s1, s2, s3 := yi[0], yi[1], yi[2], yi[3]
+		for k := i + 1; k < r; k++ {
+			lki := ld[k*r+i]
+			s0 -= lki * x0[k]
+			s1 -= lki * x1[k]
+			s2 -= lki * x2[k]
+			s3 -= lki * x3[k]
+		}
+		d := ld[i*r+i]
+		x0[i], x1[i], x2[i], x3[i] = s0/d, s1/d, s2/d, s3/d
+	}
 }

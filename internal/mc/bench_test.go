@@ -119,7 +119,10 @@ func TestPatternedEntriesShape(t *testing.T) {
 //   - patterned/workers-N: the 30×1288 shape of patternedEntries, where
 //     1254 columns have one observed entry and all columns together show
 //     33 distinct observed-row patterns, so every H half-sweep factors 33
-//     Gram matrices and solves 1288 columns against them.
+//     Gram matrices and solves 1288 columns against them, four columns
+//     per block kernel call. On a 2-CPU x86-64 host (go1.24, -cpu 1,
+//     five alternating runs of 20 iterations) workers-1 took 23–35 ms/op
+//     solving one column at a time and 13–15 ms/op with block solves.
 func BenchmarkComplete(b *testing.B) {
 	bench := func(b *testing.B, obs []Entry, rows, cols int) {
 		for _, workers := range []int{1, 2, 4, 8} {

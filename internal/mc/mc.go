@@ -12,12 +12,16 @@
 // observed in a single round, so many factor rows observe the same ordered
 // sequence of opposite-factor indices and so have the same ridge Gram
 // matrix. ALS groups the rows of W and of H by that pattern once per
-// Complete call. Each half-sweep first factors Gram + λI once for every
-// pattern at least two rows observe, then solves every row: a row of a
-// shared pattern forms only its right-hand side and runs two triangular
-// solves against the shared factor, a row of a unique pattern runs one
-// fused ridge solve, and a row with no entries is zeroed. Shared and fused
-// solves accumulate the same products in the same order, so the result is
+// Complete call and splits them into a work list: blocks of up to four
+// rows of one shared pattern (a pattern at least two rows observe), and
+// single rows of a unique pattern or with no entries. Each half-sweep first
+// factors Gram + λI once for every shared pattern, then works through the
+// list. A block of four gathers its features once and solves its four rows
+// against the shared factor with one block kernel call, which interleaves
+// their right-hand sides and triangular solves; a block of one to three
+// rows solves them one at a time against the factor. A unique-pattern row
+// runs one fused ridge solve, and a row with no entries is zeroed. Every
+// path accumulates the same products in the same order, so the result is
 // bit-identical to solving every row on its own, for any worker count.
 package mc
 
@@ -323,10 +327,20 @@ func warmFactor(n, r int, scale float64, g *rng.RNG, warm *mat.Dense) *mat.Dense
 }
 
 // objective returns the full regularized objective and the observed RMSE.
+// It reads the factors' backing arrays directly; each prediction sums its
+// products in mat.Dot's order.
 func objective(obs []Entry, w, h *mat.Dense, lambda float64) (obj, rmse float64) {
+	r := w.Cols()
+	wd, hd := w.Data(), h.Data()
 	var sse float64
 	for _, e := range obs {
-		d := e.Val - mat.Dot(w.Row(e.Row), h.Row(e.Col))
+		wr := wd[e.Row*r : e.Row*r+r]
+		hr := hd[e.Col*r : e.Col*r+r]
+		var p float64
+		for k, v := range wr {
+			p += v * hr[k]
+		}
+		d := e.Val - p
 		sse += d * d
 	}
 	fw := w.FrobeniusNorm()
@@ -335,11 +349,12 @@ func objective(obs []Entry, w, h *mat.Dense, lambda float64) (obj, rmse float64)
 }
 
 // alsScratch is the per-worker working storage of the ALS inner loop: the
-// ridge system's feature/target views and the mat.RidgeScratch buffers. One
-// scratch per worker removes every per-row allocation from the sweep.
+// ridge system's feature views, the target vectors of up to four rows, and
+// the mat.RidgeScratch buffers. One scratch per worker removes every
+// per-row allocation from the sweep.
 type alsScratch struct {
 	features [][]float64
-	targets  []float64
+	targets  [4][]float64
 	ridge    *mat.RidgeScratch
 }
 
@@ -348,24 +363,35 @@ func newALSScratch(rank int) *alsScratch {
 }
 
 // gather points the scratch's feature views at the opposite-factor rows the
-// entries observe, in entry order, and copies their values as targets. If
-// rowSide is true, entries index the opposite factor by Col, else by Row.
-func (sc *alsScratch) gather(entries []Entry, opposite *mat.Dense, rowSide bool) ([][]float64, []float64) {
+// entries observe, in entry order. If rowSide is true, entries index the
+// opposite factor by Col, else by Row.
+func (sc *alsScratch) gather(entries []Entry, opposite *mat.Dense, rowSide bool) [][]float64 {
 	if cap(sc.features) < len(entries) {
 		sc.features = make([][]float64, len(entries))
-		sc.targets = make([]float64, len(entries))
 	}
 	features := sc.features[:len(entries)]
-	targets := sc.targets[:len(entries)]
+	r := opposite.Cols()
+	od := opposite.Data()
 	for i, e := range entries {
+		j := e.Row
 		if rowSide {
-			features[i] = opposite.Row(e.Col)
-		} else {
-			features[i] = opposite.Row(e.Row)
+			j = e.Col
 		}
+		features[i] = od[j*r : j*r+r]
+	}
+	return features
+}
+
+// values copies the entries' values into target vector c.
+func (sc *alsScratch) values(c int, entries []Entry) []float64 {
+	if cap(sc.targets[c]) < len(entries) {
+		sc.targets[c] = make([]float64, len(entries))
+	}
+	targets := sc.targets[c][:len(entries)]
+	for i, e := range entries {
 		targets[i] = e.Val
 	}
-	return features, targets
+	return targets
 }
 
 // alsPlan is the observation layout of one completion: the entries of every
@@ -388,6 +414,10 @@ type alsSide struct {
 	shared []int
 	// reps[k] is the first row of shared pattern k.
 	reps []int
+	// items is the solve pass's work list, covering every row once. An
+	// item is up to four rows of one shared pattern, in row order, or a
+	// single row whose pattern is unique or empty.
+	items [][]int
 }
 
 func newALSPlan(obs []Entry, rows, cols int) *alsPlan {
@@ -439,9 +469,29 @@ func newALSSide(groups [][]Entry, rowSide bool) alsSide {
 			side.reps = append(side.reps, first[id])
 		}
 	}
+	members := make([][]int, len(side.reps))
 	for i, id := range side.shared {
 		if id >= 0 {
 			side.shared[i] = rep[id]
+		}
+		if k := side.shared[i]; k >= 0 {
+			members[k] = append(members[k], i)
+		}
+	}
+	// Every item is a sub-slice of order, which holds each row once.
+	order := make([]int, 0, len(groups))
+	for i, k := range side.shared {
+		switch {
+		case k < 0:
+			order = append(order, i)
+			side.items = append(side.items, order[len(order)-1:])
+		case side.reps[k] == i:
+			for rows := members[k]; len(rows) > 0; {
+				n := min(len(rows), 4)
+				order = append(order, rows[:n]...)
+				side.items = append(side.items, order[len(order)-n:])
+				rows = rows[n:]
+			}
 		}
 	}
 	return side
@@ -459,6 +509,7 @@ func completeALS(obs []Entry, plan *alsPlan, w, h *mat.Dense, cfg Config, worker
 	hFactors := sharedFactors(len(plan.h.reps), cfg.Rank)
 
 	prev := math.Inf(1)
+	var obj, rmse float64
 	iters := 0
 	for it := 0; it < cfg.MaxIter; it++ {
 		iters = it + 1
@@ -473,14 +524,14 @@ func completeALS(obs []Entry, plan *alsPlan, w, h *mat.Dense, cfg Config, worker
 		if err := plan.h.update(w, h, hFactors, cfg, workers, scratches); err != nil {
 			return nil, err
 		}
-		obj, _ := objective(obs, w, h, cfg.Lambda)
+		// The last iteration's objective is the result's: the factors do
+		// not change after it.
+		obj, rmse = objective(obs, w, h, cfg.Lambda)
 		if !math.IsInf(prev, 1) && prev-obj <= cfg.Tol*math.Max(1, math.Abs(prev)) {
-			prev = obj
 			break
 		}
 		prev = obj
 	}
-	obj, rmse := objective(obs, w, h, cfg.Lambda)
 	return &Result{W: w, H: h, Objective: obj, Iterations: iters, TrainRMSE: rmse}, nil
 }
 
@@ -497,16 +548,17 @@ func sharedFactors(n, rank int) []*mat.Dense {
 
 // update solves the ridge sub-problem of every row of target against the
 // fixed opposite factor in two passes over workers goroutines. The factor
-// pass forms Gram + λI and its Cholesky factor once per shared pattern; the
-// solve pass then gives each row of a shared pattern only its right-hand
-// side and the two triangular solves against that factor, while a row of
-// a unique pattern runs the fused ridge solve. Shared and fused paths
+// pass forms Gram + λI and its Cholesky factor once per shared pattern.
+// The solve pass works through the items: a block gathers its pattern's
+// features once and gives each row only its right-hand side and the two
+// triangular solves against that factor, four rows per block kernel call,
+// while a row of a unique pattern runs the fused ridge solve. All paths
 // accumulate the same products in the same order, so the factors are
 // bit-identical to one fused solve per row.
 func (s *alsSide) update(opposite, target *mat.Dense, factors []*mat.Dense, cfg Config, workers int, scratches []*alsScratch) error {
 	err := parallelFor(len(s.reps), workers, func(wk, k int) error {
 		entries := s.groups[s.reps[k]]
-		features, _ := scratches[wk].gather(entries, opposite, s.rowSide)
+		features := scratches[wk].gather(entries, opposite, s.rowSide)
 		if err := mat.RidgeFactorInto(features, effLambda(cfg, len(entries)), factors[k], scratches[wk].ridge); err != nil {
 			return fmt.Errorf("mc: ridge sub-problem: %w", err)
 		}
@@ -515,14 +567,26 @@ func (s *alsSide) update(opposite, target *mat.Dense, factors []*mat.Dense, cfg 
 	if err != nil {
 		return err
 	}
-	return parallelFor(len(s.groups), workers, func(wk, i int) error {
-		entries, sc := s.groups[i], scratches[wk]
-		if k := s.shared[i]; k >= 0 {
-			features, targets := sc.gather(entries, opposite, s.rowSide)
-			mat.RidgeSolveFactoredInto(features, targets, factors[k], target.Row(i), sc.ridge)
+	return parallelFor(len(s.items), workers, func(wk, n int) error {
+		rows, sc := s.items[n], scratches[wk]
+		k := s.shared[rows[0]]
+		if k < 0 {
+			i := rows[0]
+			return ridgeUpdate(s.groups[i], opposite, target.Row(i), effLambda(cfg, len(s.groups[i])), s.rowSide, sc)
+		}
+		features := sc.gather(s.groups[rows[0]], opposite, s.rowSide)
+		if len(rows) == 4 {
+			var targets, dst [4][]float64
+			for c, i := range rows {
+				targets[c], dst[c] = sc.values(c, s.groups[i]), target.Row(i)
+			}
+			mat.RidgeSolveFactoredBlockInto(features, targets, factors[k], dst, sc.ridge)
 			return nil
 		}
-		return ridgeUpdate(entries, opposite, target.Row(i), effLambda(cfg, len(entries)), s.rowSide, sc)
+		for _, i := range rows {
+			mat.RidgeSolveFactoredInto(features, sc.values(0, s.groups[i]), factors[k], target.Row(i), sc.ridge)
+		}
+		return nil
 	})
 }
 
@@ -590,8 +654,8 @@ func ridgeUpdate(entries []Entry, opposite *mat.Dense, dst []float64, lambda flo
 		}
 		return nil
 	}
-	features, targets := sc.gather(entries, opposite, rowSide)
-	if err := mat.RidgeSolveInto(features, targets, lambda, dst, sc.ridge); err != nil {
+	features := sc.gather(entries, opposite, rowSide)
+	if err := mat.RidgeSolveInto(features, sc.values(0, entries), lambda, dst, sc.ridge); err != nil {
 		return fmt.Errorf("mc: ridge sub-problem: %w", err)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -11,8 +12,9 @@ import (
 
 // referenceComplete is Complete with nothing shared: restarts run one
 // after another, each builds its own observation lists, and every factor
-// row of every half-sweep is one mat.RidgeSolve. It is the oracle the
-// shared-factor sweep must match bit for bit.
+// row of every half-sweep is one referenceRidge solve. It is the oracle the
+// shared-factor block sweep must match bit for bit. It calls no kernel of
+// the sweep: the ridge solve and the objective are written out here.
 func referenceComplete(obs []Entry, rows, cols int, cfg Config) (*Result, error) {
 	if err := validate(obs, rows, cols, cfg); err != nil {
 		return nil, err
@@ -65,7 +67,7 @@ func referenceALS(obs []Entry, w, h *mat.Dense, cfg Config) (*Result, error) {
 			if cfg.WeightedReg {
 				lambda *= float64(len(entries))
 			}
-			x, err := mat.RidgeSolve(features, targets, lambda)
+			x, err := referenceRidge(features, targets, lambda)
 			if err != nil {
 				return err
 			}
@@ -83,14 +85,101 @@ func referenceALS(obs []Entry, w, h *mat.Dense, cfg Config) (*Result, error) {
 		if err := solve(byCol, w, h, false); err != nil {
 			return nil, err
 		}
-		obj, _ := objective(obs, w, h, cfg.Lambda)
+		obj, _ := referenceObjective(obs, w, h, cfg.Lambda)
 		if !math.IsInf(prev, 1) && prev-obj <= cfg.Tol*math.Max(1, math.Abs(prev)) {
 			break
 		}
 		prev = obj
 	}
-	obj, rmse := objective(obs, w, h, cfg.Lambda)
+	obj, rmse := referenceObjective(obs, w, h, cfg.Lambda)
 	return &Result{W: w, H: h, Objective: obj, Iterations: iters, TrainRMSE: rmse}, nil
+}
+
+var errReferenceNotPD = errors.New("reference ridge: Gram matrix not positive definite")
+
+// referenceRidge solves (AᵀA + λI) x = Aᵀ b for the rows A of features the
+// textbook way: form the lower triangle of the Gram matrix and the
+// right-hand side one feature row at a time, add λ to the diagonal, take
+// the Cholesky factor column by column, then substitute forward and back.
+// Every sum runs in ascending index order, one term at a time.
+func referenceRidge(features [][]float64, targets []float64, lambda float64) ([]float64, error) {
+	r := len(features[0])
+	gram := make([][]float64, r)
+	l := make([][]float64, r)
+	for i := range gram {
+		gram[i] = make([]float64, r)
+		l[i] = make([]float64, r)
+	}
+	rhs := make([]float64, r)
+	for n, f := range features {
+		for i := 0; i < r; i++ {
+			for j := 0; j <= i; j++ {
+				gram[i][j] += f[i] * f[j]
+			}
+			rhs[i] += f[i] * targets[n]
+		}
+	}
+	for i := 0; i < r; i++ {
+		gram[i][i] += lambda
+	}
+	for j := 0; j < r; j++ {
+		d := gram[j][j]
+		for k := 0; k < j; k++ {
+			d -= l[j][k] * l[j][k]
+		}
+		if d <= 0 || math.IsNaN(d) {
+			return nil, errReferenceNotPD
+		}
+		l[j][j] = math.Sqrt(d)
+		for i := j + 1; i < r; i++ {
+			s := gram[i][j]
+			for k := 0; k < j; k++ {
+				s -= l[i][k] * l[j][k]
+			}
+			l[i][j] = s / l[j][j]
+		}
+	}
+	y := make([]float64, r)
+	for i := 0; i < r; i++ {
+		s := rhs[i]
+		for k := 0; k < i; k++ {
+			s -= l[i][k] * y[k]
+		}
+		y[i] = s / l[i][i]
+	}
+	x := make([]float64, r)
+	for i := r - 1; i >= 0; i-- {
+		s := y[i]
+		for k := i + 1; k < r; k++ {
+			s -= l[k][i] * x[k]
+		}
+		x[i] = s / l[i][i]
+	}
+	return x, nil
+}
+
+// referenceObjective is the regularized objective and observed RMSE
+// computed entry by entry: each prediction and each squared norm is summed
+// in ascending index order.
+func referenceObjective(obs []Entry, w, h *mat.Dense, lambda float64) (obj, rmse float64) {
+	var sse float64
+	for _, e := range obs {
+		var p float64
+		for k := 0; k < w.Cols(); k++ {
+			p += w.At(e.Row, k) * h.At(e.Col, k)
+		}
+		d := e.Val - p
+		sse += d * d
+	}
+	sq := func(m *mat.Dense) float64 {
+		var s float64
+		for _, v := range m.Data() {
+			s += v * v
+		}
+		n := math.Sqrt(s)
+		return n * n
+	}
+	return sse + lambda*(sq(w)+sq(h)), math.Sqrt(sse / float64(len(obs)))
 }
 
 // sameBits reports the first difference between two results, comparing
@@ -144,6 +233,45 @@ func exactPlanEntries(n, rounds, rank int, seed int64) (obs []Entry, cols int) {
 	return obs, cols
 }
 
+// remainderEntries samples a random rank-`rank` matrix on 6 rows and 27
+// columns whose shared column patterns have 2, 3, 4, 5 and 9 members, so
+// the H half-sweep solves blocks of four and remainders of one, two and
+// three rows; three columns have a unique pattern and one has no entries.
+// Columns are interleaved in a seeded order. transposed swaps rows and
+// columns, putting the same patterns on the W side.
+func remainderEntries(rank int, seed int64, transposed bool) (obs []Entry, rows, cols int) {
+	g := rng.New(seed)
+	rows, cols = 6, 27
+	w := randomFactor(rows, rank, 1, g)
+	h := randomFactor(cols, rank, 1, g)
+	var patterns [][]int
+	for _, p := range []struct {
+		rows    []int
+		members int
+	}{
+		{[]int{0, 1, 2}, 2}, {[]int{1, 3, 5}, 3}, {[]int{0, 2, 4, 5}, 4},
+		{[]int{2, 3}, 5}, {[]int{0, 1, 2, 3, 4, 5}, 9},
+		{[]int{4}, 1}, {[]int{0, 5}, 1}, {[]int{1, 2, 3}, 1}, {nil, 1},
+	} {
+		for m := 0; m < p.members; m++ {
+			patterns = append(patterns, p.rows)
+		}
+	}
+	for j, k := range g.Perm(cols) {
+		for _, i := range patterns[k] {
+			e := Entry{Row: i, Col: j, Val: mat.Dot(w.Row(i), h.Row(j))}
+			if transposed {
+				e.Row, e.Col = e.Col, e.Row
+			}
+			obs = append(obs, e)
+		}
+	}
+	if transposed {
+		rows, cols = cols, rows
+	}
+	return obs, rows, cols
+}
+
 // TestSharedFactorMatchesPerRowRidge pins the shared-factor sweep to the
 // reference ALS bit for bit, on shapes with and without repeated patterns,
 // under both regularization schemes, at several worker counts, cold and
@@ -157,6 +285,8 @@ func TestSharedFactorMatchesPerRowRidge(t *testing.T) {
 	for i, j := range rng.New(4).Perm(len(exact)) {
 		shuffled[i] = exact[j]
 	}
+	remainders, remRows, remCols := remainderEntries(3, 5, false)
+	remaindersT, remRowsT, remColsT := remainderEntries(3, 5, true)
 	fixtures := []struct {
 		name       string
 		obs        []Entry
@@ -169,6 +299,8 @@ func TestSharedFactorMatchesPerRowRidge(t *testing.T) {
 		{"patterned", patternedEntries(5, 42), patternedRows, patternedCols, 5, true},
 		{"exact-plan", exact, 12, exactCols, 3, true},
 		{"exact-plan-shuffled", shuffled, 12, exactCols, 3, false},
+		{"remainders", remainders, remRows, remCols, 3, true},
+		{"remainders-transposed", remaindersT, remRowsT, remColsT, 3, true},
 	}
 	for _, fx := range fixtures {
 		plan := newALSPlan(fx.obs, fx.rows, fx.cols)
@@ -208,6 +340,93 @@ func TestSharedFactorMatchesPerRowRidge(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestALSPlanItems pins the solve pass's work list: every row of W and of
+// H is in exactly one item, a block holds at most four rows of one shared
+// pattern in ascending row order, an unshared row is an item on its own,
+// and each shared pattern splits into ⌈members/4⌉ blocks, all full but the
+// last. On the patterned fixture that is Σ⌈members/4⌉ H-side blocks over
+// its 33 column patterns, counted here from the raw observations.
+func TestALSPlanItems(t *testing.T) {
+	remainders, remRows, remCols := remainderEntries(3, 5, false)
+	exact, exactCols := exactPlanEntries(5, 12, 3, 3)
+	fixtures := []struct {
+		name       string
+		obs        []Entry
+		rows, cols int
+	}{
+		{"patterned", patternedEntries(5, 42), patternedRows, patternedCols},
+		{"remainders", remainders, remRows, remCols},
+		{"exact-plan", exact, 12, exactCols},
+		{"sparse", synthEntries(12, 150, 3, 0.04, 2), 12, 150},
+	}
+	for _, fx := range fixtures {
+		plan := newALSPlan(fx.obs, fx.rows, fx.cols)
+		for _, side := range []struct {
+			name string
+			s    alsSide
+		}{{"W", plan.w}, {"H", plan.h}} {
+			s := side.s
+			members := make([]int, len(s.reps))
+			for _, k := range s.shared {
+				if k >= 0 {
+					members[k]++
+				}
+			}
+			seen := make([]int, len(s.groups))
+			blocks := make([]int, len(s.reps))
+			for n, rows := range s.items {
+				if len(rows) == 0 {
+					t.Fatalf("%s %s item %d is empty", fx.name, side.name, n)
+				}
+				k := s.shared[rows[0]]
+				if len(rows) > 4 || (k < 0 && len(rows) != 1) {
+					t.Fatalf("%s %s item %d: rows %v of pattern %d", fx.name, side.name, n, rows, k)
+				}
+				for m, i := range rows {
+					seen[i]++
+					if s.shared[i] != k || (m > 0 && i <= rows[m-1]) {
+						t.Fatalf("%s %s item %d: rows %v are not ascending rows of pattern %d", fx.name, side.name, n, rows, k)
+					}
+				}
+				if k >= 0 {
+					blocks[k]++
+					if len(rows) < 4 && blocks[k] != (members[k]+3)/4 {
+						t.Fatalf("%s %s item %d: a block of %d rows before the last block of pattern %d", fx.name, side.name, n, len(rows), k)
+					}
+				}
+			}
+			for i, c := range seen {
+				if c != 1 {
+					t.Fatalf("%s %s: row %d is in %d items", fx.name, side.name, i, c)
+				}
+			}
+			for k := range blocks {
+				if want := (members[k] + 3) / 4; blocks[k] != want {
+					t.Fatalf("%s %s: pattern %d of %d rows has %d blocks, want %d", fx.name, side.name, k, members[k], blocks[k], want)
+				}
+			}
+		}
+	}
+
+	obs := patternedEntries(5, 42)
+	byCol := map[int][]int{}
+	for _, e := range obs {
+		byCol[e.Col] = append(byCol[e.Col], e.Row)
+	}
+	members := map[string]int{}
+	for _, rows := range byCol {
+		members[fmt.Sprint(rows)]++
+	}
+	want := 0
+	for _, n := range members {
+		want += (n + 3) / 4
+	}
+	plan := newALSPlan(obs, patternedRows, patternedCols)
+	if len(members) != 33 || len(plan.h.items) != want {
+		t.Fatalf("patterned H side: %d items over %d patterns, want %d over 33", len(plan.h.items), len(members), want)
 	}
 }
 
