@@ -26,7 +26,7 @@ import (
 
 func main() {
 	var (
-		runPath = flag.String("run", "", "path to a run recorded by fedsim -save (required)")
+		runPath = flag.String("run", "", "path to a run recorded by fedsim -save, trace format 2 or the number arrays of format 1 (required)")
 		methods = flag.String("methods", "fedsv,comfedsv", "comma-separated: fedsv, comfedsv, loo, tmc, gt, or 'all'")
 		rank    = flag.Int("rank", 5, "matrix-completion rank for ComFedSV")
 		samples = flag.Int("samples", 0, "Monte-Carlo permutations for ComFedSV (0 = exact for N≤14, else 2·N·lnN)")

@@ -25,7 +25,7 @@ func main() {
 		test     = flag.Int("test", 120, "test samples held by the server")
 		nonIID   = flag.Bool("non-iid", true, "use the non-IID partition")
 		seed     = flag.Int64("seed", 1, "random seed")
-		savePath = flag.String("save", "", "record the full training trace as JSON (for cmd/datavalue)")
+		savePath = flag.String("save", "", "record the full training trace as JSON, float tensors as base64 blocks (trace format 2, for cmd/datavalue)")
 	)
 	flag.Parse()
 

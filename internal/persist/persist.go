@@ -3,20 +3,41 @@
 // server records the run once (cmd/fedsim -save) and analysts recompute
 // FedSV / ComFedSV / baselines later without retraining
 // (cmd/datavalue -run).
+//
+// A trace is one JSON object. Labels, selections, scalars and the model
+// spec are plain JSON. Since format version 2 every float tensor is one
+// JSON string of standard base64 over its little-endian IEEE-754 bytes: a
+// dataset's x as one rows×dim block, a round's locals as one
+// clients×params block, each round's global model and the final model.
+// Blocks round-trip every float bit for bit and decode several times
+// faster than decimal numbers. LoadRun still reads version-1 traces, which
+// wrote the same object with every tensor as nested number arrays.
 package persist
 
 import (
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"comfedsv/internal/dataset"
 	"comfedsv/internal/fl"
 	"comfedsv/internal/model"
 )
 
-// FormatVersion identifies the on-disk schema; bumped on breaking changes.
-const FormatVersion = 1
+const (
+	// FormatVersion identifies the trace schema SaveRun writes; bumped on
+	// breaking changes.
+	FormatVersion = 2
+	// formatV1 is the schema with tensors as number arrays, which LoadRun
+	// still reads.
+	formatV1 = 1
+	// reportVersion identifies the valuation report schema.
+	reportVersion = 1
+)
 
 // ModelSpec describes how to reconstruct a model.Model.
 type ModelSpec struct {
@@ -92,22 +113,196 @@ func (s ModelSpec) inputDim() int {
 	return s.Dim
 }
 
+// blockEncoding is the base64 alphabet of a block. Strict decoding admits
+// one spelling per float sequence.
+var blockEncoding = base64.StdEncoding.Strict()
+
+// blockFloats is how many floats a block encodes or decodes per step:
+// 1536 bytes, a multiple of 3, so every full step is 2048 base64
+// characters without padding.
+const blockFloats = 192
+
+// encodeBlock returns the JSON string holding the rows' values, in order,
+// as base64 over their little-endian bytes. It rejects a non-finite value,
+// which no JSON number could carry either.
+func encodeBlock(rows ...[]float64) ([]byte, error) {
+	n := 0
+	for _, r := range rows {
+		n += len(r)
+	}
+	out := make([]byte, 0, blockEncoding.EncodedLen(8*n)+2)
+	out = append(out, '"')
+	var buf [8 * blockFloats]byte
+	k := 0
+	for _, r := range rows {
+		for _, x := range r {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return nil, fmt.Errorf("persist: non-finite value %v", x)
+			}
+			binary.LittleEndian.PutUint64(buf[8*k:], math.Float64bits(x))
+			if k++; k == blockFloats {
+				out = blockEncoding.AppendEncode(out, buf[:])
+				k = 0
+			}
+		}
+	}
+	out = blockEncoding.AppendEncode(out, buf[:8*k])
+	return append(out, '"'), nil
+}
+
+// decodeBlock reads the floats of a block's JSON string, quotes included.
+// A block is plain base64 without escapes, holds whole float64s, and every
+// one of them is finite.
+func decodeBlock(b []byte) ([]float64, error) {
+	s := b[1 : len(b)-1]
+	out := make([]float64, 0, blockEncoding.DecodedLen(len(s))/8)
+	var buf [8 * blockFloats]byte
+	for at := 0; len(s) > 0; at += blockEncoding.EncodedLen(len(buf)) {
+		step := min(len(s), blockEncoding.EncodedLen(len(buf)))
+		n, err := blockEncoding.Decode(buf[:], s[:step])
+		if err != nil {
+			var bad base64.CorruptInputError
+			if errors.As(err, &bad) {
+				err = bad + base64.CorruptInputError(at) // offset within the block
+			}
+			return nil, fmt.Errorf("persist: block: %w", err)
+		}
+		// A step padded before the block's end decodes 1534 or 1535
+		// bytes, which this rejects too.
+		if n%8 != 0 {
+			return nil, fmt.Errorf("persist: block is not whole floats")
+		}
+		for i := 0; i < n; i += 8 {
+			x := math.Float64frombits(binary.LittleEndian.Uint64(buf[i:]))
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return nil, fmt.Errorf("persist: block holds non-finite value %v", x)
+			}
+			out = append(out, x)
+		}
+		s = s[step:]
+	}
+	return out, nil
+}
+
+func isBlock(b []byte) bool { return len(b) > 0 && b[0] == '"' }
+
+// vector is a float vector of a trace, written as a block. LoadRun also
+// reads the number array of a version-1 trace.
+type vector struct {
+	data  []float64
+	block bool // read from a block
+}
+
+func (v vector) MarshalJSON() ([]byte, error) { return encodeBlock(v.data) }
+
+func (v *vector) UnmarshalJSON(b []byte) (err error) {
+	if v.block = isBlock(b); v.block {
+		v.data, err = decodeBlock(b)
+		return err
+	}
+	return json.Unmarshal(b, &v.data)
+}
+
+// values returns the vector's n values, which must be encoded as the
+// trace's version says.
+func (v vector) values(n int, blocks bool) ([]float64, error) {
+	if err := checkEncoding(v.block, blocks); err != nil {
+		return nil, err
+	}
+	if len(v.data) != n {
+		return nil, fmt.Errorf("%d values, want %d", len(v.data), n)
+	}
+	return v.data, nil
+}
+
+// matrix is a float matrix of a trace, written as one row-major block.
+// LoadRun also reads the array of row arrays of a version-1 trace.
+type matrix struct {
+	vector             // the values of a block read
+	rows   [][]float64 // rows to write, or as read from a version-1 trace
+}
+
+func (m matrix) MarshalJSON() ([]byte, error) { return encodeBlock(m.rows...) }
+
+func (m *matrix) UnmarshalJSON(b []byte) error {
+	*m = matrix{} // a repeated key replaces, as for other fields
+	if isBlock(b) {
+		return m.vector.UnmarshalJSON(b)
+	}
+	return json.Unmarshal(b, &m.rows)
+}
+
+// shape returns the matrix's r rows of c ≥ 1 values, which must be encoded
+// as the trace's version says. The rows of a block are cap-clipped
+// subslices of it.
+func (m matrix) shape(r, c int, blocks bool) ([][]float64, error) {
+	if err := checkEncoding(m.block, blocks); err != nil {
+		return nil, err
+	}
+	if !m.block {
+		return m.rows, checkShape(m.rows, r, c)
+	}
+	if len(m.data)%c != 0 || len(m.data)/c != r {
+		return nil, fmt.Errorf("block of %d values, want %d×%d", len(m.data), r, c)
+	}
+	rows := make([][]float64, r)
+	for i := range rows {
+		rows[i] = m.data[i*c : (i+1)*c : (i+1)*c]
+	}
+	return rows, nil
+}
+
+// checkShape reports whether rows is an r×c matrix.
+func checkShape(rows [][]float64, r, c int) error {
+	if len(rows) != r {
+		return fmt.Errorf("%d rows, want %d", len(rows), r)
+	}
+	for i, row := range rows {
+		if len(row) != c {
+			return fmt.Errorf("row %d has %d values, want %d", i, len(row), c)
+		}
+	}
+	return nil
+}
+
+// checkEncoding requires blocks in a current trace and number arrays in a
+// version-1 one.
+func checkEncoding(block, blocks bool) error {
+	if block != blocks {
+		if block {
+			return fmt.Errorf("block in a version %d trace", formatV1)
+		}
+		return fmt.Errorf("number array in a version %d trace", FormatVersion)
+	}
+	return nil
+}
+
 // datasetFile is the JSON form of a dataset.
 type datasetFile struct {
-	X          [][]float64         `json:"x"`
+	X          matrix              `json:"x"`
 	Y          []int               `json:"y"`
 	NumClasses int                 `json:"num_classes"`
 	Shape      *dataset.ImageShape `json:"shape,omitempty"`
 }
 
-func toDatasetFile(d *dataset.Dataset) datasetFile {
-	return datasetFile{X: d.X, Y: d.Y, NumClasses: d.NumClasses, Shape: d.Shape}
+// toDatasetFile checks that the dataset's rows are as many and as wide as
+// the labels and the model input say, so its block reads back aligned.
+func toDatasetFile(d *dataset.Dataset, spec ModelSpec) (datasetFile, error) {
+	if err := checkShape(d.X, len(d.Y), spec.inputDim()); err != nil {
+		return datasetFile{}, fmt.Errorf("x: %w", err)
+	}
+	return datasetFile{X: matrix{rows: d.X}, Y: d.Y, NumClasses: d.NumClasses, Shape: d.Shape}, nil
 }
 
 // toDataset validates the dataset on its own and against the model that
-// evaluates it: rows as wide as the model's input, labels among its classes.
-func (f datasetFile) toDataset(spec ModelSpec) (*dataset.Dataset, error) {
-	d := &dataset.Dataset{X: f.X, Y: f.Y, NumClasses: f.NumClasses, Shape: f.Shape}
+// evaluates it: one row per label, rows as wide as the model's input,
+// labels among its classes.
+func (f datasetFile) toDataset(spec ModelSpec, blocks bool) (*dataset.Dataset, error) {
+	x, err := f.X.shape(len(f.Y), spec.inputDim(), blocks)
+	if err != nil {
+		return nil, fmt.Errorf("persist: x: %w", err)
+	}
+	d := &dataset.Dataset{X: x, Y: f.Y, NumClasses: f.NumClasses, Shape: f.Shape}
 	if d.X == nil {
 		d.X = [][]float64{}
 	}
@@ -116,9 +311,6 @@ func (f datasetFile) toDataset(spec ModelSpec) (*dataset.Dataset, error) {
 	}
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("persist: invalid dataset: %w", err)
-	}
-	if d.Len() > 0 && d.Dim() != spec.inputDim() {
-		return nil, fmt.Errorf("persist: dataset dim %d, model reads %d", d.Dim(), spec.inputDim())
 	}
 	for i, y := range d.Y {
 		if y >= spec.Classes {
@@ -130,11 +322,11 @@ func (f datasetFile) toDataset(spec ModelSpec) (*dataset.Dataset, error) {
 
 // roundFile is the JSON form of one recorded round.
 type roundFile struct {
-	Global       []float64   `json:"global"`
-	Locals       [][]float64 `json:"locals"`
-	Selected     []int       `json:"selected"`
-	TestLoss     float64     `json:"test_loss"`
-	LearningRate float64     `json:"learning_rate"`
+	Global       vector  `json:"global"`
+	Locals       matrix  `json:"locals"`
+	Selected     []int   `json:"selected"`
+	TestLoss     float64 `json:"test_loss"`
+	LearningRate float64 `json:"learning_rate"`
 }
 
 // runFile is the JSON schema of a full training trace.
@@ -144,90 +336,114 @@ type runFile struct {
 	Test    datasetFile   `json:"test"`
 	Clients []datasetFile `json:"clients"`
 	Rounds  []roundFile   `json:"rounds"`
-	Final   []float64     `json:"final"`
+	Final   vector        `json:"final"`
 }
 
-// SaveRun writes the run as JSON.
+// SaveRun writes the run as a version-2 JSON trace. It returns an error,
+// and writes nothing, for a tensor whose shape disagrees with the model
+// and the datasets or that holds a non-finite value.
 func SaveRun(w io.Writer, run *fl.Run) error {
 	spec, err := SpecFor(run.Model)
 	if err != nil {
 		return err
 	}
-	f := runFile{
-		Version: FormatVersion,
-		Model:   spec,
-		Test:    toDatasetFile(run.Test),
-		Final:   run.Final,
+	p, n := run.Model.NumParams(), len(run.Clients)
+	if len(run.Final) != p {
+		return fmt.Errorf("persist: final model has %d params, want %d", len(run.Final), p)
 	}
-	for _, c := range run.Clients {
-		f.Clients = append(f.Clients, toDatasetFile(c))
+	f := runFile{Version: FormatVersion, Model: spec, Final: vector{data: run.Final}}
+	if f.Test, err = toDatasetFile(run.Test, spec); err != nil {
+		return fmt.Errorf("persist: test set: %w", err)
 	}
-	for _, rd := range run.Rounds {
+	for i, c := range run.Clients {
+		cf, err := toDatasetFile(c, spec)
+		if err != nil {
+			return fmt.Errorf("persist: client %d: %w", i, err)
+		}
+		f.Clients = append(f.Clients, cf)
+	}
+	for t, rd := range run.Rounds {
+		if len(rd.Global) != p {
+			return fmt.Errorf("persist: round %d global has %d params, want %d", t, len(rd.Global), p)
+		}
+		if err := checkShape(rd.Locals, n, p); err != nil {
+			return fmt.Errorf("persist: round %d locals: %w", t, err)
+		}
 		f.Rounds = append(f.Rounds, roundFile{
-			Global:       rd.Global,
-			Locals:       rd.Locals,
+			Global:       vector{data: rd.Global},
+			Locals:       matrix{rows: rd.Locals},
 			Selected:     rd.Selected,
 			TestLoss:     rd.TestLoss,
 			LearningRate: rd.LearningRate,
 		})
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(f)
+	if err := json.NewEncoder(w).Encode(f); err != nil {
+		return fmt.Errorf("persist: encoding run: %w", err)
+	}
+	return nil
 }
 
-// LoadRun reads a run previously written by SaveRun and validates its
-// internal consistency (model sizes, parameter lengths, selection indices,
-// dataset widths and labels), so every utility of the loaded run evaluates.
+// LoadRun reads a run written by SaveRun, of either format version, and
+// validates its internal consistency (model sizes, tensor shapes,
+// selection indices, dataset widths and labels), so every utility of the
+// loaded run evaluates.
 func LoadRun(r io.Reader) (*fl.Run, error) {
 	var f runFile
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("persist: decoding run: %w", err)
 	}
-	if f.Version != FormatVersion {
-		return nil, fmt.Errorf("persist: unsupported format version %d (want %d)", f.Version, FormatVersion)
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("persist: data after the run object")
 	}
+	if f.Version != FormatVersion && f.Version != formatV1 {
+		return nil, fmt.Errorf("persist: unsupported format version %d (want %d or %d)", f.Version, formatV1, FormatVersion)
+	}
+	blocks := f.Version == FormatVersion
 	m, err := f.Model.Build()
 	if err != nil {
 		return nil, err
 	}
-	test, err := f.Test.toDataset(f.Model)
+	test, err := f.Test.toDataset(f.Model, blocks)
 	if err != nil {
 		return nil, fmt.Errorf("persist: test set: %w", err)
 	}
-	run := &fl.Run{Model: m, Test: test, Final: f.Final}
+	p := m.NumParams()
+	final, err := f.Final.values(p, blocks)
+	if err != nil {
+		return nil, fmt.Errorf("persist: final model: %w", err)
+	}
+	run := &fl.Run{Model: m, Test: test, Final: final}
 	for i, cf := range f.Clients {
-		c, err := cf.toDataset(f.Model)
+		c, err := cf.toDataset(f.Model, blocks)
 		if err != nil {
 			return nil, fmt.Errorf("persist: client %d: %w", i, err)
 		}
 		run.Clients = append(run.Clients, c)
 	}
 	n := len(run.Clients)
-	p := m.NumParams()
-	if len(f.Final) != p {
-		return nil, fmt.Errorf("persist: final model has %d params, model wants %d", len(f.Final), p)
-	}
+	selectedIn := make([]int, n) // round+1 of a client's last selection
 	for t, rf := range f.Rounds {
-		if len(rf.Global) != p {
-			return nil, fmt.Errorf("persist: round %d global has %d params, want %d", t, len(rf.Global), p)
+		global, err := rf.Global.values(p, blocks)
+		if err != nil {
+			return nil, fmt.Errorf("persist: round %d global: %w", t, err)
 		}
-		if len(rf.Locals) != n {
-			return nil, fmt.Errorf("persist: round %d has %d locals, want %d", t, len(rf.Locals), n)
-		}
-		for i, l := range rf.Locals {
-			if len(l) != p {
-				return nil, fmt.Errorf("persist: round %d client %d has %d params, want %d", t, i, len(l), p)
-			}
+		locals, err := rf.Locals.shape(n, p, blocks)
+		if err != nil {
+			return nil, fmt.Errorf("persist: round %d locals: %w", t, err)
 		}
 		for _, s := range rf.Selected {
 			if s < 0 || s >= n {
 				return nil, fmt.Errorf("persist: round %d selects client %d of %d", t, s, n)
 			}
+			if selectedIn[s] == t+1 {
+				return nil, fmt.Errorf("persist: round %d selects client %d twice", t, s)
+			}
+			selectedIn[s] = t + 1
 		}
 		run.Rounds = append(run.Rounds, fl.Round{
-			Global:       rf.Global,
-			Locals:       rf.Locals,
+			Global:       global,
+			Locals:       locals,
 			Selected:     rf.Selected,
 			TestLoss:     rf.TestLoss,
 			LearningRate: rf.LearningRate,
@@ -247,7 +463,7 @@ type Report struct {
 
 // SaveReport writes a valuation report as JSON.
 func SaveReport(w io.Writer, rep *Report) error {
-	rep.Version = FormatVersion
+	rep.Version = reportVersion
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
@@ -259,7 +475,7 @@ func LoadReport(r io.Reader) (*Report, error) {
 	if err := json.NewDecoder(r).Decode(&rep); err != nil {
 		return nil, fmt.Errorf("persist: decoding report: %w", err)
 	}
-	if rep.Version != FormatVersion {
+	if rep.Version != reportVersion {
 		return nil, fmt.Errorf("persist: unsupported report version %d", rep.Version)
 	}
 	return &rep, nil

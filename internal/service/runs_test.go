@@ -609,6 +609,64 @@ func TestRunPersistsAndRecovers(t *testing.T) {
 	}
 }
 
+// TestV1TraceRecovers restarts a daemon on a run store holding only a
+// version-1 trace, as earlier releases wrote it, and requires a
+// run-backed job on it to report the same bytes as on its version-2
+// re-save.
+func TestV1TraceRecovers(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("..", "persist", "testdata", "trace-v1-logreg.run.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "run-v1"
+	v1Dir, v2Dir := t.TempDir(), t.TempDir()
+	if err := os.WriteFile(filepath.Join(v1Dir, id+".run.json"), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run, err := persist.LoadRun(bytes.NewReader(v1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2Store, err := persist.NewRunStore(v2Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v2Store.SaveRun(id, run); err != nil {
+		t.Fatal(err)
+	}
+
+	report := func(dir string) []byte {
+		t.Helper()
+		store, err := persist.NewRunStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := newManager(t, Config{Workers: 1, RunStore: store})
+		if rs, err := m.RunStatus(id); err != nil || rs.State != RunReady || !rs.Persisted {
+			t.Fatalf("recovered run %+v (%v), want ready and persisted", rs, err)
+		}
+		jid, err := m.Submit(Request{RunID: id, Options: tinyRequest(15).Options})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := waitTerminal(t, m, jid); s.State != StateDone {
+			t.Fatalf("job on recovered run finished %s (%s)", s.State, s.Error)
+		}
+		rep, err := m.Report(jid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if a, b := report(v1Dir), report(v2Dir); !bytes.Equal(a, b) {
+		t.Fatalf("report on the v1 trace\n%s\ndiffers from the one on its v2 re-save\n%s", a, b)
+	}
+}
+
 func TestCorruptRecoveredRunFailsJobs(t *testing.T) {
 	dir := t.TempDir()
 	runStore, err := persist.NewRunStore(dir)
