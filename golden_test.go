@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"comfedsv/internal/utility"
 )
 
 // goldenSum is the hex SHA-256 of b.
@@ -160,7 +162,9 @@ func TestGoldenReportsAndShardDigests(t *testing.T) {
 		t.Errorf("inline report differs from staged:\n%s\nvs\n%s", body, staged)
 	}
 
-	// The remote-worker payload for one lease.
+	// The remote-worker payload for one lease, in both wire formats: the
+	// format-1 cell objects it was first pinned as, and the format-2
+	// block a worker sends now.
 	obs, err := NewShardObserver(context.Background(), tr, 25, base.Seed, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -169,8 +173,16 @@ func TestGoldenReportsAndShardDigests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wireV1, _ := json.Marshal(struct {
+		N      int                    `json:"n"`
+		Cells  []utility.SnapshotCell `json:"cells"`
+		Digest string                 `json:"digest"`
+	}{payload.N, payload.Cells, payload.Digest})
+	if got, want := goldenSum(wireV1), "0823fb62731ee8d5dc173b8edd59d1b47eab7a1d4b4ebeb1de3ff3879a461ad4"; got != want {
+		t.Errorf("ObserveSlice format-1 payload sha256 %s, want %s\n%s", got, want, wireV1)
+	}
 	wire, _ := json.Marshal(payload)
-	if got, want := goldenSum(wire), "0823fb62731ee8d5dc173b8edd59d1b47eab7a1d4b4ebeb1de3ff3879a461ad4"; got != want {
+	if got, want := goldenSum(wire), "db6a6f9e42a924033572c462b02805f025c87b64f1b3f28aae16e87c7ac63e63"; got != want {
 		t.Errorf("ObserveSlice payload sha256 %s, want %s\n%s", got, want, wire)
 	}
 }

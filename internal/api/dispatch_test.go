@@ -7,7 +7,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -45,6 +48,12 @@ func dispatchDaemon(t *testing.T, runsDir string, coord *dispatch.Coordinator, c
 // for leases, hydrate the trace from the shared run store, evaluate the
 // leased permutation slice, and report its cells as one stamped batch.
 func runWorker(ctx context.Context, t *testing.T, base, id, runsDir string) {
+	runWorkerWith(ctx, t, base, id, runsDir, nil)
+}
+
+// runWorkerWith is runWorker reporting each shard through complete; nil
+// completes through the dispatch client.
+func runWorkerWith(ctx context.Context, t *testing.T, base, id, runsDir string, complete func(leaseID string, cells *utility.CellBatch) error) {
 	runs, err := persist.NewRunStore(runsDir)
 	if err != nil {
 		t.Errorf("worker %s: opening run store: %v", id, err)
@@ -56,6 +65,9 @@ func runWorker(ctx context.Context, t *testing.T, base, id, runsDir string) {
 			t.Errorf("worker %s: register: %v", id, err)
 		}
 		return
+	}
+	if complete == nil {
+		complete = func(leaseID string, cells *utility.CellBatch) error { return cl.Complete(ctx, leaseID, cells) }
 	}
 	observers := make(map[string]*comfedsv.ShardObserver)
 	for ctx.Err() == nil {
@@ -84,7 +96,7 @@ func runWorker(ctx context.Context, t *testing.T, base, id, runsDir string) {
 			cl.Fail(ctx, lease.ID, err.Error())
 			continue
 		}
-		if err := cl.Complete(ctx, lease.ID, cells); err != nil && ctx.Err() == nil {
+		if err := complete(lease.ID, cells); err != nil && ctx.Err() == nil {
 			t.Errorf("worker %s: complete: %v", id, err)
 		}
 	}
@@ -287,6 +299,110 @@ func TestDistributedObservationManyWorkersByteIdentical(t *testing.T) {
 	}
 	if st := coord.Stats(); st.LeasesCompleted != 3 || st.DigestMismatches != 0 {
 		t.Fatalf("stats after clean distributed run: %+v", st)
+	}
+}
+
+// TestV1WorkerCompletionAbsorbed pins the mixed-version deployment: a
+// coordinator receives completions whose cells are the format-1 array of
+// cell objects, as a worker built before the block encoding sends them.
+// It absorbs every batch, persists what it adds to the run's sidecar in
+// format 2, and serves a report byte-identical to local execution.
+func TestV1WorkerCompletionAbsorbed(t *testing.T) {
+	// bigJob's shards evaluate cells the job's FedSV stage has not, so
+	// the remote batches add to the cache and reach the sidecar.
+	const seed = 47
+	payload := bigJob(seed)
+
+	localTS := testDaemon(t, service.Config{Workers: 2, RunStore: mustRunStore(t, t.TempDir())})
+	localRun := registerRun(t, localTS.URL, payload)
+	localID := submitAndWait(t, localTS.URL, bigMCJobBody(t, localRun, seed))
+	code, want := getBody(t, localTS.URL+"/v1/jobs/"+localID+"/report")
+	if code != http.StatusOK {
+		t.Fatalf("GET local report: %d", code)
+	}
+
+	runsDir := t.TempDir()
+	coord := dispatch.NewCoordinator(dispatch.Config{LeaseTTL: time.Minute, WorkerTTL: time.Hour})
+	ts := dispatchDaemon(t, runsDir, coord, service.Config{Workers: 2})
+	runID := registerRun(t, ts.URL, payload)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var mu sync.Mutex
+	var sent []string // digests of the format-1 batches the coordinator took
+	completeV1 := func(leaseID string, cells *utility.CellBatch) error {
+		body, err := json.Marshal(map[string]any{
+			"lease_id": leaseID,
+			"cells": map[string]any{
+				"n":      cells.N,
+				"cells":  cells.Cells,
+				"digest": cells.Digest,
+			},
+		})
+		if err != nil {
+			return err
+		}
+		if !bytes.Contains(body, []byte(`"cells":[{`)) {
+			return fmt.Errorf("completion body is not format 1: %s", body)
+		}
+		resp, err := http.Post(ts.URL+"/v1/worker/complete", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return err
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			return fmt.Errorf("format-1 completion: %d", resp.StatusCode)
+		}
+		mu.Lock()
+		sent = append(sent, cells.Digest)
+		mu.Unlock()
+		return nil
+	}
+	go runWorkerWith(ctx, t, ts.URL, "v1", runsDir, completeV1)
+	deadline := time.Now().Add(10 * time.Second)
+	for !coord.HasLiveWorkers() {
+		if time.Now().After(deadline) {
+			t.Fatal("no worker registered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	id := submitAndWait(t, ts.URL, bigMCJobBody(t, runID, seed))
+	code, got := getBody(t, ts.URL+"/v1/jobs/"+id+"/report")
+	if code != http.StatusOK {
+		t.Fatalf("GET report: %d", code)
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatalf("report over format-1 completions differs from all-local execution:\n%s\nvs\n%s", got, want)
+	}
+	if st := coord.Stats(); st.LeasesCompleted != 3 || st.DigestMismatches != 0 {
+		t.Fatalf("stats after format-1 completions: %+v", st)
+	}
+
+	side, err := os.ReadFile(filepath.Join(runsDir, runID+".cells"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(side, []byte(`"cells":[`)) || !bytes.Contains(side, []byte(`"cells":"`)) {
+		t.Fatalf("sidecar is not all format 2:\n%s", side)
+	}
+	batches, err := mustRunStore(t, runsDir).ReadCells(runID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	persisted := make(map[string]bool)
+	for _, b := range batches {
+		persisted[b.Digest] = true
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(sent) != 3 {
+		t.Fatalf("worker sent %d batches, want one per shard", len(sent))
+	}
+	for _, d := range sent {
+		if !persisted[d] {
+			t.Fatalf("format-1 batch %s is not among the sidecar's %d batches", d, len(batches))
+		}
 	}
 }
 

@@ -43,9 +43,11 @@ func pinnedCells() []*utility.CellBatch {
 	return []*utility.CellBatch{small, wide}
 }
 
-// TestPinnedLogFormat reads a journal and a sidecar committed from the
-// previous writers back to their records, and requires that appending the
-// same records today produces byte-identical files.
+// TestPinnedLogFormat reads a journal and sidecars committed from earlier
+// writers back to their records, and requires that appending the same
+// records today produces byte-identical files: the journal as first
+// pinned, the sidecar in format 2. A test copy of the format-1 sidecar
+// writer must still reproduce the format-1 bytes.
 func TestPinnedLogFormat(t *testing.T) {
 	golden := func(name string) []byte {
 		b, err := os.ReadFile(filepath.Join("testdata", name))
@@ -84,30 +86,57 @@ func TestPinnedLogFormat(t *testing.T) {
 		t.Fatalf("re-appended journal differs from the pinned bytes:\n%s\nwant\n%s", got, want)
 	}
 
+	// The sidecar is pinned in both formats: run-golden.cells as the
+	// format-1 writer left it, run-golden-v2.cells as AppendCells writes
+	// it now. Both read back to the same batches.
 	pinnedRuns, err := NewRunStore("testdata")
 	if err != nil {
 		t.Fatal(err)
 	}
-	batches, err := pinnedRuns.ReadCells("run-golden")
-	if err != nil {
-		t.Fatal(err)
+	for _, id := range []string{"run-golden", "run-golden-v2"} {
+		batches, err := pinnedRuns.ReadCells(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := pinnedCells(); !reflect.DeepEqual(batches, want) {
+			t.Fatalf("pinned sidecar %s read as %+v, want %+v", id, batches, want)
+		}
 	}
-	if want := pinnedCells(); !reflect.DeepEqual(batches, want) {
-		t.Fatalf("pinned sidecar read as %+v, want %+v", batches, want)
+	if got, want := cellsV1(t, pinnedCells()), golden("run-golden.cells"); !bytes.Equal(got, want) {
+		t.Fatalf("format-1 writer differs from the pinned bytes:\n%s\nwant\n%s", got, want)
 	}
 	runs := newCellStore(t)
-	for i, b := range batches {
-		if err := runs.AppendCells("run-golden", b, []string{"merge", "extract"}[i], nil); err != nil {
+	for i, b := range pinnedCells() {
+		if err := runs.AppendCells("run-golden-v2", b, []string{"merge", "extract"}[i], nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err = os.ReadFile(filepath.Join(runs.Dir(), "run-golden.cells"))
+	got, err = os.ReadFile(filepath.Join(runs.Dir(), "run-golden-v2.cells"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := golden("run-golden.cells"); !bytes.Equal(got, want) {
-		t.Fatalf("re-appended sidecar differs from the pinned bytes:\n%s\nwant\n%s", got, want)
+	if want := golden("run-golden-v2.cells"); !bytes.Equal(got, want) {
+		t.Fatalf("appended sidecar differs from the pinned bytes:\n%s\nwant\n%s", got, want)
 	}
+}
+
+// cellsV1 is the format-1 sidecar writer: one JSON line per batch, with
+// its cells as an array of objects.
+func cellsV1(t testing.TB, batches []*utility.CellBatch) []byte {
+	t.Helper()
+	var out []byte
+	for _, b := range batches {
+		line, err := json.Marshal(struct {
+			N      int                    `json:"n"`
+			Cells  []utility.SnapshotCell `json:"cells"`
+			Digest string                 `json:"digest"`
+		}{b.N, b.Cells, b.Digest})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(append(out, line...), '\n')
+	}
+	return out
 }
 
 // FuzzReadLogs feeds arbitrary bytes to both durable log decoders. Neither

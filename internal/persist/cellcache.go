@@ -20,7 +20,8 @@ var ErrCorruptCellCache = errors.New("persist: corrupt cell cache")
 
 // Cell-cache sidecar suffixes. Each run may carry a `<runID>.cells` file
 // next to its trace: an append-only log of utility.CellBatch JSON lines,
-// the durable half of the run-scoped utility-cell cache.
+// the durable half of the run-scoped utility-cell cache. A sidecar begun
+// by an earlier release holds format-1 lines, which still read.
 const (
 	cellsSuffix        = ".cells"
 	cellsCorruptSuffix = ".cells.corrupt"
@@ -36,11 +37,12 @@ var cellsLog = appendLog{
 }
 
 // AppendCells durably appends one batch of evaluated cells to run id's
-// sidecar: marshal to a single JSON line, one write, fsync. The hook, if
-// non-nil, is consulted before and after the write (faultinject
-// OpCellsBefore / OpCellsAfter — the crash points of the sidecar chaos
-// sweep) with the given stage naming the flush boundary; pass nil in
-// production. An empty or nil batch is a no-op.
+// sidecar: marshal to a single JSON line (CellBatch's format 2, cells as
+// one base64 block), one write, fsync. The hook, if non-nil, is consulted
+// before and after the write (faultinject OpCellsBefore / OpCellsAfter —
+// the crash points of the sidecar chaos sweep) with the given stage naming
+// the flush boundary; pass nil in production. An empty or nil batch is a
+// no-op.
 func (s *RunStore) AppendCells(id string, b *utility.CellBatch, stage string, hook faultinject.Hook) error {
 	if b == nil || len(b.Cells) == 0 {
 		return nil
@@ -56,7 +58,7 @@ func (s *RunStore) AppendCells(id string, b *utility.CellBatch, stage string, ho
 // Batch digests are NOT verified here — the evaluator's Preload does that
 // against the run it actually serves.
 func (s *RunStore) ReadCells(id string) ([]*utility.CellBatch, error) {
-	batches, err := readLines[*utility.CellBatch](s.keyed, cellsLog, id)
+	batches, err := readLines(s.keyed, cellsLog, id, decodeBatch)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
@@ -88,6 +90,14 @@ func (s *RunStore) PreloadCells(id string, install func(*utility.CellBatch) (int
 		dst = "(rename failed: " + qerr.Error() + ")"
 	}
 	return added, fmt.Errorf("persist: cell cache quarantined to %s: %w", dst, err)
+}
+
+// decodeBatch decodes one sidecar line. The batch's own decoder checks the
+// whole line, so it runs once over the bytes rather than under a second,
+// generic JSON pass.
+func decodeBatch(line []byte) (*utility.CellBatch, error) {
+	b := new(utility.CellBatch)
+	return b, b.UnmarshalJSON(line)
 }
 
 // HasCells reports whether a cell-cache sidecar exists for run id.

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"comfedsv/internal/faultinject"
+	"comfedsv/internal/rng"
 	"comfedsv/internal/utility"
 )
 
@@ -62,6 +64,34 @@ func TestCellCacheRoundTrip(t *testing.T) {
 	}
 	if got[0].Cells[0].Value != 0.5 || got[1].Cells[1].Value != 1.5 {
 		t.Fatal("cell values diverged across the round trip")
+	}
+}
+
+// TestCellCacheAppendsAfterFormat1 pins the upgrade path: a sidecar an
+// older daemon wrote in format 1 keeps growing in format 2, and reads
+// back whole, in order, with every batch verifying.
+func TestCellCacheAppendsAfterFormat1(t *testing.T) {
+	store := newCellStore(t)
+	const id = "run-0123456789abcdef"
+	old := pinnedCells()
+	if err := os.WriteFile(filepath.Join(store.Dir(), id+cellsSuffix), cellsV1(t, old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b := cellBatch(t, 4, utility.SnapshotCell{Round: 5, Mask: 0b1001, Value: 0.75})
+	if err := store.AppendCells(id, b, "merge", nil); err != nil {
+		t.Fatal(err)
+	}
+	got, err := store.ReadCells(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append(old, b); !reflect.DeepEqual(got, want) {
+		t.Fatalf("mixed sidecar read as %+v, want %+v", got, want)
+	}
+	for i, b := range got {
+		if err := b.Verify(); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
 	}
 }
 
@@ -238,5 +268,63 @@ func TestAppendCellsHookStages(t *testing.T) {
 		if p.Stage != "extract" || p.JobID != id || p.Shard != -1 {
 			t.Fatalf("hook point %+v, want stage extract, job %s, shard -1", p, id)
 		}
+	}
+}
+
+// warmSidecar returns batches shaped like one run's cell sidecar in the
+// warm_mc benchmark workload: 5 batches of 2,720 distinct cells over 24
+// clients and 30 rounds.
+func warmSidecar() []*utility.CellBatch {
+	g := rng.New(5)
+	seen := make(map[[2]uint64]bool)
+	var out []*utility.CellBatch
+	for len(out) < 5 {
+		b := &utility.CellBatch{N: 24}
+		for len(b.Cells) < 2720 {
+			round, mask := g.Intn(30), uint64(g.Int63())&(1<<24-1)
+			if mask == 0 || seen[[2]uint64{uint64(round), mask}] {
+				continue
+			}
+			seen[[2]uint64{uint64(round), mask}] = true
+			b.Cells = append(b.Cells, utility.SnapshotCell{Round: round, Mask: mask, Value: g.Normal(1, 0.5)})
+		}
+		b.Stamp()
+		out = append(out, b)
+	}
+	return out
+}
+
+// BenchmarkReadCells decodes one run's sidecar written in each format:
+// v1 with cells as JSON objects, v2 (what AppendCells writes) with base64
+// blocks.
+func BenchmarkReadCells(b *testing.B) {
+	batches := warmSidecar()
+	store, err := NewRunStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(store.Dir(), "v1"+cellsSuffix), cellsV1(b, batches), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	for _, batch := range batches {
+		if err := store.AppendCells("v2", batch, "bench", nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, id := range []string{"v1", "v2"} {
+		b.Run(id, func(b *testing.B) {
+			info, err := os.Stat(filepath.Join(store.Dir(), id+cellsSuffix))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(info.Size())
+			b.ReportAllocs()
+			for b.Loop() {
+				got, err := store.ReadCells(id)
+				if err != nil || len(got) != len(batches) {
+					b.Fatalf("read %d batches, %v", len(got), err)
+				}
+			}
+		})
 	}
 }

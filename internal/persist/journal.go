@@ -133,7 +133,7 @@ func (j *Journal) Append(rec JournalRecord) error {
 // all returns (nil, nil): that is a process that died before its first
 // fsync — the job never durably existed — not corruption.
 func (s *JobStore) ReadJournal(id string) ([]JournalRecord, error) {
-	recs, err := readLines[JournalRecord](s.keyed, journalLog, id)
+	recs, err := readLines(s.keyed, journalLog, id, decodeStrict[JournalRecord])
 	if err != nil || len(recs) == 0 {
 		return nil, err
 	}

@@ -125,14 +125,18 @@ func (k keyed) saveRun(id string, run *fl.Run) error {
 	return k.writeFile(id, runSuffix, func(f *os.File) error { return SaveRun(f, run) })
 }
 
-// loadRun reads the training trace stored as id's run file.
+// loadRun reads the training trace stored as id's run file, whole: the
+// file size sizes the one read.
 func (k keyed) loadRun(id string) (*fl.Run, error) {
-	var run *fl.Run
-	err := k.readFile(id, runSuffix, func(f *os.File) (err error) {
-		run, err = LoadRun(f)
-		return err
-	})
-	return run, err
+	path, err := k.path(id, runSuffix)
+	if err != nil {
+		return nil, err
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("persist: %w", err)
+	}
+	return decodeRun(data)
 }
 
 // writeFile atomically writes id's file with the given suffix via temp
@@ -253,12 +257,12 @@ func fire(hook faultinject.Hook, pt faultinject.Point, op string) error {
 	return hook(pt)
 }
 
-// readLines strictly decodes id's log. Only newline-terminated lines are
-// durable records: a trailing fragment is the torn write of a dying
-// process and is dropped silently, while a complete line that does not
-// decode (or carries an unknown field) wraps the log's errCorrupt so the
-// caller can quarantine the file. A missing log returns the os error.
-func readLines[T any](k keyed, log appendLog, id string) ([]T, error) {
+// readLines decodes id's log, one record per line. Only
+// newline-terminated lines are durable records: a trailing fragment is the
+// torn write of a dying process and is dropped silently, while a complete
+// line that does not decode wraps the log's errCorrupt so the caller can
+// quarantine the file. A missing log returns the os error.
+func readLines[T any](k keyed, log appendLog, id string, decode func(line []byte) (T, error)) ([]T, error) {
 	path, err := k.path(id, log.suffix)
 	if err != nil {
 		return nil, err
@@ -273,15 +277,22 @@ func readLines[T any](k keyed, log appendLog, id string) ([]T, error) {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		var rec T
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&rec); err != nil {
+		rec, err := decode(line)
+		if err != nil {
 			return nil, fmt.Errorf("%w: %s line %d: %v", log.errCorrupt, id, lineNo+1, err)
 		}
 		recs = append(recs, rec)
 	}
 	return recs, nil
+}
+
+// decodeStrict decodes a line's JSON record, rejecting unknown fields.
+func decodeStrict[T any](line []byte) (T, error) {
+	var rec T
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&rec)
+	return rec, err
 }
 
 // quarantine renames id's log to its corrupt name so a damaged file stops

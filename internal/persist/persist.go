@@ -15,12 +15,14 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 
 	"comfedsv/internal/dataset"
@@ -386,15 +388,39 @@ func SaveRun(w io.Writer, run *fl.Run) error {
 // LoadRun reads a run written by SaveRun, of either format version, and
 // validates its internal consistency (model sizes, tensor shapes,
 // selection indices, dataset widths and labels), so every utility of the
-// loaded run evaluates.
+// loaded run evaluates. Only whitespace may follow the run object.
 func LoadRun(r io.Reader) (*fl.Run, error) {
-	var f runFile
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&f); err != nil {
-		return nil, fmt.Errorf("persist: decoding run: %w", err)
+	data, err := readWhole(r)
+	if err != nil {
+		return nil, fmt.Errorf("persist: reading run: %w", err)
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, fmt.Errorf("persist: data after the run object")
+	return decodeRun(data)
+}
+
+// readWhole reads r to its end into one buffer, sized up front when r
+// knows its length (a file, or an in-memory reader).
+func readWhole(r io.Reader) ([]byte, error) {
+	size := 0
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		size = v.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if info, err := v.Stat(); err == nil {
+			size = int(info.Size())
+		}
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
+// decodeRun is LoadRun over the whole trace in memory: one json.Unmarshal
+// decodes it without a streaming decoder's buffer copies, and rejects
+// anything but whitespace after the object.
+func decodeRun(data []byte) (*fl.Run, error) {
+	var f runFile
+	if err := json.Unmarshal(data, &f); err != nil {
+		return nil, fmt.Errorf("persist: decoding run: %w", err)
 	}
 	if f.Version != FormatVersion && f.Version != formatV1 {
 		return nil, fmt.Errorf("persist: unsupported format version %d (want %d or %d)", f.Version, formatV1, FormatVersion)

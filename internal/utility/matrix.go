@@ -38,16 +38,29 @@ type Evaluator struct {
 const evalShards = 64
 
 type evalShard struct {
-	mu       sync.Mutex
+	mu sync.Mutex
+	// cache holds the cells this evaluator computed; warm holds the cells
+	// Preload installed, so lookups served by a warm start are
+	// attributable. The two are disjoint.
 	cache    map[cellKey]float64
+	warm     map[cellKey]float64
 	inflight map[cellKey]chan struct{}
 	// pending lists the cells this stripe evaluated (not preloaded) since
 	// the last ExportNew drain — the delta the persistent cell cache
 	// appends.
 	pending []cellKey
-	// preloaded marks cells installed by Preload rather than evaluated
-	// here, so lookups served by a warm start are attributable.
-	preloaded map[cellKey]struct{}
+}
+
+// lookup returns a memoized cell's value and whether Preload installed
+// it. The caller holds sh.mu. A lookup in an empty map returns before
+// hashing, so an evaluator holding only one kind of cell pays one lookup
+// per hit.
+func (sh *evalShard) lookup(ck cellKey) (v float64, warm, ok bool) {
+	if v, ok = sh.cache[ck]; ok {
+		return v, false, true
+	}
+	v, ok = sh.warm[ck]
+	return v, ok, ok
 }
 
 // evalScratch is the per-goroutine reusable state of one cache-miss
@@ -114,9 +127,9 @@ func (e *Evaluator) WarmHits() int { return int(e.warmHits.Load()) }
 // performed. The batch's digest, universe, and every cell's coordinates
 // are validated before anything is installed — a bad batch changes
 // nothing and returns an error so the caller can quarantine its source.
-// Cells already cached (evaluated or preloaded) are skipped; the count of
-// newly installed cells is returned. Preloaded cells are never re-exported
-// by ExportNew.
+// Cells already cached (evaluated or preloaded) or being evaluated are
+// skipped; the count of newly installed cells is returned. Preloaded cells
+// are never re-exported by ExportNew.
 func (e *Evaluator) Preload(b *CellBatch) (int, error) {
 	if b == nil || len(b.Cells) == 0 {
 		return 0, nil
@@ -145,12 +158,13 @@ func (e *Evaluator) Preload(b *CellBatch) (int, error) {
 	for i, ck := range keys {
 		sh := &e.shards[ck.shard()]
 		sh.mu.Lock()
-		if _, ok := sh.cache[ck]; !ok {
-			sh.cache[ck] = b.Cells[i].Value
-			if sh.preloaded == nil {
-				sh.preloaded = make(map[cellKey]struct{})
+		// A cell being evaluated is skipped too: the evaluation installs
+		// it, so every cell is counted once, as a call or as preloaded.
+		if _, _, ok := sh.lookup(ck); !ok && sh.inflight[ck] == nil {
+			if sh.warm == nil {
+				sh.warm = make(map[cellKey]float64)
 			}
-			sh.preloaded[ck] = struct{}{}
+			sh.warm[ck] = b.Cells[i].Value
 			added++
 		}
 		sh.mu.Unlock()
@@ -205,11 +219,11 @@ func (e *Evaluator) utility(t int, s Set, ck cellKey) (float64, bool) {
 	sh := &e.shards[ck.shard()]
 	sh.mu.Lock()
 	for {
-		if v, ok := sh.cache[ck]; ok {
-			if _, warm := sh.preloaded[ck]; warm {
+		if v, warm, ok := sh.lookup(ck); ok {
+			sh.mu.Unlock()
+			if warm {
 				e.warmHits.Add(1)
 			}
-			sh.mu.Unlock()
 			e.hits.Add(1)
 			return v, false
 		}

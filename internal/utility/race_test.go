@@ -149,3 +149,56 @@ func TestUtilityBatchCancellation(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+// TestPreloadConcurrentWithLookups races Preload against lookups of the
+// same cells, as a coordinator absorbs a remote batch while other shards
+// observe; run with -race. Every cell ends up either evaluated or
+// preloaded, never both, and every lookup returns the serial value.
+func TestPreloadConcurrentWithLookups(t *testing.T) {
+	run := tinyRun(t, 5, 4, 2)
+	serial := NewEvaluator(run)
+	var cells []Cell
+	for round := 0; round < 4; round++ {
+		for mask := uint64(1); mask < 1<<5; mask++ {
+			cells = append(cells, Cell{Round: round, Subset: FromMask(5, mask)})
+		}
+	}
+	want := make([]float64, len(cells))
+	for i, c := range cells {
+		want[i] = serial.Utility(c.Round, c.Subset)
+	}
+	batch := serial.ExportNew()
+
+	e := NewEvaluator(run)
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			start.Wait()
+			if g == 0 {
+				if _, err := e.Preload(batch); err != nil {
+					t.Error(err)
+				}
+				return
+			}
+			for i := range cells {
+				j := (i + g*len(cells)/4) % len(cells)
+				if got := e.Utility(cells[j].Round, cells[j].Subset); got != want[j] {
+					t.Errorf("cell %d: concurrent %v, serial %v", j, got, want[j])
+					return
+				}
+			}
+		}(g)
+	}
+	start.Done()
+	wg.Wait()
+
+	if got := e.Calls() + e.Preloaded(); got != len(cells) {
+		t.Fatalf("Calls %d + Preloaded %d = %d, want %d distinct cells", e.Calls(), e.Preloaded(), got, len(cells))
+	}
+	if exp := e.ExportNew(); e.Calls() > 0 && (exp == nil || len(exp.Cells) != e.Calls()) {
+		t.Fatalf("ExportNew after %d evaluations returned %v", e.Calls(), exp)
+	}
+}

@@ -1,20 +1,26 @@
 package utility
 
 import (
+	"bytes"
+	"encoding/base64"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math"
 	"sort"
+	"strconv"
 )
 
-// SnapshotCell is one memoized utility-matrix entry in durable wire form:
-// the round, the coalition, and the evaluated value U_t(S). The coalition
-// is carried as the raw bitmask for universes of at most 64 clients and as
-// the lowercase-hex encoding of Set.Key's little-endian word bytes for
-// larger ones — within one evaluator the universe is fixed, so a batch
-// never mixes the two encodings.
+// SnapshotCell is one memoized utility-matrix entry: the round, the
+// coalition, and the evaluated value U_t(S). The coalition is carried as
+// the raw bitmask for universes of at most 64 clients and as the
+// lowercase-hex encoding of Set.Key's little-endian word bytes for larger
+// ones — within one evaluator the universe is fixed, so a batch never
+// mixes the two encodings. The JSON tags are the cell objects of a
+// format-1 batch, which CellBatch still reads.
 type SnapshotCell struct {
 	Round int     `json:"round"`
 	Mask  uint64  `json:"mask,omitempty"`
@@ -28,13 +34,21 @@ type SnapshotCell struct {
 // coalition) and Digest is an FNV-1a content hash over coordinates and
 // raw IEEE-754 value bits, so an import can verify a batch is exactly
 // what its producer evaluated before trusting a byte of it.
+//
+// Its JSON form (format 2) is {"n","cells","digest"}, where cells is one
+// string of standard base64 over fixed-width little-endian records: the
+// round as 8 bytes, the coalition's words (the mask for n ≤ 64, Set.Key's
+// bytes otherwise), then the value's IEEE-754 bits. A record is exactly
+// what the digest hashes for its cell. The decoder also reads format 1,
+// where cells is an array of SnapshotCell objects; it rejects unknown
+// fields in either.
 type CellBatch struct {
 	// N is the client universe size the cells were evaluated over; a
 	// preload checks it against the evaluator's run so a mis-addressed
 	// batch fails loudly.
-	N      int            `json:"n"`
-	Cells  []SnapshotCell `json:"cells"`
-	Digest string         `json:"digest"`
+	N      int
+	Cells  []SnapshotCell
+	Digest string
 }
 
 // keyBytes returns the coalition identity bytes a cell contributes to the
@@ -134,31 +148,20 @@ func snapshotKey(ck cellKey) (mask uint64, key string) {
 }
 
 // cellKeyOf validates a wire cell against a universe of n clients and
-// converts it back to the memo-table key. It rejects empty coalitions
-// (never cached — the empty set's utility is 0 by convention), masks with
-// bits beyond the universe, and keys of the wrong length or encoding.
+// converts it back to the memo-table key. Beyond the encoding checks of
+// appendCoalition it rejects empty coalitions (never cached — the empty
+// set's utility is 0 by convention) and bits beyond the universe, so a
+// corrupted coalition cannot alias a valid one.
 func cellKeyOf(n int, c *SnapshotCell) (cellKey, error) {
-	if n <= 64 {
-		if c.Key != "" {
-			return cellKey{}, fmt.Errorf("utility: cell carries an overflow key in a %d-client universe", n)
-		}
-		if c.Mask == 0 {
-			return cellKey{}, fmt.Errorf("utility: cell for the empty coalition")
-		}
-		if n < 64 && c.Mask>>uint(n) != 0 {
-			return cellKey{}, fmt.Errorf("utility: cell mask %#x exceeds universe %d", c.Mask, n)
-		}
-		return cellKey{t: c.Round, set: setKey{mask: c.Mask}}, nil
-	}
-	if c.Mask != 0 {
-		return cellKey{}, fmt.Errorf("utility: cell carries a bitmask in a %d-client universe", n)
-	}
-	raw, err := hex.DecodeString(c.Key)
+	var buf [8]byte
+	raw, err := appendCoalition(buf[:0], n, c)
 	if err != nil {
-		return cellKey{}, fmt.Errorf("utility: bad cell key: %w", err)
+		return cellKey{}, err
 	}
-	if len(raw) != 8*((n+63)/64) {
-		return cellKey{}, fmt.Errorf("utility: cell key is %d bytes, want %d for universe %d", len(raw), 8*((n+63)/64), n)
+	// Bits beyond the universe live in the last word.
+	last := binary.LittleEndian.Uint64(raw[len(raw)-8:])
+	if used := n % 64; (used != 0 || n == 0) && last>>uint(used) != 0 {
+		return cellKey{}, fmt.Errorf("utility: cell coalition has bits beyond universe %d", n)
 	}
 	empty := true
 	for _, by := range raw {
@@ -170,13 +173,167 @@ func cellKeyOf(n int, c *SnapshotCell) (cellKey, error) {
 	if empty {
 		return cellKey{}, fmt.Errorf("utility: cell for the empty coalition")
 	}
-	// Bits beyond the universe live in the last word; reject them so a
-	// corrupted key cannot alias a valid coalition.
-	if n%64 != 0 {
-		last := binary.LittleEndian.Uint64(raw[len(raw)-8:])
-		if last>>uint(n%64) != 0 {
-			return cellKey{}, fmt.Errorf("utility: cell key has bits beyond universe %d", n)
-		}
+	if n <= 64 {
+		return cellKey{t: c.Round, set: setKey{mask: c.Mask}}, nil
 	}
 	return cellKey{t: c.Round, set: setKey{str: string(raw)}}, nil
+}
+
+// cellEncoding is the base64 alphabet of a cell block. Strict decoding
+// admits one spelling per record sequence.
+var cellEncoding = base64.StdEncoding.Strict()
+
+// coalitionWords is the number of 64-bit coalition words a record of a
+// universe of n clients carries: the mask for n ≤ 64, Set.Key's words
+// otherwise.
+func coalitionWords(n int) int {
+	if n <= 64 {
+		return 1
+	}
+	return n/64 + min(n%64, 1)
+}
+
+// appendCoalition appends the record bytes of c's coalition in a universe
+// of n clients: the mask, or the key's bytes. It rejects a cell whose
+// coalition is not in the encoding of its universe (a key for n ≤ 64; a
+// mask, or anything but lowercase hex of the universe's width, above), so
+// every batch that encodes decodes back to the same cells.
+func appendCoalition(buf []byte, n int, c *SnapshotCell) ([]byte, error) {
+	if n <= 64 {
+		if c.Key != "" {
+			return nil, fmt.Errorf("utility: cell carries an overflow key in a %d-client universe", n)
+		}
+		return binary.LittleEndian.AppendUint64(buf, c.Mask), nil
+	}
+	if c.Mask != 0 {
+		return nil, fmt.Errorf("utility: cell carries a bitmask in a %d-client universe", n)
+	}
+	if len(c.Key) != 16*coalitionWords(n) {
+		return nil, fmt.Errorf("utility: cell key is %d hex digits, want %d for universe %d", len(c.Key), 16*coalitionWords(n), n)
+	}
+	for i := 0; i < len(c.Key); i++ {
+		if ch := c.Key[i]; (ch < '0' || ch > '9') && (ch < 'a' || ch > 'f') {
+			return nil, fmt.Errorf("utility: cell key is not lowercase hex")
+		}
+	}
+	return hex.AppendDecode(buf, []byte(c.Key))
+}
+
+// MarshalJSON writes the batch in format 2, its cells as one base64 block.
+// It rejects a cell whose coalition is not in the encoding of the batch's
+// universe and a non-finite value, which format 1 could not carry either.
+func (b CellBatch) MarshalJSON() ([]byte, error) {
+	block := make([]byte, 0, 24*len(b.Cells)) // the width of a mask record
+	for i := range b.Cells {
+		c := &b.Cells[i]
+		if math.IsNaN(c.Value) || math.IsInf(c.Value, 0) {
+			return nil, fmt.Errorf("utility: cell %d has non-finite value %v", i, c.Value)
+		}
+		block = binary.LittleEndian.AppendUint64(block, uint64(c.Round))
+		var err error
+		if block, err = appendCoalition(block, b.N, c); err != nil {
+			return nil, err
+		}
+		block = binary.LittleEndian.AppendUint64(block, math.Float64bits(c.Value))
+	}
+	digest, err := json.Marshal(b.Digest)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, 32+cellEncoding.EncodedLen(len(block))+len(digest))
+	out = append(out, `{"n":`...)
+	out = strconv.AppendInt(out, int64(b.N), 10)
+	out = append(out, `,"cells":"`...)
+	out = cellEncoding.AppendEncode(out, block)
+	out = append(out, `","digest":`...)
+	out = append(out, digest...)
+	return append(out, '}'), nil
+}
+
+// UnmarshalJSON reads a batch of either format. A format-2 block must be
+// strict base64 without escapes, hold whole records and only finite
+// values; a format-1 cell must encode its coalition as its universe
+// requires. Unknown fields are rejected in both.
+func (b *CellBatch) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		return nil
+	}
+	var w struct {
+		N      int             `json:"n"`
+		Cells  json.RawMessage `json:"cells"`
+		Digest string          `json:"digest"`
+	}
+	if err := strictUnmarshal(data, &w); err != nil {
+		return err
+	}
+	var cells []SnapshotCell
+	switch {
+	case len(w.Cells) > 0 && w.Cells[0] == '"':
+		var err error
+		if cells, err = decodeCellBlock(w.N, w.Cells[1:len(w.Cells)-1]); err != nil {
+			return err
+		}
+	case len(w.Cells) > 0 && w.Cells[0] == '[':
+		if err := strictUnmarshal(w.Cells, &cells); err != nil {
+			return err
+		}
+		var buf [8]byte
+		for i := range cells {
+			if _, err := appendCoalition(buf[:0], w.N, &cells[i]); err != nil {
+				return err
+			}
+		}
+	case len(w.Cells) > 0 && string(w.Cells) != "null":
+		return fmt.Errorf("utility: cells are neither a block nor an array")
+	}
+	*b = CellBatch{N: w.N, Cells: cells, Digest: w.Digest}
+	return nil
+}
+
+// strictUnmarshal decodes data, one JSON value, rejecting unknown fields
+// and anything but whitespace after the value.
+func strictUnmarshal(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("utility: data after the cell batch")
+	}
+	return nil
+}
+
+// decodeCellBlock decodes the records of a format-2 block over a universe
+// of n clients.
+func decodeCellBlock(n int, s []byte) ([]SnapshotCell, error) {
+	raw := make([]byte, cellEncoding.DecodedLen(len(s)))
+	m, err := cellEncoding.Decode(raw, s)
+	if err != nil {
+		return nil, fmt.Errorf("utility: cell block: %w", err)
+	}
+	words := coalitionWords(n)
+	width := 8 * (2 + words)
+	if m%width != 0 {
+		return nil, fmt.Errorf("utility: cell block of %d bytes is not whole %d-byte records", m, width)
+	}
+	if m == 0 {
+		return nil, nil
+	}
+	cells := make([]SnapshotCell, m/width)
+	for i := range cells {
+		rec := raw[i*width : (i+1)*width]
+		c := &cells[i]
+		c.Round = int(int64(binary.LittleEndian.Uint64(rec)))
+		if n <= 64 {
+			c.Mask = binary.LittleEndian.Uint64(rec[8:])
+		} else {
+			c.Key = hex.EncodeToString(rec[8 : width-8])
+		}
+		c.Value = math.Float64frombits(binary.LittleEndian.Uint64(rec[width-8:]))
+		if math.IsNaN(c.Value) || math.IsInf(c.Value, 0) {
+			return nil, fmt.Errorf("utility: cell %d has non-finite value %v", i, c.Value)
+		}
+	}
+	return cells, nil
 }

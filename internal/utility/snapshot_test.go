@@ -3,11 +3,14 @@ package utility
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"comfedsv/internal/dataset"
 	"comfedsv/internal/fl"
+	"comfedsv/internal/rng"
 )
 
 func TestCellBatchStampVerify(t *testing.T) {
@@ -188,6 +191,15 @@ func TestPreloadRejectsBadBatches(t *testing.T) {
 			t.Fatalf("%s: rejected batch still installed cells (added %d, preloaded %d)", tc.name, added, e.Preloaded())
 		}
 	}
+	// No coalition but the empty one exists in a universe of no clients.
+	empty := &fl.Run{Rounds: make([]fl.Round, 2)}
+	for _, mask := range []uint64{1, 1 << 63} {
+		b := &CellBatch{N: 0, Cells: []SnapshotCell{{Round: 0, Mask: mask, Value: 1}}}
+		b.Stamp()
+		if added, err := NewEvaluator(empty).Preload(b); err == nil {
+			t.Fatalf("mask %#x in an empty universe: preload added %d cells", mask, added)
+		}
+	}
 }
 
 // TestPreloadAtomicOnMixedBatch pins the all-or-nothing contract: a batch
@@ -296,12 +308,199 @@ func TestNewCellBatch(t *testing.T) {
 	}
 }
 
+// sameBatch reports whether a and b carry the same universe, digest and
+// cells, values compared by their bits.
+func sameBatch(a, b *CellBatch) bool {
+	if a.N != b.N || a.Digest != b.Digest || len(a.Cells) != len(b.Cells) {
+		return false
+	}
+	for i := range a.Cells {
+		x, y := a.Cells[i], b.Cells[i]
+		if x.Round != y.Round || x.Mask != y.Mask || x.Key != y.Key || math.Float64bits(x.Value) != math.Float64bits(y.Value) {
+			return false
+		}
+	}
+	return true
+}
+
+// marshalV1 is the format-1 encoding of a batch: its cells as objects.
+func marshalV1(t testing.TB, b *CellBatch) []byte {
+	t.Helper()
+	raw, err := json.Marshal(struct {
+		N      int            `json:"n"`
+		Cells  []SnapshotCell `json:"cells"`
+		Digest string         `json:"digest"`
+	}{b.N, b.Cells, b.Digest})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestCellBatchJSONRoundTrip requires that a batch written as a format-2
+// block, and as format 1, decodes to every cell bit for bit with its
+// digest, across mask and key universes and extreme values.
+func TestCellBatchJSONRoundTrip(t *testing.T) {
+	values := []float64{0.5, -1.0 / 3, math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, -math.MaxFloat64, 1e-300}
+	var batches []*CellBatch
+	for _, n := range []int{1, 4, 63, 64, 65, 70, 128, 130} {
+		var cells []Cell
+		var vals []float64
+		for r := 0; r < 3; r++ {
+			for i, v := range values {
+				s := FromMembers(n, []int{(i * 7) % n, (r + i*13) % n, n - 1})
+				cells = append(cells, Cell{Round: r, Subset: s})
+				vals = append(vals, v+float64(r))
+			}
+		}
+		// FromMembers repeats coalitions across values; keep one of each.
+		seen := map[string]bool{}
+		var uc []Cell
+		var uv []float64
+		for i, c := range cells {
+			k := fmt.Sprint(c.Round, c.Subset.Key())
+			if !seen[k] {
+				seen[k] = true
+				uc, uv = append(uc, c), append(uv, vals[i])
+			}
+		}
+		batches = append(batches, NewCellBatch(n, uc, uv))
+	}
+	// Verify is the preload's check, not the codec's: a batch that fails
+	// it still round-trips.
+	odd := &CellBatch{N: 4, Cells: []SnapshotCell{{Round: -1, Mask: 0, Value: 2}, {Round: 1 << 40, Mask: math.MaxUint64, Value: -0.0}}, Digest: "not a digest \"quoted\""}
+	batches = append(batches, odd, &CellBatch{N: 4}, &CellBatch{N: 1 << 40, Digest: "0000000000000000"})
+	for i, b := range batches {
+		raw, err := json.Marshal(b)
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		if !bytes.Contains(raw, []byte(`"cells":"`)) {
+			t.Fatalf("batch %d: %s is not a format-2 block", i, raw)
+		}
+		for _, enc := range [][]byte{raw, marshalV1(t, b)} {
+			var got CellBatch
+			if err := json.Unmarshal(enc, &got); err != nil {
+				t.Fatalf("batch %d: decoding %s: %v", i, enc, err)
+			}
+			if !sameBatch(&got, b) {
+				t.Fatalf("batch %d: %s decoded as %+v, want %+v", i, enc, got, *b)
+			}
+		}
+		if b.Digest != "" && b != odd && len(b.Cells) > 0 {
+			if err := b.Verify(); err != nil {
+				t.Fatalf("batch %d: %v", i, err)
+			}
+		}
+	}
+}
+
+// TestCellBatchJSONFormats pins both wire formats of the same batches:
+// literal format-1 and format-2 lines decode to the same cells, which
+// verify, and the format-2 literals are exactly what MarshalJSON writes.
+func TestCellBatchJSONFormats(t *testing.T) {
+	for _, tc := range []struct {
+		v1, v2 string
+		want   *CellBatch
+	}{
+		{
+			`{"n":4,"cells":[{"round":0,"mask":3,"value":0.5},{"round":1,"mask":1,"value":-0.25}],"digest":"91833f8be748ba56"}`,
+			`{"n":4,"cells":"AAAAAAAAAAADAAAAAAAAAAAAAAAAAOA/AQAAAAAAAAABAAAAAAAAAAAAAAAAANC/","digest":"91833f8be748ba56"}`,
+			&CellBatch{N: 4, Cells: []SnapshotCell{{Round: 0, Mask: 3, Value: 0.5}, {Round: 1, Mask: 1, Value: -0.25}}, Digest: "91833f8be748ba56"},
+		},
+		{
+			`{"n":70,"cells":[{"round":0,"key":"01000000000000000200000000000000","value":1},{"round":1,"key":"00000000000000002000000000000000","value":2}],"digest":"b399b23ba8c3ac96"}`,
+			`{"n":70,"cells":"AAAAAAAAAAABAAAAAAAAAAIAAAAAAAAAAAAAAAAA8D8BAAAAAAAAAAAAAAAAAAAAIAAAAAAAAAAAAAAAAAAAQA==","digest":"b399b23ba8c3ac96"}`,
+			&CellBatch{N: 70, Cells: []SnapshotCell{{Round: 0, Key: "01000000000000000200000000000000", Value: 1}, {Round: 1, Key: "00000000000000002000000000000000", Value: 2}}, Digest: "b399b23ba8c3ac96"},
+		},
+	} {
+		for _, raw := range []string{tc.v1, tc.v2} {
+			var got CellBatch
+			if err := json.Unmarshal([]byte(raw), &got); err != nil {
+				t.Fatalf("%s: %v", raw, err)
+			}
+			if !sameBatch(&got, tc.want) {
+				t.Fatalf("%s decoded as %+v, want %+v", raw, got, *tc.want)
+			}
+			if err := got.Verify(); err != nil {
+				t.Fatalf("%s: %v", raw, err)
+			}
+		}
+		if out, err := json.Marshal(tc.want); err != nil || string(out) != tc.v2 {
+			t.Fatalf("MarshalJSON = %s, %v; want %s", out, err, tc.v2)
+		}
+	}
+	for _, raw := range []string{`{"n":4,"digest":""}`, `{"n":4,"cells":null,"digest":""}`, `{"n":4,"cells":"","digest":""}`, `{"n":4,"cells":[],"digest":""}`} {
+		var got CellBatch
+		if err := json.Unmarshal([]byte(raw), &got); err != nil || got.N != 4 || len(got.Cells) != 0 {
+			t.Fatalf("%s decoded as %+v, %v; want an empty batch", raw, got, err)
+		}
+	}
+}
+
+// TestCellBatchDecodeRejects pins what the decoder refuses in either
+// format, so a damaged sidecar line or completion body never becomes a
+// batch.
+func TestCellBatchDecodeRejects(t *testing.T) {
+	for _, tc := range []struct{ name, raw string }{
+		{"block one byte short", `{"n":4,"cells":"AAAAAAAAAAADAAAAAAAAAAAAAAAAAOA/AQAAAAAAAAABAAAAAAAAAAAAAAAAANA=","digest":"b7ed20534d0995ed"}`},
+		{"block one byte long", `{"n":4,"cells":"AAAAAAAAAAADAAAAAAAAAAAAAAAAAOA/AA==","digest":""}`},
+		{"key records in a mask universe", `{"n":4,"cells":"AAAAAAAAAAABAAAAAAAAAAIAAAAAAAAAAAAAAAAA8D8=","digest":""}`},
+		{"invalid base64", `{"n":4,"cells":"AAAA*AAAAAADAAAAAAAAAAAAAAAAAOA/","digest":""}`},
+		{"unpadded base64", `{"n":70,"cells":"AAAAAAAAAAABAAAAAAAAAAIAAAAAAAAAAAAAAAAA8D8","digest":""}`},
+		{"non-zero padding bits", `{"n":70,"cells":"AAAAAAAAAAABAAAAAAAAAAIAAAAAAAAAAAAAAAAA8D9=","digest":""}`},
+		{"escaped base64", `{"n":4,"cells":"AAAAAAAAAAADAAAAAAAAAAAAAAAAAOA\/","digest":""}`},
+		{"NaN value", `{"n":4,"cells":"AAAAAAAAAAADAAAAAAAAAAEAAAAAAPh/","digest":"f2dfa1a820de863e"}`},
+		{"+Inf value", `{"n":4,"cells":"AAAAAAAAAAADAAAAAAAAAAAAAAAAAPB/","digest":"ce7a909f1155a9b7"}`},
+		{"-Inf value", `{"n":4,"cells":"AAAAAAAAAAADAAAAAAAAAAAAAAAAAPD/","digest":"ce7a109f1154d037"}`},
+		{"unknown field", `{"n":4,"cells":"AAAAAAAAAAADAAAAAAAAAAAAAAAAAOA/","digest":"","extra":true}`},
+		{"cells a number", `{"n":4,"cells":5,"digest":""}`},
+		{"cells an object", `{"n":4,"cells":{},"digest":""}`},
+		{"v1 unknown field", `{"n":4,"cells":[],"digest":"","extra":true}`},
+		{"v1 unknown cell field", `{"n":4,"cells":[{"round":0,"mask":1,"value":0.5,"col":1}],"digest":""}`},
+		{"v1 key in a mask universe", `{"n":4,"cells":[{"round":0,"key":"0100000000000000","value":0.5}],"digest":""}`},
+		{"v1 mask in a key universe", `{"n":70,"cells":[{"round":0,"mask":1,"value":0.5}],"digest":""}`},
+		{"v1 short key", `{"n":70,"cells":[{"round":0,"key":"0100000000000000","value":0.5}],"digest":""}`},
+		{"v1 uppercase key", `{"n":70,"cells":[{"round":0,"key":"0A000000000000000000000000000000","value":0.5}],"digest":""}`},
+		{"v1 non-hex key", `{"n":70,"cells":[{"round":0,"key":"0g000000000000000000000000000000","value":0.5}],"digest":""}`},
+		{"trailing data", `{"n":4,"cells":"","digest":""} {}`},
+	} {
+		// The sidecar reader calls UnmarshalJSON on a whole line, without
+		// encoding/json's own check of the value around it.
+		var b, direct CellBatch
+		if err := json.Unmarshal([]byte(tc.raw), &b); err == nil {
+			t.Errorf("%s: decoded as %+v, want an error", tc.name, b)
+		}
+		if err := direct.UnmarshalJSON([]byte(tc.raw)); err == nil {
+			t.Errorf("%s: UnmarshalJSON decoded %+v, want an error", tc.name, direct)
+		}
+	}
+}
+
+// TestCellBatchMarshalRejects: a batch the decoder could not read back
+// exactly is not written.
+func TestCellBatchMarshalRejects(t *testing.T) {
+	for _, b := range []*CellBatch{
+		{N: 4, Cells: []SnapshotCell{{Round: 0, Mask: 1, Value: math.NaN()}}},
+		{N: 4, Cells: []SnapshotCell{{Round: 0, Mask: 1, Value: math.Inf(-1)}}},
+		{N: 4, Cells: []SnapshotCell{{Round: 0, Key: "0100000000000000", Value: 1}}},
+		{N: 70, Cells: []SnapshotCell{{Round: 0, Mask: 1, Value: 1}}},
+		{N: 70, Cells: []SnapshotCell{{Round: 0, Key: "0A000000000000000000000000000000", Value: 1}}},
+	} {
+		if raw, err := json.Marshal(b); err == nil {
+			t.Errorf("batch %+v marshalled as %s, want an error", *b, raw)
+		}
+	}
+}
+
 // FuzzCellBatchPreload drives the worker-completion trust boundary with
 // arbitrary bytes: a strict JSON decode (unknown fields rejected, as the
 // worker endpoints decode), Verify, then Preload into small evaluators of
 // 4 and 70 clients (the mask and the hex-key encodings). Nothing may
-// panic, a batch Verify rejects must not preload, and a rejected batch
-// must leave the evaluator's preloaded count unchanged.
+// panic, a batch that decodes must re-encode and decode to the same
+// cells, a batch Verify rejects must not preload, and a rejected batch
+// must leave the evaluator's preloaded count unchanged. Seeds cover both
+// wire formats.
 func FuzzCellBatchPreload(f *testing.F) {
 	valid := &CellBatch{N: 4, Cells: []SnapshotCell{{Round: 0, Mask: 0b11, Value: 0.5}, {Round: 1, Mask: 0b1, Value: -0.25}}}
 	valid.Stamp()
@@ -314,6 +513,27 @@ func FuzzCellBatchPreload(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(raw)
+		f.Add(marshalV1(f, b))
+	}
+	for _, raw := range []string{
+		// Format 1, as older sidecars and workers wrote it.
+		`{"n":4,"cells":[{"round":0,"mask":3,"value":0.5},{"round":1,"mask":1,"value":-0.25}],"digest":"91833f8be748ba56"}`,
+		`{"n":70,"cells":[{"round":0,"key":"01000000000000000200000000000000","value":1},{"round":1,"key":"00000000000000002000000000000000","value":2}],"digest":"b399b23ba8c3ac96"}`,
+		`{"n":4,"cells":[{"round":0,"mask":1,"value":0.5},{"round":0,"mask":1,"value":0.7}],"digest":"0000000000000000"}`,
+		`{"n":4,"cells":[{"round":0,"mask":1,"value":0.5,"col":1}],"digest":""}`,
+		// Format 2: valid n=4 and n=70 batches, a block one byte short of
+		// a record, invalid base64, NaN and Inf values, cells out of
+		// order, and an unknown field.
+		`{"n":4,"cells":"AAAAAAAAAAADAAAAAAAAAAAAAAAAAOA/AQAAAAAAAAABAAAAAAAAAAAAAAAAANC/","digest":"91833f8be748ba56"}`,
+		`{"n":70,"cells":"AAAAAAAAAAABAAAAAAAAAAIAAAAAAAAAAAAAAAAA8D8BAAAAAAAAAAAAAAAAAAAAIAAAAAAAAAAAAAAAAAAAQA==","digest":"b399b23ba8c3ac96"}`,
+		`{"n":4,"cells":"AAAAAAAAAAADAAAAAAAAAAAAAAAAAOA/AQAAAAAAAAABAAAAAAAAAAAAAAAAANA=","digest":"b7ed20534d0995ed"}`,
+		`{"n":4,"cells":"AAAA*AAAAAADAAAAAAAAAAAAAAAAAOA/","digest":""}`,
+		`{"n":4,"cells":"AAAAAAAAAAADAAAAAAAAAAEAAAAAAPh/","digest":"f2dfa1a820de863e"}`,
+		`{"n":4,"cells":"AAAAAAAAAAADAAAAAAAAAAAAAAAAAPB/","digest":"ce7a909f1155a9b7"}`,
+		`{"n":4,"cells":"AQAAAAAAAAABAAAAAAAAAAAAAAAAANC/AAAAAAAAAAADAAAAAAAAAAAAAAAAAOA/","digest":"4e1f5a088e1e7a72"}`,
+		`{"n":4,"cells":"AAAAAAAAAAADAAAAAAAAAAAAAAAAAOA/AQAAAAAAAAABAAAAAAAAAAAAAAAAANC/","digest":"91833f8be748ba56","extra":true}`,
+	} {
+		f.Add([]byte(raw))
 	}
 	runs := []*fl.Run{
 		{Clients: make([]*dataset.Dataset, 4), Rounds: make([]fl.Round, 2)},
@@ -325,6 +545,14 @@ func FuzzCellBatchPreload(f *testing.F) {
 		b := new(CellBatch)
 		if err := dec.Decode(b); err != nil {
 			return
+		}
+		again, err := json.Marshal(b)
+		if err != nil {
+			t.Fatalf("decoded batch does not re-encode: %v", err)
+		}
+		var back CellBatch
+		if err := json.Unmarshal(again, &back); err != nil || !sameBatch(&back, b) {
+			t.Fatalf("batch %+v re-encoded as %s, decoded as %+v, %v", *b, again, back, err)
 		}
 		verr := b.Verify()
 		for _, run := range runs {
@@ -345,4 +573,44 @@ func FuzzCellBatchPreload(f *testing.F) {
 			}
 		}
 	})
+}
+
+// warmBatches returns batches shaped like one run's cell sidecar in the
+// warm_mc benchmark workload: 5 batches of 2,720 distinct cells over 24
+// clients and 30 rounds.
+func warmBatches() []*CellBatch {
+	g := rng.New(5)
+	seen := make(map[cellKey]bool)
+	var out []*CellBatch
+	for len(out) < 5 {
+		b := &CellBatch{N: 24}
+		for len(b.Cells) < 2720 {
+			ck := cellKey{t: g.Intn(30), set: setKey{mask: uint64(g.Int63()) & (1<<24 - 1)}}
+			if ck.set.mask == 0 || seen[ck] {
+				continue
+			}
+			seen[ck] = true
+			b.Cells = append(b.Cells, SnapshotCell{Round: ck.t, Mask: ck.set.mask, Value: g.Normal(1, 0.5)})
+		}
+		b.Stamp()
+		out = append(out, b)
+	}
+	return out
+}
+
+// BenchmarkPreload installs one run's worth of sidecar batches into a
+// fresh evaluator, Verify included.
+func BenchmarkPreload(b *testing.B) {
+	batches := warmBatches()
+	run := &fl.Run{Clients: make([]*dataset.Dataset, 24), Rounds: make([]fl.Round, 30)}
+	b.ReportAllocs()
+	for b.Loop() {
+		e := NewEvaluator(run)
+		for _, batch := range batches {
+			if _, err := e.Preload(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*5*2720), "ns/cell")
 }
