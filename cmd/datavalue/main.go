@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -70,7 +71,11 @@ func main() {
 	eval := utility.NewEvaluator(run)
 
 	if want["fedsv"] {
-		report.Methods["fedsv"] = shapley.FedSV(eval)
+		values, err := shapley.FedSVAutoCtx(context.Background(), eval, *seed, 0)
+		if err != nil {
+			fatal(err)
+		}
+		report.Methods["fedsv"] = values
 	}
 	if want["comfedsv"] {
 		values, err := comFedSV(eval, *rank, *samples, *seed)

@@ -12,7 +12,6 @@ import (
 	"comfedsv/internal/fl"
 	"comfedsv/internal/model"
 	"comfedsv/internal/persist"
-	"comfedsv/internal/utility"
 )
 
 func main() {
@@ -61,13 +60,6 @@ func main() {
 	}
 	fmt.Printf("final test loss %.4f, accuracy %.2f%%\n",
 		m.Loss(run.Final, testSet), 100*model.Accuracy(m, run.Final, testSet))
-
-	// Report how much of the utility matrix one pass observes.
-	eval := utility.NewEvaluator(run)
-	st := utility.NewStore(len(run.Rounds), run.NumClients())
-	utility.ObserveSelected(eval, st)
-	fmt.Printf("observed utility entries: %d over %d registered subsets (density %.3f)\n",
-		st.NumObserved(), st.NumColumns(), st.Density())
 
 	if *savePath != "" {
 		f, err := os.Create(*savePath)

@@ -89,9 +89,10 @@ type Options struct {
 	Seed int64
 	// Parallelism bounds the number of CPU-bound goroutines one valuation
 	// may use for its hot path — the ALS completion solves (factor rows
-	// and restarts) and the Monte-Carlo observation stage's test-loss
-	// evaluations. 0 means GOMAXPROCS. The computed values are
-	// bit-identical for every setting; only wall-clock time changes.
+	// and restarts) and the test-loss evaluations of FedSV, the exact
+	// plan's observation and the Monte-Carlo observation stage. 0 means
+	// GOMAXPROCS. The computed values are bit-identical for every
+	// setting; only wall-clock time changes.
 	Parallelism int
 	// Shards splits the Monte-Carlo observation stage into that many
 	// independently schedulable shards, each owning a disjoint slice of

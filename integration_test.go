@@ -6,6 +6,7 @@ package comfedsv
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -19,6 +20,17 @@ import (
 	"comfedsv/internal/shapley"
 	"comfedsv/internal/utility"
 )
+
+// exactFedSV is exact FedSV over a fresh evaluator on two workers,
+// failing the test on error.
+func exactFedSV(t *testing.T, run *fl.Run) []float64 {
+	t.Helper()
+	v, err := shapley.FedSVCtx(context.Background(), utility.NewEvaluator(run), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
 
 func integrationRun(t *testing.T) *fl.Run {
 	t.Helper()
@@ -60,7 +72,7 @@ func TestOfflinePipelineRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	check("fedsv", shapley.FedSV(utility.NewEvaluator(run)), shapley.FedSV(utility.NewEvaluator(loaded)))
+	check("fedsv", exactFedSV(t, run), exactFedSV(t, loaded))
 
 	comA, err := shapley.ComFedSVExact(utility.NewEvaluator(run), mc.DefaultConfig(3))
 	if err != nil {
@@ -86,29 +98,45 @@ func TestOfflinePipelineRoundTrip(t *testing.T) {
 }
 
 func TestUtilityPathsAgree(t *testing.T) {
-	// The memoized evaluator, the serial full matrix, the parallel full
-	// matrix, and the batch evaluator must all agree cell-for-cell.
+	// The run's direct utility, the serial and the parallel full matrix,
+	// the batch path on an evaluator and on a session, and the memoized
+	// single-cell lookup must all agree cell-for-cell, bit for bit.
 	run := integrationRun(t)
-	e := utility.NewEvaluator(run)
-	serial := utility.FullMatrix(e)
-	parallel := utility.ParallelFullMatrix(run, 3)
+	serial := utility.FullMatrix(utility.NewEvaluator(run), 1)
+	parallel := utility.FullMatrix(utility.NewEvaluator(run), 3)
 
 	n := run.NumClients()
 	var cells []utility.Cell
 	var want []float64
 	for tr := 0; tr < len(run.Rounds); tr++ {
 		for mask := uint64(1); mask < 1<<uint(n); mask += 7 { // sample cells
-			cells = append(cells, utility.Cell{Round: tr, Subset: utility.FromMask(n, mask)})
-			want = append(want, serial.At(tr, int(mask)))
+			s := utility.FromMask(n, mask)
+			cells = append(cells, utility.Cell{Round: tr, Subset: s})
+			want = append(want, run.Utility(tr, s.Members()))
 		}
 	}
-	got := utility.EvaluateBatch(run, cells, 4)
-	for i := range cells {
-		if math.Abs(got[i]-want[i]) > 1e-15 {
-			t.Fatalf("batch cell %d: %v vs %v", i, got[i], want[i])
+	e := utility.NewEvaluator(run)
+	for _, src := range []utility.Source{e, utility.NewEvaluator(run).NewSession()} {
+		got, err := src.UtilityBatchCtx(context.Background(), cells, 4)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if p := parallel.At(cells[i].Round, int(cells[i].Subset.Mask())); p != want[i] {
+		for i := range cells {
+			if got[i] != want[i] {
+				t.Fatalf("%T batch cell %d: %v vs %v", src, i, got[i], want[i])
+			}
+		}
+	}
+	for i, c := range cells {
+		col := int(c.Subset.Mask())
+		if s := serial.At(c.Round, col); s != want[i] {
+			t.Fatalf("serial cell %d: %v vs %v", i, s, want[i])
+		}
+		if p := parallel.At(c.Round, col); p != want[i] {
 			t.Fatalf("parallel cell %d: %v vs %v", i, p, want[i])
+		}
+		if m := e.Utility(c.Round, c.Subset); m != want[i] {
+			t.Fatalf("memoized cell %d: %v vs %v", i, m, want[i])
 		}
 	}
 }
@@ -138,9 +166,9 @@ func TestFedSVAdditivityAcrossRoundSplits(t *testing.T) {
 	firstHalf := &fl.Run{Model: run.Model, Test: run.Test, Clients: run.Clients, Rounds: run.Rounds[:3], Final: run.Final}
 	secondHalf := &fl.Run{Model: run.Model, Test: run.Test, Clients: run.Clients, Rounds: run.Rounds[3:], Final: run.Final}
 
-	whole := shapley.FedSV(utility.NewEvaluator(run))
-	a := shapley.FedSV(utility.NewEvaluator(firstHalf))
-	b := shapley.FedSV(utility.NewEvaluator(secondHalf))
+	whole := exactFedSV(t, run)
+	a := exactFedSV(t, firstHalf)
+	b := exactFedSV(t, secondHalf)
 	for i := range whole {
 		if math.Abs(whole[i]-(a[i]+b[i])) > 1e-9 {
 			t.Fatalf("additivity violated at client %d", i)

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -91,7 +92,10 @@ func TestTMCShapleyApproximatesFedSV(t *testing.T) {
 	// With no truncation and many samples, per-round TMC equals the exact
 	// per-round Shapley over the selected set — i.e. FedSV.
 	e := testEvaluator(t, 5, 3, 3, 307)
-	exact := shapley.FedSV(e)
+	exact, err := shapley.FedSVCtx(context.Background(), e, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, err := TMCShapley(e, TMCConfig{Samples: 500, TruncationTol: 0, Seed: 308})
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +155,10 @@ func TestGroupTestingBalancePerRound(t *testing.T) {
 func TestGroupTestingRoughlyTracksFedSV(t *testing.T) {
 	// With many tests the estimator should correlate with exact FedSV.
 	e := testEvaluator(t, 5, 3, 3, 315)
-	exact := shapley.FedSV(e)
+	exact, err := shapley.FedSVCtx(context.Background(), e, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, err := GroupTesting(e, GroupTestingConfig{Tests: 3000, Seed: 316})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"comfedsv/internal/baselines"
@@ -103,7 +104,11 @@ func Baselines(cfg BaselinesConfig) (*BaselinesResult, error) {
 		record("ground-truth", shapley.GroundTruth(gtEval), gtEval.Calls())
 
 		fedEval := utility.NewEvaluator(run)
-		record("fedsv", shapley.FedSV(fedEval), fedEval.Calls())
+		fedsv, err := shapley.FedSVCtx(context.Background(), fedEval, 0)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: baselines trial %d: %w", trial, err)
+		}
+		record("fedsv", fedsv, fedEval.Calls())
 
 		comEval := utility.NewEvaluator(run)
 		com, err := shapley.ComFedSVExact(comEval, mc.DefaultConfig(cfg.Rank))

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"comfedsv/internal/fl"
@@ -112,7 +113,10 @@ func Fairness(cfg FairnessConfig) (*FairnessResult, error) {
 		}
 		eval := utility.NewEvaluator(run)
 
-		fedsv := shapley.FedSV(eval)
+		fedsv, err := shapley.FedSVCtx(context.Background(), eval, 0)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: fairness trial %d: %w", trial, err)
+		}
 		com, err := shapley.ComFedSVExact(eval, mc.DefaultConfig(cfg.Rank))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fairness trial %d: %w", trial, err)

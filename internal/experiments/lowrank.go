@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"comfedsv/internal/fl"
 	"comfedsv/internal/mat"
 	"comfedsv/internal/mc"
+	"comfedsv/internal/shapley"
 	"comfedsv/internal/utility"
 )
 
@@ -57,7 +59,7 @@ func LowRank(cfg LowRankConfig) (*LowRankResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	full := utility.ParallelFullMatrix(eval.Run(), 0)
+	full := utility.FullMatrix(eval, 0)
 	sv := mat.SingularValues(full)
 	if cfg.TopK > 0 && cfg.TopK < len(sv) {
 		sv = sv[:cfg.TopK]
@@ -133,15 +135,17 @@ func RankImpact(cfg RankImpactConfig) ([]RankPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := eval.Run().NumClients()
 	t := len(eval.Run().Rounds)
 
-	full := utility.ParallelFullMatrix(eval.Run(), 0)
-	store := utility.NewStore(t, n)
-	for mask := uint64(1); mask < 1<<uint(n); mask++ {
-		store.ColumnOf(utility.FromMask(n, mask))
+	full := utility.FullMatrix(eval, 0)
+	plan, err := shapley.NewExactPlan(eval, mc.Config{})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: rank impact: %w", err)
 	}
-	utility.ObserveSelected(eval, store)
+	if err := plan.Observe(context.Background()); err != nil {
+		return nil, fmt.Errorf("experiments: rank impact: %w", err)
+	}
+	store := plan.Store()
 	entries := make([]mc.Entry, 0, store.NumObserved())
 	for _, o := range store.Observations() {
 		entries = append(entries, mc.Entry{Row: o.Row, Col: o.Col, Val: o.Val})

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"comfedsv/internal/dataset"
@@ -98,7 +99,10 @@ func NoisyData(cfg NoisyDataConfig) (*NoisyDataResult, error) {
 		eval := utility.NewEvaluator(run)
 
 		gt := shapley.GroundTruth(eval)
-		fedsv := shapley.FedSV(eval)
+		fedsv, err := shapley.FedSVCtx(context.Background(), eval, 0)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: noisy-data trial %d: %w", trial, err)
+		}
 		com, err := shapley.ComFedSVExact(eval, mc.DefaultConfig(cfg.Rank))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: noisy-data trial %d: %w", trial, err)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -114,7 +115,10 @@ func NoisyLabel(cfg NoisyLabelConfig) (*NoisyLabelResult, error) {
 			fedsvSamples = int(math.Ceil(math.Log(math.Max(float64(k), 2)))) + 1
 		}
 		fedsvEval := utility.NewEvaluator(run)
-		fedsv := shapley.FedSVMonteCarlo(fedsvEval, fedsvSamples, seed+2)
+		fedsv, err := shapley.FedSVMonteCarloCtx(context.Background(), fedsvEval, fedsvSamples, seed+2, 0)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: noisy-label at %.0f%%: %w", 100*part, err)
+		}
 
 		// ComFedSV (Algorithm 1).
 		mcSamples := cfg.MCSamples

@@ -56,7 +56,7 @@ func EpsRank(cfg EpsRankConfig) ([]EpsRankPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		full := utility.FullMatrix(eval)
+		full := utility.FullMatrix(eval, 0)
 		out = append(out, EpsRankPoint{
 			Rounds:  t,
 			EpsRank: mat.EpsRank(full, cfg.Eps),
@@ -139,7 +139,7 @@ func Theorem1(cfg Theorem1Config) (*Theorem1Result, error) {
 
 	// δ = ‖U − WHᵀ‖₁ over the full matrix (empty column excluded: both
 	// sides are 0 there by convention).
-	full := utility.FullMatrix(eval)
+	full := utility.FullMatrix(eval, 0)
 	t := len(run.Rounds)
 	n := cfg.NumClients
 	var delta float64

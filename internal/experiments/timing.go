@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -86,7 +87,9 @@ func Timing(cfg TimingConfig) ([]TimingPoint, error) {
 		fedsvSamples := int(math.Ceil(float64(k)*math.Log(math.Max(float64(k), 2)))) + 1
 		fedsvEval := utility.NewEvaluator(run)
 		start := time.Now()
-		shapley.FedSVMonteCarlo(fedsvEval, fedsvSamples, seed+2)
+		if _, err := shapley.FedSVMonteCarloCtx(context.Background(), fedsvEval, fedsvSamples, seed+2, 0); err != nil {
+			return nil, fmt.Errorf("experiments: timing FedSV at N=%d: %w", n, err)
+		}
 		fedsvSec := time.Since(start).Seconds()
 
 		// ComFedSV with M = 2·N·ln N permutations (Algorithm 1).

@@ -118,6 +118,33 @@ func TestJournalCompleteGarbageLineIsCorrupt(t *testing.T) {
 	}
 }
 
+func TestJournalTrailingDataIsCorrupt(t *testing.T) {
+	// A complete record followed by anything but whitespace on its line is
+	// not a record the journal wrote: corruption, not a valid submit.
+	for _, tc := range []struct {
+		tail    string
+		corrupt bool
+	}{
+		{" trailing garbage", true},
+		{` {"type":"task"}`, true},
+		{"}", true},
+		{" \t ", false},
+	} {
+		s := newTestStore(t)
+		line := `{"type":"submit","time":"2026-01-02T03:04:05Z","request":{"run_id":"run-abc"}}` + tc.tail + "\n"
+		if err := os.WriteFile(filepath.Join(s.Dir(), "job-tail.journal"), []byte(line), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := s.ReadJournal("job-tail")
+		if tc.corrupt && !errors.Is(err, ErrCorruptJournal) {
+			t.Fatalf("tail %q: want ErrCorruptJournal, got %d records, err %v", tc.tail, len(recs), err)
+		}
+		if !tc.corrupt && (err != nil || len(recs) != 1) {
+			t.Fatalf("tail %q: want 1 record, got %d, err %v", tc.tail, len(recs), err)
+		}
+	}
+}
+
 func TestJournalMissingSubmitIsCorrupt(t *testing.T) {
 	s := newTestStore(t)
 	j, err := s.OpenJournal("job-nosubmit", nil)

@@ -3,7 +3,9 @@ package persist
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -286,13 +288,19 @@ func readLines[T any](k keyed, log appendLog, id string, decode func(line []byte
 	return recs, nil
 }
 
-// decodeStrict decodes a line's JSON record, rejecting unknown fields.
+// decodeStrict decodes a line's JSON record, rejecting unknown fields and
+// anything but whitespace after the record.
 func decodeStrict[T any](line []byte) (T, error) {
 	var rec T
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
-	err := dec.Decode(&rec)
-	return rec, err
+	if err := dec.Decode(&rec); err != nil {
+		return rec, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return rec, errors.New("data after the record")
+	}
+	return rec, nil
 }
 
 // quarantine renames id's log to its corrupt name so a damaged file stops

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"context"
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
@@ -59,8 +60,14 @@ func TestRunRoundTrip(t *testing.T) {
 		}
 	}
 	// Valuations on the loaded run match the original exactly.
-	a := shapley.FedSV(utility.NewEvaluator(run))
-	b := shapley.FedSV(utility.NewEvaluator(loaded))
+	a, err := shapley.FedSVCtx(context.Background(), utility.NewEvaluator(run), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := shapley.FedSVCtx(context.Background(), utility.NewEvaluator(loaded), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range a {
 		if math.Abs(a[i]-b[i]) > 1e-12 {
 			t.Fatalf("FedSV after round-trip differs at %d: %v vs %v", i, a[i], b[i])

@@ -11,10 +11,11 @@ import (
 // GroundTruth computes the paper's "ground-truth" baseline: ComFedSV
 // evaluated on the *fully observed* utility matrix, i.e. the exact Shapley
 // value of the summed per-round utility U(S) = Σ_t U_t(S). Feasible only
-// for small N (it evaluates all 2^N−1 coalitions in every round).
+// for small N (it evaluates all 2^N−1 coalitions in every round, on
+// GOMAXPROCS goroutines).
 func GroundTruth(e utility.Source) []float64 {
 	n := e.Run().NumClients()
-	full := utility.FullMatrix(e)
+	full := utility.FullMatrix(e, 0)
 	_, cols := full.Dims()
 	summed := make([]float64, cols)
 	for t := range e.Run().Rounds {
@@ -45,7 +46,7 @@ func ComFedSVExact(e utility.Source, cfg mc.Config) (*ExactResult, error) {
 }
 
 // ComFedSVExactCtx is ComFedSVExact with cooperative cancellation, checked
-// at every observation-round boundary and between pipeline steps. The
+// before every observed cell's evaluation and between pipeline steps. The
 // matrix-completion solve itself is not interruptible but is bounded by
 // cfg.MaxIter. It drives an ExactPlan's stages serially; schedulers that
 // want to interleave the stages with other work use the plan directly.

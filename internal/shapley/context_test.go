@@ -14,7 +14,7 @@ func TestCtxVariantsCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := FedSVCtx(ctx, e); !errors.Is(err, context.Canceled) {
+	if _, err := FedSVCtx(ctx, e, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("FedSVCtx: %v, want context.Canceled", err)
 	}
 	if _, err := ComFedSVExactCtx(ctx, e, mc.DefaultConfig(3)); !errors.Is(err, context.Canceled) {
@@ -32,8 +32,8 @@ func TestCtxVariantsMatchPlain(t *testing.T) {
 	e := testEvaluator(t, 5, 4, 2, 62)
 	ctx := context.Background()
 
-	wantFed := FedSV(e)
-	gotFed, err := FedSVCtx(ctx, e)
+	wantFed := referenceFedSV(e)
+	gotFed, err := FedSVCtx(ctx, e, 2)
 	if err != nil || !reflect.DeepEqual(wantFed, gotFed) {
 		t.Fatalf("FedSVCtx diverges: %v / err %v", gotFed, err)
 	}

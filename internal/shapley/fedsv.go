@@ -3,128 +3,127 @@ package shapley
 import (
 	"context"
 	"fmt"
-	"math/bits"
+	"math"
 
 	"comfedsv/internal/rng"
 	"comfedsv/internal/utility"
 )
 
-// FedSV computes the federated Shapley value of Wang et al. (Definition 2):
-// in every round, the exact Shapley value over the *selected* clients only;
-// unselected clients receive zero for that round; the final value is the
-// per-round sum. Exact per-round enumeration requires |I_t| ≤ 20.
-func FedSV(e utility.Source) []float64 {
-	values, err := FedSVCtx(context.Background(), e)
+// FedSVCtx computes the federated Shapley value of Wang et al. (Definition
+// 2): in every round, the exact Shapley value over the *selected* clients
+// only; unselected clients receive zero for that round; the final value is
+// the per-round sum. It pays the exact observation region
+// (utility.SelectedCells) in one batch on at most workers goroutines (≤ 0
+// means GOMAXPROCS), checking ctx before every evaluation, then runs Exact
+// over each round's paid values. A round selecting more than 20 clients is
+// an error, not a panic, so services can fail one job rather than the
+// process; FedSVAutoCtx falls back to sampling instead.
+func FedSVCtx(ctx context.Context, e utility.Source, workers int) ([]float64, error) {
+	run := e.Run()
+	cells, err := utility.SelectedCells(run)
 	if err != nil {
-		// The background context never cancels, so this is the
-		// infeasible-selection error — panic to preserve the historical
-		// FedSV contract.
-		panic(err)
+		return nil, fmt.Errorf("shapley: exact FedSV: %w; use FedSVMonteCarloCtx", err)
 	}
-	return values
-}
-
-// FedSVCtx is FedSV with cooperative cancellation, checked before every
-// marginal-contribution term (a round costs up to 2^|I_t| of them). Unlike
-// FedSV it returns an error instead of panicking when a round's selection
-// is too large to enumerate, so services can fail one job rather than the
-// process.
-func FedSVCtx(ctx context.Context, e utility.Source) ([]float64, error) {
-	n := e.Run().NumClients()
-	values := make([]float64, n)
-	for t, rd := range e.Run().Rounds {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	vals, err := e.UtilityBatchCtx(ctx, cells, workers)
+	if err != nil {
+		return nil, err
+	}
+	values := make([]float64, run.NumClients())
+	for _, rd := range run.Rounds {
+		k := len(rd.Selected)
+		if k == 0 {
+			continue
 		}
-		sel := rd.Selected
-		k := len(sel)
-		if k > 20 {
-			return nil, fmt.Errorf("shapley: exact FedSV with %d selected clients is infeasible; use FedSVMonteCarlo", k)
-		}
-		bt := newBinomTable(k)
-		// u over bitmasks of positions within sel.
-		u := func(mask uint64) float64 {
+		// The round's cells come next in mask order: u[mask-1] = U_t(mask).
+		u := vals[:1<<uint(k)-1]
+		vals = vals[len(u):]
+		phi := Exact(k, func(mask uint64) float64 {
 			if mask == 0 {
 				return 0
 			}
-			s := utility.NewSet(n)
-			for b := 0; b < k; b++ {
-				if mask&(1<<uint(b)) != 0 {
-					s.Add(sel[b])
-				}
-			}
-			return e.Utility(t, s)
-		}
-		full := uint64(1)<<uint(k) - 1
-		for pos, client := range sel {
-			bit := uint64(1) << uint(pos)
-			rest := full &^ bit
-			var total float64
-			for sub := uint64(0); ; sub = (sub - rest) & rest {
-				// Per-subset check: one round over a large selection can
-				// cost 2^k utility evaluations, far too long between
-				// round-boundary checks.
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				size := bits.OnesCount64(sub)
-				w := 1 / (float64(k) * bt.choose(k-1, size))
-				total += w * (u(sub|bit) - u(sub))
-				if sub == rest {
-					break
-				}
-			}
-			values[client] += total
+			return u[mask-1]
+		})
+		for pos, client := range rd.Selected {
+			values[client] += phi[pos]
 		}
 	}
 	return values, nil
 }
 
-// FedSVMonteCarlo estimates FedSV with samples random permutations of the
-// selected set per round — the estimator the paper's Section VII-D costs at
-// O(T·K²·log K) utility calls. Required when |I_t| is too large for exact
-// enumeration (e.g. the 100-client noisy-label experiment).
-func FedSVMonteCarlo(e utility.Source, samples int, seed int64) []float64 {
-	values, err := FedSVMonteCarloCtx(context.Background(), e, samples, seed)
-	if err != nil {
-		// The background context never cancels, so this is the bad sample
-		// count — panic to preserve the historical contract.
-		panic(err)
-	}
-	return values
-}
-
-// FedSVMonteCarloCtx is FedSVMonteCarlo with cooperative cancellation,
-// checked once per sampled permutation, and an error instead of a panic for
-// a non-positive sample count. The permutation stream is a pure function of
-// the seed, so cancellation never changes the values a finished call
-// returns.
-func FedSVMonteCarloCtx(ctx context.Context, e utility.Source, samples int, seed int64) ([]float64, error) {
+// FedSVMonteCarloCtx estimates FedSV with samples random permutations of
+// the selected set per round — the estimator the paper's Section VII-D
+// costs at O(T·K²·log K) utility calls, required when |I_t| is too large
+// for exact enumeration (e.g. the 100-client noisy-label experiment). Each
+// round draws its permutations from the seeded stream, pays the round's
+// distinct prefix cells in one batch on at most workers goroutines (≤ 0
+// means GOMAXPROCS), then sums the marginals in permutation order, so the
+// values are a pure function of the seed whatever the worker count.
+// Cancellation is checked at every round and before every evaluation.
+func FedSVMonteCarloCtx(ctx context.Context, e utility.Source, samples int, seed int64, workers int) ([]float64, error) {
 	if samples <= 0 {
 		return nil, fmt.Errorf("shapley: non-positive sample count %d", samples)
 	}
 	n := e.Run().NumClients()
 	g := rng.New(seed)
 	values := make([]float64, n)
+	inv := 1 / float64(samples)
 	for t, rd := range e.Run().Rounds {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		sel := rd.Selected
 		k := len(sel)
-		inv := 1 / float64(samples)
-		for m := 0; m < samples; m++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			order := g.Perm(k)
+		orders := make([][]int, samples)
+		at := make([]int, 0, samples*k) // cell index of each visited prefix
+		index := make(map[string]int)
+		var cells []utility.Cell
+		for m := range orders {
+			orders[m] = g.Perm(k)
 			prefix := utility.NewSet(n)
+			for _, pos := range orders[m] {
+				prefix = prefix.With(sel[pos])
+				key := prefix.Key()
+				i, ok := index[key]
+				if !ok {
+					i = len(cells)
+					index[key] = i
+					cells = append(cells, utility.Cell{Round: t, Subset: prefix})
+				}
+				at = append(at, i)
+			}
+		}
+		vals, err := e.UtilityBatchCtx(ctx, cells, workers)
+		if err != nil {
+			return nil, err
+		}
+		for _, order := range orders {
 			prev := 0.0
 			for _, pos := range order {
-				client := sel[pos]
-				prefix.Add(client)
-				cur := e.Utility(t, prefix)
-				values[client] += inv * (cur - prev)
+				cur := vals[at[0]]
+				at = at[1:]
+				values[sel[pos]] += inv * (cur - prev)
 				prev = cur
 			}
 		}
 	}
 	return values, nil
+}
+
+// FedSVAutoCtx computes the FedSV baseline a valuation reports: exact
+// (FedSVCtx) when every round selects at most 20 clients, otherwise the
+// sampled-permutation estimator (FedSVMonteCarloCtx) with ⌈K·ln K⌉+1
+// permutations per round for the largest selection K — the paper's
+// O(T·K²·log K) cost — seeded by seed. A full-participation warm-up round
+// in a large federation thus degrades the baseline to an estimate instead
+// of failing, and the values stay a pure function of the trace and seed.
+func FedSVAutoCtx(ctx context.Context, e utility.Source, seed int64, workers int) ([]float64, error) {
+	maxSel := 0
+	for _, rd := range e.Run().Rounds {
+		maxSel = max(maxSel, len(rd.Selected))
+	}
+	if maxSel <= 20 {
+		return FedSVCtx(ctx, e, workers)
+	}
+	samples := int(math.Ceil(float64(maxSel)*math.Log(float64(maxSel)))) + 1
+	return FedSVMonteCarloCtx(ctx, e, samples, seed, workers)
 }

@@ -29,9 +29,19 @@ func testEvaluator(t *testing.T, clients, rounds, perRound int, seed int64) *uti
 	return utility.NewEvaluator(run)
 }
 
+// fedsv is exact FedSV on one worker, failing the test on error.
+func fedsv(t *testing.T, e utility.Source) []float64 {
+	t.Helper()
+	v, err := FedSVCtx(context.Background(), e, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 func TestFedSVLength(t *testing.T) {
 	e := testEvaluator(t, 5, 4, 2, 31)
-	v := FedSV(e)
+	v := fedsv(t, e)
 	if len(v) != 5 {
 		t.Fatalf("FedSV length %d, want 5", len(v))
 	}
@@ -41,7 +51,7 @@ func TestFedSVFullSelectionEqualsExactShapley(t *testing.T) {
 	// With every client selected every round, FedSV is the exact Shapley
 	// value of the per-round-summed utility (the classical SV).
 	e := testEvaluator(t, 4, 3, 4, 33)
-	v := FedSV(e)
+	v := fedsv(t, e)
 	gt := GroundTruth(e)
 	for i := range v {
 		if math.Abs(v[i]-gt[i]) > 1e-9 {
@@ -65,7 +75,7 @@ func TestFedSVUnselectedGetZeroPerRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := utility.NewEvaluator(run)
-	v := FedSV(e)
+	v := fedsv(t, e)
 	selected := map[int]bool{}
 	for _, c := range run.Rounds[0].Selected {
 		selected[c] = true
@@ -79,27 +89,42 @@ func TestFedSVUnselectedGetZeroPerRound(t *testing.T) {
 
 func TestFedSVPerRoundBalance(t *testing.T) {
 	// Balance within each round: Σ_{i∈I_t} s_{t,i} = U_t(I_t). Summed over
-	// rounds: Σᵢ sᵢ = Σ_t U_t(I_t).
+	// rounds: Σᵢ sᵢ = Σ_t U_t(I_t). The sampled estimator balances too:
+	// each permutation's marginals telescope to U_t(I_t).
 	e := testEvaluator(t, 5, 4, 2, 37)
-	v := FedSV(e)
-	var sum float64
-	for _, x := range v {
-		sum += x
-	}
 	var want float64
 	n := e.Run().NumClients()
 	for tr, rd := range e.Run().Rounds {
 		want += e.Utility(tr, utility.FromMembers(n, rd.Selected))
 	}
-	if math.Abs(sum-want) > 1e-9 {
-		t.Fatalf("FedSV balance: Σv = %v, want %v", sum, want)
+	for _, tc := range []struct {
+		name     string
+		estimate func() ([]float64, error)
+	}{
+		{"exact", func() ([]float64, error) { return FedSVCtx(context.Background(), e, 2) }},
+		{"monte-carlo", func() ([]float64, error) { return FedSVMonteCarloCtx(context.Background(), e, 9, 38, 2) }},
+	} {
+		v, err := tc.estimate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum float64
+		for _, x := range v {
+			sum += x
+		}
+		if math.Abs(sum-want) > 1e-9 {
+			t.Fatalf("%s FedSV balance: Σv = %v, want %v", tc.name, sum, want)
+		}
 	}
 }
 
 func TestFedSVMonteCarloApproximatesExact(t *testing.T) {
 	e := testEvaluator(t, 5, 3, 3, 39)
-	exact := FedSV(e)
-	approx := FedSVMonteCarlo(e, 400, 40)
+	exact := fedsv(t, e)
+	approx, err := FedSVMonteCarloCtx(context.Background(), e, 400, 40, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range exact {
 		if math.Abs(exact[i]-approx[i]) > 0.05*(1+math.Abs(exact[i])) {
 			t.Fatalf("MC FedSV %v too far from exact %v at client %d", approx, exact, i)
@@ -109,8 +134,8 @@ func TestFedSVMonteCarloApproximatesExact(t *testing.T) {
 
 func TestFedSVMonteCarloCtxMatchesAndCancels(t *testing.T) {
 	e := testEvaluator(t, 5, 3, 3, 39)
-	want := FedSVMonteCarlo(e, 50, 40)
-	got, err := FedSVMonteCarloCtx(context.Background(), e, 50, 40)
+	want := referenceFedSVMonteCarlo(e, 50, 40)
+	got, err := FedSVMonteCarloCtx(context.Background(), e, 50, 40, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,22 +147,22 @@ func TestFedSVMonteCarloCtxMatchesAndCancels(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := FedSVMonteCarloCtx(ctx, e, 50, 40); err != context.Canceled {
+	if _, err := FedSVMonteCarloCtx(ctx, e, 50, 40, 2); err != context.Canceled {
 		t.Fatalf("cancelled FedSVMonteCarloCtx = %v, want context.Canceled", err)
-	}
-	if _, err := FedSVMonteCarloCtx(context.Background(), e, 0, 1); err == nil {
-		t.Fatal("non-positive samples accepted")
 	}
 }
 
-func TestFedSVMonteCarloBadSamplesPanics(t *testing.T) {
+func TestFedSVMonteCarloBadSamplesErrors(t *testing.T) {
 	e := testEvaluator(t, 3, 2, 2, 41)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	for _, samples := range []int{0, -3} {
+		v, err := FedSVMonteCarloCtx(context.Background(), e, samples, 1, 1)
+		if err == nil || v != nil {
+			t.Fatalf("samples=%d: values %v, err %v; want an error", samples, v, err)
 		}
-	}()
-	FedSVMonteCarlo(e, 0, 1)
+	}
+	if e.Calls() != 0 {
+		t.Fatalf("a rejected sample count paid %d utility calls", e.Calls())
+	}
 }
 
 func TestFedSVDuplicatedClientsSameRoundSameValue(t *testing.T) {
@@ -154,7 +179,7 @@ func TestFedSVDuplicatedClientsSameRoundSameValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := FedSV(utility.NewEvaluator(run))
+	v := fedsv(t, utility.NewEvaluator(run))
 	if math.Abs(v[0]-v[3]) > 1e-9 {
 		t.Fatalf("duplicates valued %v and %v in a full round", v[0], v[3])
 	}

@@ -512,14 +512,29 @@ func NewExactPlan(e utility.Source, cfg mc.Config) (*ExactPlan, error) {
 	return &ExactPlan{src: e, cfg: cfg, n: n, t: t, store: store}, nil
 }
 
-// Observe records the utilities of every subset of each round's selection.
+// Observe pays the utilities of every subset of each round's selection
+// (utility.SelectedCells) in one batch on cfg.Workers goroutines and
+// records them in list order.
 func (p *ExactPlan) Observe(ctx context.Context) error {
-	if err := utility.ObserveSelectedCtx(ctx, p.src, p.store); err != nil {
+	cells, err := utility.SelectedCells(p.src.Run())
+	if err != nil {
 		return err
+	}
+	vals, err := p.src.UtilityBatchCtx(ctx, cells, p.cfg.Workers)
+	if err != nil {
+		return err
+	}
+	for i, c := range cells {
+		p.store.Observe(c.Round, c.Subset, vals[i])
 	}
 	p.observed = true
 	return nil
 }
+
+// Store returns the plan's observation store: every subset column
+// registered in mask order (column index == mask−1) and, after Observe,
+// the exact observation region.
+func (p *ExactPlan) Store() *utility.Store { return p.store }
 
 // Complete solves the full completion problem (9) over the observations.
 func (p *ExactPlan) Complete(ctx context.Context) error {

@@ -369,11 +369,12 @@ func (st *Store) Density() float64 {
 }
 
 // FullMatrix materializes the complete utility matrix U ∈ R^{T×2^N} for a
-// small-N run (N ≤ 20), evaluating every nonempty subset in every round.
-// Column index is the subset bitmask; column 0 (empty set) is all zeros.
-// This is the ground-truth object of Example 2 / Fig. 2 and of the paper's
-// "ground-truth" baseline metric.
-func FullMatrix(e Source) *mat.Dense {
+// small-N run (N ≤ 20), paying every nonempty subset in every round through
+// the source's batch path — one batch per round, on at most workers
+// goroutines (≤ 0 means GOMAXPROCS). Column index is the subset bitmask;
+// column 0 (empty set) is all zeros. This is the ground-truth object of
+// Example 2 / Fig. 2 and of the paper's "ground-truth" baseline metric.
+func FullMatrix(e Source, workers int) *mat.Dense {
 	n := e.Run().NumClients()
 	if n > 20 {
 		panic(fmt.Sprintf("utility: full matrix for %d clients is infeasible", n))
@@ -381,51 +382,48 @@ func FullMatrix(e Source) *mat.Dense {
 	t := len(e.Run().Rounds)
 	cols := 1 << uint(n)
 	u := mat.NewDense(t, cols)
+	cells := make([]Cell, cols-1)
+	for i := range cells {
+		cells[i].Subset = FromMask(n, uint64(i+1))
+	}
 	for round := 0; round < t; round++ {
-		row := u.Row(round)
-		for mask := uint64(1); mask < uint64(cols); mask++ {
-			row[mask] = e.Utility(round, FromMask(n, mask))
+		for i := range cells {
+			cells[i].Round = round
 		}
+		// The background context never cancels, so the batch cannot fail.
+		vals, _ := e.UtilityBatchCtx(context.Background(), cells, workers)
+		copy(u.Row(round)[1:], vals)
 	}
 	return u
 }
 
-// ObserveSelected records the utilities of every subset of the selected
-// clients in every round — the "observed" region {U_{t,S} : S ⊆ I_t} that
-// the exact (non-sampled) formulation (9) uses. Only feasible for small
-// selection sizes.
-func ObserveSelected(e Source, st *Store) {
-	if err := ObserveSelectedCtx(context.Background(), e, st); err != nil {
-		// The background context never cancels, so this is the
-		// infeasible-selection error — panic to preserve the historical
-		// ObserveSelected contract.
-		panic(err)
-	}
-}
-
-// ObserveSelectedCtx is ObserveSelected with cooperative cancellation,
-// checked before every utility evaluation (a single round costs up to
-// 2^|I_t| of them). Unlike ObserveSelected it returns an error instead of
-// panicking for infeasible selection sizes.
-func ObserveSelectedCtx(ctx context.Context, e Source, st *Store) error {
-	for t, rd := range e.Run().Rounds {
-		sel := rd.Selected
-		k := len(sel)
+// SelectedCells lists the exact observation region {U_{t,S} : S ⊆ I_t} of
+// problem (9) — every nonempty subset of every round's selection — round by
+// round, each round's subsets in mask order over the positions in Selected
+// (bit b of the mask selects Selected[b]). It is the one enumeration both
+// exact FedSV and the exact ComFedSV observation pay. A round selecting more
+// than 20 clients makes the region infeasible to list.
+func SelectedCells(run *fl.Run) ([]Cell, error) {
+	total := 0
+	for _, rd := range run.Rounds {
+		k := len(rd.Selected)
 		if k > 20 {
-			return fmt.Errorf("utility: 2^%d subsets per round is infeasible", k)
+			return nil, fmt.Errorf("utility: 2^%d subsets per round is infeasible", k)
 		}
-		for mask := uint64(1); mask < 1<<uint(k); mask++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			s := NewSet(e.Run().NumClients())
-			for b := 0; b < k; b++ {
+		total += 1<<uint(k) - 1
+	}
+	n := run.NumClients()
+	cells := make([]Cell, 0, total)
+	for t, rd := range run.Rounds {
+		for mask := uint64(1); mask < 1<<uint(len(rd.Selected)); mask++ {
+			s := NewSet(n)
+			for b, client := range rd.Selected {
 				if mask&(1<<uint(b)) != 0 {
-					s.Add(sel[b])
+					s.Add(client)
 				}
 			}
-			st.Observe(t, s, e.Utility(t, s))
+			cells = append(cells, Cell{Round: t, Subset: s})
 		}
 	}
-	return nil
+	return cells, nil
 }

@@ -131,7 +131,7 @@ func TestStoreDensity(t *testing.T) {
 func TestFullMatrixShapeAndValues(t *testing.T) {
 	run := tinyRun(t, 4, 3, 2)
 	e := NewEvaluator(run)
-	u := FullMatrix(e)
+	u := FullMatrix(e, 2)
 	rows, cols := u.Dims()
 	if rows != 3 || cols != 16 {
 		t.Fatalf("full matrix %dx%d, want 3x16", rows, cols)
@@ -149,22 +149,39 @@ func TestFullMatrixShapeAndValues(t *testing.T) {
 	}
 }
 
-func TestObserveSelectedCoversSubsetsOfSelection(t *testing.T) {
+func TestSelectedCellsCoverSubsetsOfSelection(t *testing.T) {
 	run := tinyRun(t, 5, 4, 2)
-	e := NewEvaluator(run)
-	st := NewStore(4, 5)
-	ObserveSelected(e, st)
-	// Round 0 is full (5 clients): 31 subsets. Rounds 1–3: 3 subsets each.
-	want := 31 + 3*3
-	if st.NumObserved() != want {
-		t.Fatalf("observed %d entries, want %d", st.NumObserved(), want)
+	cells, err := SelectedCells(run)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Every observation must be a subset of its round's selection.
-	for _, o := range st.Observations() {
-		sel := FromMembers(5, run.Rounds[o.Row].Selected)
-		if !st.ColumnSet(o.Col).SubsetOf(sel) {
-			t.Fatalf("observation at round %d is not within the selection", o.Row)
+	// Round 0 is full (5 clients): 31 subsets. Rounds 1–3: 3 subsets each.
+	if want := 31 + 3*3; len(cells) != want {
+		t.Fatalf("listed %d cells, want %d", len(cells), want)
+	}
+	// Round by round, each round's subsets in mask order over the
+	// positions in Selected.
+	i := 0
+	for tr, rd := range run.Rounds {
+		for mask := uint64(1); mask < 1<<uint(len(rd.Selected)); mask++ {
+			var members []int
+			for b, client := range rd.Selected {
+				if mask&(1<<uint(b)) != 0 {
+					members = append(members, client)
+				}
+			}
+			if c := cells[i]; c.Round != tr || !c.Subset.Equal(FromMembers(5, members)) {
+				t.Fatalf("cell %d = round %d %v, want round %d %v", i, c.Round, c.Subset, tr, members)
+			}
+			i++
 		}
+	}
+}
+
+func TestSelectedCellsRejectsWideRound(t *testing.T) {
+	run := &fl.Run{Rounds: []fl.Round{{Selected: make([]int, 21)}}}
+	if _, err := SelectedCells(run); err == nil {
+		t.Fatal("a 21-client round was listed")
 	}
 }
 

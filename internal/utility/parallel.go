@@ -2,13 +2,9 @@ package utility
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"comfedsv/internal/fl"
-	"comfedsv/internal/mat"
 )
 
 // forEachIndex runs fn(i) for every i in [0, n) across at most workers
@@ -52,51 +48,6 @@ func forEachIndex(ctx context.Context, n, workers int, fn func(int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// ParallelFullMatrix materializes the complete utility matrix like
-// FullMatrix but distributes rounds across workers goroutines (0 means
-// GOMAXPROCS). Cells are independent — the run is read-only and the models
-// are pure functions of their parameters — so the result is bit-identical
-// to the serial version.
-func ParallelFullMatrix(run *fl.Run, workers int) *mat.Dense {
-	n := run.NumClients()
-	if n > 20 {
-		panic(fmt.Sprintf("utility: full matrix for %d clients is infeasible", n))
-	}
-	t := len(run.Rounds)
-	cols := 1 << uint(n)
-	u := mat.NewDense(t, cols)
-	forEachIndex(context.Background(), t, workers, func(round int) {
-		row := u.Row(round)
-		members := make([]int, 0, n)
-		for mask := uint64(1); mask < uint64(cols); mask++ {
-			members = members[:0]
-			for i := 0; i < n; i++ {
-				if mask&(1<<uint(i)) != 0 {
-					members = append(members, i)
-				}
-			}
-			row[mask] = run.Utility(round, members)
-		}
-	})
-	return u
-}
-
-// EvaluateBatch computes the utilities of the given (round, subset) cells
-// concurrently and returns them in input order. Like ParallelFullMatrix it
-// bypasses the Evaluator cache entirely; use it for large one-shot batches
-// where memoization would not pay off.
-func EvaluateBatch(run *fl.Run, cells []Cell, workers int) []float64 {
-	out := make([]float64, len(cells))
-	forEachIndex(context.Background(), len(cells), workers, func(i int) {
-		c := cells[i]
-		if c.Subset.IsEmpty() {
-			return // out[i] stays 0, the empty coalition's utility
-		}
-		out[i] = run.Utility(c.Round, c.Subset.Members())
-	})
-	return out
 }
 
 // Cell addresses one utility-matrix entry.

@@ -1,55 +1,76 @@
 package utility
 
 import (
+	"context"
 	"math"
 	"testing"
 )
 
+// TestParallelFullMatrixMatchesSerial pins FullMatrix's batch path, at
+// every worker count, against a serial per-cell loop that calls the run's
+// Utility directly, bypassing the evaluator: every cell agrees bit for bit.
 func TestParallelFullMatrixMatchesSerial(t *testing.T) {
 	run := tinyRun(t, 5, 4, 2)
-	serial := FullMatrix(NewEvaluator(run))
+	n := run.NumClients()
 	for _, workers := range []int{1, 2, 4, 0} {
-		parallel := ParallelFullMatrix(run, workers)
-		r1, c1 := serial.Dims()
-		r2, c2 := parallel.Dims()
-		if r1 != r2 || c1 != c2 {
-			t.Fatalf("shape mismatch %dx%d vs %dx%d", r1, c1, r2, c2)
+		parallel := FullMatrix(NewEvaluator(run), workers)
+		rows, cols := parallel.Dims()
+		if rows != len(run.Rounds) || cols != 1<<uint(n) {
+			t.Fatalf("workers=%d: shape %dx%d, want %dx%d", workers, rows, cols, len(run.Rounds), 1<<uint(n))
 		}
-		for i := 0; i < r1; i++ {
-			for j := 0; j < c1; j++ {
-				if serial.At(i, j) != parallel.At(i, j) {
-					t.Fatalf("workers=%d: cell (%d,%d) differs: %v vs %v",
-						workers, i, j, serial.At(i, j), parallel.At(i, j))
+		for i := 0; i < rows; i++ {
+			if parallel.At(i, 0) != 0 {
+				t.Fatalf("workers=%d: empty-set cell of round %d is %v", workers, i, parallel.At(i, 0))
+			}
+			for mask := 1; mask < cols; mask++ {
+				want := run.Utility(i, FromMask(n, uint64(mask)).Members())
+				if got := parallel.At(i, mask); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("workers=%d: cell (%d,%d) = %v, serial %v", workers, i, mask, got, want)
 				}
 			}
 		}
 	}
 }
 
+// TestEvaluateBatch checks UtilityBatchCtx, on an evaluator and on a
+// session, against direct run.Utility calls in input order, duplicates
+// and the empty coalition included.
 func TestEvaluateBatch(t *testing.T) {
 	run := tinyRun(t, 4, 3, 2)
-	e := NewEvaluator(run)
 	cells := []Cell{
 		{Round: 0, Subset: FromMembers(4, []int{0})},
 		{Round: 1, Subset: FromMembers(4, []int{1, 2})},
 		{Round: 2, Subset: NewSet(4)}, // empty → 0
 		{Round: 2, Subset: FromMembers(4, []int{0, 1, 2, 3})},
+		{Round: 1, Subset: FromMembers(4, []int{2, 1})}, // duplicate
 	}
-	got := EvaluateBatch(run, cells, 3)
-	if len(got) != len(cells) {
-		t.Fatalf("got %d results, want %d", len(got), len(cells))
-	}
-	for i, c := range cells {
-		want := e.Utility(c.Round, c.Subset)
-		if math.Abs(got[i]-want) > 1e-15 {
-			t.Fatalf("cell %d: %v, want %v", i, got[i], want)
+	for _, src := range []Source{NewEvaluator(run), NewEvaluator(run).NewSession()} {
+		got, err := src.UtilityBatchCtx(context.Background(), cells, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(cells) {
+			t.Fatalf("got %d results, want %d", len(got), len(cells))
+		}
+		for i, c := range cells {
+			want := 0.0
+			if !c.Subset.IsEmpty() {
+				want = run.Utility(c.Round, c.Subset.Members())
+			}
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("%T cell %d: %v, want %v", src, i, got[i], want)
+			}
+		}
+		if src.Calls() != 3 {
+			t.Fatalf("%T: %d distinct calls, want 3", src, src.Calls())
 		}
 	}
 }
 
 func TestEvaluateBatchEmptyInput(t *testing.T) {
 	run := tinyRun(t, 3, 2, 2)
-	if got := EvaluateBatch(run, nil, 2); len(got) != 0 {
-		t.Fatalf("expected empty result, got %v", got)
+	got, err := NewEvaluator(run).UtilityBatchCtx(context.Background(), nil, 2)
+	if err != nil || len(got) != 0 {
+		t.Fatalf("expected an empty result, got %v, err %v", got, err)
 	}
 }

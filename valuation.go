@@ -120,7 +120,7 @@ func (v *Valuation) Prepare(ctx context.Context) (int, error) {
 
 	v.emit(Progress{Stage: StageFedSV, Done: 0, Total: 1})
 	fedsvStart := time.Now()
-	fedsv, err := v.fedSV(ctx)
+	fedsv, err := shapley.FedSVAutoCtx(ctx, v.session, v.opts.Seed+2, v.opts.Parallelism)
 	if err != nil {
 		return 0, stageErr(ctx, "fedsv", err)
 	}
@@ -154,29 +154,6 @@ func (v *Valuation) Prepare(ctx context.Context) (int, error) {
 	}
 	v.emit(Progress{Stage: StageObserve, Done: 0, Total: v.shards})
 	return v.shards, nil
-}
-
-// fedSV computes the FedSV baseline: exact per-round enumeration (Wang et
-// al., Definition 2) when every round's selection fits, otherwise the
-// paper's sampled-permutation estimator (Section VII-D), so a round that
-// selects more than 20 clients — e.g. a full-participation warm-up round in
-// a large federation — degrades the baseline to an estimate instead of
-// failing the job. The sample count follows the paper's O(T·K²·log K)
-// utility-call cost (⌈K·ln K⌉+1 permutations per round) and the estimator
-// is seeded from the job seed, so the baseline — like everything else in
-// the report — is a pure function of the options.
-func (v *Valuation) fedSV(ctx context.Context) ([]float64, error) {
-	maxSel := 0
-	for _, rd := range v.session.Run().Rounds {
-		if len(rd.Selected) > maxSel {
-			maxSel = len(rd.Selected)
-		}
-	}
-	if maxSel <= 20 {
-		return shapley.FedSVCtx(ctx, v.session)
-	}
-	samples := int(math.Ceil(float64(maxSel)*math.Log(float64(maxSel)))) + 1
-	return shapley.FedSVMonteCarloCtx(ctx, v.session, samples, v.opts.Seed+2)
 }
 
 // Shards returns the observation shard count decided by Prepare.
