@@ -282,7 +282,7 @@ func benchWeightedReg(b *testing.B, wr bool) {
 	gt := shapley.GroundTruth(e)
 	cfg := mc.DefaultConfig(3)
 	cfg.WeightedReg = wr
-	var res *shapley.ExactResult
+	var res *shapley.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -333,7 +333,7 @@ func BenchmarkAblationEBH(b *testing.B) {
 				b.Fatal(err)
 			}
 			e := utility.NewEvaluator(run)
-			var res *shapley.MonteCarloResult
+			var res *shapley.Result
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err = shapley.MonteCarlo(e, shapley.DefaultMonteCarloConfig(6, 3, 207))

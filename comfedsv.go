@@ -94,10 +94,12 @@ type Options struct {
 	// GOMAXPROCS. The computed values are bit-identical for every
 	// setting; only wall-clock time changes.
 	Parallelism int
-	// Shards splits the Monte-Carlo observation stage into that many
-	// independently schedulable shards, each owning a disjoint slice of
-	// the sampled permutations (0 means 1; clamped to the sample count).
-	// The one-shot Value path runs them serially; the comfedsvd scheduler
+	// Shards splits the observation stage into that many independently
+	// schedulable shards (0 means 1). A Monte-Carlo shard owns a disjoint
+	// slice of each wave's sampled permutations (clamped to the wave's
+	// permutation count); an exact shard owns a contiguous range of rounds
+	// (clamped to the round count) and pays every subset of their
+	// selections. The one-shot Value path runs them serially; the comfedsvd scheduler
 	// runs them as separate tasks on its shared worker pool so one large
 	// valuation no longer monopolizes a worker. The computed values are
 	// bit-identical for every setting.

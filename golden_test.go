@@ -21,7 +21,9 @@ func goldenSum(b []byte) string {
 
 // goldenValuation drives a staged Valuation serially and returns the
 // JSON report plus one "lo,hi,ok,digest" line per observation shard, in
-// scheduling order across every wave.
+// scheduling order across every wave. Every shard's digest is that of its
+// cell batch: for a leasable shard, the batch a remote worker returns for
+// the shard's slice carries the same digest.
 func goldenValuation(t *testing.T, tr *TrainedRun, opts Options) (report []byte, shards string) {
 	t.Helper()
 	ctx := context.Background()
@@ -49,10 +51,29 @@ func goldenValuation(t *testing.T, tr *TrainedRun, opts Options) (report []byte,
 	if report, err = json.Marshal(rep); err != nil {
 		t.Fatal(err)
 	}
+	var obs *ShardObserver
+	if budget := v.ObservationBudget(); budget > 0 {
+		if obs, err = NewShardObserver(ctx, tr, budget, opts.Seed, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var b strings.Builder
 	for shard := 0; shard < v.Shards(); shard++ {
 		lo, hi, ok := v.ShardSlice(shard)
-		fmt.Fprintf(&b, "%d,%d,%v,%s\n", lo, hi, ok, v.ShardDigest(shard))
+		digest := v.ShardDigest(shard)
+		if digest == "" {
+			t.Fatalf("shard %d has no digest", shard)
+		}
+		if ok {
+			wire, err := obs.ObserveSlice(ctx, lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wire.Digest != digest {
+				t.Fatalf("shard %d digest %s, but a worker's batch for [%d,%d) carries %s", shard, digest, lo, hi, wire.Digest)
+			}
+		}
+		fmt.Fprintf(&b, "%d,%d,%v,%s\n", lo, hi, ok, digest)
 	}
 	return report, b.String()
 }
@@ -92,47 +113,47 @@ func TestGoldenReportsAndShardDigests(t *testing.T) {
 		{
 			"exact", 0, 1, 0,
 			"510e9ee636c8b9bca8c01564b34e7dc3c10b3f017fb123d234dc33a587283726",
-			"1548f0266e25f908a0a4dbe5ce1db86051ee613bd20f3bad8b35a8f532d35888",
+			"875b91e5a5a5bcdd54632d14601fbbf1510c6f25f24fdbe601a869cc51ab324a",
 		},
 		{
 			"fixed/1", 25, 1, 0,
 			"df821586e52705b9f47058a0ee8ec43c347a7bbb6da2fb07a08d299335b27f98",
-			"336377bafcf1fa4c890372b9a2706695816f8c341424438c0fb9f400ad330415",
+			"0097b8554e2219661efb853f91311b595769abe0c4cfe157e69532952b14a926",
 		},
 		{
 			"fixed/3", 25, 3, 0,
 			"df821586e52705b9f47058a0ee8ec43c347a7bbb6da2fb07a08d299335b27f98",
-			"b6844e1ea4a1eaf9ef24cd5f9779b447eace48579060c43faed3ba9aa704889c",
+			"7f48fbe1e2f49feb7f59e3cfe35bf27f8f3e95b70d0e3ed93becbf3de55fe2b1",
 		},
 		{
 			"fixed/7/4", 7, 4, 0,
 			"6010cefc1c6cd2c9c178df5783a352a952ab744e0bcaa294de571509a199b67d",
-			"bfa5c509f8fbc0e6a31cdeba1ccdf40dd75faccc5f5d793db29615be84a15105",
+			"381689deae5b98ea11cca3148e7e8c87036b6861369898a394063bfd4d36b030",
 		},
 		{
 			"fixed/over-sharded", 25, 64, 0,
 			"df821586e52705b9f47058a0ee8ec43c347a7bbb6da2fb07a08d299335b27f98",
-			"c43be393bfbfa44f690a5e515f284f1bb039b671d9f2e823e1ef21ad9d405dac",
+			"52fbd3c970d5adb941286a506c8cbf67df54f1d8da419eb04571d34fb90ca643",
 		},
 		{
 			"tolerance/early-stop/1", 40, 1, 100,
 			"8d872214153a902fd4c0ed849082a58b9993dfc7ae311a2ef9d9e137fbfee5df",
-			"1931b9cb761a929008da66c2794b99dace61d41ac10921fc2553eb9f32796cb4",
+			"573b0073f8d7da8fd39695f032d1ff51c957eb4becb7c347cd0fe767302fbbe6",
 		},
 		{
 			"tolerance/early-stop/3", 40, 3, 100,
 			"8d872214153a902fd4c0ed849082a58b9993dfc7ae311a2ef9d9e137fbfee5df",
-			"cff50696e3d184b5b2df9827cc60058bfe8682b1b25eae5d6e3b8a88472d67e5",
+			"0b0f97a3c5004e3c45d29219578be9aeb74448ecf836ebaef2575858f04744c1",
 		},
 		{
 			"tolerance/exhausted/1", 40, 1, 1e-9,
 			"347dd7e932a50914684bfcd4666a632abaa399335500377b0f0839abc7ee67fb",
-			"ea3e0a0de884e27150ba531a3eeb47271bf09ad1e9c347d307131f72252cfcd7",
+			"2a1346adb7c4aa0a11fd1a16043e0aa2850248e349e895bb7103eb0492446088",
 		},
 		{
 			"tolerance/exhausted/3", 40, 3, 1e-9,
 			"347dd7e932a50914684bfcd4666a632abaa399335500377b0f0839abc7ee67fb",
-			"dedcb25c37a450a413dd6c5c60523512214b1002fbbcd50b66393a98f78517fd",
+			"54bdccb617d7dc3c4e85b6548e9396db68b71ca809d6b951d45189a9450fea77",
 		},
 	} {
 		opts := base

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"comfedsv/internal/fl"
@@ -135,31 +134,19 @@ func RankImpact(cfg RankImpactConfig) ([]RankPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := len(eval.Run().Rounds)
-
 	full := utility.FullMatrix(eval, 0)
-	plan, err := shapley.NewExactPlan(eval, mc.Config{})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: rank impact: %w", err)
-	}
-	if err := plan.Observe(context.Background()); err != nil {
-		return nil, fmt.Errorf("experiments: rank impact: %w", err)
-	}
-	store := plan.Store()
-	entries := make([]mc.Entry, 0, store.NumObserved())
-	for _, o := range store.Observations() {
-		entries = append(entries, mc.Entry{Row: o.Row, Col: o.Col, Val: o.Val})
-	}
-
 	out := make([]RankPoint, 0, len(cfg.Ranks))
 	for _, r := range cfg.Ranks {
 		mcCfg := mc.DefaultConfig(r)
 		mcCfg.Lambda = cfg.Lambda
 		mcCfg.WeightedReg = cfg.WeightedReg
-		res, err := mc.Complete(entries, t, store.NumColumns(), mcCfg)
+		// The exact plan pays the observed region once; later ranks read
+		// it from the evaluator's memo.
+		com, err := shapley.ComFedSVExact(eval, mcCfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: completing at rank %d: %w", r, err)
 		}
+		res := com.Completion
 		relErr := mc.RelativeError(full, res, func(col int) (int, bool) {
 			if col == 0 {
 				return 0, false // empty-set column predicts 0

@@ -6,8 +6,8 @@
 // A Hook is consulted at instrumented points (task executions, journal
 // appends) and decides, deterministically, what fault to inject there:
 // a transient error (retried by the scheduler), a panic (exercising the
-// panic-isolation path), a simulated process crash (freezing on-disk
-// state exactly as a dying daemon would), or injected latency. Faults
+// panic-isolation path), or a simulated process crash (freezing on-disk
+// state exactly as a dying daemon would). Faults
 // are scheduled by match count or by a seeded pseudo-random schedule,
 // never by wall clock or real randomness, so a chaos test that fails
 // replays identically from its seed.
@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 )
 
 // Instrumented operation names used by the job engine's hook points.
@@ -220,19 +219,6 @@ func CrashAtJournalOp(n int) Hook {
 		mu.Unlock()
 		if hit {
 			return ErrCrash
-		}
-		return nil
-	}
-}
-
-// Latency sleeps d at every matching task-stage point ("" matches every
-// stage) — slow-path injection for deadline and timeout suites. The
-// sleep uses the real clock; pair it with small durations.
-func Latency(stage string, d time.Duration) Hook {
-	m := matcher{op: OpTask, stage: stage, shard: -2}
-	return func(p Point) error {
-		if m.matches(p) {
-			time.Sleep(d)
 		}
 		return nil
 	}

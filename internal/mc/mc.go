@@ -38,6 +38,11 @@ import (
 	"comfedsv/internal/rng"
 )
 
+// ErrCollapsed reports a fit that shrank to the zero fixed point, as too
+// large a λ for the scale of the observed values does: their RMS is
+// positive, but the fit's RMS on the same cells is below 1e-3 of it.
+var ErrCollapsed = errors.New("mc: completion collapsed to zero")
+
 // Entry is one observed matrix cell.
 type Entry struct {
 	Row, Col int
@@ -229,6 +234,16 @@ func Complete(obs []Entry, rows, cols int, cfg Config) (*Result, error) {
 		if best == nil || results[attempt].Objective < best.Objective {
 			best = results[attempt]
 		}
+	}
+	var observed, fitted float64 // sums of squares over the observed cells
+	for _, e := range obs {
+		p := best.Predict(e.Row, e.Col)
+		observed += e.Val * e.Val
+		fitted += p * p
+	}
+	if observed > 0 && math.Sqrt(fitted) < 1e-3*math.Sqrt(observed) {
+		n := float64(len(obs))
+		return nil, fmt.Errorf("%w: fitted RMS %.3g on observed entries of RMS %.3g", ErrCollapsed, math.Sqrt(fitted/n), math.Sqrt(observed/n))
 	}
 	return best, nil
 }

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
@@ -509,5 +510,50 @@ func TestWarmStartGrownAndMismatchedShapes(t *testing.T) {
 	if got.Objective != want.Objective || got.Iterations != want.Iterations {
 		t.Fatalf("rank-mismatched warm start diverged from cold solve: obj %v vs %v, iters %d vs %d",
 			got.Objective, want.Objective, got.Iterations, want.Iterations)
+	}
+}
+
+// TestCompleteCollapseIsNamedError pins the zero-fixed-point guard on a
+// utility-scaled fixture: a rank-3 matrix whose observed entries have an
+// RMS of 0.2, the scale of a test-loss utility. The default λ = 0.01 fits
+// it; λ = 1 under the default weighted regularization shrinks every factor
+// to ~0, and Complete must name that instead of returning the empty fit.
+func TestCompleteCollapseIsNamedError(t *testing.T) {
+	truth := lowRankTruth(10, 60, 3, 91)
+	obs := sample(truth, 0.5, 92)
+	var ss float64
+	for _, e := range obs {
+		ss += e.Val * e.Val
+	}
+	scale := 0.2 / math.Sqrt(ss/float64(len(obs)))
+	for i := range obs {
+		obs[i].Val *= scale
+	}
+
+	healthy, err := Complete(obs, 10, 60, DefaultConfig(5))
+	if err != nil {
+		t.Fatalf("default λ: %v", err)
+	}
+	if healthy.TrainRMSE > 0.1 {
+		t.Fatalf("default λ fit RMSE %v on entries of RMS 0.2", healthy.TrainRMSE)
+	}
+
+	cfg := DefaultConfig(5)
+	cfg.Lambda = 1
+	res, err := Complete(obs, 10, 60, cfg)
+	if !errors.Is(err, ErrCollapsed) {
+		t.Fatalf("λ = 1: result %v, error %v, want ErrCollapsed", res, err)
+	}
+	if res != nil {
+		t.Fatal("a collapsed completion must not return its factors")
+	}
+
+	// All-zero observations fit exactly at zero: that is not a collapse.
+	zeros := append([]Entry(nil), obs...)
+	for i := range zeros {
+		zeros[i].Val = 0
+	}
+	if _, err := Complete(zeros, 10, 60, cfg); err != nil {
+		t.Fatalf("all-zero observations: %v", err)
 	}
 }

@@ -467,7 +467,9 @@ func decodeCompleteInput(data []byte) (obs []Entry, rows, cols int, cfg Config, 
 // values, out-of-range cells, empty rows and columns, duplicate cells and
 // ranks above the matrix dimensions. It must never panic, and it must
 // either fail cleanly where the reference ALS fails or return finite
-// factors bit-equal to the reference's.
+// factors bit-equal to the reference's. ErrCollapsed is a clean rejection
+// of a fit the reference also returns: it is accepted only when that fit's
+// predictions on the observed cells have an RMS below 1e-3 of theirs.
 func FuzzComplete(f *testing.F) {
 	f.Add([]byte{2, 3, 1, 0, 0, 0, 142, 1, 1, 130, 2, 2, 120})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -477,6 +479,21 @@ func FuzzComplete(f *testing.F) {
 		}
 		got, err := Complete(obs, rows, cols, cfg)
 		want, wantErr := referenceComplete(obs, rows, cols, cfg)
+		if errors.Is(err, ErrCollapsed) && wantErr == nil {
+			var observed, fitted float64
+			for _, e := range obs {
+				var p float64
+				for k, v := range want.W.Row(e.Row) {
+					p += v * want.H.Row(e.Col)[k]
+				}
+				observed += e.Val * e.Val
+				fitted += p * p
+			}
+			if !(observed > 0 && math.Sqrt(fitted) < 1e-3*math.Sqrt(observed)) {
+				t.Fatalf("ErrCollapsed on a fit with observed sum of squares %v and fitted %v", observed, fitted)
+			}
+			return
+		}
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("Complete error %v, reference error %v", err, wantErr)
 		}

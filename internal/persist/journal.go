@@ -53,6 +53,11 @@ type JournalRecord struct {
 	// cells hash identically, turning any determinism violation into a
 	// loud failure instead of a silently different report.
 	Digest string `json:"digest,omitempty"`
+	// DigestFormat on a RecSubmit record names the scheme of the job's
+	// observe digests, so recovery compares only digests it can
+	// re-derive. Absent (0) marks a journal written before the marker
+	// existed.
+	DigestFormat int `json:"digest_format,omitempty"`
 	// Error is the failure reason on RecFail records.
 	Error string `json:"error,omitempty"`
 	// Request is the service-defined request payload on RecSubmit records.

@@ -3,7 +3,9 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -161,6 +163,132 @@ func TestCrashMidAdaptiveWaveResumesByteIdentical(t *testing.T) {
 	req.Options.Tolerance = 1e-6 // tight: force several waves before the budget
 	req.Options.Shards = 2
 	crashEverywhere(t, req, runToCompletion(t, req))
+}
+
+// TestCrashExactShardedResumesByteIdentical sweeps the crash points of an
+// exact-pipeline job split into round shards: every observe record carries
+// the shard's cell-batch digest, and the resumed job re-derives and
+// verifies each journaled one before its report can match.
+func TestCrashExactShardedResumesByteIdentical(t *testing.T) {
+	req := tinyRequest(31)
+	req.Options.Shards = 2
+	crashEverywhere(t, req, runToCompletion(t, req))
+}
+
+// crashAfterFirstObserve runs req until its first observe record is
+// durable, simulates process death there, and returns the store directory
+// and the job ID.
+func crashAfterFirstObserve(t *testing.T, req Request) (dir, id string) {
+	t.Helper()
+	dir = t.TempDir()
+	store, err := persist.NewJobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManager(Config{
+		Workers:   1,
+		Store:     store,
+		FaultHook: faultinject.CrashNth(faultinject.OpJournalAfter, taskObserve, 1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, err = m.Submit(req); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, m, id); st.State != StateFailed {
+		t.Fatalf("crashed job state %s (%s)", st.State, st.Error)
+	}
+	shutdown(t, m)
+	return dir, id
+}
+
+// recoverJob starts a manager over the store in dir and waits for job id.
+func recoverJob(t *testing.T, dir, id string, logger *slog.Logger) Status {
+	t.Helper()
+	store, err := persist.NewJobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManager(Config{Workers: 1, Store: store, Logger: logger})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, m)
+	return waitTerminal(t, m, id)
+}
+
+// TestRecoveredExactShardDigestMismatchFails tampers with the digest an
+// exact job journaled for its first round shard: the resumed job
+// re-derives a different digest and must fail loudly, not report.
+func TestRecoveredExactShardDigestMismatchFails(t *testing.T) {
+	req := tinyRequest(37)
+	req.Options.Shards = 2
+	dir, id := crashAfterFirstObserve(t, req)
+
+	path := filepath.Join(dir, id+".journal")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(raw, []byte("\n"))
+	var submit, observe persist.JournalRecord
+	if err := json.Unmarshal(lines[0], &submit); err != nil {
+		t.Fatal(err)
+	}
+	if submit.DigestFormat != digestFormat {
+		t.Fatalf("submit record digest format %d, want %d", submit.DigestFormat, digestFormat)
+	}
+	last := len(lines) - 2 // the final element is the empty tail
+	if err := json.Unmarshal(lines[last], &observe); err != nil || observe.Stage != taskObserve || observe.Digest == "" {
+		t.Fatalf("last journal record %s is not an observe record with a digest (%v)", lines[last], err)
+	}
+	observe.Digest = strings.Repeat("0", len(observe.Digest))
+	tampered, err := json.Marshal(observe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines[last] = append(tampered, '\n')
+	if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st := recoverJob(t, dir, id, nil)
+	if st.State != StateFailed || !strings.Contains(st.Error, "determinism violation") {
+		t.Fatalf("tampered job finished %s (%q), want failed with a determinism violation", st.State, st.Error)
+	}
+}
+
+// TestLegacyJournalRecoversByteIdentical resumes a Monte-Carlo job journal
+// written before submit records declared a digest format. It crashed after
+// its first observe record, whose digest is of the earlier (round, column)
+// hash no shard re-derives. Recovery ignores that digest, says so in the
+// log, and re-executes the job to the report a fault-free run writes.
+func TestLegacyJournalRecoversByteIdentical(t *testing.T) {
+	req := tinyRequest(29)
+	req.Options.MonteCarloSamples = 64
+	req.Options.Shards = 2
+	want := runToCompletion(t, req)
+
+	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy-mc.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	const id = "job-84c1e8b2d4e3c41c03b55ebb"
+	if err := os.WriteFile(filepath.Join(dir, id+".journal"), legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	h := &recordingHandler{}
+	if st := recoverJob(t, dir, id, slog.New(h)); st.State != StateDone {
+		t.Fatalf("legacy journal job finished %s (%s)", st.State, st.Error)
+	}
+	if got := reportBytes(t, dir, id); !bytes.Equal(got, want) {
+		t.Fatal("legacy journal resumed report diverges from a fault-free run")
+	}
+	if attrs := h.find("journal observe digests predate cell-batch digests; resuming without comparing them", id); attrs == nil {
+		t.Fatal("no log line says the legacy observe digests were ignored")
+	}
 }
 
 // TestTransientShardFailuresRetriedLeaveReportUnchanged pins the retry

@@ -11,6 +11,13 @@ import (
 	"comfedsv/internal/persist"
 )
 
+// digestFormat is the observe-digest scheme new submit records declare:
+// an observe record's digest is the digest of the shard's canonical
+// utility.CellBatch, the token a remote worker's batch for the shard
+// carries. Journals without the marker hold digests of an earlier
+// (round, column) hash that no current shard re-derives.
+const digestFormat = 2
+
 // journalRequest is the submit record's payload: the full effective job
 // request — datasets or run reference plus the options after daemon
 // defaults were applied. Journaling the *effective* options (not the
@@ -177,6 +184,15 @@ func (m *Manager) resumeJob(id string, req journalRequest, recs []persist.Journa
 		}
 	}
 
+	// A journal without the current marker holds digests no shard
+	// re-derives. Re-execution is still deterministic, so the job resumes;
+	// only the cross-check of its journaled shards is lost.
+	ignored := 0
+	if recs[0].DigestFormat != digestFormat {
+		ignored = len(digests)
+		digests = map[int]string{}
+	}
+
 	if failRec != nil {
 		// The failure itself is the durable outcome; the journal stays
 		// so the next restart re-registers it identically.
@@ -206,6 +222,10 @@ func (m *Manager) resumeJob(id string, req journalRequest, recs []persist.Journa
 		wantDigests: digests,
 	}
 	j.opts = m.instrumentOptions(j, req.Options)
+	if ignored > 0 {
+		m.logJob("journal observe digests predate cell-batch digests; resuming without comparing them", j,
+			"digest_format", recs[0].DigestFormat, "ignored_digests", ignored)
+	}
 
 	if req.RunID != "" {
 		e, ok := m.runs[req.RunID]
@@ -273,7 +293,7 @@ func (m *Manager) openSubmitJournal(j *job) error {
 		m.logJob("journal submit encode failed", j, "error", err.Error())
 		return nil
 	}
-	aerr := jr.Append(persist.JournalRecord{Type: persist.RecSubmit, Time: m.clock.Now(), Request: payload})
+	aerr := jr.Append(persist.JournalRecord{Type: persist.RecSubmit, Time: m.clock.Now(), DigestFormat: digestFormat, Request: payload})
 	if errors.Is(aerr, faultinject.ErrCrash) {
 		j.journal = jr // the dead journal freezes the file
 		return aerr

@@ -107,10 +107,11 @@ func (m *Manager) newValuation(j *job) stagedValuation {
 // pipelineValuation adapts the staged comfedsv.Valuation — plus the work
 // of obtaining its TrainedRun (inline training or shared-run resolution),
 // which belongs on a worker, not in Submit — to the scheduler's stage
-// interface.
+// interface. Every stage but Prepare and Stats is the embedded
+// Valuation's own, set by Prepare.
 type pipelineValuation struct {
+	*comfedsv.Valuation
 	build  func(ctx context.Context) (*comfedsv.Valuation, bool, error)
-	v      *comfedsv.Valuation
 	shared bool
 }
 
@@ -119,35 +120,17 @@ func (p *pipelineValuation) Prepare(ctx context.Context) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	p.v, p.shared = v, shared
+	p.Valuation, p.shared = v, shared
 	return v.Prepare(ctx)
-}
-
-func (p *pipelineValuation) ObserveShard(ctx context.Context, shard int) error {
-	return p.v.ObserveShard(ctx, shard)
-}
-
-func (p *pipelineValuation) Complete(ctx context.Context) (int, error) { return p.v.Complete(ctx) }
-
-func (p *pipelineValuation) Extract(ctx context.Context) (*comfedsv.Report, error) {
-	return p.v.Extract(ctx)
 }
 
 func (p *pipelineValuation) Stats() *comfedsv.EvalStats {
 	if !p.shared {
 		return nil
 	}
-	s := p.v.Stats()
+	s := p.Valuation.Stats()
 	return &s
 }
-
-func (p *pipelineValuation) ShardDigest(shard int) string { return p.v.ShardDigest(shard) }
-
-func (p *pipelineValuation) TrainedRun() *comfedsv.TrainedRun { return p.v.TrainedRun() }
-
-func (p *pipelineValuation) ObservationBudget() int { return p.v.ObservationBudget() }
-
-func (p *pipelineValuation) ShardSlice(shard int) (int, int, bool) { return p.v.ShardSlice(shard) }
 
 // prepareTask is a job's first stage: build the pipeline (training inline
 // jobs, resolving shared runs) and plan the observation shards. Before the

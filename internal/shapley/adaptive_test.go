@@ -23,7 +23,7 @@ func adaptiveConfig(shards int, tol float64) MonteCarloConfig {
 // runAdaptive drives a tolerance plan the way the scheduler would:
 // observe every pending shard (optionally concurrently), Advance, repeat
 // until Advance returns 0, then Extract.
-func runAdaptive(t *testing.T, cfg MonteCarloConfig, concurrent bool) (*MonteCarloPlan, *MonteCarloResult) {
+func runAdaptive(t *testing.T, cfg MonteCarloConfig, concurrent bool) (*MonteCarloPlan, *Result) {
 	t.Helper()
 	ctx := context.Background()
 	e := duplicatedEvaluator(t, 500)

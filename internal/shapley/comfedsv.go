@@ -27,41 +27,76 @@ func GroundTruth(e utility.Source) []float64 {
 	return Exact(n, func(mask uint64) float64 { return summed[mask] })
 }
 
-// ExactResult is the outcome of the exact (non-sampled) ComFedSV pipeline.
-type ExactResult struct {
-	// Values are the ComFedSV valuations, one per client.
+// Result is the outcome of either ComFedSV pipeline: the exact Definition
+// 4 pipeline (ExactPlan) or Algorithm 1 (MonteCarloPlan).
+type Result struct {
+	// Values are the ComFedSV valuations, one per client: exact Shapley
+	// values of the completed utility, or the estimates ŝ_i of Eq. 12.
 	Values []float64
-	// Completion is the fitted low-rank factorization of problem (9).
+	// Completion is the fitted low-rank factorization of problem (9), or
+	// of the reduced problem (13).
 	Completion *mc.Result
-	// Store holds the observed entries {U_{t,S} : S ⊆ I_t} fed to (9).
+	// Store holds the observed entries fed to the completion:
+	// {U_{t,S} : S ⊆ I_t}, or {U_{t,π_m(i)} : π_m(i) ⊆ I_t}.
 	Store *utility.Store
+	// UnobservedColumns counts permutation-prefix columns that were never
+	// observed in any round; always 0 for the exact pipeline. Under
+	// Assumption 1 (full first round) this is always 0; without it the
+	// completion silently degrades — see the Everyone-Being-Heard
+	// ablation.
+	UnobservedColumns int
+	// Permutations is the number of sampled permutations the Monte-Carlo
+	// estimate averages over (the whole budget unless a tolerance stopped
+	// early); 0 for the exact pipeline.
+	Permutations int
+}
+
+// stagedPlan is the stage set ExactPlan and MonteCarloPlan share.
+type stagedPlan interface {
+	Shards() int
+	ObserveShard(ctx context.Context, shard int) error
+	Advance(ctx context.Context) (more int, err error)
+	Extract(ctx context.Context) (*Result, error)
+}
+
+// runStages drives a plan's stages serially — each scheduled observation
+// shard in order, then Advance, until Advance schedules no more shards —
+// and extracts the result, byte-identical to a scheduler running the same
+// plan's shards concurrently.
+func runStages(ctx context.Context, p stagedPlan) (*Result, error) {
+	for next := 0; next < p.Shards(); {
+		for ; next < p.Shards(); next++ {
+			if err := p.ObserveShard(ctx, next); err != nil {
+				return nil, err
+			}
+		}
+		if _, err := p.Advance(ctx); err != nil {
+			return nil, err
+		}
+	}
+	return p.Extract(ctx)
 }
 
 // ComFedSVExact runs the paper's Definition 4 pipeline without sampling:
 // observe all subsets of the selected clients per round, complete the full
 // T×(2^N−1) utility matrix (problem 9), and take the exact Shapley value of
 // the completed, per-round-summed utility. Feasible for N ≤ ~14.
-func ComFedSVExact(e utility.Source, cfg mc.Config) (*ExactResult, error) {
+func ComFedSVExact(e utility.Source, cfg mc.Config) (*Result, error) {
 	return ComFedSVExactCtx(context.Background(), e, cfg)
 }
 
 // ComFedSVExactCtx is ComFedSVExact with cooperative cancellation, checked
 // before every observed cell's evaluation and between pipeline steps. The
 // matrix-completion solve itself is not interruptible but is bounded by
-// cfg.MaxIter. It drives an ExactPlan's stages serially; schedulers that
-// want to interleave the stages with other work use the plan directly.
-func ComFedSVExactCtx(ctx context.Context, e utility.Source, cfg mc.Config) (*ExactResult, error) {
-	p, err := NewExactPlan(e, cfg)
+// cfg.MaxIter. It drives a one-shard ExactPlan's stages serially;
+// schedulers that want to interleave the stages with other work use the
+// plan directly.
+func ComFedSVExactCtx(ctx context.Context, e utility.Source, cfg mc.Config) (*Result, error) {
+	p, err := NewExactPlan(e, cfg, 1)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.Observe(ctx); err != nil {
-		return nil, err
-	}
-	if err := p.Complete(ctx); err != nil {
-		return nil, err
-	}
-	return p.Extract(ctx)
+	return runStages(ctx, p)
 }
 
 // MonteCarloConfig parameterizes Algorithm 1.
@@ -109,26 +144,11 @@ func DefaultMonteCarloConfig(n, rank int, seed int64) MonteCarloConfig {
 	return MonteCarloConfig{Samples: m, Completion: mc.DefaultConfig(rank), Seed: seed}
 }
 
-// MonteCarloResult is the outcome of Algorithm 1.
-type MonteCarloResult struct {
-	// Values are the estimated ComFedSV valuations ŝ_i (Eq. 12).
-	Values []float64
-	// Completion is the fitted factorization of the reduced problem (13).
-	Completion *mc.Result
-	// Store holds the observed entries {U_{t,π_m(i)} : π_m(i) ⊆ I_t}.
-	Store *utility.Store
-	// UnobservedColumns counts permutation-prefix columns that were never
-	// observed in any round. Under Assumption 1 (full first round) this is
-	// always 0; without it the completion silently degrades — see the
-	// Everyone-Being-Heard ablation.
-	UnobservedColumns int
-}
-
 // MonteCarlo implements Algorithm 1: sample M permutations, observe the
 // utilities of permutation prefixes contained in each round's selection,
 // solve the reduced completion problem (13), and estimate ComFedSV via the
 // permutation form (12).
-func MonteCarlo(e utility.Source, cfg MonteCarloConfig) (*MonteCarloResult, error) {
+func MonteCarlo(e utility.Source, cfg MonteCarloConfig) (*Result, error) {
 	return MonteCarloCtx(context.Background(), e, cfg)
 }
 
@@ -138,24 +158,13 @@ func MonteCarlo(e utility.Source, cfg MonteCarloConfig) (*MonteCarloResult, erro
 // completion solve itself is not interruptible but is bounded by
 // cfg.Completion.MaxIter. It drives a MonteCarloPlan's stages serially —
 // each wave's observation shards one after another, then Advance, until
-// the plan finishes — so the result is byte-identical to a scheduler
-// running the same plan's shards concurrently.
-func MonteCarloCtx(ctx context.Context, e utility.Source, cfg MonteCarloConfig) (*MonteCarloResult, error) {
+// the plan finishes.
+func MonteCarloCtx(ctx context.Context, e utility.Source, cfg MonteCarloConfig) (*Result, error) {
 	p, err := NewMonteCarloPlan(ctx, e, cfg)
 	if err != nil {
 		return nil, err
 	}
-	for next := 0; next < p.Shards(); {
-		for ; next < p.Shards(); next++ {
-			if err := p.ObserveShard(ctx, next); err != nil {
-				return nil, err
-			}
-		}
-		if _, err := p.Advance(ctx); err != nil {
-			return nil, err
-		}
-	}
-	return p.Extract(ctx)
+	return runStages(ctx, p)
 }
 
 func toEntries(obs []utility.Observation) []mc.Entry {

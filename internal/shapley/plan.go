@@ -63,10 +63,10 @@ type MonteCarloPlan struct {
 	selected   []utility.Set // per-round selection bitsets
 	store      *utility.Store
 
-	bounds    []int       // cumulative permutation counts per wave, last == budget
-	wave      int         // index of the wave currently being observed
-	slices    []waveSlice // global shard id → permutation slice
-	shardVals []map[obsCell]float64
+	bounds []int       // cumulative permutation counts per wave, last == budget
+	wave   int         // index of the wave currently being observed
+	slices []waveSlice // global shard id → permutation slice
+	observedShards
 
 	est        []float64
 	completion *mc.Result
@@ -221,7 +221,7 @@ func (p *MonteCarloPlan) scheduleWave() int {
 			lo:   lo + i*(hi-lo)/k,
 			hi:   lo + (i+1)*(hi-lo)/k,
 		})
-		p.shardVals = append(p.shardVals, nil)
+		p.observedShards = append(p.observedShards, nil)
 	}
 	return k
 }
@@ -272,24 +272,20 @@ func (p *MonteCarloPlan) walkPrefixes(ctx context.Context, lo, hi int, visit fun
 // shards both reach is paid for once.
 func (p *MonteCarloPlan) ObserveShard(ctx context.Context, shard int) error {
 	lo, hi := p.ShardSlice(shard)
-	keys, _, vals, err := p.observeRange(ctx, lo, hi)
+	obs, err := p.observeRange(ctx, lo, hi)
 	if err != nil {
 		return err
 	}
-	shardVals := make(map[obsCell]float64, len(keys))
-	for i, k := range keys {
-		shardVals[k] = vals[i]
-	}
-	p.shardVals[shard] = shardVals
+	p.observedShards[shard] = obs
 	return nil
 }
 
 // observeRange collects the distinct prefix cells reachable from the
 // permutation slice [lo, hi) and evaluates them through the plan's
-// source, returning them in first-visit order — as column keys and as
-// utility cells — with their values, without touching any shard state. It
-// backs ObserveShard and the worker-side ObserveSlice.
-func (p *MonteCarloPlan) observeRange(ctx context.Context, lo, hi int) ([]obsCell, []utility.Cell, []float64, error) {
+// source, returning them in first-visit order as an observed shard,
+// without touching any shard state. It backs ObserveShard and the
+// worker-side ObserveSlice.
+func (p *MonteCarloPlan) observeRange(ctx context.Context, lo, hi int) (*observedShard, error) {
 	seen := make(map[obsCell]bool)
 	var keys []obsCell
 	var cells []utility.Cell
@@ -303,13 +299,14 @@ func (p *MonteCarloPlan) observeRange(ctx context.Context, lo, hi int) ([]obsCel
 		cells = append(cells, utility.Cell{Round: round, Subset: p.store.ColumnSet(col)})
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	vals, err := p.src.UtilityBatchCtx(ctx, cells, p.cfg.Workers)
+	obs, err := payShard(ctx, p.src, cells, p.cfg.Workers)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	return keys, cells, vals, nil
+	obs.keys = keys
+	return obs, nil
 }
 
 // Advance is the wave checkpoint: it merges the current wave's shard
@@ -339,12 +336,12 @@ func (p *MonteCarloPlan) Advance(ctx context.Context) (more int, err error) {
 		if sl.wave != p.wave {
 			continue
 		}
-		vals := p.shardVals[shard]
-		if vals == nil {
+		obs := p.observedShards[shard]
+		if obs == nil {
 			return 0, fmt.Errorf("shapley: observation shard %d (wave %d) was not run before Advance", shard, p.wave)
 		}
-		for k, v := range vals {
-			combined[k] = v
+		for i, k := range obs.keys {
+			combined[k] = obs.vals[i]
 		}
 		shards++
 	}
@@ -423,7 +420,7 @@ func (p *MonteCarloPlan) Advance(ctx context.Context) (more int, err error) {
 // reachable from the permutations actually used — columns registered for
 // the unsampled remainder of a tolerance run's budget are not "missing",
 // they were deliberately skipped.
-func (p *MonteCarloPlan) Extract(ctx context.Context) (*MonteCarloResult, error) {
+func (p *MonteCarloPlan) Extract(ctx context.Context) (*Result, error) {
 	if !p.finished {
 		return nil, errors.New("shapley: Extract before the plan finished")
 	}
@@ -446,11 +443,12 @@ func (p *MonteCarloPlan) Extract(ctx context.Context) (*MonteCarloResult, error)
 			missing++
 		}
 	}
-	return &MonteCarloResult{
+	return &Result{
 		Values:            p.est,
 		Completion:        p.completion,
 		Store:             p.store,
 		UnobservedColumns: missing,
+		Permutations:      p.Used(),
 	}, nil
 }
 
@@ -483,9 +481,15 @@ func (p *MonteCarloPlan) estimate(ctx context.Context, m int, res *mc.Result) ([
 }
 
 // ExactPlan is the exact (non-sampled) Definition 4 pipeline split into
-// the same schedulable stages as MonteCarloPlan. The observation region
-// {U_{t,S} : S ⊆ I_t} has no permutation structure to shard, so it runs as
-// a single observe stage.
+// MonteCarloPlan's stages. Its observation region {U_{t,S} : S ⊆ I_t} is
+// sharded by round: each shard pays the utility.SelectedCells of one
+// contiguous range of rounds. Advance records every shard's cells in round
+// order — the list order of utility.SelectedCells, so the Store is the
+// same for every shard count — and solves the full completion problem (9).
+// The exact pipeline has one wave, so Advance always returns 0.
+//
+// ObserveShard calls for distinct shards are safe to run concurrently;
+// Advance must be called only after every shard has returned.
 type ExactPlan struct {
 	src utility.Source
 	cfg mc.Config
@@ -493,70 +497,96 @@ type ExactPlan struct {
 	t   int
 
 	store      *utility.Store
-	observed   bool
+	cells      [][]utility.Cell // per shard, its rounds' utility.SelectedCells
 	completion *mc.Result
+	observedShards
 }
 
 // NewExactPlan registers every subset column in mask order (so column
-// index == mask−1) and validates feasibility.
-func NewExactPlan(e utility.Source, cfg mc.Config) (*ExactPlan, error) {
+// index == mask−1), validates feasibility, and cuts the rounds into
+// shards contiguous ranges (clamped to [1, T]).
+func NewExactPlan(e utility.Source, cfg mc.Config, shards int) (*ExactPlan, error) {
 	n := e.Run().NumClients()
 	if n > 14 {
 		return nil, fmt.Errorf("shapley: exact ComFedSV over 2^%d columns is infeasible; use MonteCarlo", n)
+	}
+	cells, err := utility.SelectedCells(e.Run())
+	if err != nil {
+		return nil, err
 	}
 	t := len(e.Run().Rounds)
 	store := utility.NewStore(t, n)
 	for mask := uint64(1); mask < 1<<uint(n); mask++ {
 		store.ColumnOf(utility.FromMask(n, mask))
 	}
-	return &ExactPlan{src: e, cfg: cfg, n: n, t: t, store: store}, nil
+	// Shard i owns rounds [i·t/k, (i+1)·t/k).
+	k := max(1, min(shards, t))
+	shardCells := make([][]utility.Cell, k)
+	for _, c := range cells {
+		i := ((c.Round+1)*k - 1) / t
+		shardCells[i] = append(shardCells[i], c)
+	}
+	return &ExactPlan{
+		src:            e,
+		cfg:            cfg,
+		n:              n,
+		t:              t,
+		store:          store,
+		cells:          shardCells,
+		observedShards: make(observedShards, k),
+	}, nil
 }
 
-// Observe pays the utilities of every subset of each round's selection
-// (utility.SelectedCells) in one batch on cfg.Workers goroutines and
-// records them in list order.
-func (p *ExactPlan) Observe(ctx context.Context) error {
-	cells, err := utility.SelectedCells(p.src.Run())
+// Shards returns the number of observation shards.
+func (p *ExactPlan) Shards() int { return len(p.observedShards) }
+
+// ObserveShard pays one shard's cells in one batch on cfg.Workers
+// goroutines.
+func (p *ExactPlan) ObserveShard(ctx context.Context, shard int) error {
+	if shard < 0 || shard >= len(p.observedShards) {
+		return fmt.Errorf("shapley: observation shard %d out of [0,%d)", shard, len(p.observedShards))
+	}
+	obs, err := payShard(ctx, p.src, p.cells[shard], p.cfg.Workers)
 	if err != nil {
 		return err
 	}
-	vals, err := p.src.UtilityBatchCtx(ctx, cells, p.cfg.Workers)
-	if err != nil {
-		return err
-	}
-	for i, c := range cells {
-		p.store.Observe(c.Round, c.Subset, vals[i])
-	}
-	p.observed = true
+	p.observedShards[shard] = obs
 	return nil
 }
 
-// Store returns the plan's observation store: every subset column
-// registered in mask order (column index == mask−1) and, after Observe,
-// the exact observation region.
-func (p *ExactPlan) Store() *utility.Store { return p.store }
-
-// Complete solves the full completion problem (9) over the observations.
-func (p *ExactPlan) Complete(ctx context.Context) error {
-	if !p.observed {
-		return errors.New("shapley: Complete before Observe")
+// Advance records every shard's cells in round order and solves the full
+// completion problem (9). It returns 0: the exact pipeline schedules no
+// further shards.
+func (p *ExactPlan) Advance(ctx context.Context) (int, error) {
+	if p.completion != nil {
+		return 0, errors.New("shapley: Advance after the plan finished")
+	}
+	for shard, obs := range p.observedShards {
+		if obs == nil {
+			return 0, fmt.Errorf("shapley: observation shard %d was not run before Advance", shard)
+		}
 	}
 	if err := ctx.Err(); err != nil {
-		return err
+		return 0, err
+	}
+	for shard, obs := range p.observedShards {
+		for i, c := range p.cells[shard] {
+			p.store.Observe(c.Round, c.Subset, obs.vals[i])
+		}
 	}
 	res, err := mc.Complete(toEntries(p.store.Observations()), p.t, p.store.NumColumns(), p.cfg)
 	if err != nil {
-		return fmt.Errorf("shapley: completing utility matrix: %w", err)
+		return 0, fmt.Errorf("shapley: completing utility matrix: %w", err)
 	}
 	p.completion = res
-	return nil
+	return 0, nil
 }
 
 // Extract takes the exact Shapley value of the completed, per-round-summed
 // utility.
-func (p *ExactPlan) Extract(ctx context.Context) (*ExactResult, error) {
+func (p *ExactPlan) Extract(ctx context.Context) (*Result, error) {
 	if p.completion == nil {
-		return nil, errors.New("shapley: Extract before Complete")
+		return nil, errors.New("shapley: Extract before the plan finished")
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -573,5 +603,5 @@ func (p *ExactPlan) Extract(ctx context.Context) (*ExactResult, error) {
 		summed[mask] = s
 	}
 	values := Exact(p.n, func(mask uint64) float64 { return summed[mask] })
-	return &ExactResult{Values: values, Completion: res, Store: p.store}, nil
+	return &Result{Values: values, Completion: res, Store: p.store}, nil
 }

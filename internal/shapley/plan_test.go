@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"comfedsv/internal/mc"
+	"comfedsv/internal/utility"
 )
 
 // planConfig is a small Monte-Carlo config exercised by every plan test.
@@ -136,15 +137,24 @@ func TestMonteCarloPlanStageOrderErrors(t *testing.T) {
 		t.Fatal("Advance with an unobserved shard must fail")
 	}
 
-	ep, err := NewExactPlan(e, mc.DefaultConfig(3))
+	ep, err := NewExactPlan(e, mc.DefaultConfig(3), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ep.Complete(ctx); err == nil {
-		t.Fatal("exact Complete before Observe must fail")
+	if _, err := ep.Advance(ctx); err == nil {
+		t.Fatal("exact Advance before observing every shard must fail")
 	}
 	if _, err := ep.Extract(ctx); err == nil {
-		t.Fatal("exact Extract before Complete must fail")
+		t.Fatal("exact Extract before Advance must fail")
+	}
+	if err := ep.ObserveShard(ctx, 2); err == nil {
+		t.Fatal("exact ObserveShard past the last shard must fail")
+	}
+	if err := ep.ObserveShard(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ep.Advance(ctx); err == nil {
+		t.Fatal("exact Advance with an unobserved shard must fail")
 	}
 }
 
@@ -180,5 +190,84 @@ func TestMonteCarloShardClamp(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Values, want.Values) {
 		t.Fatal("over-sharded pipeline diverges from serial")
+	}
+}
+
+// TestExactShardCountInvariant pins the exact plan's round sharding: for
+// shard counts 1, 2, T and T+3 (clamped to T), run serially, in reverse
+// and concurrently, the observation list, the completion and the values
+// are identical to ComFedSVExact's, and every shard carries the digest of
+// a cell batch over its own rounds.
+func TestExactShardCountInvariant(t *testing.T) {
+	e := testEvaluator(t, 6, 5, 2, 504)
+	ctx := context.Background()
+	cfg := mc.DefaultConfig(3)
+	want, err := ComFedSVExact(e, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := len(e.Run().Rounds)
+	for _, shards := range []int{1, 2, rounds, rounds + 3} {
+		for _, order := range []string{"serial", "reverse", "concurrent"} {
+			p, err := NewExactPlan(e, cfg, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := p.Shards(); got != min(shards, rounds) {
+				t.Fatalf("%d shards: Shards() = %d, want %d", shards, got, min(shards, rounds))
+			}
+			var wg sync.WaitGroup
+			errs := make([]error, p.Shards())
+			for i := 0; i < p.Shards(); i++ {
+				switch order {
+				case "serial":
+					errs[i] = p.ObserveShard(ctx, i)
+				case "reverse":
+					errs[i] = p.ObserveShard(ctx, p.Shards()-1-i)
+				default:
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						errs[i] = p.ObserveShard(ctx, i)
+					}(i)
+				}
+			}
+			wg.Wait()
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if more, err := p.Advance(ctx); err != nil || more != 0 {
+				t.Fatalf("%d shards, %s: Advance = %d, %v; want 0, nil", shards, order, more, err)
+			}
+			got, err := p.Extract(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Values, want.Values) ||
+				!reflect.DeepEqual(got.Store.Observations(), want.Store.Observations()) ||
+				!reflect.DeepEqual(got.Completion, want.Completion) {
+				t.Fatalf("%d shards, %s: result differs from the one-shard pipeline", shards, order)
+			}
+
+			// Each shard's digest is that of a batch over exactly its
+			// rounds' cells.
+			for i := 0; i < p.Shards(); i++ {
+				lo, hi := i*rounds/p.Shards(), (i+1)*rounds/p.Shards()
+				var cells []utility.Cell
+				var vals []float64
+				for _, o := range got.Store.Observations() {
+					if o.Row >= lo && o.Row < hi {
+						cells = append(cells, utility.Cell{Round: o.Row, Subset: got.Store.ColumnSet(o.Col)})
+						vals = append(vals, o.Val)
+					}
+				}
+				d := p.ShardDigest(i)
+				if d == "" || d != utility.NewCellBatch(e.Run().NumClients(), cells, vals).Digest {
+					t.Fatalf("%d shards, %s: shard %d digest %q is not its rounds' cell-batch digest", shards, order, i, d)
+				}
+			}
+		}
 	}
 }

@@ -34,9 +34,9 @@ func (p *MonteCarloPlan) ObserveSlice(ctx context.Context, lo, hi int) (*utility
 	if lo < 0 || hi > len(p.perms) || lo >= hi {
 		return nil, fmt.Errorf("shapley: observation slice [%d,%d) out of [0,%d)", lo, hi, len(p.perms))
 	}
-	_, cells, vals, err := p.observeRange(ctx, lo, hi)
+	obs, err := p.observeRange(ctx, lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	return utility.NewCellBatch(p.n, cells, vals), nil
+	return obs.batch, nil
 }

@@ -10,7 +10,7 @@ import (
 // wave, is evaluated by a separate worker-side plan (a fixed plan over the
 // same budget and seed, on its own evaluator) through ObserveSlice; the
 // coordinator preloads the batch and observes the shard from cache.
-func runImported(t *testing.T, cfg MonteCarloConfig) (*MonteCarloPlan, *MonteCarloResult) {
+func runImported(t *testing.T, cfg MonteCarloConfig) (*MonteCarloPlan, *Result) {
 	t.Helper()
 	ctx := context.Background()
 	src := duplicatedEvaluator(t, 500)

@@ -169,19 +169,6 @@ func (m *Model) Loss(p *Problem, active []bool) float64 {
 	return total + 0.5*m.L2*reg
 }
 
-// TrainLoss is Loss on the training split with all parties active.
-func (m *Model) TrainLoss(p *Problem) float64 {
-	logits := make([]float64, m.Classes)
-	probs := make([]float64, m.Classes)
-	var total float64
-	for i := range p.TrainY {
-		m.logits(p, i, false, nil, logits)
-		mat.Softmax(probs, logits)
-		total += -math.Log(math.Max(probs[p.TrainY[i]], 1e-15))
-	}
-	return total / float64(len(p.TrainY))
-}
-
 // Step performs one full-batch gradient step of the split model: the
 // coordinator computes residuals from the pooled logits and each party
 // updates its own block — the standard vertical-LR protocol where raw

@@ -66,41 +66,40 @@ func TestReportByteIdenticalAcrossShards(t *testing.T) {
 		}
 	}
 
-	// The exact pipeline ignores sharding (one observation stage) but must
-	// accept the knob unchanged.
-	exact := base
-	exact.MonteCarloSamples = 0
+	// The exact pipeline splits its observation region by round: 2 shards,
+	// one per round (T), and more than T (clamped to T) must all match one
+	// shard.
+	base.MonteCarloSamples = 0
 	want = encode(1)
-	exact.Shards = 8
-	rep, err := ValueCtx(context.Background(), clients, test, exact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact.Shards = 1
-	rep1, err := ValueCtx(context.Background(), clients, test, exact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b8, _ := json.Marshal(rep)
-	b1, _ := json.Marshal(rep1)
-	if !bytes.Equal(b1, b8) {
-		t.Fatalf("exact pipeline: shards=8 report differs from shards=1:\n%s\nvs\n%s", b8, b1)
+	for _, s := range []int{2, base.Rounds, base.Rounds + 3} {
+		if got := encode(s); !bytes.Equal(want, got) {
+			t.Fatalf("exact pipeline: shards=%d report differs from shards=1:\n%s\nvs\n%s", s, got, want)
+		}
 	}
 }
 
 // TestValuationConcurrentShardsMatchSerial drives the staged Valuation the
 // way the scheduler does — shards on separate goroutines — and requires
 // the byte-identical report (run with -race to hammer the shared plan and
-// session state).
+// session state), for Monte-Carlo permutation shards and for the exact
+// pipeline's round shards.
 func TestValuationConcurrentShardsMatchSerial(t *testing.T) {
 	clients, test := makeClients(t, 6, 20, 40, 313)
-	opts := DefaultOptions(10)
-	opts.Rounds = 5
-	opts.ClientsPerRound = 2
-	opts.LearningRate = 0.1
-	opts.MonteCarloSamples = 25
-	opts.Shards = 4
-	opts.Parallelism = 2
+	base := DefaultOptions(10)
+	base.Rounds = 5
+	base.ClientsPerRound = 2
+	base.LearningRate = 0.1
+	base.Parallelism = 2
+	for _, tc := range []struct{ samples, shards int }{{25, 4}, {0, 2}, {0, 5}, {0, 8}} {
+		opts := base
+		opts.MonteCarloSamples = tc.samples
+		opts.Shards = tc.shards
+		concurrentShardsMatchSerial(t, clients, test, opts)
+	}
+}
+
+func concurrentShardsMatchSerial(t *testing.T, clients []Client, test Client, opts Options) {
+	t.Helper()
 
 	want, err := ValueCtx(context.Background(), clients, test, opts)
 	if err != nil {
@@ -143,7 +142,7 @@ func TestValuationConcurrentShardsMatchSerial(t *testing.T) {
 	}
 	gotBody, _ := json.Marshal(got)
 	if !bytes.Equal(wantBody, gotBody) {
-		t.Fatalf("concurrent-shard valuation differs from serial:\n%s\nvs\n%s", gotBody, wantBody)
+		t.Fatalf("samples=%d shards=%d: concurrent-shard valuation differs from serial:\n%s\nvs\n%s", opts.MonteCarloSamples, opts.Shards, gotBody, wantBody)
 	}
 	stats := v.Stats()
 	if stats.Hits+stats.Misses != got.UtilityCalls {

@@ -18,8 +18,9 @@ import (
 // comfedsvd scheduler runs on its shared worker pool —
 //
 //	Prepare        final-model metrics, FedSV, observation-plan setup
-//	ObserveShard×S disjoint Monte-Carlo permutation slices evaluate their
-//	               prefix cells (safe to run concurrently)
+//	ObserveShard×S disjoint Monte-Carlo permutation slices, or contiguous
+//	               round ranges of the exact pipeline, evaluate their
+//	               cells (safe to run concurrently)
 //	Complete       the wave checkpoint: deterministic serial-order merge
 //	               into the utility matrix, then the ALS completion solve;
 //	               in tolerance mode it may return additional observation
@@ -44,10 +45,18 @@ type Valuation struct {
 	opts    Options
 
 	report   *Report
-	mcPlan   *shapley.MonteCarloPlan
-	exact    *shapley.ExactPlan
+	plan     plan
 	shards   int
 	observed atomic.Int64
+}
+
+// plan is the stage set the exact and Monte-Carlo ComFedSV plans share.
+type plan interface {
+	Shards() int
+	ObserveShard(ctx context.Context, shard int) error
+	ShardDigest(shard int) string
+	Advance(ctx context.Context) (more int, err error)
+	Extract(ctx context.Context) (*shapley.Result, error)
 }
 
 // NewValuation returns a staged valuation of the run under the
@@ -106,9 +115,9 @@ func valuationBudget(opts Options) (int, error) {
 
 // Prepare computes the final-model metrics and the FedSV baseline, then
 // builds the ComFedSV observation plan. It returns the number of
-// observation shards to schedule (always 1 for the exact pipeline — its
-// observation region has no permutation structure to shard; the first
-// wave's count under a tolerance, whose Complete may schedule more).
+// observation shards to schedule: Options.Shards clamped to the rounds for
+// the exact pipeline, which splits its observation region by round; the
+// first wave's count under a tolerance, whose Complete may schedule more.
 func (v *Valuation) Prepare(ctx context.Context) (int, error) {
 	budget, err := valuationBudget(v.opts)
 	if err != nil {
@@ -130,8 +139,10 @@ func (v *Valuation) Prepare(ctx context.Context) (int, error) {
 
 	mcCfg := mc.DefaultConfig(v.opts.Rank)
 	mcCfg.Workers = v.opts.Parallelism
+	// p holds a typed nil on error, so it reaches v.plan only on success.
+	var p plan
 	if budget > 0 {
-		plan, err := shapley.NewMonteCarloPlan(ctx, v.session, shapley.MonteCarloConfig{
+		p, err = shapley.NewMonteCarloPlan(ctx, v.session, shapley.MonteCarloConfig{
 			Samples:    budget,
 			Completion: mcCfg,
 			Seed:       v.opts.Seed + 1,
@@ -139,19 +150,13 @@ func (v *Valuation) Prepare(ctx context.Context) (int, error) {
 			Shards:     v.opts.Shards,
 			Tolerance:  v.opts.Tolerance,
 		})
-		if err != nil {
-			return 0, stageErr(ctx, "valuation", err)
-		}
-		v.mcPlan = plan
-		v.shards = plan.Shards()
 	} else {
-		plan, err := shapley.NewExactPlan(v.session, mcCfg)
-		if err != nil {
-			return 0, stageErr(ctx, "valuation", err)
-		}
-		v.exact = plan
-		v.shards = 1
+		p, err = shapley.NewExactPlan(v.session, mcCfg, v.opts.Shards)
 	}
+	if err != nil {
+		return 0, stageErr(ctx, "valuation", err)
+	}
+	v.plan, v.shards = p, p.Shards()
 	v.emit(Progress{Stage: StageObserve, Done: 0, Total: v.shards})
 	return v.shards, nil
 }
@@ -164,13 +169,7 @@ func (v *Valuation) Shards() int { return v.shards }
 // Options.Parallelism goroutines of its own.
 func (v *Valuation) ObserveShard(ctx context.Context, shard int) error {
 	start := time.Now()
-	var err error
-	if v.mcPlan != nil {
-		err = v.mcPlan.ObserveShard(ctx, shard)
-	} else {
-		err = v.exact.Observe(ctx)
-	}
-	if err != nil {
+	if err := v.plan.ObserveShard(ctx, shard); err != nil {
 		return stageErr(ctx, "valuation", err)
 	}
 	v.emitTime(StageObserve, shard, start)
@@ -183,27 +182,23 @@ func (v *Valuation) ObserveShard(ctx context.Context, shard int) error {
 // recovery can resume without retraining.
 func (v *Valuation) TrainedRun() *TrainedRun { return v.tr }
 
-// ShardDigest returns the content hash of an observed shard's evaluated
-// cells — the token the comfedsvd journal records so crash recovery can
-// verify a re-executed shard re-derived identical observations. Exact
-// pipelines (no permutation structure to shard) and unobserved shards
+// ShardDigest returns the digest of an observed shard's cell batch — the
+// token the comfedsvd journal records so crash recovery can verify a
+// re-executed shard re-derived identical observations, and the digest a
+// remote worker's batch for the same shard carries. Unobserved shards
 // return "".
-func (v *Valuation) ShardDigest(shard int) string {
-	if v.mcPlan == nil {
-		return ""
-	}
-	return v.mcPlan.ShardDigest(shard)
-}
+func (v *Valuation) ShardDigest(shard int) string { return v.plan.ShardDigest(shard) }
 
 // ObservationBudget returns the job's resolved permutation budget — the
 // sample count a worker-side ShardObserver must be built with so its
 // plan matches this valuation's. Exact pipelines (no permutation
 // structure) return 0; call it after Prepare.
 func (v *Valuation) ObservationBudget() int {
-	if v.mcPlan == nil {
+	p, ok := v.plan.(*shapley.MonteCarloPlan)
+	if !ok {
 		return 0
 	}
-	return v.mcPlan.Budget()
+	return p.Budget()
 }
 
 // ShardSlice returns the half-open permutation slice [lo, hi) owned by a
@@ -211,10 +206,11 @@ func (v *Valuation) ObservationBudget() int {
 // worker. ok is false for exact pipelines and shards the plan has not
 // scheduled (tolerance waves schedule shards as they advance).
 func (v *Valuation) ShardSlice(shard int) (lo, hi int, ok bool) {
-	if v.mcPlan == nil || shard < 0 || shard >= v.shards {
+	p, ok := v.plan.(*shapley.MonteCarloPlan)
+	if !ok || shard < 0 || shard >= v.shards {
 		return 0, 0, false
 	}
-	lo, hi = v.mcPlan.ShardSlice(shard)
+	lo, hi = p.ShardSlice(shard)
 	return lo, hi, true
 }
 
@@ -228,13 +224,7 @@ func (v *Valuation) ShardSlice(shard int) (lo, hi int, ok bool) {
 func (v *Valuation) Complete(ctx context.Context) (int, error) {
 	v.emit(Progress{Stage: StageComplete, Done: 0, Total: 1})
 	start := time.Now()
-	more := 0
-	var err error
-	if v.mcPlan != nil {
-		more, err = v.mcPlan.Advance(ctx)
-	} else {
-		err = v.exact.Complete(ctx)
-	}
+	more, err := v.plan.Advance(ctx)
 	if err != nil {
 		return 0, stageErr(ctx, "valuation", err)
 	}
@@ -252,31 +242,17 @@ func (v *Valuation) Complete(ctx context.Context) (int, error) {
 func (v *Valuation) Extract(ctx context.Context) (*Report, error) {
 	v.emit(Progress{Stage: StageShapley, Done: 0, Total: 1})
 	start := time.Now()
-	var (
-		values     []float64
-		store      *utility.Store
-		completion *mc.Result
-	)
-	if v.mcPlan != nil {
-		res, err := v.mcPlan.Extract(ctx)
-		if err != nil {
-			return nil, stageErr(ctx, "valuation", err)
-		}
-		values, store, completion = res.Values, res.Store, res.Completion
-		if v.opts.Tolerance > 0 {
-			v.report.ObservationsUsed = v.mcPlan.Used()
-			v.report.ObservationsBudget = v.mcPlan.Budget()
-		}
-	} else {
-		res, err := v.exact.Extract(ctx)
-		if err != nil {
-			return nil, stageErr(ctx, "valuation", err)
-		}
-		values, store, completion = res.Values, res.Store, res.Completion
+	res, err := v.plan.Extract(ctx)
+	if err != nil {
+		return nil, stageErr(ctx, "valuation", err)
 	}
-	v.report.ComFedSV = values
-	v.report.ObservedDensity = store.Density()
-	v.report.CompletionRMSE = completion.TrainRMSE
+	if v.opts.Tolerance > 0 {
+		v.report.ObservationsUsed = res.Permutations
+		v.report.ObservationsBudget = v.ObservationBudget()
+	}
+	v.report.ComFedSV = res.Values
+	v.report.ObservedDensity = res.Store.Density()
+	v.report.CompletionRMSE = res.Completion.TrainRMSE
 	// The session counts the distinct cells *this* valuation requested —
 	// what a standalone evaluator would have paid — so run-backed reports
 	// stay byte-identical to inline ones.
