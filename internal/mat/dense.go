@@ -4,6 +4,16 @@
 // small and allocation-conscious; all experiments in the paper operate on
 // matrices with at most a few thousand rows, so a straightforward dense
 // implementation is both sufficient and easy to audit.
+//
+// The models' forward and backward passes, and FedAvg's local steps and
+// aggregation, run on a few kernels with two bodies each: a Panel of weight
+// rows times one example (Panel.MulVec), Axpy and AddVec. On amd64
+// with AVX2 (detected at run time with CPUID and XGETBV) they run assembly
+// bodies; everywhere else, and after SetSIMD(false), portable Go bodies.
+// The assembly repeats the Go loops' arithmetic lane by lane, a separate
+// multiply and add in the same operand order and never a fused
+// multiply-add, so both bodies give the same bits and no result depends on
+// the host.
 package mat
 
 import (

@@ -1,0 +1,45 @@
+package mat
+
+// haveSIMD reports whether the CPU runs AVX2 and the operating system saves
+// the YMM registers across context switches.
+var haveSIMD = detectAVX2()
+
+func detectAVX2() bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
+		return false
+	}
+	const xmmYMMState = 1<<1 | 1<<2 // XCR0: SSE and AVX register state
+	if xgetbv()&xmmYMMState != xmmYMMState {
+		return false
+	}
+	const avx2 = 1 << 5
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx2 != 0
+}
+
+// cpuid executes CPUID with EAX = leaf and ECX = sub.
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+
+// xgetbv returns the low half of extended control register XCR0.
+func xgetbv() (eax uint32)
+
+// dotPanelSIMD stores all 16 lanes of one packed group dotted with x into
+// out. len(blk) must be 16*len(x).
+//
+//go:noescape
+func dotPanelSIMD(out *[panelLanes]float64, blk, x []float64)
+
+// axpySIMD adds a*x to y in place; len(x) must equal len(y).
+//
+//go:noescape
+func axpySIMD(a float64, x, y []float64)
+
+// addSIMD adds b to a in place; len(b) must equal len(a).
+//
+//go:noescape
+func addSIMD(a, b []float64)

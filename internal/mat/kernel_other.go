@@ -1,0 +1,11 @@
+//go:build !amd64
+
+package mat
+
+// haveSIMD is false: only amd64 has vector kernel bodies, so every other
+// architecture runs the portable ones.
+const haveSIMD = false
+
+func dotPanelSIMD(out *[panelLanes]float64, blk, x []float64) { panic("mat: no vector kernels") }
+func axpySIMD(a float64, x, y []float64)                      { panic("mat: no vector kernels") }
+func addSIMD(a, b []float64)                                  { panic("mat: no vector kernels") }

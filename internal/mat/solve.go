@@ -22,11 +22,11 @@ import (
 // A triangular solve is a serial chain of dependent subtractions and one
 // division per unknown, so a single solve runs at the latency of those
 // operations. The block kernel runs four independent chains side by side,
-// the way DotRows interleaves four dot products, and the Gram accumulation
-// adds four feature rows per load and store of each entry. Every value
-// still receives the same products in the same order, so all paths —
-// fused, factored, block, and the allocating wrappers in dense.go — give
-// bit-identical results.
+// the way Panel's portable body interleaves four dot products, and the Gram
+// accumulation adds four feature rows per load and store of each entry.
+// Every value still receives the same products in the same order, so all
+// paths — fused, factored, block, and the allocating wrappers in dense.go —
+// give bit-identical results.
 
 // CholeskyInto computes the lower-triangular factor L with a = L Lᵀ into l,
 // which must be a square matrix of a's shape (its prior contents are

@@ -17,50 +17,6 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// DotRows stores Dot(w[r*stride:r*stride+cols], x) into dst[r] for every
-// row r < len(dst): the product of a row-major weight block with one
-// example. It panics where Dot would: when len(x) != cols, so a ragged
-// example never reads past its row into the next row's weights or a bias
-// stored in the stride's gap. It also panics when the rows overlap
-// (stride < cols) or overrun w.
-//
-// A single dot is one serial add chain, so it runs at the latency of a
-// floating-point add per element. DotRows walks four rows at once with
-// four independent accumulators, each repeating Dot's own s += w[i]*x[i]
-// sequence, so the adds of different rows overlap in the pipeline and
-// every result keeps Dot's bits. A tail of fewer than four rows calls Dot.
-func DotRows(dst, w []float64, cols, stride int, x []float64) {
-	if len(x) != cols {
-		panic(fmt.Sprintf("mat: dot length mismatch %d vs %d", cols, len(x)))
-	}
-	rows := len(dst)
-	if rows == 0 {
-		return
-	}
-	if stride < cols || (rows-1)*stride+cols > len(w) {
-		panic(fmt.Sprintf("mat: %d rows of %d at stride %d do not fit %d weights", rows, cols, stride, len(w)))
-	}
-	r := 0
-	for ; r+4 <= rows; r += 4 {
-		o := r * stride
-		w0 := w[o:][:len(x)]
-		w1 := w[o+stride:][:len(x)]
-		w2 := w[o+2*stride:][:len(x)]
-		w3 := w[o+3*stride:][:len(x)]
-		var s0, s1, s2, s3 float64
-		for i, xi := range x {
-			s0 += w0[i] * xi
-			s1 += w1[i] * xi
-			s2 += w2[i] * xi
-			s3 += w3[i] * xi
-		}
-		dst[r], dst[r+1], dst[r+2], dst[r+3] = s0, s1, s2, s3
-	}
-	for ; r < rows; r++ {
-		dst[r] = Dot(w[r*stride:r*stride+cols], x)
-	}
-}
-
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v []float64) float64 {
 	var s float64
@@ -80,10 +36,15 @@ func AxpyTo(dst []float64, a float64, x, y []float64) {
 	}
 }
 
-// Axpy adds a*x to y in place.
+// Axpy adds a*x to y in place. On a host with AVX2 it runs the vector
+// body, which gives this loop's bits.
 func Axpy(a float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic("mat: axpy length mismatch")
+	}
+	if useSIMD {
+		axpySIMD(a, x, y)
+		return
 	}
 	for i := range y {
 		y[i] += a * x[i]
@@ -97,10 +58,15 @@ func ScaleVec(a float64, v []float64) {
 	}
 }
 
-// AddVec adds b to a in place.
+// AddVec adds b to a in place. On a host with AVX2 it runs the vector
+// body, which gives this loop's bits.
 func AddVec(a, b []float64) {
 	if len(a) != len(b) {
 		panic("mat: add length mismatch")
+	}
+	if useSIMD {
+		addSIMD(a, b)
+		return
 	}
 	for i := range a {
 		a[i] += b[i]
@@ -148,9 +114,7 @@ func MeanVecs(vecs [][]float64) []float64 {
 		if len(v) != n {
 			panic("mat: ragged vectors in mean")
 		}
-		for i, x := range v {
-			out[i] += x
-		}
+		AddVec(out, v)
 	}
 	inv := 1 / float64(len(vecs))
 	for i := range out {
@@ -182,9 +146,7 @@ func MeanVecsInto(dst []float64, vecs [][]float64) []float64 {
 		if len(v) != n {
 			panic("mat: ragged vectors in mean")
 		}
-		for i, x := range v {
-			dst[i] += x
-		}
+		AddVec(dst, v)
 	}
 	inv := 1 / float64(len(vecs))
 	for i := range dst {

@@ -685,6 +685,7 @@ func completeSGD(obs []Entry, w, h *mat.Dense, cfg Config, g *rng.RNG) (*Result,
 	// the ALS objective in expectation over an epoch.
 	lam := cfg.Lambda / float64(len(obs))
 	prev := math.Inf(1)
+	var obj, rmse float64
 	iters := 0
 	r := cfg.Rank
 	for epoch := 0; epoch < cfg.MaxIter; epoch++ {
@@ -703,14 +704,14 @@ func completeSGD(obs []Entry, w, h *mat.Dense, cfg Config, g *rng.RNG) (*Result,
 				hr[k] -= lr * gh
 			}
 		}
-		obj, _ := objective(obs, w, h, cfg.Lambda)
+		// The last epoch's objective is the result's: the factors do not
+		// change after it.
+		obj, rmse = objective(obs, w, h, cfg.Lambda)
 		if prev-obj <= cfg.Tol*math.Max(1, math.Abs(prev)) && epoch > 5 {
-			prev = obj
 			break
 		}
 		prev = obj
 	}
-	obj, rmse := objective(obs, w, h, cfg.Lambda)
 	return &Result{W: w, H: h, Objective: obj, Iterations: iters, TrainRMSE: rmse}, nil
 }
 

@@ -557,3 +557,42 @@ func TestCompleteCollapseIsNamedError(t *testing.T) {
 		t.Fatalf("all-zero observations: %v", err)
 	}
 }
+
+// TestResultObjectiveMatchesFactors pins that a result's Objective and
+// TrainRMSE are the objective of its own factors, bit for bit, whether the
+// solver stopped at the tolerance or ran out of iterations.
+func TestResultObjectiveMatchesFactors(t *testing.T) {
+	truth := lowRankTruth(30, 60, 2, 3)
+	obs := sample(truth, 0.5, 4)
+	for _, tc := range []struct {
+		name      string
+		solver    Solver
+		maxIter   int
+		converges bool
+	}{
+		{"als/tolerance", ALS, 200, true},
+		{"als/max-iterations", ALS, 2, false},
+		{"sgd/tolerance", SGD, 400, true},
+		{"sgd/max-iterations", SGD, 3, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(2)
+			cfg.Solver = tc.solver
+			cfg.MaxIter = tc.maxIter
+			cfg.LearningRate = 0.05
+			cfg.Lambda = 1e-3
+			cfg.Tol = 1e-3
+			res, err := Complete(obs, 30, 60, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stopped := res.Iterations < tc.maxIter; stopped != tc.converges {
+				t.Fatalf("%d of %d iterations: stopped early %v, want %v", res.Iterations, tc.maxIter, stopped, tc.converges)
+			}
+			obj, rmse := objective(obs, res.W, res.H, cfg.Lambda)
+			if math.Float64bits(res.Objective) != math.Float64bits(obj) || math.Float64bits(res.TrainRMSE) != math.Float64bits(rmse) {
+				t.Fatalf("result (%v, %v), objective of its factors (%v, %v)", res.Objective, res.TrainRMSE, obj, rmse)
+			}
+		})
+	}
+}

@@ -108,8 +108,18 @@ func (m *CNN) newScratch() *cnnScratch {
 	}
 }
 
-func (m *CNN) forward(p, x []float64, s *cnnScratch) {
-	convW, convB, denseW, denseB := m.slices(p)
+// pack packs the dense head's class rows of p into s's first panel for the
+// given number of examples.
+func (m *CNN) pack(s *scratch, p []float64, examples int) *mat.Panel {
+	_, _, denseW, _ := m.slices(p)
+	s.w1.Pack(denseW, m.Classes, m.pooledSize(), m.pooledSize(), examples)
+	return &s.w1
+}
+
+// forward runs one example through the network, the dense head through
+// its panel packed from p.
+func (m *CNN) forward(dense *mat.Panel, p, x []float64, s *cnnScratch) {
+	convW, convB, _, denseB := m.slices(p)
 	ch, cw := m.convH(), m.convW()
 	// Convolution + ReLU.
 	for f := 0; f < m.Filters; f++ {
@@ -149,8 +159,7 @@ func (m *CNN) forward(p, x []float64, s *cnnScratch) {
 		}
 	}
 	// Dense head.
-	ps := m.pooledSize()
-	mat.DotRows(s.logits, denseW, ps, ps, s.pooled)
+	dense.MulVec(s.logits, s.pooled)
 	for cls := range s.logits {
 		s.logits[cls] += denseB[cls]
 	}
@@ -159,10 +168,13 @@ func (m *CNN) forward(p, x []float64, s *cnnScratch) {
 // Loss returns mean cross-entropy over d plus (L2/2)‖params‖².
 func (m *CNN) Loss(params []float64, d *dataset.Dataset) float64 {
 	m.checkDims(params, d)
+	sc := getScratch()
+	defer putScratch(sc)
+	dense := m.pack(sc, params, d.Len())
 	s := m.newScratch()
 	var total float64
 	for i, x := range d.X {
-		m.forward(params, x, s)
+		m.forward(dense, params, x, s)
 		mat.Softmax(s.probs, s.logits)
 		total += -math.Log(math.Max(s.probs[d.Y[i]], 1e-15))
 	}
@@ -177,6 +189,9 @@ func (m *CNN) Loss(params []float64, d *dataset.Dataset) float64 {
 // through dense → pool → ReLU → conv.
 func (m *CNN) Gradient(params []float64, d *dataset.Dataset) []float64 {
 	m.checkDims(params, d)
+	sc := getScratch()
+	defer putScratch(sc)
+	dense := m.pack(sc, params, d.Len())
 	grad := make([]float64, m.NumParams())
 	gcw, gcb, gdw, gdb := m.slices(grad)
 	_, _, denseW, _ := m.slices(params)
@@ -189,7 +204,7 @@ func (m *CNN) Gradient(params []float64, d *dataset.Dataset) []float64 {
 	dConv := make([]float64, m.Filters*ch*cw)
 
 	for i, x := range d.X {
-		m.forward(params, x, s)
+		m.forward(dense, params, x, s)
 		mat.Softmax(s.probs, s.logits)
 
 		for j := range dPooled {
@@ -200,12 +215,8 @@ func (m *CNN) Gradient(params []float64, d *dataset.Dataset) []float64 {
 			if cls == d.Y[i] {
 				delta -= 1
 			}
-			row := denseW[cls*ps : (cls+1)*ps]
-			grow := gdw[cls*ps : (cls+1)*ps]
-			for j := 0; j < ps; j++ {
-				grow[j] += delta * s.pooled[j]
-				dPooled[j] += delta * row[j]
-			}
+			mat.Axpy(delta, s.pooled, gdw[cls*ps:(cls+1)*ps])
+			mat.Axpy(delta, denseW[cls*ps:(cls+1)*ps], dPooled)
 			gdb[cls] += delta
 		}
 
@@ -269,8 +280,10 @@ func (m *CNN) Gradient(params []float64, d *dataset.Dataset) []float64 {
 
 // Predict returns the argmax class of x.
 func (m *CNN) Predict(params []float64, x []float64) int {
+	sc := getScratch()
+	defer putScratch(sc)
 	s := m.newScratch()
-	m.forward(params, x, s)
+	m.forward(m.pack(sc, params, 1), params, x, s)
 	return mat.ArgMax(s.logits)
 }
 

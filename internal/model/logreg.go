@@ -34,11 +34,18 @@ func (m *LogisticRegression) InitParams(g *rng.RNG) []float64 {
 	return g.NormalVec(m.NumParams(), 0, 0.01)
 }
 
+// pack packs the class weight rows of params, each params[c*(Dim+1):][:Dim],
+// into s's first panel for the given number of examples.
+func (m *LogisticRegression) pack(s *scratch, params []float64, examples int) *mat.Panel {
+	s.w1.Pack(params, m.Classes, m.Dim, m.Dim+1, examples)
+	return &s.w1
+}
+
 // logits stores each class's score into out, one entry per class: its
-// weight row params[c*(Dim+1):][:Dim] dotted with x, plus the bias in the
-// last slot of the row's stride.
-func (m *LogisticRegression) logits(params, x, out []float64) {
-	mat.DotRows(out, params, m.Dim, m.Dim+1, x)
+// packed weight row dotted with x, plus the bias in the last slot of the
+// row's stride in params.
+func (m *LogisticRegression) logits(w *mat.Panel, params, x, out []float64) {
+	w.MulVec(out, x)
 	for c := range out {
 		out[c] += params[c*(m.Dim+1)+m.Dim]
 	}
@@ -47,11 +54,13 @@ func (m *LogisticRegression) logits(params, x, out []float64) {
 // Loss returns mean cross-entropy over d plus (L2/2)‖params‖².
 func (m *LogisticRegression) Loss(params []float64, d *dataset.Dataset) float64 {
 	m.checkDims(params, d)
-	logits := make([]float64, m.Classes)
-	probs := make([]float64, m.Classes)
+	s := getScratch()
+	defer putScratch(s)
+	w := m.pack(s, params, d.Len())
+	logits, probs := vec(&s.logits, m.Classes), vec(&s.probs, m.Classes)
 	var total float64
 	for i, x := range d.X {
-		m.logits(params, x, logits)
+		m.logits(w, params, x, logits)
 		mat.Softmax(probs, logits)
 		total += -math.Log(math.Max(probs[d.Y[i]], 1e-15))
 	}
@@ -66,11 +75,13 @@ func (m *LogisticRegression) Loss(params []float64, d *dataset.Dataset) float64 
 // Gradient returns the gradient of Loss at params.
 func (m *LogisticRegression) Gradient(params []float64, d *dataset.Dataset) []float64 {
 	m.checkDims(params, d)
+	s := getScratch()
+	defer putScratch(s)
+	w := m.pack(s, params, d.Len())
 	grad := make([]float64, m.NumParams())
-	logits := make([]float64, m.Classes)
-	probs := make([]float64, m.Classes)
+	logits, probs := vec(&s.logits, m.Classes), vec(&s.probs, m.Classes)
 	for i, x := range d.X {
-		m.logits(params, x, logits)
+		m.logits(w, params, x, logits)
 		mat.Softmax(probs, logits)
 		for c := 0; c < m.Classes; c++ {
 			delta := probs[c]
@@ -78,10 +89,7 @@ func (m *LogisticRegression) Gradient(params []float64, d *dataset.Dataset) []fl
 				delta -= 1
 			}
 			base := c * (m.Dim + 1)
-			gw := grad[base : base+m.Dim]
-			for j, xj := range x {
-				gw[j] += delta * xj
-			}
+			mat.Axpy(delta, x, grad[base:base+m.Dim])
 			grad[base+m.Dim] += delta
 		}
 	}
@@ -98,8 +106,10 @@ func (m *LogisticRegression) Gradient(params []float64, d *dataset.Dataset) []fl
 
 // Predict returns the argmax class of x.
 func (m *LogisticRegression) Predict(params []float64, x []float64) int {
-	logits := make([]float64, m.Classes)
-	m.logits(params, x, logits)
+	s := getScratch()
+	defer putScratch(s)
+	logits := vec(&s.logits, m.Classes)
+	m.logits(m.pack(s, params, 1), params, x, logits)
 	return mat.ArgMax(logits)
 }
 

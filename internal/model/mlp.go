@@ -61,14 +61,24 @@ func (m *MLP) slices(p []float64) (w1, b1, w2, b2 []float64) {
 	return
 }
 
-// forward computes hidden activations and logits for one example.
-func (m *MLP) forward(p, x, hidden, logits []float64) {
-	w1, b1, w2, b2 := m.slices(p)
-	mat.DotRows(hidden, w1, m.Dim, m.Dim, x)
+// pack packs both weight layers of p into s's panels for the given number
+// of examples.
+func (m *MLP) pack(s *scratch, p []float64, examples int) (w1, w2 *mat.Panel) {
+	pw1, _, pw2, _ := m.slices(p)
+	s.w1.Pack(pw1, m.Hidden, m.Dim, m.Dim, examples)
+	s.w2.Pack(pw2, m.Classes, m.Hidden, m.Hidden, examples)
+	return &s.w1, &s.w2
+}
+
+// forward computes hidden activations and logits for one example through
+// the layer panels w1 and w2 packed from p.
+func (m *MLP) forward(w1, w2 *mat.Panel, p, x, hidden, logits []float64) {
+	_, b1, _, b2 := m.slices(p)
+	w1.MulVec(hidden, x)
 	for h := range hidden {
 		hidden[h] = math.Tanh(hidden[h] + b1[h])
 	}
-	mat.DotRows(logits, w2, m.Hidden, m.Hidden, hidden)
+	w2.MulVec(logits, hidden)
 	for c := range logits {
 		logits[c] += b2[c]
 	}
@@ -77,12 +87,14 @@ func (m *MLP) forward(p, x, hidden, logits []float64) {
 // Loss returns mean cross-entropy over d plus (L2/2)‖params‖².
 func (m *MLP) Loss(params []float64, d *dataset.Dataset) float64 {
 	m.checkDims(params, d)
-	hidden := make([]float64, m.Hidden)
-	logits := make([]float64, m.Classes)
-	probs := make([]float64, m.Classes)
+	s := getScratch()
+	defer putScratch(s)
+	w1, w2 := m.pack(s, params, d.Len())
+	hidden := vec(&s.hidden, m.Hidden)
+	logits, probs := vec(&s.logits, m.Classes), vec(&s.probs, m.Classes)
 	var total float64
 	for i, x := range d.X {
-		m.forward(params, x, hidden, logits)
+		m.forward(w1, w2, params, x, hidden, logits)
 		mat.Softmax(probs, logits)
 		total += -math.Log(math.Max(probs[d.Y[i]], 1e-15))
 	}
@@ -96,17 +108,17 @@ func (m *MLP) Loss(params []float64, d *dataset.Dataset) float64 {
 // Gradient returns the gradient of Loss at params via backpropagation.
 func (m *MLP) Gradient(params []float64, d *dataset.Dataset) []float64 {
 	m.checkDims(params, d)
+	s := getScratch()
+	defer putScratch(s)
+	w1, w2 := m.pack(s, params, d.Len())
 	grad := make([]float64, m.NumParams())
 	gw1, gb1, gw2, gb2 := m.slices(grad)
-	w1, _, w2, _ := m.slices(params)
-	_ = w1
+	_, _, pw2, _ := m.slices(params)
 
-	hidden := make([]float64, m.Hidden)
-	logits := make([]float64, m.Classes)
-	probs := make([]float64, m.Classes)
-	dHidden := make([]float64, m.Hidden)
+	hidden, dHidden := vec(&s.hidden, m.Hidden), vec(&s.dHidden, m.Hidden)
+	logits, probs := vec(&s.logits, m.Classes), vec(&s.probs, m.Classes)
 	for i, x := range d.X {
-		m.forward(params, x, hidden, logits)
+		m.forward(w1, w2, params, x, hidden, logits)
 		mat.Softmax(probs, logits)
 		// Output layer: dL/dlogit_c = p_c - 1{c==y}.
 		for h := range dHidden {
@@ -117,12 +129,8 @@ func (m *MLP) Gradient(params []float64, d *dataset.Dataset) []float64 {
 			if c == d.Y[i] {
 				delta -= 1
 			}
-			row := w2[c*m.Hidden : (c+1)*m.Hidden]
-			grow := gw2[c*m.Hidden : (c+1)*m.Hidden]
-			for h := 0; h < m.Hidden; h++ {
-				grow[h] += delta * hidden[h]
-				dHidden[h] += delta * row[h]
-			}
+			mat.Axpy(delta, hidden, gw2[c*m.Hidden:(c+1)*m.Hidden])
+			mat.Axpy(delta, pw2[c*m.Hidden:(c+1)*m.Hidden], dHidden)
 			gb2[c] += delta
 		}
 		// Hidden layer: tanh' = 1 - tanh².
@@ -131,10 +139,7 @@ func (m *MLP) Gradient(params []float64, d *dataset.Dataset) []float64 {
 			if dPre == 0 {
 				continue
 			}
-			grow := gw1[h*m.Dim : (h+1)*m.Dim]
-			for j, xj := range x {
-				grow[j] += dPre * xj
-			}
+			mat.Axpy(dPre, x, gw1[h*m.Dim:(h+1)*m.Dim])
 			gb1[h] += dPre
 		}
 	}
@@ -151,9 +156,11 @@ func (m *MLP) Gradient(params []float64, d *dataset.Dataset) []float64 {
 
 // Predict returns the argmax class of x.
 func (m *MLP) Predict(params []float64, x []float64) int {
-	hidden := make([]float64, m.Hidden)
-	logits := make([]float64, m.Classes)
-	m.forward(params, x, hidden, logits)
+	s := getScratch()
+	defer putScratch(s)
+	w1, w2 := m.pack(s, params, 1)
+	logits := vec(&s.logits, m.Classes)
+	m.forward(w1, w2, params, x, vec(&s.hidden, m.Hidden), logits)
 	return mat.ArgMax(logits)
 }
 

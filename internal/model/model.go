@@ -7,7 +7,10 @@
 package model
 
 import (
+	"sync"
+
 	"comfedsv/internal/dataset"
+	"comfedsv/internal/mat"
 	"comfedsv/internal/rng"
 )
 
@@ -42,4 +45,29 @@ func Accuracy(m Model, params []float64, d *dataset.Dataset) float64 {
 		}
 	}
 	return float64(correct) / float64(d.Len())
+}
+
+// scratch is the reusable storage of one Loss, Gradient or Predict call:
+// the weight panels packed once per call for the forward-pass kernel, and
+// the per-example vectors. Calls borrow one from scratchPool, so a warm
+// utility evaluator runs its forward passes without allocating.
+type scratch struct {
+	w1, w2                         mat.Panel // w2 only for the MLP's second layer
+	hidden, logits, probs, dHidden []float64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch  { return scratchPool.Get().(*scratch) }
+func putScratch(s *scratch) { scratchPool.Put(s) }
+
+// vec returns *buf resized to n and zeroed, growing it only when its
+// capacity is short.
+func vec(buf *[]float64, n int) []float64 {
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
+	}
+	*buf = (*buf)[:n]
+	clear(*buf)
+	return *buf
 }

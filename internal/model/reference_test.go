@@ -11,9 +11,10 @@ import (
 )
 
 // The reference forward passes below compute every weight-row product with
-// its own mat.Dot over a row sliced out of the flat parameter vector — the
-// models' arithmetic before the four-row kernel. The models must match them
-// bit for bit.
+// its own mat.Dot over a row sliced out of the flat parameter vector, and
+// every backward update with its own loop — the models' arithmetic before
+// the packed-panel and element-wise kernels. The models must match them
+// bit for bit on both kernel bodies.
 
 func refLogRegLogits(m *LogisticRegression, p, x []float64) []float64 {
 	logits := make([]float64, m.Classes)
@@ -41,7 +42,7 @@ func refMLPForward(m *MLP, p, x []float64) (hidden, logits []float64) {
 // kernel does not touch, and recomputes the dense head row by row.
 func refCNNForward(m *CNN, p, x []float64) *cnnScratch {
 	s := m.newScratch()
-	m.forward(p, x, s)
+	m.forward(m.pack(new(scratch), p, 1), p, x, s)
 	_, _, denseW, denseB := m.slices(p)
 	ps := m.pooledSize()
 	for c := range s.logits {
@@ -198,22 +199,27 @@ func oracleData(seed int64, n, dim, classes int) *dataset.Dataset {
 }
 
 // checkOracle compares Loss, Gradient and Predict of m against the
-// reference on d, bit for bit.
+// reference on d, bit for bit, with the vector kernel bodies off and then
+// on (on a host that has them).
 func checkOracle(t *testing.T, m Model, p []float64, d *dataset.Dataset,
 	loss func() float64, grad func() []float64, predict func(x []float64) int) {
 	t.Helper()
-	if got, want := m.Loss(p, d), loss(); math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("Loss %v (%#x), reference %v (%#x)", got, math.Float64bits(got), want, math.Float64bits(want))
-	}
-	got, want := m.Gradient(p, d), grad()
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("Gradient[%d] %v, reference %v", i, got[i], want[i])
+	defer mat.SetSIMD(mat.SetSIMD(false))
+	for _, simd := range []bool{false, true} {
+		mat.SetSIMD(simd)
+		if got, want := m.Loss(p, d), loss(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("simd %v: Loss %v (%#x), reference %v (%#x)", simd, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
-	}
-	for i, x := range d.X {
-		if got, want := m.Predict(p, x), predict(x); got != want {
-			t.Fatalf("Predict(example %d) %d, reference %d", i, got, want)
+		got, want := m.Gradient(p, d), grad()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("simd %v: Gradient[%d] %v, reference %v", simd, i, got[i], want[i])
+			}
+		}
+		for i, x := range d.X {
+			if got, want := m.Predict(p, x), predict(x); got != want {
+				t.Fatalf("simd %v: Predict(example %d) %d, reference %d", simd, i, got, want)
+			}
 		}
 	}
 }
