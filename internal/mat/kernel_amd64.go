@@ -43,3 +43,16 @@ func axpySIMD(a float64, x, y []float64)
 //
 //go:noescape
 func addSIMD(a, b []float64)
+
+// gramSIMD is the vector body of ridgeGram for 1 ≤ r ≤ gramSIMDMaxRank,
+// before λ: it writes the lower triangle of AᵀA into g and, when targets is
+// non-empty, Aᵀ targets into b. Every feature row must have length r.
+//
+//go:noescape
+func gramSIMD(g, b []float64, features [][]float64, targets []float64, r int)
+
+// solveWideSIMD is the vector body of RidgeSolveWideInto for m ≥ 1
+// systems; l is the r×r factor's row-major data.
+//
+//go:noescape
+func solveWideSIMD(x, targets []float64, features [][]float64, l []float64, r, m int)

@@ -123,6 +123,360 @@ adddone:
 	VZEROUPPER
 	RET
 
+// gramMask<> holds four all-ones quadwords and four zero ones: the 32 bytes
+// at gramMask<>+32-8r are a VMASKMOVPD mask of the first r lanes.
+DATA gramMask<>+0(SB)/8, $-1
+DATA gramMask<>+8(SB)/8, $-1
+DATA gramMask<>+16(SB)/8, $-1
+DATA gramMask<>+24(SB)/8, $-1
+DATA gramMask<>+32(SB)/8, $0
+DATA gramMask<>+40(SB)/8, $0
+DATA gramMask<>+48(SB)/8, $0
+DATA gramMask<>+56(SB)/8, $0
+GLOBL gramMask<>(SB), RODATA|NOPTR, $64
+
+// GRAMROW adds f[i]·f[0:4] to acc, where Y12 holds f[0:4] and off is 8i:
+// the product f[j]·f[i], then product plus sum, as gramGo compiles them.
+#define GRAMROW(off, acc) \
+	VBROADCASTSD off(DX), Y14 \
+	VMULPD       Y14, Y12, Y15 \
+	VADDPD       acc, Y15, acc
+
+// GRAMROW2 is GRAMROW for a row of rank 5 to 7, whose entries are in two
+// chunks: Y12 holds f[0:4] and Y13 holds the last four entries f[r-4:r].
+#define GRAMROW2(off, acc0, acc1) \
+	VBROADCASTSD off(DX), Y14 \
+	VMULPD       Y14, Y12, Y15 \
+	VADDPD       acc0, Y15, acc0 \
+	VMULPD       Y14, Y13, Y15 \
+	VADDPD       acc1, Y15, acc1
+
+// func gramSIMD(g, b []float64, features [][]float64, targets []float64, r int)
+//
+// Row i of the lower triangle lives in YMM accumulators for the whole pass
+// over the feature rows: Y0-Y3 hold rows 0-3 (columns 0-3), and rows 4-6
+// hold two each, (Y4,Y5), (Y6,Y7), (Y8,Y9), for columns 0-3 and the last
+// four columns r-4..r-1. Where the two chunks overlap they compute the
+// same entries with the same operations, so their stores agree. Y10 (and
+// Y11 for the last four) accumulate Aᵀb. A rank below 4 loads and stores
+// through a mask of r lanes, so no access leaves a feature row or a row of
+// g; the lanes above the diagonal receive products CholeskyInto never reads.
+TEXT ·gramSIMD(SB), NOSPLIT, $0-104
+	MOVQ   g_base+0(FP), DI
+	MOVQ   b_base+24(FP), BX
+	MOVQ   features_base+48(FP), SI
+	MOVQ   features_len+56(FP), CX
+	MOVQ   targets_base+72(FP), R8
+	MOVQ   targets_len+80(FP), R9
+	MOVQ   r+96(FP), AX
+	LEAQ   0(AX*8), R11        // r*8: the row stride of g
+	LEAQ   -32(R11), R10       // (r-4)*8: the offset of the last four entries
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
+	CMPQ   AX, $4
+	JGT    gramwide
+
+	// Rank 1 to 4: Y13 is the mask of the first r lanes.
+	LEAQ    gramMask<>+32(SB), DX
+	SUBQ    R11, DX
+	VMOVUPD (DX), Y13
+	TESTQ   CX, CX
+	JZ      narrowstore
+
+narrowloop:
+	MOVQ       (SI), DX
+	VMASKMOVPD (DX), Y13, Y12
+	GRAMROW(0, Y0)
+	CMPQ       AX, $2
+	JLT        narrowt
+	GRAMROW(8, Y1)
+	CMPQ       AX, $3
+	JLT        narrowt
+	GRAMROW(16, Y2)
+	CMPQ       AX, $4
+	JLT        narrowt
+	GRAMROW(24, Y3)
+
+narrowt:
+	// Aᵀb: f[0:4]·t, then product plus sum, as gramGo compiles them.
+	TESTQ        R9, R9
+	JZ           narrownext
+	VBROADCASTSD (R8), Y14
+	VMULPD       Y14, Y12, Y15
+	VADDPD       Y10, Y15, Y10
+	ADDQ         $8, R8
+
+narrownext:
+	ADDQ $24, SI
+	DECQ CX
+	JNZ  narrowloop
+
+narrowstore:
+	VMASKMOVPD Y0, Y13, (DI)
+	CMPQ       AX, $2
+	JLT        narrowb
+	ADDQ       R11, DI
+	VMASKMOVPD Y1, Y13, (DI)
+	CMPQ       AX, $3
+	JLT        narrowb
+	ADDQ       R11, DI
+	VMASKMOVPD Y2, Y13, (DI)
+	CMPQ       AX, $4
+	JLT        narrowb
+	ADDQ       R11, DI
+	VMASKMOVPD Y3, Y13, (DI)
+
+narrowb:
+	TESTQ      R9, R9
+	JZ         gramdone
+	VMASKMOVPD Y10, Y13, (BX)
+	JMP        gramdone
+
+gramwide:
+	// Rank 5 to 7: f[0:4] in Y12 and f[r-4:r] in Y13 are both inside the row.
+	TESTQ CX, CX
+	JZ    widestore
+
+wideloop:
+	MOVQ    (SI), DX
+	VMOVUPD (DX), Y12
+	VMOVUPD (DX)(R10*1), Y13
+	GRAMROW(0, Y0)
+	GRAMROW(8, Y1)
+	GRAMROW(16, Y2)
+	GRAMROW(24, Y3)
+	GRAMROW2(32, Y4, Y5)
+	CMPQ    AX, $6
+	JLT     widet
+	GRAMROW2(40, Y6, Y7)
+	CMPQ    AX, $7
+	JLT     widet
+	GRAMROW2(48, Y8, Y9)
+
+widet:
+	TESTQ        R9, R9
+	JZ           widenext
+	VBROADCASTSD (R8), Y14
+	VMULPD       Y14, Y12, Y15
+	VADDPD       Y10, Y15, Y10
+	VMULPD       Y14, Y13, Y15
+	VADDPD       Y11, Y15, Y11
+	ADDQ         $8, R8
+
+widenext:
+	ADDQ $24, SI
+	DECQ CX
+	JNZ  wideloop
+
+widestore:
+	VMOVUPD Y0, (DI)
+	ADDQ    R11, DI
+	VMOVUPD Y1, (DI)
+	ADDQ    R11, DI
+	VMOVUPD Y2, (DI)
+	ADDQ    R11, DI
+	VMOVUPD Y3, (DI)
+	ADDQ    R11, DI
+	VMOVUPD Y4, (DI)
+	VMOVUPD Y5, (DI)(R10*1)
+	CMPQ    AX, $6
+	JLT     wideb
+	ADDQ    R11, DI
+	VMOVUPD Y6, (DI)
+	VMOVUPD Y7, (DI)(R10*1)
+	CMPQ    AX, $7
+	JLT     wideb
+	ADDQ    R11, DI
+	VMOVUPD Y8, (DI)
+	VMOVUPD Y9, (DI)(R10*1)
+
+wideb:
+	TESTQ   R9, R9
+	JZ      gramdone
+	VMOVUPD Y10, (BX)
+	VMOVUPD Y11, (BX)(R10*1)
+
+gramdone:
+	VZEROUPPER
+	RET
+
+// func solveWideSIMD(x, targets []float64, features [][]float64, l []float64, r, m int)
+//
+// Four systems per YMM register, one 32-byte group of a row of x at a
+// time. Row i of x holds b_i, then y_i, then x_i of every system, so the
+// whole solve works in place. For each row i in ascending order and each
+// group, the right-hand side is summed from +0 over the feature rows, then
+// the forward step subtracts l_ik·y_k for k ascending and divides by l_ii;
+// the back step then runs rows r-1 down to 0, subtracting l_ki·x_k for k
+// ascending from i+1. The groups of one row are independent, so their
+// chains overlap in the pipeline. Every product and sum repeats
+// solveWideGo's: the loaded operand first in each multiply, the product
+// first in the right-hand side's add.
+//
+// A last group of m mod 4 systems moves its targets and x through the mask
+// in Y4, which covers all four lanes in a whole group, so nothing past them
+// is read or written. The forward step's loads of y_k need no mask: k < r-1,
+// so a lane past m still lies in row k+1 of x.
+//
+// Registers: DI x, R8 targets, SI features, BX m*8 (the row stride of x
+// and targets), R13 r*8 (the row stride of l), R9 row i of x, R10 row i of
+// l, R12 l_ii, DX the group's byte offset; AX, CX and R11 walk the inner
+// loops. Y5 holds the all-lanes mask and Y6 the last group's. The locals
+// hold loop bounds.
+TEXT ·solveWideSIMD(SB), NOSPLIT, $32-112
+	MOVQ    x_base+0(FP), DI
+	MOVQ    targets_base+24(FP), R8
+	MOVQ    features_base+48(FP), SI
+	MOVQ    features_len+56(FP), CX
+	MOVQ    l_base+72(FP), R11
+	MOVQ    r+96(FP), R13
+	MOVQ    m+104(FP), BX
+	LEAQ    (CX)(CX*2), CX
+	LEAQ    (SI)(CX*8), CX
+	MOVQ    CX, fend-8(SP)        // one past the last feature row's header
+	LEAQ    gramMask<>(SB), AX
+	VMOVUPD (AX), Y5
+	MOVQ    BX, CX
+	ANDQ    $3, CX
+	SHLQ    $3, CX
+	LEAQ    gramMask<>+32(SB), AX
+	SUBQ    CX, AX
+	VMOVUPD (AX), Y6              // the first m mod 4 lanes
+	LEAQ    3(BX), AX
+	ANDQ    $-4, AX
+	SHLQ    $3, AX
+	MOVQ    AX, gend-16(SP)       // one past the last group
+	SHLQ    $3, BX
+	MOVQ    R13, AX
+	IMULQ   BX, AX
+	ADDQ    DI, AX
+	MOVQ    AX, xend-24(SP)       // one past the last row of x
+	SHLQ    $3, R13
+	MOVQ    $0, ioff-32(SP)       // 8i: row i's entry in a feature row
+	MOVQ    DI, R9
+	MOVQ    R11, R10
+	MOVQ    R11, R12
+	CMPQ    R9, AX
+	JAE     backward
+
+forwardrow:
+	VBROADCASTSD (R12), Y1
+	XORQ         DX, DX
+
+forwardgroup:
+	VMOVAPD Y5, Y4
+	LEAQ    32(DX), AX
+	CMPQ    AX, BX
+	JLE     forwardrhs
+	VMOVAPD Y6, Y4
+
+forwardrhs:
+	VXORPD Y0, Y0, Y0
+	MOVQ   SI, AX
+	LEAQ   (R8)(DX*1), CX
+	CMPQ   AX, fend-8(SP)
+	JAE    forwardsub
+
+rhs:
+	// b_i += t_q·f_q[i]: target first, then product plus sum.
+	MOVQ         (AX), R11
+	ADDQ         ioff-32(SP), R11
+	VBROADCASTSD (R11), Y2
+	VMASKMOVPD   (CX), Y4, Y3
+	VMULPD       Y2, Y3, Y3
+	VADDPD       Y0, Y3, Y0
+	ADDQ         $24, AX
+	ADDQ         BX, CX
+	CMPQ         AX, fend-8(SP)
+	JB           rhs
+
+forwardsub:
+	// s -= y_k·l_ik for k < i: l_ik runs along row i of l up to l_ii.
+	MOVQ R10, AX
+	LEAQ (DI)(DX*1), CX
+	CMPQ AX, R12
+	JAE  forwarddiv
+
+forwardk:
+	VBROADCASTSD (AX), Y2
+	VMOVUPD      (CX), Y3
+	VMULPD       Y2, Y3, Y3
+	VSUBPD       Y3, Y0, Y0
+	ADDQ         $8, AX
+	ADDQ         BX, CX
+	CMPQ         AX, R12
+	JB           forwardk
+
+forwarddiv:
+	VDIVPD     Y1, Y0, Y0
+	VMASKMOVPD Y0, Y4, (R9)(DX*1)
+	ADDQ       $32, DX
+	CMPQ       DX, gend-16(SP)
+	JB         forwardgroup
+	ADDQ       BX, R9
+	ADDQ       R13, R10
+	LEAQ       8(R12)(R13*1), R12
+	ADDQ       $8, ioff-32(SP)
+	CMPQ       R9, xend-24(SP)
+	JB         forwardrow
+
+backward:
+	// Row r-1 first: R9 and R12 step back from one past the last row.
+	SUBQ         BX, R9
+	SUBQ         R13, R12
+	SUBQ         $8, R12
+	CMPQ         R9, DI
+	JB           solvedone
+	VBROADCASTSD (R12), Y1
+	XORQ         DX, DX
+
+backwardgroup:
+	// s -= x_k·l_ki for k > i: l_ki runs down column i of l below l_ii.
+	VMOVAPD    Y5, Y4
+	LEAQ       32(DX), AX
+	CMPQ       AX, BX
+	JLE        backwardload
+	VMOVAPD    Y6, Y4
+
+backwardload:
+	VMASKMOVPD (R9)(DX*1), Y4, Y0
+	LEAQ       (R12)(R13*1), AX
+	LEAQ       (R9)(BX*1), CX
+	CMPQ       CX, xend-24(SP)
+	JAE        backwarddiv
+
+backwardk:
+	VBROADCASTSD (AX), Y2
+	VMASKMOVPD   (CX)(DX*1), Y4, Y3
+	VMULPD       Y2, Y3, Y3
+	VSUBPD       Y3, Y0, Y0
+	ADDQ         R13, AX
+	ADDQ         BX, CX
+	CMPQ         CX, xend-24(SP)
+	JB           backwardk
+
+backwarddiv:
+	VDIVPD     Y1, Y0, Y0
+	VMASKMOVPD Y0, Y4, (R9)(DX*1)
+	ADDQ       $32, DX
+	CMPQ       DX, gend-16(SP)
+	JB         backwardgroup
+	JMP        backward
+
+solvedone:
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

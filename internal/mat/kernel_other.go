@@ -9,3 +9,9 @@ const haveSIMD = false
 func dotPanelSIMD(out *[panelLanes]float64, blk, x []float64) { panic("mat: no vector kernels") }
 func axpySIMD(a float64, x, y []float64)                      { panic("mat: no vector kernels") }
 func addSIMD(a, b []float64)                                  { panic("mat: no vector kernels") }
+func gramSIMD(g, b []float64, features [][]float64, targets []float64, r int) {
+	panic("mat: no vector kernels")
+}
+func solveWideSIMD(x, targets []float64, features [][]float64, l []float64, r, m int) {
+	panic("mat: no vector kernels")
+}

@@ -13,20 +13,21 @@ import (
 // place, factor in place, and substitute in place, with slice-based inner
 // loops instead of bounds-checked At/Set. A ridge solve has two halves:
 // RidgeFactorInto (Gram + λI and its Cholesky factor, which depend only on
-// the features) and RidgeSolveFactoredInto (the right-hand side and the two
-// triangular solves). RidgeSolveInto runs both. ALS runs the first half once
-// per observed pattern that several factor rows share, then solves the rows
-// of that pattern four at a time with RidgeSolveFactoredBlockInto, and a
-// remainder of one to three rows with RidgeSolveFactoredInto.
+// the features) and the right-hand side with the two triangular solves.
+// RidgeSolveInto runs both for one target vector. ALS runs the first half
+// once per observed pattern that several factor rows share, then solves all
+// the rows of that pattern at once with RidgeSolveWideInto.
 //
 // A triangular solve is a serial chain of dependent subtractions and one
 // division per unknown, so a single solve runs at the latency of those
-// operations. The block kernel runs four independent chains side by side,
-// the way Panel's portable body interleaves four dot products, and the Gram
-// accumulation adds four feature rows per load and store of each entry.
-// Every value still receives the same products in the same order, so all
-// paths — fused, factored, block, and the allocating wrappers in dense.go —
-// give bit-identical results.
+// operations. The wide kernel runs one chain per system side by side, four
+// systems to a YMM register on a host with AVX2, and the Gram kernel keeps
+// each row of the lower triangle in registers while it streams the feature
+// rows. Both have a portable Go body that SetSIMD selects. Every value
+// still receives the same products in the same order, so all paths — fused,
+// factored, wide, either body, and the allocating wrappers in dense.go —
+// give bit-identical results. CholeskyInto and the single solve's
+// substitutions stay scalar.
 
 // CholeskyInto computes the lower-triangular factor L with a = L Lᵀ into l,
 // which must be a square matrix of a's shape (its prior contents are
@@ -106,10 +107,6 @@ type RidgeScratch struct {
 	chol *Dense
 	rhs  []float64
 	y    []float64
-	// rhs4 and y4 are the block kernel's four right-hand sides and forward
-	// solutions, interleaved: entry i of column c is at 4*i+c.
-	rhs4 []float64
-	y4   []float64
 }
 
 // NewRidgeScratch returns scratch pre-sized for rank-r solves.
@@ -126,8 +123,6 @@ func (s *RidgeScratch) resize(r int) {
 		s.chol = NewDense(r, r)
 		s.rhs = make([]float64, r)
 		s.y = make([]float64, r)
-		s.rhs4 = make([]float64, 4*r)
-		s.y4 = make([]float64, 4*r)
 		return
 	}
 	if s.gram.rows > r {
@@ -137,8 +132,6 @@ func (s *RidgeScratch) resize(r int) {
 		s.chol = NewDenseData(r, r, s.chol.data[:r*r])
 		s.rhs = s.rhs[:r]
 		s.y = s.y[:r]
-		s.rhs4 = s.rhs4[:4*r]
-		s.y4 = s.y4[:4*r]
 	}
 }
 
@@ -148,9 +141,10 @@ var ErrRidgeNoObservations = errors.New("mat: ridge with no observations")
 
 // RidgeSolveInto solves (AᵀA + λI) x = Aᵀ b into dst (length must equal the
 // feature dimension) without allocating: the Gram matrix, Cholesky factor,
-// and substitution buffers live in s. It is RidgeFactorInto followed by
-// RidgeSolveFactoredInto, the allocation-free core of RidgeSolve and the
-// workhorse of the parallel ALS solver, where each worker owns one scratch.
+// and substitution buffers live in s. One pass over the features
+// accumulates the Gram matrix and Aᵀ b together; the factor and the two
+// triangular solves follow. It is the allocation-free core of RidgeSolve
+// and the ALS solve of a factor row whose pattern no other row shares.
 func RidgeSolveInto(features [][]float64, targets []float64, lambda float64, dst []float64, s *RidgeScratch) error {
 	if len(features) != len(targets) {
 		panic(fmt.Sprintf("mat: ridge rows %d != targets %d", len(features), len(targets)))
@@ -158,168 +152,187 @@ func RidgeSolveInto(features [][]float64, targets []float64, lambda float64, dst
 	if len(features) == 0 {
 		return ErrRidgeNoObservations
 	}
-	s.resize(len(features[0]))
-	if err := RidgeFactorInto(features, lambda, s.chol, s); err != nil {
+	r := len(features[0])
+	if len(dst) != r {
+		panic(fmt.Sprintf("mat: ridge destination %d != rank %d", len(dst), r))
+	}
+	s.resize(r)
+	ridgeGram(s.gram.data, s.rhs, features, targets, lambda)
+	if err := CholeskyInto(s.chol, s.gram); err != nil {
 		return err
 	}
-	RidgeSolveFactoredInto(features, targets, s.chol, dst, s)
+	CholeskySolveInto(s.chol, s.rhs, dst, s.y)
 	return nil
 }
 
 // RidgeFactorInto forms the ridge Gram matrix AᵀA + λI of features in s
 // and writes its Cholesky factor into l, an r×r matrix for rank-r features.
-// Any number of RidgeSolveFactoredInto calls can then solve against l for
-// different targets over the same features: an ALS sweep factors once for
-// all factor rows that share one observed pattern. Only the Gram matrix's
-// lower triangle is accumulated, since CholeskyInto reads no other part.
-// Feature rows are added four at a time, each entry taking their four
-// products in row order, which is the order a row-at-a-time loop adds them.
+// RidgeSolveWideInto then solves against l for any number of targets over
+// the same features: an ALS sweep factors once for all factor rows that
+// share one observed pattern.
 func RidgeFactorInto(features [][]float64, lambda float64, l *Dense, s *RidgeScratch) error {
 	if len(features) == 0 {
 		return ErrRidgeNoObservations
 	}
+	s.resize(len(features[0]))
+	ridgeGram(s.gram.data, nil, features, nil, lambda)
+	return CholeskyInto(l, s.gram)
+}
+
+// gramSIMDMaxRank is the highest rank the vector Gram body keeps in
+// registers: a row of the lower triangle takes one YMM accumulator per four
+// columns, and rank 7 fills all sixteen with the Aᵀb accumulators and the
+// operands.
+const gramSIMDMaxRank = 7
+
+// ridgeGram writes the lower triangle of AᵀA + λI for the rank-r features
+// into g, an r×r row-major buffer, and, when targets is non-nil, Aᵀ targets
+// into b. Entries above the diagonal are left with unspecified values, since
+// CholeskyInto reads only the lower triangle. Every entry is summed from +0
+// over the feature rows in order, one product f[i]·f[j] (or f[i]·t) and one
+// add at a time, on either body.
+func ridgeGram(g, b []float64, features [][]float64, targets []float64, lambda float64) {
 	r := len(features[0])
-	s.resize(r)
-	gd := s.gram.data
-	for i := range gd {
-		gd[i] = 0
+	for _, f := range features {
+		if len(f) != r {
+			panic("mat: ragged feature rows")
+		}
+	}
+	if useSIMD && r <= gramSIMDMaxRank {
+		gramSIMD(g, b, features, targets, r)
+	} else {
+		gramGo(g, b, features, targets, r)
+	}
+	for i := 0; i < r; i++ {
+		g[i*r+i] += lambda
+	}
+}
+
+// gramGo is the portable body of ridgeGram, before λ. It adds four feature
+// rows per load and store of each Gram entry, each entry taking their four
+// products in row order.
+func gramGo(g, b []float64, features [][]float64, targets []float64, r int) {
+	for i := range g {
+		g[i] = 0
 	}
 	n := len(features)
 	q := 0
 	for ; q+4 <= n; q += 4 {
 		f0, f1, f2, f3 := features[q], features[q+1], features[q+2], features[q+3]
-		if len(f0) != r || len(f1) != r || len(f2) != r || len(f3) != r {
-			panic("mat: ragged feature rows")
-		}
 		for i := 0; i < r; i++ {
 			a0, a1, a2, a3 := f0[i], f1[i], f2[i], f3[i]
-			gi := gd[i*r : i*r+i+1]
+			gi := g[i*r : i*r+i+1]
 			b0, b1, b2, b3 := f0[:len(gi)], f1[:len(gi)], f2[:len(gi)], f3[:len(gi)]
-			for j, g := range gi {
-				g += a0 * b0[j]
-				g += a1 * b1[j]
-				g += a2 * b2[j]
-				g += a3 * b3[j]
-				gi[j] = g
+			for j, v := range gi {
+				v += a0 * b0[j]
+				v += a1 * b1[j]
+				v += a2 * b2[j]
+				v += a3 * b3[j]
+				gi[j] = v
 			}
 		}
 	}
 	for ; q < n; q++ {
 		f := features[q]
-		if len(f) != r {
-			panic("mat: ragged feature rows")
-		}
 		for i := 0; i < r; i++ {
 			fi := f[i]
-			gi := gd[i*r : i*r+i+1]
+			gi := g[i*r : i*r+i+1]
 			for j := range gi {
 				gi[j] += fi * f[j]
 			}
 		}
 	}
-	for i := 0; i < r; i++ {
-		gd[i*r+i] += lambda
+	if targets == nil {
+		return
 	}
-	return CholeskyInto(l, s.gram)
-}
-
-// RidgeSolveFactoredInto forms Aᵀ b and solves (AᵀA + λI) x = Aᵀ b into dst,
-// given the factor l that RidgeFactorInto wrote for the same features and λ.
-// It reads l only, so many workers may solve against one shared factor,
-// each with its own scratch. Together the two halves compute exactly what
-// one fused solve would: every Gram and right-hand-side entry accumulates
-// the same products in the same order.
-func RidgeSolveFactoredInto(features [][]float64, targets []float64, l *Dense, dst []float64, s *RidgeScratch) {
-	if len(features) != len(targets) {
-		panic(fmt.Sprintf("mat: ridge rows %d != targets %d", len(features), len(targets)))
-	}
-	r := l.rows
-	if len(dst) != r {
-		panic(fmt.Sprintf("mat: ridge destination %d != rank %d", len(dst), r))
-	}
-	s.resize(r)
-	rhs := s.rhs
-	for i := range rhs {
-		rhs[i] = 0
-	}
-	for row, f := range features {
-		if len(f) != r {
-			panic("mat: ragged feature rows")
-		}
-		t := targets[row]
-		for i := 0; i < r; i++ {
-			rhs[i] += f[i] * t
-		}
-	}
-	CholeskySolveInto(l, rhs, dst, s.y)
-}
-
-// RidgeSolveFactoredBlockInto solves four ridge systems over the same
-// features and factor at once: dst[c] gets what
-// RidgeSolveFactoredInto(features, targets[c], l, dst[c], s) would write,
-// bit for bit. One pass over the features accumulates all four right-hand
-// sides, and the forward and back substitutions run the four columns'
-// chains interleaved, each column taking its own products in the single
-// solve's order. The four dst slices must not overlap.
-func RidgeSolveFactoredBlockInto(features [][]float64, targets [4][]float64, l *Dense, dst [4][]float64, s *RidgeScratch) {
-	r := l.rows
-	for c := range targets {
-		if len(targets[c]) != len(features) {
-			panic(fmt.Sprintf("mat: ridge rows %d != targets %d", len(features), len(targets[c])))
-		}
-		if len(dst[c]) != r {
-			panic(fmt.Sprintf("mat: ridge destination %d != rank %d", len(dst[c]), r))
-		}
-	}
-	s.resize(r)
-	b := s.rhs4
+	b = b[:r]
 	for i := range b {
 		b[i] = 0
 	}
-	t0, t1, t2, t3 := targets[0], targets[1], targets[2], targets[3]
-	for row, f := range features {
+	for q, f := range features {
+		t := targets[q]
+		for i, v := range f[:r] {
+			b[i] += v * t
+		}
+	}
+}
+
+// RidgeSolveWideInto solves m ridge systems that share the features and
+// the factor l that RidgeFactorInto wrote for them, at once. targets holds
+// their right-hand sides entry-major, target q of system c at
+// targets[q*m+c], and dst receives the solutions the same way, entry i of
+// system c at dst[i*m+c]. It reads l only, so many workers may solve
+// against one shared factor.
+//
+// Each system is solved as a single ridge solve would solve it: the
+// right-hand side entry b_i is summed from +0 over the feature rows in
+// order, b_i += f_q[i]·t_q; forward substitution takes s = b_i, then
+// s −= l_ik·y_k for k ascending, then y_i = s / l_ii; back substitution
+// mirrors it over the columns of l. Only the loops are reordered, so every
+// system gets a single solve's bits. The vector body runs the systems four
+// per YMM register, with a separate multiply and subtract (never a fused
+// multiply-add) and a true division, and moves a last group of m mod 4
+// systems through a lane mask; a host without AVX2 runs the portable body.
+func RidgeSolveWideInto(features [][]float64, targets []float64, m int, l *Dense, dst []float64) {
+	r := l.rows
+	if m < 0 || len(targets) != len(features)*m {
+		panic(fmt.Sprintf("mat: %d targets for %d rows of %d systems", len(targets), len(features), m))
+	}
+	if len(dst) != r*m {
+		panic(fmt.Sprintf("mat: ridge destination %d != rank %d × %d systems", len(dst), r, m))
+	}
+	for _, f := range features {
 		if len(f) != r {
 			panic("mat: ragged feature rows")
 		}
-		a0, a1, a2, a3 := t0[row], t1[row], t2[row], t3[row]
-		for i, fi := range f {
-			bi := b[4*i : 4*i+4]
-			bi[0] += fi * a0
-			bi[1] += fi * a1
-			bi[2] += fi * a2
-			bi[3] += fi * a3
-		}
 	}
-	ld, y := l.data, s.y4
-	// Forward substitution: L y_c = b_c.
+	if m == 0 {
+		return
+	}
+	if useSIMD {
+		solveWideSIMD(dst, targets, features, l.data, r, m)
+		return
+	}
+	solveWideGo(dst, targets, features, l.data, r, m)
+}
+
+// solveWideGo is the portable body of RidgeSolveWideInto. It works one row
+// of x at a time across the systems, the right-hand side and then the
+// forward step, so each inner loop runs over independent systems.
+func solveWideGo(x, targets []float64, features [][]float64, l []float64, r, m int) {
 	for i := 0; i < r; i++ {
-		li := ld[i*r : i*r+i+1]
-		bi := b[4*i : 4*i+4]
-		s0, s1, s2, s3 := bi[0], bi[1], bi[2], bi[3]
-		for k, lik := range li[:i] {
-			yk := y[4*k : 4*k+4]
-			s0 -= lik * yk[0]
-			s1 -= lik * yk[1]
-			s2 -= lik * yk[2]
-			s3 -= lik * yk[3]
+		xi := x[i*m:][:m]
+		for j := range xi {
+			xi[j] = 0
 		}
-		d := li[i]
-		yi := y[4*i : 4*i+4]
-		yi[0], yi[1], yi[2], yi[3] = s0/d, s1/d, s2/d, s3/d
+		for q, f := range features {
+			fi, tq := f[i], targets[q*m:][:m]
+			for j, t := range tq {
+				xi[j] += fi * t
+			}
+		}
+		for k := 0; k < i; k++ {
+			lik, xk := l[i*r+k], x[k*m:][:m]
+			for j, y := range xk {
+				xi[j] -= lik * y
+			}
+		}
+		d := l[i*r+i]
+		for j := range xi {
+			xi[j] /= d
+		}
 	}
-	// Back substitution: Lᵀ x_c = y_c.
-	x0, x1, x2, x3 := dst[0][:r], dst[1][:r], dst[2][:r], dst[3][:r]
 	for i := r - 1; i >= 0; i-- {
-		yi := y[4*i : 4*i+4]
-		s0, s1, s2, s3 := yi[0], yi[1], yi[2], yi[3]
+		xi := x[i*m:][:m]
 		for k := i + 1; k < r; k++ {
-			lki := ld[k*r+i]
-			s0 -= lki * x0[k]
-			s1 -= lki * x1[k]
-			s2 -= lki * x2[k]
-			s3 -= lki * x3[k]
+			lki, xk := l[k*r+i], x[k*m:][:m]
+			for j, v := range xk {
+				xi[j] -= lki * v
+			}
 		}
-		d := ld[i*r+i]
-		x0[i], x1[i], x2[i], x3[i] = s0/d, s1/d, s2/d, s3/d
+		d := l[i*r+i]
+		for j := range xi {
+			xi[j] /= d
+		}
 	}
 }

@@ -163,21 +163,27 @@ func TestRidgeFactorSolveMatchesRidgeSolveInto(t *testing.T) {
 		if err := RidgeFactorInto(features, 0.3, l, NewRidgeScratch(r)); err != nil {
 			t.Fatalf("r=%d: %v", r, err)
 		}
-		solver := NewRidgeScratch(r)
-		for shift := 0; shift < 3; shift++ {
+		// Six target vectors solved as one wide call: a group of four
+		// and a tail of two on the vector body.
+		const m = 6
+		systems := make([][]float64, m)
+		for shift := range systems {
 			b := make([]float64, len(targets))
 			for i := range b {
 				b[i] = targets[(i+shift)%len(targets)] * float64(shift+1)
 			}
+			systems[shift] = b
+		}
+		got := make([]float64, r*m)
+		RidgeSolveWideInto(features, interleave(systems, len(targets)), m, l, got)
+		for shift, b := range systems {
 			want := make([]float64, r)
 			if err := RidgeSolveInto(features, b, 0.3, want, NewRidgeScratch(r)); err != nil {
 				t.Fatalf("r=%d: %v", r, err)
 			}
-			got := make([]float64, r)
-			RidgeSolveFactoredInto(features, b, l, got, solver)
 			for i := range want {
-				if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-					t.Fatalf("r=%d targets %d: solution differs at %d: %v vs %v", r, shift, i, got[i], want[i])
+				if math.Float64bits(want[i]) != math.Float64bits(got[i*m+shift]) {
+					t.Fatalf("r=%d targets %d: solution differs at %d: %v vs %v", r, shift, i, got[i*m+shift], want[i])
 				}
 			}
 		}

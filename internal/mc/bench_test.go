@@ -119,10 +119,14 @@ func TestPatternedEntriesShape(t *testing.T) {
 //   - patterned/workers-N: the 30×1288 shape of patternedEntries, where
 //     1254 columns have one observed entry and all columns together show
 //     33 distinct observed-row patterns, so every H half-sweep factors 33
-//     Gram matrices and solves 1288 columns against them, four columns
-//     per block kernel call. On a 2-CPU x86-64 host (go1.24, -cpu 1,
-//     five alternating runs of 20 iterations) workers-1 took 23–35 ms/op
-//     solving one column at a time and 13–15 ms/op with block solves.
+//     Gram matrices and solves 1288 columns against them, one wide kernel
+//     call per pattern. On a 2-CPU x86-64 host (go1.24, -cpu 1, 20
+//     iterations a run) workers-1 took 23–35 ms/op solving one column at
+//     a time and 13–15 ms/op with four-column block solves (five
+//     alternating runs). Over six alternating pairs on a busier day, the
+//     AVX2 wide and Gram kernels took it from 18.5–25.1 ms/op (median
+//     23.4) with block solves to 9.4–11.9 (median 11.7); the portable
+//     body runs it at a median of 22.0.
 func BenchmarkComplete(b *testing.B) {
 	bench := func(b *testing.B, obs []Entry, rows, cols int) {
 		for _, workers := range []int{1, 2, 4, 8} {
@@ -152,19 +156,21 @@ func BenchmarkRidgeUpdate(b *testing.B) {
 	g := rng.New(7)
 	opposite := randomFactor(400, 5, 1, g)
 	entries := make([]Entry, 60)
+	targets := make([]float64, len(entries))
 	for i := range entries {
 		entries[i] = Entry{Row: 0, Col: i * 6, Val: g.Normal(0, 1)}
+		targets[i] = entries[i].Val
 	}
 	dst := make([]float64, 5)
 	sc := newALSScratch(5)
 	// Warm the scratch so the steady-state zero-allocation path is measured.
-	if err := ridgeUpdate(entries, opposite, dst, 0.01, true, sc); err != nil {
+	if err := ridgeUpdate(entries, targets, opposite, dst, 0.01, true, sc); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ridgeUpdate(entries, opposite, dst, 0.01, true, sc); err != nil {
+		if err := ridgeUpdate(entries, targets, opposite, dst, 0.01, true, sc); err != nil {
 			b.Fatal(err)
 		}
 	}

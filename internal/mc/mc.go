@@ -12,17 +12,19 @@
 // observed in a single round, so many factor rows observe the same ordered
 // sequence of opposite-factor indices and so have the same ridge Gram
 // matrix. ALS groups the rows of W and of H by that pattern once per
-// Complete call and splits them into a work list: blocks of up to four
+// Complete call and splits them into a work list: chunks of up to wideChunk
 // rows of one shared pattern (a pattern at least two rows observe), and
-// single rows of a unique pattern or with no entries. Each half-sweep first
-// factors Gram + λI once for every shared pattern, then works through the
-// list. A block of four gathers its features once and solves its four rows
-// against the shared factor with one block kernel call, which interleaves
-// their right-hand sides and triangular solves; a block of one to three
-// rows solves them one at a time against the factor. A unique-pattern row
-// runs one fused ridge solve, and a row with no entries is zeroed. Every
-// path accumulates the same products in the same order, so the result is
-// bit-identical to solving every row on its own, for any worker count.
+// single rows of a unique pattern or with no entries. The plan also lays
+// every item's observed values out once, entry-major with one lane per row,
+// so no sweep copies them. Each half-sweep first factors Gram + λI once for
+// every shared pattern, then works through the list. A chunk gathers its
+// pattern's features once and solves all its rows against the shared
+// factor in one wide kernel call, which runs the rows' right-hand sides and
+// triangular solves four to a vector register. A unique-pattern row runs
+// one fused ridge solve, and a row with no entries is zeroed. Every path
+// accumulates the same products in the same order, so the result is
+// bit-identical to solving every row on its own, for any worker count and
+// on either kernel body.
 package mc
 
 import (
@@ -364,12 +366,12 @@ func objective(obs []Entry, w, h *mat.Dense, lambda float64) (obj, rmse float64)
 }
 
 // alsScratch is the per-worker working storage of the ALS inner loop: the
-// ridge system's feature views, the target vectors of up to four rows, and
-// the mat.RidgeScratch buffers. One scratch per worker removes every
-// per-row allocation from the sweep.
+// ridge system's feature views, the solutions of one wide solve, and the
+// mat.RidgeScratch buffers. One scratch per worker removes every per-row
+// allocation from the sweep.
 type alsScratch struct {
 	features [][]float64
-	targets  [4][]float64
+	x        []float64
 	ridge    *mat.RidgeScratch
 }
 
@@ -397,21 +399,10 @@ func (sc *alsScratch) gather(entries []Entry, opposite *mat.Dense, rowSide bool)
 	return features
 }
 
-// values copies the entries' values into target vector c.
-func (sc *alsScratch) values(c int, entries []Entry) []float64 {
-	if cap(sc.targets[c]) < len(entries) {
-		sc.targets[c] = make([]float64, len(entries))
-	}
-	targets := sc.targets[c][:len(entries)]
-	for i, e := range entries {
-		targets[i] = e.Val
-	}
-	return targets
-}
-
 // alsPlan is the observation layout of one completion: the entries of every
 // row of W and of H, grouped by observed pattern. It is a function of the
-// observations alone, so Complete builds it once and every restart reads it.
+// observations alone, so Complete builds it once and every restart, sweep
+// and wave reads it.
 type alsPlan struct {
 	w, h alsSide
 }
@@ -429,11 +420,26 @@ type alsSide struct {
 	shared []int
 	// reps[k] is the first row of shared pattern k.
 	reps []int
-	// items is the solve pass's work list, covering every row once. An
-	// item is up to four rows of one shared pattern, in row order, or a
-	// single row whose pattern is unique or empty.
-	items [][]int
+	// items is the solve pass's work list, covering every row once.
+	items []alsItem
 }
+
+// alsItem is one unit of the solve pass: a chunk of up to wideChunk rows
+// of one shared pattern, in ascending row order, or a single row whose
+// pattern is unique or empty.
+type alsItem struct {
+	rows []int
+	// targets holds the rows' observed values entry-major, value q of
+	// rows[c] at targets[q*len(rows)+c]: the layout mat.RidgeSolveWideInto
+	// reads, and for a single row simply its values.
+	targets []float64
+}
+
+// wideChunk bounds the rows of one solve item. One item is one wide solve,
+// so larger chunks spread the gather and the call over more columns; but a
+// pattern that most columns share (the exact plan's can hold thousands)
+// must still split into enough items to keep every worker busy.
+const wideChunk = 64
 
 func newALSPlan(obs []Entry, rows, cols int) *alsPlan {
 	byRow := make([][]Entry, rows)
@@ -493,19 +499,35 @@ func newALSSide(groups [][]Entry, rowSide bool) alsSide {
 			members[k] = append(members[k], i)
 		}
 	}
-	// Every item is a sub-slice of order, which holds each row once.
+	// Every item's rows are a sub-slice of order, which holds each row
+	// once, and its targets a sub-slice of values, which holds each
+	// observed value once.
 	order := make([]int, 0, len(groups))
+	nobs := 0
+	for _, entries := range groups {
+		nobs += len(entries)
+	}
+	values := make([]float64, 0, nobs)
 	for i, k := range side.shared {
 		switch {
 		case k < 0:
 			order = append(order, i)
-			side.items = append(side.items, order[len(order)-1:])
+			for _, e := range groups[i] {
+				values = append(values, e.Val)
+			}
+			side.items = append(side.items, alsItem{rows: order[len(order)-1:], targets: values[len(values)-len(groups[i]):]})
 		case side.reps[k] == i:
+			n := len(groups[i])
 			for rows := members[k]; len(rows) > 0; {
-				n := min(len(rows), 4)
-				order = append(order, rows[:n]...)
-				side.items = append(side.items, order[len(order)-n:])
-				rows = rows[n:]
+				w := min(len(rows), wideChunk)
+				order = append(order, rows[:w]...)
+				for q := 0; q < n; q++ {
+					for _, row := range rows[:w] {
+						values = append(values, groups[row][q].Val)
+					}
+				}
+				side.items = append(side.items, alsItem{rows: order[len(order)-w:], targets: values[len(values)-n*w:]})
+				rows = rows[w:]
 			}
 		}
 	}
@@ -564,9 +586,9 @@ func sharedFactors(n, rank int) []*mat.Dense {
 // update solves the ridge sub-problem of every row of target against the
 // fixed opposite factor in two passes over workers goroutines. The factor
 // pass forms Gram + λI and its Cholesky factor once per shared pattern.
-// The solve pass works through the items: a block gathers its pattern's
-// features once and gives each row only its right-hand side and the two
-// triangular solves against that factor, four rows per block kernel call,
+// The solve pass works through the items: a chunk of a shared pattern
+// gathers the pattern's features once and solves all its rows against that
+// factor in one wide kernel call, reading the targets the plan laid out,
 // while a row of a unique pattern runs the fused ridge solve. All paths
 // accumulate the same products in the same order, so the factors are
 // bit-identical to one fused solve per row.
@@ -582,24 +604,28 @@ func (s *alsSide) update(opposite, target *mat.Dense, factors []*mat.Dense, cfg 
 	if err != nil {
 		return err
 	}
+	r := target.Cols()
+	td := target.Data()
 	return parallelFor(len(s.items), workers, func(wk, n int) error {
-		rows, sc := s.items[n], scratches[wk]
-		k := s.shared[rows[0]]
+		it, sc := s.items[n], scratches[wk]
+		entries := s.groups[it.rows[0]]
+		k := s.shared[it.rows[0]]
 		if k < 0 {
-			i := rows[0]
-			return ridgeUpdate(s.groups[i], opposite, target.Row(i), effLambda(cfg, len(s.groups[i])), s.rowSide, sc)
+			i := it.rows[0]
+			return ridgeUpdate(entries, it.targets, opposite, target.Row(i), effLambda(cfg, len(entries)), s.rowSide, sc)
 		}
-		features := sc.gather(s.groups[rows[0]], opposite, s.rowSide)
-		if len(rows) == 4 {
-			var targets, dst [4][]float64
-			for c, i := range rows {
-				targets[c], dst[c] = sc.values(c, s.groups[i]), target.Row(i)
+		features := sc.gather(entries, opposite, s.rowSide)
+		m := len(it.rows)
+		if cap(sc.x) < r*m {
+			sc.x = make([]float64, r*m)
+		}
+		x := sc.x[:r*m]
+		mat.RidgeSolveWideInto(features, it.targets, m, factors[k], x)
+		for j := 0; j < r; j++ {
+			xj := x[j*m:][:m]
+			for c, i := range it.rows {
+				td[i*r+j] = xj[c]
 			}
-			mat.RidgeSolveFactoredBlockInto(features, targets, factors[k], dst, sc.ridge)
-			return nil
-		}
-		for _, i := range rows {
-			mat.RidgeSolveFactoredInto(features, sc.values(0, s.groups[i]), factors[k], target.Row(i), sc.ridge)
 		}
 		return nil
 	})
@@ -659,10 +685,11 @@ func effLambda(cfg Config, nobs int) float64 {
 }
 
 // ridgeUpdate solves the ridge sub-problem for one factor row in place,
-// reusing the caller's scratch so the hot loop does not allocate.
-// If rowSide is true, entries index the opposite factor by Col, else by Row.
-// Rows with no observations are zeroed (the regularizer's minimizer).
-func ridgeUpdate(entries []Entry, opposite *mat.Dense, dst []float64, lambda float64, rowSide bool, sc *alsScratch) error {
+// reusing the caller's scratch so the hot loop does not allocate. targets
+// holds the entries' values. If rowSide is true, entries index the opposite
+// factor by Col, else by Row. Rows with no observations are zeroed (the
+// regularizer's minimizer).
+func ridgeUpdate(entries []Entry, targets []float64, opposite *mat.Dense, dst []float64, lambda float64, rowSide bool, sc *alsScratch) error {
 	if len(entries) == 0 {
 		for i := range dst {
 			dst[i] = 0
@@ -670,7 +697,7 @@ func ridgeUpdate(entries []Entry, opposite *mat.Dense, dst []float64, lambda flo
 		return nil
 	}
 	features := sc.gather(entries, opposite, rowSide)
-	if err := mat.RidgeSolveInto(features, sc.values(0, entries), lambda, dst, sc.ridge); err != nil {
+	if err := mat.RidgeSolveInto(features, targets, lambda, dst, sc.ridge); err != nil {
 		return fmt.Errorf("mc: ridge sub-problem: %w", err)
 	}
 	return nil

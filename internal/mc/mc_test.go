@@ -327,29 +327,34 @@ func TestRelativeErrorHelper(t *testing.T) {
 // TestCompleteDeterministicAcrossWorkers pins the parallel-ALS contract:
 // every worker count produces the bit-identical factorization, because row
 // updates against a fixed opposite factor are independent and the restart
-// winner is chosen in attempt order.
+// winner is chosen in attempt order. Both kernel bodies must give the
+// portable workers=1 result.
 func TestCompleteDeterministicAcrossWorkers(t *testing.T) {
 	truth := lowRankTruth(12, 25, 3, 21)
 	obs := sample(truth, 0.4, 22)
 	cfg := DefaultConfig(3)
 
 	cfg.Workers = 1
+	was := mat.SetSIMD(false)
 	base, err := Complete(obs, 12, 25, cfg)
+	mat.SetSIMD(was)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 3, 7, runtime.GOMAXPROCS(0)} {
+	for _, workers := range []int{1, 2, 3, 7, runtime.GOMAXPROCS(0)} {
 		cfg.Workers = workers
-		got, err := Complete(obs, 12, 25, cfg)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !mat.Equal(base.W, got.W, 0) || !mat.Equal(base.H, got.H, 0) {
-			t.Fatalf("workers=%d: factors differ from workers=1", workers)
-		}
-		if base.Objective != got.Objective || base.Iterations != got.Iterations || base.TrainRMSE != got.TrainRMSE {
-			t.Fatalf("workers=%d: result metadata differs: %+v vs %+v", workers, base, got)
-		}
+		kernelBodies(func(simd bool) {
+			got, err := Complete(obs, 12, 25, cfg)
+			if err != nil {
+				t.Fatalf("workers=%d simd=%v: %v", workers, simd, err)
+			}
+			if !mat.Equal(base.W, got.W, 0) || !mat.Equal(base.H, got.H, 0) {
+				t.Fatalf("workers=%d simd=%v: factors differ from workers=1", workers, simd)
+			}
+			if base.Objective != got.Objective || base.Iterations != got.Iterations || base.TrainRMSE != got.TrainRMSE {
+				t.Fatalf("workers=%d simd=%v: result metadata differs: %+v vs %+v", workers, simd, base, got)
+			}
+		})
 	}
 }
 

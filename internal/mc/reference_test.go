@@ -272,10 +272,44 @@ func remainderEntries(rank int, seed int64, transposed bool) (obs []Entry, rows,
 	return obs, rows, cols
 }
 
+// chunkedEntries samples a random rank-`rank` matrix on 4 rows and 300
+// columns. Column j observes row j mod 4, and every fifteenth column also
+// the next row, so each of the four one-entry patterns has 70 members and
+// splits into a full chunk of wideChunk columns and a remainder, while the
+// four two-entry patterns have 5 members each. The rows of W see 80
+// entries each.
+func chunkedEntries(rank int, seed int64) (obs []Entry, rows, cols int) {
+	g := rng.New(seed)
+	rows, cols = 4, 300
+	w := randomFactor(rows, rank, 1, g)
+	h := randomFactor(cols, rank, 1, g)
+	for j := 0; j < cols; j++ {
+		observed := []int{j % rows}
+		if j%15 == 0 {
+			observed = append(observed, (j+1)%rows)
+		}
+		for _, i := range observed {
+			obs = append(obs, Entry{Row: i, Col: j, Val: mat.Dot(w.Row(i), h.Row(j))})
+		}
+	}
+	return obs, rows, cols
+}
+
+// kernelBodies runs f with the mat package's vector kernel bodies off, then
+// on (a host without them runs the portable bodies twice), and restores
+// the setting.
+func kernelBodies(f func(simd bool)) {
+	defer mat.SetSIMD(mat.SetSIMD(false))
+	for _, simd := range []bool{false, true} {
+		mat.SetSIMD(simd)
+		f(simd)
+	}
+}
+
 // TestSharedFactorMatchesPerRowRidge pins the shared-factor sweep to the
 // reference ALS bit for bit, on shapes with and without repeated patterns,
 // under both regularization schemes, at several worker counts, cold and
-// warm-started.
+// warm-started, on both kernel bodies.
 func TestSharedFactorMatchesPerRowRidge(t *testing.T) {
 	exact, exactCols := exactPlanEntries(5, 12, 3, 3)
 	// The same cells in a seeded order: rows with one set of entries now
@@ -287,6 +321,7 @@ func TestSharedFactorMatchesPerRowRidge(t *testing.T) {
 	}
 	remainders, remRows, remCols := remainderEntries(3, 5, false)
 	remaindersT, remRowsT, remColsT := remainderEntries(3, 5, true)
+	chunked, chunkedRows, chunkedCols := chunkedEntries(3, 6)
 	fixtures := []struct {
 		name       string
 		obs        []Entry
@@ -301,6 +336,7 @@ func TestSharedFactorMatchesPerRowRidge(t *testing.T) {
 		{"exact-plan-shuffled", shuffled, 12, exactCols, 3, false},
 		{"remainders", remainders, remRows, remCols, 3, true},
 		{"remainders-transposed", remaindersT, remRowsT, remColsT, 3, true},
+		{"chunked", chunked, chunkedRows, chunkedCols, 3, true},
 	}
 	for _, fx := range fixtures {
 		plan := newALSPlan(fx.obs, fx.rows, fx.cols)
@@ -330,13 +366,15 @@ func TestSharedFactorMatchesPerRowRidge(t *testing.T) {
 				for _, workers := range []int{1, 2, 4} {
 					c := start.cfg
 					c.Workers = workers
-					got, err := Complete(fx.obs, fx.rows, fx.cols, c)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := sameBits(got, start.want); err != nil {
-						t.Errorf("%s weighted=%v %s workers=%d: %v", fx.name, weighted, start.name, workers, err)
-					}
+					kernelBodies(func(simd bool) {
+						got, err := Complete(fx.obs, fx.rows, fx.cols, c)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := sameBits(got, start.want); err != nil {
+							t.Errorf("%s weighted=%v %s workers=%d simd=%v: %v", fx.name, weighted, start.name, workers, simd, err)
+						}
+					})
 				}
 			}
 		}
@@ -344,14 +382,16 @@ func TestSharedFactorMatchesPerRowRidge(t *testing.T) {
 }
 
 // TestALSPlanItems pins the solve pass's work list: every row of W and of
-// H is in exactly one item, a block holds at most four rows of one shared
-// pattern in ascending row order, an unshared row is an item on its own,
-// and each shared pattern splits into ⌈members/4⌉ blocks, all full but the
-// last. On the patterned fixture that is Σ⌈members/4⌉ H-side blocks over
-// its 33 column patterns, counted here from the raw observations.
+// H is in exactly one item, an item holds ascending rows of one shared
+// pattern or a single unshared row, and each shared pattern splits into
+// ⌈members/wideChunk⌉ chunks, all full but the last. Each item's targets
+// are its rows' values laid out entry-major. On the patterned fixture the
+// H side has Σ⌈members/wideChunk⌉ items over its 33 column patterns,
+// counted here from the raw observations.
 func TestALSPlanItems(t *testing.T) {
 	remainders, remRows, remCols := remainderEntries(3, 5, false)
 	exact, exactCols := exactPlanEntries(5, 12, 3, 3)
+	chunked, chunkedRows, chunkedCols := chunkedEntries(3, 6)
 	fixtures := []struct {
 		name       string
 		obs        []Entry
@@ -361,6 +401,7 @@ func TestALSPlanItems(t *testing.T) {
 		{"remainders", remainders, remRows, remCols},
 		{"exact-plan", exact, 12, exactCols},
 		{"sparse", synthEntries(12, 150, 3, 0.04, 2), 12, 150},
+		{"chunked", chunked, chunkedRows, chunkedCols},
 	}
 	for _, fx := range fixtures {
 		plan := newALSPlan(fx.obs, fx.rows, fx.cols)
@@ -376,25 +417,35 @@ func TestALSPlanItems(t *testing.T) {
 				}
 			}
 			seen := make([]int, len(s.groups))
-			blocks := make([]int, len(s.reps))
-			for n, rows := range s.items {
+			chunks := make([]int, len(s.reps))
+			for n, it := range s.items {
+				rows := it.rows
 				if len(rows) == 0 {
 					t.Fatalf("%s %s item %d is empty", fx.name, side.name, n)
 				}
 				k := s.shared[rows[0]]
-				if len(rows) > 4 || (k < 0 && len(rows) != 1) {
+				if len(rows) > wideChunk || (k < 0 && len(rows) != 1) {
 					t.Fatalf("%s %s item %d: rows %v of pattern %d", fx.name, side.name, n, rows, k)
 				}
-				for m, i := range rows {
+				entries := len(s.groups[rows[0]])
+				if len(it.targets) != entries*len(rows) {
+					t.Fatalf("%s %s item %d: %d targets for %d rows of %d entries", fx.name, side.name, n, len(it.targets), len(rows), entries)
+				}
+				for c, i := range rows {
 					seen[i]++
-					if s.shared[i] != k || (m > 0 && i <= rows[m-1]) {
+					if s.shared[i] != k || (c > 0 && i <= rows[c-1]) {
 						t.Fatalf("%s %s item %d: rows %v are not ascending rows of pattern %d", fx.name, side.name, n, rows, k)
+					}
+					for q, e := range s.groups[i] {
+						if it.targets[q*len(rows)+c] != e.Val {
+							t.Fatalf("%s %s item %d: target %d of row %d is %v, want %v", fx.name, side.name, n, q, i, it.targets[q*len(rows)+c], e.Val)
+						}
 					}
 				}
 				if k >= 0 {
-					blocks[k]++
-					if len(rows) < 4 && blocks[k] != (members[k]+3)/4 {
-						t.Fatalf("%s %s item %d: a block of %d rows before the last block of pattern %d", fx.name, side.name, n, len(rows), k)
+					chunks[k]++
+					if len(rows) < wideChunk && chunks[k] != (members[k]+wideChunk-1)/wideChunk {
+						t.Fatalf("%s %s item %d: a chunk of %d rows before the last chunk of pattern %d", fx.name, side.name, n, len(rows), k)
 					}
 				}
 			}
@@ -403,9 +454,9 @@ func TestALSPlanItems(t *testing.T) {
 					t.Fatalf("%s %s: row %d is in %d items", fx.name, side.name, i, c)
 				}
 			}
-			for k := range blocks {
-				if want := (members[k] + 3) / 4; blocks[k] != want {
-					t.Fatalf("%s %s: pattern %d of %d rows has %d blocks, want %d", fx.name, side.name, k, members[k], blocks[k], want)
+			for k := range chunks {
+				if want := (members[k] + wideChunk - 1) / wideChunk; chunks[k] != want {
+					t.Fatalf("%s %s: pattern %d of %d rows has %d chunks, want %d", fx.name, side.name, k, members[k], chunks[k], want)
 				}
 			}
 		}
@@ -422,11 +473,22 @@ func TestALSPlanItems(t *testing.T) {
 	}
 	want := 0
 	for _, n := range members {
-		want += (n + 3) / 4
+		want += (n + wideChunk - 1) / wideChunk
 	}
 	plan := newALSPlan(obs, patternedRows, patternedCols)
 	if len(members) != 33 || len(plan.h.items) != want {
 		t.Fatalf("patterned H side: %d items over %d patterns, want %d over 33", len(plan.h.items), len(members), want)
+	}
+	// The chunked fixture's one-entry patterns are the ones that split.
+	plan = newALSPlan(chunked, chunkedRows, chunkedCols)
+	split := 0
+	for _, it := range plan.h.items {
+		if len(it.rows) == wideChunk {
+			split++
+		}
+	}
+	if split != chunkedRows {
+		t.Fatalf("chunked H side: %d full chunks, want one per row pattern (%d)", split, chunkedRows)
 	}
 }
 
@@ -470,6 +532,7 @@ func decodeCompleteInput(data []byte) (obs []Entry, rows, cols int, cfg Config, 
 // factors bit-equal to the reference's. ErrCollapsed is a clean rejection
 // of a fit the reference also returns: it is accepted only when that fit's
 // predictions on the observed cells have an RMS below 1e-3 of theirs.
+// Complete runs on both kernel bodies against one reference result.
 func FuzzComplete(f *testing.F) {
 	f.Add([]byte{2, 3, 1, 0, 0, 0, 142, 1, 1, 130, 2, 2, 120})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -477,36 +540,44 @@ func FuzzComplete(f *testing.F) {
 		if !ok {
 			return
 		}
-		got, err := Complete(obs, rows, cols, cfg)
 		want, wantErr := referenceComplete(obs, rows, cols, cfg)
-		if errors.Is(err, ErrCollapsed) && wantErr == nil {
-			var observed, fitted float64
-			for _, e := range obs {
-				var p float64
-				for k, v := range want.W.Row(e.Row) {
-					p += v * want.H.Row(e.Col)[k]
-				}
-				observed += e.Val * e.Val
-				fitted += p * p
+		kernelBodies(func(simd bool) {
+			got, err := Complete(obs, rows, cols, cfg)
+			if err := checkFuzzComplete(obs, got, err, want, wantErr); err != nil {
+				t.Fatalf("simd=%v: %v", simd, err)
 			}
-			if !(observed > 0 && math.Sqrt(fitted) < 1e-3*math.Sqrt(observed)) {
-				t.Fatalf("ErrCollapsed on a fit with observed sum of squares %v and fitted %v", observed, fitted)
-			}
-			return
-		}
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("Complete error %v, reference error %v", err, wantErr)
-		}
-		if err != nil {
-			return
-		}
-		for _, v := range append(append([]float64(nil), got.W.Data()...), got.H.Data()...) {
-			if !finite(v) {
-				t.Fatalf("non-finite factor value %v with a nil error", v)
-			}
-		}
-		if err := sameBits(got, want); err != nil {
-			t.Fatal(err)
-		}
+		})
 	})
+}
+
+// checkFuzzComplete reports how Complete's result got, err departs from
+// the reference's want, wantErr for FuzzComplete.
+func checkFuzzComplete(obs []Entry, got *Result, err error, want *Result, wantErr error) error {
+	if errors.Is(err, ErrCollapsed) && wantErr == nil {
+		var observed, fitted float64
+		for _, e := range obs {
+			var p float64
+			for k, v := range want.W.Row(e.Row) {
+				p += v * want.H.Row(e.Col)[k]
+			}
+			observed += e.Val * e.Val
+			fitted += p * p
+		}
+		if !(observed > 0 && math.Sqrt(fitted) < 1e-3*math.Sqrt(observed)) {
+			return fmt.Errorf("ErrCollapsed on a fit with observed sum of squares %v and fitted %v", observed, fitted)
+		}
+		return nil
+	}
+	if (err == nil) != (wantErr == nil) {
+		return fmt.Errorf("Complete error %v, reference error %v", err, wantErr)
+	}
+	if err != nil {
+		return nil
+	}
+	for _, v := range append(append([]float64(nil), got.W.Data()...), got.H.Data()...) {
+		if !finite(v) {
+			return fmt.Errorf("non-finite factor value %v with a nil error", v)
+		}
+	}
+	return sameBits(got, want)
 }
