@@ -56,3 +56,9 @@ func gramSIMD(g, b []float64, features [][]float64, targets []float64, r int)
 //
 //go:noescape
 func solveWideSIMD(x, targets []float64, features [][]float64, l []float64, r, m int)
+
+// residualsWideSIMD is the vector body of RidgeResidualsWideInto for m ≥ 1
+// systems over at least one feature row of rank r ≥ 1.
+//
+//go:noescape
+func residualsWideSIMD(dst, targets, x []float64, features [][]float64, r, m int)

@@ -477,6 +477,130 @@ solvedone:
 	VZEROUPPER
 	RET
 
+// RESIDUAL finishes one group of four systems whose predictions p are in
+// acc: t − p with the target first, stored at dst's group.
+#define RESIDUAL(off, acc) \
+	VMOVUPD off(R8)(DX*1), Y5 \
+	VSUBPD  acc, Y5, acc \
+	VMOVUPD acc, off(DI)(DX*1)
+
+// func residualsWideSIMD(dst, targets, x []float64, features [][]float64, r, m int)
+//
+// For each feature row f_q in order and each group of four systems, the
+// prediction p is summed from +0 over k ascending, f_q[k]·x_k with the
+// feature first in the multiply and the sum first in the add, as Dot
+// compiles them; then the group's residual is t − p. Four groups run at
+// once, so their add chains overlap, then single groups, then a last group
+// of m mod 4 systems that moves x, the targets and dst through the mask in
+// Y15, so nothing past them is read or written.
+//
+// Registers: DI dst's row q, R8 the targets' row q, R9 x, SI the feature
+// row's header, CX the feature rows left, R13 r, BX m*8 (the row stride of
+// x, the targets and dst), DX the group's byte offset; R10 walks f_q, R11
+// the rows of x and R12 counts k.
+TEXT ·residualsWideSIMD(SB), NOSPLIT, $0-112
+	MOVQ    dst_base+0(FP), DI
+	MOVQ    targets_base+24(FP), R8
+	MOVQ    x_base+48(FP), R9
+	MOVQ    features_base+72(FP), SI
+	MOVQ    features_len+80(FP), CX
+	MOVQ    r+96(FP), R13
+	MOVQ    m+104(FP), BX
+	MOVQ    BX, AX
+	ANDQ    $3, AX
+	SHLQ    $3, AX
+	LEAQ    gramMask<>+32(SB), R10
+	SUBQ    AX, R10
+	VMOVUPD (R10), Y15            // the first m mod 4 lanes
+	SHLQ    $3, BX
+
+resentry:
+	XORQ DX, DX
+
+resquad:
+	LEAQ   128(DX), AX
+	CMPQ   AX, BX
+	JA     resone
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   (SI), R10
+	LEAQ   (R9)(DX*1), R11
+	MOVQ   R13, R12
+
+resquadk:
+	VBROADCASTSD (R10), Y4
+	VMULPD       0(R11), Y4, Y5
+	VADDPD       Y5, Y0, Y0
+	VMULPD       32(R11), Y4, Y6
+	VADDPD       Y6, Y1, Y1
+	VMULPD       64(R11), Y4, Y7
+	VADDPD       Y7, Y2, Y2
+	VMULPD       96(R11), Y4, Y8
+	VADDPD       Y8, Y3, Y3
+	ADDQ         $8, R10
+	ADDQ         BX, R11
+	DECQ         R12
+	JNZ          resquadk
+	RESIDUAL(0, Y0)
+	RESIDUAL(32, Y1)
+	RESIDUAL(64, Y2)
+	RESIDUAL(96, Y3)
+	MOVQ         AX, DX
+	JMP          resquad
+
+resone:
+	LEAQ   32(DX), AX
+	CMPQ   AX, BX
+	JA     restail
+	VXORPD Y0, Y0, Y0
+	MOVQ   (SI), R10
+	LEAQ   (R9)(DX*1), R11
+	MOVQ   R13, R12
+
+resonek:
+	VBROADCASTSD (R10), Y4
+	VMULPD       (R11), Y4, Y5
+	VADDPD       Y5, Y0, Y0
+	ADDQ         $8, R10
+	ADDQ         BX, R11
+	DECQ         R12
+	JNZ          resonek
+	RESIDUAL(0, Y0)
+	MOVQ         AX, DX
+	JMP          resone
+
+restail:
+	CMPQ   DX, BX
+	JAE    resnext
+	VXORPD Y0, Y0, Y0
+	MOVQ   (SI), R10
+	LEAQ   (R9)(DX*1), R11
+	MOVQ   R13, R12
+
+restailk:
+	VBROADCASTSD (R10), Y4
+	VMASKMOVPD   (R11), Y15, Y6
+	VMULPD       Y6, Y4, Y5
+	VADDPD       Y5, Y0, Y0
+	ADDQ         $8, R10
+	ADDQ         BX, R11
+	DECQ         R12
+	JNZ          restailk
+	VMASKMOVPD   (R8)(DX*1), Y15, Y5
+	VSUBPD       Y0, Y5, Y0
+	VMASKMOVPD   Y0, Y15, (DI)(DX*1)
+
+resnext:
+	ADDQ BX, DI
+	ADDQ BX, R8
+	ADDQ $24, SI
+	DECQ CX
+	JNZ  resentry
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

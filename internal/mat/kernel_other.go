@@ -15,3 +15,6 @@ func gramSIMD(g, b []float64, features [][]float64, targets []float64, r int) {
 func solveWideSIMD(x, targets []float64, features [][]float64, l []float64, r, m int) {
 	panic("mat: no vector kernels")
 }
+func residualsWideSIMD(dst, targets, x []float64, features [][]float64, r, m int) {
+	panic("mat: no vector kernels")
+}

@@ -308,6 +308,146 @@ func FuzzRidgeSolveWide(f *testing.F) {
 	})
 }
 
+// residualsByDot is the reference for RidgeResidualsWideInto: system c's
+// solution gathered out of x, each prediction a Dot, and the residual
+// t − p.
+func residualsByDot(features [][]float64, targets, x []float64, m int) []float64 {
+	out := make([]float64, len(targets))
+	if m == 0 || len(features) == 0 {
+		return out
+	}
+	r := len(x) / m
+	col := make([]float64, r)
+	for c := 0; c < m; c++ {
+		for k := range col {
+			col[k] = x[k*m+c]
+		}
+		for q, f := range features {
+			out[q*m+c] = targets[q*m+c] - Dot(f, col)
+		}
+	}
+	return out
+}
+
+// checkResiduals runs RidgeResidualsWideInto on every kernel body and
+// requires every residual to bit-equal residualsByDot (see sameFloat for
+// anyNaN), with no store outside dst.
+func checkResiduals(t *testing.T, what string, features [][]float64, targets, x []float64, m int, anyNaN bool) {
+	t.Helper()
+	want := residualsByDot(features, targets, x, m)
+	kernelBodies(t, func(t *testing.T, body string) {
+		const guard = 1234.5
+		buf := make([]float64, len(targets)+8)
+		for i := range buf {
+			buf[i] = guard
+		}
+		dst := buf[4 : 4+len(targets)]
+		RidgeResidualsWideInto(features, targets, x, m, dst)
+		for _, g := range append(buf[:4:4], buf[4+len(targets):]...) {
+			if g != guard {
+				t.Fatalf("%s %s: a store left dst", body, what)
+			}
+		}
+		for i, w := range want {
+			if got := dst[i]; !sameFloat(got, w, anyNaN) {
+				t.Fatalf("%s %s: residual %d (entry %d, system %d) = %v (%#x), Dot %v (%#x)",
+					body, what, i, i/m, i%m, got, math.Float64bits(got), w, math.Float64bits(w))
+			}
+		}
+	})
+}
+
+// TestRidgeResidualsWideMatchesDot pins the residual kernel on both bodies
+// to one Dot per system and entry, for ranks 1–12 and system counts that
+// leave every remainder of four after the blocks of sixteen. Solutions,
+// targets and features include signed zeros, infinities, NaNs of two
+// payloads, subnormals and MaxFloat64.
+func TestRidgeResidualsWideMatchesDot(t *testing.T) {
+	g := rand.New(rand.NewSource(15))
+	for r := 1; r <= 12; r++ {
+		for _, m := range []int{0, 1, 3, 4, 5, 17, 64, 70} {
+			n := 1 + g.Intn(9)
+			features := make([][]float64, n)
+			for q := range features {
+				features[q] = make([]float64, r)
+				for k := range features[q] {
+					features[q][k] = dotOperand(g)
+				}
+			}
+			targets, x := make([]float64, n*m), make([]float64, r*m)
+			for i := range targets {
+				targets[i] = wideOperand(g)
+			}
+			for i := range x {
+				x[i] = wideOperand(g)
+			}
+			checkResiduals(t, fmt.Sprintf("rank %d rows %d systems %d", r, n, m), features, targets, x, m, !nanPayloadsPinned)
+		}
+	}
+}
+
+func TestRidgeResidualsWideZeroAlloc(t *testing.T) {
+	features, targets := ridgeFixture(15, 5)
+	const m = 7
+	wide := interleave([][]float64{targets, targets, targets, targets, targets, targets, targets}, len(targets))
+	x := make([]float64, 5*m)
+	for i := range x {
+		x[i] = float64(i) / 8
+	}
+	dst := make([]float64, len(wide))
+	kernelBodies(t, func(t *testing.T, body string) {
+		allocs := testing.AllocsPerRun(50, func() {
+			RidgeResidualsWideInto(features, wide, x, m, dst)
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: RidgeResidualsWideInto allocated %v times per run, want 0", body, allocs)
+		}
+	})
+}
+
+// FuzzRidgeResidualsWide decodes a rank (1–12), a feature count (1–9) and
+// a system count (0–70), then the features, the targets and the solutions
+// as raw float64 bits from arbitrary bytes. The residual kernel must give
+// every system and entry the Dot-order residual on both bodies. The seed
+// corpus is in testdata/fuzz/FuzzRidgeResidualsWide. Any NaN matches any
+// NaN here (see nanPayloadsPinned); TestRidgeResidualsWideMatchesDot pins
+// the payloads.
+func FuzzRidgeResidualsWide(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		r, n, m := 1+int(data[0]%12), 1+int(data[1]%9), int(data[2]%71)
+		ops := data[3:]
+		next := 0
+		operand := func() float64 {
+			var b [8]byte
+			for i := range b {
+				if len(ops) > 0 {
+					b[i] = ops[next%len(ops)]
+					next++
+				}
+			}
+			return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+		}
+		features := make([][]float64, n)
+		for q := range features {
+			features[q] = make([]float64, r)
+			for k := range features[q] {
+				features[q][k] = operand()
+			}
+		}
+		targets, x := make([]float64, n*m), make([]float64, r*m)
+		for i := range targets {
+			targets[i] = operand()
+		}
+		for i := range x {
+			x[i] = operand()
+		}
+		checkResiduals(t, "fuzz", features, targets, x, m, true)
+	})
+}
+
 // warmShapes are the ridge systems of the warm_mc workload's completion:
 // rank 5, a W row observing ~65 entries, and an H pattern of one entry
 // that ~42 columns share.
@@ -381,6 +521,34 @@ func BenchmarkRidgeSolveWide(b *testing.B) {
 			defer SetSIMD(SetSIMD(body == "simd"))
 			for b.Loop() {
 				RidgeSolveWideInto(features, targets, benchMembers, l, dst)
+			}
+		})
+	}
+}
+
+// BenchmarkRidgeResidualsWide computes the residuals of one H pattern of
+// the warm_mc shape, 42 columns over one shared entry at rank 5, through
+// each kernel body.
+func BenchmarkRidgeResidualsWide(b *testing.B) {
+	g := rand.New(rand.NewSource(16))
+	features := randomFeatures(g, 1, benchRank)
+	targets := make([]float64, benchMembers)
+	for i := range targets {
+		targets[i] = g.NormFloat64()
+	}
+	x := make([]float64, benchRank*benchMembers)
+	for i := range x {
+		x[i] = g.NormFloat64()
+	}
+	dst := make([]float64, benchMembers)
+	for _, body := range []string{"go", "simd"} {
+		b.Run(body, func(b *testing.B) {
+			if body == "simd" && !haveSIMD {
+				b.Skip("no vector kernel bodies on this host")
+			}
+			defer SetSIMD(SetSIMD(body == "simd"))
+			for b.Loop() {
+				RidgeResidualsWideInto(features, targets, x, benchMembers, dst)
 			}
 		})
 	}

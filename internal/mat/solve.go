@@ -16,7 +16,8 @@ import (
 // the features) and the right-hand side with the two triangular solves.
 // RidgeSolveInto runs both for one target vector. ALS runs the first half
 // once per observed pattern that several factor rows share, then solves all
-// the rows of that pattern at once with RidgeSolveWideInto.
+// the rows of that pattern at once with RidgeSolveWideInto and takes their
+// objective residuals with RidgeResidualsWideInto.
 //
 // A triangular solve is a serial chain of dependent subtractions and one
 // division per unknown, so a single solve runs at the latency of those
@@ -26,8 +27,9 @@ import (
 // rows. Both have a portable Go body that SetSIMD selects. Every value
 // still receives the same products in the same order, so all paths — fused,
 // factored, wide, either body, and the allocating wrappers in dense.go —
-// give bit-identical results. CholeskyInto and the single solve's
-// substitutions stay scalar.
+// give bit-identical results. The residual kernel sums each prediction in
+// Dot's order, four systems to a register. CholeskyInto and the single
+// solve's substitutions stay scalar.
 
 // CholeskyInto computes the lower-triangular factor L with a = L Lᵀ into l,
 // which must be a square matrix of a's shape (its prior contents are
@@ -333,6 +335,61 @@ func solveWideGo(x, targets []float64, features [][]float64, l []float64, r, m i
 		d := l[i*r+i]
 		for j := range xi {
 			xi[j] /= d
+		}
+	}
+}
+
+// RidgeResidualsWideInto writes the residuals of m fitted systems
+// over shared features: x holds their solutions entry-major as
+// RidgeSolveWideInto wrote them, entry k of system c at x[k*m+c], and
+// targets their observed values the same way, target q of system c at
+// targets[q*m+c]. dst[q*m+c] receives t − p, where t is that target and
+// p = Σ_k f_q[k]·x[k*m+c] is summed from +0 over k ascending, the
+// prediction Dot(f_q, x_c) gives. An ALS sweep that has just solved a
+// chunk of factor rows so gets the objective's residuals of their
+// observations without reading the rows back.
+//
+// The vector body runs the systems four per YMM register, four registers
+// at a time, with a separate multiply and add (never a fused multiply-add)
+// in Dot's operand order, and moves a last group of m mod 4 systems
+// through a lane mask; a host without AVX2 runs the portable body.
+func RidgeResidualsWideInto(features [][]float64, targets, x []float64, m int, dst []float64) {
+	if m < 0 || len(targets) != len(features)*m {
+		panic(fmt.Sprintf("mat: %d targets for %d rows of %d systems", len(targets), len(features), m))
+	}
+	if len(dst) != len(targets) {
+		panic(fmt.Sprintf("mat: %d residuals for %d targets", len(dst), len(targets)))
+	}
+	if m == 0 || len(features) == 0 {
+		return
+	}
+	r := len(features[0])
+	if len(x) != r*m {
+		panic(fmt.Sprintf("mat: %d solution entries for rank %d × %d systems", len(x), r, m))
+	}
+	for _, f := range features {
+		if len(f) != r {
+			panic("mat: ragged feature rows")
+		}
+	}
+	if useSIMD && r > 0 {
+		residualsWideSIMD(dst, targets, x, features, r, m)
+		return
+	}
+	residualsWideGo(dst, targets, x, features, m)
+}
+
+// residualsWideGo is the portable body of RidgeResidualsWideInto: one Dot
+// per system and entry, written out over the strided solution.
+func residualsWideGo(dst, targets, x []float64, features [][]float64, m int) {
+	for q, f := range features {
+		tq, dq := targets[q*m:][:m], dst[q*m:][:m]
+		for c, t := range tq {
+			var p float64
+			for k, v := range f {
+				p += v * x[k*m+c]
+			}
+			dq[c] = t - p
 		}
 	}
 }

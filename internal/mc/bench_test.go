@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"comfedsv/internal/mat"
 	"comfedsv/internal/rng"
 )
 
@@ -126,7 +127,10 @@ func TestPatternedEntriesShape(t *testing.T) {
 //     alternating runs). Over six alternating pairs on a busier day, the
 //     AVX2 wide and Gram kernels took it from 18.5–25.1 ms/op (median
 //     23.4) with block solves to 9.4–11.9 (median 11.7); the portable
-//     body runs it at a median of 22.0.
+//     body runs it at a median of 22.0. Building the feature views once
+//     per restart and taking the stopping objective's residuals from the
+//     wide solve's lanes took it from 11.4–13.9 ms/op (median 11.9) to
+//     7.7–9.5 (median 8.8) over eight alternating pairs, every pair won.
 func BenchmarkComplete(b *testing.B) {
 	bench := func(b *testing.B, obs []Entry, rows, cols int) {
 		for _, workers := range []int{1, 2, 4, 8} {
@@ -149,29 +153,74 @@ func BenchmarkComplete(b *testing.B) {
 	})
 }
 
-// BenchmarkRidgeUpdate isolates the per-row ridge sub-solve, the innermost
-// kernel of every ALS sweep. The seed allocated features/targets/Gram/
-// Cholesky storage on every call; with a warm scratch it allocates nothing.
+// BenchmarkRidgeUpdate isolates the per-row ridge sub-solve of a row whose
+// pattern is unique, the fused solve of ALS's solve pass, over 60 entries
+// at rank 5. The features are views into the opposite factor built before
+// the loop, as an attempt builds them once; with a warm scratch the solve
+// allocates nothing.
 func BenchmarkRidgeUpdate(b *testing.B) {
 	g := rng.New(7)
 	opposite := randomFactor(400, 5, 1, g)
-	entries := make([]Entry, 60)
-	targets := make([]float64, len(entries))
-	for i := range entries {
-		entries[i] = Entry{Row: 0, Col: i * 6, Val: g.Normal(0, 1)}
-		targets[i] = entries[i].Val
+	features := make([][]float64, 60)
+	targets := make([]float64, len(features))
+	for i := range features {
+		features[i] = opposite.Row(i * 6)
+		targets[i] = g.Normal(0, 1)
 	}
 	dst := make([]float64, 5)
 	sc := newALSScratch(5)
 	// Warm the scratch so the steady-state zero-allocation path is measured.
-	if err := ridgeUpdate(entries, targets, opposite, dst, 0.01, true, sc); err != nil {
+	if err := ridgeUpdate(features, targets, dst, 0.01, sc); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ridgeUpdate(entries, targets, opposite, dst, 0.01, true, sc); err != nil {
+		if err := ridgeUpdate(features, targets, dst, 0.01, sc); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkObjective times the stopping objective of one ALS sweep on a
+// fit of the patterned shape: "objective" recomputes every prediction from
+// the factors, as the package-level objective does, and "residuals" runs
+// what a sweep now does instead, the wide residual kernel over each H
+// chunk's solutions (laid out entry-major before the loop, as the solve
+// leaves them) and the sum over the residuals in observation order. Both
+// add the same Frobenius penalty.
+func BenchmarkObjective(b *testing.B) {
+	obs := patternedEntries(5, 42)
+	cfg := DefaultConfig(5)
+	res, err := Complete(obs, patternedRows, patternedCols, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan := newALSPlan(obs, patternedRows, patternedCols)
+	views := plan.h.views(res.W)
+	r := cfg.Rank
+	xs := make([][]float64, len(plan.h.items))
+	for n, it := range plan.h.items {
+		m := len(it.rows)
+		xs[n] = make([]float64, r*m)
+		for c, i := range it.rows {
+			for k, v := range res.H.Row(i) {
+				xs[n][k*m+c] = v
+			}
+		}
+	}
+	resid := make([]float64, len(obs))
+	b.Run("objective", func(b *testing.B) {
+		for b.Loop() {
+			objective(obs, res.W, res.H, cfg.Lambda)
+		}
+	})
+	b.Run("residuals", func(b *testing.B) {
+		for b.Loop() {
+			for n, it := range plan.h.items {
+				mat.RidgeResidualsWideInto(plan.h.features(views, n), it.targets, xs[n], len(it.rows), resid[it.at:][:len(it.targets)])
+			}
+			plan.objective(resid, res.W, res.H, cfg.Lambda)
+		}
+	})
 }

@@ -16,15 +16,25 @@
 // rows of one shared pattern (a pattern at least two rows observe), and
 // single rows of a unique pattern or with no entries. The plan also lays
 // every item's observed values out once, entry-major with one lane per row,
-// so no sweep copies them. Each half-sweep first factors Gram + λI once for
-// every shared pattern, then works through the list. A chunk gathers its
-// pattern's features once and solves all its rows against the shared
+// so no sweep copies them. Each attempt points its ridge features into the
+// opposite factor once, one view list per shared pattern and per unique
+// row, since a factor's backing array is fixed for the whole attempt. Each
+// half-sweep first factors Gram + λI once for every shared pattern, then
+// works through the list. A chunk solves all its rows against the shared
 // factor in one wide kernel call, which runs the rows' right-hand sides and
 // triangular solves four to a vector register. A unique-pattern row runs
 // one fused ridge solve, and a row with no entries is zeroed. Every path
 // accumulates the same products in the same order, so the result is
 // bit-identical to solving every row on its own, for any worker count and
 // on either kernel body.
+//
+// The stopping rule needs the objective after every sweep. The H
+// half-sweep computes it on the way: the wide residual kernel reads a
+// chunk's solutions where the solve left them in its lanes, and a
+// unique-pattern column's as a chunk of one, and writes each residual at
+// its target's offset. The objective then sums their squares in
+// observation order and adds the same Frobenius penalty, so it keeps the
+// bits of recomputing every prediction from the factors.
 package mc
 
 import (
@@ -254,7 +264,7 @@ func completeOnce(obs []Entry, plan *alsPlan, rows, cols int, cfg Config, seed i
 	w, h, g := initFactors(rows, cols, cfg, seed, warm)
 	switch cfg.Solver {
 	case ALS:
-		return completeALS(obs, plan, w, h, cfg, workers)
+		return completeALS(plan, w, h, cfg, workers)
 	case SGD:
 		return completeSGD(obs, w, h, cfg, g)
 	default:
@@ -345,7 +355,8 @@ func warmFactor(n, r int, scale float64, g *rng.RNG, warm *mat.Dense) *mat.Dense
 
 // objective returns the full regularized objective and the observed RMSE.
 // It reads the factors' backing arrays directly; each prediction sums its
-// products in mat.Dot's order.
+// products in mat.Dot's order. SGD stops on it, and the ALS tests use it
+// as the oracle of the sum over the residuals a sweep stored.
 func objective(obs []Entry, w, h *mat.Dense, lambda float64) (obj, rmse float64) {
 	r := w.Cols()
 	wd, hd := w.Data(), h.Data()
@@ -360,43 +371,27 @@ func objective(obs []Entry, w, h *mat.Dense, lambda float64) (obj, rmse float64)
 		d := e.Val - p
 		sse += d * d
 	}
+	return penalized(sse, len(obs), w, h, lambda)
+}
+
+// penalized adds the penalty λ(‖W‖²+‖H‖²) to the squared error sse of n
+// observations and returns the objective with their RMSE.
+func penalized(sse float64, n int, w, h *mat.Dense, lambda float64) (obj, rmse float64) {
 	fw := w.FrobeniusNorm()
 	fh := h.FrobeniusNorm()
-	return sse + lambda*(fw*fw+fh*fh), math.Sqrt(sse / float64(len(obs)))
+	return sse + lambda*(fw*fw+fh*fh), math.Sqrt(sse / float64(n))
 }
 
 // alsScratch is the per-worker working storage of the ALS inner loop: the
-// ridge system's feature views, the solutions of one wide solve, and the
-// mat.RidgeScratch buffers. One scratch per worker removes every per-row
-// allocation from the sweep.
+// solutions of one wide solve and the mat.RidgeScratch buffers. One
+// scratch per worker removes every per-row allocation from the sweep.
 type alsScratch struct {
-	features [][]float64
-	x        []float64
-	ridge    *mat.RidgeScratch
+	x     []float64
+	ridge *mat.RidgeScratch
 }
 
 func newALSScratch(rank int) *alsScratch {
 	return &alsScratch{ridge: mat.NewRidgeScratch(rank)}
-}
-
-// gather points the scratch's feature views at the opposite-factor rows the
-// entries observe, in entry order. If rowSide is true, entries index the
-// opposite factor by Col, else by Row.
-func (sc *alsScratch) gather(entries []Entry, opposite *mat.Dense, rowSide bool) [][]float64 {
-	if cap(sc.features) < len(entries) {
-		sc.features = make([][]float64, len(entries))
-	}
-	features := sc.features[:len(entries)]
-	r := opposite.Cols()
-	od := opposite.Data()
-	for i, e := range entries {
-		j := e.Row
-		if rowSide {
-			j = e.Col
-		}
-		features[i] = od[j*r : j*r+r]
-	}
-	return features
 }
 
 // alsPlan is the observation layout of one completion: the entries of every
@@ -405,6 +400,9 @@ func (sc *alsScratch) gather(entries []Entry, opposite *mat.Dense, rowSide bool)
 // and wave reads it.
 type alsPlan struct {
 	w, h alsSide
+	// slots[o] is the offset of observation o's value in the H side's
+	// targets, hence of its residual in the buffer the H half-sweep fills.
+	slots []int
 }
 
 // alsSide is the layout of one factor's rows. A row's pattern is the
@@ -422,6 +420,11 @@ type alsSide struct {
 	reps []int
 	// items is the solve pass's work list, covering every row once.
 	items []alsItem
+	// An attempt builds nviews ridge feature views, one per entry of each
+	// shared pattern and then of each unique row; patternView[k] is where
+	// shared pattern k's start.
+	patternView []int
+	nviews      int
 }
 
 // alsItem is one unit of the solve pass: a chunk of up to wideChunk rows
@@ -433,22 +436,40 @@ type alsItem struct {
 	// rows[c] at targets[q*len(rows)+c]: the layout mat.RidgeSolveWideInto
 	// reads, and for a single row simply its values.
 	targets []float64
+	// at is the offset of targets among all the side's targets.
+	at int
+	// view is where the rows' features start among the side's views: the
+	// pattern's for a chunk, the row's own for a unique row.
+	view int
 }
 
 // wideChunk bounds the rows of one solve item. One item is one wide solve,
-// so larger chunks spread the gather and the call over more columns; but a
-// pattern that most columns share (the exact plan's can hold thousands)
-// must still split into enough items to keep every worker busy.
+// so larger chunks spread the call over more columns; but a pattern that
+// most columns share (the exact plan's can hold thousands) must still
+// split into enough items to keep every worker busy.
 const wideChunk = 64
 
 func newALSPlan(obs []Entry, rows, cols int) *alsPlan {
 	byRow := make([][]Entry, rows)
 	byCol := make([][]Entry, cols)
-	for _, e := range obs {
+	slots := make([]int, len(obs))
+	for o, e := range obs {
 		byRow[e.Row] = append(byRow[e.Row], e)
+		slots[o] = len(byCol[e.Col]) // o is entry slots[o] of its column
 		byCol[e.Col] = append(byCol[e.Col], e)
 	}
-	return &alsPlan{w: newALSSide(byRow, true), h: newALSSide(byCol, false)}
+	p := &alsPlan{w: newALSSide(byRow, true), h: newALSSide(byCol, false), slots: slots}
+	// Entry q of column rows[c] of an item sits at targets[q*m+c].
+	first, stride := make([]int, cols), make([]int, cols)
+	for _, it := range p.h.items {
+		for c, col := range it.rows {
+			first[col], stride[col] = it.at+c, len(it.rows)
+		}
+	}
+	for o, e := range obs {
+		slots[o] = first[e.Col] + slots[o]*stride[e.Col]
+	}
+	return p
 }
 
 // newALSSide groups rows by pattern. Only a pattern that at least two rows
@@ -515,7 +536,8 @@ func newALSSide(groups [][]Entry, rowSide bool) alsSide {
 			for _, e := range groups[i] {
 				values = append(values, e.Val)
 			}
-			side.items = append(side.items, alsItem{rows: order[len(order)-1:], targets: values[len(values)-len(groups[i]):]})
+			n := len(groups[i])
+			side.items = append(side.items, alsItem{rows: order[len(order)-1:], targets: values[len(values)-n:], at: len(values) - n})
 		case side.reps[k] == i:
 			n := len(groups[i])
 			for rows := members[k]; len(rows) > 0; {
@@ -526,15 +548,28 @@ func newALSSide(groups [][]Entry, rowSide bool) alsSide {
 						values = append(values, groups[row][q].Val)
 					}
 				}
-				side.items = append(side.items, alsItem{rows: order[len(order)-w:], targets: values[len(values)-n*w:]})
+				side.items = append(side.items, alsItem{rows: order[len(order)-w:], targets: values[len(values)-n*w:], at: len(values) - n*w})
 				rows = rows[w:]
 			}
+		}
+	}
+	for _, i := range side.reps {
+		side.patternView = append(side.patternView, side.nviews)
+		side.nviews += len(groups[i])
+	}
+	for n := range side.items {
+		it := &side.items[n]
+		if k := side.shared[it.rows[0]]; k >= 0 {
+			it.view = side.patternView[k]
+		} else {
+			it.view = side.nviews
+			side.nviews += len(groups[it.rows[0]])
 		}
 	}
 	return side
 }
 
-func completeALS(obs []Entry, plan *alsPlan, w, h *mat.Dense, cfg Config, workers int) (*Result, error) {
+func completeALS(plan *alsPlan, w, h *mat.Dense, cfg Config, workers int) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -544,6 +579,11 @@ func completeALS(obs []Entry, plan *alsPlan, w, h *mat.Dense, cfg Config, worker
 	}
 	wFactors := sharedFactors(len(plan.w.reps), cfg.Rank)
 	hFactors := sharedFactors(len(plan.h.reps), cfg.Rank)
+	// The factors' backing arrays stay put for the whole attempt, so the
+	// feature views into them are built once.
+	wViews := plan.w.views(h)
+	hViews := plan.h.views(w)
+	resid := make([]float64, len(plan.slots))
 
 	prev := math.Inf(1)
 	var obj, rmse float64
@@ -554,22 +594,39 @@ func completeALS(obs []Entry, plan *alsPlan, w, h *mat.Dense, cfg Config, worker
 		// fixed W. Within one half-sweep every row update reads only the
 		// fixed opposite factor and writes its own disjoint row slice, so
 		// the rows can be solved on any worker in any order without
-		// changing a single bit of the result.
-		if err := plan.w.update(h, w, wFactors, cfg, workers, scratches); err != nil {
+		// changing a single bit of the result. The H half-sweep also
+		// writes the residual of every observation, which the objective
+		// sums.
+		if err := plan.w.update(wViews, w, wFactors, cfg, workers, scratches, nil); err != nil {
 			return nil, err
 		}
-		if err := plan.h.update(w, h, hFactors, cfg, workers, scratches); err != nil {
+		if err := plan.h.update(hViews, h, hFactors, cfg, workers, scratches, resid); err != nil {
 			return nil, err
 		}
 		// The last iteration's objective is the result's: the factors do
 		// not change after it.
-		obj, rmse = objective(obs, w, h, cfg.Lambda)
+		obj, rmse = plan.objective(resid, w, h, cfg.Lambda)
 		if !math.IsInf(prev, 1) && prev-obj <= cfg.Tol*math.Max(1, math.Abs(prev)) {
 			break
 		}
 		prev = obj
 	}
 	return &Result{W: w, H: h, Objective: obj, Iterations: iters, TrainRMSE: rmse}, nil
+}
+
+// objective is the objective function over the residuals the last H
+// half-sweep wrote: their squares summed in observation order as the
+// package-level objective sums them, and the same penalty, so both give
+// the same bits. The sweep stores residuals, not their squares, so that
+// the squaring is this same statement: where the compiler fuses
+// sse += d * d into one multiply-add, it fuses it in both.
+func (p *alsPlan) objective(resid []float64, w, h *mat.Dense, lambda float64) (obj, rmse float64) {
+	var sse float64
+	for _, at := range p.slots {
+		d := resid[at]
+		sse += d * d
+	}
+	return penalized(sse, len(p.slots), w, h, lambda)
 }
 
 // sharedFactors allocates the Cholesky factors of n shared patterns, one
@@ -583,20 +640,54 @@ func sharedFactors(n, rank int) []*mat.Dense {
 	return out
 }
 
+// views points the side's ridge features into opposite's backing array,
+// in the order patternView and the items' view offsets index.
+func (s *alsSide) views(opposite *mat.Dense) [][]float64 {
+	r := opposite.Cols()
+	od := opposite.Data()
+	views := make([][]float64, 0, s.nviews)
+	add := func(entries []Entry) {
+		for _, e := range entries {
+			j := e.Row
+			if s.rowSide {
+				j = e.Col
+			}
+			views = append(views, od[j*r:j*r+r])
+		}
+	}
+	for _, i := range s.reps {
+		add(s.groups[i])
+	}
+	for _, it := range s.items {
+		if s.shared[it.rows[0]] < 0 {
+			add(s.groups[it.rows[0]])
+		}
+	}
+	return views
+}
+
+// features returns item n's ridge features among the side's views.
+func (s *alsSide) features(views [][]float64, n int) [][]float64 {
+	it := s.items[n]
+	return views[it.view:][:len(s.groups[it.rows[0]])]
+}
+
 // update solves the ridge sub-problem of every row of target against the
-// fixed opposite factor in two passes over workers goroutines. The factor
-// pass forms Gram + λI and its Cholesky factor once per shared pattern.
-// The solve pass works through the items: a chunk of a shared pattern
-// gathers the pattern's features once and solves all its rows against that
-// factor in one wide kernel call, reading the targets the plan laid out,
-// while a row of a unique pattern runs the fused ridge solve. All paths
-// accumulate the same products in the same order, so the factors are
-// bit-identical to one fused solve per row.
-func (s *alsSide) update(opposite, target *mat.Dense, factors []*mat.Dense, cfg Config, workers int, scratches []*alsScratch) error {
+// fixed opposite factor that views point into, in two passes over workers
+// goroutines. The factor pass forms Gram + λI and its Cholesky factor once
+// per shared pattern. The solve pass works through the items: a chunk of a
+// shared pattern solves all its rows against that factor in one wide
+// kernel call, reading the targets the plan laid out, while a row of a
+// unique pattern runs the fused ridge solve. All paths accumulate the same
+// products in the same order, so the factors are bit-identical to one
+// fused solve per row. A non-nil resid receives the residual of every
+// entry at its target's offset, from the new rows: the residual kernel
+// reads a chunk's solutions where the wide solve left them, before they
+// are copied into the factor rows.
+func (s *alsSide) update(views [][]float64, target *mat.Dense, factors []*mat.Dense, cfg Config, workers int, scratches []*alsScratch, resid []float64) error {
 	err := parallelFor(len(s.reps), workers, func(wk, k int) error {
-		entries := s.groups[s.reps[k]]
-		features := scratches[wk].gather(entries, opposite, s.rowSide)
-		if err := mat.RidgeFactorInto(features, effLambda(cfg, len(entries)), factors[k], scratches[wk].ridge); err != nil {
+		features := views[s.patternView[k]:][:len(s.groups[s.reps[k]])]
+		if err := mat.RidgeFactorInto(features, effLambda(cfg, len(features)), factors[k], scratches[wk].ridge); err != nil {
 			return fmt.Errorf("mc: ridge sub-problem: %w", err)
 		}
 		return nil
@@ -607,20 +698,28 @@ func (s *alsSide) update(opposite, target *mat.Dense, factors []*mat.Dense, cfg 
 	r := target.Cols()
 	td := target.Data()
 	return parallelFor(len(s.items), workers, func(wk, n int) error {
-		it, sc := s.items[n], scratches[wk]
-		entries := s.groups[it.rows[0]]
+		it, sc, features := s.items[n], scratches[wk], s.features(views, n)
 		k := s.shared[it.rows[0]]
 		if k < 0 {
-			i := it.rows[0]
-			return ridgeUpdate(entries, it.targets, opposite, target.Row(i), effLambda(cfg, len(entries)), s.rowSide, sc)
+			row := target.Row(it.rows[0])
+			if err := ridgeUpdate(features, it.targets, row, effLambda(cfg, len(features)), sc); err != nil {
+				return err
+			}
+			if resid != nil {
+				// One row's solution is its own entry-major layout.
+				mat.RidgeResidualsWideInto(features, it.targets, row, 1, resid[it.at:][:len(it.targets)])
+			}
+			return nil
 		}
-		features := sc.gather(entries, opposite, s.rowSide)
 		m := len(it.rows)
 		if cap(sc.x) < r*m {
 			sc.x = make([]float64, r*m)
 		}
 		x := sc.x[:r*m]
 		mat.RidgeSolveWideInto(features, it.targets, m, factors[k], x)
+		if resid != nil {
+			mat.RidgeResidualsWideInto(features, it.targets, x, m, resid[it.at:][:len(it.targets)])
+		}
 		for j := 0; j < r; j++ {
 			xj := x[j*m:][:m]
 			for c, i := range it.rows {
@@ -685,18 +784,17 @@ func effLambda(cfg Config, nobs int) float64 {
 }
 
 // ridgeUpdate solves the ridge sub-problem for one factor row in place,
-// reusing the caller's scratch so the hot loop does not allocate. targets
-// holds the entries' values. If rowSide is true, entries index the opposite
-// factor by Col, else by Row. Rows with no observations are zeroed (the
-// regularizer's minimizer).
-func ridgeUpdate(entries []Entry, targets []float64, opposite *mat.Dense, dst []float64, lambda float64, rowSide bool, sc *alsScratch) error {
-	if len(entries) == 0 {
+// reusing the caller's scratch so the hot loop does not allocate. features
+// are the opposite-factor rows the row's entries observe and targets their
+// values. Rows with no observations are zeroed (the regularizer's
+// minimizer).
+func ridgeUpdate(features [][]float64, targets, dst []float64, lambda float64, sc *alsScratch) error {
+	if len(features) == 0 {
 		for i := range dst {
 			dst[i] = 0
 		}
 		return nil
 	}
-	features := sc.gather(entries, opposite, rowSide)
 	if err := mat.RidgeSolveInto(features, targets, lambda, dst, sc.ridge); err != nil {
 		return fmt.Errorf("mc: ridge sub-problem: %w", err)
 	}

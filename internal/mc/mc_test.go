@@ -565,10 +565,28 @@ func TestCompleteCollapseIsNamedError(t *testing.T) {
 
 // TestResultObjectiveMatchesFactors pins that a result's Objective and
 // TrainRMSE are the objective of its own factors, bit for bit, whether the
-// solver stopped at the tolerance or ran out of iterations.
+// solver stopped at the tolerance or ran out of iterations. ALS squares
+// and sums the residuals its H half-sweep wrote, so it runs on both kernel
+// bodies at several worker counts and on fixtures that reach every
+// residual path: chunks of shared patterns (patterned, exact-plan,
+// chunked), unique-pattern columns and a column with no entries
+// (remainders), and the transposed remainders, whose shared patterns sit
+// on W.
 func TestResultObjectiveMatchesFactors(t *testing.T) {
 	truth := lowRankTruth(30, 60, 2, 3)
 	obs := sample(truth, 0.5, 4)
+	check := func(t *testing.T, obs []Entry, rows, cols int, cfg Config) *Result {
+		t.Helper()
+		res, err := Complete(obs, rows, cols, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj, rmse := objective(obs, res.W, res.H, cfg.Lambda)
+		if math.Float64bits(res.Objective) != math.Float64bits(obj) || math.Float64bits(res.TrainRMSE) != math.Float64bits(rmse) {
+			t.Fatalf("result (%v, %v), objective of its factors (%v, %v)", res.Objective, res.TrainRMSE, obj, rmse)
+		}
+		return res
+	}
 	for _, tc := range []struct {
 		name      string
 		solver    Solver
@@ -587,16 +605,55 @@ func TestResultObjectiveMatchesFactors(t *testing.T) {
 			cfg.LearningRate = 0.05
 			cfg.Lambda = 1e-3
 			cfg.Tol = 1e-3
-			res, err := Complete(obs, 30, 60, cfg)
-			if err != nil {
-				t.Fatal(err)
+			for _, workers := range []int{1, 2, 4} {
+				cfg.Workers = workers
+				kernelBodies(func(simd bool) {
+					res := check(t, obs, 30, 60, cfg)
+					if stopped := res.Iterations < tc.maxIter; stopped != tc.converges {
+						t.Fatalf("workers=%d simd=%v: %d of %d iterations: stopped early %v, want %v", workers, simd, res.Iterations, tc.maxIter, stopped, tc.converges)
+					}
+				})
 			}
-			if stopped := res.Iterations < tc.maxIter; stopped != tc.converges {
-				t.Fatalf("%d of %d iterations: stopped early %v, want %v", res.Iterations, tc.maxIter, stopped, tc.converges)
-			}
-			obj, rmse := objective(obs, res.W, res.H, cfg.Lambda)
-			if math.Float64bits(res.Objective) != math.Float64bits(obj) || math.Float64bits(res.TrainRMSE) != math.Float64bits(rmse) {
-				t.Fatalf("result (%v, %v), objective of its factors (%v, %v)", res.Objective, res.TrainRMSE, obj, rmse)
+		})
+	}
+
+	exact, exactCols := exactPlanEntries(5, 12, 3, 3)
+	chunked, chunkedRows, chunkedCols := chunkedEntries(3, 6)
+	remainders, remRows, remCols := remainderEntries(3, 5, false)
+	remaindersT, remRowsT, remColsT := remainderEntries(3, 5, true)
+	plan := newALSPlan(remainders, remRows, remCols)
+	unique, empty := 0, 0
+	for _, it := range plan.h.items {
+		switch i := it.rows[0]; {
+		case len(plan.h.groups[i]) == 0:
+			empty++
+		case plan.h.shared[i] < 0:
+			unique++
+		}
+	}
+	if unique == 0 || empty == 0 {
+		t.Fatalf("remainders H side: %d unique-pattern and %d empty columns, want some of each", unique, empty)
+	}
+	for _, fx := range []struct {
+		name       string
+		obs        []Entry
+		rows, cols int
+		rank       int
+	}{
+		{"patterned", patternedEntries(5, 42), patternedRows, patternedCols, 5},
+		{"exact-plan", exact, 12, exactCols, 3},
+		{"chunked", chunked, chunkedRows, chunkedCols, 3},
+		{"remainders", remainders, remRows, remCols, 3},
+		{"remainders-transposed", remaindersT, remRowsT, remColsT, 3},
+	} {
+		t.Run("als/"+fx.name, func(t *testing.T) {
+			for _, maxIter := range []int{2, 60} {
+				cfg := DefaultConfig(fx.rank)
+				cfg.MaxIter = maxIter
+				for _, workers := range []int{1, 2, 4} {
+					cfg.Workers = workers
+					kernelBodies(func(bool) { check(t, fx.obs, fx.rows, fx.cols, cfg) })
+				}
 			}
 		})
 	}
