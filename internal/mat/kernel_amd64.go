@@ -1,8 +1,44 @@
 package mat
 
+import "math"
+
 // haveSIMD reports whether the CPU runs AVX2 and the operating system saves
 // the YMM registers across context switches.
 var haveSIMD = detectAVX2()
+
+// haveFMA reports whether the CPU runs the FMA3 instructions (CPUID.1:ECX
+// bit 12), which the exp and tanh kernels use.
+var haveFMA = detectFMA()
+
+// haveExpSIMD reports whether the exp and tanh kernels give package math's
+// bits on this host. math.Exp takes a path with fused multiply-adds only
+// where the runtime reports AVX and FMA, which GODEBUG=cpu.fma=off (or
+// cpu.avx=off) turns off; the kernels follow that path, so they run only
+// when math.Exp gives its bits on probe inputs where the two paths differ.
+var haveExpSIMD = haveSIMD && haveFMA && mathExpFused()
+
+// expProbes are inputs on which math.Exp's fused and unfused paths differ,
+// each with the fused path's bits. TestExpProbesSeparatePaths finds them.
+var expProbes = [...]struct {
+	x     float64
+	fused uint64
+}{
+	{0.375, 0x3ff747a513dbef6b},
+	{2.375, 0x40258084cce2201b},
+	{3.625, 0x4042c32a20e4f855},
+	{6.125, 0x407c9250bedc542d},
+}
+
+// mathExpFused reports whether math.Exp gives the fused path's bits on
+// every probe.
+func mathExpFused() bool {
+	for _, p := range expProbes {
+		if math.Float64bits(math.Exp(p.x)) != p.fused {
+			return false
+		}
+	}
+	return true
+}
 
 func detectAVX2() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
@@ -20,6 +56,12 @@ func detectAVX2() bool {
 	const avx2 = 1 << 5
 	_, ebx, _, _ := cpuid(7, 0)
 	return ebx&avx2 != 0
+}
+
+func detectFMA() bool {
+	const fma = 1 << 12
+	_, _, ecx, _ := cpuid(1, 0)
+	return ecx&fma != 0
 }
 
 // cpuid executes CPUID with EAX = leaf and ECX = sub.
@@ -62,3 +104,18 @@ func solveWideSIMD(x, targets []float64, features [][]float64, l []float64, r, m
 //
 //go:noescape
 func residualsWideSIMD(dst, targets, x []float64, features [][]float64, r, m int)
+
+// expSubSIMD is the vector body of expSub for 0 ≤ len(x) ≤ expLanes: it
+// stores math.Exp(x[i] - sub) into dst[i] for every lane with
+// |x[i] - sub| ≤ expRange and leaves the other lanes alone, setting bit i
+// of left for each.
+//
+//go:noescape
+func expSubSIMD(dst, x []float64, sub float64) (left uint64)
+
+// tanhBiasSIMD is the vector body of TanhBias for 0 ≤ len(h) ≤ expLanes: it
+// stores math.Tanh(h[i] + b[i]) into h[i] for every lane whose sum is not
+// NaN and leaves the NaN lanes alone, setting bit i of left for each.
+//
+//go:noescape
+func tanhBiasSIMD(h, b []float64) (left uint64)

@@ -601,6 +601,319 @@ resnext:
 	VZEROUPPER
 	RET
 
+// QUAD defines sym as four copies of the quadword v: a YMM memory operand
+// that gives v in every lane.
+#define QUAD(sym, v) \
+	DATA  sym+0(SB)/8, v \
+	DATA  sym+8(SB)/8, v \
+	DATA  sym+16(SB)/8, v \
+	DATA  sym+24(SB)/8, v \
+	GLOBL sym(SB), RODATA|NOPTR, $32
+
+// archExp's constants, with its literals: log₂e, ln 2 split into an upper
+// and a lower part, the 1/16 argument reduction, and the Taylor
+// coefficients 1/k! for k = 8 down to 2 (1/1! is one<>).
+QUAD(expLog2e<>, $1.4426950408889634073599246810018920)
+QUAD(expLn2U<>, $0.69314718055966295651160180568695068359375)
+QUAD(expLn2L<>, $0.28235290563031577122588448175013436025525412068e-12)
+QUAD(expSixteenth<>, $0.0625)
+QUAD(expT8<>, $2.4801587301587301587e-5)
+QUAD(expT7<>, $1.9841269841269841270e-4)
+QUAD(expT6<>, $1.3888888888888888889e-3)
+QUAD(expT5<>, $8.3333333333333333333e-3)
+QUAD(expT4<>, $4.1666666666666666667e-2)
+QUAD(expT3<>, $1.6666666666666666667e-1)
+QUAD(expT2<>, $0.5)
+QUAD(expBias<>, $0x3ff)
+
+// expRange in exp.go: the largest |x| a lane evaluates.
+QUAD(expRange<>, $708.0)
+QUAD(one<>, $1.0)
+QUAD(two<>, $2.0)
+QUAD(absMask<>, $0x7fffffffffffffff)
+QUAD(signMask<>, $-0x8000000000000000)
+
+// math.tanh's constants: its cut-offs 0.5·MAXLOG and 0.625 and the
+// coefficients of its rational form.
+QUAD(tanhHuge<>, $44.014845965556527147994)
+QUAD(tanhCut<>, $0.625)
+QUAD(tanhP0<>, $-9.64399179425052238628e-1)
+QUAD(tanhP1<>, $-9.92877231001918586564e1)
+QUAD(tanhP2<>, $-1.61468768441708447952e3)
+QUAD(tanhQ0<>, $1.12811678491632931402e2)
+QUAD(tanhQ1<>, $2.23548839060100448583e3)
+QUAD(tanhQ2<>, $4.84406305325125486048e3)
+
+// EXP replaces each lane x of d by archExp's FMA path for x, in its
+// order: k = x·log₂e rounded to an integer under MXCSR, as CVTSD2SL rounds
+// it (VROUNDPD $4 for the float the next steps use, VCVTPD2DQ for the
+// int32 the exponent uses; the truncating forms would be wrong);
+// r = x − k·ln2U − k·ln2L, both fused; r/16 through the Taylor polynomial
+// by fused Horner steps; four squarings (r+2)·r, the last fused with +1;
+// then the product with 2^k built in the integer lanes. It is math.Exp(x)
+// wherever |x| ≤ expRange. k and p are scratch, xk is k's low half.
+#define EXP(d, k, xk, p) \
+	VMULPD       expLog2e<>(SB), d, k \
+	VROUNDPD     $4, k, p \
+	VCVTPD2DQY   k, xk \
+	VFNMADD231PD expLn2U<>(SB), p, d \
+	VFNMADD231PD expLn2L<>(SB), p, d \
+	VMULPD       expSixteenth<>(SB), d, d \
+	VMOVUPD      expT8<>(SB), p \
+	VFMADD213PD  expT7<>(SB), d, p \
+	VFMADD213PD  expT6<>(SB), d, p \
+	VFMADD213PD  expT5<>(SB), d, p \
+	VFMADD213PD  expT4<>(SB), d, p \
+	VFMADD213PD  expT3<>(SB), d, p \
+	VFMADD213PD  expT2<>(SB), d, p \
+	VFMADD213PD  one<>(SB), d, p \
+	VMULPD       p, d, d \
+	VADDPD       two<>(SB), d, p \
+	VMULPD       p, d, d \
+	VADDPD       two<>(SB), d, p \
+	VMULPD       p, d, d \
+	VADDPD       two<>(SB), d, p \
+	VMULPD       p, d, d \
+	VADDPD       two<>(SB), d, p \
+	VFMADD213PD  one<>(SB), p, d \
+	VPMOVSXDQ    xk, k \
+	VPADDQ       expBias<>(SB), k, k \
+	VPSLLQ       $52, k, k \
+	VMULPD       k, d, d
+
+// EXPSUB computes Y0 = exp(Y0 − sub) with sub in Y15, and in Y1 the mask
+// of the lanes whose |Y0 − sub| ≤ expRange: a NaN compares false.
+#define EXPSUB \
+	VSUBPD Y15, Y0, Y0 \
+	VANDPD absMask<>(SB), Y0, Y1 \
+	VCMPPD $0x12, expRange<>(SB), Y1, Y1 \
+	EXP(Y0, Y2, X2, Y3)
+
+// LEFT ors into R8 the lanes of the group in BX that the mask in AX does
+// not hold, shifted up to the group's first lane in CX.
+#define LEFT \
+	XORQ BX, AX \
+	SHLQ CX, AX \
+	ORQ  AX, R8
+
+// func expSubSIMD(dst, x []float64, sub float64) (left uint64)
+//
+// Registers: DI dst, SI x, DX the lanes left to do, CX the group's first
+// lane, BX the four lanes of a group, R8 the lanes left to package math,
+// Y15 sub.
+TEXT ·expSubSIMD(SB), NOSPLIT, $0-64
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         x_base+24(FP), SI
+	MOVQ         x_len+32(FP), DX
+	VBROADCASTSD sub+48(FP), Y15
+	XORQ         R8, R8
+	XORQ         CX, CX
+	MOVQ         $15, BX
+	CMPQ         DX, $4
+	JLT          exptail
+
+expgroup:
+	VMOVUPD   (SI), Y0
+	EXPSUB
+	VMOVMSKPD Y1, AX
+	CMPQ      AX, BX
+	JNE       expsome
+	VMOVUPD   Y0, (DI)
+	JMP       expnext
+
+expsome:
+	VMASKMOVPD Y0, Y1, (DI)
+	LEFT
+
+expnext:
+	ADDQ $32, SI
+	ADDQ $32, DI
+	ADDQ $4, CX
+	SUBQ $4, DX
+	CMPQ DX, $4
+	JGE  expgroup
+
+exptail:
+	// The last len(x) mod 4 lanes move one at a time, the rest of the
+	// register reading 0: no access leaves x or dst, and the code that
+	// reads dst next has each lane forwarded from its own store.
+	TESTQ       DX, DX
+	JZ          expdone
+	VMOVSD      (SI), X0
+	CMPQ        DX, $2
+	JLT         exptailin
+	VMOVHPD     8(SI), X0, X0
+	CMPQ        DX, $3
+	JLT         exptailin
+	VMOVSD      16(SI), X2
+	VINSERTF128 $1, X2, Y0, Y0
+
+exptailin:
+	EXPSUB
+	VMOVMSKPD Y1, AX
+	BTQ       $0, AX
+	JCC       exptail1
+	VMOVSD    X0, (DI)
+
+exptail1:
+	CMPQ    DX, $2
+	JLT     exptailleft
+	BTQ     $1, AX
+	JCC     exptail2
+	VMOVHPD X0, 8(DI)
+
+exptail2:
+	CMPQ         DX, $3
+	JLT          exptailleft
+	BTQ          $2, AX
+	JCC          exptailleft
+	VEXTRACTF128 $1, Y0, X0
+	VMOVSD       X0, 16(DI)
+
+exptailleft:
+	XORQ  BX, BX
+	BTSQ  DX, BX
+	DECQ  BX
+	ANDQ  BX, AX
+	LEFT
+
+expdone:
+	MOVQ R8, left+56(FP)
+	VZEROUPPER
+	RET
+
+// TANH computes Y4 = math.tanh(Y0) in every lane, and in Y1 the mask of
+// the lanes that are not NaN. Each branch of tanh runs in every lane: ±1
+// for |x| > 0.5·MAXLOG; 1 − 2/(exp(2|x|)+1) with x's sign for |x| ≥ 0.625,
+// where 2|x| ≤ MAXLOG keeps exp's argument in range; and otherwise
+// x + ((x·s)·P)/Q with s = x·x, P = (P0·s+P1)·s+P2 and
+// Q = ((s+Q0)·s+Q1)·s+Q2 in Go's order and never fused, or x itself where
+// x = ±0. Blends keep the branch tanh takes; the others' values, whatever
+// they are, are dropped.
+#define TANH \
+	VCMPPD    $7, Y0, Y0, Y1 \
+	VANDPD    absMask<>(SB), Y0, Y2 \
+	VADDPD    Y2, Y2, Y3 \
+	EXP(Y3, Y4, X4, Y5) \
+	VADDPD    one<>(SB), Y3, Y3 \
+	VMOVUPD   two<>(SB), Y4 \
+	VDIVPD    Y3, Y4, Y4 \
+	VMOVUPD   one<>(SB), Y3 \
+	VSUBPD    Y4, Y3, Y3 \
+	VANDPD    signMask<>(SB), Y0, Y6 \
+	VORPD     Y6, Y3, Y3 \
+	VORPD     one<>(SB), Y6, Y6 \
+	VCMPPD    $0x1e, tanhHuge<>(SB), Y2, Y8 \
+	VBLENDVPD Y8, Y6, Y3, Y3 \
+	VMULPD    Y0, Y0, Y4 \
+	VMULPD    tanhP0<>(SB), Y4, Y5 \
+	VADDPD    tanhP1<>(SB), Y5, Y5 \
+	VMULPD    Y4, Y5, Y5 \
+	VADDPD    tanhP2<>(SB), Y5, Y5 \
+	VADDPD    tanhQ0<>(SB), Y4, Y9 \
+	VMULPD    Y4, Y9, Y9 \
+	VADDPD    tanhQ1<>(SB), Y9, Y9 \
+	VMULPD    Y4, Y9, Y9 \
+	VADDPD    tanhQ2<>(SB), Y9, Y9 \
+	VMULPD    Y4, Y0, Y4 \
+	VMULPD    Y5, Y4, Y4 \
+	VDIVPD    Y9, Y4, Y4 \
+	VADDPD    Y4, Y0, Y4 \
+	VXORPD    Y8, Y8, Y8 \
+	VCMPPD    $0, Y8, Y0, Y8 \
+	VBLENDVPD Y8, Y0, Y4, Y4 \
+	VCMPPD    $0x1d, tanhCut<>(SB), Y2, Y8 \
+	VBLENDVPD Y8, Y3, Y4, Y4
+
+// func tanhBiasSIMD(h, b []float64) (left uint64)
+//
+// The sum h + b has h first, as AddVec's. Registers: DI h, SI b, DX the
+// lanes left to do, CX the group's first lane, BX the four lanes of a
+// group, R8 the lanes left to package math.
+TEXT ·tanhBiasSIMD(SB), NOSPLIT, $0-56
+	MOVQ h_base+0(FP), DI
+	MOVQ h_len+8(FP), DX
+	MOVQ b_base+24(FP), SI
+	XORQ R8, R8
+	XORQ CX, CX
+	MOVQ $15, BX
+	CMPQ DX, $4
+	JLT  tanhtail
+
+tanhgroup:
+	VMOVUPD   (DI), Y0
+	VADDPD    (SI), Y0, Y0
+	TANH
+	VMOVMSKPD Y1, AX
+	CMPQ      AX, BX
+	JNE       tanhsome
+	VMOVUPD   Y4, (DI)
+	JMP       tanhnext
+
+tanhsome:
+	VMASKMOVPD Y4, Y1, (DI)
+	LEFT
+
+tanhnext:
+	ADDQ $32, SI
+	ADDQ $32, DI
+	ADDQ $4, CX
+	SUBQ $4, DX
+	CMPQ DX, $4
+	JGE  tanhgroup
+
+tanhtail:
+	// The last len(h) mod 4 lanes move one at a time, as in expSubSIMD.
+	TESTQ       DX, DX
+	JZ          tanhdone
+	VMOVSD      (DI), X0
+	VMOVSD      (SI), X2
+	CMPQ        DX, $2
+	JLT         tanhtailin
+	VMOVHPD     8(DI), X0, X0
+	VMOVHPD     8(SI), X2, X2
+	CMPQ        DX, $3
+	JLT         tanhtailin
+	VMOVSD      16(DI), X3
+	VINSERTF128 $1, X3, Y0, Y0
+	VMOVSD      16(SI), X3
+	VINSERTF128 $1, X3, Y2, Y2
+
+tanhtailin:
+	VADDPD    Y2, Y0, Y0
+	TANH
+	VMOVMSKPD Y1, AX
+	BTQ       $0, AX
+	JCC       tanhtail1
+	VMOVSD    X4, (DI)
+
+tanhtail1:
+	CMPQ    DX, $2
+	JLT     tanhtailleft
+	BTQ     $1, AX
+	JCC     tanhtail2
+	VMOVHPD X4, 8(DI)
+
+tanhtail2:
+	CMPQ         DX, $3
+	JLT          tanhtailleft
+	BTQ          $2, AX
+	JCC          tanhtailleft
+	VEXTRACTF128 $1, Y4, X4
+	VMOVSD       X4, 16(DI)
+
+tanhtailleft:
+	XORQ BX, BX
+	BTSQ DX, BX
+	DECQ BX
+	ANDQ BX, AX
+	LEFT
+
+tanhdone:
+	MOVQ R8, left+48(FP)
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

@@ -6,6 +6,12 @@ package mat
 // architecture runs the portable ones.
 const haveSIMD = false
 
+// haveExpSIMD is false: the exp and tanh kernels follow amd64's math.Exp,
+// which other architectures compute with other algorithms (arm64's
+// exp_arm64.s, elsewhere package math's Go code), so they keep package
+// math's calls.
+const haveExpSIMD = false
+
 func dotPanelSIMD(out *[panelLanes]float64, blk, x []float64) { panic("mat: no vector kernels") }
 func axpySIMD(a float64, x, y []float64)                      { panic("mat: no vector kernels") }
 func addSIMD(a, b []float64)                                  { panic("mat: no vector kernels") }
@@ -18,3 +24,5 @@ func solveWideSIMD(x, targets []float64, features [][]float64, l []float64, r, m
 func residualsWideSIMD(dst, targets, x []float64, features [][]float64, r, m int) {
 	panic("mat: no vector kernels")
 }
+func expSubSIMD(dst, x []float64, sub float64) (left uint64) { panic("mat: no vector kernels") }
+func tanhBiasSIMD(h, b []float64) (left uint64)              { panic("mat: no vector kernels") }

@@ -171,7 +171,10 @@ func ArgMax(v []float64) int {
 }
 
 // Softmax writes the softmax of logits into dst (which may alias logits).
-// It uses the max-subtraction trick for numerical stability.
+// It uses the max-subtraction trick for numerical stability. On a host
+// where math.Exp takes its FMA path it computes the exponentials with the
+// vector exp kernel, which gives math.Exp's bits; the sum stays one serial
+// chain in index order.
 func Softmax(dst, logits []float64) {
 	if len(dst) != len(logits) {
 		panic("mat: softmax length mismatch")
@@ -182,10 +185,9 @@ func Softmax(dst, logits []float64) {
 			mx = x
 		}
 	}
+	expSub(dst, logits, mx)
 	var sum float64
-	for i, x := range logits {
-		e := math.Exp(x - mx)
-		dst[i] = e
+	for _, e := range dst {
 		sum += e
 	}
 	inv := 1 / sum

@@ -75,9 +75,7 @@ func (m *MLP) pack(s *scratch, p []float64, examples int) (w1, w2 *mat.Panel) {
 func (m *MLP) forward(w1, w2 *mat.Panel, p, x, hidden, logits []float64) {
 	_, b1, _, b2 := m.slices(p)
 	w1.MulVec(hidden, x)
-	for h := range hidden {
-		hidden[h] = math.Tanh(hidden[h] + b1[h])
-	}
+	mat.TanhBias(hidden, b1)
 	w2.MulVec(logits, hidden)
 	for c := range logits {
 		logits[c] += b2[c]

@@ -11,10 +11,11 @@ import (
 )
 
 // The reference forward passes below compute every weight-row product with
-// its own mat.Dot over a row sliced out of the flat parameter vector, and
+// its own mat.Dot over a row sliced out of the flat parameter vector, every
+// activation and softmax with its own math.Tanh and math.Exp calls, and
 // every backward update with its own loop — the models' arithmetic before
-// the packed-panel and element-wise kernels. The models must match them
-// bit for bit on both kernel bodies.
+// the packed-panel, element-wise, exp and tanh kernels. The models must
+// match them bit for bit on both kernel bodies.
 
 func refLogRegLogits(m *LogisticRegression, p, x []float64) []float64 {
 	logits := make([]float64, m.Classes)
@@ -51,14 +52,35 @@ func refCNNForward(m *CNN, p, x []float64) *cnnScratch {
 	return s
 }
 
+// refSoftmax is softmax(z) by one math.Exp per class, in Softmax's order:
+// the max, the exponentials of the differences summed in index order, then
+// each scaled by the reciprocal of the sum.
+func refSoftmax(z []float64) []float64 {
+	mx := z[0]
+	for _, v := range z[1:] {
+		if v > mx {
+			mx = v
+		}
+	}
+	p := make([]float64, len(z))
+	var sum float64
+	for i, v := range z {
+		p[i] = math.Exp(v - mx)
+		sum += p[i]
+	}
+	inv := 1 / sum
+	for i := range p {
+		p[i] *= inv
+	}
+	return p
+}
+
 // refLoss is the models' mean cross-entropy plus (L2/2)‖p‖² over the
 // reference logits.
 func refLoss(logits func(x []float64) []float64, l2 float64, p []float64, d *dataset.Dataset) float64 {
 	var total float64
 	for i, x := range d.X {
-		z := logits(x)
-		probs := make([]float64, len(z))
-		mat.Softmax(probs, z)
+		probs := refSoftmax(logits(x))
 		total += -math.Log(math.Max(probs[d.Y[i]], 1e-15))
 	}
 	n := float64(d.Len())
@@ -70,8 +92,7 @@ func refLoss(logits func(x []float64) []float64, l2 float64, p []float64, d *dat
 
 // refDeltas returns dL/dlogit = softmax(z) − onehot(y).
 func refDeltas(z []float64, y int) []float64 {
-	delta := make([]float64, len(z))
-	mat.Softmax(delta, z)
+	delta := refSoftmax(z)
 	delta[y] -= 1
 	return delta
 }
