@@ -213,6 +213,7 @@ func TestAdaptiveOptionValidation(t *testing.T) {
 		want string
 	}{
 		{"negative max permutations", func(o *Options) { o.MaxPermutations = -1 }, "negative MaxPermutations"},
+		{"negative Monte-Carlo samples", func(o *Options) { o.Tolerance = 0; o.MonteCarloSamples = -5 }, "negative MonteCarloSamples"},
 		{"max permutations without tolerance", func(o *Options) { o.Tolerance = 0; o.MaxPermutations = 40 }, "requires Tolerance"},
 		{"budget mismatch", func(o *Options) { o.MaxPermutations = 30 }, "disagree"},
 		{"tolerance without budget", func(o *Options) { o.MonteCarloSamples = 0 }, "positive permutation budget"},

@@ -249,28 +249,6 @@ func benchEvaluator(b *testing.B, clients, rounds, perRound int) *utility.Evalua
 	return utility.NewEvaluator(run)
 }
 
-// BenchmarkAblationSolverALS and ...SGD compare the two completion
-// backends on the same observations.
-func BenchmarkAblationSolverALS(b *testing.B) { benchSolver(b, mc.ALS) }
-
-// BenchmarkAblationSolverSGD is the SGD side of the solver ablation.
-func BenchmarkAblationSolverSGD(b *testing.B) { benchSolver(b, mc.SGD) }
-
-func benchSolver(b *testing.B, solver mc.Solver) {
-	e := benchEvaluator(b, 6, 6, 2)
-	cfg := mc.DefaultConfig(3)
-	cfg.Solver = solver
-	if solver == mc.SGD {
-		cfg.MaxIter = 200
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := shapley.ComFedSVExact(e, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblationWeightedRegOn/Off measure the ALS-WR design choice.
 func BenchmarkAblationWeightedRegOn(b *testing.B) { benchWeightedReg(b, true) }
 

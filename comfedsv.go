@@ -67,7 +67,7 @@ type Options struct {
 	// MonteCarloSamples, if positive, uses Algorithm 1 with that many
 	// permutations; zero uses the exact pipeline (requires ≤ 14 clients).
 	// When Tolerance is set it is the adaptive run's permutation *budget* —
-	// the ceiling sampling never exceeds.
+	// the ceiling sampling never exceeds. Negative values are rejected.
 	MonteCarloSamples int
 	// Tolerance, if positive, switches the Monte-Carlo pipeline to
 	// adaptive (tolerance-driven) valuation: permutations are sampled in
@@ -381,8 +381,6 @@ func TrainCtx(ctx context.Context, clients []Client, test Client, opts Options) 
 		Rounds:              opts.Rounds,
 		ClientsPerRound:     opts.ClientsPerRound,
 		LearningRate:        opts.LearningRate,
-		LRDecay:             0.01,
-		LocalSteps:          1,
 		ForceFullFirstRound: true,
 		Seed:                opts.Seed,
 	}
@@ -414,14 +412,15 @@ func ValueRun(tr *TrainedRun, opts Options) (*Report, EvalStats, error) {
 // ValueRunCtx runs the valuation stages of ValueCtx against a precomputed
 // TrainedRun, sharing its evaluator cache with every other valuation over
 // the same run. Only the valuation-relevant Options fields are read
-// (Rank, MonteCarloSamples, Seed, Parallelism, OnProgress), and they are
-// validated exactly as the inline path validates them. The returned
-// report is byte-identical (under JSON encoding) to a ValueCtx call whose
-// training options produced this run: the computed values are
-// deterministic memoized functions of the trace, and UtilityCalls counts
-// the distinct cells *this* valuation requested, not what the shared
-// cache happened to hold. The returned EvalStats splits those cells into
-// shared-cache hits and fresh evaluations.
+// (Rank, MonteCarloSamples, Tolerance, MaxPermutations, Seed, Parallelism,
+// Shards, OnProgress, OnStageTime), and they are validated exactly as the
+// inline path validates them. The returned report is byte-identical (under
+// JSON encoding) to a ValueCtx call whose training options produced this
+// run: the computed values are deterministic memoized functions of the
+// trace, and UtilityCalls counts the distinct cells *this* valuation
+// requested, not what the shared cache happened to hold. The returned
+// EvalStats splits those cells into shared-cache hits and fresh
+// evaluations.
 func ValueRunCtx(ctx context.Context, tr *TrainedRun, opts Options) (*Report, EvalStats, error) {
 	v := NewValuation(tr, opts)
 	report, err := v.Run(ctx)

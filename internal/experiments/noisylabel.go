@@ -33,7 +33,7 @@ type NoisyLabelConfig struct {
 	// (Algorithm 1); 0 picks 2·N·ln N.
 	MCSamples int
 	// FedSVSamples is the per-round permutation count for the FedSV
-	// Monte-Carlo estimator; 0 picks ⌈ln K·K⌉ / K ≈ ln K per-round samples.
+	// Monte-Carlo estimator; 0 picks ⌈ln max(K, 2)⌉ + 1.
 	FedSVSamples int
 	Seed         int64
 }

@@ -21,30 +21,9 @@ type Config struct {
 	Rounds int
 	// ClientsPerRound is the selection size K = |I_t|.
 	ClientsPerRound int
-	// LearningRate is the initial learning rate η₁.
+	// LearningRate is the initial learning rate η₁; round t steps with
+	// η_t = η₁/(1 + lrDecay·t).
 	LearningRate float64
-	// LRDecay, if positive, sets η_t = LearningRate / (1 + LRDecay·t),
-	// matching the non-increasing schedules required by Propositions 1–2.
-	// Zero keeps the rate constant.
-	LRDecay float64
-	// LocalSteps is the number of local gradient steps per round (the paper
-	// presents one deterministic step; its analysis generalizes).
-	LocalSteps int
-	// BatchSize, if positive, makes local updates stochastic: each local
-	// step uses a uniformly sampled mini-batch of this size instead of the
-	// client's full dataset — the "arbitrary number of stochastic local
-	// updates" generalization the paper notes after Eq. 4.
-	BatchSize int
-	// WeightedAggregation aggregates selected locals weighted by local
-	// dataset size (the original FedAvg weighting) instead of uniformly.
-	// The paper uses uniform averaging (Eq. 4), so this defaults to false.
-	WeightedAggregation bool
-	// DropoutRate, if positive, is the per-round probability that a
-	// selected client fails to report; the server then aggregates the
-	// remaining locals (at least one reporter is always kept). This is a
-	// failure-injection knob for robustness testing, not part of the
-	// paper's protocol.
-	DropoutRate float64
 	// ForceFullFirstRound selects every client in round 0, implementing the
 	// Everyone-Being-Heard assumption (Assumption 1 / Algorithm 1).
 	ForceFullFirstRound bool
@@ -57,6 +36,10 @@ type Config struct {
 	Progress func(done, total int)
 }
 
+// lrDecay sets the schedule η_t = η₁/(1 + lrDecay·t): a non-increasing
+// rate, as Propositions 1–2 require of the training run.
+const lrDecay = 0.01
+
 // DefaultConfig mirrors the small-scale setup used throughout the paper's
 // experiments: T rounds, K selected clients, one local step.
 func DefaultConfig(rounds, clientsPerRound int) Config {
@@ -64,8 +47,6 @@ func DefaultConfig(rounds, clientsPerRound int) Config {
 		Rounds:              rounds,
 		ClientsPerRound:     clientsPerRound,
 		LearningRate:        0.5,
-		LRDecay:             0.01,
-		LocalSteps:          1,
 		ForceFullFirstRound: true,
 		Seed:                1,
 	}
@@ -175,8 +156,12 @@ func TrainRunCtx(ctx context.Context, cfg Config, m model.Model, clients []*data
 	}
 	g := rng.New(cfg.Seed)
 	selRNG := g.Split(1)
-	batchRNG := g.Split(3)
-	dropRNG := g.Split(4)
+	// The initial model's stream is split off after three draws from g,
+	// and every pinned trace and report starts from the model it seeds.
+	// Only selection takes a stream of its own, so two draws are discarded
+	// to keep that position.
+	g.Int63()
+	g.Int63()
 	w := m.InitParams(g.Split(2))
 
 	run := &Run{Model: m, Test: test, Clients: clients, Rounds: make([]Round, 0, cfg.Rounds)}
@@ -186,27 +171,17 @@ func TrainRunCtx(ctx context.Context, cfg Config, m model.Model, clients []*data
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		lr := cfg.LearningRate
-		if cfg.LRDecay > 0 {
-			lr = cfg.LearningRate / (1 + cfg.LRDecay*float64(t))
-		}
+		lr := cfg.LearningRate / (1 + lrDecay*float64(t))
 		rd := Round{
 			Global:       mat.CopyVec(w),
 			Locals:       make([][]float64, n),
 			TestLoss:     m.Loss(w, test),
 			LearningRate: lr,
 		}
-		// Local updates for every client.
+		// One full-batch gradient step per client.
 		for i, d := range clients {
 			local := mat.CopyVec(w)
-			for step := 0; step < cfg.LocalSteps; step++ {
-				batch := d
-				if cfg.BatchSize > 0 && cfg.BatchSize < d.Len() {
-					batch = d.Subset(batchRNG.SampleWithoutReplacement(d.Len(), cfg.BatchSize))
-				}
-				grad := m.Gradient(local, batch)
-				mat.Axpy(-lr, grad, local)
-			}
+			mat.Axpy(-lr, m.Gradient(local, d), local)
 			rd.Locals[i] = local
 		}
 		// Client selection.
@@ -218,39 +193,12 @@ func TrainRunCtx(ctx context.Context, cfg Config, m model.Model, clients []*data
 		} else {
 			rd.Selected = selRNG.SampleWithoutReplacement(n, cfg.ClientsPerRound)
 		}
-		// Failure injection: selected clients may fail to report.
-		reporters := rd.Selected
-		if cfg.DropoutRate > 0 {
-			kept := reporters[:0:0]
-			for _, c := range reporters {
-				if !dropRNG.Bernoulli(cfg.DropoutRate) {
-					kept = append(kept, c)
-				}
-			}
-			if len(kept) == 0 {
-				kept = []int{reporters[dropRNG.Intn(len(reporters))]}
-			}
-			reporters = kept
+		// The next global model is the uniform mean of the selected locals.
+		vecs := make([][]float64, len(rd.Selected))
+		for i, c := range rd.Selected {
+			vecs[i] = rd.Locals[c]
 		}
-		// Aggregate the reporting locals into the next global model.
-		if cfg.WeightedAggregation {
-			total := 0
-			for _, c := range reporters {
-				total += clients[c].Len()
-			}
-			next := make([]float64, len(w))
-			for _, c := range reporters {
-				mat.Axpy(float64(clients[c].Len())/float64(total), rd.Locals[c], next)
-			}
-			w = next
-		} else {
-			vecs := make([][]float64, len(reporters))
-			for i, c := range reporters {
-				vecs[i] = rd.Locals[c]
-			}
-			w = mat.MeanVecs(vecs)
-		}
-		rd.Selected = reporters
+		w = mat.MeanVecs(vecs)
 		run.Rounds = append(run.Rounds, rd)
 		if cfg.Progress != nil {
 			cfg.Progress(t+1, cfg.Rounds)
@@ -272,15 +220,6 @@ func validate(cfg Config, clients []*dataset.Dataset) error {
 	}
 	if cfg.LearningRate <= 0 {
 		return fmt.Errorf("fl: learning rate must be positive, got %v", cfg.LearningRate)
-	}
-	if cfg.LocalSteps <= 0 {
-		return fmt.Errorf("fl: local steps must be positive, got %d", cfg.LocalSteps)
-	}
-	if cfg.BatchSize < 0 {
-		return fmt.Errorf("fl: negative batch size %d", cfg.BatchSize)
-	}
-	if cfg.DropoutRate < 0 || cfg.DropoutRate >= 1 {
-		return fmt.Errorf("fl: dropout rate %v out of [0,1)", cfg.DropoutRate)
 	}
 	for i, d := range clients {
 		if d.Len() == 0 {

@@ -106,33 +106,6 @@ func (m *Dense) T() *Dense {
 	return out
 }
 
-// Scale multiplies every element by a, in place.
-func (m *Dense) Scale(a float64) {
-	for i := range m.data {
-		m.data[i] *= a
-	}
-}
-
-// AddMat adds b to m element-wise, in place. It panics on shape mismatch.
-func (m *Dense) AddMat(b *Dense) {
-	if m.rows != b.rows || m.cols != b.cols {
-		panic(fmt.Sprintf("mat: add shape mismatch %dx%d vs %dx%d", m.rows, m.cols, b.rows, b.cols))
-	}
-	for i := range m.data {
-		m.data[i] += b.data[i]
-	}
-}
-
-// SubMat subtracts b from m element-wise, in place. It panics on shape mismatch.
-func (m *Dense) SubMat(b *Dense) {
-	if m.rows != b.rows || m.cols != b.cols {
-		panic(fmt.Sprintf("mat: sub shape mismatch %dx%d vs %dx%d", m.rows, m.cols, b.rows, b.cols))
-	}
-	for i := range m.data {
-		m.data[i] -= b.data[i]
-	}
-}
-
 // Mul returns the matrix product a*b.
 func Mul(a, b *Dense) *Dense {
 	if a.cols != b.rows {
@@ -251,15 +224,6 @@ func CholeskySolve(l *Dense, b []float64) []float64 {
 	y := make([]float64, n)
 	CholeskySolveInto(l, b, x, y)
 	return x
-}
-
-// SolveSPD solves a x = b for symmetric positive definite a.
-func SolveSPD(a *Dense, b []float64) ([]float64, error) {
-	l, err := Cholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	return CholeskySolve(l, b), nil
 }
 
 // RidgeSolve solves (AᵀA + λI) x = Aᵀ b for the rows of A given as a slice

@@ -117,22 +117,6 @@ func TestMulShapeMismatchPanics(t *testing.T) {
 	Mul(NewDense(2, 3), NewDense(2, 3))
 }
 
-func TestScaleAddSub(t *testing.T) {
-	a := NewDenseData(1, 3, []float64{1, 2, 3})
-	b := NewDenseData(1, 3, []float64{4, 5, 6})
-	a.Scale(2)
-	a.AddMat(b)
-	want := NewDenseData(1, 3, []float64{6, 9, 12})
-	if !Equal(a, want, 0) {
-		t.Fatalf("scale+add = %v, want %v", a.Data(), want.Data())
-	}
-	a.SubMat(b)
-	want2 := NewDenseData(1, 3, []float64{2, 4, 6})
-	if !Equal(a, want2, 0) {
-		t.Fatalf("sub = %v, want %v", a.Data(), want2.Data())
-	}
-}
-
 func TestNorms(t *testing.T) {
 	m := NewDenseData(2, 2, []float64{3, -4, 0, 0})
 	if got := m.FrobeniusNorm(); math.Abs(got-5) > 1e-12 {
@@ -150,10 +134,11 @@ func TestNorms(t *testing.T) {
 func TestCholeskySolveIdentity(t *testing.T) {
 	a := Identity(4)
 	b := []float64{1, 2, 3, 4}
-	x, err := SolveSPD(a, b)
+	l, err := Cholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}
+	x := CholeskySolve(l, b)
 	for i := range b {
 		if math.Abs(x[i]-b[i]) > 1e-12 {
 			t.Fatalf("identity solve x[%d] = %v, want %v", i, x[i], b[i])
@@ -183,7 +168,7 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 
 func TestSolveSPDRandomized(t *testing.T) {
 	// Property: for random SPD a (built as BᵀB + I) and random x,
-	// SolveSPD(a, a·x) ≈ x.
+	// solving a·y = a·x through a's Cholesky factor gives y ≈ x.
 	f := func(seed int64) bool {
 		r := newTestRand(seed)
 		n := 1 + int(abs64(seed))%6
@@ -203,10 +188,11 @@ func TestSolveSPDRandomized(t *testing.T) {
 		for i := 0; i < n; i++ {
 			rhs[i] = Dot(a.Row(i), x)
 		}
-		got, err := SolveSPD(a, rhs)
+		l, err := Cholesky(a)
 		if err != nil {
 			return false
 		}
+		got := CholeskySolve(l, rhs)
 		for i := range x {
 			if math.Abs(got[i]-x[i]) > 1e-8 {
 				return false

@@ -26,16 +26,6 @@ func Norm2(v []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// AxpyTo stores a*x + y into dst. All slices must share a length.
-func AxpyTo(dst []float64, a float64, x, y []float64) {
-	if len(dst) != len(x) || len(x) != len(y) {
-		panic("mat: axpy length mismatch")
-	}
-	for i := range dst {
-		dst[i] = a*x[i] + y[i]
-	}
-}
-
 // Axpy adds a*x to y in place. On a host with AVX2 it runs the vector
 // body, which gives this loop's bits.
 func Axpy(a float64, x, y []float64) {
@@ -48,13 +38,6 @@ func Axpy(a float64, x, y []float64) {
 	}
 	for i := range y {
 		y[i] += a * x[i]
-	}
-}
-
-// ScaleVec multiplies v by a in place.
-func ScaleVec(a float64, v []float64) {
-	for i := range v {
-		v[i] *= a
 	}
 }
 
@@ -73,33 +56,11 @@ func AddVec(a, b []float64) {
 	}
 }
 
-// SubVec subtracts b from a in place.
-func SubVec(a, b []float64) {
-	if len(a) != len(b) {
-		panic("mat: sub length mismatch")
-	}
-	for i := range a {
-		a[i] -= b[i]
-	}
-}
-
 // CopyVec returns a copy of v.
 func CopyVec(v []float64) []float64 {
 	out := make([]float64, len(v))
 	copy(out, v)
 	return out
-}
-
-// Mean returns the arithmetic mean of v; it returns 0 for an empty slice.
-func Mean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
 }
 
 // MeanVecs returns the element-wise mean of the given vectors.

@@ -38,27 +38,11 @@ func TestAxpy(t *testing.T) {
 	}
 }
 
-func TestAxpyTo(t *testing.T) {
-	dst := make([]float64, 2)
-	AxpyTo(dst, 2, []float64{1, 2}, []float64{10, 20})
-	if dst[0] != 12 || dst[1] != 24 {
-		t.Fatalf("AxpyTo result %v, want [12 24]", dst)
-	}
-}
-
 func TestVecOps(t *testing.T) {
 	a := []float64{1, 2}
 	AddVec(a, []float64{3, 4})
 	if a[0] != 4 || a[1] != 6 {
 		t.Fatalf("AddVec = %v", a)
-	}
-	SubVec(a, []float64{1, 1})
-	if a[0] != 3 || a[1] != 5 {
-		t.Fatalf("SubVec = %v", a)
-	}
-	ScaleVec(2, a)
-	if a[0] != 6 || a[1] != 10 {
-		t.Fatalf("ScaleVec = %v", a)
 	}
 }
 
@@ -68,15 +52,6 @@ func TestCopyVecIndependence(t *testing.T) {
 	b[0] = 9
 	if a[0] != 1 {
 		t.Fatal("CopyVec must not alias")
-	}
-}
-
-func TestMean(t *testing.T) {
-	if got := Mean([]float64{1, 2, 3}); got != 2 {
-		t.Fatalf("Mean = %v, want 2", got)
-	}
-	if got := Mean(nil); got != 0 {
-		t.Fatalf("Mean(nil) = %v, want 0", got)
 	}
 }
 

@@ -3,10 +3,9 @@
 //	minimize_{W,H}  Σ_{(t,S) observed} (U_{t,S} − w_tᵀ h_S)² + λ(‖W‖²_F + ‖H‖²_F)
 //
 // the problem (9)/(13) the paper solves to complete the utility matrix. The
-// paper uses LIBPMF; this package provides an equivalent solver from
-// scratch with two backends: alternating least squares (the default —
-// deterministic, each factor row is a small ridge regression solved by
-// Cholesky) and stochastic gradient descent (LIBPMF-style updates).
+// paper uses LIBPMF; this package solves the same problem from scratch by
+// alternating least squares: deterministic, each factor row a small ridge
+// regression solved by Cholesky.
 //
 // A utility matrix is highly patterned: most Monte-Carlo prefix columns are
 // observed in a single round, so many factor rows observe the same ordered
@@ -61,28 +60,6 @@ type Entry struct {
 	Val      float64
 }
 
-// Solver selects the optimization backend.
-type Solver int
-
-const (
-	// ALS alternates exact ridge solves for the rows of W and H.
-	ALS Solver = iota
-	// SGD performs stochastic gradient passes over the observations.
-	SGD
-)
-
-// String returns the solver name.
-func (s Solver) String() string {
-	switch s {
-	case ALS:
-		return "als"
-	case SGD:
-		return "sgd"
-	default:
-		return fmt.Sprintf("solver(%d)", int(s))
-	}
-}
-
 // Config controls a completion run.
 type Config struct {
 	// Rank is the factorization rank r (the paper sweeps r in Fig. 3 and
@@ -90,12 +67,10 @@ type Config struct {
 	Rank int
 	// Lambda is the L2 regularization weight λ.
 	Lambda float64
-	// MaxIter bounds the number of outer iterations (ALS sweeps or SGD epochs).
+	// MaxIter bounds the number of ALS sweeps.
 	MaxIter int
 	// Tol stops early when the relative objective decrease falls below it.
 	Tol float64
-	// Solver selects ALS (default) or SGD.
-	Solver Solver
 	// WeightedReg scales the regularization of each factor row by its
 	// number of observations (the ALS-WR scheme of Zhou et al.). This keeps
 	// the effective shrinkage uniform when the observation pattern is very
@@ -103,20 +78,18 @@ type Config struct {
 	// Everyone-Being-Heard round observes every column once but later
 	// rounds observe only a few columns.
 	WeightedReg bool
-	// LearningRate is the SGD step size (ignored by ALS).
-	LearningRate float64
 	// Restarts is the number of random initializations tried; the fit with
 	// the lowest objective wins. ALS is non-convex and an occasional
 	// initialization lands in a poor local minimum; a handful of restarts
 	// makes completion robust. Values below 1 mean 1.
 	Restarts int
-	// Seed drives factor initialization (and SGD order).
+	// Seed drives factor initialization.
 	Seed int64
 	// Workers bounds the number of goroutines the solver may use; 0 means
 	// GOMAXPROCS. ALS parallelizes across restarts and across factor rows
 	// (row updates against a fixed opposite factor are independent and
 	// write disjoint slices), so the result is bit-identical for every
-	// worker count. SGD is inherently sequential and ignores Workers.
+	// worker count.
 	Workers int
 	// Warm, if non-nil, warm-starts the first attempt from prior factors —
 	// typically the previous wave's fit in an adaptive valuation, or a
@@ -141,15 +114,13 @@ type Warm struct {
 // DefaultConfig returns the configuration used across the experiments.
 func DefaultConfig(rank int) Config {
 	return Config{
-		Rank:         rank,
-		Lambda:       0.01,
-		MaxIter:      60,
-		Tol:          1e-7,
-		Solver:       ALS,
-		WeightedReg:  true,
-		LearningRate: 0.02,
-		Restarts:     3,
-		Seed:         7,
+		Rank:        rank,
+		Lambda:      0.01,
+		MaxIter:     60,
+		Tol:         1e-7,
+		WeightedReg: true,
+		Restarts:    3,
+		Seed:        7,
 	}
 }
 
@@ -213,15 +184,12 @@ func Complete(obs []Entry, rows, cols int, cfg Config) (*Result, error) {
 	}
 	// The observation layout is a function of obs alone, so every restart
 	// reads the same one.
-	var plan *alsPlan
-	if cfg.Solver == ALS {
-		plan = newALSPlan(obs, rows, cols)
-	}
+	plan := newALSPlan(obs, rows, cols)
 	results := make([]*Result, restarts)
 	errs := make([]error, restarts)
 	if conc <= 1 {
 		for attempt := 0; attempt < restarts; attempt++ {
-			results[attempt], errs[attempt] = completeOnce(obs, plan, rows, cols, cfg, cfg.Seed+int64(attempt), workers, warmFor(attempt))
+			results[attempt], errs[attempt] = completeOnce(plan, rows, cols, cfg, cfg.Seed+int64(attempt), workers, warmFor(attempt))
 		}
 	} else {
 		sem := make(chan struct{}, conc)
@@ -232,7 +200,7 @@ func Complete(obs []Entry, rows, cols int, cfg Config) (*Result, error) {
 			go func(attempt int) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				results[attempt], errs[attempt] = completeOnce(obs, plan, rows, cols, cfg, cfg.Seed+int64(attempt), inner, warmFor(attempt))
+				results[attempt], errs[attempt] = completeOnce(plan, rows, cols, cfg, cfg.Seed+int64(attempt), inner, warmFor(attempt))
 			}(attempt)
 		}
 		wg.Wait()
@@ -260,30 +228,23 @@ func Complete(obs []Entry, rows, cols int, cfg Config) (*Result, error) {
 	return best, nil
 }
 
-func completeOnce(obs []Entry, plan *alsPlan, rows, cols int, cfg Config, seed int64, workers int, warm *Warm) (*Result, error) {
-	w, h, g := initFactors(rows, cols, cfg, seed, warm)
-	switch cfg.Solver {
-	case ALS:
-		return completeALS(plan, w, h, cfg, workers)
-	case SGD:
-		return completeSGD(obs, w, h, cfg, g)
-	default:
-		return nil, fmt.Errorf("mc: unknown solver %v", cfg.Solver)
-	}
+func completeOnce(plan *alsPlan, rows, cols int, cfg Config, seed int64, workers int, warm *Warm) (*Result, error) {
+	w, h := initFactors(rows, cols, cfg, seed, warm)
+	return completeALS(plan, w, h, cfg, workers)
 }
 
 // initFactors draws one attempt's starting factors, warm-started from warm
-// when its rank matches, and returns the RNG positioned after the draws.
-func initFactors(rows, cols int, cfg Config, seed int64, warm *Warm) (w, h *mat.Dense, g *rng.RNG) {
-	g = rng.New(seed)
+// when its rank matches.
+func initFactors(rows, cols int, cfg Config, seed int64, warm *Warm) (w, h *mat.Dense) {
+	g := rng.New(seed)
 	scale := 1 / math.Sqrt(float64(cfg.Rank))
 	if warm != nil && (warm.W == nil || warm.H == nil || warm.W.Cols() != cfg.Rank || warm.H.Cols() != cfg.Rank) {
 		warm = nil // rank mismatch: the warm factors cannot seed this problem
 	}
 	if warm != nil {
-		return warmFactor(rows, cfg.Rank, scale, g, warm.W), warmFactor(cols, cfg.Rank, scale, g, warm.H), g
+		return warmFactor(rows, cfg.Rank, scale, g, warm.W), warmFactor(cols, cfg.Rank, scale, g, warm.H)
 	}
-	return randomFactor(rows, cfg.Rank, scale, g), randomFactor(cols, cfg.Rank, scale, g), g
+	return randomFactor(rows, cfg.Rank, scale, g), randomFactor(cols, cfg.Rank, scale, g)
 }
 
 func validate(obs []Entry, rows, cols int, cfg Config) error {
@@ -301,9 +262,6 @@ func validate(obs []Entry, rows, cols int, cfg Config) error {
 	}
 	if !finite(cfg.Tol) {
 		return fmt.Errorf("mc: tolerance must be finite, got %v", cfg.Tol)
-	}
-	if cfg.Solver == SGD && !finite(cfg.LearningRate) {
-		return fmt.Errorf("mc: learning rate must be finite, got %v", cfg.LearningRate)
 	}
 	if cfg.MaxIter <= 0 {
 		return fmt.Errorf("mc: max iterations must be positive, got %d", cfg.MaxIter)
@@ -351,27 +309,6 @@ func warmFactor(n, r int, scale float64, g *rng.RNG, warm *mat.Dense) *mat.Dense
 		d[i] = g.Normal(0, scale)
 	}
 	return m
-}
-
-// objective returns the full regularized objective and the observed RMSE.
-// It reads the factors' backing arrays directly; each prediction sums its
-// products in mat.Dot's order. SGD stops on it, and the ALS tests use it
-// as the oracle of the sum over the residuals a sweep stored.
-func objective(obs []Entry, w, h *mat.Dense, lambda float64) (obj, rmse float64) {
-	r := w.Cols()
-	wd, hd := w.Data(), h.Data()
-	var sse float64
-	for _, e := range obs {
-		wr := wd[e.Row*r : e.Row*r+r]
-		hr := hd[e.Col*r : e.Col*r+r]
-		var p float64
-		for k, v := range wr {
-			p += v * hr[k]
-		}
-		d := e.Val - p
-		sse += d * d
-	}
-	return penalized(sse, len(obs), w, h, lambda)
 }
 
 // penalized adds the penalty λ(‖W‖²+‖H‖²) to the squared error sse of n
@@ -615,9 +552,9 @@ func completeALS(plan *alsPlan, w, h *mat.Dense, cfg Config, workers int) (*Resu
 }
 
 // objective is the objective function over the residuals the last H
-// half-sweep wrote: their squares summed in observation order as the
-// package-level objective sums them, and the same penalty, so both give
-// the same bits. The sweep stores residuals, not their squares, so that
+// half-sweep wrote: their squares summed in observation order, as
+// recomputing every prediction from the factors would sum them, and the
+// penalty, so both give the same bits. The sweep stores residuals, not their squares, so that
 // the squaring is this same statement: where the compiler fuses
 // sse += d * d into one multiply-add, it fuses it in both.
 func (p *alsPlan) objective(resid []float64, w, h *mat.Dense, lambda float64) (obj, rmse float64) {
@@ -799,45 +736,6 @@ func ridgeUpdate(features [][]float64, targets, dst []float64, lambda float64, s
 		return fmt.Errorf("mc: ridge sub-problem: %w", err)
 	}
 	return nil
-}
-
-func completeSGD(obs []Entry, w, h *mat.Dense, cfg Config, g *rng.RNG) (*Result, error) {
-	order := make([]int, len(obs))
-	for i := range order {
-		order[i] = i
-	}
-	// Per-entry regularization: λ scaled so the implicit objective matches
-	// the ALS objective in expectation over an epoch.
-	lam := cfg.Lambda / float64(len(obs))
-	prev := math.Inf(1)
-	var obj, rmse float64
-	iters := 0
-	r := cfg.Rank
-	for epoch := 0; epoch < cfg.MaxIter; epoch++ {
-		iters = epoch + 1
-		lr := cfg.LearningRate / (1 + 0.01*float64(epoch))
-		g.Shuffle(order)
-		for _, idx := range order {
-			e := obs[idx]
-			wr := w.Row(e.Row)
-			hr := h.Row(e.Col)
-			err := mat.Dot(wr, hr) - e.Val
-			for k := 0; k < r; k++ {
-				gw := err*hr[k] + lam*wr[k]
-				gh := err*wr[k] + lam*hr[k]
-				wr[k] -= lr * gw
-				hr[k] -= lr * gh
-			}
-		}
-		// The last epoch's objective is the result's: the factors do not
-		// change after it.
-		obj, rmse = objective(obs, w, h, cfg.Lambda)
-		if prev-obj <= cfg.Tol*math.Max(1, math.Abs(prev)) && epoch > 5 {
-			break
-		}
-		prev = obj
-	}
-	return &Result{W: w, H: h, Objective: obj, Iterations: iters, TrainRMSE: rmse}, nil
 }
 
 // RelativeError returns ‖U − WHᵀ‖_F / ‖U‖_F against a fully known matrix u

@@ -69,23 +69,6 @@ func TestALSRecoversLowRank(t *testing.T) {
 	}
 }
 
-func TestSGDRecoversLowRank(t *testing.T) {
-	truth := lowRankTruth(30, 60, 2, 3)
-	obs := sample(truth, 0.5, 4)
-	cfg := DefaultConfig(2)
-	cfg.Solver = SGD
-	cfg.MaxIter = 400
-	cfg.LearningRate = 0.05
-	cfg.Lambda = 1e-3
-	res, err := Complete(obs, 30, 60, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := relErr(truth, res); e > 0.15 {
-		t.Fatalf("SGD relative error %v, want < 0.15", e)
-	}
-}
-
 func TestALSWeightedRegRecovers(t *testing.T) {
 	truth := lowRankTruth(20, 50, 2, 5)
 	obs := sample(truth, 0.5, 6)
@@ -197,13 +180,10 @@ func TestCompleteRejectsNonFiniteInputs(t *testing.T) {
 		{"NaN value", obs(math.NaN()), nil, "observation 2 at (1,1) has non-finite value NaN"},
 		{"+Inf value", obs(math.Inf(1)), nil, "observation 2 at (1,1) has non-finite value +Inf"},
 		{"-Inf value", obs(math.Inf(-1)), nil, "observation 2 at (1,1) has non-finite value -Inf"},
-		{"NaN value under SGD", obs(math.NaN()), func(c *Config) { c.Solver = SGD }, "non-finite value NaN"},
 		{"+Inf lambda", obs(3), func(c *Config) { c.Lambda = math.Inf(1) }, "lambda must be finite"},
 		{"NaN lambda", obs(3), func(c *Config) { c.Lambda = math.NaN() }, "lambda must be finite"},
 		{"NaN tolerance", obs(3), func(c *Config) { c.Tol = math.NaN() }, "tolerance must be finite"},
 		{"-Inf tolerance", obs(3), func(c *Config) { c.Tol = math.Inf(-1) }, "tolerance must be finite"},
-		{"NaN SGD learning rate", obs(3), func(c *Config) { c.Solver = SGD; c.LearningRate = math.NaN() }, "learning rate must be finite"},
-		{"+Inf SGD learning rate", obs(3), func(c *Config) { c.Solver = SGD; c.LearningRate = math.Inf(1) }, "learning rate must be finite"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -216,34 +196,6 @@ func TestCompleteRejectsNonFiniteInputs(t *testing.T) {
 				t.Fatalf("err = %v, want one containing %q", err, tc.want)
 			}
 		})
-	}
-	// ALS ignores the learning rate, so a non-finite one changes nothing.
-	cfg := DefaultConfig(2)
-	want, err := Complete(obs(3), 2, 2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.LearningRate = math.NaN()
-	got, err := Complete(obs(3), 2, 2, cfg)
-	if err != nil {
-		t.Fatalf("ALS with a NaN learning rate: %v", err)
-	}
-	if !mat.Equal(got.W, want.W, 0) || !mat.Equal(got.H, want.H, 0) || got.Objective != want.Objective {
-		t.Fatal("ALS result depends on the learning rate")
-	}
-}
-
-func TestUnknownSolverRejected(t *testing.T) {
-	cfg := DefaultConfig(1)
-	cfg.Solver = Solver(99)
-	if _, err := Complete([]Entry{{Row: 0, Col: 0, Val: 1}}, 1, 1, cfg); err == nil {
-		t.Fatal("expected unknown-solver error")
-	}
-}
-
-func TestSolverString(t *testing.T) {
-	if ALS.String() != "als" || SGD.String() != "sgd" {
-		t.Fatal("solver names wrong")
 	}
 }
 
@@ -589,20 +541,15 @@ func TestResultObjectiveMatchesFactors(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name      string
-		solver    Solver
 		maxIter   int
 		converges bool
 	}{
-		{"als/tolerance", ALS, 200, true},
-		{"als/max-iterations", ALS, 2, false},
-		{"sgd/tolerance", SGD, 400, true},
-		{"sgd/max-iterations", SGD, 3, false},
+		{"als/tolerance", 200, true},
+		{"als/max-iterations", 2, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig(2)
-			cfg.Solver = tc.solver
 			cfg.MaxIter = tc.maxIter
-			cfg.LearningRate = 0.05
 			cfg.Lambda = 1e-3
 			cfg.Tol = 1e-3
 			for _, workers := range []int{1, 2, 4} {

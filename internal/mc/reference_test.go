@@ -25,7 +25,7 @@ func referenceComplete(obs []Entry, rows, cols int, cfg Config) (*Result, error)
 		if attempt == 0 {
 			warm = cfg.Warm
 		}
-		w, h, _ := initFactors(rows, cols, cfg, cfg.Seed+int64(attempt), warm)
+		w, h := initFactors(rows, cols, cfg, cfg.Seed+int64(attempt), warm)
 		res, err := referenceALS(obs, w, h, cfg)
 		if err != nil {
 			return nil, err
@@ -180,6 +180,28 @@ func referenceObjective(obs []Entry, w, h *mat.Dense, lambda float64) (obj, rmse
 		return n * n
 	}
 	return sse + lambda*(sq(w)+sq(h)), math.Sqrt(sse / float64(len(obs)))
+}
+
+// objective returns the full regularized objective and the observed RMSE,
+// recomputing every prediction from the factors. It reads their backing
+// arrays directly; each prediction sums its products in mat.Dot's order,
+// and the penalty is the one the solver adds. It is the oracle of the sum
+// over the residuals a sweep stored.
+func objective(obs []Entry, w, h *mat.Dense, lambda float64) (obj, rmse float64) {
+	r := w.Cols()
+	wd, hd := w.Data(), h.Data()
+	var sse float64
+	for _, e := range obs {
+		wr := wd[e.Row*r : e.Row*r+r]
+		hr := hd[e.Col*r : e.Col*r+r]
+		var p float64
+		for k, v := range wr {
+			p += v * hr[k]
+		}
+		d := e.Val - p
+		sse += d * d
+	}
+	return penalized(sse, len(obs), w, h, lambda)
 }
 
 // sameBits reports the first difference between two results, comparing

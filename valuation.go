@@ -60,9 +60,9 @@ type plan interface {
 }
 
 // NewValuation returns a staged valuation of the run under the
-// valuation-relevant options (Rank, MonteCarloSamples, Seed, Parallelism,
-// Shards, OnProgress — validated exactly as the inline path validates
-// them).
+// valuation-relevant options (Rank, MonteCarloSamples, Tolerance,
+// MaxPermutations, Seed, Parallelism, Shards, OnProgress, OnStageTime —
+// validated exactly as the inline path validates them).
 func NewValuation(tr *TrainedRun, opts Options) *Valuation {
 	return &Valuation{tr: tr, session: tr.eval.NewSession(), opts: opts}
 }
@@ -88,6 +88,9 @@ func (v *Valuation) emitTime(stage string, shard int, start time.Time) {
 // Contradictory combinations fail loudly here, before any training-trace
 // work is spent.
 func valuationBudget(opts Options) (int, error) {
+	if opts.MonteCarloSamples < 0 {
+		return 0, fmt.Errorf("comfedsv: negative MonteCarloSamples %d", opts.MonteCarloSamples)
+	}
 	if opts.MaxPermutations < 0 {
 		return 0, fmt.Errorf("comfedsv: negative MaxPermutations %d", opts.MaxPermutations)
 	}
