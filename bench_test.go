@@ -1,7 +1,7 @@
 package comfedsv
 
-// One benchmark per paper table/figure (see DESIGN.md §3 for the index)
-// plus ablation benches for the design choices DESIGN.md §5 calls out.
+// One benchmark per paper table/figure (the experiments `cmd/comfedsv -exp`
+// lists) plus ablation benches for the pipeline's design choices.
 // Each bench runs a CI-sized version of the experiment and logs the series
 // it regenerates (visible with `go test -bench . -v`); the full-scale
 // figures are produced by `cmd/comfedsv`.
@@ -20,7 +20,6 @@ import (
 	"comfedsv/internal/rng"
 	"comfedsv/internal/shapley"
 	"comfedsv/internal/utility"
-	"comfedsv/internal/vfl"
 )
 
 // BenchmarkFig1UnfairnessProbability regenerates Fig. 1: P_s curves for
@@ -231,7 +230,7 @@ func BenchmarkTheorem1Bound(b *testing.B) {
 	b.ReportMetric(res.Bound, "bound")
 }
 
-// --- Ablation benches (DESIGN.md §5) ---
+// --- Ablation benches ---
 
 func benchEvaluator(b *testing.B, clients, rounds, perRound int) *utility.Evaluator {
 	b.Helper()
@@ -426,26 +425,6 @@ func BenchmarkBaselinesComparison(b *testing.B) {
 	}
 	b.ReportMetric(res.Correlations["comfedsv"], "rho-comfedsv")
 	b.ReportMetric(res.Correlations["fedsv"], "rho-fedsv")
-}
-
-// BenchmarkVerticalValuation measures the vertical-FL extension pipeline
-// (future-work direction of the paper, DESIGN.md §1).
-func BenchmarkVerticalValuation(b *testing.B) {
-	cfg := vfl.DefaultSyntheticConfig(1)
-	cfg.TrainN = 120
-	cfg.TestN = 60
-	problem := vfl.GenerateSynthetic(cfg)
-	vcfg := vfl.DefaultConfig(6, 2)
-	var rep *vfl.Report
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		rep, err = vfl.Value(problem, vcfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(corr(rep.ComFedSV, cfg.SignalRanking()), "rho-vs-signal")
 }
 
 // BenchmarkAblationAntithetic compares plain and antithetic permutation

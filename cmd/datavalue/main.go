@@ -39,6 +39,29 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *samples < 0 {
+		usage(fmt.Errorf("-samples must not be negative, got %d", *samples))
+	}
+	if *rank < 1 {
+		usage(fmt.Errorf("-rank must be at least 1, got %d", *rank))
+	}
+	want := map[string]bool{}
+	for _, m := range strings.Split(*methods, ",") {
+		switch m = strings.TrimSpace(strings.ToLower(m)); m {
+		case "":
+		case "all":
+			for _, x := range []string{"fedsv", "comfedsv", "loo", "tmc", "gt"} {
+				want[x] = true
+			}
+		case "fedsv", "comfedsv", "loo", "tmc", "gt":
+			want[m] = true
+		default:
+			usage(fmt.Errorf("unknown method %q (want fedsv, comfedsv, loo, tmc, gt or all)", m))
+		}
+	}
+	if len(want) == 0 {
+		usage(fmt.Errorf("no methods in %q", *methods))
+	}
 
 	f, err := os.Open(*runPath)
 	if err != nil {
@@ -52,20 +75,6 @@ func main() {
 	n := run.NumClients()
 	fmt.Printf("loaded run: %d clients, %d rounds, %d model parameters\n",
 		n, len(run.Rounds), run.Model.NumParams())
-
-	want := map[string]bool{}
-	for _, m := range strings.Split(*methods, ",") {
-		m = strings.TrimSpace(strings.ToLower(m))
-		if m == "all" {
-			for _, x := range []string{"fedsv", "comfedsv", "loo", "tmc", "gt"} {
-				want[x] = true
-			}
-			continue
-		}
-		if m != "" {
-			want[m] = true
-		}
-	}
 
 	report := &persist.Report{Methods: map[string][]float64{}}
 	eval := utility.NewEvaluator(run)
@@ -101,9 +110,6 @@ func main() {
 		}
 		report.Methods["group-testing"] = v
 	}
-	if len(report.Methods) == 0 {
-		fatal(fmt.Errorf("no recognized methods in %q", *methods))
-	}
 
 	names := make([]string, 0, len(report.Methods))
 	for name := range report.Methods {
@@ -129,8 +135,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		defer out.Close()
-		if err := persist.SaveReport(out, report); err != nil {
+		err = persist.SaveReport(out, report)
+		if cerr := out.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("report written to %s\n", *outPath)
@@ -139,7 +148,7 @@ func main() {
 
 func comFedSV(eval *utility.Evaluator, rank, samples int, seed int64) ([]float64, error) {
 	n := eval.Run().NumClients()
-	if samples <= 0 && n <= 14 {
+	if samples == 0 && n <= 14 {
 		res, err := shapley.ComFedSVExact(eval, mc.DefaultConfig(rank))
 		if err != nil {
 			return nil, err
@@ -160,4 +169,10 @@ func comFedSV(eval *utility.Evaluator, rank, samples int, seed int64) ([]float64
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "datavalue:", err)
 	os.Exit(1)
+}
+
+// usage reports a bad flag value and exits 2, before any valuation work.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "datavalue:", err)
+	os.Exit(2)
 }

@@ -30,8 +30,15 @@ func main() {
 
 	kind, err := experiments.ParseDatasetKind(*dataSet)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fedsim:", err)
-		os.Exit(2)
+		exit(2, err)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"clients", *clients}, {"samples", *samples}, {"test", *test}} {
+		if f.v < 1 {
+			exit(2, fmt.Errorf("-%s must be at least 1, got %d", f.name, f.v))
+		}
 	}
 	sc := experiments.Scenario{
 		Kind:             kind,
@@ -47,8 +54,7 @@ func main() {
 	cfg.Seed = *seed + 1
 	run, err := fl.TrainRun(cfg, m, locals, testSet)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fedsim:", err)
-		os.Exit(1)
+		exit(1, err)
 	}
 
 	fmt.Printf("FedAvg on %v: N=%d, K=%d, T=%d\n", kind, *clients, *perRound, *rounds)
@@ -64,14 +70,20 @@ func main() {
 	if *savePath != "" {
 		f, err := os.Create(*savePath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fedsim:", err)
-			os.Exit(1)
+			exit(1, err)
 		}
-		defer f.Close()
-		if err := persist.SaveRun(f, run); err != nil {
-			fmt.Fprintln(os.Stderr, "fedsim:", err)
-			os.Exit(1)
+		err = persist.SaveRun(f, run)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			exit(1, err)
 		}
 		fmt.Printf("trace saved to %s\n", *savePath)
 	}
+}
+
+func exit(code int, err error) {
+	fmt.Fprintln(os.Stderr, "fedsim:", err)
+	os.Exit(code)
 }

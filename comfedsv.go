@@ -319,18 +319,13 @@ func (tr *TrainedRun) CellCacheStats() (preloaded, warmHits int) {
 	return tr.eval.Preloaded(), tr.eval.WarmHits()
 }
 
-// Train runs only the FedAvg training stage of Value and returns the
-// trace ready for (repeated) valuation.
-func Train(clients []Client, test Client, opts Options) (*TrainedRun, error) {
-	return TrainCtx(context.Background(), clients, test, opts)
-}
-
-// TrainCtx is Train with cooperative cancellation, checked at every FedAvg
-// round boundary. Only the training-relevant Options fields matter here
-// (NumClasses, Rounds, ClientsPerRound, LearningRate, Model, HiddenUnits,
-// Seed); valuation fields like Rank and MonteCarloSamples are read later
-// by ValueRunCtx, which is what lets jobs with different valuation
-// settings share one trace.
+// TrainCtx runs only the FedAvg training stage of ValueCtx and returns the
+// trace ready for (repeated) valuation. Cancellation is checked at every
+// FedAvg round boundary. Only the training-relevant Options fields matter
+// here (NumClasses, Rounds, ClientsPerRound, LearningRate, Model,
+// HiddenUnits, Seed); valuation fields like Rank and MonteCarloSamples are
+// read later by ValueRunCtx, which is what lets jobs with different
+// valuation settings share one trace.
 func TrainCtx(ctx context.Context, clients []Client, test Client, opts Options) (*TrainedRun, error) {
 	if len(clients) == 0 {
 		return nil, errors.New("comfedsv: no clients")
@@ -402,11 +397,6 @@ func TrainCtx(ctx context.Context, clients []Client, test Client, opts Options) 
 		opts.OnStageTime(StageTiming{Stage: StageTrain, Shard: -1, Duration: time.Since(start)})
 	}
 	return NewTrainedRun(run), nil
-}
-
-// ValueRun values every client against a precomputed training run.
-func ValueRun(tr *TrainedRun, opts Options) (*Report, EvalStats, error) {
-	return ValueRunCtx(context.Background(), tr, opts)
 }
 
 // ValueRunCtx runs the valuation stages of ValueCtx against a precomputed

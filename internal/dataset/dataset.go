@@ -1,7 +1,7 @@
 // Package dataset provides the data substrate for the federated-learning
 // experiments: the synthetic(α,β) generator of Li et al. (2018) used by the
 // paper, synthetic image datasets standing in for MNIST / Fashion-MNIST /
-// CIFAR-10 (the module is offline, see DESIGN.md §2), IID and non-IID
+// CIFAR-10 (the module has no external dependencies or data), IID and non-IID
 // partitioners, and the data/label corruption used by the data-quality
 // experiments (Figs. 6 and 7).
 package dataset
@@ -119,15 +119,6 @@ func Concat(parts ...*Dataset) *Dataset {
 		out.Y = append(out.Y, p.Y...)
 	}
 	return out
-}
-
-// ClassCounts returns a histogram of labels.
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, d.NumClasses)
-	for _, y := range d.Y {
-		counts[y]++
-	}
-	return counts
 }
 
 // Shuffle permutes the examples in place using g.

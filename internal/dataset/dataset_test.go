@@ -191,3 +191,12 @@ func TestImageConfigsDiffer(t *testing.T) {
 		t.Fatal("CIFAR stand-in must have 3 channels")
 	}
 }
+
+// ClassCounts returns a histogram of labels.
+func (d *Dataset) ClassCounts() []int {
+	counts := make([]int, d.NumClasses)
+	for _, y := range d.Y {
+		counts[y]++
+	}
+	return counts
+}

@@ -92,7 +92,7 @@ func GenerateSynthetic(cfg SyntheticConfig, sizes []int) []*Dataset {
 }
 
 // ImageConfig parameterizes the synthetic image generators that stand in
-// for the real benchmark datasets (the module is offline; see DESIGN.md §2).
+// for the real benchmark datasets (the module ships no external data).
 // Each class has a fixed random prototype image; samples are the prototype
 // plus Gaussian pixel noise. Separation controls how far apart prototypes
 // are relative to the noise, i.e. how learnable the task is.

@@ -92,7 +92,7 @@ type RankImpactConfig struct {
 	// WeightedReg selects ALS-WR regularization. Fig. 3 reproduces the
 	// paper's LIBPMF behaviour with plain uniform regularization, which
 	// exhibits the under/overfitting U-shape the paper discusses; the
-	// valuation pipeline elsewhere defaults to ALS-WR (see DESIGN.md §5).
+	// valuation pipeline elsewhere defaults to ALS-WR (mc.DefaultConfig).
 	WeightedReg bool
 	Seed        int64
 }

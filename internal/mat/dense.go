@@ -153,89 +153,7 @@ func (m *Dense) FrobeniusNorm() float64 {
 	return math.Sqrt(s)
 }
 
-// MaxNorm returns the maximum absolute entry of m (the ‖·‖max norm used in
-// the ε-rank definition, Definition 3 of the paper).
-func (m *Dense) MaxNorm() float64 {
-	var mx float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
-// ColSumNorm returns the maximum absolute column sum (the induced 1-norm
-// used in Definition 5 of the paper).
-func (m *Dense) ColSumNorm() float64 {
-	sums := make([]float64, m.cols)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			sums[j] += math.Abs(v)
-		}
-	}
-	var mx float64
-	for _, s := range sums {
-		if s > mx {
-			mx = s
-		}
-	}
-	return mx
-}
-
-// Equal reports whether a and b have the same shape and entries within tol.
-func Equal(a, b *Dense, tol float64) bool {
-	if a.rows != b.rows || a.cols != b.cols {
-		return false
-	}
-	for i := range a.data {
-		if math.Abs(a.data[i]-b.data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-// ErrNotPositiveDefinite is returned by Cholesky when the input matrix is
-// not (numerically) symmetric positive definite.
+// ErrNotPositiveDefinite is returned by CholeskyInto, and by the ridge
+// solvers built on it, when the input matrix is not (numerically) symmetric
+// positive definite.
 var ErrNotPositiveDefinite = errors.New("mat: matrix is not positive definite")
-
-// Cholesky computes the lower-triangular factor L with a = L Lᵀ.
-// a must be symmetric positive definite; only the lower triangle is read.
-// CholeskyInto is the allocation-free variant.
-func Cholesky(a *Dense) (*Dense, error) {
-	l := NewDense(a.rows, a.cols)
-	if err := CholeskyInto(l, a); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
-// CholeskySolve solves a x = b given the Cholesky factor l of a,
-// overwriting and returning a new solution vector. CholeskySolveInto is the
-// allocation-free variant.
-func CholeskySolve(l *Dense, b []float64) []float64 {
-	n := l.rows
-	if len(b) != n {
-		panic(fmt.Sprintf("mat: cholesky solve dimension %d != %d", len(b), n))
-	}
-	x := make([]float64, n)
-	y := make([]float64, n)
-	CholeskySolveInto(l, b, x, y)
-	return x
-}
-
-// RidgeSolve solves (AᵀA + λI) x = Aᵀ b for the rows of A given as a slice
-// of feature vectors. RidgeSolveInto is the allocation-free variant used on
-// the ALS hot path.
-func RidgeSolve(features [][]float64, targets []float64, lambda float64) ([]float64, error) {
-	if len(features) == 0 {
-		return nil, ErrRidgeNoObservations
-	}
-	dst := make([]float64, len(features[0]))
-	if err := RidgeSolveInto(features, targets, lambda, dst, NewRidgeScratch(len(dst))); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}

@@ -122,23 +122,49 @@ func TestNorms(t *testing.T) {
 	if got := m.FrobeniusNorm(); math.Abs(got-5) > 1e-12 {
 		t.Fatalf("Frobenius = %v, want 5", got)
 	}
-	if got := m.MaxNorm(); got != 4 {
-		t.Fatalf("MaxNorm = %v, want 4", got)
+}
+
+// cholesky factors a into a fresh matrix through CholeskyInto.
+func cholesky(a *Dense) (*Dense, error) {
+	l := NewDense(a.rows, a.cols)
+	return l, CholeskyInto(l, a)
+}
+
+// choleskySolve solves l lᵀ x = b into a fresh vector through
+// CholeskySolveInto.
+func choleskySolve(l *Dense, b []float64) []float64 {
+	x := make([]float64, len(b))
+	CholeskySolveInto(l, b, x, make([]float64, len(b)))
+	return x
+}
+
+// ridgeSolve runs RidgeSolveInto into a fresh vector with a fresh scratch.
+func ridgeSolve(features [][]float64, targets []float64, lambda float64) ([]float64, error) {
+	dst := make([]float64, len(features[0]))
+	return dst, RidgeSolveInto(features, targets, lambda, dst, NewRidgeScratch(len(dst)))
+}
+
+// Equal reports whether a and b have the same shape and entries within tol.
+func Equal(a, b *Dense, tol float64) bool {
+	if a.rows != b.rows || a.cols != b.cols {
+		return false
 	}
-	// Column sums of |.|: col0 = 3, col1 = 4.
-	if got := m.ColSumNorm(); got != 4 {
-		t.Fatalf("ColSumNorm = %v, want 4", got)
+	for i := range a.data {
+		if math.Abs(a.data[i]-b.data[i]) > tol {
+			return false
+		}
 	}
+	return true
 }
 
 func TestCholeskySolveIdentity(t *testing.T) {
 	a := Identity(4)
 	b := []float64{1, 2, 3, 4}
-	l, err := Cholesky(a)
+	l, err := cholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := CholeskySolve(l, b)
+	x := choleskySolve(l, b)
 	for i := range b {
 		if math.Abs(x[i]-b[i]) > 1e-12 {
 			t.Fatalf("identity solve x[%d] = %v, want %v", i, x[i], b[i])
@@ -148,20 +174,22 @@ func TestCholeskySolveIdentity(t *testing.T) {
 
 func TestCholeskyKnown(t *testing.T) {
 	// a = L Lᵀ with L = [[2,0],[1,3]] → a = [[4,2],[2,10]].
+	// The destination is poisoned to prove stale contents, the strict
+	// upper triangle included, are overwritten.
 	a := NewDenseData(2, 2, []float64{4, 2, 2, 10})
-	l, err := Cholesky(a)
-	if err != nil {
+	l := NewDenseData(2, 2, []float64{1e9, 1e9, 1e9, 1e9})
+	if err := CholeskyInto(l, a); err != nil {
 		t.Fatal(err)
 	}
 	want := NewDenseData(2, 2, []float64{2, 0, 1, 3})
 	if !Equal(l, want, 1e-12) {
-		t.Fatalf("Cholesky = %+v, want %+v", l, want)
+		t.Fatalf("CholeskyInto = %+v, want %+v", l, want)
 	}
 }
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
 	a := NewDenseData(2, 2, []float64{1, 2, 2, 1}) // eigenvalues 3, -1
-	if _, err := Cholesky(a); err == nil {
+	if _, err := cholesky(a); err == nil {
 		t.Fatal("expected ErrNotPositiveDefinite")
 	}
 }
@@ -188,11 +216,11 @@ func TestSolveSPDRandomized(t *testing.T) {
 		for i := 0; i < n; i++ {
 			rhs[i] = Dot(a.Row(i), x)
 		}
-		l, err := Cholesky(a)
+		l, err := cholesky(a)
 		if err != nil {
 			return false
 		}
-		got := CholeskySolve(l, rhs)
+		got := choleskySolve(l, rhs)
 		for i := range x {
 			if math.Abs(got[i]-x[i]) > 1e-8 {
 				return false
@@ -208,11 +236,11 @@ func TestSolveSPDRandomized(t *testing.T) {
 func TestRidgeSolveShrinksTowardZero(t *testing.T) {
 	features := [][]float64{{1, 0}, {0, 1}, {1, 1}}
 	targets := []float64{1, 2, 3}
-	small, err := RidgeSolve(features, targets, 1e-9)
+	small, err := ridgeSolve(features, targets, 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := RidgeSolve(features, targets, 1e6)
+	big, err := ridgeSolve(features, targets, 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +260,7 @@ func TestRidgeSolveExactFit(t *testing.T) {
 	for i, f := range features {
 		targets[i] = Dot(f, w)
 	}
-	got, err := RidgeSolve(features, targets, 1e-10)
+	got, err := ridgeSolve(features, targets, 1e-10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +272,7 @@ func TestRidgeSolveExactFit(t *testing.T) {
 }
 
 func TestRidgeSolveNoObservations(t *testing.T) {
-	if _, err := RidgeSolve(nil, nil, 1); err == nil {
+	if err := RidgeSolveInto(nil, nil, 1, nil, NewRidgeScratch(1)); err == nil {
 		t.Fatal("expected error for empty system")
 	}
 }

@@ -6,12 +6,11 @@ import (
 	"math"
 )
 
-// This file holds the allocation-free kernel variants behind Cholesky,
-// CholeskySolve, and RidgeSolve. The ALS matrix-completion solver needs a
-// small ridge solve for every factor row in every sweep — hundreds of
-// thousands per completion — so these kernels accumulate the Gram matrix in
-// place, factor in place, and substitute in place, with slice-based inner
-// loops instead of bounds-checked At/Set. A ridge solve has two halves:
+// This file holds the allocation-free Cholesky and ridge kernels. The ALS
+// matrix-completion solver needs a small ridge solve for every factor row
+// in every sweep — hundreds of thousands per completion — so these kernels
+// accumulate the Gram matrix in place, factor in place, and substitute in
+// place, with slice-based inner loops instead of bounds-checked At/Set. A ridge solve has two halves:
 // RidgeFactorInto (Gram + λI and its Cholesky factor, which depend only on
 // the features) and the right-hand side with the two triangular solves.
 // RidgeSolveInto runs both for one target vector. ALS runs the first half
@@ -26,10 +25,9 @@ import (
 // each row of the lower triangle in registers while it streams the feature
 // rows. Both have a portable Go body that SetSIMD selects. Every value
 // still receives the same products in the same order, so all paths — fused,
-// factored, wide, either body, and the allocating wrappers in dense.go —
-// give bit-identical results. The residual kernel sums each prediction in
-// Dot's order, four systems to a register. CholeskyInto and the single
-// solve's substitutions stay scalar.
+// factored, wide, and either body — give bit-identical results. The
+// residual kernel sums each prediction in Dot's order, four systems to a
+// register. CholeskyInto and the single solve's substitutions stay scalar.
 
 // CholeskyInto computes the lower-triangular factor L with a = L Lᵀ into l,
 // which must be a square matrix of a's shape (its prior contents are
@@ -145,8 +143,8 @@ var ErrRidgeNoObservations = errors.New("mat: ridge with no observations")
 // feature dimension) without allocating: the Gram matrix, Cholesky factor,
 // and substitution buffers live in s. One pass over the features
 // accumulates the Gram matrix and Aᵀ b together; the factor and the two
-// triangular solves follow. It is the allocation-free core of RidgeSolve
-// and the ALS solve of a factor row whose pattern no other row shares.
+// triangular solves follow. It is the ALS solve of a factor row whose
+// pattern no other row shares.
 func RidgeSolveInto(features [][]float64, targets []float64, lambda float64, dst []float64, s *RidgeScratch) error {
 	if len(features) != len(targets) {
 		panic(fmt.Sprintf("mat: ridge rows %d != targets %d", len(features), len(targets)))

@@ -1,9 +1,6 @@
 package mat
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Dot returns the inner product of a and b. It panics on length mismatch.
 func Dot(a, b []float64) float64 {
@@ -15,15 +12,6 @@ func Dot(a, b []float64) float64 {
 		s += v * b[i]
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }
 
 // Axpy adds a*x to y in place. On a host with AVX2 it runs the vector

@@ -21,6 +21,15 @@ func TestDotMismatchPanics(t *testing.T) {
 	Dot([]float64{1}, []float64{1, 2})
 }
 
+// Norm2 returns the Euclidean norm of v.
+func Norm2(v []float64) float64 {
+	var s float64
+	for _, x := range v {
+		s += x * x
+	}
+	return math.Sqrt(s)
+}
+
 func TestNorm2(t *testing.T) {
 	if got := Norm2([]float64{3, 4}); got != 5 {
 		t.Fatalf("Norm2 = %v, want 5", got)

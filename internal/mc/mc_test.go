@@ -211,8 +211,8 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mat.Equal(a.W, b.W, 0) || !mat.Equal(a.H, b.H, 0) {
-		t.Fatal("completion must be deterministic in the seed")
+	if err := sameBits(a, b); err != nil {
+		t.Fatalf("completion must be deterministic in the seed: %v", err)
 	}
 }
 
@@ -300,11 +300,8 @@ func TestCompleteDeterministicAcrossWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("workers=%d simd=%v: %v", workers, simd, err)
 			}
-			if !mat.Equal(base.W, got.W, 0) || !mat.Equal(base.H, got.H, 0) {
-				t.Fatalf("workers=%d simd=%v: factors differ from workers=1", workers, simd)
-			}
-			if base.Objective != got.Objective || base.Iterations != got.Iterations || base.TrainRMSE != got.TrainRMSE {
-				t.Fatalf("workers=%d simd=%v: result metadata differs: %+v vs %+v", workers, simd, base, got)
+			if err := sameBits(got, base); err != nil {
+				t.Fatalf("workers=%d simd=%v: differs from workers=1: %v", workers, simd, err)
 			}
 		})
 	}

@@ -44,18 +44,6 @@ func (e *ECDF) At(x float64) float64 {
 	return float64(idx) / float64(len(e.sorted))
 }
 
-// Quantile returns the q-th empirical quantile for q in [0,1].
-func (e *ECDF) Quantile(q float64) float64 {
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("metrics: quantile %v out of [0,1]", q))
-	}
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	idx := int(q * float64(len(e.sorted)-1))
-	return e.sorted[idx]
-}
-
 // Len returns the number of samples.
 func (e *ECDF) Len() int { return len(e.sorted) }
 

@@ -82,23 +82,10 @@ func TestECDFMonotone(t *testing.T) {
 	}
 }
 
-func TestECDFQuantile(t *testing.T) {
-	e := NewECDF([]float64{3, 1, 2})
-	if got := e.Quantile(0); got != 1 {
-		t.Fatalf("Quantile(0) = %v", got)
-	}
-	if got := e.Quantile(1); got != 3 {
-		t.Fatalf("Quantile(1) = %v", got)
-	}
-}
-
 func TestECDFEmpty(t *testing.T) {
 	e := NewECDF(nil)
 	if e.At(1) != 0 {
 		t.Fatal("empty ECDF must be 0 everywhere")
-	}
-	if !math.IsNaN(e.Quantile(0.5)) {
-		t.Fatal("empty quantile must be NaN")
 	}
 }
 

@@ -78,7 +78,7 @@ func TestPinnedLogFormat(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := os.ReadFile(filepath.Join(jobs.Dir(), "job-golden.journal"))
+	got, err := os.ReadFile(filepath.Join(jobs.dir, "job-golden.journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestPinnedLogFormat(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err = os.ReadFile(filepath.Join(runs.Dir(), "run-golden-v2.cells"))
+	got, err = os.ReadFile(filepath.Join(runs.dir, "run-golden-v2.cells"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,12 +162,12 @@ func FuzzReadLogs(f *testing.F) {
 		return b
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		os.Remove(filepath.Join(jobs.Dir(), "out.journal"))
-		os.Remove(filepath.Join(runs.Dir(), "out.cells"))
-		if err := os.WriteFile(filepath.Join(jobs.Dir(), "in.journal"), data, 0o644); err != nil {
+		os.Remove(filepath.Join(jobs.dir, "out.journal"))
+		os.Remove(filepath.Join(runs.dir, "out.cells"))
+		if err := os.WriteFile(filepath.Join(jobs.dir, "in.journal"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(runs.Dir(), "in.cells"), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(runs.dir, "in.cells"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 

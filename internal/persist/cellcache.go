@@ -113,9 +113,3 @@ func (s *RunStore) HasCells(id string) bool { return s.has(id, cellsSuffix) }
 func (s *RunStore) QuarantineCells(id string, hook faultinject.Hook) (string, error) {
 	return s.quarantine(cellsLog, id, hook)
 }
-
-// RemoveCells deletes run id's sidecar and any quarantined copy. Missing
-// files are not an error.
-func (s *RunStore) RemoveCells(id string) error {
-	return s.remove(id, cellsSuffix, cellsCorruptSuffix)
-}

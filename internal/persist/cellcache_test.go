@@ -74,7 +74,7 @@ func TestCellCacheAppendsAfterFormat1(t *testing.T) {
 	store := newCellStore(t)
 	const id = "run-0123456789abcdef"
 	old := pinnedCells()
-	if err := os.WriteFile(filepath.Join(store.Dir(), id+cellsSuffix), cellsV1(t, old), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(store.dir, id+cellsSuffix), cellsV1(t, old), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	b := cellBatch(t, 4, utility.SnapshotCell{Round: 5, Mask: 0b1001, Value: 0.75})
@@ -128,7 +128,7 @@ func TestCellCacheTornTailDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate a crash mid-append: a trailing fragment with no newline.
-	path := filepath.Join(store.Dir(), id+cellsSuffix)
+	path := filepath.Join(store.dir, id+cellsSuffix)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestCellCacheCompleteBadLineIsCorrupt(t *testing.T) {
 	if err := store.AppendCells(id, b, "merge", nil); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(store.Dir(), id+cellsSuffix)
+	path := filepath.Join(store.dir, id+cellsSuffix)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +201,7 @@ func TestRemoveCellsAndDeleteRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Plant a quarantined copy too.
-	if err := os.WriteFile(filepath.Join(store.Dir(), id+cellsCorruptSuffix), []byte("x\n"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(store.dir, id+cellsCorruptSuffix), []byte("x\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.DeleteRun(id); err != nil {
@@ -210,11 +210,11 @@ func TestRemoveCellsAndDeleteRun(t *testing.T) {
 	if store.HasCells(id) {
 		t.Fatal("DeleteRun left the sidecar behind")
 	}
-	if _, err := os.Stat(filepath.Join(store.Dir(), id+cellsCorruptSuffix)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(store.dir, id+cellsCorruptSuffix)); !os.IsNotExist(err) {
 		t.Fatal("DeleteRun left the quarantined copy behind")
 	}
-	// Removing again is not an error.
-	if err := store.RemoveCells(id); err != nil {
+	// Deleting again is not an error.
+	if err := store.DeleteRun(id); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -303,7 +303,7 @@ func BenchmarkReadCells(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(store.Dir(), "v1"+cellsSuffix), cellsV1(b, batches), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(store.dir, "v1"+cellsSuffix), cellsV1(b, batches), 0o644); err != nil {
 		b.Fatal(err)
 	}
 	for _, batch := range batches {
@@ -313,7 +313,7 @@ func BenchmarkReadCells(b *testing.B) {
 	}
 	for _, id := range []string{"v1", "v2"} {
 		b.Run(id, func(b *testing.B) {
-			info, err := os.Stat(filepath.Join(store.Dir(), id+cellsSuffix))
+			info, err := os.Stat(filepath.Join(store.dir, id+cellsSuffix))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -74,7 +74,7 @@ func TestJournalTornTrailingWriteIsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate a crash mid-append: a partial record with no newline.
-	path := filepath.Join(s.Dir(), "job-torn.journal")
+	path := filepath.Join(s.dir, "job-torn.journal")
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestJournalCompleteGarbageLineIsCorrupt(t *testing.T) {
 	if err := j.Append(submitRec(t)); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(s.Dir(), "job-bad.journal")
+	path := filepath.Join(s.dir, "job-bad.journal")
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestJournalTrailingDataIsCorrupt(t *testing.T) {
 	} {
 		s := newTestStore(t)
 		line := `{"type":"submit","time":"2026-01-02T03:04:05Z","request":{"run_id":"run-abc"}}` + tc.tail + "\n"
-		if err := os.WriteFile(filepath.Join(s.Dir(), "job-tail.journal"), []byte(line), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(s.dir, "job-tail.journal"), []byte(line), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		recs, err := s.ReadJournal("job-tail")
@@ -310,7 +310,7 @@ func TestDeleteJobRemovesJournalArtifacts(t *testing.T) {
 	if err := s.DeleteJob("job-del2"); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(s.Dir())
+	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		t.Fatal(err)
 	}

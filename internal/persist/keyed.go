@@ -36,9 +36,6 @@ func openKeyed(dir, kind string) (keyed, error) {
 	return keyed{dir: dir, kind: kind}, nil
 }
 
-// Dir returns the store's root directory.
-func (k keyed) Dir() string { return k.dir }
-
 // ValidJobID reports whether id is usable as a job or run key: non-empty,
 // at most 128 bytes, and limited to [A-Za-z0-9._-] with no leading dot —
 // which keeps every key a single safe file-name component.

@@ -494,15 +494,3 @@ func SaveReport(w io.Writer, rep *Report) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
 }
-
-// LoadReport reads a valuation report.
-func LoadReport(r io.Reader) (*Report, error) {
-	var rep Report
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("persist: decoding report: %w", err)
-	}
-	if rep.Version != reportVersion {
-		return nil, fmt.Errorf("persist: unsupported report version %d", rep.Version)
-	}
-	return &rep, nil
-}

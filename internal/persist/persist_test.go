@@ -367,20 +367,11 @@ func TestReportRoundTrip(t *testing.T) {
 	if err := SaveReport(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadReport(&buf)
-	if err != nil {
+	var loaded Report
+	if err := json.Unmarshal(buf.Bytes(), &loaded); err != nil {
 		t.Fatal(err)
 	}
-	if len(loaded.Methods) != 2 || loaded.Methods["fedsv"][1] != 2 {
+	if loaded.Version != reportVersion || len(loaded.Methods) != 2 || loaded.Methods["fedsv"][1] != 2 {
 		t.Fatalf("report round-trip lost data: %+v", loaded)
-	}
-}
-
-func TestLoadReportRejectsGarbage(t *testing.T) {
-	if _, err := LoadReport(strings.NewReader("{")); err == nil {
-		t.Fatal("expected error")
-	}
-	if _, err := LoadReport(strings.NewReader(`{"version":3}`)); err == nil {
-		t.Fatal("expected version error")
 	}
 }

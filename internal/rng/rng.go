@@ -68,6 +68,3 @@ func (g *RNG) SampleWithoutReplacement(n, k int) []int {
 	copy(out, perm[:k])
 	return out
 }
-
-// Bernoulli returns true with probability p.
-func (g *RNG) Bernoulli(p float64) bool { return g.r.Float64() < p }

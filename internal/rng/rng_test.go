@@ -139,18 +139,6 @@ func TestSampleTooLargePanics(t *testing.T) {
 	New(1).SampleWithoutReplacement(3, 4)
 }
 
-func TestBernoulliExtremes(t *testing.T) {
-	g := New(6)
-	for i := 0; i < 100; i++ {
-		if g.Bernoulli(0) {
-			t.Fatal("Bernoulli(0) returned true")
-		}
-		if !g.Bernoulli(1) {
-			t.Fatal("Bernoulli(1) returned false")
-		}
-	}
-}
-
 func TestShuffleIsPermutation(t *testing.T) {
 	g := New(8)
 	idx := []int{0, 1, 2, 3, 4, 5}

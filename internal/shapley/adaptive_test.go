@@ -289,3 +289,6 @@ func TestAdaptiveCancellationMidWave(t *testing.T) {
 		t.Fatal("Advance after cancellation must fail")
 	}
 }
+
+// Waves returns the per-wave statistics recorded by Advance so far.
+func (p *MonteCarloPlan) Waves() []WaveStat { return p.stats }

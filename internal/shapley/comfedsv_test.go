@@ -19,7 +19,7 @@ func TestGroundTruthBalance(t *testing.T) {
 	var want float64
 	n := e.Run().NumClients()
 	for tr := range e.Run().Rounds {
-		want += e.Utility(tr, utility.FullSet(n))
+		want += e.Utility(tr, utility.FromMask(n, 1<<n-1))
 	}
 	if math.Abs(sum-want) > 1e-9 {
 		t.Fatalf("ground-truth balance: Σv = %v, want %v", sum, want)

@@ -230,9 +230,6 @@ func (p *MonteCarloPlan) scheduleWave() int {
 // first wave's count right after construction; Advance grows it).
 func (p *MonteCarloPlan) Shards() int { return len(p.slices) }
 
-// Waves returns the per-wave statistics recorded by Advance so far.
-func (p *MonteCarloPlan) Waves() []WaveStat { return p.stats }
-
 // Used returns the number of permutations the finished plan consumed, or
 // 0 before Advance has returned 0.
 func (p *MonteCarloPlan) Used() int {

@@ -327,12 +327,6 @@ func (st *Store) ColumnOf(s Set) int {
 	return c
 }
 
-// HasColumn reports whether s has been registered, without registering it.
-func (st *Store) HasColumn(s Set) (int, bool) {
-	c, ok := st.cols[s.cacheKey()]
-	return c, ok
-}
-
 // ColumnSet returns the subset of the given column index.
 func (st *Store) ColumnSet(col int) Set { return st.colSets[col] }
 
@@ -355,9 +349,6 @@ func (st *Store) Observe(t int, s Set, val float64) {
 
 // Observations returns the recorded entries (shared slice; do not mutate).
 func (st *Store) Observations() []Observation { return st.obs }
-
-// NumObserved returns the number of recorded entries.
-func (st *Store) NumObserved() int { return len(st.obs) }
 
 // Density returns the fraction of the T×NumColumns grid that is observed.
 func (st *Store) Density() float64 {

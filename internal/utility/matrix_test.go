@@ -206,3 +206,12 @@ func TestDuplicateClientsShareColumnsValues(t *testing.T) {
 		}
 	}
 }
+
+// HasColumn reports whether s has been registered, without registering it.
+func (st *Store) HasColumn(s Set) (int, bool) {
+	c, ok := st.cols[s.cacheKey()]
+	return c, ok
+}
+
+// NumObserved returns the number of recorded entries.
+func (st *Store) NumObserved() int { return len(st.obs) }

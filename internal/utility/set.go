@@ -116,32 +116,6 @@ func (s Set) With(i int) Set {
 	return out
 }
 
-// SubsetOf reports whether every member of s is in t.
-func (s Set) SubsetOf(t Set) bool {
-	if s.n != t.n {
-		panic("utility: subset check across universes")
-	}
-	for i, w := range s.words {
-		if w&^t.words[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Equal reports whether s and t contain the same members of the same universe.
-func (s Set) Equal(t Set) bool {
-	if s.n != t.n {
-		return false
-	}
-	for i, w := range s.words {
-		if w != t.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Key returns a compact string usable as a map key. Two sets over the same
 // universe have equal keys iff they are equal.
 func (s Set) Key() string {
@@ -210,15 +184,6 @@ func FromMask(n int, mask uint64) Set {
 	}
 	if n < 64 && mask>>uint(n) != 0 {
 		panic(fmt.Sprintf("utility: mask %#x exceeds universe %d", mask, n))
-	}
-	return s
-}
-
-// FullSet returns {0, …, n-1}.
-func FullSet(n int) Set {
-	s := NewSet(n)
-	for i := 0; i < n; i++ {
-		s.Add(i)
 	}
 	return s
 }

@@ -129,3 +129,38 @@ func TestString(t *testing.T) {
 		t.Fatalf("String = %q", got)
 	}
 }
+
+// SubsetOf reports whether every member of s is in t.
+func (s Set) SubsetOf(t Set) bool {
+	if s.n != t.n {
+		panic("utility: subset check across universes")
+	}
+	for i, w := range s.words {
+		if w&^t.words[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Equal reports whether s and t contain the same members of the same universe.
+func (s Set) Equal(t Set) bool {
+	if s.n != t.n {
+		return false
+	}
+	for i, w := range s.words {
+		if w != t.words[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// FullSet returns {0, …, n-1}.
+func FullSet(n int) Set {
+	s := NewSet(n)
+	for i := 0; i < n; i++ {
+		s.Add(i)
+	}
+	return s
+}
