@@ -40,6 +40,12 @@ func main() {
 			exit(2, fmt.Errorf("-%s must be at least 1, got %d", f.name, f.v))
 		}
 	}
+	// The non-IID split deals each client two label-sorted shards of the
+	// training pool, which holds at least clients×samples examples, so two
+	// samples per client always fill them.
+	if *nonIID && kind != experiments.Synthetic && *samples < 2 {
+		exit(2, fmt.Errorf("-samples must be at least 2 with -non-iid on %v, which deals each client two label shards; got %d", kind, *samples))
+	}
 	sc := experiments.Scenario{
 		Kind:             kind,
 		NumClients:       *clients,

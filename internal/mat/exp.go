@@ -17,6 +17,15 @@ import (
 // lane there is left to package math. math.tanh is Go code that the amd64
 // compiler never fuses, so the tanh kernel evaluates each of its branches
 // with the same operations in every lane and keeps the one tanh takes.
+//
+// The log kernel runs math.Log's amd64 algorithm (archLog in
+// $GOROOT/src/math/log_amd64.s), another straight-line chain, but one of
+// separate SSE2 multiplies and adds that every amd64 host runs, so unlike
+// exp it needs only AVX2 and no probe. archLog branches on ±0, negative
+// inputs, +Inf and NaN, and a lane there is left to package math. It
+// takes a subnormal input's exponent and fraction straight from its bits,
+// without normalizing them, and the kernel does the same: on amd64,
+// math.Log(5e-324) is −709.0895657128241, not −744.44.
 
 // expLanes is the most lanes one call of a vector body covers: one bit each
 // in the mask of lanes it leaves to package math.
@@ -42,6 +51,26 @@ func expSub(dst, x []float64, sub float64) {
 		for left := expSubSIMD(dst[:n], x[:n], sub); left != 0; left &= left - 1 {
 			i := bits.TrailingZeros64(left)
 			dst[i] = math.Exp(x[i] - sub)
+		}
+		dst, x = dst[n:], x[n:]
+	}
+}
+
+// logInto stores math.Log(x[i]) into dst[i] for every i; dst may be x
+// itself. A lane the vector body leaves keeps its x[i], which is where
+// package math reads it from.
+func logInto(dst, x []float64) {
+	if !useSIMD {
+		for i, v := range x {
+			dst[i] = math.Log(v)
+		}
+		return
+	}
+	for len(x) > 0 {
+		n := min(len(x), expLanes)
+		for left := logSIMD(dst[:n], x[:n]); left != 0; left &= left - 1 {
+			i := bits.TrailingZeros64(left)
+			dst[i] = math.Log(x[i])
 		}
 		dst, x = dst[n:], x[n:]
 	}

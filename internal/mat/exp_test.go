@@ -341,6 +341,56 @@ func BenchmarkSoftmax(b *testing.B) {
 	}
 }
 
+// BenchmarkLog measures the logs of 16 label probabilities on [1e-15, 1],
+// one block of the models' test loss, through each kernel body.
+func BenchmarkLog(b *testing.B) {
+	g := rand.New(rand.NewSource(28))
+	x := make([]float64, 16)
+	for i := range x {
+		x[i] = math.Pow(10, -15*g.Float64())
+	}
+	dst := make([]float64, len(x))
+	for _, body := range []string{"go", "simd"} {
+		b.Run(body, func(b *testing.B) {
+			if body == "simd" && !haveSIMD {
+				b.Skip("no vector kernel bodies on this host")
+			}
+			defer SetSIMD(SetSIMD(body == "simd"))
+			for b.Loop() {
+				logInto(dst, x)
+			}
+		})
+	}
+}
+
+// BenchmarkLabelLogProbs measures the label log-probabilities of one block
+// of the models' test loss, 16 examples of 10 classes, through each kernel
+// body; per example it does what BenchmarkSoftmax and a math.Log do.
+func BenchmarkLabelLogProbs(b *testing.B) {
+	g := rand.New(rand.NewSource(29))
+	logits := make([]float64, 16*10)
+	for i := range logits {
+		logits[i] = 3 * g.NormFloat64()
+	}
+	labels := make([]int, 16)
+	for i := range labels {
+		labels[i] = g.Intn(10)
+	}
+	z, logp := make([]float64, len(logits)), make([]float64, len(labels))
+	for _, body := range []string{"go", "simd"} {
+		b.Run(body, func(b *testing.B) {
+			if body == "simd" && !haveSIMD {
+				b.Skip("no vector kernel bodies on this host")
+			}
+			defer SetSIMD(SetSIMD(body == "simd"))
+			for b.Loop() {
+				copy(z, logits)
+				LabelLogProbs(logp, z, 10, labels)
+			}
+		})
+	}
+}
+
 // BenchmarkTanhBias measures the bias add and activation of a hidden layer
 // of 16 units, the cold_mlp MLP's, through each kernel body.
 func BenchmarkTanhBias(b *testing.B) {

@@ -28,7 +28,9 @@ func SetSIMD(on bool) (was bool) {
 // group stored column by column: column i of a group is 16 consecutive
 // floats, one per row, with a padded lane holding 0. One pass over a
 // group's columns then loads a whole column at a time and computes 16 dot
-// products at once. The portable body reads the rows where they are, four
+// products at once, for one example (MulVec) or for two (MulVecs, which
+// multiplies each loaded column by both examples' entries, so the two sets
+// of add chains overlap and each column is loaded once). The portable body reads the rows where they are, four
 // at a time: on the packed layout its per-column bounds checks made it
 // slower than the row loop. It also serves a few examples, which a copy
 // would not pay for.
@@ -106,6 +108,53 @@ func (p *Panel) MulVec(dst, x []float64) {
 	for r := 0; r < p.rows; r += panelLanes {
 		dotPanelSIMD(&out, p.data[r/panelLanes*group:][:group], x)
 		copy(dst[r:], out[:])
+	}
+}
+
+// MulVecs is MulVec for a block of examples, with a bias: it stores the
+// product of row r with xs[i], plus bias[r] when bias is not nil, into
+// dst[i*rows+r]. Each result has the bits of MulVec's followed by
+// dst[r] += bias[r]. It panics where MulVec would, when len(dst) is not
+// len(xs) rows, or when a non-nil bias has other than one entry per row.
+// The vector body takes the examples two at a time, loading each column
+// of a group once for both, so the two examples' add chains overlap in the
+// pipeline.
+func (p *Panel) MulVecs(dst []float64, xs [][]float64, bias []float64) {
+	if len(dst) != len(xs)*p.rows || (bias != nil && len(bias) != p.rows) {
+		panic(fmt.Sprintf("mat: %d examples of %d rows into %d results with %d biases", len(xs), p.rows, len(dst), len(bias)))
+	}
+	i := 0
+	if p.simd {
+		var out0, out1 [panelLanes]float64
+		group := p.cols * panelLanes
+		for ; i+2 <= len(xs); i += 2 {
+			x0, x1 := xs[i], xs[i+1]
+			if len(x0) != p.cols || len(x1) != p.cols {
+				panic(fmt.Sprintf("mat: dot length mismatch %d vs %d and %d", p.cols, len(x0), len(x1)))
+			}
+			dst0, dst1 := dst[i*p.rows:][:p.rows], dst[(i+1)*p.rows:][:p.rows]
+			for r := 0; r < p.rows; r += panelLanes {
+				dotPanel2SIMD(&out0, &out1, p.data[r/panelLanes*group:][:group], x0, x1)
+				d0, d1 := dst0[r:min(r+panelLanes, p.rows)], dst1[r:min(r+panelLanes, p.rows)]
+				if bias == nil {
+					copy(d0, out0[:])
+					copy(d1, out1[:])
+					continue
+				}
+				b := bias[r:][:len(d0)]
+				for k, v := range b {
+					d0[k] = out0[k] + v
+					d1[k] = out1[k] + v
+				}
+			}
+		}
+	}
+	for ; i < len(xs); i++ {
+		d := dst[i*p.rows:][:p.rows]
+		p.MulVec(d, xs[i])
+		for r, v := range bias {
+			d[r] += v
+		}
 	}
 }
 

@@ -76,6 +76,12 @@ func xgetbv() (eax uint32)
 //go:noescape
 func dotPanelSIMD(out *[panelLanes]float64, blk, x []float64)
 
+// dotPanel2SIMD is dotPanelSIMD for two examples of the same length: it
+// stores the group dotted with x0 into out0 and with x1 into out1.
+//
+//go:noescape
+func dotPanel2SIMD(out0, out1 *[panelLanes]float64, blk, x0, x1 []float64)
+
 // axpySIMD adds a*x to y in place; len(x) must equal len(y).
 //
 //go:noescape
@@ -119,3 +125,28 @@ func expSubSIMD(dst, x []float64, sub float64) (left uint64)
 //
 //go:noescape
 func tanhBiasSIMD(h, b []float64) (left uint64)
+
+// rowMaxShiftSIMD is the vector body of LabelLogProbs's first step for
+// len(z)/classes rows, a multiple of four, of classes ≥ 1 entries: it
+// subtracts each row's max, found by LabelLogProbs's scan, from the row's
+// entries.
+//
+//go:noescape
+func rowMaxShiftSIMD(z []float64, classes int)
+
+// labelProbsSIMD is the vector body of LabelLogProbs's third step for
+// len(dst) rows, a multiple of four, of classes ≥ 1 exponentials in e: it
+// stores math.Max(e_y·(1/sum), 1e-15) into dst[i], with sum the row's
+// serial sum and y = labels[i], which must lie in [0, classes).
+//
+//go:noescape
+func labelProbsSIMD(dst, e []float64, classes int, labels []int)
+
+// logSIMD is the vector body of logInto for 0 ≤ len(x) ≤ expLanes: it
+// stores math.Log(x[i]) into dst[i] for every lane whose bits, as a signed
+// integer, lie in (0, +Inf), the positive finite floats subnormals
+// included, and leaves the other lanes alone, setting bit i of left for
+// each.
+//
+//go:noescape
+func logSIMD(dst, x []float64) (left uint64)

@@ -48,6 +48,71 @@ store:
 	VZEROUPPER
 	RET
 
+// func dotPanel2SIMD(out0, out1 *[16]float64, blk, x0, x1 []float64)
+//
+// dotPanelSIMD for two examples at once: each column of the group is
+// loaded once and multiplied by x0[i] into Y0-Y3 and by x1[i] into Y4-Y7,
+// every lane in dotPanelSIMD's order, so the two examples' eight add
+// chains overlap in the pipeline.
+TEXT ·dotPanel2SIMD(SB), NOSPLIT, $0-88
+	MOVQ   out0+0(FP), DI
+	MOVQ   out1+8(FP), R8
+	MOVQ   blk_base+16(FP), SI
+	MOVQ   x0_base+40(FP), DX
+	MOVQ   x0_len+48(FP), CX
+	MOVQ   x1_base+64(FP), BX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	TESTQ  CX, CX
+	JZ     store2
+
+column2:
+	VBROADCASTSD (DX), Y8
+	VBROADCASTSD (BX), Y9
+	VMOVUPD      0(SI), Y10
+	VMOVUPD      32(SI), Y11
+	VMOVUPD      64(SI), Y12
+	VMOVUPD      96(SI), Y13
+	VMULPD       Y8, Y10, Y14
+	VMULPD       Y8, Y11, Y15
+	VADDPD       Y14, Y0, Y0
+	VADDPD       Y15, Y1, Y1
+	VMULPD       Y8, Y12, Y14
+	VMULPD       Y8, Y13, Y15
+	VADDPD       Y14, Y2, Y2
+	VADDPD       Y15, Y3, Y3
+	VMULPD       Y9, Y10, Y14
+	VMULPD       Y9, Y11, Y15
+	VADDPD       Y14, Y4, Y4
+	VADDPD       Y15, Y5, Y5
+	VMULPD       Y9, Y12, Y14
+	VMULPD       Y9, Y13, Y15
+	VADDPD       Y14, Y6, Y6
+	VADDPD       Y15, Y7, Y7
+	ADDQ         $128, SI
+	ADDQ         $8, DX
+	ADDQ         $8, BX
+	DECQ         CX
+	JNZ          column2
+
+store2:
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 0(R8)
+	VMOVUPD Y5, 32(R8)
+	VMOVUPD Y6, 64(R8)
+	VMOVUPD Y7, 96(R8)
+	VZEROUPPER
+	RET
+
 // func axpySIMD(a float64, x, y []float64)
 TEXT ·axpySIMD(SB), NOSPLIT, $0-56
 	VBROADCASTSD a+0(FP), Y0
@@ -910,6 +975,301 @@ tanhtailleft:
 	LEFT
 
 tanhdone:
+	MOVQ R8, left+48(FP)
+	VZEROUPPER
+	RET
+
+// archLog's constants, with its literals: √2/2, ln 2 split into an upper
+// and a lower part, and the coefficients L1-L7 of its polynomial; the
+// mask of a float's fraction bits; and 2^52 as bits, and 2^52 + 0x3fe,
+// which turn a biased exponent e into the float e − 0x3fe.
+QUAD(logHSqrt2<>, $7.07106781186547524401e-01)
+QUAD(logLn2Hi<>, $6.93147180369123816490e-01)
+QUAD(logLn2Lo<>, $1.90821492927058770002e-10)
+QUAD(logL1<>, $6.666666666666735130e-01)
+QUAD(logL2<>, $3.999999999940941908e-01)
+QUAD(logL3<>, $2.857142874366239149e-01)
+QUAD(logL4<>, $2.222219843214978396e-01)
+QUAD(logL5<>, $1.818357216161805012e-01)
+QUAD(logL6<>, $1.531383769920937332e-01)
+QUAD(logL7<>, $1.479819860511658591e-01)
+QUAD(logFrac<>, $0x000fffffffffffff)
+QUAD(logMaxFinite<>, $0x7fefffffffffffff)
+QUAD(logTwo52<>, $0x4330000000000000)
+QUAD(logKBias<>, $0x43300000000003fe)
+QUAD(half<>, $0.5)
+
+// LOG replaces each lane x of Y0 by archLog(x), in its order and with its
+// operands, and sets Y1 to the mask of the lanes whose bits, as a signed
+// integer, lie in (0, +Inf): the lanes where archLog takes none of its
+// branches. Like archLog it takes f1 = the fraction with the exponent of
+// 0.5 and k = the biased exponent − 0x3fe straight from the bits, with no
+// normalization, so a subnormal x has k = −1022 and f1 = 0.5 + its
+// fraction bits: log(5e-324) is −709.0895657128241, not −744.44. k is
+// exact in both forms, archLog's CVTSL2SD and the difference of 2^52 + e
+// and 2^52 + 0x3fe here. Then: k −= 1 and f1 *= 2 where
+// !(√2/2 < f1), which is f1 ≤ √2/2 as f1 is never NaN; f = f1 − 1;
+// s = f/(2+f); R = s²·(L1+s⁴(L3+s⁴(L5+s⁴L7))) + s⁴·(L2+s⁴(L4+s⁴L6));
+// hfsq = 0.5·f·f; the result k·Ln2Hi − ((hfsq − (s·(hfsq+R) + k·Ln2Lo)) − f).
+// Nothing is fused: archLog is SSE2 code.
+#define LOG \
+	VPXOR      Y1, Y1, Y1 \
+	VPCMPGTQ   Y1, Y0, Y1 \
+	VPCMPGTQ   logMaxFinite<>(SB), Y0, Y2 \
+	VPANDN     Y1, Y2, Y1 \
+	VANDPD     logFrac<>(SB), Y0, Y2 \
+	VORPD      half<>(SB), Y2, Y2 \
+	VPSRLQ     $52, Y0, Y3 \
+	VPOR       logTwo52<>(SB), Y3, Y3 \
+	VSUBPD     logKBias<>(SB), Y3, Y3 \
+	VCMPPD     $2, logHSqrt2<>(SB), Y2, Y4 \
+	VANDPD     one<>(SB), Y4, Y5 \
+	VSUBPD     Y5, Y3, Y3 \
+	VADDPD     one<>(SB), Y5, Y5 \
+	VMULPD     Y5, Y2, Y2 \
+	VSUBPD     one<>(SB), Y2, Y2 \
+	VADDPD     two<>(SB), Y2, Y6 \
+	VDIVPD     Y6, Y2, Y6 \
+	VMULPD     Y6, Y6, Y7 \
+	VMULPD     Y7, Y7, Y8 \
+	VMULPD     logL7<>(SB), Y8, Y9 \
+	VADDPD     logL5<>(SB), Y9, Y9 \
+	VMULPD     Y8, Y9, Y9 \
+	VADDPD     logL3<>(SB), Y9, Y9 \
+	VMULPD     Y8, Y9, Y9 \
+	VADDPD     logL1<>(SB), Y9, Y9 \
+	VMULPD     Y9, Y7, Y7 \
+	VMULPD     logL6<>(SB), Y8, Y9 \
+	VADDPD     logL4<>(SB), Y9, Y9 \
+	VMULPD     Y8, Y9, Y9 \
+	VADDPD     logL2<>(SB), Y9, Y9 \
+	VMULPD     Y9, Y8, Y8 \
+	VADDPD     Y8, Y7, Y7 \
+	VMULPD     half<>(SB), Y2, Y9 \
+	VMULPD     Y2, Y9, Y9 \
+	VADDPD     Y9, Y7, Y7 \
+	VMULPD     Y7, Y6, Y6 \
+	VMULPD     logLn2Lo<>(SB), Y3, Y7 \
+	VADDPD     Y7, Y6, Y6 \
+	VSUBPD     Y6, Y9, Y9 \
+	VSUBPD     Y2, Y9, Y9 \
+	VMULPD     logLn2Hi<>(SB), Y3, Y3 \
+	VSUBPD     Y9, Y3, Y0
+
+// COLUMN loads entry j of four consecutive rows into the lanes of d,
+// whose low half is xd: AX points at row 0's entry j, R9 is the row stride
+// in bytes and R10 three strides. xt is scratch.
+#define COLUMN(d, xd, xt) \
+	VMOVSD      (AX), xd \
+	VMOVHPD     (AX)(R9*1), xd, xd \
+	VMOVSD      (AX)(R9*2), xt \
+	VMOVHPD     (AX)(R10*1), xt, xt \
+	VINSERTF128 $1, xt, d, d
+
+// func rowMaxShiftSIMD(z []float64, classes int)
+//
+// Four rows per YMM register, a lane per row: the max is the running
+// VMAXPD of the columns in index order with the column first, which is
+// (x > mx) ? x : mx lane by lane, LabelLogProbs's scan, NaN lanes and
+// signed zeros included; then each entry becomes x − mx, stored back
+// lane by lane. len(z) is a multiple of 4·classes and classes ≥ 1.
+// Registers: SI row 0 of the group, R12 the end of z, R11 classes, DX the
+// columns left, AX the column, R9 and R10 the row strides of COLUMN.
+TEXT ·rowMaxShiftSIMD(SB), NOSPLIT, $0-32
+	MOVQ z_base+0(FP), SI
+	MOVQ z_len+8(FP), CX
+	MOVQ classes+24(FP), R11
+	LEAQ (SI)(CX*8), R12
+	MOVQ R11, R9
+	SHLQ $3, R9
+	LEAQ (R9)(R9*2), R10
+	CMPQ SI, R12
+	JAE  maxdone
+
+maxgroup:
+	MOVQ SI, AX
+	COLUMN(Y0, X0, X2)
+	MOVQ R11, DX
+	DECQ DX
+	JZ   maxshift
+
+maxcol:
+	ADDQ    $8, AX
+	COLUMN(Y1, X1, X2)
+	VMAXPD  Y0, Y1, Y0
+	DECQ    DX
+	JNZ     maxcol
+
+maxshift:
+	MOVQ SI, AX
+	MOVQ R11, DX
+
+shiftcol:
+	COLUMN(Y1, X1, X2)
+	VSUBPD       Y0, Y1, Y1
+	VMOVSD       X1, (AX)
+	VMOVHPD      X1, (AX)(R9*1)
+	VEXTRACTF128 $1, Y1, X2
+	VMOVSD       X2, (AX)(R9*2)
+	VMOVHPD      X2, (AX)(R10*1)
+	ADDQ         $8, AX
+	DECQ         DX
+	JNZ          shiftcol
+	LEAQ         (SI)(R9*4), SI
+	CMPQ         SI, R12
+	JB           maxgroup
+
+maxdone:
+	VZEROUPPER
+	RET
+
+// labelProbsSIMD's constants: the integer 1 that steps the column index,
+// the floor of math.Max(p, 1e-15), and the NaN amd64's math.Max returns.
+QUAD(oneQ<>, $1)
+QUAD(probFloor<>, $1e-15)
+QUAD(maxNaN<>, $0x7ff8000000000001)
+
+// func labelProbsSIMD(dst, e []float64, classes int, labels []int)
+//
+// Four rows per YMM register, a lane per row, as in rowMaxShiftSIMD: the
+// sum of each row's exponentials from +0 in index order (the sum first in
+// each add), the label's exponential picked where the column index equals
+// the lane's label, then e_y·(1/sum) and math.Max(p, 1e-15) as amd64's
+// archMax computes it against a positive finite floor: p where p > 1e-15
+// (+Inf included), 1e-15 otherwise, and archMax's NaN wherever p is NaN.
+// len(dst) is a multiple of 4, e holds len(dst) rows of classes ≥ 1
+// entries and every label lies in [0, classes).
+// Registers: DI dst, CX the rows left, SI row 0 of the group, R8 the
+// group's labels, R11 classes, DX the columns left, AX the column, R9 and
+// R10 the row strides of COLUMN.
+TEXT ·labelProbsSIMD(SB), NOSPLIT, $0-80
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ e_base+24(FP), SI
+	MOVQ classes+48(FP), R11
+	MOVQ labels_base+56(FP), R8
+	MOVQ R11, R9
+	SHLQ $3, R9
+	LEAQ (R9)(R9*2), R10
+	TESTQ CX, CX
+	JZ   probdone
+
+probgroup:
+	VMOVDQU (R8), Y2
+	VXORPD  Y0, Y0, Y0
+	VXORPD  Y3, Y3, Y3
+	VPXOR   Y4, Y4, Y4
+	MOVQ    SI, AX
+	MOVQ    R11, DX
+
+probcol:
+	COLUMN(Y1, X1, X5)
+	VADDPD    Y1, Y0, Y0
+	VPCMPEQQ  Y4, Y2, Y5
+	VBLENDVPD Y5, Y1, Y3, Y3
+	VPADDQ    oneQ<>(SB), Y4, Y4
+	ADDQ      $8, AX
+	DECQ      DX
+	JNZ       probcol
+
+	VMOVUPD   one<>(SB), Y5
+	VDIVPD    Y0, Y5, Y5
+	VMULPD    Y5, Y3, Y3
+	VMOVUPD   probFloor<>(SB), Y7
+	VCMPPD    $0x1e, Y7, Y3, Y6
+	VBLENDVPD Y6, Y3, Y7, Y7
+	VCMPPD    $3, Y3, Y3, Y6
+	VBLENDVPD Y6, maxNaN<>(SB), Y7, Y7
+	VMOVUPD   Y7, (DI)
+	ADDQ      $32, DI
+	ADDQ      $32, R8
+	LEAQ      (SI)(R9*4), SI
+	SUBQ      $4, CX
+	JNZ       probgroup
+
+probdone:
+	VZEROUPPER
+	RET
+
+// func logSIMD(dst, x []float64) (left uint64)
+//
+// Registers as in expSubSIMD: DI dst, SI x, DX the lanes left to do, CX
+// the group's first lane, BX the four lanes of a group, R8 the lanes left
+// to package math.
+TEXT ·logSIMD(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), DX
+	XORQ R8, R8
+	XORQ CX, CX
+	MOVQ $15, BX
+	CMPQ DX, $4
+	JLT  logtail
+
+loggroup:
+	VMOVUPD   (SI), Y0
+	LOG
+	VMOVMSKPD Y1, AX
+	CMPQ      AX, BX
+	JNE       logsome
+	VMOVUPD   Y0, (DI)
+	JMP       lognext
+
+logsome:
+	VMASKMOVPD Y0, Y1, (DI)
+	LEFT
+
+lognext:
+	ADDQ $32, SI
+	ADDQ $32, DI
+	ADDQ $4, CX
+	SUBQ $4, DX
+	CMPQ DX, $4
+	JGE  loggroup
+
+logtail:
+	// The last len(x) mod 4 lanes move one at a time, as in expSubSIMD.
+	TESTQ       DX, DX
+	JZ          logdone
+	VMOVSD      (SI), X0
+	CMPQ        DX, $2
+	JLT         logtailin
+	VMOVHPD     8(SI), X0, X0
+	CMPQ        DX, $3
+	JLT         logtailin
+	VMOVSD      16(SI), X2
+	VINSERTF128 $1, X2, Y0, Y0
+
+logtailin:
+	LOG
+	VMOVMSKPD Y1, AX
+	BTQ       $0, AX
+	JCC       logtail1
+	VMOVSD    X0, (DI)
+
+logtail1:
+	CMPQ    DX, $2
+	JLT     logtailleft
+	BTQ     $1, AX
+	JCC     logtail2
+	VMOVHPD X0, 8(DI)
+
+logtail2:
+	CMPQ         DX, $3
+	JLT          logtailleft
+	BTQ          $2, AX
+	JCC          logtailleft
+	VEXTRACTF128 $1, Y0, X0
+	VMOVSD       X0, 16(DI)
+
+logtailleft:
+	XORQ BX, BX
+	BTSQ DX, BX
+	DECQ BX
+	ANDQ BX, AX
+	LEFT
+
+logdone:
 	MOVQ R8, left+48(FP)
 	VZEROUPPER
 	RET

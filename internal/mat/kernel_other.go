@@ -15,6 +15,9 @@ const haveExpSIMD = false
 func dotPanelSIMD(out *[panelLanes]float64, blk, x []float64) { panic("mat: no vector kernels") }
 func axpySIMD(a float64, x, y []float64)                      { panic("mat: no vector kernels") }
 func addSIMD(a, b []float64)                                  { panic("mat: no vector kernels") }
+func dotPanel2SIMD(out0, out1 *[panelLanes]float64, blk, x0, x1 []float64) {
+	panic("mat: no vector kernels")
+}
 func gramSIMD(g, b []float64, features [][]float64, targets []float64, r int) {
 	panic("mat: no vector kernels")
 }
@@ -24,5 +27,8 @@ func solveWideSIMD(x, targets []float64, features [][]float64, l []float64, r, m
 func residualsWideSIMD(dst, targets, x []float64, features [][]float64, r, m int) {
 	panic("mat: no vector kernels")
 }
-func expSubSIMD(dst, x []float64, sub float64) (left uint64) { panic("mat: no vector kernels") }
-func tanhBiasSIMD(h, b []float64) (left uint64)              { panic("mat: no vector kernels") }
+func expSubSIMD(dst, x []float64, sub float64) (left uint64)     { panic("mat: no vector kernels") }
+func tanhBiasSIMD(h, b []float64) (left uint64)                  { panic("mat: no vector kernels") }
+func logSIMD(dst, x []float64) (left uint64)                     { panic("mat: no vector kernels") }
+func rowMaxShiftSIMD(z []float64, classes int)                   { panic("mat: no vector kernels") }
+func labelProbsSIMD(dst, e []float64, classes int, labels []int) { panic("mat: no vector kernels") }

@@ -93,6 +93,50 @@ func TestDotPanelMatchesDotBitForBit(t *testing.T) {
 	})
 }
 
+// TestMulVecsMatchesDotBitForBit pins the block product, whose vector body
+// takes two examples per pass, to a per-row Dot for every example of
+// blocks of 0–5 examples, with guard lanes around the results.
+func TestMulVecsMatchesDotBitForBit(t *testing.T) {
+	kernelBodies(t, func(t *testing.T, body string) {
+		g := rand.New(rand.NewSource(10))
+		var p Panel
+		for _, rows := range []int{0, 1, 10, 16, 17, 33} {
+			for _, cols := range []int{0, 1, 5, 16, 20, 64} {
+				stride := cols + 1
+				w := make([]float64, rows*stride)
+				for i := range w {
+					w[i] = dotOperand(g)
+				}
+				for n := 0; n <= 5; n++ {
+					xs := make([][]float64, n)
+					for i := range xs {
+						xs[i] = make([]float64, cols)
+						for j := range xs[i] {
+							xs[i][j] = dotOperand(g)
+						}
+					}
+					p.Pack(w, rows, cols, stride, packMinExamples)
+					const guard = 2
+					buf := make([]float64, n*rows+2*guard)
+					for i := range buf {
+						buf[i] = -7
+					}
+					p.MulVecs(buf[guard:guard+n*rows], xs, nil)
+					what := fmt.Sprintf("%s: %d examples, rows %d cols %d", body, n, rows, cols)
+					for i, x := range xs {
+						requireDotRows(t, fmt.Sprintf("%s, example %d", what, i), buf[guard+i*rows:][:rows], w, cols, stride, x, !nanPayloadsPinned)
+					}
+					for _, v := range append(buf[:guard:guard], buf[guard+n*rows:]...) {
+						if v != -7 {
+							t.Fatalf("%s: a guard lane became %v", what, v)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 // TestElementwiseKernelsMatchLoopsBitForBit pins Axpy and AddVec (and so
 // MeanVecs) on the vector body to the portable loops, special operands
 // and every tail length included.
@@ -144,6 +188,38 @@ func checkElementwise(t *testing.T, what string, a float64, x, y []float64, anyN
 	}
 }
 
+func TestMulVecsPanicsOnMismatch(t *testing.T) {
+	w := make([]float64, 4*6) // four rows of 5 weights plus a bias each
+	for _, tc := range []struct {
+		name string
+		xs   []int
+		dst  int
+	}{
+		{"long second example of a pair", []int{5, 6}, 8},
+		{"short first example of a pair", []int{4, 5}, 8},
+		{"long example in the tail", []int{5, 5, 6}, 12},
+		{"too few results", []int{5, 5}, 7},
+		{"too many results", []int{5}, 5},
+	} {
+		kernelBodies(t, func(t *testing.T, body string) {
+			t.Run(body+"/"+tc.name, func(t *testing.T) {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("expected panic")
+					}
+				}()
+				xs := make([][]float64, len(tc.xs))
+				for i, n := range tc.xs {
+					xs[i] = make([]float64, n)
+				}
+				var p Panel
+				p.Pack(w, 4, 5, 6, packMinExamples)
+				p.MulVecs(make([]float64, tc.dst), xs, nil)
+			})
+		})
+	}
+}
+
 func TestDotPanelPanicsOnMismatch(t *testing.T) {
 	w := make([]float64, 4*6) // four rows of 5 weights plus a bias each
 	for _, tc := range []struct {
@@ -172,7 +248,8 @@ func TestDotPanelPanicsOnMismatch(t *testing.T) {
 
 // FuzzDotPanel decodes a row count (0–39), a row length (0–39), a stride
 // gap (0–3) and the operands, as raw float64 bits, from arbitrary bytes.
-// Both kernel bodies must give per-row Dot's bits, and the element-wise
+// Both kernel bodies must give per-row Dot's bits, for one example and for
+// a pair of them through the block product, and the element-wise
 // kernels must give the portable loops' bits on the same operands. The
 // seed corpus is in testdata/fuzz/FuzzDotPanel.
 // Any NaN matches any NaN here (see nanPayloadsPinned): the coverage
@@ -206,12 +283,20 @@ func FuzzDotPanel(f *testing.F) {
 		for i := range x {
 			x[i] = operand()
 		}
+		x1 := make([]float64, cols)
+		for i := range x1 {
+			x1[i] = operand()
+		}
 		kernelBodies(t, func(t *testing.T, body string) {
 			var p Panel
 			p.Pack(w, rows, cols, stride, packMinExamples)
 			dst := make([]float64, rows)
 			p.MulVec(dst, x)
 			requireDotRows(t, body, dst, w, cols, stride, x, true)
+			pair := make([]float64, 2*rows)
+			p.MulVecs(pair, [][]float64{x1, x}, nil)
+			requireDotRows(t, body+": first of a pair", pair[:rows], w, cols, stride, x1, true)
+			requireDotRows(t, body+": second of a pair", pair[rows:], w, cols, stride, x, true)
 		})
 		if haveSIMD {
 			y := w[:min(len(w), cols)]

@@ -1,6 +1,9 @@
 package mat
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Dot returns the inner product of a and b. It panics on length mismatch.
 func Dot(a, b []float64) float64 {
@@ -143,4 +146,61 @@ func Softmax(dst, logits []float64) {
 	for i := range dst {
 		dst[i] *= inv
 	}
+}
+
+// LabelLogProbs stores into dst[i] the log of the softmax probability that
+// row i of logits gives its label, labels[i], floored at 1e-15:
+// math.Log(math.Max(p, 1e-15)), the cross-entropy of a test example with
+// its sign flipped. logits holds len(labels) rows of classes entries one
+// after another; it is overwritten. Each probability keeps Softmax's bits:
+// the row's max by the same scan, the exponentials of the differences, the
+// serial sum in index order and the label's exponential times the sum's
+// reciprocal (the other classes' products are never formed). The block's
+// exponentials go through one call of the exp kernel and its logs through
+// one call of the log kernel, so those get len(logits) and len(labels)
+// lanes instead of one row's. On a host with AVX2 the scan and the sums
+// run four rows at a time, one row per lane, and a last one to three rows
+// run the portable loops. It panics when the lengths disagree or a label
+// is not a class.
+func LabelLogProbs(dst, logits []float64, classes int, labels []int) {
+	if len(dst) != len(labels) || len(logits) != len(labels)*classes {
+		panic(fmt.Sprintf("mat: %d logits are not %d rows of %d classes into %d results", len(logits), len(labels), classes, len(dst)))
+	}
+	for _, y := range labels {
+		if uint(y) >= uint(classes) {
+			panic(fmt.Sprintf("mat: label %d of %d classes", y, classes))
+		}
+	}
+	wide := 0 // rows the vector bodies take
+	if useSIMD {
+		wide = len(labels) &^ 3
+	}
+	if wide > 0 {
+		rowMaxShiftSIMD(logits[:wide*classes], classes)
+	}
+	for i := wide; i < len(labels); i++ {
+		row := logits[i*classes:][:classes]
+		mx := row[0]
+		for _, x := range row[1:] {
+			if x > mx {
+				mx = x
+			}
+		}
+		for j, x := range row {
+			row[j] = x - mx
+		}
+	}
+	expSub(logits, logits, 0)
+	if wide > 0 {
+		labelProbsSIMD(dst[:wide], logits[:wide*classes], classes, labels[:wide])
+	}
+	for i := wide; i < len(labels); i++ {
+		row := logits[i*classes:][:classes]
+		var sum float64
+		for _, e := range row {
+			sum += e
+		}
+		dst[i] = math.Max(row[labels[i]]*(1/sum), 1e-15)
+	}
+	logInto(dst, dst)
 }

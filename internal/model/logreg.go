@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"math"
 
 	"comfedsv/internal/dataset"
 	"comfedsv/internal/mat"
@@ -57,13 +56,13 @@ func (m *LogisticRegression) Loss(params []float64, d *dataset.Dataset) float64 
 	s := getScratch()
 	defer putScratch(s)
 	w := m.pack(s, params, d.Len())
-	logits, probs := vec(&s.logits, m.Classes), vec(&s.probs, m.Classes)
-	var total float64
-	for i, x := range d.X {
-		m.logits(w, params, x, logits)
-		mat.Softmax(probs, logits)
-		total += -math.Log(math.Max(probs[d.Y[i]], 1e-15))
+	bias := vec(&s.bias, m.Classes)
+	for c := range bias {
+		bias[c] = params[c*(m.Dim+1)+m.Dim]
 	}
+	total := crossEntropy(s, d, m.Classes, func(xs [][]float64, z []float64) {
+		w.MulVecs(z, xs, bias)
+	})
 	n := float64(d.Len())
 	if n == 0 {
 		n = 1

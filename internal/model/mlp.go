@@ -88,14 +88,20 @@ func (m *MLP) Loss(params []float64, d *dataset.Dataset) float64 {
 	s := getScratch()
 	defer putScratch(s)
 	w1, w2 := m.pack(s, params, d.Len())
-	hidden := vec(&s.hidden, m.Hidden)
-	logits, probs := vec(&s.logits, m.Classes), vec(&s.probs, m.Classes)
-	var total float64
-	for i, x := range d.X {
-		m.forward(w1, w2, params, x, hidden, logits)
-		mat.Softmax(probs, logits)
-		total += -math.Log(math.Max(probs[d.Y[i]], 1e-15))
+	_, b1, _, b2 := m.slices(params)
+	hidden := vec(&s.hidden, lossBlock*m.Hidden)
+	s.rows = s.rows[:0]
+	for i := 0; i < lossBlock; i++ {
+		s.rows = append(s.rows, hidden[i*m.Hidden:][:m.Hidden])
 	}
+	total := crossEntropy(s, d, m.Classes, func(xs [][]float64, z []float64) {
+		rows := s.rows[:len(xs)]
+		w1.MulVecs(hidden[:len(xs)*m.Hidden], xs, nil)
+		for _, h := range rows {
+			mat.TanhBias(h, b1)
+		}
+		w2.MulVecs(z, rows, b2)
+	})
 	n := float64(d.Len())
 	if n == 0 {
 		n = 1

@@ -279,6 +279,111 @@ func TestMLPMatchesPerRowReference(t *testing.T) {
 	}
 }
 
+// oracleBlockCases are the test sets around Loss's block of examples for
+// a model of the given geometry: empty, one example, a block short of one,
+// a full block, one past it and two blocks and a tail, all with Gaussian
+// parameters of deviation 0.5; then parameters of deviation 40, under
+// which many label probabilities fall below Loss's 1e-15 floor.
+func oracleBlockCases(numParams, dim, classes int) []oracleCase {
+	var cases []oracleCase
+	p := rng.New(int64(numParams)).NormalVec(numParams, 0, 0.5)
+	for _, n := range []int{0, 1, lossBlock - 1, lossBlock, lossBlock + 1, 2*lossBlock + 3} {
+		cases = append(cases, oracleCase{fmt.Sprintf("examples-%d", n), p, oracleData(int64(n), n, dim, classes)})
+	}
+	return append(cases, oracleCase{"scale-40", rng.New(8).NormalVec(numParams, 0, 40), oracleData(7, 2*lossBlock+3, dim, classes)})
+}
+
+type oracleCase struct {
+	name string
+	p    []float64
+	d    *dataset.Dataset
+}
+
+// checkNaNLoss sets params[i] to NaN for each i of at, and requires Loss
+// over two blocks and a tail to be NaN with the same bits on both kernel
+// bodies, and the reference to be NaN. Which NaN the reference returns is
+// not compared: where the summed cross-entropy and the L2 term are NaNs of
+// different payloads, the model's final add and the reference's take
+// different ones.
+func checkNaNLoss(t *testing.T, m Model, dim, classes int, at ...int) {
+	t.Helper()
+	p := rng.New(13).NormalVec(m.NumParams(), 0, 0.5)
+	for _, i := range at {
+		p[i] = math.NaN()
+	}
+	d := oracleData(14, 2*lossBlock+3, dim, classes)
+	defer mat.SetSIMD(mat.SetSIMD(false))
+	portable := m.Loss(p, d)
+	mat.SetSIMD(true)
+	if got := m.Loss(p, d); !math.IsNaN(portable) || math.Float64bits(got) != math.Float64bits(portable) {
+		t.Fatalf("Loss %#x on the vector bodies, %#x on the portable ones; want the same NaN", math.Float64bits(got), math.Float64bits(portable))
+	}
+	if want := refLoss(func(x []float64) []float64 { return refForward(m, p, x) }, 0, p, d); !math.IsNaN(want) {
+		t.Fatalf("reference loss %v, want NaN", want)
+	}
+}
+
+// refForward returns the reference logits of a logistic regression or an
+// MLP.
+func refForward(m Model, p, x []float64) []float64 {
+	switch m := m.(type) {
+	case *LogisticRegression:
+		return refLogRegLogits(m, p, x)
+	case *MLP:
+		_, z := refMLPForward(m, p, x)
+		return z
+	}
+	panic("model: no reference forward pass")
+}
+
+// TestLogRegBlocksMatchPerRowReference runs the logistic-regression oracle
+// across Loss's block boundaries, on the durable_http shape (20 features,
+// 10 classes, 192 test examples) and with label probabilities under the
+// floor, then Loss with NaN weights.
+func TestLogRegBlocksMatchPerRowReference(t *testing.T) {
+	m := NewLogisticRegression(20, 10)
+	cases := append(oracleBlockCases(m.NumParams(), m.Dim, m.Classes), oracleCase{"perfbench-20x10-test-192",
+		rng.New(9).NormalVec(m.NumParams(), 0, 0.5), oracleData(10, 192, m.Dim, m.Classes)})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			logits := func(x []float64) []float64 { return refLogRegLogits(m, tc.p, x) }
+			checkOracle(t, m, tc.p, tc.d,
+				func() float64 { return refLoss(logits, m.L2, tc.p, tc.d) },
+				func() []float64 { return refLogRegGradient(m, tc.p, tc.d) },
+				func(x []float64) int { return mat.ArgMax(logits(x)) })
+		})
+	}
+	for _, c := range []int{0, m.Classes - 1} {
+		row := c * (m.Dim + 1)
+		t.Run(fmt.Sprintf("nan-weight-class-%d", c), func(t *testing.T) { checkNaNLoss(t, m, m.Dim, m.Classes, row+3) })
+		t.Run(fmt.Sprintf("nan-bias-class-%d", c), func(t *testing.T) { checkNaNLoss(t, m, m.Dim, m.Classes, row+m.Dim) })
+	}
+}
+
+// TestMLPBlocksMatchPerRowReference runs the MLP oracle across Loss's
+// block boundaries, on the cold_mlp shape (64 inputs, 16 hidden units, 10
+// classes, 100 test examples) and with label probabilities under the
+// floor, then Loss with NaN weights in each layer.
+func TestMLPBlocksMatchPerRowReference(t *testing.T) {
+	m := NewMLP(64, 16, 10)
+	cases := append(oracleBlockCases(m.NumParams(), m.Dim, m.Classes), oracleCase{"perfbench-64x16x10-test-100",
+		rng.New(11).NormalVec(m.NumParams(), 0, 0.5), oracleData(12, 100, m.Dim, m.Classes)})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			logits := func(x []float64) []float64 { _, z := refMLPForward(m, tc.p, x); return z }
+			checkOracle(t, m, tc.p, tc.d,
+				func() float64 { return refLoss(logits, m.L2, tc.p, tc.d) },
+				func() []float64 { return refMLPGradient(m, tc.p, tc.d) },
+				func(x []float64) int { return mat.ArgMax(logits(x)) })
+		})
+	}
+	w2 := m.Hidden * (m.Dim + 1) // the first weight of the output layer
+	t.Run("nan-hidden-weight", func(t *testing.T) { checkNaNLoss(t, m, m.Dim, m.Classes, 5) })
+	for _, c := range []int{0, m.Classes - 1} {
+		t.Run(fmt.Sprintf("nan-weight-class-%d", c), func(t *testing.T) { checkNaNLoss(t, m, m.Dim, m.Classes, w2+c*m.Hidden+5) })
+	}
+}
+
 func TestCNNMatchesPerRowReference(t *testing.T) {
 	shapes := []struct {
 		shape   dataset.ImageShape
