@@ -1,27 +1,33 @@
 // Command comfedsv-worker is the remote half of distributed observation:
 // a work-pull daemon that registers with a comfedsvd coordinator, long-polls
-// POST /v1/worker/lease for observation-shard leases, evaluates each leased
-// permutation slice against the training trace hydrated from the shared run
-// store, and reports every prefix cell of the slice back as one
-// digest-stamped cell batch. The coordinator verifies the batch, preloads
-// it, and observes the shard from its own cache, so adding workers (or
-// losing one mid-shard — its lease expires and the shard is re-leased)
-// never changes a byte of any report.
+// POST /v1/worker/lease for observation-shard leases, pays each lease's
+// cells against the training trace hydrated from the shared run store, and
+// reports them back as one digest-stamped cell batch. A lease carries the
+// shard's cell list — the permutation prefixes of a Monte-Carlo shard or
+// every subset of an exact shard's rounds — so the worker never rebuilds a
+// plan and serves both kinds of job alike. The list is validated against
+// the run before any cell is paid. The coordinator verifies the batch,
+// checks it holds exactly the leased cells, preloads it, and observes the
+// shard from its own cache, so adding workers (or losing one mid-shard —
+// its lease expires and the shard is re-leased) never changes a byte of
+// any report.
 //
-// Hydrated runs are cached by run ID alone — utility cells are pure
-// functions of the trace, independent of any job's budget or seed — and
-// warm-started from the run's `<runID>.cells` sidecar when present, so a
-// worker skips every evaluation some earlier job, process, or peer
-// already paid for. The coordinator persists whatever a completion's
-// batch adds to its cache for the next reader. A damaged sidecar is
-// quarantined and the run proceeds cold; the cache is an optimization,
-// never a correctness dependency.
+// Hydrated runs are cached by run ID — utility cells are pure functions of
+// the trace, independent of any job — and warm-started from the run's
+// `<runID>.cells` sidecar when present, so a worker skips every evaluation
+// some earlier job, process, or peer already paid for. The coordinator
+// persists whatever a completion's batch adds to its cache for the next
+// reader. A damaged sidecar is quarantined and the run proceeds cold; the
+// cache is an optimization, never a correctness dependency.
 //
 // The worker needs exactly two things from the deployment: the
 // coordinator's base URL and the same -runs-dir the coordinator persists
 // shared training runs into (a shared filesystem or a synchronized copy).
-// Jobs whose runs the worker cannot load are failed back to the
-// coordinator, which falls back to local execution via its retry ladder.
+// Leases whose runs the worker cannot load, or whose cell lists do not fit
+// the run, are failed back to the coordinator, whose retry ladder
+// re-leases the shard, or runs it locally once no worker is live.
+// Workers and coordinator upgrade together: a worker built before leases
+// carried cells fails them back.
 package main
 
 import (
@@ -47,7 +53,7 @@ func main() {
 		coordURL = flag.String("coordinator", "http://localhost:8080", "base URL of the comfedsvd coordinator")
 		runsDir  = flag.String("runs-dir", "", "directory of the shared run store (must hold the same runs the coordinator persists)")
 		workerID = flag.String("id", "", "worker identity reported to the coordinator (default host-pid)")
-		par      = flag.Int("parallelism", 0, "CPU parallelism for slice evaluation (0 = GOMAXPROCS)")
+		par      = flag.Int("parallelism", 0, "CPU parallelism for paying a lease's cells (0 = GOMAXPROCS)")
 		poll     = flag.Duration("poll", 30*time.Second, "long-poll window per lease request")
 		logJSON  = flag.Bool("log-json", false, "emit logs as JSON instead of logfmt-style text")
 		logLevel = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
@@ -113,11 +119,8 @@ func main() {
 // holds the trace, the test set, and the utility-cell memo table, so an
 // unbounded cache on a long-lived worker is a slow leak; eviction only
 // costs a re-hydration (and the sidecar re-warms the cells). Keyed by
-// run ID alone — NOT (run, budget, seed) — because cells depend only on
-// the trace: two jobs over the same run with different budgets or seeds
-// share every overlapping cell. The observation plan, which does depend
-// on (budget, seed), is cheap next to cell evaluation and is rebuilt per
-// lease.
+// run ID alone because cells depend only on the trace: two jobs over the
+// same run share every overlapping cell.
 const maxCachedRuns = 4
 
 type worker struct {
@@ -242,7 +245,7 @@ func (w *worker) register(ctx context.Context) (*dispatch.RegisterResponse, erro
 func (w *worker) serve(ctx context.Context, lease *dispatch.Lease) {
 	t := lease.Task
 	log := w.log.With("lease", lease.ID, "job", t.JobID, "run", t.RunID,
-		"shard", t.Shard, "lo", t.Lo, "hi", t.Hi)
+		"shard", t.Shard)
 	log.Info("lease granted")
 	start := time.Now()
 	cells, err := w.observe(ctx, t)
@@ -267,19 +270,13 @@ func (w *worker) serve(ctx context.Context, lease *dispatch.Lease) {
 		"elapsed", time.Since(start).Round(time.Millisecond))
 }
 
-// observe evaluates the leased permutation slice against the cached
-// (sidecar-warmed) run, rebuilding the job's observation plan for this
-// lease, and returns every prefix cell of the slice.
+// observe pays the leased cells against the cached (sidecar-warmed) run.
 func (w *worker) observe(ctx context.Context, t dispatch.Task) (*comfedsv.CellBatch, error) {
 	tr, err := w.trainedRun(t.RunID)
 	if err != nil {
 		return nil, err
 	}
-	so, err := comfedsv.NewShardObserver(ctx, tr, t.Budget, t.Seed, w.parallelism)
-	if err != nil {
-		return nil, fmt.Errorf("rebuilding observation plan for run %s: %w", t.RunID, err)
-	}
-	return so.ObserveSlice(ctx, t.Lo, t.Hi)
+	return tr.PayCells(ctx, t.Cells, w.parallelism)
 }
 
 // trainedRun returns the cached hydrated run for runID, loading the

@@ -288,9 +288,10 @@ type EvalStats struct {
 }
 
 // CellBatch is a canonical, digest-stamped batch of memoized utility cells
-// — the unit of the persistent run-scoped cell cache and the payload a
-// remote worker returns for an observation shard. Re-exported so the
-// service, the dispatch wire, and the worker daemon speak one type.
+// — the unit of the persistent run-scoped cell cache, the cell list a
+// shard lease carries, and the payload a remote worker returns for it.
+// Re-exported so the service, the dispatch wire, and the worker daemon
+// speak one type.
 type CellBatch = utility.CellBatch
 
 // PreloadCells installs previously exported cells into the shared
@@ -303,6 +304,17 @@ type CellBatch = utility.CellBatch
 // returns the number of newly installed cells.
 func (tr *TrainedRun) PreloadCells(b *CellBatch) (int, error) {
 	return tr.eval.Preload(b)
+}
+
+// PayCells is a remote worker's whole observation step: it validates a
+// lease's cell list against this run (universe, canonical order and
+// digest, every round and coalition) before paying anything, pays the
+// cells through the shared evaluator on at most parallelism goroutines,
+// and returns them as a stamped batch with exactly the lease's
+// coordinates. The batch is built as a local observation of the same
+// cells builds it, so it carries the leased shard's digest.
+func (tr *TrainedRun) PayCells(ctx context.Context, lease *CellBatch, parallelism int) (*CellBatch, error) {
+	return tr.eval.Pay(ctx, lease, parallelism)
 }
 
 // ExportNewCells drains and returns the cells this process evaluated since

@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"comfedsv/internal/shapley"
 	"comfedsv/internal/utility"
 )
 
@@ -22,9 +24,10 @@ func goldenSum(b []byte) string {
 
 // goldenValuation drives a staged Valuation serially and returns the
 // JSON report plus one "lo,hi,ok,digest" line per observation shard, in
-// scheduling order across every wave. Every shard's digest is that of its
-// cell batch: for a leasable shard, the batch a remote worker returns for
-// the shard's slice carries the same digest.
+// scheduling order across every wave: a Monte-Carlo shard's permutation
+// slice (ok true), or 0,0,false for an exact shard. Every shard's digest
+// is that of its cell batch, and the batch PayCells returns for the
+// shard's lease cells carries the same digest.
 func goldenValuation(t *testing.T, tr *TrainedRun, opts Options) (report []byte, shards string) {
 	t.Helper()
 	ctx := context.Background()
@@ -52,27 +55,27 @@ func goldenValuation(t *testing.T, tr *TrainedRun, opts Options) (report []byte,
 	if report, err = json.Marshal(rep); err != nil {
 		t.Fatal(err)
 	}
-	var obs *ShardObserver
-	if budget := v.ObservationBudget(); budget > 0 {
-		if obs, err = NewShardObserver(ctx, tr, budget, opts.Seed, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
+	mcPlan, ok := v.plan.(*shapley.MonteCarloPlan)
 	var b strings.Builder
 	for shard := 0; shard < v.Shards(); shard++ {
-		lo, hi, ok := v.ShardSlice(shard)
+		var lo, hi int
+		if ok {
+			lo, hi = mcPlan.ShardSlice(shard)
+		}
 		digest := v.ShardDigest(shard)
 		if digest == "" {
 			t.Fatalf("shard %d has no digest", shard)
 		}
-		if ok {
-			wire, err := obs.ObserveSlice(ctx, lo, hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if wire.Digest != digest {
-				t.Fatalf("shard %d digest %s, but a worker's batch for [%d,%d) carries %s", shard, digest, lo, hi, wire.Digest)
-			}
+		lease, err := v.ShardCells(ctx, shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire, err := tr.PayCells(ctx, lease, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wire.Digest != digest {
+			t.Fatalf("shard %d digest %s, but a worker's batch for its lease carries %s", shard, digest, wire.Digest)
 		}
 		fmt.Fprintf(&b, "%d,%d,%v,%s\n", lo, hi, ok, digest)
 	}
@@ -214,12 +217,32 @@ func TestGoldenReportsAndShardDigests(t *testing.T) {
 
 	// The remote-worker payload for one lease, in both wire formats: the
 	// format-1 cell objects it was first pinned as, and the format-2
-	// block a worker sends now.
-	obs, err := NewShardObserver(context.Background(), tr, 25, base.Seed, 2)
-	if err != nil {
+	// block a worker sends now. The lease is the cells of permutations
+	// [3,11) of a 25-permutation plan; a plan's first permutations do not
+	// depend on its budget, so they are the union of shards 1 and 2 of an
+	// 11-permutation plan cut into three ([0,3), [3,7), [7,11)).
+	opts.MonteCarloSamples = 11
+	v := NewValuation(tr, opts)
+	if _, err := v.Prepare(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := obs.ObserveSlice(context.Background(), 3, 11)
+	if lo, hi := v.plan.(*shapley.MonteCarloPlan).ShardSlice(1); lo != 3 || hi != 7 {
+		t.Fatalf("shard 1 is [%d,%d), want [3,7)", lo, hi)
+	}
+	lease := &CellBatch{N: tr.NumClients()}
+	for shard := 1; shard <= 2; shard++ {
+		cells, err := v.ShardCells(context.Background(), shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lease.Cells = append(lease.Cells, cells.Cells...)
+	}
+	lease.Stamp()
+	lease.Cells = slices.CompactFunc(lease.Cells, func(a, b utility.SnapshotCell) bool {
+		return a.Round == b.Round && a.Mask == b.Mask && a.Key == b.Key
+	})
+	lease.Stamp()
+	payload, err := tr.PayCells(context.Background(), lease, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,10 +256,10 @@ func TestGoldenReportsAndShardDigests(t *testing.T) {
 		wantV1, want = "0481923cb5058e1c4410d5306898da4124d5c88dddce2bd0f902acffddaca9c5", "3b5a317b705b8e940c267d6974e1ff4cbbf202f34c9a44c8a17de42419166751"
 	}
 	if got := goldenSum(wireV1); got != wantV1 {
-		t.Errorf("ObserveSlice format-1 payload sha256 %s, want %s\n%s", got, wantV1, wireV1)
+		t.Errorf("PayCells format-1 payload sha256 %s, want %s\n%s", got, wantV1, wireV1)
 	}
 	wire, _ := json.Marshal(payload)
 	if got := goldenSum(wire); got != want {
-		t.Errorf("ObserveSlice payload sha256 %s, want %s\n%s", got, want, wire)
+		t.Errorf("PayCells payload sha256 %s, want %s\n%s", got, want, wire)
 	}
 }

@@ -172,8 +172,8 @@ func bigMCJobBody(t *testing.T, runID string, seed int64) []byte {
 
 // runCellWorker is cmd/comfedsv-worker's warm-start loop in-process: it
 // keys its trace cache by run ID alone, hydrates the evaluator from the
-// shared store's cell sidecar, and reports every cell of each leased
-// slice as one stamped batch.
+// shared store's cell sidecar, and pays each lease's cells and reports
+// them as one stamped batch.
 // Closing ready signals that the worker is registered, so the test can
 // submit knowing the shards will go remote instead of falling back local.
 func runCellWorker(ctx context.Context, t *testing.T, base, id, runsDir string, ready chan<- struct{}) {
@@ -215,12 +215,7 @@ func runCellWorker(ctx context.Context, t *testing.T, base, id, runsDir string, 
 			}
 			trained[task.RunID] = tr
 		}
-		so, err := comfedsv.NewShardObserver(ctx, tr, task.Budget, task.Seed, 2)
-		if err != nil {
-			cl.Fail(ctx, lease.ID, err.Error())
-			continue
-		}
-		cells, err := so.ObserveSlice(ctx, task.Lo, task.Hi)
+		cells, err := tr.PayCells(ctx, task.Cells, 2)
 		if err != nil {
 			cl.Fail(ctx, lease.ID, err.Error())
 			continue

@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -45,15 +47,15 @@ func dispatchDaemon(t *testing.T, runsDir string, coord *dispatch.Coordinator, c
 }
 
 // runWorker is cmd/comfedsv-worker's loop in-process: register, long-poll
-// for leases, hydrate the trace from the shared run store, evaluate the
-// leased permutation slice, and report its cells as one stamped batch.
+// for leases, hydrate the trace from the shared run store, pay the leased
+// cells, and report them as one stamped batch.
 func runWorker(ctx context.Context, t *testing.T, base, id, runsDir string) {
 	runWorkerWith(ctx, t, base, id, runsDir, nil)
 }
 
 // runWorkerWith is runWorker reporting each shard through complete; nil
 // completes through the dispatch client.
-func runWorkerWith(ctx context.Context, t *testing.T, base, id, runsDir string, complete func(leaseID string, cells *utility.CellBatch) error) {
+func runWorkerWith(ctx context.Context, t *testing.T, base, id, runsDir string, complete func(lease *dispatch.Lease, cells *utility.CellBatch) error) {
 	runs, err := persist.NewRunStore(runsDir)
 	if err != nil {
 		t.Errorf("worker %s: opening run store: %v", id, err)
@@ -67,36 +69,31 @@ func runWorkerWith(ctx context.Context, t *testing.T, base, id, runsDir string, 
 		return
 	}
 	if complete == nil {
-		complete = func(leaseID string, cells *utility.CellBatch) error { return cl.Complete(ctx, leaseID, cells) }
+		complete = func(lease *dispatch.Lease, cells *utility.CellBatch) error { return cl.Complete(ctx, lease.ID, cells) }
 	}
-	observers := make(map[string]*comfedsv.ShardObserver)
+	trained := make(map[string]*comfedsv.TrainedRun)
 	for ctx.Err() == nil {
 		lease, err := cl.Lease(ctx, time.Second)
 		if err != nil || lease == nil {
 			continue
 		}
 		task := lease.Task
-		key := fmt.Sprintf("%s/%d/%d", task.RunID, task.Budget, task.Seed)
-		so := observers[key]
-		if so == nil {
+		tr := trained[task.RunID]
+		if tr == nil {
 			run, err := runs.LoadRun(task.RunID)
 			if err != nil {
 				cl.Fail(ctx, lease.ID, err.Error())
 				continue
 			}
-			so, err = comfedsv.NewShardObserver(ctx, comfedsv.NewTrainedRun(run), task.Budget, task.Seed, 2)
-			if err != nil {
-				cl.Fail(ctx, lease.ID, err.Error())
-				continue
-			}
-			observers[key] = so
+			tr = comfedsv.NewTrainedRun(run)
+			trained[task.RunID] = tr
 		}
-		cells, err := so.ObserveSlice(ctx, task.Lo, task.Hi)
+		cells, err := tr.PayCells(ctx, task.Cells, 2)
 		if err != nil {
 			cl.Fail(ctx, lease.ID, err.Error())
 			continue
 		}
-		if err := complete(lease.ID, cells); err != nil && ctx.Err() == nil {
+		if err := complete(lease, cells); err != nil && ctx.Err() == nil {
 			t.Errorf("worker %s: complete: %v", id, err)
 		}
 	}
@@ -117,7 +114,7 @@ func registerRun(t *testing.T, base string, payload []byte) string {
 }
 
 // mcJobBody is a run-backed Monte-Carlo submission with a sharded
-// observation stage — the only remotable job shape.
+// observation stage.
 func mcJobBody(t *testing.T, runID string, seed int64) []byte {
 	t.Helper()
 	raw, err := json.Marshal(map[string]any{
@@ -279,15 +276,7 @@ func TestDistributedObservationManyWorkersByteIdentical(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		go runWorker(ctx, t, ts.URL, fmt.Sprintf("w%d", i), runsDir)
 	}
-	// Wait until at least one worker registered so the shards go remote
-	// rather than falling back to local execution.
-	deadline := time.Now().Add(10 * time.Second)
-	for !coord.HasLiveWorkers() {
-		if time.Now().After(deadline) {
-			t.Fatal("no worker registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitWorker(t, coord)
 
 	id := submitAndWait(t, ts.URL, mcJobBody(t, runID, seed))
 	code, got := getBody(t, ts.URL+"/v1/jobs/"+id+"/report")
@@ -330,9 +319,9 @@ func TestV1WorkerCompletionAbsorbed(t *testing.T) {
 	defer cancel()
 	var mu sync.Mutex
 	var sent []string // digests of the format-1 batches the coordinator took
-	completeV1 := func(leaseID string, cells *utility.CellBatch) error {
+	completeV1 := func(lease *dispatch.Lease, cells *utility.CellBatch) error {
 		body, err := json.Marshal(map[string]any{
-			"lease_id": leaseID,
+			"lease_id": lease.ID,
 			"cells": map[string]any{
 				"n":      cells.N,
 				"cells":  cells.Cells,
@@ -359,13 +348,7 @@ func TestV1WorkerCompletionAbsorbed(t *testing.T) {
 		return nil
 	}
 	go runWorkerWith(ctx, t, ts.URL, "v1", runsDir, completeV1)
-	deadline := time.Now().Add(10 * time.Second)
-	for !coord.HasLiveWorkers() {
-		if time.Now().After(deadline) {
-			t.Fatal("no worker registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitWorker(t, coord)
 
 	id := submitAndWait(t, ts.URL, bigMCJobBody(t, runID, seed))
 	code, got := getBody(t, ts.URL+"/v1/jobs/"+id+"/report")
@@ -403,6 +386,196 @@ func TestV1WorkerCompletionAbsorbed(t *testing.T) {
 		if !persisted[d] {
 			t.Fatalf("format-1 batch %s is not among the sidecar's %d batches", d, len(batches))
 		}
+	}
+}
+
+// waitWorker blocks until the coordinator has a live worker, so a job
+// submitted next leases its shards instead of running them locally.
+func waitWorker(t *testing.T, coord *dispatch.Coordinator) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !coord.HasLiveWorkers() {
+		if time.Now().After(deadline) {
+			t.Fatal("no worker registered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// exactJobBody is a run-backed exact-pipeline submission (no permutation
+// budget) whose observation stage is sharded by round.
+func exactJobBody(t *testing.T, runID string, seed int64) []byte {
+	t.Helper()
+	raw, err := json.Marshal(map[string]any{
+		"run_id": runID,
+		"options": map[string]any{
+			"num_classes":       2,
+			"rounds":            4,
+			"clients_per_round": 2,
+			"seed":              seed,
+			"shards":            3,
+			"parallelism":       2,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestDistributedExactJobByteIdentical pins the exact pipeline on the
+// remote path: a run-backed exact job's round shards are leased like
+// Monte-Carlo ones, each lease carries the utility.SelectedCells of its
+// shard's rounds, and the report is byte-identical to local execution.
+func TestDistributedExactJobByteIdentical(t *testing.T) {
+	payload, _, _, _ := tinyJob(53)
+	const seed = 53
+
+	localTS := testDaemon(t, service.Config{Workers: 2, RunStore: mustRunStore(t, t.TempDir())})
+	localRun := registerRun(t, localTS.URL, payload)
+	localID := submitAndWait(t, localTS.URL, exactJobBody(t, localRun, seed))
+	code, want := getBody(t, localTS.URL+"/v1/jobs/"+localID+"/report")
+	if code != http.StatusOK {
+		t.Fatalf("GET local report: %d", code)
+	}
+
+	runsDir := t.TempDir()
+	coord := dispatch.NewCoordinator(dispatch.Config{LeaseTTL: time.Minute, WorkerTTL: time.Hour})
+	ts := dispatchDaemon(t, runsDir, coord, service.Config{Workers: 2})
+	runID := registerRun(t, ts.URL, payload)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var mu sync.Mutex
+	leased := make(map[int]*utility.CellBatch)
+	cl := dispatch.NewClient(ts.URL, "exact")
+	go runWorkerWith(ctx, t, ts.URL, "exact", runsDir, func(lease *dispatch.Lease, cells *utility.CellBatch) error {
+		mu.Lock()
+		leased[lease.Task.Shard] = lease.Task.Cells
+		mu.Unlock()
+		return cl.Complete(ctx, lease.ID, cells)
+	})
+	waitWorker(t, coord)
+
+	id := submitAndWait(t, ts.URL, exactJobBody(t, runID, seed))
+	code, got := getBody(t, ts.URL+"/v1/jobs/"+id+"/report")
+	if code != http.StatusOK {
+		t.Fatalf("GET distributed report: %d", code)
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatalf("distributed exact report differs from all-local execution:\n%s\nvs\n%s", got, want)
+	}
+	if st := coord.Stats(); st.LeasesCompleted != 3 || st.DigestMismatches != 0 {
+		t.Fatalf("stats after distributed exact job: %+v, want 3 completed leases", st)
+	}
+
+	run, err := mustRunStore(t, runsDir).LoadRun(runID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := utility.SelectedCells(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds, k := len(run.Rounds), 3
+	mu.Lock()
+	defer mu.Unlock()
+	for shard := 0; shard < k; shard++ {
+		// Shard i owns rounds [i·T/k, (i+1)·T/k).
+		lo, hi := shard*rounds/k, (shard+1)*rounds/k
+		var cells []utility.Cell
+		for _, c := range all {
+			if c.Round >= lo && c.Round < hi {
+				cells = append(cells, c)
+			}
+		}
+		wantLease := utility.NewCellBatch(run.NumClients(), cells, make([]float64, len(cells)))
+		if gotLease := leased[shard]; gotLease == nil || gotLease.Digest != wantLease.Digest || !reflect.DeepEqual(gotLease.Cells, wantLease.Cells) {
+			t.Fatalf("shard %d (rounds [%d,%d)) leased %+v, want the SelectedCells %+v", shard, lo, hi, gotLease, wantLease)
+		}
+	}
+}
+
+// TestWorkerWrongCellsRejectedAndReleased pins the completion coverage
+// check over HTTP: a worker that drops one leased cell from its first
+// answer, then adds one to its second, gets a 422 each time; the shard is
+// re-leased through the retry ladder, both rejections count as digest
+// mismatches, and the report is byte-identical to local execution — the
+// coordinator never pays a dropped cell itself.
+func TestWorkerWrongCellsRejectedAndReleased(t *testing.T) {
+	payload, _, _, _ := tinyJob(67)
+	const seed = 67
+
+	localTS := testDaemon(t, service.Config{Workers: 2, RunStore: mustRunStore(t, t.TempDir())})
+	localRun := registerRun(t, localTS.URL, payload)
+	localID := submitAndWait(t, localTS.URL, mcJobBody(t, localRun, seed))
+	code, want := getBody(t, localTS.URL+"/v1/jobs/"+localID+"/report")
+	if code != http.StatusOK {
+		t.Fatalf("GET local report: %d", code)
+	}
+
+	runsDir := t.TempDir()
+	coord := dispatch.NewCoordinator(dispatch.Config{LeaseTTL: time.Minute, WorkerTTL: time.Hour})
+	ts := dispatchDaemon(t, runsDir, coord, service.Config{
+		Workers:        2,
+		MaxTaskRetries: 5,
+		RetryBaseDelay: 20 * time.Millisecond,
+	})
+	runID := registerRun(t, ts.URL, payload)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cl := dispatch.NewClient(ts.URL, "sloppy")
+	var mu sync.Mutex
+	answers := 0
+	var rejected []string
+	go runWorkerWith(ctx, t, ts.URL, "sloppy", runsDir, func(lease *dispatch.Lease, cells *utility.CellBatch) error {
+		mu.Lock()
+		answers++
+		n := answers
+		mu.Unlock()
+		var tamper string
+		wrong := &utility.CellBatch{N: cells.N, Cells: slices.Clone(cells.Cells)}
+		switch {
+		case n == 1 && len(wrong.Cells) > 0:
+			tamper, wrong.Cells = "dropped", wrong.Cells[1:]
+		case n == 2:
+			// Round 1000 is beyond every lease, so the cell is new.
+			tamper, wrong.Cells = "added", append(wrong.Cells, utility.SnapshotCell{Round: 1000, Mask: 1, Value: 0.5})
+		default:
+			return cl.Complete(ctx, lease.ID, cells)
+		}
+		wrong.Stamp()
+		err := cl.Complete(ctx, lease.ID, wrong)
+		if err == nil || !strings.Contains(err.Error(), "422") {
+			return fmt.Errorf("completion with %s cell: %v, want 422", tamper, err)
+		}
+		mu.Lock()
+		rejected = append(rejected, tamper)
+		mu.Unlock()
+		return nil
+	})
+	waitWorker(t, coord)
+
+	id := submitAndWait(t, ts.URL, mcJobBody(t, runID, seed))
+	code, got := getBody(t, ts.URL+"/v1/jobs/"+id+"/report")
+	if code != http.StatusOK {
+		t.Fatalf("GET distributed report: %d", code)
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatalf("report after rejected completions differs from all-local execution:\n%s\nvs\n%s", got, want)
+	}
+	mu.Lock()
+	if !reflect.DeepEqual(rejected, []string{"dropped", "added"}) {
+		t.Fatalf("rejected completions %v, want a dropped and an added cell", rejected)
+	}
+	mu.Unlock()
+	if st := coord.Stats(); st.DigestMismatches != 2 || st.LeasesCompleted != 3 {
+		t.Fatalf("stats = %+v, want 2 mismatches and 3 completed leases", st)
+	}
+	code, metrics := getBody(t, ts.URL+"/v1/metrics")
+	if code != http.StatusOK || !strings.Contains(string(metrics), "comfedsvd_dispatch_digest_mismatches_total 2") {
+		t.Fatalf("GET metrics: %d, want digest mismatches 2 in\n%s", code, metrics)
 	}
 }
 
@@ -449,9 +622,9 @@ func TestWorkerCompleteRejectsObservationsBody(t *testing.T) {
 
 // TestRemoteBatchRejectedByPreloadFailsJob pins the trust boundary past
 // the wire: a completion whose batch verifies (canonical order, matching
-// digest) but addresses a different client universe is accepted by the
-// coordinator, rejected by the preload into the job's evaluator, and
-// fails the job instead of being observed.
+// digest) and carries the lease's cells, but addresses a different client
+// universe, is accepted by the coordinator, rejected by the preload into
+// the job's evaluator, and fails the job instead of being observed.
 func TestRemoteBatchRejectedByPreloadFailsJob(t *testing.T) {
 	payload, _, _, _ := tinyJob(43)
 	coord := dispatch.NewCoordinator(dispatch.Config{WorkerTTL: time.Hour})
@@ -474,7 +647,14 @@ func TestRemoteBatchRejectedByPreloadFailsJob(t *testing.T) {
 	if err != nil || lease == nil {
 		t.Fatalf("lease: %v, %v", lease, err)
 	}
-	bad := &utility.CellBatch{N: 1000, Cells: []utility.SnapshotCell{{Round: 0, Key: strings.Repeat("00", 8*16-1) + "01", Value: 0.5}}}
+	leased := lease.Task.Cells
+	if len(leased.Cells) == 0 {
+		t.Fatal("lease carries no cells")
+	}
+	bad := &utility.CellBatch{N: leased.N + 1, Cells: slices.Clone(leased.Cells)}
+	for i := range bad.Cells {
+		bad.Cells[i].Value = 0.5
+	}
 	bad.Stamp()
 	if err := cl.Complete(ctx, lease.ID, bad); err != nil {
 		t.Fatalf("complete: %v", err)

@@ -23,7 +23,9 @@ import (
 //
 // Error codes: 409 for an unknown or already-revoked lease (the shard was
 // re-leased; the result is discarded), 422 for a digest mismatch (a
-// determinism violation — loud, never retried), 503 when shutting down.
+// determinism violation — loud, never retried) or for cells that are not
+// exactly the lease's (the shard is re-leased or run locally), 503 when
+// shutting down.
 
 // maxLeaseWait bounds one long-poll window server-side so abandoned
 // connections cannot pin handler goroutines past it.
@@ -122,12 +124,13 @@ func (s *Server) workerComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	err := s.dispatch.Complete(req.LeaseID, req.Cells)
 	var mismatch *dispatch.DigestMismatchError
+	var wrongCells *dispatch.WorkerError
 	switch {
 	case errors.Is(err, dispatch.ErrUnknownLease):
 		// The lease was revoked (deadline, dead worker) and the shard
 		// re-leased; this straggler's work is discarded.
 		writeError(w, http.StatusConflict, err)
-	case errors.As(err, &mismatch):
+	case errors.As(err, &mismatch), errors.As(err, &wrongCells):
 		writeError(w, http.StatusUnprocessableEntity, err)
 	case err != nil:
 		writeError(w, http.StatusBadRequest, err)

@@ -36,8 +36,8 @@ type LeaseRequest struct {
 	WaitSeconds float64 `json:"wait_seconds,omitempty"`
 }
 
-// CompleteRequest reports one evaluated shard: every prefix cell of the
-// leased slice as a digest-stamped batch.
+// CompleteRequest reports one evaluated shard: the leased cells, paid,
+// as a digest-stamped batch.
 type CompleteRequest struct {
 	LeaseID string             `json:"lease_id"`
 	Cells   *utility.CellBatch `json:"cells"`

@@ -6,25 +6,26 @@
 // The division of labor keeps determinism the pinned invariant:
 //
 //   - The Coordinator owns a lease table with deadlines and a worker
-//     registry with heartbeats and liveness expiry. It never re-plans
-//     work — a task is an exact permutation slice of a job whose plan is
-//     a pure function of (trace, budget, seed), so any worker that
-//     rebuilds the plan from the shared run store derives identical
-//     cells.
+//     registry with heartbeats and liveness expiry. It never plans work:
+//     a task carries the shard's cells as the job's plan listed them —
+//     the permutation prefixes of a Monte-Carlo shard or the
+//     utility.SelectedCells of an exact shard's rounds — so a worker
+//     pays exactly the cells the coordinator's shard observes, whatever
+//     the job's budget, seed or pipeline.
 //   - Workers long-poll for leases, hydrate the training trace from the
-//     shared persist.RunStore via the content-addressed run ID, evaluate
-//     their slice locally, and report every prefix cell of it as one
-//     utility.CellBatch keyed by (round, coalition). The coordinator
-//     verifies the batch's order and digest and compares duplicate
-//     completions of re-leased tasks — a mismatch is a loud determinism
-//     failure, never a silently different report. It cannot check the
-//     cells against the training trace; the waiting Execute's caller
-//     preloads the batch into the job's evaluator (which bounds-checks
-//     every cell) and then observes the shard from cache.
-//   - A lease lost to a dead or expired worker fails the waiting Execute
-//     with a transient error, which rides the scheduler's existing
-//     deterministic retry ladder back to a fresh lease (or to local
-//     execution when no live workers remain).
+//     shared persist.RunStore via the content-addressed run ID, pay the
+//     leased cells locally, and report them as one utility.CellBatch keyed
+//     by (round, coalition). The coordinator verifies the batch's order
+//     and digest, rejects a batch whose cells are not exactly the lease's,
+//     and compares duplicate completions of re-leased tasks — a mismatch
+//     is a loud determinism failure, never a silently different report. It
+//     cannot check the values against the training trace; the waiting
+//     Execute's caller preloads the batch into the job's evaluator (which
+//     bounds-checks every cell) and then observes the shard from cache.
+//   - A lease lost to a dead or expired worker, or answered with the wrong
+//     cells, fails the waiting Execute with a transient error, which rides
+//     the scheduler's existing deterministic retry ladder back to a fresh
+//     lease (or to local execution when no live workers remain).
 //
 // The package is dependency-free beyond the standard library, the
 // internal/utility wire type and internal/telemetry, so service and api
@@ -56,34 +57,26 @@ type realClock struct{}
 func (realClock) Now() time.Time                         { return time.Now() }
 func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
-// Task is one observation-shard lease payload: everything a worker needs
-// to rebuild the job's observation plan from the shared run store and
-// evaluate its permutation slice. Budget and Seed are the plan identity —
-// permutation sampling is a pure function of (trace, Budget, Seed), so the
-// worker evaluates exactly the prefix cells the coordinator's shard
-// reaches.
+// Task is one observation-shard lease payload: the shard's cells, and
+// the run a worker pays them against.
 type Task struct {
 	// JobID is the owning job (diagnostic; not needed to compute).
 	JobID string `json:"job_id"`
 	// RunID is the content-addressed training run in the shared RunStore.
 	RunID string `json:"run_id"`
-	// Shard is the job's shard index (diagnostic; the slice is authoritative).
+	// Shard is the job's shard index (diagnostic; the cells are
+	// authoritative).
 	Shard int `json:"shard"`
-	// Lo and Hi bound the half-open permutation slice to evaluate.
-	Lo int `json:"lo"`
-	Hi int `json:"hi"`
-	// Budget is the job's resolved permutation budget.
-	Budget int `json:"budget"`
-	// Seed is the job's raw Options.Seed (the worker applies the same
-	// internal derivation the coordinator's prepare stage does).
-	Seed int64 `json:"seed"`
+	// Cells lists the shard's cells in canonical order, values zero. A
+	// completion must carry exactly these coordinates.
+	Cells *utility.CellBatch `json:"cells"`
 }
 
 // key addresses a task for duplicate-completion digest comparison: two
-// executions of the same slice of the same job must derive identical
-// cells.
+// executions of the same cells of the same shard must derive identical
+// values.
 func (t Task) key() string {
-	return fmt.Sprintf("%s/%d:%d-%d", t.JobID, t.Shard, t.Lo, t.Hi)
+	return fmt.Sprintf("%s/%d:%s", t.JobID, t.Shard, t.Cells.Digest)
 }
 
 // Lease is one granted task lease. The worker must Complete or Fail it
@@ -113,8 +106,9 @@ func (e *LostLeaseError) Error() string {
 func (e *LostLeaseError) Transient() bool { return true }
 
 // WorkerError reports a failure the worker itself hit evaluating a lease
-// (trace hydration, evaluation error). It is transient — a re-lease may
-// land on a healthy worker, and the retry ladder's cap bounds the loop.
+// (trace hydration, evaluation error), or a completion whose cells are not
+// exactly the lease's. It is transient — a re-lease may land on a healthy
+// worker, and the retry ladder's cap bounds the loop.
 type WorkerError struct {
 	LeaseID string
 	Msg     string
@@ -186,9 +180,9 @@ type Stats struct {
 	LeasesFailed uint64
 	// LeasesExpired counts leases revoked by deadline or worker loss.
 	LeasesExpired uint64
-	// DigestMismatches counts determinism violations detected at the
-	// wire: duplicate completions disagreeing, or a result whose stamped
-	// digest does not match its cells.
+	// DigestMismatches counts results rejected at the wire: duplicate
+	// completions disagreeing, a result whose stamped digest does not
+	// match its cells, or a result whose cells are not the lease's.
 	DigestMismatches uint64
 }
 
@@ -334,9 +328,10 @@ func (c *Coordinator) liveWorkersLocked() int {
 
 // Execute queues one shard task for remote execution and blocks until a
 // worker returns a digest-verified cell batch, the lease chain fails, or
-// ctx is done. Lost leases and worker-side failures return transient
-// errors (the scheduler's retry ladder re-executes, re-evaluating remote
-// eligibility); a digest mismatch returns a permanent determinism error.
+// ctx is done. Lost leases, worker-side failures and completions with the
+// wrong cells return transient errors (the scheduler's retry ladder
+// re-executes, re-evaluating remote eligibility); a digest mismatch
+// returns a permanent determinism error.
 // The batch's cells are not yet checked against the job's trace — the
 // caller's preload does that.
 func (c *Coordinator) Execute(ctx context.Context, task Task) (*utility.CellBatch, error) {
@@ -482,7 +477,7 @@ func (c *Coordinator) grantLocked(entry *pending, workerID string) *Lease {
 	entry.leaseID = id
 	c.leases[id] = al
 	c.granted++
-	c.logf("lease granted", "lease", id, "worker", workerID, "job", entry.task.JobID, "shard", entry.task.Shard, "slice", fmt.Sprintf("[%d,%d)", entry.task.Lo, entry.task.Hi))
+	c.logf("lease granted", "lease", id, "worker", workerID, "job", entry.task.JobID, "shard", entry.task.Shard, "cells", len(entry.task.Cells.Cells))
 	ttl := c.cfg.LeaseTTL
 	go func() {
 		select {
@@ -526,13 +521,15 @@ func (c *Coordinator) resolveLocked(id string) (*activeLease, bool) {
 }
 
 // Complete resolves a lease with a worker's cell batch. The batch is
-// verified (canonical order, stamped digest recomputed from the cells)
-// and its digest compared against any earlier verified execution of the
-// same task — a disagreement is a loud determinism failure charged to
-// this call, and the waiting Execute (if any) also fails permanently. A
+// verified (canonical order, stamped digest recomputed from the cells),
+// its (round, coalition) list must be exactly the lease's — otherwise the
+// call and the waiting Execute both fail with a transient WorkerError —
+// and its digest is compared against any earlier verified
+// execution of the same task: a disagreement is a loud determinism failure
+// charged to this call, and the waiting Execute also fails permanently. A
 // completion for an unknown or already-revoked lease returns
-// ErrUnknownLease after the self-verification, so a straggler worker
-// still gets its answer checked.
+// ErrUnknownLease after the self-verification, so a straggler worker still
+// gets its answer checked.
 func (c *Coordinator) Complete(leaseID string, cells *utility.CellBatch) error {
 	if cells == nil {
 		return errors.New("dispatch: nil cell batch")
@@ -546,17 +543,20 @@ func (c *Coordinator) Complete(leaseID string, cells *utility.CellBatch) error {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// A revoked lease's task may since have completed via a re-lease, but
+	// its entry is gone: stragglers are only comparable while active.
 	al, active := c.resolveLocked(leaseID)
-	var key string
-	if active {
-		key = al.entry.task.key()
-	} else {
-		// A revoked lease's task may since have completed via a re-lease;
-		// find the pinned digest by scanning is impossible without the
-		// task, so stragglers are only comparable while active. Unknown
-		// lease, digest already self-verified: reject the report.
+	if !active {
 		return ErrUnknownLease
 	}
+	if msg := coverage(al.entry.task.Cells, cells); msg != "" {
+		c.mismatches++
+		err := &WorkerError{LeaseID: leaseID, Msg: "completed with the wrong cells: " + msg}
+		c.logf("lease rejected", "lease", leaseID, "worker", al.worker, "error", err)
+		al.entry.done <- outcome{err: err}
+		return err
+	}
+	key := al.entry.task.key()
 	if want, ok := c.digests[key]; ok && want != cells.Digest {
 		c.mismatches++
 		err := &DigestMismatchError{Key: key, Got: cells.Digest, Want: want}
@@ -568,6 +568,22 @@ func (c *Coordinator) Complete(leaseID string, cells *utility.CellBatch) error {
 	c.logf("lease completed", "lease", leaseID, "worker", al.worker, "digest", cells.Digest)
 	al.entry.done <- outcome{cells: cells}
 	return nil
+}
+
+// coverage describes how got's (round, coalition) list differs from the
+// leased one, or returns "" when they are the same. Both are verified
+// canonical batches, so the lists compare cell by cell.
+func coverage(leased, got *utility.CellBatch) string {
+	if len(got.Cells) != len(leased.Cells) {
+		return fmt.Sprintf("%d cells, lease has %d", len(got.Cells), len(leased.Cells))
+	}
+	for i := range got.Cells {
+		g, l := &got.Cells[i], &leased.Cells[i]
+		if g.Round != l.Round || g.Mask != l.Mask || g.Key != l.Key {
+			return fmt.Sprintf("cell %d is (round %d, mask %#x, key %q), lease has (round %d, mask %#x, key %q)", i, g.Round, g.Mask, g.Key, l.Round, l.Mask, l.Key)
+		}
+	}
+	return ""
 }
 
 // Fail resolves a lease with a worker-reported error; the waiting

@@ -3,6 +3,7 @@ package dispatch
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -28,8 +29,22 @@ func mkObs(cells ...utility.SnapshotCell) *utility.CellBatch {
 	return obs
 }
 
+// testCells are the coordinates every test lease carries.
+var testCells = []utility.SnapshotCell{{Round: 0, Mask: 2}, {Round: 1, Mask: 1}}
+
+// mkPaid fabricates a worker's answer to a test lease: its cells with the
+// given values.
+func mkPaid(vals ...float64) *utility.CellBatch {
+	cells := make([]utility.SnapshotCell, len(testCells))
+	for i, c := range testCells {
+		c.Value = vals[i]
+		cells[i] = c
+	}
+	return mkObs(cells...)
+}
+
 func testTask() Task {
-	return Task{JobID: "job-1", RunID: "run-1", Shard: 0, Lo: 0, Hi: 4, Budget: 8, Seed: 7}
+	return Task{JobID: "job-1", RunID: "run-1", Shard: 0, Cells: mkObs(testCells...)}
 }
 
 // execute runs Execute on a goroutine and returns the outcome channel.
@@ -68,11 +83,11 @@ func TestLeaseLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Lease: %v", err)
 	}
-	if lease.Task != testTask() {
+	if !reflect.DeepEqual(lease.Task, testTask()) {
 		t.Fatalf("leased task = %+v, want %+v", lease.Task, testTask())
 	}
 
-	obs := mkObs(utility.SnapshotCell{Round: 0, Mask: 2, Value: 0.5})
+	obs := mkPaid(0.5, -0.5)
 	if err := c.Complete(lease.ID, obs); err != nil {
 		t.Fatalf("Complete: %v", err)
 	}
@@ -230,7 +245,7 @@ func TestReLeaseAfterWorkerFailureKeepsDigestPinned(t *testing.T) {
 	}
 
 	// Second execution completes; its digest is pinned.
-	obs := mkObs(utility.SnapshotCell{Round: 1, Mask: 1, Value: -0.25})
+	obs := mkPaid(0.5, -0.25)
 	done = execute(c, testTask())
 	lease2, err := c.Lease(context.Background(), "w1")
 	if err != nil {
@@ -249,7 +264,7 @@ func TestReLeaseAfterWorkerFailureKeepsDigestPinned(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Lease: %v", err)
 	}
-	bad := mkObs(utility.SnapshotCell{Round: 1, Mask: 1, Value: 0.75})
+	bad := mkPaid(0.5, 0.75)
 	err = c.Complete(lease3.ID, bad)
 	var mismatch *DigestMismatchError
 	if !errors.As(err, &mismatch) {
@@ -278,7 +293,7 @@ func TestCompleteRejectsCorruptPayload(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Lease: %v", err)
 	}
-	obs := mkObs(utility.SnapshotCell{Round: 0, Mask: 1, Value: 1})
+	obs := mkPaid(1, 1)
 	obs.Cells[0].Value = 99 // corrupt after stamping
 	if err := c.Complete(lease.ID, obs); err == nil {
 		t.Fatal("Complete accepted a payload whose digest does not verify")
@@ -292,6 +307,55 @@ func TestCompleteRejectsCorruptPayload(t *testing.T) {
 	}
 	if out := waitOutcome(t, done); !transient(out.err) {
 		t.Fatalf("Execute: %v, want transient worker failure", out.err)
+	}
+}
+
+// TestCompleteRejectsWrongCells pins the coverage check: a verified batch
+// that drops one of the leased cells, adds one, or moves one is refused,
+// counted as a mismatch, and fails the call and the waiting Execute with a
+// transient WorkerError, so the retry ladder re-leases the shard or runs
+// it locally instead of paying the missing cell itself.
+func TestCompleteRejectsWrongCells(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		batch *utility.CellBatch
+	}{
+		{"dropped", mkObs(utility.SnapshotCell{Round: 0, Mask: 2, Value: 0.5})},
+		{"added", mkObs(append(mkPaid(0.5, -0.5).Cells, utility.SnapshotCell{Round: 1, Mask: 3, Value: 1})...)},
+		{"moved", mkObs(utility.SnapshotCell{Round: 0, Mask: 2, Value: 0.5}, utility.SnapshotCell{Round: 1, Mask: 2, Value: -0.5})},
+	} {
+		c := NewCoordinator(Config{})
+		if err := c.Register("w1"); err != nil {
+			t.Fatalf("Register: %v", err)
+		}
+		done := execute(c, testTask())
+		lease, err := c.Lease(context.Background(), "w1")
+		if err != nil {
+			t.Fatalf("Lease: %v", err)
+		}
+		var werr *WorkerError
+		if err := c.Complete(lease.ID, tc.batch); !errors.As(err, &werr) {
+			t.Fatalf("%s: Complete = %v, want WorkerError", tc.name, err)
+		}
+		out := waitOutcome(t, done)
+		if !errors.As(out.err, &werr) || !transient(out.err) {
+			t.Fatalf("%s: Execute = %v, want transient WorkerError", tc.name, out.err)
+		}
+		if st := c.Stats(); st.DigestMismatches != 1 || st.LeasesCompleted != 0 || st.LeasesActive != 0 {
+			t.Fatalf("%s: stats = %+v, want one mismatch, no completion, no active lease", tc.name, st)
+		}
+		// The shard re-leases and an honest answer completes it.
+		done = execute(c, testTask())
+		if lease, err = c.Lease(context.Background(), "w1"); err != nil {
+			t.Fatalf("Lease: %v", err)
+		}
+		if err := c.Complete(lease.ID, mkPaid(0.5, -0.5)); err != nil {
+			t.Fatalf("%s: honest Complete after a rejection: %v", tc.name, err)
+		}
+		if out := waitOutcome(t, done); out.err != nil {
+			t.Fatalf("%s: Execute: %v", tc.name, out.err)
+		}
+		c.Close()
 	}
 }
 
@@ -320,7 +384,7 @@ func TestCloseFailsQueuedAndLeased(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Lease: %v", err)
 	}
-	queued := execute(c, Task{JobID: "job-2", RunID: "run-1", Shard: 1, Lo: 4, Hi: 8, Budget: 8, Seed: 7})
+	queued := execute(c, Task{JobID: "job-2", RunID: "run-1", Shard: 1, Cells: mkObs(testCells...)})
 	// Make sure the second Execute reached the queue before closing.
 	waitQueued(t, c, 1)
 

@@ -219,8 +219,8 @@ type Config struct {
 	// tasks to remote worker processes instead of running them on the
 	// local pool — the one knob behind which local and distributed
 	// execution coexist. A shard is leased only when it is remotable
-	// (run-backed job with a persisted trace workers can hydrate, a
-	// leasable permutation slice) and a live worker is registered;
+	// (run-backed job with a persisted trace workers can hydrate, exact
+	// or Monte-Carlo) and a live worker is registered;
 	// otherwise it runs locally. A lease lost to a dead or expired worker
 	// fails transiently and rides the retry ladder, which re-evaluates
 	// eligibility — so a dying worker fleet degrades to local execution,
@@ -878,10 +878,10 @@ func (m *Manager) worker() {
 // remoteEligibleLocked decides whether a claimed task runs as a remote
 // lease: an observation shard of a run-backed job whose trace is
 // persisted in the shared run store (workers hydrate by content-addressed
-// run ID), whose pipeline exposes a leasable permutation slice, with at
-// least one live worker registered. Decided at claim time so a retry
-// after a lost lease re-evaluates — an emptied fleet degrades the shard
-// to local execution. Callers hold m.mu.
+// run ID) and whose pipeline can list the shard's cells — exact and
+// Monte-Carlo alike — with at least one live worker registered. Decided
+// at claim time so a retry after a lost lease re-evaluates — an emptied
+// fleet degrades the shard to local execution. Callers hold m.mu.
 func (m *Manager) remoteEligibleLocked(t *task) bool {
 	d := m.cfg.Dispatcher
 	if d == nil || t.stage != taskObserve || t.j.runID == "" {
@@ -891,11 +891,7 @@ func (m *Manager) remoteEligibleLocked(t *task) bool {
 	if !ok || !e.persisted {
 		return false
 	}
-	rv, ok := t.j.val.(remoteShardable)
-	if !ok || rv.ObservationBudget() <= 0 {
-		return false
-	}
-	if _, _, ok := rv.ShardSlice(t.shard); !ok {
+	if _, ok := t.j.val.(remoteShardable); !ok {
 		return false
 	}
 	return d.HasLiveWorkers()

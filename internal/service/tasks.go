@@ -43,15 +43,12 @@ type traceCarrier interface {
 }
 
 // remoteShardable is optionally implemented by pipelines whose
-// observation shards can be leased to remote workers: the shard's
-// permutation slice plus the plan identity (budget, with the seed coming
-// from the job options) let a worker rebuild an identical plan from the
-// shared run store and evaluate the shard's cells, which the coordinator
-// preloads before observing the shard itself from cache.
+// observation shards can be leased to remote workers: the shard's cell
+// list is the lease, and the coordinator preloads a worker's answer before
+// observing the shard itself from cache.
 type remoteShardable interface {
 	traceCarrier
-	ObservationBudget() int
-	ShardSlice(shard int) (lo, hi int, ok bool)
+	ShardCells(ctx context.Context, shard int) (*comfedsv.CellBatch, error)
 }
 
 // newValuation picks the staged pipeline for a submission: the real
@@ -217,32 +214,23 @@ func (m *Manager) observeTask(j *job, shard int) *task {
 	return t
 }
 
-// remoteObserve evaluates one observation shard's cells through the
-// dispatch coordinator: the shard's permutation slice is leased to a
-// remote worker, which rebuilds the job's plan from the shared run store
-// and returns every prefix cell of the slice as a digest-verified batch;
-// absorbCells preloads it into the job's evaluator. Lost leases and
-// worker failures return transient errors; the retry ladder re-executes
-// the task, re-evaluating remote eligibility.
+// remoteObserve pays one observation shard's cells through the dispatch
+// coordinator: the shard's cell list is leased to a remote worker, which
+// pays it against the shared run store's trace and returns a
+// digest-verified batch of exactly those cells; absorbCells preloads it
+// into the job's evaluator. Lost leases and worker failures return
+// transient errors; the retry ladder re-executes the task, re-evaluating
+// remote eligibility.
 func (m *Manager) remoteObserve(ctx context.Context, j *job, shard int) error {
 	rv, ok := j.val.(remoteShardable)
 	if !ok {
 		return fmt.Errorf("service: shard %d claimed remote but the pipeline is not remotable", shard)
 	}
-	lo, hi, ok := rv.ShardSlice(shard)
-	if !ok {
-		return fmt.Errorf("service: shard %d has no leasable permutation slice", shard)
+	lease, err := rv.ShardCells(ctx, shard)
+	if err != nil {
+		return err
 	}
-	task := dispatch.Task{
-		JobID:  j.id,
-		RunID:  j.runID,
-		Shard:  shard,
-		Lo:     lo,
-		Hi:     hi,
-		Budget: rv.ObservationBudget(),
-		Seed:   j.opts.Seed,
-	}
-	cells, err := m.cfg.Dispatcher.Execute(ctx, task)
+	cells, err := m.cfg.Dispatcher.Execute(ctx, dispatch.Task{JobID: j.id, RunID: j.runID, Shard: shard, Cells: lease})
 	if err != nil {
 		return err
 	}

@@ -292,3 +292,6 @@ func TestAdaptiveCancellationMidWave(t *testing.T) {
 
 // Waves returns the per-wave statistics recorded by Advance so far.
 func (p *MonteCarloPlan) Waves() []WaveStat { return p.stats }
+
+// Budget returns the permutation budget the plan sampled.
+func (p *MonteCarloPlan) Budget() int { return len(p.perms) }

@@ -261,6 +261,16 @@ func (p *MonteCarloPlan) walkPrefixes(ctx context.Context, lo, hi int, visit fun
 	return nil
 }
 
+// ShardSlice returns the half-open permutation slice [lo, hi) owned by a
+// scheduled shard. A shard index the plan has not scheduled panics.
+func (p *MonteCarloPlan) ShardSlice(shard int) (lo, hi int) {
+	if shard < 0 || shard >= len(p.slices) {
+		panic(fmt.Sprintf("shapley: observation shard %d out of [0,%d)", shard, len(p.slices)))
+	}
+	sl := p.slices[shard]
+	return sl.lo, sl.hi
+}
+
 // ObserveShard collects the distinct prefix cells reachable from one
 // scheduled shard's permutation slice and evaluates them through the
 // plan's source on a bounded pool (cfg.Workers per shard). Distinct shards
@@ -268,21 +278,31 @@ func (p *MonteCarloPlan) walkPrefixes(ctx context.Context, lo, hi int, visit fun
 // the source memoizes and deduplicates in-flight evaluations; a cell two
 // shards both reach is paid for once.
 func (p *MonteCarloPlan) ObserveShard(ctx context.Context, shard int) error {
-	lo, hi := p.ShardSlice(shard)
-	obs, err := p.observeRange(ctx, lo, hi)
+	keys, cells, err := p.sliceCells(ctx, shard)
 	if err != nil {
 		return err
 	}
+	obs, err := payShard(ctx, p.src, cells, p.cfg.Workers)
+	if err != nil {
+		return err
+	}
+	obs.keys = keys
 	p.observedShards[shard] = obs
 	return nil
 }
 
-// observeRange collects the distinct prefix cells reachable from the
-// permutation slice [lo, hi) and evaluates them through the plan's
-// source, returning them in first-visit order as an observed shard,
-// without touching any shard state. It backs ObserveShard and the
-// worker-side ObserveSlice.
-func (p *MonteCarloPlan) observeRange(ctx context.Context, lo, hi int) (*observedShard, error) {
+// ShardCells lists the cells a scheduled shard pays, in first-visit order,
+// without paying them — what a lease of the shard carries.
+func (p *MonteCarloPlan) ShardCells(ctx context.Context, shard int) ([]utility.Cell, error) {
+	_, cells, err := p.sliceCells(ctx, shard)
+	return cells, err
+}
+
+// sliceCells collects the distinct prefix cells reachable from a scheduled
+// shard's permutation slice, in first-visit order, with their (round,
+// column) coordinates.
+func (p *MonteCarloPlan) sliceCells(ctx context.Context, shard int) ([]obsCell, []utility.Cell, error) {
+	lo, hi := p.ShardSlice(shard)
 	seen := make(map[obsCell]bool)
 	var keys []obsCell
 	var cells []utility.Cell
@@ -296,14 +316,9 @@ func (p *MonteCarloPlan) observeRange(ctx context.Context, lo, hi int) (*observe
 		cells = append(cells, utility.Cell{Round: round, Subset: p.store.ColumnSet(col)})
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	obs, err := payShard(ctx, p.src, cells, p.cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	obs.keys = keys
-	return obs, nil
+	return keys, cells, nil
 }
 
 // Advance is the wave checkpoint: it merges the current wave's shard
@@ -540,15 +555,25 @@ func (p *ExactPlan) Shards() int { return len(p.observedShards) }
 // ObserveShard pays one shard's cells in one batch on cfg.Workers
 // goroutines.
 func (p *ExactPlan) ObserveShard(ctx context.Context, shard int) error {
-	if shard < 0 || shard >= len(p.observedShards) {
-		return fmt.Errorf("shapley: observation shard %d out of [0,%d)", shard, len(p.observedShards))
+	cells, err := p.ShardCells(ctx, shard)
+	if err != nil {
+		return err
 	}
-	obs, err := payShard(ctx, p.src, p.cells[shard], p.cfg.Workers)
+	obs, err := payShard(ctx, p.src, cells, p.cfg.Workers)
 	if err != nil {
 		return err
 	}
 	p.observedShards[shard] = obs
 	return nil
+}
+
+// ShardCells returns the utility.SelectedCells of one shard's rounds —
+// what a lease of the shard carries.
+func (p *ExactPlan) ShardCells(_ context.Context, shard int) ([]utility.Cell, error) {
+	if shard < 0 || shard >= len(p.cells) {
+		return nil, fmt.Errorf("shapley: observation shard %d out of [0,%d)", shard, len(p.cells))
+	}
+	return p.cells[shard], nil
 }
 
 // Advance records every shard's cells in round order and solves the full

@@ -4,12 +4,15 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"comfedsv/internal/utility"
 )
 
 // runImported drives a coordinator plan whose every shard, across every
-// wave, is evaluated by a separate worker-side plan (a fixed plan over the
-// same budget and seed, on its own evaluator) through ObserveSlice; the
-// coordinator preloads the batch and observes the shard from cache.
+// wave, is paid by a separate worker-side evaluator over the same trace:
+// the shard's cell list goes out as a lease batch, the worker pays it
+// through Pay, and the coordinator preloads the answer and observes the
+// shard from cache.
 func runImported(t *testing.T, cfg MonteCarloConfig) (*MonteCarloPlan, *Result) {
 	t.Helper()
 	ctx := context.Background()
@@ -18,14 +21,14 @@ func runImported(t *testing.T, cfg MonteCarloConfig) (*MonteCarloPlan, *Result) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	worker, err := NewMonteCarloPlan(ctx, duplicatedEvaluator(t, 500), MonteCarloConfig{Samples: cfg.Samples, Seed: cfg.Seed, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	worker := duplicatedEvaluator(t, 500)
 	for next := 0; next < p.Shards(); {
 		for ; next < p.Shards(); next++ {
-			lo, hi := p.ShardSlice(next)
-			cells, err := worker.ObserveSlice(ctx, lo, hi)
+			lease, err := p.ShardCells(ctx, next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells, err := worker.Pay(ctx, utility.NewCellBatch(p.n, lease, make([]float64, len(lease))), 2)
 			if err != nil {
 				t.Fatal(err)
 			}

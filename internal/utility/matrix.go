@@ -134,25 +134,9 @@ func (e *Evaluator) Preload(b *CellBatch) (int, error) {
 	if b == nil || len(b.Cells) == 0 {
 		return 0, nil
 	}
-	n := e.run.NumClients()
-	if b.N != n {
-		return 0, fmt.Errorf("utility: cell batch universe %d, run universe %d", b.N, n)
-	}
-	if err := b.Verify(); err != nil {
+	keys, err := e.batchKeys(b)
+	if err != nil {
 		return 0, err
-	}
-	rounds := len(e.run.Rounds)
-	keys := make([]cellKey, len(b.Cells))
-	for i := range b.Cells {
-		c := &b.Cells[i]
-		if c.Round < 0 || c.Round >= rounds {
-			return 0, fmt.Errorf("utility: cell round %d outside run of %d rounds", c.Round, rounds)
-		}
-		ck, err := cellKeyOf(n, c)
-		if err != nil {
-			return 0, err
-		}
-		keys[i] = ck
 	}
 	added := 0
 	for i, ck := range keys {
@@ -171,6 +155,61 @@ func (e *Evaluator) Preload(b *CellBatch) (int, error) {
 	}
 	e.preloaded.Add(int64(added))
 	return added, nil
+}
+
+// batchKeys validates b against the run — its universe, its canonical
+// order and digest, and every cell's round and coalition — and returns
+// each cell's memo key. It is the one check Preload and Pay run before a
+// batch touches the memo table or pays a cell.
+func (e *Evaluator) batchKeys(b *CellBatch) ([]cellKey, error) {
+	n := e.run.NumClients()
+	if b.N != n {
+		return nil, fmt.Errorf("utility: cell batch universe %d, run universe %d", b.N, n)
+	}
+	if err := b.Verify(); err != nil {
+		return nil, err
+	}
+	rounds := len(e.run.Rounds)
+	keys := make([]cellKey, len(b.Cells))
+	for i := range b.Cells {
+		c := &b.Cells[i]
+		if c.Round < 0 || c.Round >= rounds {
+			return nil, fmt.Errorf("utility: cell round %d outside run of %d rounds", c.Round, rounds)
+		}
+		ck, err := cellKeyOf(n, c)
+		if err != nil {
+			return nil, err
+		}
+		keys[i] = ck
+	}
+	return keys, nil
+}
+
+// Pay evaluates the cells a request batch names (its values are ignored)
+// on at most workers goroutines and returns them as a stamped batch with
+// exactly the request's coordinates — the worker half of a shard lease.
+// The request is validated as Preload validates a batch, so a malformed
+// one pays nothing. The result is NewCellBatch over the paid cells, the
+// batch a local observation of the same cells builds, so its bytes and
+// digest do not depend on which process paid.
+func (e *Evaluator) Pay(ctx context.Context, req *CellBatch, workers int) (*CellBatch, error) {
+	if req == nil {
+		return nil, fmt.Errorf("utility: nil cell request")
+	}
+	keys, err := e.batchKeys(req)
+	if err != nil {
+		return nil, err
+	}
+	n := e.run.NumClients()
+	cells := make([]Cell, len(keys))
+	for i, ck := range keys {
+		cells[i] = Cell{Round: ck.t, Subset: ck.set.set(n)}
+	}
+	vals, err := e.UtilityBatchCtx(ctx, cells, workers)
+	if err != nil {
+		return nil, err
+	}
+	return NewCellBatch(n, cells, vals), nil
 }
 
 // ExportNew drains and returns the cells evaluated since the last drain —

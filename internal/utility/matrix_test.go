@@ -10,7 +10,7 @@ import (
 	"comfedsv/internal/rng"
 )
 
-func tinyRun(t *testing.T, clients, rounds, perRound int) *fl.Run {
+func tinyRun(t testing.TB, clients, rounds, perRound int) *fl.Run {
 	t.Helper()
 	full := dataset.GenerateImages(dataset.MNISTLikeConfig(23), clients*20+40)
 	g := rng.New(24)

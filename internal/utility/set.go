@@ -6,6 +6,7 @@
 package utility
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -146,6 +147,18 @@ func (s Set) cacheKey() setKey {
 		return setKey{mask: s.Mask()}
 	}
 	return setKey{str: s.Key()}
+}
+
+// set returns the set over a universe of n clients that k identifies.
+func (k setKey) set(n int) Set {
+	if k.str == "" {
+		return FromMask(n, k.mask)
+	}
+	s := NewSet(n)
+	for i := range s.words {
+		s.words[i] = binary.LittleEndian.Uint64([]byte(k.str[8*i:]))
+	}
+	return s
 }
 
 // String renders the member list, e.g. "{0,3,7}".

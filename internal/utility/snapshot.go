@@ -29,11 +29,13 @@ type SnapshotCell struct {
 }
 
 // CellBatch is a canonical batch of memoized cells — the unit the
-// cell-cache sidecar appends and the one payload a remote worker ships
-// back for an observation shard. Cells are strictly sorted by (round,
-// coalition) and Digest is an FNV-1a content hash over coordinates and
-// raw IEEE-754 value bits, so an import can verify a batch is exactly
-// what its producer evaluated before trusting a byte of it.
+// cell-cache sidecar appends, the cell list a shard lease carries to a
+// remote worker (values zero; Evaluator.Pay reads only the coordinates),
+// and the one payload the worker ships back for it. Cells are strictly
+// sorted by (round, coalition) and Digest is an FNV-1a content hash over
+// coordinates and raw IEEE-754 value bits, so an import can verify a
+// batch is exactly what its producer evaluated before trusting a byte of
+// it.
 //
 // Its JSON form (format 2) is {"n","cells","digest"}, where cells is one
 // string of standard base64 over fixed-width little-endian records: the

@@ -2,6 +2,7 @@ package utility
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -570,6 +571,161 @@ func FuzzCellBatchPreload(f *testing.F) {
 			}
 			if e.Preloaded() != before+added {
 				t.Fatalf("accepted batch: preloaded %d → %d, added %d", before, e.Preloaded(), added)
+			}
+		}
+	})
+}
+
+// sameCoordinates reports whether a and b list the same (round, coalition)
+// cells in the same order.
+func sameCoordinates(a, b *CellBatch) bool {
+	if a.N != b.N || len(a.Cells) != len(b.Cells) {
+		return false
+	}
+	for i := range a.Cells {
+		x, y := a.Cells[i], b.Cells[i]
+		if x.Round != y.Round || x.Mask != y.Mask || x.Key != y.Key {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPayMatchesLocalBatch pins the worker half of a lease: Pay over a
+// request listing cells returns exactly the batch a local observation of
+// the same cells builds — same coordinates, values and digest — in the
+// mask and the hex-key encodings, and an empty request pays nothing.
+func TestPayMatchesLocalBatch(t *testing.T) {
+	ctx := context.Background()
+	for _, n := range []int{4, 66} {
+		run := tinyRun(t, n, 2, 3)
+		cells := []Cell{
+			{Round: 1, Subset: FromMembers(n, []int{0, 2})},
+			{Round: 0, Subset: FromMembers(n, []int{n - 1})},
+			{Round: 1, Subset: FromMembers(n, []int{1})},
+		}
+		local := NewEvaluator(run)
+		vals, err := local.UtilityBatchCtx(ctx, cells, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := NewCellBatch(n, cells, vals)
+		req := NewCellBatch(n, cells, make([]float64, len(cells)))
+		worker := NewEvaluator(run)
+		got, err := worker.Pay(ctx, req, 2)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if !sameBatch(got, want) {
+			t.Fatalf("n=%d: paid %+v, want %+v", n, got, want)
+		}
+		if worker.Calls() != len(cells) {
+			t.Fatalf("n=%d: paid %d evaluations, want %d", n, worker.Calls(), len(cells))
+		}
+		empty := &CellBatch{N: n}
+		empty.Stamp()
+		if got, err := worker.Pay(ctx, empty, 2); err != nil || len(got.Cells) != 0 || got.Digest != empty.Digest {
+			t.Fatalf("n=%d: Pay(empty) = (%+v, %v), want an empty batch", n, got, err)
+		}
+	}
+}
+
+// TestPayRejectsBadRequests: a lease's cell list that does not fit the
+// run — or is not canonical — is refused before any cell is paid.
+func TestPayRejectsBadRequests(t *testing.T) {
+	run := tinyRun(t, 4, 2, 2)
+	req := func(cells ...SnapshotCell) *CellBatch {
+		b := &CellBatch{N: 4, Cells: cells}
+		b.Stamp()
+		return b
+	}
+	unsorted := &CellBatch{N: 4, Cells: []SnapshotCell{{Round: 1, Mask: 1}, {Round: 0, Mask: 1}}}
+	unsorted.Digest = unsorted.digest()
+	for _, tc := range []struct {
+		name string
+		req  *CellBatch
+	}{
+		{"nil", nil},
+		{"wrong-universe", func() *CellBatch { b := req(SnapshotCell{Round: 0, Mask: 1}); b.N = 5; b.Stamp(); return b }()},
+		{"empty-wrong-universe", func() *CellBatch { b := req(); b.N = 5; return b }()},
+		{"bad-digest", func() *CellBatch { b := req(SnapshotCell{Round: 0, Mask: 1}); b.Digest = "dead"; return b }()},
+		{"out-of-range-round", req(SnapshotCell{Round: 0, Mask: 1}, SnapshotCell{Round: 2, Mask: 1})},
+		{"negative-round", req(SnapshotCell{Round: -1, Mask: 1}, SnapshotCell{Round: 0, Mask: 1})},
+		{"empty-coalition", req(SnapshotCell{Round: 0, Mask: 0}, SnapshotCell{Round: 0, Mask: 1})},
+		{"bits-beyond-universe", req(SnapshotCell{Round: 0, Mask: 1}, SnapshotCell{Round: 0, Mask: 1 << 4})},
+		{"key-in-mask-universe", req(SnapshotCell{Round: 0, Key: "0100000000000000"})},
+		{"out-of-order", unsorted},
+	} {
+		e := NewEvaluator(run)
+		if got, err := e.Pay(context.Background(), tc.req, 2); err == nil {
+			t.Fatalf("%s: Pay accepted the request and returned %+v", tc.name, got)
+		}
+		if e.Calls() != 0 {
+			t.Fatalf("%s: rejected request paid %d evaluations", tc.name, e.Calls())
+		}
+	}
+}
+
+// FuzzCellBatchPay drives the worker side of a lease with arbitrary bytes
+// as the lease's cell list: a strict decode, then Pay against real runs of
+// 4 and 66 clients (the mask and the hex-key encodings). Nothing may
+// panic; an accepted list must return a verified batch with exactly the
+// requested coordinates, each value the evaluator's own; a rejected list
+// must pay nothing.
+func FuzzCellBatchPay(f *testing.F) {
+	valid := &CellBatch{N: 4, Cells: []SnapshotCell{{Round: 0, Mask: 0b11}, {Round: 1, Mask: 0b1}}}
+	valid.Stamp()
+	unsorted := &CellBatch{N: 4, Cells: []SnapshotCell{{Round: 1, Mask: 1}, {Round: 0, Mask: 1}}}
+	unsorted.Digest = unsorted.digest()
+	wide := NewCellBatch(66, []Cell{{Round: 0, Subset: FromMembers(66, []int{0, 65})}, {Round: 1, Subset: FromMembers(66, []int{64})}}, []float64{0, 0})
+	seeds := []*CellBatch{valid, unsorted, wide}
+	for _, cells := range [][]SnapshotCell{
+		{{Round: 2, Mask: 1}},      // round out of range
+		{{Round: 0, Mask: 0}},      // empty coalition
+		{{Round: 0, Mask: 1 << 4}}, // bits beyond the universe
+	} {
+		b := &CellBatch{N: 4, Cells: cells}
+		b.Stamp()
+		seeds = append(seeds, b)
+	}
+	for _, b := range seeds {
+		raw, err := json.Marshal(b)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	runs := []*fl.Run{tinyRun(f, 4, 2, 2), tinyRun(f, 66, 2, 3)}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		req := new(CellBatch)
+		if err := dec.Decode(req); err != nil {
+			return
+		}
+		for _, run := range runs {
+			e := NewEvaluator(run)
+			got, err := e.Pay(context.Background(), req, 2)
+			if err != nil {
+				if e.Calls() != 0 {
+					t.Fatalf("rejected request paid %d evaluations (%v)", e.Calls(), err)
+				}
+				continue
+			}
+			if err := got.Verify(); err != nil {
+				t.Fatalf("paid batch does not verify: %v", err)
+			}
+			if !sameCoordinates(got, req) {
+				t.Fatalf("request %+v paid as %+v", *req, *got)
+			}
+			for i, c := range got.Cells {
+				ck, err := cellKeyOf(got.N, &c)
+				if err != nil {
+					t.Fatalf("paid cell %d: %v", i, err)
+				}
+				if want := e.Utility(c.Round, ck.set.set(got.N)); math.Float64bits(c.Value) != math.Float64bits(want) {
+					t.Fatalf("paid cell %d value %v, evaluator's %v", i, c.Value, want)
+				}
 			}
 		}
 	})

@@ -8,9 +8,9 @@ import (
 )
 
 // TestRemoteShardsPreloadMatchesRun drives the coordinator's remote-shard
-// path at the façade: every shard's cells come from a worker-side
-// ShardObserver over its own copy of the trace, the coordinator preloads
-// the batch and observes the shard from cache. The report must equal Run's
+// path at the façade: every shard's lease cells are paid by PayCells on a
+// worker-side copy of the trace, the coordinator preloads the batch and
+// observes the shard from cache. The report must equal Run's
 // byte for byte — utility_calls included — and no remote shard may pay a
 // single test-loss evaluation on the coordinator. At 22 clients each round
 // selects more than 20, so FedSV samples and the shards' cells are new to
@@ -47,11 +47,7 @@ func TestRemoteShardsPreloadMatchesRun(t *testing.T) {
 		}
 		want, _ := json.Marshal(local)
 
-		tr := train()
-		so, err := NewShardObserver(ctx, train(), opts.MonteCarloSamples, opts.Seed, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tr, worker := train(), train()
 		v := NewValuation(tr, opts)
 		pending, err := v.Prepare(ctx)
 		if err != nil {
@@ -60,11 +56,11 @@ func TestRemoteShardsPreloadMatchesRun(t *testing.T) {
 		next, added := 0, 0
 		for pending > 0 {
 			for shard := next; shard < next+pending; shard++ {
-				lo, hi, ok := v.ShardSlice(shard)
-				if !ok {
-					t.Fatalf("%d clients: shard %d has no slice", tc.clients, shard)
+				lease, err := v.ShardCells(ctx, shard)
+				if err != nil {
+					t.Fatal(err)
 				}
-				cells, err := so.ObserveSlice(ctx, lo, hi)
+				cells, err := worker.PayCells(ctx, lease, 2)
 				if err != nil {
 					t.Fatal(err)
 				}

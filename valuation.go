@@ -54,6 +54,7 @@ type Valuation struct {
 type plan interface {
 	Shards() int
 	ObserveShard(ctx context.Context, shard int) error
+	ShardCells(ctx context.Context, shard int) ([]utility.Cell, error)
 	ShardDigest(shard int) string
 	Advance(ctx context.Context) (more int, err error)
 	Extract(ctx context.Context) (*shapley.Result, error)
@@ -192,29 +193,16 @@ func (v *Valuation) TrainedRun() *TrainedRun { return v.tr }
 // return "".
 func (v *Valuation) ShardDigest(shard int) string { return v.plan.ShardDigest(shard) }
 
-// ObservationBudget returns the job's resolved permutation budget — the
-// sample count a worker-side ShardObserver must be built with so its
-// plan matches this valuation's. Exact pipelines (no permutation
-// structure) return 0; call it after Prepare.
-func (v *Valuation) ObservationBudget() int {
-	p, ok := v.plan.(*shapley.MonteCarloPlan)
-	if !ok {
-		return 0
+// ShardCells returns the cells a scheduled observation shard pays, as a
+// batch with zero values — the cell list a lease of the shard carries. A
+// worker's TrainedRun.PayCells answer for it carries the shard's digest,
+// for Monte-Carlo and exact shards alike.
+func (v *Valuation) ShardCells(ctx context.Context, shard int) (*CellBatch, error) {
+	cells, err := v.plan.ShardCells(ctx, shard)
+	if err != nil {
+		return nil, stageErr(ctx, "valuation", err)
 	}
-	return p.Budget()
-}
-
-// ShardSlice returns the half-open permutation slice [lo, hi) owned by a
-// scheduled observation shard — the coordinates a lease ships to a remote
-// worker. ok is false for exact pipelines and shards the plan has not
-// scheduled (tolerance waves schedule shards as they advance).
-func (v *Valuation) ShardSlice(shard int) (lo, hi int, ok bool) {
-	p, ok := v.plan.(*shapley.MonteCarloPlan)
-	if !ok || shard < 0 || shard >= v.shards {
-		return 0, 0, false
-	}
-	lo, hi = p.ShardSlice(shard)
-	return lo, hi, true
+	return utility.NewCellBatch(v.tr.NumClients(), cells, make([]float64, len(cells))), nil
 }
 
 // Complete is the wave checkpoint: it merges the shard observations in
@@ -250,8 +238,10 @@ func (v *Valuation) Extract(ctx context.Context) (*Report, error) {
 		return nil, stageErr(ctx, "valuation", err)
 	}
 	if v.opts.Tolerance > 0 {
+		// Prepare validated the options, so the budget resolves cleanly.
+		budget, _ := valuationBudget(v.opts)
 		v.report.ObservationsUsed = res.Permutations
-		v.report.ObservationsBudget = v.ObservationBudget()
+		v.report.ObservationsBudget = budget
 	}
 	v.report.ComFedSV = res.Values
 	v.report.ObservedDensity = res.Store.Density()
