@@ -43,11 +43,9 @@ func main() {
 		workers    = flag.Int("workers", 0, "scheduler worker goroutines, each running one stage task at a time (0 = GOMAXPROCS)")
 		par        = flag.Int("parallelism", 0, "per-task CPU parallelism for jobs that don't set it (0 = fair share of GOMAXPROCS across workers)")
 		shards     = flag.Int("shards", 0, "observation shards per job for jobs that don't set it (0 = 1; sharding never changes a report)")
-		tol        = flag.Float64("tolerance", 0, "default convergence tolerance for Monte-Carlo jobs that don't set one: adaptive valuation stops sampling once per-client estimates move less than this between waves, with the job's sample count as the budget (0 = fixed-budget valuation)")
 		queue      = flag.Int("queue", 64, "max queued jobs before submissions are rejected")
 		storeDir   = flag.String("store", "", "directory for persisted job reports (empty = in-memory only)")
 		runsDir    = flag.String("runs-dir", "", "directory for persisted shared training runs (empty = in-memory only)")
-		noCells    = flag.Bool("no-cell-cache", false, "disable the persistent utility-cell cache (with -runs-dir): no sidecar reads on run load, no flushes at merge/completion or of remote shard batches (those still warm memory); reports are unchanged either way")
 		jobTTL     = flag.Duration("job-ttl", 0, "evict terminal jobs (memory and store) this long after they finish (0 = keep forever)")
 		retries    = flag.Int("max-task-retries", 3, "max re-executions of a transiently failed stage task before the job fails")
 		taskTO     = flag.Duration("task-timeout", 0, "per-task execution deadline; a timed-out task is retried as transient (0 = none)")
@@ -80,21 +78,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *tol < 0 {
-		fmt.Fprintf(os.Stderr, "comfedsvd: -tolerance must not be negative, got %v\n", *tol)
-		os.Exit(2)
-	}
 	cfg := service.Config{
 		Workers:            *workers,
 		QueueDepth:         *queue,
 		DefaultParallelism: *par,
 		DefaultShards:      *shards,
-		DefaultTolerance:   *tol,
 		JobTTL:             *jobTTL,
 		MaxTaskRetries:     *retries,
 		TaskTimeout:        *taskTO,
 		JobTimeout:         *jobTO,
-		DisableCellCache:   *noCells,
 		Logger:             logger,
 	}
 	if *storeDir != "" {
@@ -184,7 +176,6 @@ func main() {
 		"workers", mgr.Workers(),
 		"parallelism", mgr.DefaultParallelism(),
 		"shards", mgr.DefaultShards(),
-		"tolerance", *tol,
 		"queue", *queue,
 		"store", *storeDir,
 		"runs_dir", *runsDir,

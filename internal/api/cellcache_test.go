@@ -231,9 +231,8 @@ func runCellWorker(ctx context.Context, t *testing.T, base, id, runsDir string, 
 // samples instead of enumerating, so the cells a remote shard reaches are
 // absent from the daemon's evaluator when the batch arrives. The
 // coordinator still observes the shard through the job's session, so
-// utility_calls — and every other report byte — match the local run.
-// With the cell cache disabled the batches still warm memory, but no
-// sidecar is written.
+// utility_calls — and every other report byte — match the local run, and
+// the batches reach the run's sidecar.
 func TestDistributedBigJobByteIdenticalToLocal(t *testing.T) {
 	const seed = 59
 	payload := bigJob(seed)
@@ -246,36 +245,33 @@ func TestDistributedBigJobByteIdenticalToLocal(t *testing.T) {
 		t.Fatalf("GET local report: %d", code)
 	}
 
-	for _, noCache := range []bool{false, true} {
-		runsDir := t.TempDir()
-		coord := dispatch.NewCoordinator(dispatch.Config{LeaseTTL: time.Minute, WorkerTTL: time.Hour})
-		ts := dispatchDaemon(t, runsDir, coord, service.Config{Workers: 2, DisableCellCache: noCache})
-		runID := registerRun(t, ts.URL, payload)
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		ready := make(chan struct{})
-		go runCellWorker(ctx, t, ts.URL, "w1", runsDir, ready)
-		<-ready
+	runsDir := t.TempDir()
+	coord := dispatch.NewCoordinator(dispatch.Config{LeaseTTL: time.Minute, WorkerTTL: time.Hour})
+	ts := dispatchDaemon(t, runsDir, coord, service.Config{Workers: 2})
+	runID := registerRun(t, ts.URL, payload)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ready := make(chan struct{})
+	go runCellWorker(ctx, t, ts.URL, "w1", runsDir, ready)
+	<-ready
 
-		id := submitAndWait(t, ts.URL, bigMCJobBody(t, runID, seed))
-		code, got := getBody(t, ts.URL+"/v1/jobs/"+id+"/report")
-		if code != http.StatusOK {
-			t.Fatalf("no-cell-cache=%v: GET distributed report: %d", noCache, code)
-		}
-		if !bytes.Equal(want, got) {
-			t.Fatalf("no-cell-cache=%v: distributed report differs from all-local execution:\n%s\nvs\n%s", noCache, got, want)
-		}
-		if st := coord.Stats(); st.LeasesCompleted != 3 || st.DigestMismatches != 0 {
-			t.Fatalf("no-cell-cache=%v: stats after distributed run: %+v, want 3 completed leases", noCache, st)
-		}
-		met := daemonMetrics(t, ts.URL)
-		if v := cellMetric(t, met, "comfedsvd_cellcache_preloaded_total"); v == 0 {
-			t.Fatalf("no-cell-cache=%v: remote batches were not preloaded", noCache)
-		}
-		if got := mustRunStore(t, runsDir).HasCells(runID); got == noCache {
-			t.Fatalf("no-cell-cache=%v: sidecar present = %v", noCache, got)
-		}
-		cancel()
+	id := submitAndWait(t, ts.URL, bigMCJobBody(t, runID, seed))
+	code, got := getBody(t, ts.URL+"/v1/jobs/"+id+"/report")
+	if code != http.StatusOK {
+		t.Fatalf("GET distributed report: %d", code)
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatalf("distributed report differs from all-local execution:\n%s\nvs\n%s", got, want)
+	}
+	if st := coord.Stats(); st.LeasesCompleted != 3 || st.DigestMismatches != 0 {
+		t.Fatalf("stats after distributed run: %+v, want 3 completed leases", st)
+	}
+	met := daemonMetrics(t, ts.URL)
+	if v := cellMetric(t, met, "comfedsvd_cellcache_preloaded_total"); v == 0 {
+		t.Fatal("remote batches were not preloaded")
+	}
+	if !mustRunStore(t, runsDir).HasCells(runID) {
+		t.Fatal("no sidecar written for the remote batches")
 	}
 }
 

@@ -579,6 +579,53 @@ func TestWorkerWrongCellsRejectedAndReleased(t *testing.T) {
 	}
 }
 
+// TestFailingWorkerFinalAttemptRunsLocally pins the local fallback of the
+// retry ladder: with one live worker that fails every lease, each shard is
+// leased while it has retries left, and its final attempt runs locally, so
+// the job finishes with the report of all-local execution instead of
+// failing.
+func TestFailingWorkerFinalAttemptRunsLocally(t *testing.T) {
+	payload, _, _, _ := tinyJob(71)
+	const seed, shards, retries = 71, 3, 2
+
+	localTS := testDaemon(t, service.Config{Workers: 2, RunStore: mustRunStore(t, t.TempDir())})
+	localRun := registerRun(t, localTS.URL, payload)
+	localID := submitAndWait(t, localTS.URL, mcJobBody(t, localRun, seed))
+	code, want := getBody(t, localTS.URL+"/v1/jobs/"+localID+"/report")
+	if code != http.StatusOK {
+		t.Fatalf("GET local report: %d", code)
+	}
+
+	runsDir := t.TempDir()
+	coord := dispatch.NewCoordinator(dispatch.Config{LeaseTTL: time.Minute, WorkerTTL: time.Hour})
+	ts := dispatchDaemon(t, runsDir, coord, service.Config{
+		Workers:        2,
+		MaxTaskRetries: retries,
+		RetryBaseDelay: time.Millisecond,
+	})
+	runID := registerRun(t, ts.URL, payload)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cl := dispatch.NewClient(ts.URL, "failing")
+	go runWorkerWith(ctx, t, ts.URL, "failing", runsDir, func(lease *dispatch.Lease, _ *utility.CellBatch) error {
+		return cl.Fail(ctx, lease.ID, "injected worker failure")
+	})
+	waitWorker(t, coord)
+
+	id := submitAndWait(t, ts.URL, mcJobBody(t, runID, seed))
+	code, got := getBody(t, ts.URL+"/v1/jobs/"+id+"/report")
+	if code != http.StatusOK {
+		t.Fatalf("GET report: %d", code)
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatalf("report with a failing worker differs from all-local execution:\n%s\nvs\n%s", got, want)
+	}
+	if st := coord.Stats(); st.LeasesFailed != retries*shards || st.LeasesCompleted != 0 {
+		t.Fatalf("stats = %+v, want %d failed and no completed leases", st, retries*shards)
+	}
+}
+
 func mustRunStore(t *testing.T, dir string) *persist.RunStore {
 	t.Helper()
 	rs, err := persist.NewRunStore(dir)

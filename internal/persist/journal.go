@@ -20,8 +20,10 @@ const (
 	// (datasets or run reference plus effective options), everything a
 	// restarted daemon needs to re-derive the job deterministically.
 	RecSubmit = "submit"
-	// RecTask records one completed stage task (prepare / observe /
-	// complete / shapley) with its stage-specific payload.
+	// RecTask records one executed observation shard (stage "observe")
+	// with its digest. Journals written by older daemons also hold
+	// prepare, complete and shapley task records; they still decode, and
+	// recovery ignores them.
 	RecTask = "task"
 	// RecFail records a terminal job failure, so a failed job survives a
 	// restart as failed instead of silently re-running.
@@ -40,12 +42,14 @@ var ErrCorruptJournal = errors.New("persist: corrupt job journal")
 type JournalRecord struct {
 	Type string    `json:"type"`
 	Time time.Time `json:"time,omitempty"`
-	// Stage is the completed task's stage name for RecTask records.
+	// Stage is the task's stage name for RecTask records: "observe" in
+	// new journals, any scheduler stage in older ones.
 	Stage string `json:"stage,omitempty"`
 	// Shard is the observation shard index of an observe task record.
 	Shard int `json:"shard,omitempty"`
-	// Shards is the planned shard count on a prepare record, and the
-	// number of additional wave shards on a complete record.
+	// Shards is read only from older journals, whose prepare and complete
+	// records carried a shard count; it stays so the strict decoder
+	// accepts them. New journals never set it.
 	Shards int `json:"shards,omitempty"`
 	// Digest is the content hash of an observation shard's evaluated
 	// cells — recovery re-executes the shard (observation is a pure

@@ -34,11 +34,6 @@ const (
 	cellStageWorker  = "worker"  // remoteObserve, absorbing a worker batch
 )
 
-// cellCacheEnabled reports whether the persistent cell cache is active.
-func (m *Manager) cellCacheEnabled() bool {
-	return m.cfg.RunStore != nil && !m.cfg.DisableCellCache
-}
-
 // preloadCells warm-starts a run's evaluator from its sidecar. Called
 // without m.mu held, by the goroutine that owns the trace's publication
 // (trainRun, or runTrained's loadOnce) — so no job can be evaluating
@@ -47,7 +42,7 @@ func (m *Manager) cellCacheEnabled() bool {
 // sidecar is quarantined and counted (batches that verified before the
 // damage stay installed — they are known-good) and the run proceeds.
 func (m *Manager) preloadCells(id string, tr *comfedsv.TrainedRun) {
-	if !m.cellCacheEnabled() || tr == nil {
+	if m.cfg.RunStore == nil || tr == nil {
 		return
 	}
 	added, err := m.cfg.RunStore.PreloadCells(id, tr.PreloadCells, m.cfg.FaultHook)
@@ -61,27 +56,16 @@ func (m *Manager) preloadCells(id string, tr *comfedsv.TrainedRun) {
 	}
 }
 
-// jobTrainedRun returns the shared TrainedRun a run-backed job values
-// against, nil when the pipeline has none to expose (scripted tests, or a
-// stage before Prepare resolved the run).
-func jobTrainedRun(j *job) *comfedsv.TrainedRun {
-	tc, ok := j.val.(traceCarrier)
-	if !ok {
-		return nil
-	}
-	return tc.TrainedRun()
-}
-
 // flushCells drains the cells a run-backed job's evaluator newly
 // computed and appends them durably to the run's sidecar. Best-effort
 // like appendJournal — a disk hiccup is logged and the job continues —
 // except for faultinject.ErrCrash, which is returned so the task fails
 // like process death. Callers must not hold m.mu (AppendCells fsyncs).
 func (m *Manager) flushCells(j *job, stage string) error {
-	if j.runID == "" || !m.cellCacheEnabled() {
+	if j.runID == "" || m.cfg.RunStore == nil {
 		return nil
 	}
-	tr := jobTrainedRun(j)
+	tr := j.val.TrainedRun()
 	if tr == nil {
 		return nil
 	}
@@ -101,15 +85,15 @@ func (m *Manager) flushCells(j *job, stage string) error {
 }
 
 // absorbCells preloads a remote shard's cell batch into the job's run
-// evaluator tr — always, so the shard's local observation that follows runs
-// entirely from cache — and, when the persistent cell cache is enabled
-// and the batch contributed anything new, appends it to the sidecar so
-// the warmth survives a restart. The preload checks every cell against
-// the actual run (dispatch could verify only the digest); a rejected
-// batch fails the shard. An append failure is best-effort except for a
-// simulated crash, mirroring flushCells.
-func (m *Manager) absorbCells(j *job, tr *comfedsv.TrainedRun, b *utility.CellBatch) error {
-	added, err := tr.PreloadCells(b)
+// evaluator — so the shard's local observation that follows runs entirely
+// from cache — and, when the batch contributed anything new, appends it
+// to the sidecar (a leased run is always persisted, so the run store is
+// there) so the warmth survives a restart. The preload checks every cell
+// against the actual run (dispatch could verify only the digest); a
+// rejected batch fails the shard. An append failure is best-effort except
+// for a simulated crash, mirroring flushCells.
+func (m *Manager) absorbCells(j *job, b *utility.CellBatch) error {
+	added, err := j.val.TrainedRun().PreloadCells(b)
 	if err != nil {
 		return fmt.Errorf("service: remote cell batch rejected: %w", err)
 	}
@@ -120,9 +104,6 @@ func (m *Manager) absorbCells(j *job, tr *comfedsv.TrainedRun, b *utility.CellBa
 		return nil
 	}
 	m.met.cellsPreloaded.Add(int64(added))
-	if !m.cellCacheEnabled() {
-		return nil
-	}
 	if err := m.cfg.RunStore.AppendCells(j.runID, b, cellStageWorker, m.cfg.FaultHook); err != nil {
 		if errors.Is(err, faultinject.ErrCrash) {
 			return err

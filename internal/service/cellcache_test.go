@@ -208,44 +208,6 @@ func TestWarmCacheSharedAcrossJobsSameDaemon(t *testing.T) {
 	}
 }
 
-// TestDisableCellCacheKnob checks the Config escape hatch: with the cache
-// disabled nothing is written or preloaded, and the report bytes match an
-// enabled daemon's exactly — the cache is invisible in outputs.
-func TestDisableCellCacheKnob(t *testing.T) {
-	const seed = 65
-	req := cellRequest(seed, 2, 2)
-
-	onDir, onRuns := t.TempDir(), t.TempDir()
-	onJobs, onStore := cellStores(t, onDir, onRuns)
-	mOn := newManager(t, Config{Workers: 2, Store: onJobs, RunStore: onStore})
-	want := runCellJob(t, mOn, onDir, tinySpec(seed), req)
-
-	jobDir, runDir := t.TempDir(), t.TempDir()
-	jobs, runs := cellStores(t, jobDir, runDir)
-	m1 := newManager(t, Config{Workers: 2, Store: jobs, RunStore: runs, DisableCellCache: true})
-	got := runCellJob(t, m1, jobDir, tinySpec(seed), req)
-	if !bytes.Equal(want, got) {
-		t.Fatal("disabling the cell cache changed the report bytes")
-	}
-	if met := &m1.met; met.cellsPersisted.Value() != 0 || met.cellsPreloaded.Value() != 0 {
-		t.Fatalf("disabled cache still moved cells: persisted=%d preloaded=%d", met.cellsPersisted.Value(), met.cellsPreloaded.Value())
-	}
-	if runs.HasCells(req.RunID) {
-		t.Fatal("disabled cache still wrote a sidecar")
-	}
-	shutdown(t, m1)
-
-	jobs2, runs2 := cellStores(t, jobDir, runDir)
-	m2 := newManager(t, Config{Workers: 2, Store: jobs2, RunStore: runs2, DisableCellCache: true})
-	again := runCellJob(t, m2, jobDir, tinySpec(seed), req)
-	if !bytes.Equal(want, again) {
-		t.Fatal("disabled-cache restart changed the report bytes")
-	}
-	if preloaded, hits := m2.met.cellsPreloaded.Value(), scrape(t, m2)["comfedsvd_cellcache_hit_total"]; preloaded != 0 || hits != 0 {
-		t.Fatalf("disabled cache warm-started anyway: preloaded=%d hits=%v", preloaded, hits)
-	}
-}
-
 // TestCorruptSidecarQuarantinedJobRunsCold injects both corruption shapes
 // — an unparseable line and a well-formed batch with a wrong digest — and
 // requires the same degradation either way: the sidecar is quarantined,

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -288,6 +289,51 @@ func TestLegacyJournalRecoversByteIdentical(t *testing.T) {
 	}
 	if attrs := h.find("journal observe digests predate cell-batch digests; resuming without comparing them", id); attrs == nil {
 		t.Fatal("no log line says the legacy observe digests were ignored")
+	}
+}
+
+// TestJournalHoldsOnlyWhatRecoveryReads pins a finished job's journal
+// contents: a submit record, then one observe record per executed shard
+// across every adaptive wave — nothing for prepare, complete or shapley,
+// which recovery never reads.
+func TestJournalHoldsOnlyWhatRecoveryReads(t *testing.T) {
+	req := tinyRequest(23)
+	req.Options.MonteCarloSamples = 48
+	req.Options.Tolerance = 1e-6
+	req.Options.Shards = 2
+	store, err := persist.NewJobStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var appended []faultinject.Point
+	m := newManager(t, Config{Workers: 2, Store: store, FaultHook: faultinject.Notify(faultinject.OpJournalAfter, "", func(p faultinject.Point) {
+		mu.Lock()
+		appended = append(appended, p)
+		mu.Unlock()
+	})})
+	id, err := m.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitTerminal(t, m, id)
+	if st.State != StateDone {
+		t.Fatalf("job finished %s (%s)", st.State, st.Error)
+	}
+	if st.Shards <= req.Options.Shards {
+		t.Fatalf("job ran %d shards, want more than one wave of %d", st.Shards, req.Options.Shards)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(appended) != 1+st.Shards || appended[0].Stage != persist.RecSubmit {
+		t.Fatalf("journal appends %v, want submit then %d observe records", appended, st.Shards)
+	}
+	seen := make(map[int]bool)
+	for _, p := range appended[1:] {
+		if p.Stage != taskObserve || seen[p.Shard] || p.Shard < 0 || p.Shard >= st.Shards {
+			t.Fatalf("journal appends %v, want submit then one observe record per shard 0..%d", appended, st.Shards-1)
+		}
+		seen[p.Shard] = true
 	}
 }
 

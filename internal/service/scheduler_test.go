@@ -119,6 +119,14 @@ func (f *fakeValuation) Extract(ctx context.Context) (*comfedsv.Report, error) {
 
 func (f *fakeValuation) Stats() *comfedsv.EvalStats { return nil }
 
+func (f *fakeValuation) TrainedRun() *comfedsv.TrainedRun { return nil }
+
+func (f *fakeValuation) ShardDigest(int) string { return "" }
+
+func (f *fakeValuation) ShardCells(context.Context, int) (*comfedsv.CellBatch, error) {
+	return nil, errors.New("scripted pipeline: no cells")
+}
+
 // scriptManager wires a manager whose submissions consume the given fake
 // valuations in order.
 func scriptManager(t *testing.T, workers int, fakes ...stagedValuation) *Manager {
@@ -409,6 +417,14 @@ func (f *failingShardValuation) Extract(ctx context.Context) (*comfedsv.Report, 
 }
 
 func (f *failingShardValuation) Stats() *comfedsv.EvalStats { return nil }
+
+func (f *failingShardValuation) TrainedRun() *comfedsv.TrainedRun { return nil }
+
+func (f *failingShardValuation) ShardDigest(int) string { return "" }
+
+func (f *failingShardValuation) ShardCells(context.Context, int) (*comfedsv.CellBatch, error) {
+	return nil, errors.New("scripted pipeline: no cells")
+}
 
 // TestCancelRacingExtractionCompletesDone pins the cancel-vs-completion
 // race: when Cancel lands while the extraction task is in flight and the

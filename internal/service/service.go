@@ -141,22 +141,15 @@ type Config struct {
 	Store *persist.JobStore
 	// RunStore, if non-nil, persists shared training runs; its existing
 	// runs are exposed as ready runs at startup (traces load lazily from
-	// disk on first use).
+	// disk on first use). Every shared run then also carries a
+	// `<runID>.cells` sidecar: newly evaluated utility cells are flushed
+	// to it at merge-wave and job-completion boundaries, and a run's
+	// evaluator is warm-started from it when the trace is trained or
+	// recovered — so a second job over the same run, even in a fresh
+	// process or on a remote worker, skips the test-loss evaluations the
+	// first job already paid for. Cells are pure functions of the trace,
+	// so warmth never changes a byte of any report.
 	RunStore *persist.RunStore
-	// DisableCellCache turns off the persistent run-scoped utility-cell
-	// cache. When a RunStore is configured (and this is false), every
-	// shared run carries a `<runID>.cells` sidecar: newly evaluated
-	// utility cells are flushed to it at merge-wave and job-completion
-	// boundaries, and a run's evaluator is warm-started from it when the
-	// trace is trained or recovered — so a second job over the same run,
-	// even in a fresh process or on a remote worker, skips the test-loss
-	// evaluations the first job already paid for. Cells are pure functions
-	// of the trace, so warmth never changes a byte of any report; the knob
-	// exists for A/B comparison and for tests that need a guaranteed cold
-	// cache. Remote shard batches are still preloaded in memory — the
-	// coordinator observes a remote shard from them — but never reach the
-	// sidecar.
-	DisableCellCache bool
 	// DefaultParallelism is the Options.Parallelism applied to submissions
 	// that leave it 0: the per-task CPU budget for the valuation hot path.
 	// 0 means a fair share of the machine across the worker pool —
@@ -169,14 +162,6 @@ type Config struct {
 	// stage is split into. 0 means 1 (no sharding). Sharding changes
 	// scheduling only, never a byte of any report.
 	DefaultShards int
-	// DefaultTolerance, if positive, is the Options.Tolerance applied to
-	// Monte-Carlo submissions that leave it 0: every such job runs the
-	// adaptive (tolerance-driven) pipeline with its sample count as the
-	// permutation budget, stopping early once the per-client estimates
-	// stabilize. 0 keeps fixed-budget valuation for jobs that don't ask
-	// for a tolerance. Exact-pipeline submissions (no samples) are never
-	// switched.
-	DefaultTolerance float64
 	// JobTTL, if positive, evicts terminal jobs — from memory and, when a
 	// Store is configured, from disk — once they have been finished for at
 	// least this long. 0 keeps jobs forever.
@@ -220,11 +205,13 @@ type Config struct {
 	// local pool — the one knob behind which local and distributed
 	// execution coexist. A shard is leased only when it is remotable
 	// (run-backed job with a persisted trace workers can hydrate, exact
-	// or Monte-Carlo) and a live worker is registered;
-	// otherwise it runs locally. A lease lost to a dead or expired worker
-	// fails transiently and rides the retry ladder, which re-evaluates
-	// eligibility — so a dying worker fleet degrades to local execution,
-	// never to a stuck or differing job.
+	// or Monte-Carlo) and a live worker is registered; otherwise it runs
+	// locally. A lease lost to a dead or expired worker, or failed by
+	// the worker, fails transiently and rides the retry ladder, which
+	// re-evaluates eligibility; a shard's final attempt (attempt ==
+	// MaxTaskRetries, when that is positive) is never leased and runs
+	// locally. So a dying or failing worker fleet degrades to local
+	// execution, never to a stuck, failed or differing job.
 	Dispatcher *dispatch.Coordinator
 
 	// buildValuation, if non-nil, replaces the whole staged pipeline —
@@ -498,13 +485,6 @@ func (m *Manager) Submit(req Request) (string, error) {
 	}
 	if opts.Shards == 0 {
 		opts.Shards = m.cfg.DefaultShards
-	}
-	// A daemon-wide default tolerance switches Monte-Carlo jobs that did
-	// not pick a mode themselves to adaptive valuation; jobs that set
-	// their own tolerance, ask for an explicit budget via MaxPermutations,
-	// or run the exact pipeline are left alone.
-	if m.cfg.DefaultTolerance > 0 && opts.Tolerance == 0 && opts.MaxPermutations == 0 && opts.MonteCarloSamples > 0 {
-		opts.Tolerance = m.cfg.DefaultTolerance
 	}
 	j.opts = m.instrumentOptions(j, opts)
 
@@ -878,20 +858,21 @@ func (m *Manager) worker() {
 // remoteEligibleLocked decides whether a claimed task runs as a remote
 // lease: an observation shard of a run-backed job whose trace is
 // persisted in the shared run store (workers hydrate by content-addressed
-// run ID) and whose pipeline can list the shard's cells — exact and
-// Monte-Carlo alike — with at least one live worker registered. Decided
-// at claim time so a retry after a lost lease re-evaluates — an emptied
-// fleet degrades the shard to local execution. Callers hold m.mu.
+// run ID), exact and Monte-Carlo alike, with at least one live worker
+// registered and at least one retry left — the final attempt runs
+// locally, so a worker that fails every lease cannot fail the job.
+// Decided at claim time so a retry after a lost lease re-evaluates — an
+// emptied fleet degrades the shard to local execution. Callers hold m.mu.
 func (m *Manager) remoteEligibleLocked(t *task) bool {
 	d := m.cfg.Dispatcher
 	if d == nil || t.stage != taskObserve || t.j.runID == "" {
 		return false
 	}
-	e, ok := m.runs[t.j.runID]
-	if !ok || !e.persisted {
+	if m.cfg.MaxTaskRetries > 0 && t.attempt == m.cfg.MaxTaskRetries {
 		return false
 	}
-	if _, ok := t.j.val.(remoteShardable); !ok {
+	e, ok := m.runs[t.j.runID]
+	if !ok || !e.persisted {
 		return false
 	}
 	return d.HasLiveWorkers()

@@ -18,36 +18,20 @@ import (
 // schedule before the next Complete, their indices continuing where the
 // previous wave's left off; Extract produces the report once Complete
 // returned 0. Stats returns the shared-cache ledger, nil for pipelines
-// that don't value against a shared cache (inline jobs).
+// that don't value against a shared cache (inline jobs). After Prepare,
+// TrainedRun is the run the pipeline values against (nil for scripted
+// test pipelines), ShardDigest hashes an observed shard's cells — the
+// token the journal records and crash recovery verifies a re-executed
+// shard against ("" skips the check) — and ShardCells lists the cells a
+// remote lease of the shard carries.
 type stagedValuation interface {
 	Prepare(ctx context.Context) (shards int, err error)
 	ObserveShard(ctx context.Context, shard int) error
 	Complete(ctx context.Context) (moreShards int, err error)
 	Extract(ctx context.Context) (*comfedsv.Report, error)
 	Stats() *comfedsv.EvalStats
-}
-
-// shardDigester is optionally implemented by pipelines whose observation
-// shards can hash their evaluated cells — the content token the journal
-// records and crash recovery verifies re-executed shards against.
-// Scripted test pipelines simply lack it.
-type shardDigester interface {
-	ShardDigest(shard int) string
-}
-
-// traceCarrier is optionally implemented by pipelines that can expose
-// their trained run after Prepare, letting the scheduler persist an
-// inline job's trace so crash recovery resumes without retraining.
-type traceCarrier interface {
 	TrainedRun() *comfedsv.TrainedRun
-}
-
-// remoteShardable is optionally implemented by pipelines whose
-// observation shards can be leased to remote workers: the shard's cell
-// list is the lease, and the coordinator preloads a worker's answer before
-// observing the shard itself from cache.
-type remoteShardable interface {
-	traceCarrier
+	ShardDigest(shard int) string
 	ShardCells(ctx context.Context, shard int) (*comfedsv.CellBatch, error)
 }
 
@@ -62,7 +46,7 @@ func (m *Manager) newValuation(j *job) stagedValuation {
 	if j.runID == "" {
 		return &pipelineValuation{build: func(ctx context.Context) (*comfedsv.Valuation, bool, error) {
 			// A recovered job resumes from its persisted trace when the
-			// crash happened after the prepare checkpoint; otherwise it
+			// crash happened after the prepare task saved it; otherwise it
 			// retrains, which — training being a seeded deterministic
 			// function of the journaled request — rebuilds the identical
 			// trace.
@@ -130,10 +114,10 @@ func (p *pipelineValuation) Stats() *comfedsv.EvalStats {
 }
 
 // prepareTask is a job's first stage: build the pipeline (training inline
-// jobs, resolving shared runs) and plan the observation shards. Before the
-// journal checkpoint it persists an inline job's trace, so a crash after
-// this point resumes by loading the trace instead of retraining. Its done
-// hook fans the shard tasks out.
+// jobs, resolving shared runs) and plan the observation shards. It
+// persists an inline job's trace, so a crash after this point resumes by
+// loading the trace instead of retraining. Its done hook fans the shard
+// tasks out.
 func (m *Manager) prepareTask(j *job) *task {
 	return &task{
 		j:     j,
@@ -144,17 +128,12 @@ func (m *Manager) prepareTask(j *job) *task {
 			if err != nil {
 				return err
 			}
-			if j.journal != nil && j.runID == "" {
-				if tc, ok := j.val.(traceCarrier); ok {
-					// Best-effort: an unsaved trace only costs a recovery
-					// a deterministic retraining, never correctness.
-					if serr := m.cfg.Store.SaveJobRun(j.id, tc.TrainedRun().Run()); serr != nil {
-						m.logJob("trace persist failed", j, "error", serr.Error())
-					}
+			if tr := j.val.TrainedRun(); tr != nil && j.journal != nil && j.runID == "" {
+				// Best-effort: an unsaved trace only costs a recovery a
+				// deterministic retraining, never correctness.
+				if serr := m.cfg.Store.SaveJobRun(j.id, tr.Run()); serr != nil {
+					m.logJob("trace persist failed", j, "error", serr.Error())
 				}
-			}
-			if jerr := m.appendJournal(j, persist.JournalRecord{Type: persist.RecTask, Stage: taskPrepare, Shards: shards}); jerr != nil {
-				return jerr
 			}
 			m.mu.Lock()
 			j.shardsTotal = shards
@@ -195,10 +174,7 @@ func (m *Manager) observeTask(j *job, shard int) *task {
 		if err := j.val.ObserveShard(ctx, shard); err != nil {
 			return err
 		}
-		var digest string
-		if d, ok := j.val.(shardDigester); ok {
-			digest = d.ShardDigest(shard)
-		}
+		digest := j.val.ShardDigest(shard)
 		if want, ok := j.wantDigests[shard]; ok && digest != "" && digest != want {
 			return fmt.Errorf("service: recovered shard %d re-derived digest %s but the journal recorded %s: determinism violation", shard, digest, want)
 		}
@@ -222,11 +198,7 @@ func (m *Manager) observeTask(j *job, shard int) *task {
 // transient errors; the retry ladder re-executes the task, re-evaluating
 // remote eligibility.
 func (m *Manager) remoteObserve(ctx context.Context, j *job, shard int) error {
-	rv, ok := j.val.(remoteShardable)
-	if !ok {
-		return fmt.Errorf("service: shard %d claimed remote but the pipeline is not remotable", shard)
-	}
-	lease, err := rv.ShardCells(ctx, shard)
+	lease, err := j.val.ShardCells(ctx, shard)
 	if err != nil {
 		return err
 	}
@@ -234,7 +206,7 @@ func (m *Manager) remoteObserve(ctx context.Context, j *job, shard int) error {
 	if err != nil {
 		return err
 	}
-	return m.absorbCells(j, rv.TrainedRun(), cells)
+	return m.absorbCells(j, cells)
 }
 
 // completeTask merges the shards in deterministic serial order and runs
@@ -253,9 +225,6 @@ func (m *Manager) completeTask(j *job) *task {
 			n, err := j.val.Complete(ctx)
 			if err != nil {
 				return err
-			}
-			if jerr := m.appendJournal(j, persist.JournalRecord{Type: persist.RecTask, Stage: taskComplete, Shards: n}); jerr != nil {
-				return jerr
 			}
 			// Merge-wave flush: every cell the wave's shards evaluated is
 			// durable before the next wave (or the extraction) runs, so a
@@ -310,13 +279,9 @@ func (m *Manager) extractTask(j *job) *task {
 			}
 			if persistErr == nil && j.journal != nil {
 				// The persisted report alone implies done on recovery, so
-				// the journal is spent: checkpoint for the record, then
-				// remove it. If the report could not be persisted the
-				// journal stays — a restart recomputes the report a
-				// warning said would not survive.
-				if jerr := m.appendJournal(j, persist.JournalRecord{Type: persist.RecTask, Stage: taskShapley}); jerr != nil {
-					return jerr
-				}
+				// the journal is spent. If the report could not be
+				// persisted the journal stays — a restart recomputes the
+				// report a warning said would not survive.
 				if rerr := m.cfg.Store.RemoveJournal(j.id); rerr != nil {
 					m.logJob("journal remove failed", j, "error", rerr.Error())
 				}
