@@ -3,9 +3,9 @@
 // POST /v1/worker/lease for observation-shard leases, pays each lease's
 // cells against the training trace hydrated from the shared run store, and
 // reports them back as one digest-stamped cell batch. A lease carries the
-// shard's cell list — the permutation prefixes of a Monte-Carlo shard or
-// every subset of an exact shard's rounds — so the worker never rebuilds a
-// plan and serves both kinds of job alike. The list is validated against
+// shard's cell list — a contiguous chunk of its wave's cells, plan and
+// FedSV cells alike — so the worker never rebuilds a plan and serves
+// exact and Monte-Carlo jobs alike. The list is validated against
 // the run before any cell is paid. The coordinator verifies the batch,
 // checks it holds exactly the leased cells, preloads it, and observes the
 // shard from its own cache, so adding workers (or losing one mid-shard —

@@ -88,21 +88,21 @@ type Options struct {
 	// Seed makes the run deterministic.
 	Seed int64
 	// Parallelism bounds the number of CPU-bound goroutines one valuation
-	// may use for its hot path — the ALS completion solves (factor rows
-	// and restarts) and the test-loss evaluations of FedSV, the exact
-	// plan's observation and the Monte-Carlo observation stage. 0 means
-	// GOMAXPROCS. The computed values are bit-identical for every
-	// setting; only wall-clock time changes.
+	// stage may use for its hot path — the ALS completion solves (factor
+	// rows and restarts) and each observation shard's test-loss
+	// evaluations, which cover every cell the job reads: FedSV's and the
+	// plan's. 0 means GOMAXPROCS. The computed values are bit-identical
+	// for every setting; only wall-clock time changes.
 	Parallelism int
-	// Shards splits the observation stage into that many independently
-	// schedulable shards (0 means 1). A Monte-Carlo shard owns a disjoint
-	// slice of each wave's sampled permutations (clamped to the wave's
-	// permutation count); an exact shard owns a contiguous range of rounds
-	// (clamped to the round count) and pays every subset of their
-	// selections. The one-shot Value path runs them serially; the comfedsvd scheduler
-	// runs them as separate tasks on its shared worker pool so one large
-	// valuation no longer monopolizes a worker. The computed values are
-	// bit-identical for every setting.
+	// Shards splits each observation wave into that many independently
+	// schedulable shards (0 means 1), clamped to the wave's cell count: a
+	// shard owns a contiguous chunk of the wave's cell list, not a range
+	// of rounds or permutations. Wave 0's list holds FedSV's cells as well
+	// as the plan's, so the shards pay every cell of the job and Prepare
+	// pays none. The one-shot Value path runs them serially; the
+	// comfedsvd scheduler runs them as separate tasks on its shared worker
+	// pool so one large valuation no longer monopolizes a worker. The
+	// computed values are bit-identical for every setting.
 	Shards int
 	// OnProgress, if non-nil, receives pipeline progress updates. Shard
 	// observation events may be delivered concurrently when a scheduler
@@ -147,9 +147,9 @@ type Progress struct {
 }
 
 // Valuation pipeline stages reported through Options.OnProgress, in
-// execution order: FedAvg training, the FedSV baseline, the ComFedSV
-// observation shards, the matrix-completion solve, and the Shapley
-// extraction.
+// execution order: FedAvg training, the observation shards (which pay
+// FedSV's cells and ComFedSV's), the FedSV baseline (computed from wave
+// 0's values), the matrix-completion solve, and the Shapley extraction.
 const (
 	StageTrain    = "train"
 	StageFedSV    = "fedsv"

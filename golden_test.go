@@ -12,7 +12,7 @@ import (
 	"strings"
 	"testing"
 
-	"comfedsv/internal/shapley"
+	"comfedsv/internal/rng"
 	"comfedsv/internal/utility"
 )
 
@@ -23,10 +23,9 @@ func goldenSum(b []byte) string {
 }
 
 // goldenValuation drives a staged Valuation serially and returns the
-// JSON report plus one "lo,hi,ok,digest" line per observation shard, in
-// scheduling order across every wave: a Monte-Carlo shard's permutation
-// slice (ok true), or 0,0,false for an exact shard. Every shard's digest
-// is that of its cell batch, and the batch PayCells returns for the
+// JSON report plus one "cells,digest" line per observation shard, in
+// scheduling order across every wave: how many cells the shard paid and
+// the digest of its cell batch. The batch PayCells returns for the
 // shard's lease cells carries the same digest.
 func goldenValuation(t *testing.T, tr *TrainedRun, opts Options) (report []byte, shards string) {
 	t.Helper()
@@ -55,13 +54,8 @@ func goldenValuation(t *testing.T, tr *TrainedRun, opts Options) (report []byte,
 	if report, err = json.Marshal(rep); err != nil {
 		t.Fatal(err)
 	}
-	mcPlan, ok := v.plan.(*shapley.MonteCarloPlan)
 	var b strings.Builder
 	for shard := 0; shard < v.Shards(); shard++ {
-		var lo, hi int
-		if ok {
-			lo, hi = mcPlan.ShardSlice(shard)
-		}
 		digest := v.ShardDigest(shard)
 		if digest == "" {
 			t.Fatalf("shard %d has no digest", shard)
@@ -77,12 +71,12 @@ func goldenValuation(t *testing.T, tr *TrainedRun, opts Options) (report []byte,
 		if wire.Digest != digest {
 			t.Fatalf("shard %d digest %s, but a worker's batch for its lease carries %s", shard, digest, wire.Digest)
 		}
-		fmt.Fprintf(&b, "%d,%d,%v,%s\n", lo, hi, ok, digest)
+		fmt.Fprintf(&b, "%d,%s\n", len(lease.Cells), digest)
 	}
 	return report, b.String()
 }
 
-// TestGoldenReportsAndShardDigests pins report bytes, shard slices, shard
+// TestGoldenReportsAndShardDigests pins report bytes, shard sizes, shard
 // digests, and the worker wire payload to constants, so they cannot drift
 // between versions. Recovery re-derives shard digests and compares them
 // against journals an earlier binary wrote, and stored reports are served
@@ -124,65 +118,65 @@ func TestGoldenReportsAndShardDigests(t *testing.T) {
 		{
 			"exact", 0, 1, 0,
 			"510e9ee636c8b9bca8c01564b34e7dc3c10b3f017fb123d234dc33a587283726",
-			"875b91e5a5a5bcdd54632d14601fbbf1510c6f25f24fdbe601a869cc51ab324a",
+			"dd3b9a296a90f7621d144bd4e025c9a6a4855d7c5487dda77aa1d1938e428133",
 			"9a72410c56cd8ac9c85370d87a2e32694aacbf161ccd2b933322d3508706451e",
-			"b9c4611e5bcf8c87ac235c14d612907caa2f6cc008d2c5e9e254f0f1e58f3414",
+			"448c193c6afdb843f99c0e0877484c0adea01bdde6ab5eca4f2f7ab36c2a5045",
 		},
 		{
 			"fixed/1", 25, 1, 0,
 			"df821586e52705b9f47058a0ee8ec43c347a7bbb6da2fb07a08d299335b27f98",
-			"0097b8554e2219661efb853f91311b595769abe0c4cfe157e69532952b14a926",
+			"dd3b9a296a90f7621d144bd4e025c9a6a4855d7c5487dda77aa1d1938e428133",
 			"fa3b62312b2e11e1efe3731f1c61a6f67ca0735d53c3c8325f074bc6b7f59b76",
-			"6a70a26ae984380d04ac742359ea0587b95892f8ca6a2dac8e156bf1496632c6",
+			"448c193c6afdb843f99c0e0877484c0adea01bdde6ab5eca4f2f7ab36c2a5045",
 		},
 		{
 			"fixed/3", 25, 3, 0,
 			"df821586e52705b9f47058a0ee8ec43c347a7bbb6da2fb07a08d299335b27f98",
-			"7f48fbe1e2f49feb7f59e3cfe35bf27f8f3e95b70d0e3ed93becbf3de55fe2b1",
+			"b8c8f32315302f40e8592a1244b0b1c935c9541e1083cd214e22cf939707f53c",
 			"fa3b62312b2e11e1efe3731f1c61a6f67ca0735d53c3c8325f074bc6b7f59b76",
-			"258c1aab0159995bc585de1422fca3529dceb5fb5e85d9a9da61e0b52ed2260d",
+			"5fdbc5b8fd3c887cf580354de08a7a0a21c34d5626354eb4804b88b0d625c5d0",
 		},
 		{
 			"fixed/7/4", 7, 4, 0,
 			"6010cefc1c6cd2c9c178df5783a352a952ab744e0bcaa294de571509a199b67d",
-			"381689deae5b98ea11cca3148e7e8c87036b6861369898a394063bfd4d36b030",
+			"9e47b1aac8dbccdda5bf670c0f96d07d6ef3600e662711bf7b8d0d5b819b0f30",
 			"7eea29390c8d2e692d9585d45a8e129032daf6b15698ace4a43b427c7dbd8dcd",
-			"9eb154fec35496caadc5385ba8401bd79298fcd57c27398e2265cfd29c5ea0c5",
+			"c519c9daa65ec1d75d9e11f95123e3681e64a8945c7cf51a4882f927ffaa7354",
 		},
 		{
 			"fixed/over-sharded", 25, 64, 0,
 			"df821586e52705b9f47058a0ee8ec43c347a7bbb6da2fb07a08d299335b27f98",
-			"52fbd3c970d5adb941286a506c8cbf67df54f1d8da419eb04571d34fb90ca643",
+			"ab5300c1183d1df22540fe929688142a2a964f35b8aac7aa52a35de4bc23695b",
 			"fa3b62312b2e11e1efe3731f1c61a6f67ca0735d53c3c8325f074bc6b7f59b76",
-			"97e8a92f17d4c732c713babe481ced9836bb8ec71a175bf2d6035519e354bc42",
+			"376a671f45311d5ab5608530720460035718a8cfc1ed39788c13ffcd979a7129",
 		},
 		{
 			"tolerance/early-stop/1", 40, 1, 100,
 			"8d872214153a902fd4c0ed849082a58b9993dfc7ae311a2ef9d9e137fbfee5df",
-			"573b0073f8d7da8fd39695f032d1ff51c957eb4becb7c347cd0fe767302fbbe6",
+			"ec991150508681f9a5613035284a15a1bf13c46b16daeac16cd1075d500492b9",
 			"317bda549b9beada872c56b65a684f6c2a0faa39161e0d64556551a4739cfb80",
-			"d88a259d60503def73da2ab9185a8b770471fefb95060d8d21a470ab0c4ff690",
+			"2dca8f7fefcb7e9f754edfb2428974c18fda04047bec327e68cab1bda52652e8",
 		},
 		{
 			"tolerance/early-stop/3", 40, 3, 100,
 			"8d872214153a902fd4c0ed849082a58b9993dfc7ae311a2ef9d9e137fbfee5df",
-			"0b0f97a3c5004e3c45d29219578be9aeb74448ecf836ebaef2575858f04744c1",
+			"4815b0fe58b318affc724ddb0691ef87255f3af38c6ee42b30b35a213ebb668a",
 			"317bda549b9beada872c56b65a684f6c2a0faa39161e0d64556551a4739cfb80",
-			"07968a2e0c7c5081192ea37c90cdfa6d44adda204f33c42830b990e2ad63975e",
+			"278099503919a47b46f8a9f0dbf5ba4411c252a4bdabac38690e7e56aeafb8a5",
 		},
 		{
 			"tolerance/exhausted/1", 40, 1, 1e-9,
 			"347dd7e932a50914684bfcd4666a632abaa399335500377b0f0839abc7ee67fb",
-			"2a1346adb7c4aa0a11fd1a16043e0aa2850248e349e895bb7103eb0492446088",
+			"4e78254d2792f06eefe6a88c324d66c9623eccac490d253045e6a1eb92610718",
 			"ea922473b617d95a81b7c72268eb2dd07c0c9755cb29c20d6b692d7710719103",
-			"a4736da3c0a1bdf0ee50a77205a5a8af1835185ebe4d1a87b176d20b75b39228",
+			"e7e319c6e0365f1441889abb0763b344e2863f83501e9b624d6740a1a6439653",
 		},
 		{
 			"tolerance/exhausted/3", 40, 3, 1e-9,
 			"347dd7e932a50914684bfcd4666a632abaa399335500377b0f0839abc7ee67fb",
-			"54bdccb617d7dc3c4e85b6548e9396db68b71ca809d6b951d45189a9450fea77",
+			"be7fe64edc780381f816aaf18664f87bd09e90f0507dacf6119ef222f6d6cb34",
 			"ea922473b617d95a81b7c72268eb2dd07c0c9755cb29c20d6b692d7710719103",
-			"dd36f2a1a5ea2fd12a718417d36dfe5e012ec549970e6e7ed176a0fba80ef144",
+			"b9fc7699f6b4d7b19a2d56222ccf1877094df3049836f7c0e56d2bdded6a4ef7",
 		},
 	} {
 		opts := base
@@ -217,27 +211,30 @@ func TestGoldenReportsAndShardDigests(t *testing.T) {
 
 	// The remote-worker payload for one lease, in both wire formats: the
 	// format-1 cell objects it was first pinned as, and the format-2
-	// block a worker sends now. The lease is the cells of permutations
-	// [3,11) of a 25-permutation plan; a plan's first permutations do not
-	// depend on its budget, so they are the union of shards 1 and 2 of an
-	// 11-permutation plan cut into three ([0,3), [3,7), [7,11)).
-	opts.MonteCarloSamples = 11
-	v := NewValuation(tr, opts)
-	if _, err := v.Prepare(context.Background()); err != nil {
-		t.Fatal(err)
+	// block a worker sends now. The lease is every prefix cell, within its
+	// round's selection, of permutations [3,11) of the Monte-Carlo plan's
+	// seeded stream.
+	n := tr.NumClients()
+	g := rng.New(opts.Seed + 1)
+	perms := make([][]int, 11)
+	for m := range perms {
+		perms[m] = g.Perm(n)
 	}
-	if lo, hi := v.plan.(*shapley.MonteCarloPlan).ShardSlice(1); lo != 3 || hi != 7 {
-		t.Fatalf("shard 1 is [%d,%d), want [3,7)", lo, hi)
-	}
-	lease := &CellBatch{N: tr.NumClients()}
-	for shard := 1; shard <= 2; shard++ {
-		cells, err := v.ShardCells(context.Background(), shard)
-		if err != nil {
-			t.Fatal(err)
+	var cells []utility.Cell
+	for round, rd := range tr.Run().Rounds {
+		sel := utility.FromMembers(n, rd.Selected)
+		for _, perm := range perms[3:] {
+			prefix := utility.NewSet(n)
+			for _, c := range perm {
+				if !sel.Contains(c) {
+					break
+				}
+				prefix = prefix.With(c)
+				cells = append(cells, utility.Cell{Round: round, Subset: prefix})
+			}
 		}
-		lease.Cells = append(lease.Cells, cells.Cells...)
 	}
-	lease.Stamp()
+	lease := utility.NewCellBatch(n, cells, make([]float64, len(cells)))
 	lease.Cells = slices.CompactFunc(lease.Cells, func(a, b utility.SnapshotCell) bool {
 		return a.Round == b.Round && a.Mask == b.Mask && a.Key == b.Key
 	})

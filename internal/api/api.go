@@ -149,14 +149,15 @@ type optionsJSON struct {
 	Rank              int     `json:"rank,omitempty"`
 	MonteCarloSamples int     `json:"monte_carlo_samples,omitempty"`
 	// Parallelism is the per-task CPU budget for the valuation hot path
-	// (ALS completion and Monte-Carlo observation). 0 or absent means the
+	// (ALS completion and each shard's utility cells). 0 or absent means the
 	// daemon's default — a fair share of GOMAXPROCS across the worker
 	// pool. The computed values do not depend on it.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Shards is the number of observation shard tasks the job's
-	// Monte-Carlo stage is split into on the scheduler. 0 or absent means
-	// the daemon's default (-shards flag, 1 if unset). The computed values
-	// do not depend on it.
+	// Shards is the number of observation shard tasks each wave of the
+	// job is split into on the scheduler: contiguous chunks of the wave's
+	// cell list (FedSV's cells included in the first wave), at most one
+	// shard per cell. 0 or absent means the daemon's default (-shards
+	// flag, 1 if unset). The computed values do not depend on it.
 	Shards int `json:"shards,omitempty"`
 	// Tolerance, if present, switches the job to adaptive valuation:
 	// sampling runs in waves and stops once no client's ComFedSV estimate

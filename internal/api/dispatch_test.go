@@ -403,7 +403,7 @@ func waitWorker(t *testing.T, coord *dispatch.Coordinator) {
 }
 
 // exactJobBody is a run-backed exact-pipeline submission (no permutation
-// budget) whose observation stage is sharded by round.
+// budget) whose one wave is cut into three shards.
 func exactJobBody(t *testing.T, runID string, seed int64) []byte {
 	t.Helper()
 	raw, err := json.Marshal(map[string]any{
@@ -424,9 +424,11 @@ func exactJobBody(t *testing.T, runID string, seed int64) []byte {
 }
 
 // TestDistributedExactJobByteIdentical pins the exact pipeline on the
-// remote path: a run-backed exact job's round shards are leased like
-// Monte-Carlo ones, each lease carries the utility.SelectedCells of its
-// shard's rounds, and the report is byte-identical to local execution.
+// remote path: a run-backed exact job's shards are leased like
+// Monte-Carlo ones, each lease carries its chunk of utility.SelectedCells
+// (which covers FedSV's cells too, so the worker pays every cell and the
+// coordinator's comfedsvd_cellcache_preloaded_total counts them all), and
+// the report is byte-identical to local execution.
 func TestDistributedExactJobByteIdentical(t *testing.T) {
 	payload, _, _, _ := tinyJob(53)
 	const seed = 53
@@ -477,21 +479,22 @@ func TestDistributedExactJobByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds, k := len(run.Rounds), 3
+	// The exact plan's cells and exact FedSV's are both SelectedCells, so
+	// the leases carry all of them and the worker paid every one: the
+	// coordinator preloaded each cell it would otherwise have paid itself.
+	_, met := getBody(t, ts.URL+"/v1/metrics")
+	if got := cellMetric(t, met, "comfedsvd_cellcache_preloaded_total"); got != float64(len(all)) {
+		t.Fatalf("comfedsvd_cellcache_preloaded_total = %v after the exact job, want all %d cells", got, len(all))
+	}
+	k := 3
 	mu.Lock()
 	defer mu.Unlock()
 	for shard := 0; shard < k; shard++ {
-		// Shard i owns rounds [i·T/k, (i+1)·T/k).
-		lo, hi := shard*rounds/k, (shard+1)*rounds/k
-		var cells []utility.Cell
-		for _, c := range all {
-			if c.Round >= lo && c.Round < hi {
-				cells = append(cells, c)
-			}
-		}
+		// Shard i owns the chunk [i·L/k, (i+1)·L/k) of the wave's list.
+		cells := all[shard*len(all)/k : (shard+1)*len(all)/k]
 		wantLease := utility.NewCellBatch(run.NumClients(), cells, make([]float64, len(cells)))
 		if gotLease := leased[shard]; gotLease == nil || gotLease.Digest != wantLease.Digest || !reflect.DeepEqual(gotLease.Cells, wantLease.Cells) {
-			t.Fatalf("shard %d (rounds [%d,%d)) leased %+v, want the SelectedCells %+v", shard, lo, hi, gotLease, wantLease)
+			t.Fatalf("shard %d leased %+v, want its chunk of SelectedCells %+v", shard, gotLease, wantLease)
 		}
 	}
 }

@@ -7,11 +7,10 @@
 //
 //   - The Coordinator owns a lease table with deadlines and a worker
 //     registry with heartbeats and liveness expiry. It never plans work:
-//     a task carries the shard's cells as the job's plan listed them —
-//     the permutation prefixes of a Monte-Carlo shard or the
-//     utility.SelectedCells of an exact shard's rounds — so a worker
-//     pays exactly the cells the coordinator's shard observes, whatever
-//     the job's budget, seed or pipeline.
+//     a task carries the shard's cells as the job listed them — a
+//     contiguous chunk of its wave's cell list — so a worker pays
+//     exactly the cells the coordinator's shard observes, whatever the
+//     job's budget, seed or pipeline.
 //   - Workers long-poll for leases, hydrate the training trace from the
 //     shared persist.RunStore via the content-addressed run ID, pay the
 //     leased cells locally, and report them as one utility.CellBatch keyed
@@ -40,22 +39,10 @@ import (
 	"sync"
 	"time"
 
+	"comfedsv/internal/faultinject"
 	"comfedsv/internal/telemetry"
 	"comfedsv/internal/utility"
 )
-
-// Clock abstracts time for deterministic lease-expiry tests; it is
-// structurally identical to the service scheduler's clock, so one
-// injected fake drives both.
-type Clock interface {
-	Now() time.Time
-	After(d time.Duration) <-chan time.Time
-}
-
-type realClock struct{}
-
-func (realClock) Now() time.Time                         { return time.Now() }
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // Task is one observation-shard lease payload: the shard's cells, and
 // the run a worker pays them against.
@@ -158,7 +145,7 @@ type Config struct {
 	// report) stays live. Zero means 30 seconds.
 	WorkerTTL time.Duration
 	// Clock injects time; nil means the real clock.
-	Clock Clock
+	Clock faultinject.Clock
 	// Logger receives lease lifecycle events; nil discards them.
 	Logger *slog.Logger
 }
@@ -245,7 +232,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 		cfg.WorkerTTL = 30 * time.Second
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = realClock{}
+		cfg.Clock = faultinject.RealClock{}
 	}
 	return &Coordinator{
 		cfg:     cfg,

@@ -5,11 +5,27 @@ import (
 	"time"
 )
 
-// ManualClock is a deterministic clock for retry/backoff and deadline
+// Clock is the time source of the service scheduler's retry backoff and
+// deadlines and of the dispatch coordinator's lease and liveness expiry.
+// Production runs on RealClock; chaos suites substitute ManualClock, so
+// one injected fake drives both and timing behavior is tested instantly
+// and without flaking on scheduler jitter. The clock never feeds into a
+// report — only into when work runs.
+type Clock interface {
+	Now() time.Time
+	After(d time.Duration) <-chan time.Time
+}
+
+// RealClock is the production Clock: the time package's.
+type RealClock struct{}
+
+func (RealClock) Now() time.Time                         { return time.Now() }
+func (RealClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+
+// ManualClock is a deterministic Clock for retry/backoff and deadline
 // tests: time only moves when the test calls Advance, so a chaos suite
 // exercising exponential backoff or a per-job deadline runs instantly
-// and never flakes on scheduler jitter. It satisfies the service
-// package's Clock contract (Now + After) structurally.
+// and never flakes on scheduler jitter.
 type ManualClock struct {
 	mu      sync.Mutex
 	now     time.Time

@@ -167,7 +167,7 @@ func TestCrashMidAdaptiveWaveResumesByteIdentical(t *testing.T) {
 }
 
 // TestCrashExactShardedResumesByteIdentical sweeps the crash points of an
-// exact-pipeline job split into round shards: every observe record carries
+// exact-pipeline job split into shards: every observe record carries
 // the shard's cell-batch digest, and the resumed job re-derives and
 // verifies each journaled one before its report can match.
 func TestCrashExactShardedResumesByteIdentical(t *testing.T) {
@@ -220,7 +220,7 @@ func recoverJob(t *testing.T, dir, id string, logger *slog.Logger) Status {
 }
 
 // TestRecoveredExactShardDigestMismatchFails tampers with the digest an
-// exact job journaled for its first round shard: the resumed job
+// exact job journaled for its first shard: the resumed job
 // re-derives a different digest and must fail loudly, not report.
 func TestRecoveredExactShardDigestMismatchFails(t *testing.T) {
 	req := tinyRequest(37)
@@ -287,8 +287,57 @@ func TestLegacyJournalRecoversByteIdentical(t *testing.T) {
 	if got := reportBytes(t, dir, id); !bytes.Equal(got, want) {
 		t.Fatal("legacy journal resumed report diverges from a fault-free run")
 	}
-	if attrs := h.find("journal observe digests predate cell-batch digests; resuming without comparing them", id); attrs == nil {
+	if attrs := h.find("journal observe digests predate the current digest format; resuming without comparing them", id); attrs == nil {
 		t.Fatal("no log line says the legacy observe digests were ignored")
+	}
+}
+
+// TestPreviousDigestFormatJournalRecoversByteIdentical resumes an exact
+// job journal whose submit record declares digest format 2, from before
+// wave 0's shards held FedSV's cells: its observe digest is one no
+// current shard re-derives (zeroed here). Recovery ignores it, says so in
+// the log, and re-executes the job to the report a fault-free run writes.
+func TestPreviousDigestFormatJournalRecoversByteIdentical(t *testing.T) {
+	req := tinyRequest(37)
+	req.Options.Shards = 2
+	want := runToCompletion(t, req)
+	dir, id := crashAfterFirstObserve(t, req)
+
+	path := filepath.Join(dir, id+".journal")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(raw, []byte("\n"))
+	for i, line := range lines[:len(lines)-1] { // the final element is the empty tail
+		var rec persist.JournalRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Type == persist.RecSubmit {
+			rec.DigestFormat = 2
+		}
+		if rec.Digest != "" {
+			rec.Digest = strings.Repeat("0", len(rec.Digest))
+		}
+		if lines[i], err = json.Marshal(rec); err != nil {
+			t.Fatal(err)
+		}
+		lines[i] = append(lines[i], '\n')
+	}
+	if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	h := &recordingHandler{}
+	if st := recoverJob(t, dir, id, slog.New(h)); st.State != StateDone {
+		t.Fatalf("format-2 journal job finished %s (%s)", st.State, st.Error)
+	}
+	if got := reportBytes(t, dir, id); !bytes.Equal(got, want) {
+		t.Fatal("format-2 journal resumed report diverges from a fault-free run")
+	}
+	if attrs := h.find("journal observe digests predate the current digest format; resuming without comparing them", id); attrs == nil {
+		t.Fatal("no log line says the format-2 observe digests were ignored")
 	}
 }
 

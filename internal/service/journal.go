@@ -14,9 +14,12 @@ import (
 // digestFormat is the observe-digest scheme new submit records declare:
 // an observe record's digest is the digest of the shard's canonical
 // utility.CellBatch, the token a remote worker's batch for the shard
-// carries. Journals without the marker hold digests of an earlier
-// (round, column) hash that no current shard re-derives.
-const digestFormat = 2
+// carries, where a shard is a contiguous chunk of its wave's cell list
+// and wave 0's list holds FedSV's cells too. Format 2 digests are of the
+// same batches over the plan's cells alone, cut by permutation slice or
+// round range; journals without the marker hold digests of an earlier
+// (round, column) hash. No current shard re-derives either.
+const digestFormat = 3
 
 // journalRequest is the submit record's payload: the full effective job
 // request — datasets or run reference plus the options after daemon
@@ -223,7 +226,7 @@ func (m *Manager) resumeJob(id string, req journalRequest, recs []persist.Journa
 	}
 	j.opts = m.instrumentOptions(j, req.Options)
 	if ignored > 0 {
-		m.logJob("journal observe digests predate cell-batch digests; resuming without comparing them", j,
+		m.logJob("journal observe digests predate the current digest format; resuming without comparing them", j,
 			"digest_format", recs[0].DigestFormat, "ignored_digests", ignored)
 	}
 

@@ -8,23 +8,6 @@ import (
 	"time"
 )
 
-// Clock abstracts the scheduler's time source for retry backoff and
-// deadlines. Production managers run on the real clock; chaos suites
-// substitute faultinject.ManualClock (which satisfies this structurally)
-// so backoff and deadline behavior is tested instantly and without
-// flaking on scheduler jitter. The clock never feeds into a report —
-// only into when work runs.
-type Clock interface {
-	Now() time.Time
-	After(d time.Duration) <-chan time.Time
-}
-
-// realClock is the production Clock.
-type realClock struct{}
-
-func (realClock) Now() time.Time                         { return time.Now() }
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
 // Deadline errors. A task timeout is transient — the retry ladder gets
 // another shot at it; a job deadline is fatal — the job's total time is
 // up regardless of which task was unlucky.

@@ -304,8 +304,8 @@ func TestDeleteRunLifecycle(t *testing.T) {
 
 // TestCancelRunBackedJobKeepsRunUsable cancels a job mid-valuation and
 // then proves the shared run and its evaluator still serve later jobs
-// correctly. The fault hook holds the victim's observation shards — after
-// its prepare stage ran FedSV against the run's evaluator — until the
+// correctly. The fault hook holds the victim's observation shards — the
+// tasks that pay its cells against the run's evaluator — until the
 // cancel has landed.
 func TestCancelRunBackedJobKeepsRunUsable(t *testing.T) {
 	release := make(chan struct{})

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"comfedsv"
+	"comfedsv/internal/faultinject"
 	"comfedsv/internal/persist"
 )
 
@@ -478,9 +479,16 @@ func TestCancelRacingExtractionCompletesDone(t *testing.T) {
 // tentpole on the REAL pipeline: with one worker, a large Monte-Carlo job
 // submitted first and a small job submitted behind it, the small job
 // completes before the large one finishes — time-to-first-completion under
-// mixed load is no longer the large job's full runtime.
+// mixed load is no longer the large job's full runtime. The worker is held
+// at the big job's prepare task until both submissions returned: a test
+// goroutine descheduled between the two Submits must not let the big job
+// finish before the small one exists.
 func TestMixedLoadSmallJobFinishesFirst(t *testing.T) {
-	m := newManager(t, Config{Workers: 1})
+	release := make(chan struct{})
+	m := newManager(t, Config{
+		Workers:   1,
+		FaultHook: faultinject.Notify(faultinject.OpTask, taskPrepare, func(faultinject.Point) { <-release }),
+	})
 
 	big := tinyRequest(41)
 	big.Options.Rounds = 6
@@ -496,6 +504,7 @@ func TestMixedLoadSmallJobFinishesFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	close(release)
 	stSmall := waitTerminal(t, m, idSmall)
 	if stSmall.State != StateDone {
 		t.Fatalf("small job finished %s (%s)", stSmall.State, stSmall.Error)

@@ -1,8 +1,9 @@
 // Package service turns the one-shot comfedsv valuation pipeline into a
 // long-running job engine. A Manager decomposes every submitted job into a
-// staged task graph — prepare (training or shared-run resolution, FedSV,
-// observation planning), N observation shards, merge+completion, Shapley
-// extraction — and schedules the tasks of all jobs on one shared worker
+// staged task graph — prepare (training or shared-run resolution,
+// observation planning), N observation shards that pay every cell the
+// job reads, FedSV plus merge+completion, Shapley extraction — and
+// schedules the tasks of all jobs on one shared worker
 // pool with per-job round-robin fairness, so one large valuation no longer
 // monopolizes a worker for its whole lifetime while small jobs starve
 // behind it. The Manager tracks per-job state and per-stage progress,
@@ -158,8 +159,8 @@ type Config struct {
 	// can ask for it explicitly in its options.
 	DefaultParallelism int
 	// DefaultShards is the Options.Shards applied to submissions that
-	// leave it 0: how many observation shard tasks one job's Monte-Carlo
-	// stage is split into. 0 means 1 (no sharding). Sharding changes
+	// leave it 0: how many observation shard tasks each wave of one job
+	// is split into. 0 means 1 (no sharding). Sharding changes
 	// scheduling only, never a byte of any report.
 	DefaultShards int
 	// JobTTL, if positive, evicts terminal jobs — from memory and, when a
@@ -193,7 +194,7 @@ type Config struct {
 	// Clock substitutes the scheduler's time source for retry backoff
 	// and deadlines. Nil means the real clock. Chaos suites inject
 	// faultinject.ManualClock to test backoff and deadlines instantly.
-	Clock Clock
+	Clock faultinject.Clock
 	// FaultHook, if non-nil, is consulted at every task execution and
 	// journal append — the deterministic fault-injection seam. Faults it
 	// returns become task failures (or panics, or simulated crashes);
@@ -203,7 +204,10 @@ type Config struct {
 	// Dispatcher, if non-nil, lets the scheduler lease observation-shard
 	// tasks to remote worker processes instead of running them on the
 	// local pool — the one knob behind which local and distributed
-	// execution coexist. A shard is leased only when it is remotable
+	// execution coexist. A lease carries the shard's chunk of its wave's
+	// cell list; the shards of a job are the only tasks that pay cells
+	// (wave 0's hold FedSV's too), so leases move every paid cell of a
+	// remote job off the coordinator. A shard is leased only when it is remotable
 	// (run-backed job with a persisted trace workers can hydrate, exact
 	// or Monte-Carlo) and a live worker is registered; otherwise it runs
 	// locally. A lease lost to a dead or expired worker, or failed by
@@ -349,7 +353,7 @@ type Manager struct {
 	// pendingRetries counts tasks sleeping out a retry backoff across all
 	// jobs — workers must not exit while one is pending.
 	pendingRetries int
-	clock          Clock
+	clock          faultinject.Clock
 
 	// registry holds every /v1/metrics family (registerMetrics); met
 	// holds the handles the scheduler feeds.
@@ -383,7 +387,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		cfg.RetryBaseDelay = 50 * time.Millisecond
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = realClock{}
+		cfg.Clock = faultinject.RealClock{}
 	}
 	m := &Manager{
 		cfg:         cfg,

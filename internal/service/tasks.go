@@ -11,9 +11,10 @@ import (
 
 // stagedValuation is the scheduler's view of one job's pipeline: the stage
 // graph it turns into tasks. Prepare does the serial setup (training or
-// shared-run resolution, FedSV, observation planning) and returns how many
+// shared-run resolution, observation planning) and returns how many
 // observation shards to schedule; ObserveShard calls for distinct shards
-// may run concurrently; Complete merges and solves — and, for adaptive
+// may run concurrently and pay every cell the job reads; Complete (after
+// the first wave, FedSV first) merges and solves — and, for adaptive
 // (tolerance-driven) pipelines, may return further observation shards to
 // schedule before the next Complete, their indices continuing where the
 // previous wave's left off; Extract produces the report once Complete
@@ -114,7 +115,8 @@ func (p *pipelineValuation) Stats() *comfedsv.EvalStats {
 }
 
 // prepareTask is a job's first stage: build the pipeline (training inline
-// jobs, resolving shared runs) and plan the observation shards. It
+// jobs, resolving shared runs) and plan the observation shards, paying no
+// utility cell. It
 // persists an inline job's trace, so a crash after this point resumes by
 // loading the trace instead of retraining. Its done hook fans the shard
 // tasks out.

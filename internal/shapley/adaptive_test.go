@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"reflect"
-	"sync"
 	"testing"
 
 	"comfedsv/internal/utility"
@@ -12,65 +11,25 @@ import (
 
 // adaptiveConfig is a small tolerance config exercised by the plan tests:
 // budget 64 cuts into waves [16, 32, 64].
-func adaptiveConfig(shards int, tol float64) MonteCarloConfig {
+func adaptiveConfig(tol float64) MonteCarloConfig {
 	cfg := DefaultMonteCarloConfig(6, 3, 51)
 	cfg.Samples = 64
-	cfg.Shards = shards
 	cfg.Tolerance = tol
 	return cfg
 }
 
-// runAdaptive drives a tolerance plan the way the scheduler would:
-// observe every pending shard (optionally concurrently), Advance, repeat
-// until Advance returns 0, then Extract.
-func runAdaptive(t *testing.T, cfg MonteCarloConfig, concurrent bool) (*MonteCarloPlan, *Result) {
+// runAdaptive drives a tolerance plan the way a Valuation would: pay every
+// wave's cells in shards chunks (optionally concurrently), Advance, repeat
+// until Advance reports no further wave, then Extract.
+func runAdaptive(t *testing.T, cfg MonteCarloConfig, shards int, concurrent bool) (*MonteCarloPlan, *Result) {
 	t.Helper()
-	ctx := context.Background()
 	e := duplicatedEvaluator(t, 500)
-	p, err := NewMonteCarloPlan(ctx, e, cfg)
-	if err != nil {
-		t.Fatal(err)
+	p := newPlan(t, e, cfg)
+	order := "serial"
+	if concurrent {
+		order = "concurrent"
 	}
-	next := 0
-	pending := p.Shards()
-	for {
-		if concurrent {
-			var wg sync.WaitGroup
-			errs := make([]error, pending)
-			for i := 0; i < pending; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					errs[i] = p.ObserveShard(ctx, next+i)
-				}(i)
-			}
-			wg.Wait()
-			for i, err := range errs {
-				if err != nil {
-					t.Fatalf("shard %d: %v", next+i, err)
-				}
-			}
-		} else {
-			for i := 0; i < pending; i++ {
-				if err := p.ObserveShard(ctx, next+i); err != nil {
-					t.Fatalf("shard %d: %v", next+i, err)
-				}
-			}
-		}
-		next += pending
-		more, err := p.Advance(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if more == 0 {
-			break
-		}
-		pending = more
-	}
-	res, err := p.Extract(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := runChunked(t, e, p, shards, order)
 	return p, res
 }
 
@@ -99,13 +58,13 @@ func TestWaveBounds(t *testing.T) {
 // counts 1, 2, and 8, with shards run serially or concurrently.
 func TestAdaptiveShardAndConcurrencyInvariant(t *testing.T) {
 	const tol = 0.2
-	basePlan, base := runAdaptive(t, adaptiveConfig(1, tol), false)
+	basePlan, base := runAdaptive(t, adaptiveConfig(tol), 1, false)
 	if basePlan.Used() >= basePlan.Budget() {
 		t.Fatalf("baseline adaptive run used the whole budget (%d) — tolerance too tight to test early stop", basePlan.Budget())
 	}
 	for _, shards := range []int{2, 8} {
 		for _, concurrent := range []bool{false, true} {
-			p, got := runAdaptive(t, adaptiveConfig(shards, tol), concurrent)
+			p, got := runAdaptive(t, adaptiveConfig(tol), shards, concurrent)
 			if p.Used() != basePlan.Used() {
 				t.Fatalf("shards=%d concurrent=%v stopped at %d permutations, want %d", shards, concurrent, p.Used(), basePlan.Used())
 			}
@@ -127,7 +86,7 @@ func TestAdaptiveShardAndConcurrencyInvariant(t *testing.T) {
 // estimates stay within that tolerance of the full-budget fixed run.
 func TestAdaptiveEarlyStopSavesObservationsWithinTolerance(t *testing.T) {
 	const tol = 0.2
-	p, got := runAdaptive(t, adaptiveConfig(2, tol), false)
+	p, got := runAdaptive(t, adaptiveConfig(tol), 2, false)
 	if p.Used() >= p.Budget() {
 		t.Fatalf("used %d of budget %d — no early stop", p.Used(), p.Budget())
 	}
@@ -154,7 +113,7 @@ func TestAdaptiveEarlyStopSavesObservationsWithinTolerance(t *testing.T) {
 	// Accuracy: the early-stopped estimates track the exhausted-budget
 	// fixed pipeline within the requested tolerance.
 	e := duplicatedEvaluator(t, 500)
-	fixed, err := MonteCarlo(e, adaptiveConfig(1, 0))
+	fixed, err := MonteCarlo(e, adaptiveConfig(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +130,7 @@ func TestAdaptiveEarlyStopSavesObservationsWithinTolerance(t *testing.T) {
 // utility evaluations were paid for — though the list order is wave-major
 // rather than the fixed pipeline's single full walk.
 func TestAdaptiveTightToleranceExhaustsBudget(t *testing.T) {
-	p, got := runAdaptive(t, adaptiveConfig(2, 1e-12), false)
+	p, got := runAdaptive(t, adaptiveConfig(1e-12), 2, false)
 	if p.Used() != p.Budget() {
 		t.Fatalf("used %d, want full budget %d", p.Used(), p.Budget())
 	}
@@ -179,7 +138,7 @@ func TestAdaptiveTightToleranceExhaustsBudget(t *testing.T) {
 		t.Fatalf("expected 3 waves for budget 64, got %v", p.Waves())
 	}
 	e := duplicatedEvaluator(t, 500)
-	fixed, err := MonteCarlo(e, adaptiveConfig(1, 0))
+	fixed, err := MonteCarlo(e, adaptiveConfig(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,56 +161,52 @@ func TestAdaptiveTightToleranceExhaustsBudget(t *testing.T) {
 func TestAdaptiveToleranceValidation(t *testing.T) {
 	e := duplicatedEvaluator(t, 500)
 	for _, tol := range []float64{-0.1, math.NaN(), math.Inf(1)} {
-		cfg := adaptiveConfig(1, tol)
-		if _, err := NewMonteCarloPlan(context.Background(), e, cfg); err == nil {
+		if _, err := NewMonteCarloPlan(context.Background(), e.Run(), adaptiveConfig(tol)); err == nil {
 			t.Errorf("tolerance %v accepted, want error", tol)
 		}
 	}
-	cfg := adaptiveConfig(1, 0.1)
+	cfg := adaptiveConfig(0.1)
 	cfg.Samples = 0
-	if _, err := NewMonteCarloPlan(context.Background(), e, cfg); err == nil {
+	if _, err := NewMonteCarloPlan(context.Background(), e.Run(), cfg); err == nil {
 		t.Error("zero sample budget accepted, want error")
 	}
 }
 
-// TestAdaptiveStageOrderErrors pins the stage contract: advancing past an
-// unobserved shard, extracting before convergence, and advancing a
-// finished plan are loud errors.
+// TestAdaptiveStageOrderErrors pins the stage contract: advancing
+// before the wave is listed, extracting before convergence, and listing or
+// advancing a finished plan are loud errors.
 func TestAdaptiveStageOrderErrors(t *testing.T) {
 	ctx := context.Background()
 	e := duplicatedEvaluator(t, 500)
-	p, err := NewMonteCarloPlan(ctx, e, adaptiveConfig(2, 0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Advance(ctx); err == nil {
-		t.Fatal("Advance before observing the wave must fail")
+	p := newPlan(t, e, adaptiveConfig(0.05))
+	if _, err := p.Advance(ctx, nil); err == nil {
+		t.Fatal("Advance before listing the wave must fail")
 	}
 	if _, err := p.Extract(ctx); err == nil {
 		t.Fatal("Extract before the plan finished must fail")
 	}
-	for i := 0; i < p.Shards(); i++ {
-		if err := p.ObserveShard(ctx, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	next := p.Shards()
-	for {
-		more, err := p.Advance(ctx)
+	for more := true; more; {
+		cells, err := p.Cells(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if more == 0 {
-			break
+		vals, err := e.UtilityBatchCtx(ctx, cells, 2)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := 0; i < more; i++ {
-			if err := p.ObserveShard(ctx, next+i); err != nil {
-				t.Fatal(err)
+		if more, err = p.Advance(ctx, vals); err != nil {
+			t.Fatal(err)
+		}
+		if more {
+			if _, err := p.Extract(ctx); err == nil {
+				t.Fatal("Extract between waves must fail")
 			}
 		}
-		next += more
 	}
-	if _, err := p.Advance(ctx); err == nil {
+	if _, err := p.Cells(ctx); err == nil {
+		t.Fatal("Cells after the plan finished must fail")
+	}
+	if _, err := p.Advance(ctx, nil); err == nil {
 		t.Fatal("Advance after the plan finished must fail")
 	}
 	if _, err := p.Extract(ctx); err != nil {
@@ -265,28 +220,32 @@ func TestAdaptiveStageOrderErrors(t *testing.T) {
 func TestAdaptiveCancellationMidWave(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	e := duplicatedEvaluator(t, 500)
-	p, err := NewMonteCarloPlan(ctx, e, adaptiveConfig(2, 1e-12))
+	p := newPlan(t, e, adaptiveConfig(1e-12))
+	cells, err := p.Cells(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < p.Shards(); i++ {
-		if err := p.ObserveShard(ctx, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	more, err := p.Advance(ctx)
+	vals, err := e.UtilityBatchCtx(ctx, cells, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if more == 0 {
+	more, err := p.Advance(ctx, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !more {
 		t.Fatal("tight tolerance finished after one wave — cannot test mid-wave cancellation")
 	}
-	cancel()
-	if err := p.ObserveShard(ctx, p.Shards()-1); err == nil {
-		t.Fatal("ObserveShard after cancellation must fail")
+	cells, err = p.Cells(ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := p.Advance(ctx); err == nil {
+	cancel()
+	if _, err := p.Advance(ctx, make([]float64, len(cells))); err == nil {
 		t.Fatal("Advance after cancellation must fail")
+	}
+	if _, err := p.Cells(ctx); err == nil {
+		t.Fatal("Cells after cancellation must fail")
 	}
 }
 

@@ -71,22 +71,14 @@ func TestEfficiencyEveryEstimator(t *testing.T) {
 			return s
 		}
 		for _, shards := range []int{1, 3} {
-			p, err := NewExactPlan(e, mc.DefaultConfig(5), shards)
+			p, err := NewExactPlan(run, mc.DefaultConfig(5))
 			if err != nil {
 				t.Fatal(err)
 			}
-			exact, err := runStages(ctx, p)
-			if err != nil {
-				t.Fatal(err)
-			}
+			exact, _ := runChunked(t, e, p, shards, "serial")
 			check(fmt.Sprintf("ComFedSV exact, %d shards", shards), seed, exact.Values, completedGrand(exact))
 
-			cfg := DefaultMonteCarloConfig(n, 5, seed)
-			cfg.Shards = shards
-			sampled, err := MonteCarlo(e, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			sampled, _ := runChunked(t, e, newPlan(t, e, DefaultMonteCarloConfig(n, 5, seed)), shards, "serial")
 			check(fmt.Sprintf("ComFedSV Monte-Carlo, %d shards", shards), seed, sampled.Values, completedGrand(sampled))
 		}
 	}

@@ -51,26 +51,27 @@ type Result struct {
 	Permutations int
 }
 
-// stagedPlan is the stage set ExactPlan and MonteCarloPlan share.
+// stagedPlan is the wave interface ExactPlan and MonteCarloPlan share.
 type stagedPlan interface {
-	Shards() int
-	ObserveShard(ctx context.Context, shard int) error
-	Advance(ctx context.Context) (more int, err error)
+	Cells(ctx context.Context) ([]utility.Cell, error)
+	Advance(ctx context.Context, vals []float64) (more bool, err error)
 	Extract(ctx context.Context) (*Result, error)
 }
 
-// runStages drives a plan's stages serially — each scheduled observation
-// shard in order, then Advance, until Advance schedules no more shards —
-// and extracts the result, byte-identical to a scheduler running the same
-// plan's shards concurrently.
-func runStages(ctx context.Context, p stagedPlan) (*Result, error) {
-	for next := 0; next < p.Shards(); {
-		for ; next < p.Shards(); next++ {
-			if err := p.ObserveShard(ctx, next); err != nil {
-				return nil, err
-			}
+// runStages pays each wave's cells through e in one batch on at most
+// workers goroutines and advances the plan until no wave follows, then
+// extracts the result.
+func runStages(ctx context.Context, e utility.Source, p stagedPlan, workers int) (*Result, error) {
+	for more := true; more; {
+		cells, err := p.Cells(ctx)
+		if err != nil {
+			return nil, err
 		}
-		if _, err := p.Advance(ctx); err != nil {
+		vals, err := e.UtilityBatchCtx(ctx, cells, workers)
+		if err != nil {
+			return nil, err
+		}
+		if more, err = p.Advance(ctx, vals); err != nil {
 			return nil, err
 		}
 	}
@@ -88,15 +89,14 @@ func ComFedSVExact(e utility.Source, cfg mc.Config) (*Result, error) {
 // ComFedSVExactCtx is ComFedSVExact with cooperative cancellation, checked
 // before every observed cell's evaluation and between pipeline steps. The
 // matrix-completion solve itself is not interruptible but is bounded by
-// cfg.MaxIter. It drives a one-shard ExactPlan's stages serially;
-// schedulers that want to interleave the stages with other work use the
-// plan directly.
+// cfg.MaxIter. It pays an ExactPlan's cells on cfg.Workers goroutines;
+// callers that pay the cells themselves use the plan directly.
 func ComFedSVExactCtx(ctx context.Context, e utility.Source, cfg mc.Config) (*Result, error) {
-	p, err := NewExactPlan(e, cfg, 1)
+	p, err := NewExactPlan(e.Run(), cfg)
 	if err != nil {
 		return nil, err
 	}
-	return runStages(ctx, p)
+	return runStages(ctx, e, p, cfg.Workers)
 }
 
 // MonteCarloConfig parameterizes Algorithm 1.
@@ -114,18 +114,13 @@ type MonteCarloConfig struct {
 	Antithetic bool
 	// Seed drives permutation sampling.
 	Seed int64
-	// Workers bounds the number of concurrent utility evaluations in the
-	// observation stage (per shard); 0 means GOMAXPROCS. It also seeds
+	// Workers bounds the number of concurrent utility evaluations when
+	// MonteCarloCtx pays a wave; 0 means GOMAXPROCS. It also seeds
 	// Completion.Workers when that is left 0, so one knob parallelizes the
 	// whole pipeline. The estimate is bit-identical for every worker
 	// count: cells are evaluated by a deterministic pipeline and recorded
 	// into the Store in the serial order.
 	Workers int
-	// Shards splits each observation wave into that many disjoint
-	// permutation slices (0 means 1). MonteCarloCtx runs them serially;
-	// schedulers use MonteCarloPlan to run them concurrently. The estimate
-	// is bit-identical for every shard count.
-	Shards int
 	// Tolerance, when positive, makes Samples a permutation budget rather
 	// than a fixed count: sampling proceeds in doubling waves, and after
 	// each wave the plan re-completes the utility matrix and re-estimates
@@ -156,15 +151,14 @@ func MonteCarlo(e utility.Source, cfg MonteCarloConfig) (*Result, error) {
 // every observation boundary (the utility-call hot loop), between pipeline
 // steps, and per permutation during setup and estimation. The matrix-
 // completion solve itself is not interruptible but is bounded by
-// cfg.Completion.MaxIter. It drives a MonteCarloPlan's stages serially —
-// each wave's observation shards one after another, then Advance, until
-// the plan finishes.
+// cfg.Completion.MaxIter. It pays each of a MonteCarloPlan's waves in one
+// batch, then Advance, until the plan finishes.
 func MonteCarloCtx(ctx context.Context, e utility.Source, cfg MonteCarloConfig) (*Result, error) {
-	p, err := NewMonteCarloPlan(ctx, e, cfg)
+	p, err := NewMonteCarloPlan(ctx, e.Run(), cfg)
 	if err != nil {
 		return nil, err
 	}
-	return runStages(ctx, p)
+	return runStages(ctx, e, p, cfg.Workers)
 }
 
 func toEntries(obs []utility.Observation) []mc.Entry {

@@ -5,82 +5,89 @@ import (
 	"fmt"
 	"math"
 
+	"comfedsv/internal/fl"
 	"comfedsv/internal/rng"
 	"comfedsv/internal/utility"
 )
 
-// FedSVCtx computes the federated Shapley value of Wang et al. (Definition
-// 2): in every round, the exact Shapley value over the *selected* clients
-// only; unselected clients receive zero for that round; the final value is
-// the per-round sum. It pays the exact observation region
-// (utility.SelectedCells) in one batch on at most workers goroutines (≤ 0
-// means GOMAXPROCS), checking ctx before every evaluation, then runs Exact
-// over each round's paid values. A round selecting more than 20 clients is
-// an error, not a panic, so services can fail one job rather than the
-// process; FedSVAutoCtx falls back to sampling instead.
-func FedSVCtx(ctx context.Context, e utility.Source, workers int) ([]float64, error) {
-	run := e.Run()
+// FedSV is the federated Shapley value of Wang et al. (Definition 2) split
+// into the cells it reads and the arithmetic over their values, so a
+// caller can pay its cells together with other work and compute the
+// values afterwards. The cell list is fixed at construction — the
+// sampled estimator's seeded permutation walk happens there, once — and
+// Values is a pure function of the cells' values.
+type FedSV struct {
+	cells  []utility.Cell
+	values func(vals []float64) []float64
+}
+
+// Cells returns the distinct cells the estimator reads, in the order
+// Values expects their values.
+func (f *FedSV) Cells() []utility.Cell { return f.cells }
+
+// Values computes the per-client values from vals, where vals[i] is the
+// utility of Cells()[i].
+func (f *FedSV) Values(vals []float64) []float64 { return f.values(vals) }
+
+// newExactFedSV is exact FedSV: in every round, the exact Shapley value over
+// the *selected* clients only; unselected clients receive zero for that
+// round; the final value is the per-round sum. Its cells are the exact
+// observation region utility.SelectedCells. A round selecting more than 20
+// clients is an error, not a panic, so services can fail one job rather
+// than the process; NewFedSV falls back to sampling instead.
+func newExactFedSV(run *fl.Run) (*FedSV, error) {
 	cells, err := utility.SelectedCells(run)
 	if err != nil {
 		return nil, fmt.Errorf("shapley: exact FedSV: %w; use FedSVMonteCarloCtx", err)
 	}
-	vals, err := e.UtilityBatchCtx(ctx, cells, workers)
-	if err != nil {
-		return nil, err
-	}
-	values := make([]float64, run.NumClients())
-	for _, rd := range run.Rounds {
-		k := len(rd.Selected)
-		if k == 0 {
-			continue
-		}
-		// The round's cells come next in mask order: u[mask-1] = U_t(mask).
-		u := vals[:1<<uint(k)-1]
-		vals = vals[len(u):]
-		phi := Exact(k, func(mask uint64) float64 {
-			if mask == 0 {
-				return 0
+	return &FedSV{cells: cells, values: func(vals []float64) []float64 {
+		values := make([]float64, run.NumClients())
+		for _, rd := range run.Rounds {
+			k := len(rd.Selected)
+			if k == 0 {
+				continue
 			}
-			return u[mask-1]
-		})
-		for pos, client := range rd.Selected {
-			values[client] += phi[pos]
+			// The round's cells come next in mask order: u[mask-1] = U_t(mask).
+			u := vals[:1<<uint(k)-1]
+			vals = vals[len(u):]
+			phi := Exact(k, func(mask uint64) float64 {
+				if mask == 0 {
+					return 0
+				}
+				return u[mask-1]
+			})
+			for pos, client := range rd.Selected {
+				values[client] += phi[pos]
+			}
 		}
-	}
-	return values, nil
+		return values
+	}}, nil
 }
 
-// FedSVMonteCarloCtx estimates FedSV with samples random permutations of
-// the selected set per round — the estimator the paper's Section VII-D
-// costs at O(T·K²·log K) utility calls, required when |I_t| is too large
-// for exact enumeration (e.g. the 100-client noisy-label experiment). Each
-// round draws its permutations from the seeded stream, pays the round's
-// distinct prefix cells in one batch on at most workers goroutines (≤ 0
-// means GOMAXPROCS), then sums the marginals in permutation order, so the
-// values are a pure function of the seed whatever the worker count.
-// Cancellation is checked at every round and before every evaluation.
-func FedSVMonteCarloCtx(ctx context.Context, e utility.Source, samples int, seed int64, workers int) ([]float64, error) {
+// newSampledFedSV estimates FedSV with samples random permutations of the
+// selected set per round — the estimator the paper's Section VII-D costs
+// at O(T·K²·log K) utility calls, required when |I_t| is too large for
+// exact enumeration (e.g. the 100-client noisy-label experiment). Each
+// round draws its permutations from the seeded stream, round after round;
+// its cells are every round's distinct prefixes, and Values sums the
+// marginals in permutation order, so the values are a pure function of
+// the seed.
+func newSampledFedSV(run *fl.Run, samples int, seed int64) (*FedSV, error) {
 	if samples <= 0 {
 		return nil, fmt.Errorf("shapley: non-positive sample count %d", samples)
 	}
-	n := e.Run().NumClients()
+	n := run.NumClients()
 	g := rng.New(seed)
-	values := make([]float64, n)
-	inv := 1 / float64(samples)
-	for t, rd := range e.Run().Rounds {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	var cells []utility.Cell
+	var at []int    // cell index of each visited prefix
+	var who []int   // the client each visit adds
+	var sizes []int // each round's selection size
+	for t, rd := range run.Rounds {
 		sel := rd.Selected
-		k := len(sel)
-		orders := make([][]int, samples)
-		at := make([]int, 0, samples*k) // cell index of each visited prefix
 		index := make(map[string]int)
-		var cells []utility.Cell
-		for m := range orders {
-			orders[m] = g.Perm(k)
+		for range samples {
 			prefix := utility.NewSet(n)
-			for _, pos := range orders[m] {
+			for _, pos := range g.Perm(len(sel)) {
 				prefix = prefix.With(sel[pos])
 				key := prefix.Key()
 				i, ok := index[key]
@@ -90,40 +97,85 @@ func FedSVMonteCarloCtx(ctx context.Context, e utility.Source, samples int, seed
 					cells = append(cells, utility.Cell{Round: t, Subset: prefix})
 				}
 				at = append(at, i)
+				who = append(who, sel[pos])
 			}
 		}
-		vals, err := e.UtilityBatchCtx(ctx, cells, workers)
-		if err != nil {
-			return nil, err
-		}
-		for _, order := range orders {
-			prev := 0.0
-			for _, pos := range order {
-				cur := vals[at[0]]
-				at = at[1:]
-				values[sel[pos]] += inv * (cur - prev)
-				prev = cur
-			}
-		}
+		sizes = append(sizes, len(sel))
 	}
-	return values, nil
+	inv := 1 / float64(samples)
+	return &FedSV{cells: cells, values: func(vals []float64) []float64 {
+		values := make([]float64, n)
+		i := 0
+		for _, k := range sizes {
+			for range samples {
+				prev := 0.0
+				for range k {
+					cur := vals[at[i]]
+					values[who[i]] += inv * (cur - prev)
+					prev = cur
+					i++
+				}
+			}
+		}
+		return values
+	}}, nil
 }
 
-// FedSVAutoCtx computes the FedSV baseline a valuation reports: exact
-// (FedSVCtx) when every round selects at most 20 clients, otherwise the
-// sampled-permutation estimator (FedSVMonteCarloCtx) with ⌈K·ln K⌉+1
-// permutations per round for the largest selection K — the paper's
-// O(T·K²·log K) cost — seeded by seed. A full-participation warm-up round
-// in a large federation thus degrades the baseline to an estimate instead
-// of failing, and the values stay a pure function of the trace and seed.
-func FedSVAutoCtx(ctx context.Context, e utility.Source, seed int64, workers int) ([]float64, error) {
+// NewFedSV is the FedSV baseline a valuation reports: exact while every
+// round selects at most 20 clients, otherwise the sampled estimator with
+// ⌈K·ln K⌉+1 permutations per round for the largest selection K — the
+// paper's O(T·K²·log K) cost — seeded by seed. A full-participation
+// warm-up round in a large federation thus degrades the baseline to an
+// estimate instead of failing, and the values stay a pure function of the
+// trace and seed.
+func NewFedSV(run *fl.Run, seed int64) *FedSV {
 	maxSel := 0
-	for _, rd := range e.Run().Rounds {
+	for _, rd := range run.Rounds {
 		maxSel = max(maxSel, len(rd.Selected))
 	}
 	if maxSel <= 20 {
-		return FedSVCtx(ctx, e, workers)
+		f, _ := newExactFedSV(run) // cannot fail: no round selects more than 20
+		return f
 	}
 	samples := int(math.Ceil(float64(maxSel)*math.Log(float64(maxSel)))) + 1
-	return FedSVMonteCarloCtx(ctx, e, samples, seed, workers)
+	f, _ := newSampledFedSV(run, samples, seed) // cannot fail: samples ≥ 1
+	return f
+}
+
+// pay evaluates f's cells through e in one batch on at most workers
+// goroutines (≤ 0 means GOMAXPROCS), checking ctx before every
+// evaluation, and returns the values.
+func (f *FedSV) pay(ctx context.Context, e utility.Source, workers int) ([]float64, error) {
+	vals, err := e.UtilityBatchCtx(ctx, f.cells, workers)
+	if err != nil {
+		return nil, err
+	}
+	return f.values(vals), nil
+}
+
+// FedSVCtx computes exact FedSV (newExactFedSV), paying its cells in one
+// batch on at most workers goroutines.
+func FedSVCtx(ctx context.Context, e utility.Source, workers int) ([]float64, error) {
+	f, err := newExactFedSV(e.Run())
+	if err != nil {
+		return nil, err
+	}
+	return f.pay(ctx, e, workers)
+}
+
+// FedSVMonteCarloCtx estimates FedSV with samples seeded permutations per
+// round (newSampledFedSV), paying its cells in one batch on at most workers
+// goroutines; the values do not depend on the worker count.
+func FedSVMonteCarloCtx(ctx context.Context, e utility.Source, samples int, seed int64, workers int) ([]float64, error) {
+	f, err := newSampledFedSV(e.Run(), samples, seed)
+	if err != nil {
+		return nil, err
+	}
+	return f.pay(ctx, e, workers)
+}
+
+// FedSVAutoCtx computes the FedSV baseline of NewFedSV, paying its cells in
+// one batch on at most workers goroutines.
+func FedSVAutoCtx(ctx context.Context, e utility.Source, seed int64, workers int) ([]float64, error) {
+	return NewFedSV(e.Run(), seed).pay(ctx, e, workers)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"comfedsv/internal/fl"
 	"comfedsv/internal/mat"
 	"comfedsv/internal/mc"
 	"comfedsv/internal/rng"
@@ -17,21 +18,21 @@ import (
 // identifies the prefix subset without rebuilding a key).
 type obsCell struct{ round, col int }
 
-// MonteCarloPlan is Algorithm 1 split into independently schedulable
-// stages, so a job scheduler can fan the expensive observation work out
-// over a shared worker pool instead of binding one whole valuation to one
-// worker:
+// MonteCarloPlan is Algorithm 1 split into waves a caller pays: the plan
+// lists each wave's cells, the caller evaluates them however it likes —
+// in one batch, in shards on a shared worker pool, on remote workers —
+// and hands the values back:
 //
 //	setup (NewMonteCarloPlan)   sample the full budget of permutations,
 //	                            register prefix columns, cut wave bounds
-//	observe (ObserveShard × k)  the current wave's disjoint permutation
-//	                            slices evaluate their prefix cells
-//	advance (Advance)           merge the wave in serial order, solve the
-//	                            reduced problem (13) (warm-started from the
-//	                            previous wave's factors), estimate every
-//	                            client via the permutation form (12), and
-//	                            apply the convergence rule — returning
-//	                            either the next wave's shard count or 0
+//	list (Cells)                the current wave's distinct prefix cells,
+//	                            in the serial pipeline's first-visit order
+//	advance (Advance)           record the wave's values in that order,
+//	                            solve the reduced problem (13) (warm-started
+//	                            from the previous wave's factors), estimate
+//	                            every client via the permutation form (12),
+//	                            and apply the convergence rule — reporting
+//	                            whether another wave follows
 //	extract (Extract)           assemble the result from the last wave
 //
 // A fixed budget (Tolerance 0) is the one-wave schedule: its single wave
@@ -39,21 +40,15 @@ type obsCell struct{ round, col int }
 // cuts the budget into doubling waves (waveBounds) and stops as soon as
 // the estimates stabilize.
 //
-// Determinism is the contract: for any shard count, any shard execution
-// order, and any concurrency between shards, the merged observation list —
-// and therefore the completion, the stopping wave, and the final values —
-// is byte-identical to the single-shard serial pipeline's. Cell values are
-// deterministic memoized functions of the trace (overlapping cells across
-// shards agree, and the source's in-flight dedup pays each test loss
-// once); Advance re-walks the wave's serial visit order rather than
-// concatenating shard outputs; the wave bounds are a pure function of the
-// budget; and the convergence rule reads only the merged estimates.
-//
-// ObserveShard calls for the current wave's shards are safe to run
-// concurrently; Advance must be called only after every shard it scheduled
-// has returned, and is itself a serial checkpoint.
+// Determinism is the contract: the observation list — and therefore the
+// completion, the stopping wave, and the final values — depends only on
+// the values handed to Advance, which are deterministic memoized
+// functions of the trace, however the caller paid them. Cells already
+// observed by an earlier wave are ignored by the store, so the list is
+// identical to a serial pipeline that walked wave after wave; the wave
+// bounds are a pure function of the budget; and the convergence rule
+// reads only the merged estimates.
 type MonteCarloPlan struct {
-	src utility.Source
 	cfg MonteCarloConfig
 	n   int
 	t   int
@@ -63,10 +58,9 @@ type MonteCarloPlan struct {
 	selected   []utility.Set // per-round selection bitsets
 	store      *utility.Store
 
-	bounds []int       // cumulative permutation counts per wave, last == budget
-	wave   int         // index of the wave currently being observed
-	slices []waveSlice // global shard id → permutation slice
-	observedShards
+	bounds []int          // cumulative permutation counts per wave, last == budget
+	wave   int            // index of the wave currently being observed
+	cells  []utility.Cell // the current wave's list, set by Cells
 
 	est        []float64
 	completion *mc.Result
@@ -74,16 +68,11 @@ type MonteCarloPlan struct {
 	finished   bool
 }
 
-// waveSlice is one observation shard's permutation range within its wave.
-type waveSlice struct{ wave, lo, hi int }
-
 // WaveStat describes one completed sampling wave of a plan.
 type WaveStat struct {
 	// Samples is the cumulative number of permutations merged after this
 	// wave (the wave's convergence-check point).
 	Samples int
-	// Shards is how many observation shards the wave was split into.
-	Shards int
 	// CompletionIterations is the ALS sweep count of the wave's completion
 	// solve — warm-started waves should need far fewer than the first.
 	CompletionIterations int
@@ -93,19 +82,17 @@ type WaveStat struct {
 }
 
 // NewMonteCarloPlan samples the permutations, registers every prefix
-// column, and schedules the first wave: all cfg.Samples permutations for a
-// fixed budget, waveBounds(cfg.Samples)[0] under a tolerance. A wave is
-// split into cfg.Shards disjoint permutation slices (0 means 1; the count
-// is clamped to the wave's permutations so every shard owns at least one).
-func NewMonteCarloPlan(ctx context.Context, e utility.Source, cfg MonteCarloConfig) (*MonteCarloPlan, error) {
+// column, and starts the first wave: all cfg.Samples permutations for a
+// fixed budget, waveBounds(cfg.Samples)[0] under a tolerance.
+func NewMonteCarloPlan(ctx context.Context, run *fl.Run, cfg MonteCarloConfig) (*MonteCarloPlan, error) {
 	if cfg.Samples <= 0 {
 		return nil, fmt.Errorf("shapley: non-positive Monte-Carlo sample count %d", cfg.Samples)
 	}
 	if !(cfg.Tolerance >= 0) || math.IsInf(cfg.Tolerance, 1) {
 		return nil, fmt.Errorf("shapley: tolerance must be 0 (fixed budget) or positive and finite, got %v", cfg.Tolerance)
 	}
-	n := e.Run().NumClients()
-	t := len(e.Run().Rounds)
+	n := run.NumClients()
+	t := len(run.Rounds)
 	g := rng.New(cfg.Seed)
 
 	perms := make([][]int, cfg.Samples)
@@ -125,9 +112,7 @@ func NewMonteCarloPlan(ctx context.Context, e utility.Source, cfg MonteCarloConf
 	store := utility.NewStore(t, n)
 	// Register every prefix column and remember its dense index per
 	// permutation position: prefixCols[m][j] is the column of the first
-	// j+1 elements of permutation m. Registration is the only store
-	// mutation before Advance, so concurrent shards may read column sets
-	// freely.
+	// j+1 elements of permutation m.
 	prefixCols := make([][]int, cfg.Samples)
 	for m, perm := range perms {
 		if err := ctx.Err(); err != nil {
@@ -143,7 +128,7 @@ func NewMonteCarloPlan(ctx context.Context, e utility.Source, cfg MonteCarloConf
 	}
 
 	selected := make([]utility.Set, t)
-	for round, rd := range e.Run().Rounds {
+	for round, rd := range run.Rounds {
 		selected[round] = utility.FromMembers(n, rd.Selected)
 	}
 
@@ -151,8 +136,7 @@ func NewMonteCarloPlan(ctx context.Context, e utility.Source, cfg MonteCarloConf
 	if cfg.Tolerance > 0 {
 		bounds = waveBounds(cfg.Samples)
 	}
-	p := &MonteCarloPlan{
-		src:        e,
+	return &MonteCarloPlan{
 		cfg:        cfg,
 		n:          n,
 		t:          t,
@@ -161,9 +145,7 @@ func NewMonteCarloPlan(ctx context.Context, e utility.Source, cfg MonteCarloConf
 		selected:   selected,
 		store:      store,
 		bounds:     bounds,
-	}
-	p.scheduleWave()
-	return p, nil
+	}, nil
 }
 
 // waveBounds cuts a permutation budget into the cumulative check points of
@@ -202,34 +184,6 @@ func (p *MonteCarloPlan) waveRange(w int) (lo, hi int) {
 	return lo, p.bounds[w]
 }
 
-// scheduleWave appends the current wave's shard slices (contiguous,
-// disjoint, covering the wave's permutations) and returns how many it
-// added. The requested shard count is clamped to the wave's permutation
-// count so every shard owns at least one permutation.
-func (p *MonteCarloPlan) scheduleWave() int {
-	lo, hi := p.waveRange(p.wave)
-	k := p.cfg.Shards
-	if k <= 0 {
-		k = 1
-	}
-	if k > hi-lo {
-		k = hi - lo
-	}
-	for i := 0; i < k; i++ {
-		p.slices = append(p.slices, waveSlice{
-			wave: p.wave,
-			lo:   lo + i*(hi-lo)/k,
-			hi:   lo + (i+1)*(hi-lo)/k,
-		})
-		p.observedShards = append(p.observedShards, nil)
-	}
-	return k
-}
-
-// Shards returns the number of observation shards scheduled so far (the
-// first wave's count right after construction; Advance grows it).
-func (p *MonteCarloPlan) Shards() int { return len(p.slices) }
-
 // Used returns the number of permutations the finished plan consumed, or
 // 0 before Advance has returned 0.
 func (p *MonteCarloPlan) Used() int {
@@ -261,118 +215,55 @@ func (p *MonteCarloPlan) walkPrefixes(ctx context.Context, lo, hi int, visit fun
 	return nil
 }
 
-// ShardSlice returns the half-open permutation slice [lo, hi) owned by a
-// scheduled shard. A shard index the plan has not scheduled panics.
-func (p *MonteCarloPlan) ShardSlice(shard int) (lo, hi int) {
-	if shard < 0 || shard >= len(p.slices) {
-		panic(fmt.Sprintf("shapley: observation shard %d out of [0,%d)", shard, len(p.slices)))
+// Cells lists the current wave's distinct prefix cells in the serial
+// pipeline's first-visit order — the cells the wave's Advance expects
+// values for.
+func (p *MonteCarloPlan) Cells(ctx context.Context) ([]utility.Cell, error) {
+	if p.finished {
+		return nil, errors.New("shapley: Cells after the plan finished")
 	}
-	sl := p.slices[shard]
-	return sl.lo, sl.hi
-}
-
-// ObserveShard collects the distinct prefix cells reachable from one
-// scheduled shard's permutation slice and evaluates them through the
-// plan's source on a bounded pool (cfg.Workers per shard). Distinct shards
-// may run concurrently — even across plans sharing one evaluator — because
-// the source memoizes and deduplicates in-flight evaluations; a cell two
-// shards both reach is paid for once.
-func (p *MonteCarloPlan) ObserveShard(ctx context.Context, shard int) error {
-	keys, cells, err := p.sliceCells(ctx, shard)
-	if err != nil {
-		return err
-	}
-	obs, err := payShard(ctx, p.src, cells, p.cfg.Workers)
-	if err != nil {
-		return err
-	}
-	obs.keys = keys
-	p.observedShards[shard] = obs
-	return nil
-}
-
-// ShardCells lists the cells a scheduled shard pays, in first-visit order,
-// without paying them — what a lease of the shard carries.
-func (p *MonteCarloPlan) ShardCells(ctx context.Context, shard int) ([]utility.Cell, error) {
-	_, cells, err := p.sliceCells(ctx, shard)
-	return cells, err
-}
-
-// sliceCells collects the distinct prefix cells reachable from a scheduled
-// shard's permutation slice, in first-visit order, with their (round,
-// column) coordinates.
-func (p *MonteCarloPlan) sliceCells(ctx context.Context, shard int) ([]obsCell, []utility.Cell, error) {
-	lo, hi := p.ShardSlice(shard)
+	lo, hi := p.waveRange(p.wave)
 	seen := make(map[obsCell]bool)
-	var keys []obsCell
-	var cells []utility.Cell
+	cells := []utility.Cell{}
 	err := p.walkPrefixes(ctx, lo, hi, func(round, col int) {
 		oc := obsCell{round: round, col: col}
 		if seen[oc] {
 			return
 		}
 		seen[oc] = true
-		keys = append(keys, oc)
 		cells = append(cells, utility.Cell{Round: round, Subset: p.store.ColumnSet(col)})
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return keys, cells, nil
+	p.cells = cells
+	return cells, nil
 }
 
-// Advance is the wave checkpoint: it merges the current wave's shard
-// observations into the store in deterministic serial order, solves the
-// completion (warm-started from the previous wave's factors, so the
-// re-solve converges in a fraction of the sweeps), re-estimates every
-// client over all merged permutations, and applies the convergence rule.
-// It returns the number of newly scheduled observation shards — 0 means
-// the plan converged (or exhausted its budget) and Extract may run. Every
-// shard scheduled so far must have been observed first.
-func (p *MonteCarloPlan) Advance(ctx context.Context) (more int, err error) {
+// Advance is the wave checkpoint: vals[i] is the utility of the i-th cell
+// Cells listed. It records the wave's cells in that order — the serial
+// visit order with repeats dropped, so the observation list does not
+// depend on how the caller paid them — solves the completion
+// (warm-started from the previous wave's factors, so the re-solve
+// converges in a fraction of the sweeps), re-estimates every client over
+// all merged permutations, and applies the convergence rule. It reports
+// whether another wave follows; false means the plan converged (or
+// exhausted its budget) and Extract may run.
+func (p *MonteCarloPlan) Advance(ctx context.Context, vals []float64) (more bool, err error) {
 	if p.finished {
-		return 0, errors.New("shapley: Advance after the plan finished")
+		return false, errors.New("shapley: Advance after the plan finished")
 	}
-	lo, hi := p.waveRange(p.wave)
-
-	// Merge the wave: union its shard maps (overlapping cells carry equal
-	// values — the source is a deterministic memoized function of the
-	// trace), then record the wave's *new* cells by re-walking the wave's
-	// permutation range in the serial pipeline's visit order. Cells already
-	// observed by an earlier wave are ignored by the store, so the merged
-	// observation list is identical to a serial pipeline that walked wave
-	// after wave — regardless of shard count or completion order.
-	combined := make(map[obsCell]float64)
-	shards := 0
-	for shard, sl := range p.slices {
-		if sl.wave != p.wave {
-			continue
-		}
-		obs := p.observedShards[shard]
-		if obs == nil {
-			return 0, fmt.Errorf("shapley: observation shard %d (wave %d) was not run before Advance", shard, p.wave)
-		}
-		for i, k := range obs.keys {
-			combined[k] = obs.vals[i]
-		}
-		shards++
+	if p.cells == nil || len(vals) != len(p.cells) {
+		return false, fmt.Errorf("shapley: Advance of wave %d got %d values for the %d cells Cells listed", p.wave, len(vals), len(p.cells))
 	}
-	var missing error
-	err = p.walkPrefixes(ctx, lo, hi, func(round, col int) {
-		v, ok := combined[obsCell{round: round, col: col}]
-		if !ok && missing == nil {
-			// Cannot happen while the wave's slices cover its range; a
-			// loud failure beats silently observing a zero utility.
-			missing = fmt.Errorf("shapley: merge visited cell (%d,%d) no shard evaluated", round, col)
-		}
-		p.store.Observe(round, p.store.ColumnSet(col), v)
-	})
-	if err != nil {
-		return 0, err
+	if err := ctx.Err(); err != nil {
+		return false, err
 	}
-	if missing != nil {
-		return 0, missing
+	_, hi := p.waveRange(p.wave)
+	for i, c := range p.cells {
+		p.store.Observe(c.Round, c.Subset, vals[i])
 	}
+	p.cells = nil
 
 	// Complete over everything merged so far. The factor shapes are fixed
 	// by the full-budget column registration, so the previous wave's
@@ -388,11 +279,11 @@ func (p *MonteCarloPlan) Advance(ctx context.Context) (more int, err error) {
 	}
 	res, err := mc.Complete(toEntries(p.store.Observations()), p.t, p.store.NumColumns(), cc)
 	if err != nil {
-		return 0, fmt.Errorf("shapley: completing reduced utility matrix (wave %d): %w", p.wave, err)
+		return false, fmt.Errorf("shapley: completing reduced utility matrix (wave %d): %w", p.wave, err)
 	}
 	est, err := p.estimate(ctx, hi, res)
 	if err != nil {
-		return 0, err
+		return false, err
 	}
 
 	// The convergence rule — a pure function of the merged estimates: stop
@@ -412,7 +303,6 @@ func (p *MonteCarloPlan) Advance(ctx context.Context) (more int, err error) {
 	}
 	p.stats = append(p.stats, WaveStat{
 		Samples:              hi,
-		Shards:               shards,
 		CompletionIterations: res.Iterations,
 		MaxDelta:             delta,
 	})
@@ -421,10 +311,10 @@ func (p *MonteCarloPlan) Advance(ctx context.Context) (more int, err error) {
 
 	if converged || p.wave == len(p.bounds)-1 {
 		p.finished = true
-		return 0, nil
+		return false, nil
 	}
 	p.wave++
-	return p.scheduleWave(), nil
+	return true, nil
 }
 
 // Extract assembles the result from the last wave's completion and
@@ -492,116 +382,70 @@ func (p *MonteCarloPlan) estimate(ctx context.Context, m int, res *mc.Result) ([
 	return values, nil
 }
 
-// ExactPlan is the exact (non-sampled) Definition 4 pipeline split into
-// MonteCarloPlan's stages. Its observation region {U_{t,S} : S ⊆ I_t} is
-// sharded by round: each shard pays the utility.SelectedCells of one
-// contiguous range of rounds. Advance records every shard's cells in round
-// order — the list order of utility.SelectedCells, so the Store is the
-// same for every shard count — and solves the full completion problem (9).
-// The exact pipeline has one wave, so Advance always returns 0.
-//
-// ObserveShard calls for distinct shards are safe to run concurrently;
-// Advance must be called only after every shard has returned.
+// ExactPlan is the exact (non-sampled) Definition 4 pipeline in
+// MonteCarloPlan's shape: one wave whose cells are the observation region
+// {U_{t,S} : S ⊆ I_t} — utility.SelectedCells, in that list's order —
+// and whose Advance records them in that order and solves the full
+// completion problem (9).
 type ExactPlan struct {
-	src utility.Source
 	cfg mc.Config
 	n   int
 	t   int
 
 	store      *utility.Store
-	cells      [][]utility.Cell // per shard, its rounds' utility.SelectedCells
+	cells      []utility.Cell
 	completion *mc.Result
-	observedShards
 }
 
 // NewExactPlan registers every subset column in mask order (so column
-// index == mask−1), validates feasibility, and cuts the rounds into
-// shards contiguous ranges (clamped to [1, T]).
-func NewExactPlan(e utility.Source, cfg mc.Config, shards int) (*ExactPlan, error) {
-	n := e.Run().NumClients()
+// index == mask−1) and validates feasibility.
+func NewExactPlan(run *fl.Run, cfg mc.Config) (*ExactPlan, error) {
+	n := run.NumClients()
 	if n > 14 {
 		return nil, fmt.Errorf("shapley: exact ComFedSV over 2^%d columns is infeasible; use MonteCarlo", n)
 	}
-	cells, err := utility.SelectedCells(e.Run())
+	cells, err := utility.SelectedCells(run)
 	if err != nil {
 		return nil, err
 	}
-	t := len(e.Run().Rounds)
+	t := len(run.Rounds)
 	store := utility.NewStore(t, n)
 	for mask := uint64(1); mask < 1<<uint(n); mask++ {
 		store.ColumnOf(utility.FromMask(n, mask))
 	}
-	// Shard i owns rounds [i·t/k, (i+1)·t/k).
-	k := max(1, min(shards, t))
-	shardCells := make([][]utility.Cell, k)
-	for _, c := range cells {
-		i := ((c.Round+1)*k - 1) / t
-		shardCells[i] = append(shardCells[i], c)
-	}
-	return &ExactPlan{
-		src:            e,
-		cfg:            cfg,
-		n:              n,
-		t:              t,
-		store:          store,
-		cells:          shardCells,
-		observedShards: make(observedShards, k),
-	}, nil
+	return &ExactPlan{cfg: cfg, n: n, t: t, store: store, cells: cells}, nil
 }
 
-// Shards returns the number of observation shards.
-func (p *ExactPlan) Shards() int { return len(p.observedShards) }
-
-// ObserveShard pays one shard's cells in one batch on cfg.Workers
-// goroutines.
-func (p *ExactPlan) ObserveShard(ctx context.Context, shard int) error {
-	cells, err := p.ShardCells(ctx, shard)
-	if err != nil {
-		return err
-	}
-	obs, err := payShard(ctx, p.src, cells, p.cfg.Workers)
-	if err != nil {
-		return err
-	}
-	p.observedShards[shard] = obs
-	return nil
-}
-
-// ShardCells returns the utility.SelectedCells of one shard's rounds —
-// what a lease of the shard carries.
-func (p *ExactPlan) ShardCells(_ context.Context, shard int) ([]utility.Cell, error) {
-	if shard < 0 || shard >= len(p.cells) {
-		return nil, fmt.Errorf("shapley: observation shard %d out of [0,%d)", shard, len(p.cells))
-	}
-	return p.cells[shard], nil
-}
-
-// Advance records every shard's cells in round order and solves the full
-// completion problem (9). It returns 0: the exact pipeline schedules no
-// further shards.
-func (p *ExactPlan) Advance(ctx context.Context) (int, error) {
+// Cells returns the plan's one wave: utility.SelectedCells.
+func (p *ExactPlan) Cells(context.Context) ([]utility.Cell, error) {
 	if p.completion != nil {
-		return 0, errors.New("shapley: Advance after the plan finished")
+		return nil, errors.New("shapley: Cells after the plan finished")
 	}
-	for shard, obs := range p.observedShards {
-		if obs == nil {
-			return 0, fmt.Errorf("shapley: observation shard %d was not run before Advance", shard)
-		}
+	return p.cells, nil
+}
+
+// Advance records the cells' values (vals[i] is the utility of the i-th
+// cell Cells listed) in list order and solves the full completion problem
+// (9). It returns false: the exact pipeline has one wave.
+func (p *ExactPlan) Advance(ctx context.Context, vals []float64) (bool, error) {
+	if p.completion != nil {
+		return false, errors.New("shapley: Advance after the plan finished")
+	}
+	if len(vals) != len(p.cells) {
+		return false, fmt.Errorf("shapley: Advance got %d values for the %d cells Cells listed", len(vals), len(p.cells))
 	}
 	if err := ctx.Err(); err != nil {
-		return 0, err
+		return false, err
 	}
-	for shard, obs := range p.observedShards {
-		for i, c := range p.cells[shard] {
-			p.store.Observe(c.Round, c.Subset, obs.vals[i])
-		}
+	for i, c := range p.cells {
+		p.store.Observe(c.Round, c.Subset, vals[i])
 	}
 	res, err := mc.Complete(toEntries(p.store.Observations()), p.t, p.store.NumColumns(), p.cfg)
 	if err != nil {
-		return 0, fmt.Errorf("shapley: completing utility matrix: %w", err)
+		return false, fmt.Errorf("shapley: completing utility matrix: %w", err)
 	}
 	p.completion = res
-	return 0, nil
+	return false, nil
 }
 
 // Extract takes the exact Shapley value of the completed, per-round-summed

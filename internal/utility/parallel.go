@@ -55,3 +55,26 @@ type Cell struct {
 	Round  int
 	Subset Set
 }
+
+// Union returns a followed by the cells of b that a does not hold, in b's
+// order and each once, and at, where at[i] is the index of b[i] in the
+// returned list. The cells of a must be distinct.
+func Union(a, b []Cell) (cells []Cell, at []int) {
+	index := make(map[cellKey]int, len(a)+len(b))
+	for i, c := range a {
+		index[cellKey{t: c.Round, set: c.Subset.cacheKey()}] = i
+	}
+	cells = a[:len(a):len(a)] // appends copy rather than write into a's array
+	at = make([]int, len(b))
+	for i, c := range b {
+		ck := cellKey{t: c.Round, set: c.Subset.cacheKey()}
+		j, ok := index[ck]
+		if !ok {
+			j = len(cells)
+			index[ck] = j
+			cells = append(cells, c)
+		}
+		at[i] = j
+	}
+	return cells, at
+}

@@ -2,6 +2,7 @@ package utility
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -72,5 +73,31 @@ func TestEvaluateBatchEmptyInput(t *testing.T) {
 	got, err := NewEvaluator(run).UtilityBatchCtx(context.Background(), nil, 2)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("expected an empty result, got %v, err %v", got, err)
+	}
+}
+
+// TestUnion pins Union's contract: a's cells first, then b's new cells in
+// b's order and each once, the index of every b cell in the result, and a's
+// backing array left unwritten even when it has spare capacity.
+func TestUnion(t *testing.T) {
+	cell := func(round int, members ...int) Cell { return Cell{Round: round, Subset: FromMembers(70, members)} }
+	a := append(make([]Cell, 0, 8), cell(0, 1), cell(1, 1, 65))
+	spare := a[:3]
+	spare[2] = cell(9, 9)
+	got, at := Union(a, []Cell{cell(1, 1, 65), cell(0, 2), cell(0, 2), cell(0, 1)})
+	want := []Cell{cell(0, 1), cell(1, 1, 65), cell(0, 2)}
+	if len(got) != len(want) {
+		t.Fatalf("Union returned %d cells, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Round != want[i].Round || got[i].Subset.Key() != want[i].Subset.Key() {
+			t.Fatalf("cell %d = %v %v, want %v %v", i, got[i].Round, got[i].Subset, want[i].Round, want[i].Subset)
+		}
+	}
+	if fmt.Sprint(at) != "[1 2 2 0]" {
+		t.Fatalf("at = %v, want [1 2 2 0]", at)
+	}
+	if spare[2].Round != 9 {
+		t.Fatal("Union wrote into a's backing array")
 	}
 }

@@ -66,9 +66,8 @@ func TestReportByteIdenticalAcrossShards(t *testing.T) {
 		}
 	}
 
-	// The exact pipeline splits its observation region by round: 2 shards,
-	// one per round (T), and more than T (clamped to T) must all match one
-	// shard.
+	// The exact pipeline's one wave, cut into 2, T and T+3 shards, must
+	// match one shard.
 	base.MonteCarloSamples = 0
 	want = encode(1)
 	for _, s := range []int{2, base.Rounds, base.Rounds + 3} {
@@ -82,7 +81,7 @@ func TestReportByteIdenticalAcrossShards(t *testing.T) {
 // way the scheduler does — shards on separate goroutines — and requires
 // the byte-identical report (run with -race to hammer the shared plan and
 // session state), for Monte-Carlo permutation shards and for the exact
-// pipeline's round shards.
+// pipeline's shards.
 func TestValuationConcurrentShardsMatchSerial(t *testing.T) {
 	clients, test := makeClients(t, 6, 20, 40, 313)
 	base := DefaultOptions(10)

@@ -17,46 +17,62 @@ import (
 // post-training pipeline decomposed into the schedulable stage graph the
 // comfedsvd scheduler runs on its shared worker pool —
 //
-//	Prepare        final-model metrics, FedSV, observation-plan setup
-//	ObserveShard×S disjoint Monte-Carlo permutation slices, or contiguous
-//	               round ranges of the exact pipeline, evaluate their
-//	               cells (safe to run concurrently)
-//	Complete       the wave checkpoint: deterministic serial-order merge
-//	               into the utility matrix, then the ALS completion solve;
-//	               in tolerance mode it may return additional observation
-//	               shards to schedule
+//	Prepare        final-model metrics, the ComFedSV plan, FedSV's cell
+//	               list; lists wave 0's cells and pays none of them
+//	ObserveShard×S contiguous chunks of the current wave's cell list pay
+//	               their cells (safe to run concurrently)
+//	Complete       the wave checkpoint: after wave 0, FedSV from its
+//	               cells' values; then the plan records the wave in serial
+//	               order and solves the ALS completion; in tolerance mode it
+//	               may list another wave and return its shards to schedule
 //	Extract        Shapley extraction and report assembly
 //
-// Run drives the stages serially; Value/ValueCtx and ValueRun/ValueRunCtx
-// are thin wrappers over it. The report is byte-identical (under JSON
-// encoding) for every shard count, shard execution order, and shard
-// concurrency: cell values are deterministic memoized functions of the
-// trace, and the merge step records observations in the serial pipeline's
-// order no matter how they were computed.
+// A wave's list is the plan's distinct cells in first-visit order; wave
+// 0's also holds FedSV's cells the plan does not, after the plan's, so
+// each cell of a job is paid by exactly one shard. Run drives the stages
+// serially; Value/ValueCtx and ValueRun/ValueRunCtx are thin wrappers over
+// it. The report is byte-identical (under JSON encoding) for every shard
+// count, shard execution order, and shard concurrency: cell values are
+// deterministic memoized functions of the trace, and the plan and FedSV
+// read them in list order no matter which shard paid them.
 //
 // Each Valuation owns a fresh Session over the run's shared evaluator, so
 // concurrent Valuations over one TrainedRun amortize test-loss evaluations
 // while UtilityCalls stays the exact per-job bill. The stage methods other
 // than ObserveShard must be called in order, each after the previous stage
-// (and, for Complete, every shard) finished; out-of-order calls fail loudly.
+// (and, for Complete, every shard of the wave) finished; out-of-order
+// calls fail loudly.
 type Valuation struct {
 	tr      *TrainedRun
 	session *utility.Session
 	opts    Options
 
-	report   *Report
-	plan     plan
-	shards   int
-	observed atomic.Int64
+	report *Report
+	plan   plan
+	// fedsv and fedsvAt (the index of each FedSV cell in wave 0's list)
+	// live until wave 0's Complete computes FedSV.
+	fedsv   *shapley.FedSV
+	fedsvAt []int
+	// planCells is how many leading cells of the current wave's list the
+	// plan listed; wave is the index of the wave's first shard.
+	planCells int
+	wave      int
+	shards    []shard
+	observed  atomic.Int64
 }
 
-// plan is the stage set the exact and Monte-Carlo ComFedSV plans share.
+// shard is one observation shard: a contiguous chunk of its wave's cell
+// list and, once observed, the chunk's values (nil before).
+type shard struct {
+	cells []utility.Cell
+	vals  []float64
+}
+
+// plan is the wave interface the exact and Monte-Carlo ComFedSV plans
+// share: list the wave's cells, take their values, extract.
 type plan interface {
-	Shards() int
-	ObserveShard(ctx context.Context, shard int) error
-	ShardCells(ctx context.Context, shard int) ([]utility.Cell, error)
-	ShardDigest(shard int) string
-	Advance(ctx context.Context) (more int, err error)
+	Cells(ctx context.Context) ([]utility.Cell, error)
+	Advance(ctx context.Context, vals []float64) (more bool, err error)
 	Extract(ctx context.Context) (*shapley.Result, error)
 }
 
@@ -117,11 +133,10 @@ func valuationBudget(opts Options) (int, error) {
 	return budget, nil
 }
 
-// Prepare computes the final-model metrics and the FedSV baseline, then
-// builds the ComFedSV observation plan. It returns the number of
-// observation shards to schedule: Options.Shards clamped to the rounds for
-// the exact pipeline, which splits its observation region by round; the
-// first wave's count under a tolerance, whose Complete may schedule more.
+// Prepare computes the final-model metrics, builds the ComFedSV plan and
+// FedSV's cell list, and cuts wave 0's cells into shards; it pays no
+// cell. It returns the number of observation shards to schedule:
+// Options.Shards clamped to [1, cells in wave 0].
 func (v *Valuation) Prepare(ctx context.Context) (int, error) {
 	budget, err := valuationBudget(v.opts)
 	if err != nil {
@@ -131,53 +146,68 @@ func (v *Valuation) Prepare(ctx context.Context) (int, error) {
 	loss, acc := v.tr.finalMetrics()
 	v.report = &Report{FinalTestLoss: loss, FinalAccuracy: acc}
 
-	v.emit(Progress{Stage: StageFedSV, Done: 0, Total: 1})
-	fedsvStart := time.Now()
-	fedsv, err := shapley.FedSVAutoCtx(ctx, v.session, v.opts.Seed+2, v.opts.Parallelism)
-	if err != nil {
-		return 0, stageErr(ctx, "fedsv", err)
-	}
-	v.report.FedSV = fedsv
-	v.emitTime(StageFedSV, -1, fedsvStart)
-	v.emit(Progress{Stage: StageFedSV, Done: 1, Total: 1})
-
 	mcCfg := mc.DefaultConfig(v.opts.Rank)
 	mcCfg.Workers = v.opts.Parallelism
 	// p holds a typed nil on error, so it reaches v.plan only on success.
 	var p plan
 	if budget > 0 {
-		p, err = shapley.NewMonteCarloPlan(ctx, v.session, shapley.MonteCarloConfig{
+		p, err = shapley.NewMonteCarloPlan(ctx, v.tr.Run(), shapley.MonteCarloConfig{
 			Samples:    budget,
 			Completion: mcCfg,
 			Seed:       v.opts.Seed + 1,
-			Workers:    v.opts.Parallelism,
-			Shards:     v.opts.Shards,
 			Tolerance:  v.opts.Tolerance,
 		})
 	} else {
-		p, err = shapley.NewExactPlan(v.session, mcCfg, v.opts.Shards)
+		p, err = shapley.NewExactPlan(v.tr.Run(), mcCfg)
 	}
 	if err != nil {
 		return 0, stageErr(ctx, "valuation", err)
 	}
-	v.plan, v.shards = p, p.Shards()
-	v.emit(Progress{Stage: StageObserve, Done: 0, Total: v.shards})
-	return v.shards, nil
+	cells, err := p.Cells(ctx)
+	if err != nil {
+		return 0, stageErr(ctx, "valuation", err)
+	}
+	v.plan = p
+	v.fedsv = shapley.NewFedSV(v.tr.Run(), v.opts.Seed+2)
+	v.planCells = len(cells)
+	cells, v.fedsvAt = utility.Union(cells, v.fedsv.Cells())
+	k := v.schedule(cells)
+	v.emit(Progress{Stage: StageObserve, Done: 0, Total: k})
+	return k, nil
 }
 
-// Shards returns the observation shard count decided by Prepare.
-func (v *Valuation) Shards() int { return v.shards }
+// schedule cuts a wave's cell list into Options.Shards contiguous chunks
+// (clamped to [1, len(cells)]), appended to the shards as the current
+// wave, and returns how many.
+func (v *Valuation) schedule(cells []utility.Cell) int {
+	k := max(1, min(v.opts.Shards, len(cells)))
+	v.wave = len(v.shards)
+	for i := range k {
+		v.shards = append(v.shards, shard{cells: cells[i*len(cells)/k : (i+1)*len(cells)/k]})
+	}
+	return k
+}
 
-// ObserveShard evaluates one observation shard's utility cells through the
-// session. Distinct shards are safe to run concurrently; each uses up to
+// Shards returns the number of observation shards scheduled so far,
+// across every wave.
+func (v *Valuation) Shards() int { return len(v.shards) }
+
+// ObserveShard pays one shard of the current wave through the session.
+// Distinct shards are safe to run concurrently; each uses up to
 // Options.Parallelism goroutines of its own.
 func (v *Valuation) ObserveShard(ctx context.Context, shard int) error {
 	start := time.Now()
-	if err := v.plan.ObserveShard(ctx, shard); err != nil {
+	if shard < v.wave || shard >= len(v.shards) {
+		return stageErr(ctx, "valuation", fmt.Errorf("observation shard %d is not in the current wave [%d,%d)", shard, v.wave, len(v.shards)))
+	}
+	s := &v.shards[shard]
+	vals, err := v.session.UtilityBatchCtx(ctx, s.cells, v.opts.Parallelism)
+	if err != nil {
 		return stageErr(ctx, "valuation", err)
 	}
+	s.vals = vals
 	v.emitTime(StageObserve, shard, start)
-	v.emit(Progress{Stage: StageObserve, Done: int(v.observed.Add(1)), Total: v.shards})
+	v.emit(Progress{Stage: StageObserve, Done: int(v.observed.Add(1)), Total: len(v.shards)})
 	return nil
 }
 
@@ -190,42 +220,78 @@ func (v *Valuation) TrainedRun() *TrainedRun { return v.tr }
 // token the comfedsvd journal records so crash recovery can verify a
 // re-executed shard re-derived identical observations, and the digest a
 // remote worker's batch for the same shard carries. Unobserved shards
-// return "".
-func (v *Valuation) ShardDigest(shard int) string { return v.plan.ShardDigest(shard) }
+// return "". The batch is built on demand, so a caller that never asks
+// (Run) never sorts or hashes one.
+func (v *Valuation) ShardDigest(shard int) string {
+	if shard < 0 || shard >= len(v.shards) || v.shards[shard].vals == nil {
+		return ""
+	}
+	s := v.shards[shard]
+	return utility.NewCellBatch(v.tr.NumClients(), s.cells, s.vals).Digest
+}
 
 // ShardCells returns the cells a scheduled observation shard pays, as a
 // batch with zero values — the cell list a lease of the shard carries. A
-// worker's TrainedRun.PayCells answer for it carries the shard's digest,
-// for Monte-Carlo and exact shards alike.
+// worker's TrainedRun.PayCells answer for it carries the shard's digest.
 func (v *Valuation) ShardCells(ctx context.Context, shard int) (*CellBatch, error) {
-	cells, err := v.plan.ShardCells(ctx, shard)
-	if err != nil {
-		return nil, stageErr(ctx, "valuation", err)
+	if shard < 0 || shard >= len(v.shards) {
+		return nil, stageErr(ctx, "valuation", fmt.Errorf("observation shard %d out of [0,%d)", shard, len(v.shards)))
 	}
+	cells := v.shards[shard].cells
 	return utility.NewCellBatch(v.tr.NumClients(), cells, make([]float64, len(cells))), nil
 }
 
-// Complete is the wave checkpoint: it merges the shard observations in
-// deterministic serial order and solves the matrix-completion problem. It
-// returns the number of additional observation shards the caller must
-// schedule before calling Complete again (their indices continue where
-// the previous wave's left off), or 0 when the plan finished and Extract
-// may run. Only a tolerance run schedules more; fixed-budget and exact
-// pipelines always return 0 — one Complete finishes them.
+// Complete is the wave checkpoint. After wave 0 it first computes FedSV
+// from its cells' values (StageFedSV). It then hands the plan the values
+// of the cells the plan listed, which records them in serial order and
+// solves the matrix-completion problem. It returns the number of
+// observation shards of the next wave the caller must schedule before
+// calling Complete again (their indices continue where the previous
+// wave's left off), or 0 when the plan finished and Extract may run. Only
+// a tolerance run schedules more; fixed-budget and exact pipelines always
+// return 0 — one Complete finishes them.
 func (v *Valuation) Complete(ctx context.Context) (int, error) {
+	var vals []float64
+	for i, s := range v.shards[v.wave:] {
+		if s.vals == nil {
+			return 0, stageErr(ctx, "valuation", fmt.Errorf("observation shard %d was not run before Complete", v.wave+i))
+		}
+		vals = append(vals, s.vals...)
+	}
+	if v.fedsv != nil {
+		v.emit(Progress{Stage: StageFedSV, Done: 0, Total: 1})
+		start := time.Now()
+		paid := make([]float64, len(v.fedsvAt))
+		for i, j := range v.fedsvAt {
+			paid[i] = vals[j]
+		}
+		v.report.FedSV = v.fedsv.Values(paid)
+		v.fedsv, v.fedsvAt = nil, nil
+		v.emitTime(StageFedSV, -1, start)
+		v.emit(Progress{Stage: StageFedSV, Done: 1, Total: 1})
+	}
+
 	v.emit(Progress{Stage: StageComplete, Done: 0, Total: 1})
 	start := time.Now()
-	more, err := v.plan.Advance(ctx)
+	more, err := v.plan.Advance(ctx, vals[:v.planCells])
 	if err != nil {
 		return 0, stageErr(ctx, "valuation", err)
 	}
+	k := 0
+	if more {
+		cells, err := v.plan.Cells(ctx)
+		if err != nil {
+			return 0, stageErr(ctx, "valuation", err)
+		}
+		v.planCells = len(cells)
+		k = v.schedule(cells)
+	}
 	v.emitTime(StageComplete, -1, start)
 	v.emit(Progress{Stage: StageComplete, Done: 1, Total: 1})
-	if more > 0 {
-		v.shards += more
-		v.emit(Progress{Stage: StageObserve, Done: int(v.observed.Load()), Total: v.shards})
+	if k > 0 {
+		v.emit(Progress{Stage: StageObserve, Done: int(v.observed.Load()), Total: len(v.shards)})
 	}
-	return more, nil
+	return k, nil
 }
 
 // Extract computes the ComFedSV values from the completed factorization
