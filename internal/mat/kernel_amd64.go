@@ -99,11 +99,23 @@ func addSIMD(a, b []float64)
 //go:noescape
 func gramSIMD(g, b []float64, features [][]float64, targets []float64, r int)
 
-// solveWideSIMD is the vector body of RidgeSolveWideInto for m ≥ 1
-// systems; l is the r×r factor's row-major data.
+// solveWideSIMD is the vector body of RidgeSolveWideInto for m = len(rows)
+// ≥ 1 systems; l is the r×r factor's row-major data and dst the rows'
+// matrix, r columns wide.
 //
 //go:noescape
-func solveWideSIMD(x, targets []float64, features [][]float64, l []float64, r, m int)
+func solveWideSIMD(x, targets []float64, features [][]float64, l, dst []float64, rows []int, r int)
+
+// solveUniqueSIMD is the vector body of RidgeSolveUniqueInto for
+// 1 ≤ len(rows) ≤ 4 systems of rank r ≥ 1: w holds their Gram matrices,
+// system c's at w[c*r*r:], then their right-hand sides, system c's at
+// w[4*r*r+c*r:], then the kernel's working storage, 4·r·r floats for the
+// factors and 4·⌈r/4⌉·4 for the solutions. It returns a bit mask of the
+// systems whose Gram matrix is not positive definite, and stores system
+// c's solution at dst[rows[c]*r:] only when that mask is zero.
+//
+//go:noescape
+func solveUniqueSIMD(dst, w []float64, rows []int, r int) (bad uint64)
 
 // residualsWideSIMD is the vector body of RidgeResidualsWideInto for m ≥ 1
 // systems over at least one feature row of rank r ≥ 1.

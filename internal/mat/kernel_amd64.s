@@ -375,7 +375,19 @@ gramdone:
 	VZEROUPPER
 	RET
 
-// func solveWideSIMD(x, targets []float64, features [][]float64, l []float64, r, m int)
+// TRANSPOSE4 transposes the 4×4 block whose rows are a0-a3 in place: lane
+// c of row i moves to lane i of row c. t0-t3 are scratch.
+#define TRANSPOSE4(a0, a1, a2, a3, t0, t1, t2, t3) \
+	VUNPCKLPD  a1, a0, t0 \
+	VUNPCKHPD  a1, a0, t1 \
+	VUNPCKLPD  a3, a2, t2 \
+	VUNPCKHPD  a3, a2, t3 \
+	VPERM2F128 $0x20, t2, t0, a0 \
+	VPERM2F128 $0x20, t3, t1, a1 \
+	VPERM2F128 $0x31, t2, t0, a2 \
+	VPERM2F128 $0x31, t3, t1, a3
+
+// func solveWideSIMD(x, targets []float64, features [][]float64, l, dst []float64, rows []int, r int)
 //
 // Four systems per YMM register, one 32-byte group of a row of x at a
 // time. Row i of x holds b_i, then y_i, then x_i of every system, so the
@@ -393,19 +405,24 @@ gramdone:
 // is read or written. The forward step's loads of y_k need no mask: k < r-1,
 // so a lane past m still lies in row k+1 of x.
 //
+// Once x is solved, each group's solutions go to their factor rows: rows
+// i0..i0+3 of the group are loaded (rows past r read as zero), transposed
+// in registers so that each holds four entries of one system, and stored
+// at entry i0 of that system's row through a mask of the entries left.
+//
 // Registers: DI x, R8 targets, SI features, BX m*8 (the row stride of x
 // and targets), R13 r*8 (the row stride of l), R9 row i of x, R10 row i of
 // l, R12 l_ii, DX the group's byte offset; AX, CX and R11 walk the inner
 // loops. Y5 holds the all-lanes mask and Y6 the last group's. The locals
 // hold loop bounds.
-TEXT ·solveWideSIMD(SB), NOSPLIT, $32-112
+TEXT ·solveWideSIMD(SB), NOSPLIT, $32-152
 	MOVQ    x_base+0(FP), DI
 	MOVQ    targets_base+24(FP), R8
 	MOVQ    features_base+48(FP), SI
 	MOVQ    features_len+56(FP), CX
 	MOVQ    l_base+72(FP), R11
-	MOVQ    r+96(FP), R13
-	MOVQ    m+104(FP), BX
+	MOVQ    r+144(FP), R13
+	MOVQ    rows_len+128(FP), BX
 	LEAQ    (CX)(CX*2), CX
 	LEAQ    (SI)(CX*8), CX
 	MOVQ    CX, fend-8(SP)        // one past the last feature row's header
@@ -539,6 +556,360 @@ backwarddiv:
 	JMP        backward
 
 solvedone:
+	// Store: SI dst, R8 the group's rows, R12 the systems from the group
+	// on, R9 8·i0, R10 row i0 of x at the group; AX and CX are scratch.
+	MOVQ dst_base+96(FP), SI
+	MOVQ rows_base+120(FP), R8
+	MOVQ rows_len+128(FP), R12
+	XORQ DX, DX
+
+storegroup:
+	VMOVAPD Y5, Y4
+	LEAQ    32(DX), AX
+	CMPQ    AX, BX
+	JLE     storerows
+	VMOVAPD Y6, Y4
+
+storerows:
+	XORQ R9, R9
+	LEAQ (DI)(DX*1), R10
+
+storeblock:
+	// Rows i0..i0+3 of x, as many as lie below r.
+	VMASKMOVPD (R10), Y4, Y0
+	VXORPD     Y1, Y1, Y1
+	VXORPD     Y2, Y2, Y2
+	VXORPD     Y3, Y3, Y3
+	MOVQ       R13, AX
+	SUBQ       R9, AX             // 8·(r − i0)
+	CMPQ       AX, $8
+	JLE        storetranspose
+	VMASKMOVPD (R10)(BX*1), Y4, Y1
+	CMPQ       AX, $16
+	JLE        storetranspose
+	VMASKMOVPD (R10)(BX*2), Y4, Y2
+	CMPQ       AX, $24
+	JLE        storetranspose
+	LEAQ       (R10)(BX*2), CX
+	VMASKMOVPD (CX)(BX*1), Y4, Y3
+
+storetranspose:
+	TRANSPOSE4(Y0, Y1, Y2, Y3, Y7, Y8, Y9, Y10)
+	VMOVAPD Y5, Y11
+	CMPQ    AX, $32
+	JAE     storelanes
+	LEAQ    gramMask<>+32(SB), CX
+	SUBQ    AX, CX
+	VMOVUPD (CX), Y11             // the first r − i0 entries
+
+storelanes:
+	MOVQ       (R8), CX
+	IMULQ      R13, CX
+	ADDQ       SI, CX
+	VMASKMOVPD Y0, Y11, (CX)(R9*1)
+	CMPQ       R12, $2
+	JLT        storenext
+	MOVQ       8(R8), CX
+	IMULQ      R13, CX
+	ADDQ       SI, CX
+	VMASKMOVPD Y1, Y11, (CX)(R9*1)
+	CMPQ       R12, $3
+	JLT        storenext
+	MOVQ       16(R8), CX
+	IMULQ      R13, CX
+	ADDQ       SI, CX
+	VMASKMOVPD Y2, Y11, (CX)(R9*1)
+	CMPQ       R12, $4
+	JLT        storenext
+	MOVQ       24(R8), CX
+	IMULQ      R13, CX
+	ADDQ       SI, CX
+	VMASKMOVPD Y3, Y11, (CX)(R9*1)
+
+storenext:
+	ADDQ $32, R9
+	LEAQ (R10)(BX*4), R10
+	CMPQ R9, R13
+	JB   storeblock
+	ADDQ $32, DX
+	ADDQ $32, R8
+	SUBQ $4, R12
+	CMPQ DX, gend-16(SP)
+	JB   storegroup
+	VZEROUPPER
+	RET
+
+// func solveUniqueSIMD(dst, w []float64, rows []int, r int) (bad uint64)
+//
+// One system per lane, m = len(rows) of them; lanes past m repeat system
+// 0, and their results are dropped. The Gram matrices and right-hand sides
+// are gathered lane by lane into w's working storage, entry (i, j) of the
+// factor at L + 32(i·r + j) and entry i of the solution at X + 32i. The
+// factor then runs CholeskyInto's loops on every lane at once: for each
+// column j, d = a_jj − l_jk·l_jk for k ascending, the lane's positive-
+// definite test (d > 0, false for a NaN), l_jj = √d, and for each row
+// i > j, l_ij = (a_ij − l_ik·l_jk for k ascending) / l_jj. The mask of the
+// lanes that failed the test is ORed up over the columns. When it holds
+// one of the m systems, the kernel returns it and stores nothing;
+// otherwise forward and back substitution run CholeskySolveInto's loops in
+// place in X, and each block of four entries is transposed in registers
+// and stored into the systems' rows as in solveWideSIMD. Every step is a
+// separate multiply and subtract with the running value first, and a true
+// division.
+//
+// Registers: DI L, R12 X, R13 32r (the row stride of L); SI, R8-R11, BX,
+// CX, AX and DX walk the gathers, the loops and the stores. Y15 gathers
+// the failed lanes and Y14 holds zero.
+TEXT ·solveUniqueSIMD(SB), NOSPLIT, $0-88
+	MOVQ  w_base+24(FP), SI
+	MOVQ  rows_len+56(FP), CX
+	MOVQ  r+72(FP), R13
+	MOVQ  R13, AX
+	IMULQ R13, AX
+	SHLQ  $3, AX                  // 8r²: one Gram matrix
+
+	// Lane c gathers from system c's Gram matrix, or system 0's past m.
+	MOVQ    SI, R8
+	LEAQ    (SI)(AX*1), R9
+	CMPQ    CX, $2
+	CMOVQLT SI, R9
+	LEAQ    (SI)(AX*2), R10
+	CMPQ    CX, $3
+	CMOVQLT SI, R10
+	LEAQ    (AX)(AX*2), R11
+	ADDQ    SI, R11
+	CMPQ    CX, $4
+	CMOVQLT SI, R11
+	LEAQ    (SI)(AX*4), BX        // the right-hand sides
+	MOVQ    R13, DX
+	SHLQ    $5, DX
+	LEAQ    (BX)(DX*1), DI        // L
+	LEAQ    (DI)(AX*4), R12       // X
+	XORQ    DX, DX
+
+gathergram:
+	VMOVSD      (R8)(DX*1), X0
+	VMOVHPD     (R9)(DX*1), X0, X0
+	VMOVSD      (R10)(DX*1), X1
+	VMOVHPD     (R11)(DX*1), X1, X1
+	VINSERTF128 $1, X1, Y0, Y0
+	VMOVUPD     Y0, (DI)(DX*4)
+	ADDQ        $8, DX
+	CMPQ        DX, AX
+	JB          gathergram
+
+	MOVQ    R13, AX
+	SHLQ    $3, AX                // 8r: one right-hand side
+	MOVQ    BX, R8
+	LEAQ    (BX)(AX*1), R9
+	CMPQ    CX, $2
+	CMOVQLT BX, R9
+	LEAQ    (BX)(AX*2), R10
+	CMPQ    CX, $3
+	CMOVQLT BX, R10
+	LEAQ    (AX)(AX*2), R11
+	ADDQ    BX, R11
+	CMPQ    CX, $4
+	CMOVQLT BX, R11
+	XORQ    DX, DX
+
+gatherrhs:
+	VMOVSD      (R8)(DX*1), X0
+	VMOVHPD     (R9)(DX*1), X0, X0
+	VMOVSD      (R10)(DX*1), X1
+	VMOVHPD     (R11)(DX*1), X1, X1
+	VINSERTF128 $1, X1, Y0, Y0
+	VMOVUPD     Y0, (R12)(DX*4)
+	ADDQ        $8, DX
+	CMPQ        DX, AX
+	JB          gatherrhs
+
+	// Factor: R8 row j of L, R9 32j, R10 row i of L, AX 32k; L ends at X.
+	SHLQ   $5, R13
+	VXORPD Y15, Y15, Y15
+	VXORPD Y14, Y14, Y14
+	MOVQ   DI, R8
+	XORQ   R9, R9
+
+cholcol:
+	VMOVUPD (R8)(R9*1), Y0
+	XORQ    AX, AX
+	CMPQ    AX, R9
+	JAE     cholpivot
+
+choldiag:
+	VMOVUPD (R8)(AX*1), Y1
+	VMULPD  Y1, Y1, Y1
+	VSUBPD  Y1, Y0, Y0
+	ADDQ    $32, AX
+	CMPQ    AX, R9
+	JB      choldiag
+
+cholpivot:
+	VCMPPD  $0x1a, Y14, Y0, Y2    // not d > 0: NGT_UQ, true for a NaN
+	VORPD   Y2, Y15, Y15
+	VSQRTPD Y0, Y1
+	VMOVUPD Y1, (R8)(R9*1)
+	LEAQ    (R8)(R13*1), R10
+	CMPQ    R10, R12
+	JAE     cholnext
+
+cholrow:
+	VMOVUPD (R10)(R9*1), Y0
+	XORQ    AX, AX
+	CMPQ    AX, R9
+	JAE     choldiv
+
+cholk:
+	VMOVUPD (R10)(AX*1), Y2
+	VMULPD  (R8)(AX*1), Y2, Y2
+	VSUBPD  Y2, Y0, Y0
+	ADDQ    $32, AX
+	CMPQ    AX, R9
+	JB      cholk
+
+choldiv:
+	VDIVPD  Y1, Y0, Y0
+	VMOVUPD Y0, (R10)(R9*1)
+	ADDQ    R13, R10
+	CMPQ    R10, R12
+	JB      cholrow
+
+cholnext:
+	ADDQ R13, R8
+	ADDQ $32, R9
+	CMPQ R8, R12
+	JB   cholcol
+
+	// The failed lanes among the m systems.
+	VMOVMSKPD Y15, AX
+	MOVQ      $1, DX
+	SHLQ      CX, DX
+	DECQ      DX
+	ANDQ      DX, AX
+	JZ        forwardsolve
+	MOVQ      AX, bad+80(FP)
+	VZEROUPPER
+	RET
+
+forwardsolve:
+	// y_i = (b_i − l_ik·y_k for k < i) / l_ii: R8 row i of L, R9 32i.
+	MOVQ DI, R8
+	XORQ R9, R9
+
+forwardi:
+	VMOVUPD (R12)(R9*1), Y0
+	XORQ    AX, AX
+	CMPQ    AX, R9
+	JAE     forwardidiv
+
+forwardik:
+	VMOVUPD (R8)(AX*1), Y2
+	VMULPD  (R12)(AX*1), Y2, Y2
+	VSUBPD  Y2, Y0, Y0
+	ADDQ    $32, AX
+	CMPQ    AX, R9
+	JB      forwardik
+
+forwardidiv:
+	VDIVPD  (R8)(R9*1), Y0, Y0
+	VMOVUPD Y0, (R12)(R9*1)
+	ADDQ    R13, R8
+	ADDQ    $32, R9
+	CMPQ    R8, R12
+	JB      forwardi
+
+	// x_i = (y_i − l_ki·x_k for k > i) / l_ii, i from r−1 down: R8 row i
+	// of L, R9 32i, AX row k of L, DX 32k.
+	MOVQ R12, R8
+	SUBQ R13, R8
+	LEAQ -32(R9), R9
+
+backi:
+	VMOVUPD (R12)(R9*1), Y0
+	LEAQ    (R8)(R13*1), AX
+	LEAQ    32(R9), DX
+	CMPQ    AX, R12
+	JAE     backidiv
+
+backik:
+	VMOVUPD (AX)(R9*1), Y2
+	VMULPD  (R12)(DX*1), Y2, Y2
+	VSUBPD  Y2, Y0, Y0
+	ADDQ    R13, AX
+	ADDQ    $32, DX
+	CMPQ    AX, R12
+	JB      backik
+
+backidiv:
+	VDIVPD  (R8)(R9*1), Y0, Y0
+	VMOVUPD Y0, (R12)(R9*1)
+	SUBQ    R13, R8
+	SUBQ    $32, R9
+	JGE     backi
+
+	// Store: system c's row at dst + 8r·rows[c] in R8, R10, R11, BX for
+	// c < m; R9 8·i0; CX still m.
+	MOVQ  dst_base+0(FP), SI
+	MOVQ  rows_base+48(FP), DX
+	MOVQ  r+72(FP), R13
+	SHLQ  $3, R13
+	MOVQ  (DX), R8
+	IMULQ R13, R8
+	ADDQ  SI, R8
+	CMPQ  CX, $2
+	JLT   uniquerows
+	MOVQ  8(DX), R10
+	IMULQ R13, R10
+	ADDQ  SI, R10
+	CMPQ  CX, $3
+	JLT   uniquerows
+	MOVQ  16(DX), R11
+	IMULQ R13, R11
+	ADDQ  SI, R11
+	CMPQ  CX, $4
+	JLT   uniquerows
+	MOVQ  24(DX), BX
+	IMULQ R13, BX
+	ADDQ  SI, BX
+
+uniquerows:
+	VMOVUPD gramMask<>(SB), Y13
+	XORQ    R9, R9
+
+uniqueblock:
+	VMOVUPD (R12), Y0
+	VMOVUPD 32(R12), Y1
+	VMOVUPD 64(R12), Y2
+	VMOVUPD 96(R12), Y3
+	TRANSPOSE4(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
+	VMOVAPD Y13, Y11
+	MOVQ    R13, AX
+	SUBQ    R9, AX                // 8·(r − i0)
+	CMPQ    AX, $32
+	JAE     uniquelanes
+	LEAQ    gramMask<>+32(SB), DX
+	SUBQ    AX, DX
+	VMOVUPD (DX), Y11             // the first r − i0 entries
+
+uniquelanes:
+	VMASKMOVPD Y0, Y11, (R8)(R9*1)
+	CMPQ       CX, $2
+	JLT        uniquenext
+	VMASKMOVPD Y1, Y11, (R10)(R9*1)
+	CMPQ       CX, $3
+	JLT        uniquenext
+	VMASKMOVPD Y2, Y11, (R11)(R9*1)
+	CMPQ       CX, $4
+	JLT        uniquenext
+	VMASKMOVPD Y3, Y11, (BX)(R9*1)
+
+uniquenext:
+	ADDQ $128, R12
+	ADDQ $32, R9
+	CMPQ R9, R13
+	JB   uniqueblock
+	MOVQ $0, bad+80(FP)
 	VZEROUPPER
 	RET
 

@@ -21,7 +21,10 @@ func dotPanel2SIMD(out0, out1 *[panelLanes]float64, blk, x0, x1 []float64) {
 func gramSIMD(g, b []float64, features [][]float64, targets []float64, r int) {
 	panic("mat: no vector kernels")
 }
-func solveWideSIMD(x, targets []float64, features [][]float64, l []float64, r, m int) {
+func solveWideSIMD(x, targets []float64, features [][]float64, l, dst []float64, rows []int, r int) {
+	panic("mat: no vector kernels")
+}
+func solveUniqueSIMD(dst, w []float64, rows []int, r int) (bad uint64) {
 	panic("mat: no vector kernels")
 }
 func residualsWideSIMD(dst, targets, x []float64, features [][]float64, r, m int) {

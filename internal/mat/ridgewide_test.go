@@ -50,15 +50,57 @@ func interleave(targets [][]float64, n int) []float64 {
 	return out
 }
 
+// canaryRows returns a matrix of 2m+1 rank-r rows filled with guard and
+// the m rows that systems are stored into, in descending order with a
+// canary row between any two and at both ends, so a store into the wrong
+// row or past the end of one shows.
+func canaryRows(m, r int) (*Dense, []int) {
+	dst := NewDense(2*m+1, r)
+	for i := range dst.data {
+		dst.data[i] = guard
+	}
+	rows := make([]int, m)
+	for c := range rows {
+		rows[c] = 2*(m-c) - 1
+	}
+	return dst, rows
+}
+
+// guard fills the buffers around a kernel's outputs.
+const guard = 1234.5
+
+// checkCanaries fails unless every row of dst outside rows still holds
+// guard in every entry.
+func checkCanaries(t *testing.T, what string, dst *Dense, rows []int) {
+	t.Helper()
+	stored := map[int]bool{}
+	for _, i := range rows {
+		stored[i] = true
+	}
+	for i := 0; i < dst.rows; i++ {
+		if stored[i] {
+			continue
+		}
+		for j, v := range dst.Row(i) {
+			if v != guard {
+				t.Fatalf("%s: canary row %d entry %d holds %v", what, i, j, v)
+			}
+		}
+	}
+}
+
 // checkWideSolve factors the features and solves the targets' systems with
 // RidgeSolveWideInto on every kernel body, requiring each system to
-// bit-equal singleSolve (see sameFloat for anyNaN). It reports false when
-// the features do not factor.
+// bit-equal singleSolve (see sameFloat for anyNaN), both in the entry-major
+// solutions and in the system's factor row, with every other row and
+// everything around the solutions untouched. It reports false when the
+// features do not factor.
 func checkWideSolve(t *testing.T, what string, features [][]float64, targets [][]float64, lambda float64, anyNaN bool) bool {
 	t.Helper()
 	r, n, m := len(features[0]), len(features), len(targets)
+	fr := NewFeatureRows(features, r)
 	l := NewDense(r, r)
-	if err := RidgeFactorInto(features, lambda, l, NewRidgeScratch(r)); err != nil {
+	if err := RidgeFactorInto(fr, lambda, l, NewRidgeScratch(r)); err != nil {
 		return false
 	}
 	wide := interleave(targets, n)
@@ -67,23 +109,29 @@ func checkWideSolve(t *testing.T, what string, features [][]float64, targets [][
 		want[c] = singleSolve(features, targets[c], l)
 	}
 	kernelBodies(t, func(t *testing.T, body string) {
-		// Surround dst with guards, so a store outside it shows.
+		// Surround x with guards, so a store outside it shows.
 		buf := make([]float64, r*m+8)
 		for i := range buf {
-			buf[i] = 1234.5
+			buf[i] = guard
 		}
-		dst := buf[4 : 4+r*m]
-		RidgeSolveWideInto(features, wide, m, l, dst)
+		x := buf[4 : 4+r*m]
+		dst, rows := canaryRows(m, r)
+		RidgeSolveWideInto(fr, wide, l, x, dst, rows)
 		for _, g := range append(buf[:4:4], buf[4+r*m:]...) {
-			if g != 1234.5 {
-				t.Fatalf("%s %s: a store left dst", body, what)
+			if g != guard {
+				t.Fatalf("%s %s: a store left x", body, what)
 			}
 		}
+		checkCanaries(t, body+" "+what, dst, rows)
 		for c := range want {
 			for i, w := range want[c] {
-				if got := dst[i*m+c]; !sameFloat(got, w, anyNaN) {
+				if got := x[i*m+c]; !sameFloat(got, w, anyNaN) {
 					t.Fatalf("%s %s system %d of %d, entry %d: %v (%#x), single solve %v (%#x)",
 						body, what, c, m, i, got, math.Float64bits(got), w, math.Float64bits(w))
+				}
+				if got := dst.At(rows[c], i); math.Float64bits(got) != math.Float64bits(x[i*m+c]) {
+					t.Fatalf("%s %s system %d of %d, entry %d: row holds %v (%#x), solution %v (%#x)",
+						body, what, c, m, i, got, math.Float64bits(got), x[i*m+c], math.Float64bits(x[i*m+c]))
 				}
 			}
 		}
@@ -180,13 +228,12 @@ func checkGram(t *testing.T, what string, features [][]float64, targets []float6
 	r := len(features[0])
 	wantG, wantB := rowLoopGram(features, targets, lambda)
 	kernelBodies(t, func(t *testing.T, body string) {
-		const guard = 1234.5
 		buf := make([]float64, r*r+r+4)
 		for i := range buf {
 			buf[i] = guard
 		}
 		g, b := buf[:r*r], buf[r*r:r*r+r]
-		ridgeGram(g, b, features, targets, lambda)
+		ridgeGram(g, b, NewFeatureRows(features, r), targets, lambda)
 		for i, v := range buf[r*r+r:] {
 			if v != guard {
 				t.Fatalf("%s %s: store past b at %d", body, what, i)
@@ -238,16 +285,18 @@ func TestRidgeFactorGramMatchesRowLoop(t *testing.T) {
 
 func TestRidgeSolveWideZeroAlloc(t *testing.T) {
 	features, targets := ridgeFixture(15, 5)
+	fr := NewFeatureRows(features, 5)
 	l := NewDense(5, 5)
-	if err := RidgeFactorInto(features, 0.1, l, NewRidgeScratch(5)); err != nil {
+	if err := RidgeFactorInto(fr, 0.1, l, NewRidgeScratch(5)); err != nil {
 		t.Fatal(err)
 	}
 	const m = 7
 	wide := interleave([][]float64{targets, targets, targets, targets, targets, targets, targets}, len(targets))
-	dst := make([]float64, 5*m)
+	x := make([]float64, 5*m)
+	dst, rows := canaryRows(m, 5)
 	kernelBodies(t, func(t *testing.T, body string) {
 		allocs := testing.AllocsPerRun(50, func() {
-			RidgeSolveWideInto(features, wide, m, l, dst)
+			RidgeSolveWideInto(fr, wide, l, x, dst, rows)
 		})
 		if allocs != 0 {
 			t.Fatalf("%s: RidgeSolveWideInto allocated %v times per run, want 0", body, allocs)
@@ -336,13 +385,12 @@ func checkResiduals(t *testing.T, what string, features [][]float64, targets, x 
 	t.Helper()
 	want := residualsByDot(features, targets, x, m)
 	kernelBodies(t, func(t *testing.T, body string) {
-		const guard = 1234.5
 		buf := make([]float64, len(targets)+8)
 		for i := range buf {
 			buf[i] = guard
 		}
 		dst := buf[4 : 4+len(targets)]
-		RidgeResidualsWideInto(features, targets, x, m, dst)
+		RidgeResidualsWideInto(NewFeatureRows(features, len(features[0])), targets, x, m, dst)
 		for _, g := range append(buf[:4:4], buf[4+len(targets):]...) {
 			if g != guard {
 				t.Fatalf("%s %s: a store left dst", body, what)
@@ -388,6 +436,7 @@ func TestRidgeResidualsWideMatchesDot(t *testing.T) {
 
 func TestRidgeResidualsWideZeroAlloc(t *testing.T) {
 	features, targets := ridgeFixture(15, 5)
+	fr := NewFeatureRows(features, 5)
 	const m = 7
 	wide := interleave([][]float64{targets, targets, targets, targets, targets, targets, targets}, len(targets))
 	x := make([]float64, 5*m)
@@ -397,7 +446,7 @@ func TestRidgeResidualsWideZeroAlloc(t *testing.T) {
 	dst := make([]float64, len(wide))
 	kernelBodies(t, func(t *testing.T, body string) {
 		allocs := testing.AllocsPerRun(50, func() {
-			RidgeResidualsWideInto(features, wide, x, m, dst)
+			RidgeResidualsWideInto(fr, wide, x, m, dst)
 		})
 		if allocs != 0 {
 			t.Fatalf("%s: RidgeResidualsWideInto allocated %v times per run, want 0", body, allocs)
@@ -448,9 +497,11 @@ func FuzzRidgeResidualsWide(f *testing.F) {
 	})
 }
 
-// warmShapes are the ridge systems of the warm_mc workload's completion:
-// rank 5, a W row observing ~65 entries, and an H pattern of one entry
-// that ~42 columns share.
+// warmShapes are the ridge systems of the synthetic patterned matrix of
+// internal/mc's BenchmarkComplete: rank 5, a W row observing ~65 entries,
+// and an H pattern of one entry that ~42 columns share. (A warm_mc job's
+// W rows observe 2–6 entries, bar one that observes every column, and
+// ~1,250 of its columns share one pattern: BenchmarkRidgeSolveUnique.)
 const (
 	benchRank    = 5
 	benchWRows   = 65
@@ -458,7 +509,7 @@ const (
 )
 
 // BenchmarkRidgeFactor forms the Gram matrix and its factor for one W row
-// of the warm_mc shape through each kernel body: "factor" is
+// of the patterned shape through each kernel body: "factor" is
 // RidgeFactorInto (a shared pattern's factor) and "fused" is RidgeSolveInto,
 // which also accumulates Aᵀb and solves (a row whose pattern is unique).
 func BenchmarkRidgeFactor(b *testing.B) {
@@ -479,7 +530,7 @@ func BenchmarkRidgeFactor(b *testing.B) {
 			defer SetSIMD(SetSIMD(body == "simd"))
 			// λ = 0.65 is the default 0.01 weighted by 65 entries.
 			for b.Loop() {
-				if err := RidgeFactorInto(features, 0.65, l, s); err != nil {
+				if err := RidgeFactorInto(NewFeatureRows(features, benchRank), 0.65, l, s); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -499,11 +550,11 @@ func BenchmarkRidgeFactor(b *testing.B) {
 }
 
 // BenchmarkRidgeSolveWide solves the systems of one H pattern of the
-// warm_mc shape, 42 columns over one shared entry at rank 5, through each
-// kernel body.
+// patterned shape, 42 columns over one shared entry at rank 5, through
+// each kernel body, and stores them into their rows.
 func BenchmarkRidgeSolveWide(b *testing.B) {
 	g := rand.New(rand.NewSource(14))
-	features := randomFeatures(g, 1, benchRank)
+	features := NewFeatureRows(randomFeatures(g, 1, benchRank), benchRank)
 	l := NewDense(benchRank, benchRank)
 	if err := RidgeFactorInto(features, 0.01, l, NewRidgeScratch(benchRank)); err != nil {
 		b.Fatal(err)
@@ -512,7 +563,8 @@ func BenchmarkRidgeSolveWide(b *testing.B) {
 	for i := range targets {
 		targets[i] = g.NormFloat64()
 	}
-	dst := make([]float64, benchRank*benchMembers)
+	x := make([]float64, benchRank*benchMembers)
+	dst, rows := canaryRows(benchMembers, benchRank)
 	for _, body := range []string{"go", "simd"} {
 		b.Run(body, func(b *testing.B) {
 			if body == "simd" && !haveSIMD {
@@ -520,18 +572,18 @@ func BenchmarkRidgeSolveWide(b *testing.B) {
 			}
 			defer SetSIMD(SetSIMD(body == "simd"))
 			for b.Loop() {
-				RidgeSolveWideInto(features, targets, benchMembers, l, dst)
+				RidgeSolveWideInto(features, targets, l, x, dst, rows)
 			}
 		})
 	}
 }
 
 // BenchmarkRidgeResidualsWide computes the residuals of one H pattern of
-// the warm_mc shape, 42 columns over one shared entry at rank 5, through
+// the patterned shape, 42 columns over one shared entry at rank 5, through
 // each kernel body.
 func BenchmarkRidgeResidualsWide(b *testing.B) {
 	g := rand.New(rand.NewSource(16))
-	features := randomFeatures(g, 1, benchRank)
+	features := NewFeatureRows(randomFeatures(g, 1, benchRank), benchRank)
 	targets := make([]float64, benchMembers)
 	for i := range targets {
 		targets[i] = g.NormFloat64()

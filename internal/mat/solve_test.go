@@ -82,7 +82,8 @@ func TestRidgeFactorSolveMatchesRidgeSolveInto(t *testing.T) {
 		for i := range l.data {
 			l.data[i] = 1e9
 		}
-		if err := RidgeFactorInto(features, 0.3, l, NewRidgeScratch(r)); err != nil {
+		fr := NewFeatureRows(features, r)
+		if err := RidgeFactorInto(fr, 0.3, l, NewRidgeScratch(r)); err != nil {
 			t.Fatalf("r=%d: %v", r, err)
 		}
 		// Six target vectors solved as one wide call: a group of four
@@ -97,7 +98,8 @@ func TestRidgeFactorSolveMatchesRidgeSolveInto(t *testing.T) {
 			systems[shift] = b
 		}
 		got := make([]float64, r*m)
-		RidgeSolveWideInto(features, interleave(systems, len(targets)), m, l, got)
+		dst, rows := canaryRows(m, r)
+		RidgeSolveWideInto(fr, interleave(systems, len(targets)), l, got, dst, rows)
 		for shift, b := range systems {
 			want := make([]float64, r)
 			if err := RidgeSolveInto(features, b, 0.3, want, NewRidgeScratch(r)); err != nil {
@@ -110,7 +112,7 @@ func TestRidgeFactorSolveMatchesRidgeSolveInto(t *testing.T) {
 			}
 		}
 	}
-	if err := RidgeFactorInto(nil, 0.1, NewDense(1, 1), NewRidgeScratch(1)); err != ErrRidgeNoObservations {
+	if err := RidgeFactorInto(NewFeatureRows(nil, 1), 0.1, NewDense(1, 1), NewRidgeScratch(1)); err != ErrRidgeNoObservations {
 		t.Fatalf("err = %v, want ErrRidgeNoObservations", err)
 	}
 }

@@ -30,16 +30,17 @@ func synthEntries(rows, cols, rank int, density float64, seed int64) []Entry {
 	return out
 }
 
-// patternedRows × patternedCols is the shape of a Monte-Carlo job's
-// utility matrix on a 24-client, 30-round run with 60 permutations.
+// patternedRows × patternedCols is the size of a Monte-Carlo job's utility
+// matrix on a 24-client, 30-round run with 60 permutations.
 const patternedRows, patternedCols = 30, 1288
 
-// patternedEntries samples a random rank-`rank` matrix on that job's
-// observation pattern: most permutation-prefix columns are observed in
-// exactly one round, and the 34 that recur share three row patterns (all
-// rows, and seeded subsets of 10 and 20 rows). One-entry columns cycle over
-// every row, so the matrix shows 33 distinct row patterns; columns of both
-// kinds are interleaved in a seeded order.
+// patternedEntries samples a random rank-`rank` matrix of that size on a
+// synthetic observation pattern: most columns have one entry, and the 34
+// that recur share three row patterns (all rows, and seeded subsets of 10
+// and 20 rows). One-entry columns cycle over every row, so the matrix
+// shows 33 distinct row patterns and every row of W observes ~42–65
+// columns; columns of both kinds are interleaved in a seeded order. This is
+// not the pattern such a job gives ALS: serviceEntries is.
 func patternedEntries(rank int, seed int64) []Entry {
 	g := rng.New(seed)
 	w := randomFactor(patternedRows, rank, 1, g)
@@ -73,8 +74,8 @@ func sortedInts(xs []int) []int {
 	return out
 }
 
-// TestPatternedEntriesShape pins the production shape BenchmarkComplete's
-// patterned case claims to have, and that the ALS sweep shares a factor
+// TestPatternedEntriesShape pins the shape BenchmarkComplete's patterned
+// case claims to have, and that the ALS sweep shares a factor
 // across its columns: sharing keys on the ordered entry sequence, so the
 // 33 row sets must also be 33 shared column patterns covering every
 // column, while no two rows of W repeat a pattern.
@@ -109,8 +110,114 @@ func TestPatternedEntriesShape(t *testing.T) {
 	}
 }
 
+// serviceRows, serviceClients, servicePerms and servicePerRound are the
+// shape of the Monte-Carlo jobs perfbench's warm_mc workload values: a
+// 24-client run of 30 rounds, the first of which hears every client and
+// the others 3, valued with 60 permutations.
+const serviceRows, serviceClients, servicePerms, servicePerRound = 30, 24, 60, 3
+
+// serviceEntries samples a random rank-`rank` matrix on the observation
+// pattern of such a job, built the way the job builds it: the columns are
+// the distinct prefixes of servicePerms seeded permutations of the
+// clients, in first-visit order; row 0, the everyone-heard round, observes
+// every column, and each later row observes the prefixes inside its own
+// seeded selection of servicePerRound clients, entries in row order. So
+// each later row observes only a handful of columns, most columns are
+// observed by row 0 alone and share one pattern, and the few columns that
+// later rows also observe mostly have patterns of their own.
+func serviceEntries(rank int, seed int64) (obs []Entry, cols int) {
+	g := rng.New(seed)
+	seen := map[uint64]bool{}
+	var prefixes []uint64
+	for range servicePerms {
+		var prefix uint64
+		for _, c := range g.Perm(serviceClients) {
+			prefix |= 1 << c
+			if !seen[prefix] {
+				seen[prefix] = true
+				prefixes = append(prefixes, prefix)
+			}
+		}
+	}
+	cols = len(prefixes)
+	w := randomFactor(serviceRows, rank, 1, g)
+	h := randomFactor(cols, rank, 1, g)
+	for t := 0; t < serviceRows; t++ {
+		selected := uint64(1)<<serviceClients - 1
+		if t > 0 {
+			selected = 0
+			for _, c := range g.Perm(serviceClients)[:servicePerRound] {
+				selected |= 1 << c
+			}
+		}
+		for j, s := range prefixes {
+			if s&selected == s {
+				obs = append(obs, Entry{Row: t, Col: j, Val: mat.Dot(w.Row(t), h.Row(j))})
+			}
+		}
+	}
+	return obs, cols
+}
+
+// TestServiceEntriesShape pins the shape BenchmarkComplete's service case
+// claims to share with the matrices warm_mc jobs complete (30 × 1,284–1,297
+// with 1,379–1,404 entries; row 0 observes every column and the other rows
+// 1–6 each; ~1,250 one-entry columns share one pattern, 2–7 more patterns
+// of two or three entries recur, and 25–36 columns of 2–11 entries have
+// patterns of their own), and how the ALS plan splits it: all rows of W
+// but two, which here observe the same four columns, are unique, so W
+// runs one shared factor and groups of four unique rows, and so do H's
+// unique columns.
+func TestServiceEntriesShape(t *testing.T) {
+	obs, cols := serviceEntries(5, 42)
+	byRow := make([][]int, serviceRows)
+	byCol := make([][]int, cols)
+	for _, e := range obs {
+		byRow[e.Row] = append(byRow[e.Row], e.Col)
+		byCol[e.Col] = append(byCol[e.Col], e.Row)
+	}
+	minLater, maxLater := cols, 0
+	for _, seen := range byRow[1:] {
+		minLater, maxLater = min(minLater, len(seen)), max(maxLater, len(seen))
+	}
+	members := map[string]int{}
+	for _, rows := range byCol {
+		members[fmt.Sprint(rows)]++
+	}
+	shared, unique := 0, 0
+	for _, n := range members {
+		if n > 1 {
+			shared++
+		} else {
+			unique++
+		}
+	}
+	got := fmt.Sprintf("%d×%d, %d entries, row 0 sees %d, later rows %d–%d, {0} has %d columns, %d shared patterns, %d unique",
+		serviceRows, cols, len(obs), len(byRow[0]), minLater, maxLater, members["[0]"], shared, unique)
+	const want = "30×1293, 1393 entries, row 0 sees 1293, later rows 2–6, {0} has 1255 columns, 5 shared patterns, 30 unique"
+	if got != want {
+		t.Fatalf("shape %s; want %s", got, want)
+	}
+	plan := newALSPlan(obs, serviceRows, cols)
+	var wLanes, hLanes int
+	for _, it := range plan.w.items {
+		if plan.w.shared[it.rows[0]] < 0 {
+			wLanes++
+		}
+	}
+	for _, it := range plan.h.items {
+		if plan.h.shared[it.rows[0]] < 0 {
+			hLanes++
+		}
+	}
+	if len(plan.w.reps) != 1 || wLanes != 7 || len(plan.h.reps) != shared || hLanes != (unique+3)/4 {
+		t.Fatalf("W: %d shared factors, %d unique groups; H: %d shared factors, %d unique groups; want 1, 7, %d, %d",
+			len(plan.w.reps), wLanes, len(plan.h.reps), hLanes, shared, (unique+3)/4)
+	}
+}
+
 // BenchmarkComplete measures the ALS solver at rank 5 across worker counts
-// on two utility-matrix shapes:
+// on three utility-matrix shapes:
 //
 //   - workers-N: T=60 rounds × 400 prefix columns, each entry observed
 //     with probability 0.15. Run with -benchmem: the workers-1 case
@@ -131,6 +238,14 @@ func TestPatternedEntriesShape(t *testing.T) {
 //     per restart and taking the stopping objective's residuals from the
 //     wide solve's lanes took it from 11.4–13.9 ms/op (median 11.9) to
 //     7.7–9.5 (median 8.8) over eight alternating pairs, every pair won.
+//   - service/workers-N: the shape of serviceEntries, the pattern the
+//     matrices of warm_mc's jobs have: nearly every row of W and ~30
+//     columns of H are unique, and W's row 0 has an entry in every
+//     column. Solving unique rows four to a register, storing the wide
+//     solutions from the kernel and summing the objective's three chains
+//     side by side took workers-1 from a median of 7.41 to 5.74 ms/op,
+//     and patterned/workers-1 from 5.38 to 4.76, over ten alternating
+//     runs each (same host, -cpu 1, 30 iterations a run).
 func BenchmarkComplete(b *testing.B) {
 	bench := func(b *testing.B, obs []Entry, rows, cols int) {
 		for _, workers := range []int{1, 2, 4, 8} {
@@ -151,35 +266,10 @@ func BenchmarkComplete(b *testing.B) {
 	b.Run("patterned", func(b *testing.B) {
 		bench(b, patternedEntries(5, 42), patternedRows, patternedCols)
 	})
-}
-
-// BenchmarkRidgeUpdate isolates the per-row ridge sub-solve of a row whose
-// pattern is unique, the fused solve of ALS's solve pass, over 60 entries
-// at rank 5. The features are views into the opposite factor built before
-// the loop, as an attempt builds them once; with a warm scratch the solve
-// allocates nothing.
-func BenchmarkRidgeUpdate(b *testing.B) {
-	g := rng.New(7)
-	opposite := randomFactor(400, 5, 1, g)
-	features := make([][]float64, 60)
-	targets := make([]float64, len(features))
-	for i := range features {
-		features[i] = opposite.Row(i * 6)
-		targets[i] = g.Normal(0, 1)
-	}
-	dst := make([]float64, 5)
-	sc := newALSScratch(5)
-	// Warm the scratch so the steady-state zero-allocation path is measured.
-	if err := ridgeUpdate(features, targets, dst, 0.01, sc); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ridgeUpdate(features, targets, dst, 0.01, sc); err != nil {
-			b.Fatal(err)
-		}
-	}
+	b.Run("service", func(b *testing.B) {
+		obs, cols := serviceEntries(5, 42)
+		bench(b, obs, serviceRows, cols)
+	})
 }
 
 // BenchmarkObjective times the stopping objective of one ALS sweep on a
@@ -201,6 +291,9 @@ func BenchmarkObjective(b *testing.B) {
 	r := cfg.Rank
 	xs := make([][]float64, len(plan.h.items))
 	for n, it := range plan.h.items {
+		if plan.h.shared[it.rows[0]] < 0 {
+			b.Fatalf("item %d of the patterned H side is not a chunk", n)
+		}
 		m := len(it.rows)
 		xs[n] = make([]float64, r*m)
 		for c, i := range it.rows {
@@ -218,7 +311,7 @@ func BenchmarkObjective(b *testing.B) {
 	b.Run("residuals", func(b *testing.B) {
 		for b.Loop() {
 			for n, it := range plan.h.items {
-				mat.RidgeResidualsWideInto(plan.h.features(views, n), it.targets, xs[n], len(it.rows), resid[it.at:][:len(it.targets)])
+				mat.RidgeResidualsWideInto(plan.h.features(views, it), it.targets, xs[n], len(it.rows), resid[it.at:][:len(it.targets)])
 			}
 			plan.objective(resid, res.W, res.H, cfg.Lambda)
 		}

@@ -8,32 +8,35 @@
 // regression solved by Cholesky.
 //
 // A utility matrix is highly patterned: most Monte-Carlo prefix columns are
-// observed in a single round, so many factor rows observe the same ordered
-// sequence of opposite-factor indices and so have the same ridge Gram
-// matrix. ALS groups the rows of W and of H by that pattern once per
-// Complete call and splits them into a work list: chunks of up to wideChunk
-// rows of one shared pattern (a pattern at least two rows observe), and
-// single rows of a unique pattern or with no entries. The plan also lays
-// every item's observed values out once, entry-major with one lane per row,
-// so no sweep copies them. Each attempt points its ridge features into the
-// opposite factor once, one view list per shared pattern and per unique
-// row, since a factor's backing array is fixed for the whole attempt. Each
-// half-sweep first factors Gram + λI once for every shared pattern, then
-// works through the list. A chunk solves all its rows against the shared
-// factor in one wide kernel call, which runs the rows' right-hand sides and
-// triangular solves four to a vector register. A unique-pattern row runs
-// one fused ridge solve, and a row with no entries is zeroed. Every path
-// accumulates the same products in the same order, so the result is
-// bit-identical to solving every row on its own, for any worker count and
-// on either kernel body.
+// observed only in the everyone-heard round, so many factor rows observe
+// the same ordered sequence of opposite-factor indices and so have the same
+// ridge Gram matrix. ALS groups the rows of W and of H by that pattern once
+// per Complete call and splits them into a work list: chunks of up to
+// wideChunk rows of one shared pattern (a pattern at least two rows
+// observe), groups of up to mat.UniqueLanes rows whose patterns are unique,
+// and single rows with no entries. The plan also lays every item's observed
+// values out once, so no sweep copies them. Each attempt points its ridge
+// features into the opposite factor once, one view list per shared pattern
+// and per unique row, since a factor's backing array is fixed for the whole
+// attempt. Each half-sweep first factors Gram + λI once for every shared
+// pattern, then works through the list. A chunk solves all its rows against
+// the shared factor in one wide kernel call, which runs the rows'
+// right-hand sides and triangular solves four to a vector register and
+// stores the solutions into the factor rows. A group of unique rows runs
+// one unique kernel call, which builds each row's Gram matrix and then
+// factors and solves the rows one per lane of a vector register. A row with
+// no entries is zeroed. Every path accumulates the same products in the
+// same order, so the result is bit-identical to solving every row on its
+// own, for any worker count and on either kernel body.
 //
 // The stopping rule needs the objective after every sweep. The H
 // half-sweep computes it on the way: the wide residual kernel reads a
 // chunk's solutions where the solve left them in its lanes, and a
 // unique-pattern column's as a chunk of one, and writes each residual at
 // its target's offset. The objective then sums their squares in
-// observation order and adds the same Frobenius penalty, so it keeps the
-// bits of recomputing every prediction from the factors.
+// observation order, and ‖W‖² and ‖H‖² in their data order, three serial
+// chains run side by side, so it keeps the bits of recomputing every
+// prediction and both Frobenius norms from the factors.
 package mc
 
 import (
@@ -311,17 +314,10 @@ func warmFactor(n, r int, scale float64, g *rng.RNG, warm *mat.Dense) *mat.Dense
 	return m
 }
 
-// penalized adds the penalty λ(‖W‖²+‖H‖²) to the squared error sse of n
-// observations and returns the objective with their RMSE.
-func penalized(sse float64, n int, w, h *mat.Dense, lambda float64) (obj, rmse float64) {
-	fw := w.FrobeniusNorm()
-	fh := h.FrobeniusNorm()
-	return sse + lambda*(fw*fw+fh*fh), math.Sqrt(sse / float64(n))
-}
-
 // alsScratch is the per-worker working storage of the ALS inner loop: the
-// solutions of one wide solve and the mat.RidgeScratch buffers. One
-// scratch per worker removes every per-row allocation from the sweep.
+// solutions of one wide solve and the mat.RidgeScratch buffers of the
+// shared factors and the unique rows. One scratch per worker removes every
+// per-row allocation from the sweep.
 type alsScratch struct {
 	x     []float64
 	ridge *mat.RidgeScratch
@@ -365,18 +361,21 @@ type alsSide struct {
 }
 
 // alsItem is one unit of the solve pass: a chunk of up to wideChunk rows
-// of one shared pattern, in ascending row order, or a single row whose
-// pattern is unique or empty.
+// of one shared pattern, in ascending row order; up to mat.UniqueLanes
+// rows whose patterns are unique, in ascending row order; or a single row
+// with no entries.
 type alsItem struct {
 	rows []int
-	// targets holds the rows' observed values entry-major, value q of
-	// rows[c] at targets[q*len(rows)+c]: the layout mat.RidgeSolveWideInto
-	// reads, and for a single row simply its values.
+	// targets holds the rows' observed values. A chunk's are entry-major,
+	// value q of rows[c] at targets[q*len(rows)+c], the layout
+	// mat.RidgeSolveWideInto reads; unique rows' follow one another, each
+	// row's in its entry order, as mat.RidgeSolveUniqueInto reads them.
 	targets []float64
 	// at is the offset of targets among all the side's targets.
 	at int
 	// view is where the rows' features start among the side's views: the
-	// pattern's for a chunk, the row's own for a unique row.
+	// pattern's for a chunk, the first row's own for unique rows, which
+	// follow one another like their targets.
 	view int
 }
 
@@ -396,11 +395,18 @@ func newALSPlan(obs []Entry, rows, cols int) *alsPlan {
 		byCol[e.Col] = append(byCol[e.Col], e)
 	}
 	p := &alsPlan{w: newALSSide(byRow, true), h: newALSSide(byCol, false), slots: slots}
-	// Entry q of column rows[c] of an item sits at targets[q*m+c].
+	// Entry q of column rows[c] of a chunk sits at targets[q*m+c]; a
+	// unique column's entries sit one after another.
 	first, stride := make([]int, cols), make([]int, cols)
 	for _, it := range p.h.items {
+		at := it.at
 		for c, col := range it.rows {
-			first[col], stride[col] = it.at+c, len(it.rows)
+			if p.h.shared[col] >= 0 {
+				first[col], stride[col] = it.at+c, len(it.rows)
+			} else {
+				first[col], stride[col] = at, 1
+				at += len(p.h.groups[col])
+			}
 		}
 	}
 	for o, e := range obs {
@@ -466,16 +472,33 @@ func newALSSide(groups [][]Entry, rowSide bool) alsSide {
 		nobs += len(entries)
 	}
 	values := make([]float64, 0, nobs)
+	// Items follow their first rows, so the heavy ones stay spread over
+	// the list as the rows are. Unique rows go in groups of consecutive
+	// unique rows.
+	var unique []int
+	for i, k := range side.shared {
+		if k < 0 && len(groups[i]) > 0 {
+			unique = append(unique, i)
+		}
+	}
+	next := 0 // the first unique row not yet in an item
 	for i, k := range side.shared {
 		switch {
-		case k < 0:
+		case k < 0 && len(groups[i]) == 0:
 			order = append(order, i)
-			for _, e := range groups[i] {
-				values = append(values, e.Val)
+			side.items = append(side.items, alsItem{rows: order[len(order)-1:], at: len(values)})
+		case k < 0 && next < len(unique) && unique[next] == i:
+			w := min(len(unique)-next, mat.UniqueLanes)
+			at := len(values)
+			order = append(order, unique[next:next+w]...)
+			for _, row := range unique[next : next+w] {
+				for _, e := range groups[row] {
+					values = append(values, e.Val)
+				}
 			}
-			n := len(groups[i])
-			side.items = append(side.items, alsItem{rows: order[len(order)-1:], targets: values[len(values)-n:], at: len(values) - n})
-		case side.reps[k] == i:
+			side.items = append(side.items, alsItem{rows: order[len(order)-w:], targets: values[at:], at: at})
+			next += w
+		case k >= 0 && side.reps[k] == i:
 			n := len(groups[i])
 			for rows := members[k]; len(rows) > 0; {
 				w := min(len(rows), wideChunk)
@@ -500,7 +523,7 @@ func newALSSide(groups [][]Entry, rowSide bool) alsSide {
 			it.view = side.patternView[k]
 		} else {
 			it.view = side.nviews
-			side.nviews += len(groups[it.rows[0]])
+			side.nviews += len(it.targets)
 		}
 	}
 	return side
@@ -553,17 +576,51 @@ func completeALS(plan *alsPlan, w, h *mat.Dense, cfg Config, workers int) (*Resu
 
 // objective is the objective function over the residuals the last H
 // half-sweep wrote: their squares summed in observation order, as
-// recomputing every prediction from the factors would sum them, and the
-// penalty, so both give the same bits. The sweep stores residuals, not their squares, so that
-// the squaring is this same statement: where the compiler fuses
-// sse += d * d into one multiply-add, it fuses it in both.
+// recomputing every prediction from the factors would sum them, plus the
+// penalty λ(‖W‖²+‖H‖²) with each norm squared as FrobeniusNorm sums it,
+// so both give the same bits. The three sums are independent serial
+// chains, so they run side by side, each in its own order: the loops walk
+// one index while all three, then two, then one of the chains have an
+// entry there, and no loop tests which chain has one. The sweep stores
+// residuals, not their squares, so that the squaring is this same
+// statement: where the compiler fuses sse += d * d into one multiply-add,
+// it fuses it in both.
 func (p *alsPlan) objective(resid []float64, w, h *mat.Dense, lambda float64) (obj, rmse float64) {
-	var sse float64
-	for _, at := range p.slots {
-		d := resid[at]
+	slots, wd, hd := p.slots, w.Data(), h.Data()
+	var sse, sw, sh float64
+	i := 0
+	for ; i < len(slots) && i < len(wd) && i < len(hd); i++ {
+		d := resid[slots[i]]
+		sse += d * d
+		sw += wd[i] * wd[i]
+		sh += hd[i] * hd[i]
+	}
+	for ; i < len(slots) && i < len(hd); i++ {
+		d := resid[slots[i]]
+		sse += d * d
+		sh += hd[i] * hd[i]
+	}
+	for ; i < len(slots) && i < len(wd); i++ {
+		d := resid[slots[i]]
+		sse += d * d
+		sw += wd[i] * wd[i]
+	}
+	for ; i < len(wd) && i < len(hd); i++ {
+		sw += wd[i] * wd[i]
+		sh += hd[i] * hd[i]
+	}
+	for ; i < len(slots); i++ {
+		d := resid[slots[i]]
 		sse += d * d
 	}
-	return penalized(sse, len(p.slots), w, h, lambda)
+	for ; i < len(wd); i++ {
+		sw += wd[i] * wd[i]
+	}
+	for ; i < len(hd); i++ {
+		sh += hd[i] * hd[i]
+	}
+	fw, fh := math.Sqrt(sw), math.Sqrt(sh)
+	return sse + lambda*(fw*fw+fh*fh), math.Sqrt(sse / float64(len(slots)))
 }
 
 // sharedFactors allocates the Cholesky factors of n shared patterns, one
@@ -578,8 +635,9 @@ func sharedFactors(n, rank int) []*mat.Dense {
 }
 
 // views points the side's ridge features into opposite's backing array,
-// in the order patternView and the items' view offsets index.
-func (s *alsSide) views(opposite *mat.Dense) [][]float64 {
+// in the order patternView and the items' view offsets index. Every view
+// has the rank's length, which mat checks here once for the attempt.
+func (s *alsSide) views(opposite *mat.Dense) mat.FeatureRows {
 	r := opposite.Cols()
 	od := opposite.Data()
 	views := make([][]float64, 0, s.nviews)
@@ -597,16 +655,22 @@ func (s *alsSide) views(opposite *mat.Dense) [][]float64 {
 	}
 	for _, it := range s.items {
 		if s.shared[it.rows[0]] < 0 {
-			add(s.groups[it.rows[0]])
+			for _, i := range it.rows {
+				add(s.groups[i])
+			}
 		}
 	}
-	return views
+	return mat.NewFeatureRows(views, r)
 }
 
-// features returns item n's ridge features among the side's views.
-func (s *alsSide) features(views [][]float64, n int) [][]float64 {
-	it := s.items[n]
-	return views[it.view:][:len(s.groups[it.rows[0]])]
+// features returns item it's ridge features among the side's views: its
+// pattern's for a chunk, every row's in turn for unique rows.
+func (s *alsSide) features(views mat.FeatureRows, it alsItem) mat.FeatureRows {
+	n := len(it.targets)
+	if s.shared[it.rows[0]] >= 0 {
+		n = len(s.groups[it.rows[0]])
+	}
+	return views.Slice(it.view, n)
 }
 
 // update solves the ridge sub-problem of every row of target against the
@@ -614,17 +678,17 @@ func (s *alsSide) features(views [][]float64, n int) [][]float64 {
 // goroutines. The factor pass forms Gram + λI and its Cholesky factor once
 // per shared pattern. The solve pass works through the items: a chunk of a
 // shared pattern solves all its rows against that factor in one wide
-// kernel call, reading the targets the plan laid out, while a row of a
-// unique pattern runs the fused ridge solve. All paths accumulate the same
-// products in the same order, so the factors are bit-identical to one
-// fused solve per row. A non-nil resid receives the residual of every
-// entry at its target's offset, from the new rows: the residual kernel
-// reads a chunk's solutions where the wide solve left them, before they
-// are copied into the factor rows.
-func (s *alsSide) update(views [][]float64, target *mat.Dense, factors []*mat.Dense, cfg Config, workers int, scratches []*alsScratch, resid []float64) error {
+// kernel call, reading the targets the plan laid out, and unique rows run
+// one unique kernel call. Both store straight into the rows of target.
+// All paths accumulate the same products in the same order, so the factors
+// are bit-identical to one fused solve per row. A non-nil resid receives
+// the residual of every entry at its target's offset, from the new rows:
+// the residual kernel reads a chunk's solutions where the wide solve left
+// them, and a unique row's from the row.
+func (s *alsSide) update(views mat.FeatureRows, target *mat.Dense, factors []*mat.Dense, cfg Config, workers int, scratches []*alsScratch, resid []float64) error {
 	err := parallelFor(len(s.reps), workers, func(wk, k int) error {
-		features := views[s.patternView[k]:][:len(s.groups[s.reps[k]])]
-		if err := mat.RidgeFactorInto(features, effLambda(cfg, len(features)), factors[k], scratches[wk].ridge); err != nil {
+		n := len(s.groups[s.reps[k]])
+		if err := mat.RidgeFactorInto(views.Slice(s.patternView[k], n), effLambda(cfg, n), factors[k], scratches[wk].ridge); err != nil {
 			return fmt.Errorf("mc: ridge sub-problem: %w", err)
 		}
 		return nil
@@ -633,34 +697,42 @@ func (s *alsSide) update(views [][]float64, target *mat.Dense, factors []*mat.De
 		return err
 	}
 	r := target.Cols()
-	td := target.Data()
 	return parallelFor(len(s.items), workers, func(wk, n int) error {
-		it, sc, features := s.items[n], scratches[wk], s.features(views, n)
-		k := s.shared[it.rows[0]]
-		if k < 0 {
-			row := target.Row(it.rows[0])
-			if err := ridgeUpdate(features, it.targets, row, effLambda(cfg, len(features)), sc); err != nil {
-				return err
+		it, sc := s.items[n], scratches[wk]
+		features := s.features(views, it)
+		m := len(it.rows)
+		if k := s.shared[it.rows[0]]; k >= 0 {
+			if cap(sc.x) < r*m {
+				sc.x = make([]float64, r*m)
 			}
+			x := sc.x[:r*m]
+			mat.RidgeSolveWideInto(features, it.targets, factors[k], x, target, it.rows)
 			if resid != nil {
-				// One row's solution is its own entry-major layout.
-				mat.RidgeResidualsWideInto(features, it.targets, row, 1, resid[it.at:][:len(it.targets)])
+				mat.RidgeResidualsWideInto(features, it.targets, x, m, resid[it.at:][:len(it.targets)])
 			}
 			return nil
 		}
-		m := len(it.rows)
-		if cap(sc.x) < r*m {
-			sc.x = make([]float64, r*m)
+		if len(it.targets) == 0 {
+			// No entries: the regularizer's minimizer.
+			clear(target.Row(it.rows[0]))
+			return nil
 		}
-		x := sc.x[:r*m]
-		mat.RidgeSolveWideInto(features, it.targets, m, factors[k], x)
+		var counts [mat.UniqueLanes]int
+		var lambdas [mat.UniqueLanes]float64
+		for c, i := range it.rows {
+			counts[c] = len(s.groups[i])
+			lambdas[c] = effLambda(cfg, counts[c])
+		}
+		if err := mat.RidgeSolveUniqueInto(features, it.targets, counts[:m], lambdas[:m], target, it.rows, sc.ridge); err != nil {
+			return fmt.Errorf("mc: ridge sub-problem: %w", err)
+		}
 		if resid != nil {
-			mat.RidgeResidualsWideInto(features, it.targets, x, m, resid[it.at:][:len(it.targets)])
-		}
-		for j := 0; j < r; j++ {
-			xj := x[j*m:][:m]
+			// One row's solution is its own entry-major layout.
+			at := 0
 			for c, i := range it.rows {
-				td[i*r+j] = xj[c]
+				q := counts[c]
+				mat.RidgeResidualsWideInto(features.Slice(at, q), it.targets[at:at+q], target.Row(i), 1, resid[it.at+at:][:q])
+				at += q
 			}
 		}
 		return nil
@@ -718,24 +790,6 @@ func effLambda(cfg Config, nobs int) float64 {
 		return cfg.Lambda * float64(nobs)
 	}
 	return cfg.Lambda
-}
-
-// ridgeUpdate solves the ridge sub-problem for one factor row in place,
-// reusing the caller's scratch so the hot loop does not allocate. features
-// are the opposite-factor rows the row's entries observe and targets their
-// values. Rows with no observations are zeroed (the regularizer's
-// minimizer).
-func ridgeUpdate(features [][]float64, targets, dst []float64, lambda float64, sc *alsScratch) error {
-	if len(features) == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return nil
-	}
-	if err := mat.RidgeSolveInto(features, targets, lambda, dst, sc.ridge); err != nil {
-		return fmt.Errorf("mc: ridge sub-problem: %w", err)
-	}
-	return nil
 }
 
 // RelativeError returns ‖U − WHᵀ‖_F / ‖U‖_F against a fully known matrix u

@@ -602,3 +602,30 @@ func TestResultObjectiveMatchesFactors(t *testing.T) {
 		})
 	}
 }
+
+// TestObjectiveEveryLengthOrder pins the one-pass objective to the sums it
+// must match, the squared residuals in observation order plus
+// FrobeniusNorm's penalty, for every order of the three lengths (the
+// residuals, W's entries, H's entries), ties included, so every loop of
+// the pass runs.
+func TestObjectiveEveryLengthOrder(t *testing.T) {
+	g := rng.New(8)
+	for _, n := range [][3]int{{3, 6, 9}, {3, 9, 6}, {6, 3, 9}, {6, 9, 3}, {9, 3, 6}, {9, 6, 3}, {6, 6, 6}, {6, 6, 9}, {6, 9, 6}, {9, 6, 6}} {
+		resid := make([]float64, n[0])
+		for i := range resid {
+			resid[i] = g.Normal(0, 1)
+		}
+		w, h := randomFactor(n[1]/3, 3, 1, g), randomFactor(n[2]/3, 3, 1, g)
+		slots := g.Perm(n[0])
+		var sse float64
+		for _, at := range slots {
+			d := resid[at]
+			sse += d * d
+		}
+		want, wantRMSE := penalized(sse, len(slots), w, h, 0.01)
+		got, gotRMSE := (&alsPlan{slots: slots}).objective(resid, w, h, 0.01)
+		if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(gotRMSE) != math.Float64bits(wantRMSE) {
+			t.Fatalf("lengths %v: objective (%v, %v), want (%v, %v)", n, got, gotRMSE, want, wantRMSE)
+		}
+	}
+}

@@ -204,6 +204,15 @@ func objective(obs []Entry, w, h *mat.Dense, lambda float64) (obj, rmse float64)
 	return penalized(sse, len(obs), w, h, lambda)
 }
 
+// penalized adds the penalty λ(‖W‖²+‖H‖²), each norm from FrobeniusNorm,
+// to the squared error sse of n observations and returns the objective
+// with their RMSE.
+func penalized(sse float64, n int, w, h *mat.Dense, lambda float64) (obj, rmse float64) {
+	fw := w.FrobeniusNorm()
+	fh := h.FrobeniusNorm()
+	return sse + lambda*(fw*fw+fh*fh), math.Sqrt(sse / float64(n))
+}
+
 // sameBits reports the first difference between two results, comparing
 // every float by its bit pattern.
 func sameBits(got, want *Result) error {
@@ -404,12 +413,14 @@ func TestSharedFactorMatchesPerRowRidge(t *testing.T) {
 }
 
 // TestALSPlanItems pins the solve pass's work list: every row of W and of
-// H is in exactly one item, an item holds ascending rows of one shared
-// pattern or a single unshared row, and each shared pattern splits into
-// ⌈members/wideChunk⌉ chunks, all full but the last. Each item's targets
-// are its rows' values laid out entry-major. On the patterned fixture the
-// H side has Σ⌈members/wideChunk⌉ items over its 33 column patterns,
-// counted here from the raw observations.
+// H is in exactly one item; an item holds ascending rows of one shared
+// pattern, up to mat.UniqueLanes ascending rows of unique patterns, or a
+// single row with no entries; each shared pattern splits into
+// ⌈members/wideChunk⌉ chunks, all full but the last, and the unique rows
+// into groups that are all full but the last. A chunk's targets are its
+// rows' values laid out entry-major, and unique rows' follow one another.
+// On the patterned fixture the H side has Σ⌈members/wideChunk⌉ items over
+// its 33 column patterns, counted here from the raw observations.
 func TestALSPlanItems(t *testing.T) {
 	remainders, remRows, remCols := remainderEntries(3, 5, false)
 	exact, exactCols := exactPlanEntries(5, 12, 3, 3)
@@ -440,28 +451,46 @@ func TestALSPlanItems(t *testing.T) {
 			}
 			seen := make([]int, len(s.groups))
 			chunks := make([]int, len(s.reps))
+			unique, groups := 0, 0
+			for i, k := range s.shared {
+				if k < 0 && len(s.groups[i]) > 0 {
+					unique++
+				}
+			}
 			for n, it := range s.items {
 				rows := it.rows
 				if len(rows) == 0 {
 					t.Fatalf("%s %s item %d is empty", fx.name, side.name, n)
 				}
 				k := s.shared[rows[0]]
-				if len(rows) > wideChunk || (k < 0 && len(rows) != 1) {
+				entries := len(s.groups[rows[0]])
+				if len(rows) > wideChunk || (k < 0 && len(rows) > mat.UniqueLanes) || (entries == 0 && len(rows) != 1) {
 					t.Fatalf("%s %s item %d: rows %v of pattern %d", fx.name, side.name, n, rows, k)
 				}
-				entries := len(s.groups[rows[0]])
-				if len(it.targets) != entries*len(rows) {
-					t.Fatalf("%s %s item %d: %d targets for %d rows of %d entries", fx.name, side.name, n, len(it.targets), len(rows), entries)
-				}
+				at := 0
 				for c, i := range rows {
 					seen[i]++
-					if s.shared[i] != k || (c > 0 && i <= rows[c-1]) {
+					if s.shared[i] != k || (c > 0 && i <= rows[c-1]) || (len(s.groups[i]) == 0) != (entries == 0) {
 						t.Fatalf("%s %s item %d: rows %v are not ascending rows of pattern %d", fx.name, side.name, n, rows, k)
 					}
 					for q, e := range s.groups[i] {
-						if it.targets[q*len(rows)+c] != e.Val {
-							t.Fatalf("%s %s item %d: target %d of row %d is %v, want %v", fx.name, side.name, n, q, i, it.targets[q*len(rows)+c], e.Val)
+						want := q*len(rows) + c
+						if k < 0 {
+							want = at + q
 						}
+						if want >= len(it.targets) || it.targets[want] != e.Val {
+							t.Fatalf("%s %s item %d: target %d of row %d is not %v", fx.name, side.name, n, q, i, e.Val)
+						}
+					}
+					at += len(s.groups[i])
+				}
+				if len(it.targets) != at {
+					t.Fatalf("%s %s item %d: %d targets for rows of %d entries", fx.name, side.name, n, len(it.targets), at)
+				}
+				if k < 0 && entries > 0 {
+					groups++
+					if len(rows) < mat.UniqueLanes && groups != (unique+mat.UniqueLanes-1)/mat.UniqueLanes {
+						t.Fatalf("%s %s item %d: a group of %d unique rows before the last group", fx.name, side.name, n, len(rows))
 					}
 				}
 				if k >= 0 {
@@ -480,6 +509,9 @@ func TestALSPlanItems(t *testing.T) {
 				if want := (members[k] + wideChunk - 1) / wideChunk; chunks[k] != want {
 					t.Fatalf("%s %s: pattern %d of %d rows has %d chunks, want %d", fx.name, side.name, k, members[k], chunks[k], want)
 				}
+			}
+			if want := (unique + mat.UniqueLanes - 1) / mat.UniqueLanes; groups != want {
+				t.Fatalf("%s %s: %d unique rows in %d groups, want %d", fx.name, side.name, unique, groups, want)
 			}
 		}
 	}

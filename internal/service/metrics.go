@@ -105,7 +105,7 @@ func (m *Manager) registerMetrics() {
 	for _, stage := range []string{taskPrepare, taskObserve, taskComplete, taskShapley} {
 		met.taskLatency.With(stage)
 	}
-	met.stageLatency = r.HistogramVec("comfedsvd_valuation_stage_duration_seconds", "Wall-clock time of comfedsv pipeline stages (train and fedsv run inside the prepare task).", "stage")
+	met.stageLatency = r.HistogramVec("comfedsvd_valuation_stage_duration_seconds", "Wall-clock time of comfedsv pipeline stages (train runs inside the prepare task, fedsv inside wave 0's complete task).", "stage")
 	for _, stage := range []string{comfedsv.StageTrain, comfedsv.StageFedSV, comfedsv.StageObserve, comfedsv.StageComplete, comfedsv.StageShapley} {
 		met.stageLatency.With(stage)
 	}

@@ -78,26 +78,37 @@ func newSampledFedSV(run *fl.Run, samples int, seed int64) (*FedSV, error) {
 	}
 	n := run.NumClients()
 	g := rng.New(seed)
+	visits := 0
+	for _, rd := range run.Rounds {
+		visits += samples * len(rd.Selected)
+	}
 	var cells []utility.Cell
-	var at []int    // cell index of each visited prefix
-	var who []int   // the client each visit adds
-	var sizes []int // each round's selection size
+	at := make([]int, 0, visits)  // cell index of each visited prefix
+	who := make([]int, 0, visits) // the client each visit adds
+	var sizes []int               // each round's selection size
+	// One prefix grows through each permutation and is emptied after it;
+	// a visit looks its prefix up by Key and copies it only for a new
+	// cell. Keys do not hold the round, so the index starts empty in each.
+	prefix := utility.NewSet(n)
+	index := make(map[utility.Key]int)
 	for t, rd := range run.Rounds {
 		sel := rd.Selected
-		index := make(map[string]int)
+		clear(index)
 		for range samples {
-			prefix := utility.NewSet(n)
 			for _, pos := range g.Perm(len(sel)) {
-				prefix = prefix.With(sel[pos])
+				prefix.Add(sel[pos])
 				key := prefix.Key()
 				i, ok := index[key]
 				if !ok {
 					i = len(cells)
 					index[key] = i
-					cells = append(cells, utility.Cell{Round: t, Subset: prefix})
+					cells = append(cells, utility.Cell{Round: t, Subset: prefix.Clone()})
 				}
 				at = append(at, i)
 				who = append(who, sel[pos])
+			}
+			for _, c := range sel {
+				prefix.Remove(c)
 			}
 		}
 		sizes = append(sizes, len(sel))

@@ -184,3 +184,22 @@ func TestFedSVDuplicatedClientsSameRoundSameValue(t *testing.T) {
 		t.Fatalf("duplicates valued %v and %v in a full round", v[0], v[3])
 	}
 }
+
+// BenchmarkNewFedSVSampled builds the sampled FedSV of a run shaped like
+// perfbench's warm_mc runs: 24 clients over 30 rounds, the first hearing
+// every client and the others 3 seeded ones, so NewFedSV samples
+// ⌈24·ln 24⌉+1 = 78 permutations per round, ~8,700 prefix visits in all.
+// Only the selections matter to the walk, so the run holds nothing else.
+func BenchmarkNewFedSVSampled(b *testing.B) {
+	const clients, rounds, perRound = 24, 30, 3
+	g := rng.New(5)
+	run := &fl.Run{Clients: make([]*dataset.Dataset, clients), Rounds: make([]fl.Round, rounds)}
+	run.Rounds[0].Selected = g.Perm(clients)
+	for t := 1; t < rounds; t++ {
+		run.Rounds[t].Selected = g.Perm(clients)[:perRound]
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		NewFedSV(run, 9)
+	}
+}

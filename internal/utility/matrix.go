@@ -73,7 +73,7 @@ type evalScratch struct {
 
 type cellKey struct {
 	t   int
-	set setKey
+	set Key
 }
 
 // shard hashes the cell onto a lock stripe (FNV-style mixing over the
@@ -245,7 +245,7 @@ func (e *Evaluator) Utility(t int, s Set) float64 {
 	if s.IsEmpty() {
 		return 0
 	}
-	v, _ := e.utility(t, s, cellKey{t: t, set: s.cacheKey()})
+	v, _ := e.utility(t, s, cellKey{t: t, set: s.Key()})
 	return v
 }
 
@@ -339,7 +339,7 @@ type Observation struct {
 type Store struct {
 	T       int
 	n       int
-	cols    map[setKey]int
+	cols    map[Key]int
 	colSets []Set
 	obs     []Observation
 	seen    map[cellKey]bool
@@ -347,7 +347,7 @@ type Store struct {
 
 // NewStore returns an empty store for a T-round run over n clients.
 func NewStore(t, n int) *Store {
-	return &Store{T: t, n: n, cols: make(map[setKey]int), seen: make(map[cellKey]bool)}
+	return &Store{T: t, n: n, cols: make(map[Key]int), seen: make(map[cellKey]bool)}
 }
 
 // ColumnOf returns the dense column index for subset s, registering it on
@@ -356,7 +356,7 @@ func (st *Store) ColumnOf(s Set) int {
 	if s.Universe() != st.n {
 		panic(fmt.Sprintf("utility: subset universe %d, store universe %d", s.Universe(), st.n))
 	}
-	k := s.cacheKey()
+	k := s.Key()
 	if c, ok := st.cols[k]; ok {
 		return c
 	}
@@ -378,7 +378,7 @@ func (st *Store) Observe(t int, s Set, val float64) {
 	if t < 0 || t >= st.T {
 		panic(fmt.Sprintf("utility: round %d out of [0,%d)", t, st.T))
 	}
-	ck := cellKey{t: t, set: s.cacheKey()}
+	ck := cellKey{t: t, set: s.Key()}
 	if st.seen[ck] {
 		return
 	}

@@ -209,7 +209,7 @@ func TestDuplicateClientsShareColumnsValues(t *testing.T) {
 
 // HasColumn reports whether s has been registered, without registering it.
 func (st *Store) HasColumn(s Set) (int, bool) {
-	c, ok := st.cols[s.cacheKey()]
+	c, ok := st.cols[s.Key()]
 	return c, ok
 }
 

@@ -62,12 +62,12 @@ type Cell struct {
 func Union(a, b []Cell) (cells []Cell, at []int) {
 	index := make(map[cellKey]int, len(a)+len(b))
 	for i, c := range a {
-		index[cellKey{t: c.Round, set: c.Subset.cacheKey()}] = i
+		index[cellKey{t: c.Round, set: c.Subset.Key()}] = i
 	}
 	cells = a[:len(a):len(a)] // appends copy rather than write into a's array
 	at = make([]int, len(b))
 	for i, c := range b {
-		ck := cellKey{t: c.Round, set: c.Subset.cacheKey()}
+		ck := cellKey{t: c.Round, set: c.Subset.Key()}
 		j, ok := index[ck]
 		if !ok {
 			j = len(cells)

@@ -91,7 +91,7 @@ func (s *Session) Utility(t int, set Set) float64 {
 	if set.IsEmpty() {
 		return 0
 	}
-	ck := cellKey{t: t, set: set.cacheKey()}
+	ck := cellKey{t: t, set: set.Key()}
 	sh := &s.shards[ck.shard()]
 	sh.mu.Lock()
 	_, dup := sh.seen[ck]

@@ -117,40 +117,33 @@ func (s Set) With(i int) Set {
 	return out
 }
 
-// Key returns a compact string usable as a map key. Two sets over the same
-// universe have equal keys iff they are equal.
-func (s Set) Key() string {
-	b := make([]byte, 8*len(s.words))
-	for i, w := range s.words {
-		for j := 0; j < 8; j++ {
-			b[8*i+j] = byte(w >> (8 * uint(j)))
-		}
-	}
-	return string(b)
-}
-
-// setKey is a comparable, allocation-free identifier of a Set within one
+// Key is a comparable, allocation-free identifier of a Set within one
 // fixed universe: for n ≤ 64 the single bitmask word identifies the set and
-// str stays empty; larger universes fall back to the Key() string. Two sets
-// over the same universe have equal setKeys iff they are equal, which is
-// the invariant the evaluator cache and the Store's column index rely on.
-type setKey struct {
+// str stays empty; larger universes fall back to a string of the words.
+// Two sets over the same universe have equal Keys iff they are equal,
+// which is the invariant the evaluator cache, the Store's column index and
+// FedSV's prefix index rely on.
+type Key struct {
 	mask uint64
 	str  string
 }
 
-// cacheKey returns the setKey of s. It does not allocate for n ≤ 64 — the
-// memoized-evaluator hot path, where the seed's per-lookup Key() string
-// materialization dominated small-coalition lookups.
-func (s Set) cacheKey() setKey {
+// Key returns the Key of s. It does not allocate for n ≤ 64 — the
+// memoized-evaluator hot path, where a per-lookup string key dominated
+// small-coalition lookups.
+func (s Set) Key() Key {
 	if len(s.words) <= 1 {
-		return setKey{mask: s.Mask()}
+		return Key{mask: s.Mask()}
 	}
-	return setKey{str: s.Key()}
+	b := make([]byte, 8*len(s.words))
+	for i, w := range s.words {
+		binary.LittleEndian.PutUint64(b[8*i:], w)
+	}
+	return Key{str: string(b)}
 }
 
 // set returns the set over a universe of n clients that k identifies.
-func (k setKey) set(n int) Set {
+func (k Key) set(n int) Set {
 	if k.str == "" {
 		return FromMask(n, k.mask)
 	}

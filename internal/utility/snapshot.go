@@ -108,7 +108,7 @@ func cellLess(a, c *SnapshotCell) bool {
 func NewCellBatch(n int, cells []Cell, vals []float64) *CellBatch {
 	b := &CellBatch{N: n, Cells: make([]SnapshotCell, len(cells))}
 	for i, c := range cells {
-		mask, key := snapshotKey(cellKey{t: c.Round, set: c.Subset.cacheKey()})
+		mask, key := snapshotKey(cellKey{t: c.Round, set: c.Subset.Key()})
 		b.Cells[i] = SnapshotCell{Round: c.Round, Mask: mask, Key: key, Value: vals[i]}
 	}
 	b.Stamp()
@@ -176,9 +176,9 @@ func cellKeyOf(n int, c *SnapshotCell) (cellKey, error) {
 		return cellKey{}, fmt.Errorf("utility: cell for the empty coalition")
 	}
 	if n <= 64 {
-		return cellKey{t: c.Round, set: setKey{mask: c.Mask}}, nil
+		return cellKey{t: c.Round, set: Key{mask: c.Mask}}, nil
 	}
-	return cellKey{t: c.Round, set: setKey{str: string(raw)}}, nil
+	return cellKey{t: c.Round, set: Key{str: string(raw)}}, nil
 }
 
 // cellEncoding is the base64 alphabet of a cell block. Strict decoding

@@ -741,7 +741,7 @@ func warmBatches() []*CellBatch {
 	for len(out) < 5 {
 		b := &CellBatch{N: 24}
 		for len(b.Cells) < 2720 {
-			ck := cellKey{t: g.Intn(30), set: setKey{mask: uint64(g.Int63()) & (1<<24 - 1)}}
+			ck := cellKey{t: g.Intn(30), set: Key{mask: uint64(g.Int63()) & (1<<24 - 1)}}
 			if ck.set.mask == 0 || seen[ck] {
 				continue
 			}
