@@ -497,7 +497,7 @@ func BenchmarkMCObservation(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				cold := utility.NewEvaluator(run)
-				if _, err := cold.UtilityBatchCtx(ctx, cells, workers); err != nil {
+				if _, _, err := cold.UtilityBatchCtx(ctx, cells, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

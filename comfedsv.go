@@ -95,11 +95,12 @@ type Options struct {
 	// for every setting; only wall-clock time changes.
 	Parallelism int
 	// Shards splits each observation wave into that many independently
-	// schedulable shards (0 means 1), clamped to the wave's cell count: a
+	// schedulable shards (0 means 1), clamped to the wave's new cells: a
 	// shard owns a contiguous chunk of the wave's cell list, not a range
-	// of rounds or permutations. Wave 0's list holds FedSV's cells as well
-	// as the plan's, so the shards pay every cell of the job and Prepare
-	// pays none. The one-shot Value path runs them serially; the
+	// of rounds or permutations. A wave lists only cells no earlier wave
+	// listed, and wave 0's list holds FedSV's cells as well as the plan's,
+	// so the shards pay every cell of the job once and Prepare pays none;
+	// a later wave with no new cell has no shard. The one-shot Value path runs them serially; the
 	// comfedsvd scheduler runs them as separate tasks on its shared worker
 	// pool so one large valuation no longer monopolizes a worker. The
 	// computed values are bit-identical for every setting.
@@ -225,8 +226,8 @@ func ValueCtx(ctx context.Context, clients []Client, test Client, opts Options) 
 	if err != nil {
 		return nil, err
 	}
-	// The run is private to this call, so the session's distinct-cell
-	// count is exactly the evaluation bill a standalone evaluator pays.
+	// The run is private to this call, so the job's distinct cells are
+	// exactly the evaluation bill a standalone evaluator pays.
 	return NewValuation(tr, opts).Run(ctx)
 }
 
@@ -420,9 +421,9 @@ func TrainCtx(ctx context.Context, clients []Client, test Client, opts Options) 
 // JSON encoding) to a ValueCtx call whose training options produced this
 // run: the computed values are deterministic memoized functions of the
 // trace, and UtilityCalls counts the distinct cells *this* valuation
-// requested, not what the shared cache happened to hold. The returned
-// EvalStats splits those cells into shared-cache hits and fresh
-// evaluations.
+// listed, not what the shared cache happened to hold. The returned
+// EvalStats splits those cells into shared-cache hits and the cells this
+// valuation evaluated.
 func ValueRunCtx(ctx context.Context, tr *TrainedRun, opts Options) (*Report, EvalStats, error) {
 	v := NewValuation(tr, opts)
 	report, err := v.Run(ctx)

@@ -150,33 +150,36 @@ func TestGoldenReportsAndShardDigests(t *testing.T) {
 			"fa3b62312b2e11e1efe3731f1c61a6f67ca0735d53c3c8325f074bc6b7f59b76",
 			"376a671f45311d5ab5608530720460035718a8cfc1ed39788c13ffcd979a7129",
 		},
+		// Wave 0 of a tolerance case holds every subset of every round's
+		// selection (exact FedSV's cells), so its later waves list no new
+		// cell and schedule no shard: its shards are wave 0's.
 		{
 			"tolerance/early-stop/1", 40, 1, 100,
 			"8d872214153a902fd4c0ed849082a58b9993dfc7ae311a2ef9d9e137fbfee5df",
-			"ec991150508681f9a5613035284a15a1bf13c46b16daeac16cd1075d500492b9",
+			"dd3b9a296a90f7621d144bd4e025c9a6a4855d7c5487dda77aa1d1938e428133",
 			"317bda549b9beada872c56b65a684f6c2a0faa39161e0d64556551a4739cfb80",
-			"2dca8f7fefcb7e9f754edfb2428974c18fda04047bec327e68cab1bda52652e8",
+			"448c193c6afdb843f99c0e0877484c0adea01bdde6ab5eca4f2f7ab36c2a5045",
 		},
 		{
 			"tolerance/early-stop/3", 40, 3, 100,
 			"8d872214153a902fd4c0ed849082a58b9993dfc7ae311a2ef9d9e137fbfee5df",
-			"4815b0fe58b318affc724ddb0691ef87255f3af38c6ee42b30b35a213ebb668a",
+			"fed5f78b2f597b9a05b4a11329dc1d16397b5e738976edfd1598e6c9c1b70f29",
 			"317bda549b9beada872c56b65a684f6c2a0faa39161e0d64556551a4739cfb80",
-			"278099503919a47b46f8a9f0dbf5ba4411c252a4bdabac38690e7e56aeafb8a5",
+			"bbbfd7db6d4f732e2566585a63ece96edda0c37c090b174f187d232027f7896f",
 		},
 		{
 			"tolerance/exhausted/1", 40, 1, 1e-9,
 			"347dd7e932a50914684bfcd4666a632abaa399335500377b0f0839abc7ee67fb",
-			"4e78254d2792f06eefe6a88c324d66c9623eccac490d253045e6a1eb92610718",
+			"dd3b9a296a90f7621d144bd4e025c9a6a4855d7c5487dda77aa1d1938e428133",
 			"ea922473b617d95a81b7c72268eb2dd07c0c9755cb29c20d6b692d7710719103",
-			"e7e319c6e0365f1441889abb0763b344e2863f83501e9b624d6740a1a6439653",
+			"448c193c6afdb843f99c0e0877484c0adea01bdde6ab5eca4f2f7ab36c2a5045",
 		},
 		{
 			"tolerance/exhausted/3", 40, 3, 1e-9,
 			"347dd7e932a50914684bfcd4666a632abaa399335500377b0f0839abc7ee67fb",
-			"be7fe64edc780381f816aaf18664f87bd09e90f0507dacf6119ef222f6d6cb34",
+			"fed5f78b2f597b9a05b4a11329dc1d16397b5e738976edfd1598e6c9c1b70f29",
 			"ea922473b617d95a81b7c72268eb2dd07c0c9755cb29c20d6b692d7710719103",
-			"b9fc7699f6b4d7b19a2d56222ccf1877094df3049836f7c0e56d2bdded6a4ef7",
+			"bbbfd7db6d4f732e2566585a63ece96edda0c37c090b174f187d232027f7896f",
 		},
 	} {
 		opts := base

@@ -99,7 +99,7 @@ func TestOfflinePipelineRoundTrip(t *testing.T) {
 
 func TestUtilityPathsAgree(t *testing.T) {
 	// The run's direct utility, the serial and the parallel full matrix,
-	// the batch path on an evaluator and on a session, and the memoized
+	// the batch path on an evaluator, and the memoized
 	// single-cell lookup must all agree cell-for-cell, bit for bit.
 	run := integrationRun(t)
 	serial := utility.FullMatrix(utility.NewEvaluator(run), 1)
@@ -116,15 +116,13 @@ func TestUtilityPathsAgree(t *testing.T) {
 		}
 	}
 	e := utility.NewEvaluator(run)
-	for _, src := range []utility.Source{e, utility.NewEvaluator(run).NewSession()} {
-		got, err := src.UtilityBatchCtx(context.Background(), cells, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range cells {
-			if got[i] != want[i] {
-				t.Fatalf("%T batch cell %d: %v vs %v", src, i, got[i], want[i])
-			}
+	got, _, err := e.UtilityBatchCtx(context.Background(), cells, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cells {
+		if got[i] != want[i] {
+			t.Fatalf("batch cell %d: %v vs %v", i, got[i], want[i])
 		}
 	}
 	for i, c := range cells {

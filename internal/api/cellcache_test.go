@@ -230,7 +230,7 @@ func runCellWorker(ctx context.Context, t *testing.T, base, id, runsDir string, 
 // byte identity where a round selects more than 20 clients: FedSV then
 // samples instead of enumerating, so the cells a remote shard reaches are
 // absent from the daemon's evaluator when the batch arrives. The
-// coordinator still observes the shard through the job's session, so
+// coordinator still observes the shard through its own evaluator, so
 // utility_calls — and every other report byte — match the local run, and
 // the batches reach the run's sidecar.
 func TestDistributedBigJobByteIdenticalToLocal(t *testing.T) {

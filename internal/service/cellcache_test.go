@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"comfedsv"
 	"comfedsv/internal/faultinject"
 	"comfedsv/internal/persist"
 	"comfedsv/internal/utility"
@@ -42,29 +41,10 @@ func cellStores(t *testing.T, jobDir, runDir string) (*persist.JobStore, *persis
 	return jobs, runs
 }
 
-// wideSpec is tinySpec with six clients: 63 coalitions per round instead
-// of 15, so a 48-permutation adaptive budget cannot cover the cell space
-// in its first wave and later waves flush genuinely new cells.
+// wideSpec is wideRequest's run.
 func wideSpec(seed int64) RunSpec {
-	mk := func(off float64) comfedsv.Client {
-		var c comfedsv.Client
-		for i := 0; i < 8; i++ {
-			x := off + float64(i)*0.3
-			label := 0
-			if x > 1 {
-				label = 1
-			}
-			c.X = append(c.X, []float64{x, 1 - x})
-			c.Y = append(c.Y, label)
-		}
-		return c
-	}
-	clients := []comfedsv.Client{mk(-0.4), mk(-0.15), mk(0.1), mk(0.35), mk(0.6), mk(1.1)}
-	opts := comfedsv.DefaultOptions(2)
-	opts.Rounds = 4
-	opts.ClientsPerRound = 3
-	opts.Seed = seed
-	return RunSpec{Clients: clients, Test: mk(0.25), Options: opts}
+	req := wideRequest(seed)
+	return RunSpec{Clients: req.Clients, Test: req.Test, Options: req.Options}
 }
 
 // runCellJob registers spec's run on m (a no-op dedup when the run was
@@ -372,7 +352,8 @@ func TestSidecarQuarantineCrashResurrectionReQuarantines(t *testing.T) {
 // daemon to finish the job byte-identically. The sweep is exhaustive by
 // construction: it ends at the first point no crash fires for, so every
 // append of this job shape (however the flush boundaries fall) is
-// covered.
+// covered. The job's later waves schedule shards, so crashes land on the
+// flushes between waves too.
 func TestCellFlushCrashEverywhereResumesByteIdentical(t *testing.T) {
 	const seed = 69
 	spec := wideSpec(seed)
@@ -431,6 +412,9 @@ func TestCellFlushCrashEverywhereResumesByteIdentical(t *testing.T) {
 			}
 			if got := reportBytes(t, jobDir, id); !bytes.Equal(got, want) {
 				t.Fatalf("point %d: fault-free report diverges from baseline", n)
+			}
+			if jst.Shards <= opts.Shards {
+				t.Fatalf("job ran %d shards, want a shard after wave 0's %d", jst.Shards, opts.Shards)
 			}
 			t.Logf("swept %d cell-flush crash points", n-1)
 			return

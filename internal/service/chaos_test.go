@@ -54,8 +54,9 @@ func runToCompletion(t *testing.T, req Request) []byte {
 // journal point, abandons the dead manager, recovers a fresh one over the
 // same store, and requires the finished report to be byte-identical to an
 // uninterrupted run. The sweep ends at the first n no crash fires for —
-// the job ran out of journal points, i.e. every point was covered.
-func crashEverywhere(t *testing.T, req Request, want []byte) {
+// the job ran out of journal points, i.e. every point was covered. It
+// returns the uninterrupted run's status.
+func crashEverywhere(t *testing.T, req Request, want []byte) Status {
 	t.Helper()
 	const maxPoints = 120
 	for n := 1; ; n++ {
@@ -97,7 +98,7 @@ func crashEverywhere(t *testing.T, req Request, want []byte) {
 				t.Fatalf("point %d: fault-free report diverges from baseline", n)
 			}
 			t.Logf("swept %d journal crash points", n-1)
-			return
+			return st
 		}
 		if st.State != StateFailed || !strings.Contains(st.Error, "simulated crash") {
 			t.Fatalf("point %d: crashed job state %s error %q, want failed with simulated crash", n, st.State, st.Error)
@@ -159,11 +160,13 @@ func TestCrashAtEveryJournalPointResumesByteIdentical(t *testing.T) {
 // schedules further observation waves: a crash can land between waves and
 // the resumed job must replay the identical wave structure.
 func TestCrashMidAdaptiveWaveResumesByteIdentical(t *testing.T) {
-	req := tinyRequest(23)
+	req := wideRequest(23)
 	req.Options.MonteCarloSamples = 48
 	req.Options.Tolerance = 1e-6 // tight: force several waves before the budget
 	req.Options.Shards = 2
-	crashEverywhere(t, req, runToCompletion(t, req))
+	if st := crashEverywhere(t, req, runToCompletion(t, req)); st.Shards <= req.Options.Shards {
+		t.Fatalf("job ran %d shards, want a shard after wave 0's %d", st.Shards, req.Options.Shards)
+	}
 }
 
 // TestCrashExactShardedResumesByteIdentical sweeps the crash points of an
@@ -294,50 +297,52 @@ func TestLegacyJournalRecoversByteIdentical(t *testing.T) {
 
 // TestPreviousDigestFormatJournalRecoversByteIdentical resumes an exact
 // job journal whose submit record declares digest format 2, from before
-// wave 0's shards held FedSV's cells: its observe digest is one no
-// current shard re-derives (zeroed here). Recovery ignores it, says so in
-// the log, and re-executes the job to the report a fault-free run writes.
+// wave 0's shards held FedSV's cells, or format 3, from before later waves
+// stopped re-listing paid cells: its observe digest is one no current
+// shard need re-derive (zeroed here). Recovery ignores it, says so in the
+// log, and re-executes the job to the report a fault-free run writes.
 func TestPreviousDigestFormatJournalRecoversByteIdentical(t *testing.T) {
 	req := tinyRequest(37)
 	req.Options.Shards = 2
 	want := runToCompletion(t, req)
-	dir, id := crashAfterFirstObserve(t, req)
-
-	path := filepath.Join(dir, id+".journal")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.SplitAfter(raw, []byte("\n"))
-	for i, line := range lines[:len(lines)-1] { // the final element is the empty tail
-		var rec persist.JournalRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
+	for _, format := range []int{2, 3} {
+		dir, id := crashAfterFirstObserve(t, req)
+		path := filepath.Join(dir, id+".journal")
+		raw, err := os.ReadFile(path)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if rec.Type == persist.RecSubmit {
-			rec.DigestFormat = 2
+		lines := bytes.SplitAfter(raw, []byte("\n"))
+		for i, line := range lines[:len(lines)-1] { // the final element is the empty tail
+			var rec persist.JournalRecord
+			if err := json.Unmarshal(line, &rec); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Type == persist.RecSubmit {
+				rec.DigestFormat = format
+			}
+			if rec.Digest != "" {
+				rec.Digest = strings.Repeat("0", len(rec.Digest))
+			}
+			if lines[i], err = json.Marshal(rec); err != nil {
+				t.Fatal(err)
+			}
+			lines[i] = append(lines[i], '\n')
 		}
-		if rec.Digest != "" {
-			rec.Digest = strings.Repeat("0", len(rec.Digest))
-		}
-		if lines[i], err = json.Marshal(rec); err != nil {
+		if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		lines[i] = append(lines[i], '\n')
-	}
-	if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
-		t.Fatal(err)
-	}
 
-	h := &recordingHandler{}
-	if st := recoverJob(t, dir, id, slog.New(h)); st.State != StateDone {
-		t.Fatalf("format-2 journal job finished %s (%s)", st.State, st.Error)
-	}
-	if got := reportBytes(t, dir, id); !bytes.Equal(got, want) {
-		t.Fatal("format-2 journal resumed report diverges from a fault-free run")
-	}
-	if attrs := h.find("journal observe digests predate the current digest format; resuming without comparing them", id); attrs == nil {
-		t.Fatal("no log line says the format-2 observe digests were ignored")
+		h := &recordingHandler{}
+		if st := recoverJob(t, dir, id, slog.New(h)); st.State != StateDone {
+			t.Fatalf("format-%d journal job finished %s (%s)", format, st.State, st.Error)
+		}
+		if got := reportBytes(t, dir, id); !bytes.Equal(got, want) {
+			t.Fatalf("format-%d journal resumed report diverges from a fault-free run", format)
+		}
+		if attrs := h.find("journal observe digests predate the current digest format; resuming without comparing them", id); attrs == nil {
+			t.Fatalf("no log line says the format-%d observe digests were ignored", format)
+		}
 	}
 }
 
@@ -346,7 +351,7 @@ func TestPreviousDigestFormatJournalRecoversByteIdentical(t *testing.T) {
 // across every adaptive wave — nothing for prepare, complete or shapley,
 // which recovery never reads.
 func TestJournalHoldsOnlyWhatRecoveryReads(t *testing.T) {
-	req := tinyRequest(23)
+	req := wideRequest(23)
 	req.Options.MonteCarloSamples = 48
 	req.Options.Tolerance = 1e-6
 	req.Options.Shards = 2

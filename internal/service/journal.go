@@ -14,12 +14,15 @@ import (
 // digestFormat is the observe-digest scheme new submit records declare:
 // an observe record's digest is the digest of the shard's canonical
 // utility.CellBatch, the token a remote worker's batch for the shard
-// carries, where a shard is a contiguous chunk of its wave's cell list
-// and wave 0's list holds FedSV's cells too. Format 2 digests are of the
-// same batches over the plan's cells alone, cut by permutation slice or
-// round range; journals without the marker hold digests of an earlier
-// (round, column) hash. No current shard re-derives either.
-const digestFormat = 3
+// carries, where a shard is a contiguous chunk of its wave's new cells —
+// cells no earlier wave of the job listed — and wave 0's list holds
+// FedSV's cells too. Format 3 cut the same lists, but a later wave
+// re-listed cells earlier waves had paid, so its later-wave shards held
+// other cells under other indices. Format 2 digests are of batches over
+// the plan's cells alone, cut by permutation slice or round range;
+// journals without the marker hold digests of an earlier (round, column)
+// hash. No current shard re-derives any of them.
+const digestFormat = 4
 
 // journalRequest is the submit record's payload: the full effective job
 // request — datasets or run reference plus the options after daemon

@@ -16,29 +16,47 @@ import (
 	"comfedsv/internal/persist"
 )
 
+// separableClient is eight linearly separable 2-D points starting at off.
+func separableClient(off float64) comfedsv.Client {
+	var c comfedsv.Client
+	for i := 0; i < 8; i++ {
+		x := off + float64(i)*0.3
+		label := 0
+		if x > 1 {
+			label = 1
+		}
+		c.X = append(c.X, []float64{x, 1 - x})
+		c.Y = append(c.Y, label)
+	}
+	return c
+}
+
 // tinyRequest builds a small deterministic 2-class valuation job: four
 // clients with linearly separable 2-D data, exact (non-Monte-Carlo)
 // pipeline, few rounds — fast enough to run many times per test.
 func tinyRequest(seed int64) Request {
-	mk := func(off float64) comfedsv.Client {
-		var c comfedsv.Client
-		for i := 0; i < 8; i++ {
-			x := off + float64(i)*0.3
-			label := 0
-			if x > 1 {
-				label = 1
-			}
-			c.X = append(c.X, []float64{x, 1 - x})
-			c.Y = append(c.Y, label)
-		}
-		return c
-	}
+	mk := separableClient
 	clients := []comfedsv.Client{mk(-0.4), mk(0.1), mk(0.6), mk(1.1)}
 	opts := comfedsv.DefaultOptions(2)
 	opts.Rounds = 4
 	opts.ClientsPerRound = 2
 	opts.Seed = seed
 	return Request{Clients: clients, Test: mk(0.25), Options: opts}
+}
+
+// wideRequest is tinyRequest over 22 clients, three per round after the
+// warm-up round. That round selects all 22, more than exact FedSV
+// enumerates, so FedSV samples and wave 0 cannot hold every cell a later
+// wave of a tolerance job reaches: its later waves list new cells and
+// schedule shards. Under 21 clients they would list none.
+func wideRequest(seed int64) Request {
+	req := tinyRequest(seed)
+	req.Clients = nil
+	for i := range 22 {
+		req.Clients = append(req.Clients, separableClient(-0.5+float64(i)*0.075))
+	}
+	req.Options.ClientsPerRound = 3
+	return req
 }
 
 func waitTerminal(t *testing.T, m *Manager, id string) Status {

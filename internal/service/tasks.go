@@ -60,7 +60,7 @@ func (m *Manager) newValuation(j *job) stagedValuation {
 			if err != nil {
 				return nil, false, err
 			}
-			// The trace is private to this job, so the session's ledger is
+			// The trace is private to this job, so its hit/miss ledger is
 			// not a shared-cache split worth surfacing.
 			return comfedsv.NewValuation(tr, j.opts), false, nil
 		}}

@@ -172,6 +172,67 @@ func TestAdaptiveToleranceValidation(t *testing.T) {
 	}
 }
 
+// TestAdaptivePlanListsEachCellOnce pins the plan's listing across the
+// waves of a tolerance run that never converges: no cell is listed by two
+// waves, a second Cells call before Advance returns the wave's list
+// again, later waves still list new cells, and the store observes exactly
+// the listed cells in list order.
+func TestAdaptivePlanListsEachCellOnce(t *testing.T) {
+	ctx := context.Background()
+	e := duplicatedEvaluator(t, 500)
+	p := newPlan(t, e, adaptiveConfig(1e-12))
+	type cell struct {
+		round int
+		key   utility.Key
+	}
+	listed := make(map[cell]bool)
+	var all []utility.Cell
+	waves := 0
+	for more := true; more; waves++ {
+		cells, err := p.Cells(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, err := p.Cells(ctx); err != nil || !reflect.DeepEqual(again, cells) {
+			t.Fatalf("wave %d: a second Cells call listed %d cells (%v), the first %d", waves, len(again), err, len(cells))
+		}
+		if waves > 0 && len(cells) == 0 {
+			t.Fatalf("wave %d listed no new cell", waves)
+		}
+		for _, c := range cells {
+			k := cell{c.Round, c.Subset.Key()}
+			if listed[k] {
+				t.Fatalf("wave %d lists cell %d/%v again", waves, c.Round, c.Subset)
+			}
+			listed[k] = true
+		}
+		all = append(all, cells...)
+		vals, _, err := e.UtilityBatchCtx(ctx, cells, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if more, err = p.Advance(ctx, vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if waves != len(waveBounds(64)) {
+		t.Fatalf("ran %d waves, want all %d", waves, len(waveBounds(64)))
+	}
+	res, err := p.Extract(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := res.Store.Observations()
+	if len(obs) != len(all) {
+		t.Fatalf("store observed %d cells, the waves listed %d", len(obs), len(all))
+	}
+	for i, o := range obs {
+		if o.Row != all[i].Round || res.Store.ColumnSet(o.Col).Key() != all[i].Subset.Key() {
+			t.Fatalf("observation %d is (%d, %v), listed cell %d is (%d, %v)", i, o.Row, res.Store.ColumnSet(o.Col), i, all[i].Round, all[i].Subset)
+		}
+	}
+}
+
 // TestAdaptiveStageOrderErrors pins the stage contract: advancing
 // before the wave is listed, extracting before convergence, and listing or
 // advancing a finished plan are loud errors.
@@ -190,7 +251,7 @@ func TestAdaptiveStageOrderErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vals, err := e.UtilityBatchCtx(ctx, cells, 2)
+		vals, _, err := e.UtilityBatchCtx(ctx, cells, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +286,7 @@ func TestAdaptiveCancellationMidWave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, err := e.UtilityBatchCtx(ctx, cells, 2)
+	vals, _, err := e.UtilityBatchCtx(ctx, cells, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

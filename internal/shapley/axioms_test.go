@@ -154,9 +154,9 @@ func TestSymmetryUnderRelabelling(t *testing.T) {
 		moved := utility.NewEvaluator(relabel(run, sigma))
 		for _, tc := range []struct {
 			name   string
-			values func(utility.Source) []float64
+			values func(*utility.Evaluator) []float64
 		}{
-			{"FedSV", func(src utility.Source) []float64 {
+			{"FedSV", func(src *utility.Evaluator) []float64 {
 				v, err := FedSVCtx(ctx, src, 1)
 				if err != nil {
 					t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 // value of the summed per-round utility U(S) = Σ_t U_t(S). Feasible only
 // for small N (it evaluates all 2^N−1 coalitions in every round, on
 // GOMAXPROCS goroutines).
-func GroundTruth(e utility.Source) []float64 {
+func GroundTruth(e *utility.Evaluator) []float64 {
 	n := e.Run().NumClients()
 	full := utility.FullMatrix(e, 0)
 	_, cols := full.Dims()
@@ -51,23 +51,16 @@ type Result struct {
 	Permutations int
 }
 
-// stagedPlan is the wave interface ExactPlan and MonteCarloPlan share.
-type stagedPlan interface {
-	Cells(ctx context.Context) ([]utility.Cell, error)
-	Advance(ctx context.Context, vals []float64) (more bool, err error)
-	Extract(ctx context.Context) (*Result, error)
-}
-
 // runStages pays each wave's cells through e in one batch on at most
 // workers goroutines and advances the plan until no wave follows, then
 // extracts the result.
-func runStages(ctx context.Context, e utility.Source, p stagedPlan, workers int) (*Result, error) {
+func runStages(ctx context.Context, e *utility.Evaluator, p Plan, workers int) (*Result, error) {
 	for more := true; more; {
 		cells, err := p.Cells(ctx)
 		if err != nil {
 			return nil, err
 		}
-		vals, err := e.UtilityBatchCtx(ctx, cells, workers)
+		vals, _, err := e.UtilityBatchCtx(ctx, cells, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -82,7 +75,7 @@ func runStages(ctx context.Context, e utility.Source, p stagedPlan, workers int)
 // observe all subsets of the selected clients per round, complete the full
 // T×(2^N−1) utility matrix (problem 9), and take the exact Shapley value of
 // the completed, per-round-summed utility. Feasible for N ≤ ~14.
-func ComFedSVExact(e utility.Source, cfg mc.Config) (*Result, error) {
+func ComFedSVExact(e *utility.Evaluator, cfg mc.Config) (*Result, error) {
 	return ComFedSVExactCtx(context.Background(), e, cfg)
 }
 
@@ -91,7 +84,7 @@ func ComFedSVExact(e utility.Source, cfg mc.Config) (*Result, error) {
 // matrix-completion solve itself is not interruptible but is bounded by
 // cfg.MaxIter. It pays an ExactPlan's cells on cfg.Workers goroutines;
 // callers that pay the cells themselves use the plan directly.
-func ComFedSVExactCtx(ctx context.Context, e utility.Source, cfg mc.Config) (*Result, error) {
+func ComFedSVExactCtx(ctx context.Context, e *utility.Evaluator, cfg mc.Config) (*Result, error) {
 	p, err := NewExactPlan(e.Run(), cfg)
 	if err != nil {
 		return nil, err
@@ -143,7 +136,7 @@ func DefaultMonteCarloConfig(n, rank int, seed int64) MonteCarloConfig {
 // utilities of permutation prefixes contained in each round's selection,
 // solve the reduced completion problem (13), and estimate ComFedSV via the
 // permutation form (12).
-func MonteCarlo(e utility.Source, cfg MonteCarloConfig) (*Result, error) {
+func MonteCarlo(e *utility.Evaluator, cfg MonteCarloConfig) (*Result, error) {
 	return MonteCarloCtx(context.Background(), e, cfg)
 }
 
@@ -153,7 +146,7 @@ func MonteCarlo(e utility.Source, cfg MonteCarloConfig) (*Result, error) {
 // completion solve itself is not interruptible but is bounded by
 // cfg.Completion.MaxIter. It pays each of a MonteCarloPlan's waves in one
 // batch, then Advance, until the plan finishes.
-func MonteCarloCtx(ctx context.Context, e utility.Source, cfg MonteCarloConfig) (*Result, error) {
+func MonteCarloCtx(ctx context.Context, e *utility.Evaluator, cfg MonteCarloConfig) (*Result, error) {
 	p, err := NewMonteCarloPlan(ctx, e.Run(), cfg)
 	if err != nil {
 		return nil, err

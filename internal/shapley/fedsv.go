@@ -156,8 +156,8 @@ func NewFedSV(run *fl.Run, seed int64) *FedSV {
 // pay evaluates f's cells through e in one batch on at most workers
 // goroutines (≤ 0 means GOMAXPROCS), checking ctx before every
 // evaluation, and returns the values.
-func (f *FedSV) pay(ctx context.Context, e utility.Source, workers int) ([]float64, error) {
-	vals, err := e.UtilityBatchCtx(ctx, f.cells, workers)
+func (f *FedSV) pay(ctx context.Context, e *utility.Evaluator, workers int) ([]float64, error) {
+	vals, _, err := e.UtilityBatchCtx(ctx, f.cells, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +166,7 @@ func (f *FedSV) pay(ctx context.Context, e utility.Source, workers int) ([]float
 
 // FedSVCtx computes exact FedSV (newExactFedSV), paying its cells in one
 // batch on at most workers goroutines.
-func FedSVCtx(ctx context.Context, e utility.Source, workers int) ([]float64, error) {
+func FedSVCtx(ctx context.Context, e *utility.Evaluator, workers int) ([]float64, error) {
 	f, err := newExactFedSV(e.Run())
 	if err != nil {
 		return nil, err
@@ -177,7 +177,7 @@ func FedSVCtx(ctx context.Context, e utility.Source, workers int) ([]float64, er
 // FedSVMonteCarloCtx estimates FedSV with samples seeded permutations per
 // round (newSampledFedSV), paying its cells in one batch on at most workers
 // goroutines; the values do not depend on the worker count.
-func FedSVMonteCarloCtx(ctx context.Context, e utility.Source, samples int, seed int64, workers int) ([]float64, error) {
+func FedSVMonteCarloCtx(ctx context.Context, e *utility.Evaluator, samples int, seed int64, workers int) ([]float64, error) {
 	f, err := newSampledFedSV(e.Run(), samples, seed)
 	if err != nil {
 		return nil, err
@@ -187,6 +187,6 @@ func FedSVMonteCarloCtx(ctx context.Context, e utility.Source, samples int, seed
 
 // FedSVAutoCtx computes the FedSV baseline of NewFedSV, paying its cells in
 // one batch on at most workers goroutines.
-func FedSVAutoCtx(ctx context.Context, e utility.Source, seed int64, workers int) ([]float64, error) {
+func FedSVAutoCtx(ctx context.Context, e *utility.Evaluator, seed int64, workers int) ([]float64, error) {
 	return NewFedSV(e.Run(), seed).pay(ctx, e, workers)
 }

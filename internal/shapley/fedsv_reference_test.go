@@ -15,7 +15,7 @@ import (
 // Exact over each round's selection that asks the source for both
 // coalitions of every Shapley term, one Utility call at a time. It is the
 // oracle FedSVCtx must reproduce bit for bit.
-func referenceFedSV(e utility.Source) []float64 {
+func referenceFedSV(e *utility.Evaluator) []float64 {
 	n := e.Run().NumClients()
 	values := make([]float64, n)
 	for t, rd := range e.Run().Rounds {
@@ -57,7 +57,7 @@ func referenceFedSV(e utility.Source) []float64 {
 // loop: every prefix of every permutation is one Utility call, in
 // permutation order. It is the oracle FedSVMonteCarloCtx must reproduce
 // bit for bit.
-func referenceFedSVMonteCarlo(e utility.Source, samples int, seed int64) []float64 {
+func referenceFedSVMonteCarlo(e *utility.Evaluator, samples int, seed int64) []float64 {
 	n := e.Run().NumClients()
 	g := rng.New(seed)
 	values := make([]float64, n)

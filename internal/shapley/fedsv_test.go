@@ -30,7 +30,7 @@ func testEvaluator(t *testing.T, clients, rounds, perRound int, seed int64) *uti
 }
 
 // fedsv is exact FedSV on one worker, failing the test on error.
-func fedsv(t *testing.T, e utility.Source) []float64 {
+func fedsv(t *testing.T, e *utility.Evaluator) []float64 {
 	t.Helper()
 	v, err := FedSVCtx(context.Background(), e, 1)
 	if err != nil {

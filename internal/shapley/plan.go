@@ -13,6 +13,19 @@ import (
 	"comfedsv/internal/utility"
 )
 
+// Plan is the wave interface of the ComFedSV pipelines (ExactPlan and
+// MonteCarloPlan): Cells lists the current wave's cells that no earlier
+// wave listed, the caller pays them however it likes, Advance takes their
+// values back in list order and reports whether another wave follows, and
+// Extract assembles the result once none does. A wave may list no cell —
+// its permutations' prefixes were all listed before — and is advanced all
+// the same.
+type Plan interface {
+	Cells(ctx context.Context) ([]utility.Cell, error)
+	Advance(ctx context.Context, vals []float64) (more bool, err error)
+	Extract(ctx context.Context) (*Result, error)
+}
+
 // obsCell addresses one observed utility-matrix entry by round and dense
 // column index (the column was registered during plan setup, so the index
 // identifies the prefix subset without rebuilding a key).
@@ -25,8 +38,9 @@ type obsCell struct{ round, col int }
 //
 //	setup (NewMonteCarloPlan)   sample the full budget of permutations,
 //	                            register prefix columns, cut wave bounds
-//	list (Cells)                the current wave's distinct prefix cells,
-//	                            in the serial pipeline's first-visit order
+//	list (Cells)                the current wave's prefix cells no earlier
+//	                            wave listed, in the serial pipeline's
+//	                            first-visit order
 //	advance (Advance)           record the wave's values in that order,
 //	                            solve the reduced problem (13) (warm-started
 //	                            from the previous wave's factors), estimate
@@ -43,9 +57,9 @@ type obsCell struct{ round, col int }
 // Determinism is the contract: the observation list — and therefore the
 // completion, the stopping wave, and the final values — depends only on
 // the values handed to Advance, which are deterministic memoized
-// functions of the trace, however the caller paid them. Cells already
-// observed by an earlier wave are ignored by the store, so the list is
-// identical to a serial pipeline that walked wave after wave; the wave
+// functions of the trace, however the caller paid them. The plan lists
+// each cell once in its whole life, so every wave's list is what a serial
+// pipeline walking wave after wave would first visit in it; the wave
 // bounds are a pure function of the budget; and the convergence rule
 // reads only the merged estimates.
 type MonteCarloPlan struct {
@@ -61,6 +75,7 @@ type MonteCarloPlan struct {
 	bounds []int          // cumulative permutation counts per wave, last == budget
 	wave   int            // index of the wave currently being observed
 	cells  []utility.Cell // the current wave's list, set by Cells
+	listed map[obsCell]struct{}
 
 	est        []float64
 	completion *mc.Result
@@ -145,6 +160,7 @@ func NewMonteCarloPlan(ctx context.Context, run *fl.Run, cfg MonteCarloConfig) (
 		selected:   selected,
 		store:      store,
 		bounds:     bounds,
+		listed:     make(map[obsCell]struct{}),
 	}, nil
 }
 
@@ -215,22 +231,28 @@ func (p *MonteCarloPlan) walkPrefixes(ctx context.Context, lo, hi int, visit fun
 	return nil
 }
 
-// Cells lists the current wave's distinct prefix cells in the serial
-// pipeline's first-visit order — the cells the wave's Advance expects
-// values for.
+// Cells lists the current wave's prefix cells that no earlier wave
+// listed, in the serial pipeline's first-visit order — the cells the
+// wave's Advance expects values for. The list may be empty. Calling it
+// again before Advance returns the same list.
 func (p *MonteCarloPlan) Cells(ctx context.Context) ([]utility.Cell, error) {
 	if p.finished {
 		return nil, errors.New("shapley: Cells after the plan finished")
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if p.cells != nil {
+		return p.cells, nil
+	}
 	lo, hi := p.waveRange(p.wave)
-	seen := make(map[obsCell]bool)
 	cells := []utility.Cell{}
 	err := p.walkPrefixes(ctx, lo, hi, func(round, col int) {
 		oc := obsCell{round: round, col: col}
-		if seen[oc] {
+		if _, ok := p.listed[oc]; ok {
 			return
 		}
-		seen[oc] = true
+		p.listed[oc] = struct{}{}
 		cells = append(cells, utility.Cell{Round: round, Subset: p.store.ColumnSet(col)})
 	})
 	if err != nil {
@@ -242,8 +264,9 @@ func (p *MonteCarloPlan) Cells(ctx context.Context) ([]utility.Cell, error) {
 
 // Advance is the wave checkpoint: vals[i] is the utility of the i-th cell
 // Cells listed. It records the wave's cells in that order — the serial
-// visit order with repeats dropped, so the observation list does not
-// depend on how the caller paid them — solves the completion
+// visit order with every cell an earlier visit listed dropped, so the
+// observation list does not depend on how the caller paid them — and,
+// with or without new cells, solves the completion
 // (warm-started from the previous wave's factors, so the re-solve
 // converges in a fraction of the sweeps), re-estimates every client over
 // all merged permutations, and applies the convergence rule. It reports

@@ -21,13 +21,13 @@ func planConfig() MonteCarloConfig {
 // [1, len(cells)]), the way a Valuation shards a wave — serially, in
 // reverse, or concurrently — and returns their values in list order and
 // each chunk's cell-batch digest.
-func payWave(t *testing.T, ctx context.Context, e utility.Source, cells []utility.Cell, k int, order string) ([]float64, []string) {
+func payWave(t *testing.T, ctx context.Context, e *utility.Evaluator, cells []utility.Cell, k int, order string) ([]float64, []string) {
 	t.Helper()
 	k = max(1, min(k, len(cells)))
 	chunks := make([][]float64, k)
 	errs := make([]error, k)
 	pay := func(i int) {
-		chunks[i], errs[i] = e.UtilityBatchCtx(ctx, cells[i*len(cells)/k:(i+1)*len(cells)/k], 2)
+		chunks[i], _, errs[i] = e.UtilityBatchCtx(ctx, cells[i*len(cells)/k:(i+1)*len(cells)/k], 2)
 	}
 	var wg sync.WaitGroup
 	for i := range k {
@@ -60,7 +60,7 @@ func payWave(t *testing.T, ctx context.Context, e utility.Source, cells []utilit
 // runChunked drives a plan wave by wave, paying each wave's cells in k
 // chunks in the given order, and returns the result and every chunk's
 // digest across the waves.
-func runChunked(t *testing.T, e utility.Source, p stagedPlan, k int, order string) (*Result, []string) {
+func runChunked(t *testing.T, e *utility.Evaluator, p Plan, k int, order string) (*Result, []string) {
 	t.Helper()
 	ctx := context.Background()
 	var digests []string
@@ -83,7 +83,7 @@ func runChunked(t *testing.T, e utility.Source, p stagedPlan, k int, order strin
 }
 
 // newPlan is NewMonteCarloPlan over e's run, failing the test on error.
-func newPlan(t *testing.T, e utility.Source, cfg MonteCarloConfig) *MonteCarloPlan {
+func newPlan(t *testing.T, e *utility.Evaluator, cfg MonteCarloConfig) *MonteCarloPlan {
 	t.Helper()
 	p, err := NewMonteCarloPlan(context.Background(), e.Run(), cfg)
 	if err != nil {
@@ -154,7 +154,7 @@ func TestMonteCarloPlanStageOrderErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, err := e.UtilityBatchCtx(ctx, cells, 2)
+	vals, _, err := e.UtilityBatchCtx(ctx, cells, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestMonteCarloPlanStageOrderErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, err = e.UtilityBatchCtx(ctx, cells, 2)
+	vals, _, err = e.UtilityBatchCtx(ctx, cells, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,7 +205,7 @@ func (e *Evaluator) Pay(ctx context.Context, req *CellBatch, workers int) (*Cell
 	for i, ck := range keys {
 		cells[i] = Cell{Round: ck.t, Subset: ck.set.set(n)}
 	}
-	vals, err := e.UtilityBatchCtx(ctx, cells, workers)
+	vals, _, err := e.UtilityBatchCtx(ctx, cells, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -245,16 +245,16 @@ func (e *Evaluator) Utility(t int, s Set) float64 {
 	if s.IsEmpty() {
 		return 0
 	}
-	v, _ := e.utility(t, s, cellKey{t: t, set: s.Key()})
+	v, _ := e.utility(t, s)
 	return v
 }
 
-// utility is the cache-aware core of Utility. It additionally reports
-// whether this call performed the underlying test-loss evaluation (a cache
-// miss) — the signal per-job Sessions use to split their lookup counts into
-// hits and misses against the shared table. Callers pass the precomputed
-// cellKey so Sessions can reuse it for their own bookkeeping.
-func (e *Evaluator) utility(t int, s Set, ck cellKey) (float64, bool) {
+// utility is the cache-aware core of Utility for a nonempty s. It
+// additionally reports whether this call performed the underlying
+// test-loss evaluation (a cache miss) — the count a batch returns, so a
+// job can tell the cells it paid from the cells the shared table held.
+func (e *Evaluator) utility(t int, s Set) (float64, bool) {
+	ck := cellKey{t: t, set: s.Key()}
 	sh := &e.shards[ck.shard()]
 	sh.mu.Lock()
 	for {
@@ -310,19 +310,31 @@ func (e *Evaluator) utility(t int, s Set, ck cellKey) (float64, bool) {
 
 // UtilityBatchCtx evaluates the given cells concurrently on a bounded
 // worker pool sharing this evaluator's cache and returns the utilities in
-// input order. workers ≤ 0 means GOMAXPROCS; the pool never exceeds the
-// number of cells. Duplicate and already-cached cells cost one cache hit;
-// concurrent first requests for the same cell are deduplicated by the
-// in-flight table. Cancellation is checked before each evaluation.
-func (e *Evaluator) UtilityBatchCtx(ctx context.Context, cells []Cell, workers int) ([]float64, error) {
+// input order, plus misses: how many cells this batch evaluated rather
+// than found in the memo table. workers ≤ 0 means GOMAXPROCS; the pool
+// never exceeds the number of cells. Duplicate and already-cached cells
+// cost one cache hit; concurrent first requests for the same cell are
+// deduplicated by the in-flight table, so exactly one batch counts its
+// miss. Cancellation is checked before each evaluation; a cancelled batch
+// returns no values but still counts the cells it evaluated.
+func (e *Evaluator) UtilityBatchCtx(ctx context.Context, cells []Cell, workers int) (vals []float64, misses int, err error) {
 	out := make([]float64, len(cells))
+	var paid atomic.Int64
 	forEachIndex(ctx, len(cells), workers, func(i int) {
-		out[i] = e.Utility(cells[i].Round, cells[i].Subset)
+		c := cells[i]
+		if c.Subset.IsEmpty() {
+			return
+		}
+		v, computed := e.utility(c.Round, c.Subset)
+		out[i] = v
+		if computed {
+			paid.Add(1)
+		}
 	})
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, int(paid.Load()), err
 	}
-	return out, nil
+	return out, int(paid.Load()), nil
 }
 
 // Observation is one observed entry of the utility matrix, with its column
@@ -342,12 +354,11 @@ type Store struct {
 	cols    map[Key]int
 	colSets []Set
 	obs     []Observation
-	seen    map[cellKey]bool
 }
 
 // NewStore returns an empty store for a T-round run over n clients.
 func NewStore(t, n int) *Store {
-	return &Store{T: t, n: n, cols: make(map[Key]int), seen: make(map[cellKey]bool)}
+	return &Store{T: t, n: n, cols: make(map[Key]int)}
 }
 
 // ColumnOf returns the dense column index for subset s, registering it on
@@ -372,17 +383,12 @@ func (st *Store) ColumnSet(col int) Set { return st.colSets[col] }
 // NumColumns returns how many distinct subsets have been registered.
 func (st *Store) NumColumns() int { return len(st.colSets) }
 
-// Observe records U_{t,S} = val. Duplicate (t,S) pairs are ignored (the
-// first value wins; the evaluator is deterministic so they are equal).
+// Observe records U_{t,S} = val. The caller observes each (t,S) at most
+// once; the plans do, as they list every cell once.
 func (st *Store) Observe(t int, s Set, val float64) {
 	if t < 0 || t >= st.T {
 		panic(fmt.Sprintf("utility: round %d out of [0,%d)", t, st.T))
 	}
-	ck := cellKey{t: t, set: s.Key()}
-	if st.seen[ck] {
-		return
-	}
-	st.seen[ck] = true
 	st.obs = append(st.obs, Observation{Row: t, Col: st.ColumnOf(s), Val: val})
 }
 
@@ -400,11 +406,11 @@ func (st *Store) Density() float64 {
 
 // FullMatrix materializes the complete utility matrix U ∈ R^{T×2^N} for a
 // small-N run (N ≤ 20), paying every nonempty subset in every round through
-// the source's batch path — one batch per round, on at most workers
+// the evaluator's batch path — one batch per round, on at most workers
 // goroutines (≤ 0 means GOMAXPROCS). Column index is the subset bitmask;
 // column 0 (empty set) is all zeros. This is the ground-truth object of
 // Example 2 / Fig. 2 and of the paper's "ground-truth" baseline metric.
-func FullMatrix(e Source, workers int) *mat.Dense {
+func FullMatrix(e *Evaluator, workers int) *mat.Dense {
 	n := e.Run().NumClients()
 	if n > 20 {
 		panic(fmt.Sprintf("utility: full matrix for %d clients is infeasible", n))
@@ -421,7 +427,7 @@ func FullMatrix(e Source, workers int) *mat.Dense {
 			cells[i].Round = round
 		}
 		// The background context never cancels, so the batch cannot fail.
-		vals, _ := e.UtilityBatchCtx(context.Background(), cells, workers)
+		vals, _, _ := e.UtilityBatchCtx(context.Background(), cells, workers)
 		copy(u.Row(round)[1:], vals)
 	}
 	return u

@@ -83,18 +83,23 @@ func TestStoreColumns(t *testing.T) {
 	}
 }
 
-func TestStoreObserveDedup(t *testing.T) {
+// TestStoreObserve pins the observation list: entries in Observe order,
+// each cell's column the one its subset registered, one entry per call.
+func TestStoreObserve(t *testing.T) {
 	st := NewStore(3, 5)
 	s := FromMembers(5, []int{0, 1})
+	u := FromMembers(5, []int{2})
 	st.Observe(0, s, 1.5)
-	st.Observe(0, s, 2.5) // duplicate: ignored
+	st.Observe(2, u, 2.5)
 	st.Observe(1, s, 3.5)
-	if st.NumObserved() != 2 {
-		t.Fatalf("observed %d entries, want 2", st.NumObserved())
+	want := []Observation{{Row: 0, Col: 0, Val: 1.5}, {Row: 2, Col: 1, Val: 2.5}, {Row: 1, Col: 0, Val: 3.5}}
+	if st.NumObserved() != len(want) {
+		t.Fatalf("observed %d entries, want %d", st.NumObserved(), len(want))
 	}
-	obs := st.Observations()
-	if obs[0].Val != 1.5 {
-		t.Fatalf("first value wins, got %v", obs[0].Val)
+	for i, o := range st.Observations() {
+		if o != want[i] {
+			t.Fatalf("observation %d = %+v, want %+v", i, o, want[i])
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package utility
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"testing"
 )
@@ -33,9 +32,9 @@ func TestParallelFullMatrixMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestEvaluateBatch checks UtilityBatchCtx, on an evaluator and on a
-// session, against direct run.Utility calls in input order, duplicates
-// and the empty coalition included.
+// TestEvaluateBatch checks UtilityBatchCtx against direct run.Utility
+// calls in input order, duplicates and the empty coalition included, and
+// its miss count: the distinct cells a cold evaluator paid, then none.
 func TestEvaluateBatch(t *testing.T) {
 	run := tinyRun(t, 4, 3, 2)
 	cells := []Cell{
@@ -45,8 +44,9 @@ func TestEvaluateBatch(t *testing.T) {
 		{Round: 2, Subset: FromMembers(4, []int{0, 1, 2, 3})},
 		{Round: 1, Subset: FromMembers(4, []int{2, 1})}, // duplicate
 	}
-	for _, src := range []Source{NewEvaluator(run), NewEvaluator(run).NewSession()} {
-		got, err := src.UtilityBatchCtx(context.Background(), cells, 3)
+	e := NewEvaluator(run)
+	for pass, wantMisses := range []int{3, 0} {
+		got, misses, err := e.UtilityBatchCtx(context.Background(), cells, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,45 +59,19 @@ func TestEvaluateBatch(t *testing.T) {
 				want = run.Utility(c.Round, c.Subset.Members())
 			}
 			if math.Float64bits(got[i]) != math.Float64bits(want) {
-				t.Fatalf("%T cell %d: %v, want %v", src, i, got[i], want)
+				t.Fatalf("pass %d cell %d: %v, want %v", pass, i, got[i], want)
 			}
 		}
-		if src.Calls() != 3 {
-			t.Fatalf("%T: %d distinct calls, want 3", src, src.Calls())
+		if misses != wantMisses || e.Calls() != 3 {
+			t.Fatalf("pass %d: %d misses and %d distinct calls, want %d and 3", pass, misses, e.Calls(), wantMisses)
 		}
 	}
 }
 
 func TestEvaluateBatchEmptyInput(t *testing.T) {
 	run := tinyRun(t, 3, 2, 2)
-	got, err := NewEvaluator(run).UtilityBatchCtx(context.Background(), nil, 2)
-	if err != nil || len(got) != 0 {
+	got, misses, err := NewEvaluator(run).UtilityBatchCtx(context.Background(), nil, 2)
+	if err != nil || len(got) != 0 || misses != 0 {
 		t.Fatalf("expected an empty result, got %v, err %v", got, err)
-	}
-}
-
-// TestUnion pins Union's contract: a's cells first, then b's new cells in
-// b's order and each once, the index of every b cell in the result, and a's
-// backing array left unwritten even when it has spare capacity.
-func TestUnion(t *testing.T) {
-	cell := func(round int, members ...int) Cell { return Cell{Round: round, Subset: FromMembers(70, members)} }
-	a := append(make([]Cell, 0, 8), cell(0, 1), cell(1, 1, 65))
-	spare := a[:3]
-	spare[2] = cell(9, 9)
-	got, at := Union(a, []Cell{cell(1, 1, 65), cell(0, 2), cell(0, 2), cell(0, 1)})
-	want := []Cell{cell(0, 1), cell(1, 1, 65), cell(0, 2)}
-	if len(got) != len(want) {
-		t.Fatalf("Union returned %d cells, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Round != want[i].Round || got[i].Subset.Key() != want[i].Subset.Key() {
-			t.Fatalf("cell %d = %v %v, want %v %v", i, got[i].Round, got[i].Subset, want[i].Round, want[i].Subset)
-		}
-	}
-	if fmt.Sprint(at) != "[1 2 2 0]" {
-		t.Fatalf("at = %v, want [1 2 2 0]", at)
-	}
-	if spare[2].Round != 9 {
-		t.Fatal("Union wrote into a's backing array")
 	}
 }

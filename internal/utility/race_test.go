@@ -119,9 +119,12 @@ func TestUtilityBatchMatchesSerial(t *testing.T) {
 
 	for _, workers := range []int{0, 1, 4, 64} {
 		e := NewEvaluator(run)
-		got, err := e.UtilityBatchCtx(context.Background(), cells, workers)
+		got, misses, err := e.UtilityBatchCtx(context.Background(), cells, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if misses != serial.Calls() {
+			t.Fatalf("workers=%d: batch counted %d misses, serial made %d calls", workers, misses, serial.Calls())
 		}
 		for i := range want {
 			if got[i] != want[i] {
@@ -135,7 +138,7 @@ func TestUtilityBatchMatchesSerial(t *testing.T) {
 }
 
 // TestUtilityBatchCancellation verifies a cancelled context aborts the
-// batch with the context's error.
+// batch with the context's error, before it evaluates any cell.
 func TestUtilityBatchCancellation(t *testing.T) {
 	run := tinyRun(t, 5, 3, 2)
 	e := NewEvaluator(run)
@@ -145,8 +148,8 @@ func TestUtilityBatchCancellation(t *testing.T) {
 	for mask := uint64(1); mask < 1<<5; mask++ {
 		cells = append(cells, Cell{Round: 0, Subset: FromMask(5, mask)})
 	}
-	if _, err := e.UtilityBatchCtx(ctx, cells, 2); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	if _, misses, err := e.UtilityBatchCtx(ctx, cells, 2); err != context.Canceled || misses != 0 || e.Calls() != 0 {
+		t.Fatalf("err = %v with %d misses and %d calls, want context.Canceled and none", err, misses, e.Calls())
 	}
 }
 

@@ -605,7 +605,7 @@ func TestPayMatchesLocalBatch(t *testing.T) {
 			{Round: 1, Subset: FromMembers(n, []int{1})},
 		}
 		local := NewEvaluator(run)
-		vals, err := local.UtilityBatchCtx(ctx, cells, 1)
+		vals, _, err := local.UtilityBatchCtx(ctx, cells, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,6 +29,41 @@ func payerOptions(seed int64) map[string]Options {
 	return map[string]Options{"fixed": fixed, "exact": exact, "tolerance": tolerance}
 }
 
+// widePayerOptions returns fixed-budget and multi-wave tolerance settings
+// for wideClients(22): the warm-up round selects all 22 clients, so FedSV
+// samples and wave 0 cannot hold every cell a later wave reaches.
+func widePayerOptions() map[string]Options {
+	base := DefaultOptions(2)
+	base.Rounds = 3
+	base.ClientsPerRound = 2
+	base.Seed = 29
+	base.MonteCarloSamples = 24
+	tolerance := base
+	tolerance.Tolerance = 1e-9 // never converges: waves of 16 and 24 run
+	return map[string]Options{"wide/fixed": base, "wide/tolerance": tolerance}
+}
+
+// payerCases pairs every payer setting with its federation: six clients
+// for payerOptions(seed), wideClients(22) for widePayerOptions.
+func payerCases(t *testing.T, seed int64) map[string]payerCase {
+	clients, test := makeClients(t, 6, 20, 40, seed)
+	wide, wideTest := wideClients(22)
+	cases := make(map[string]payerCase)
+	for name, opts := range payerOptions(seed) {
+		cases[name] = payerCase{clients, test, opts}
+	}
+	for name, opts := range widePayerOptions() {
+		cases[name] = payerCase{wide, wideTest, opts}
+	}
+	return cases
+}
+
+type payerCase struct {
+	clients []Client
+	test    Client
+	opts    Options
+}
+
 // cellSet is the (round, coalition) identity of a batch's cells.
 func cellSet(b *CellBatch) []string {
 	out := make([]string, len(b.Cells))
@@ -130,29 +165,17 @@ func driveValuation(t *testing.T, tr *TrainedRun, opts Options, order string, wo
 }
 
 // TestPrepareRequestsNoCells pins the one-payer rule: Prepare requests no
-// utility cell through the job's session, for exact, fixed-budget and
+// utility cell from the run's evaluator, for exact, fixed-budget and
 // tolerance valuations alike, and for a 22-client run whose warm-up round
 // puts FedSV on its sampled estimator. Wave 0's shards hold every FedSV
 // cell, and UtilityCalls equals the bill of FedSV followed by the plan on
 // a fresh evaluator, the order the pipeline once paid them in.
 func TestPrepareRequestsNoCells(t *testing.T) {
 	ctx := context.Background()
-	cases := payerOptions(331)
-	wide := DefaultOptions(2)
-	wide.Rounds = 3
-	wide.ClientsPerRound = 2
-	wide.Seed = 29
-	wide.MonteCarloSamples = 24
-	cases["wide"] = wide
-	clients, test := makeClients(t, 6, 20, 40, 331)
-	wideClients, wideTest := wideClients(22)
-	for name, opts := range cases {
-		c, tst := clients, test
-		if name == "wide" {
-			c, tst = wideClients, wideTest
-		}
+	for name, c := range payerCases(t, 331) {
+		opts := c.opts
 		opts.Shards = 3
-		tr, err := TrainCtx(ctx, c, tst, opts)
+		tr, err := TrainCtx(ctx, c.clients, c.test, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,8 +184,8 @@ func TestPrepareRequestsNoCells(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if calls := v.session.Calls(); calls != 0 {
-			t.Fatalf("%s: Prepare requested %d cells, want 0", name, calls)
+		if st := tr.CacheStats(); st != (EvalStats{}) {
+			t.Fatalf("%s: Prepare requested cells: %+v, want none", name, st)
 		}
 		wave0 := make(map[string]bool)
 		for shard := range shards {
@@ -187,8 +210,8 @@ func TestPrepareRequestsNoCells(t *testing.T) {
 		if err := v.ObserveShard(ctx, 0); err != nil {
 			t.Fatal(err)
 		}
-		if v.session.Calls() == 0 {
-			t.Fatalf("%s: the first shard requested no cell", name)
+		if tr.CacheStats().Misses == 0 {
+			t.Fatalf("%s: the first shard paid no cell", name)
 		}
 
 		rep, _, err := ValueRunCtx(ctx, tr, opts)
@@ -217,23 +240,30 @@ func TestPrepareRequestsNoCells(t *testing.T) {
 }
 
 // TestValuationShardOrderInvariant pins the Valuation's sharding: for the
-// exact, fixed-budget and multi-wave tolerance pipelines, cut into 1, 2,
-// T, 8 and 1000 shards (clamped to one per cell) and run serially, in
-// reverse, concurrently (meaningful under -race) or remotely — each
-// lease paid by a separate TrainedRun and preloaded — the report and the
-// shard digests are those of the serial run (the report that of one
-// shard), the shards of a wave hold disjoint cells, every shard's digest
-// is the one a worker's batch for its lease carries, and a remote run
-// pays no cell on the coordinator.
+// exact, fixed-budget and multi-wave tolerance pipelines over six clients,
+// and the fixed-budget and tolerance pipelines over 22, cut into 1, 2, T,
+// 8 and 1000 shards (clamped to one per cell) and run serially, in
+// reverse, concurrently (meaningful under -race) or remotely — each lease
+// paid by a separate TrainedRun and preloaded — the report and the shard
+// digests are those of the serial run (the report that of one shard), no
+// cell is in two shards of the job, across every wave, the shards' cells
+// add up to UtilityCalls, every shard's digest is the one a worker's
+// batch for its lease carries, and a remote run pays no cell on the
+// coordinator. At 22 clients the tolerance job's later waves still
+// schedule shards, of new cells only.
 func TestValuationShardOrderInvariant(t *testing.T) {
-	clients, test := makeClients(t, 6, 20, 40, 333)
-	for name, opts := range payerOptions(333) {
-		tr, err := TrainCtx(context.Background(), clients, test, opts)
+	for name, c := range payerCases(t, 333) {
+		opts := c.opts
+		tr, err := TrainCtx(context.Background(), c.clients, c.test, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		opts.Shards = 1
 		want := driveValuation(t, NewTrainedRun(tr.Run()), opts, "serial", tr).report
+		var rep Report
+		if err := json.Unmarshal(want, &rep); err != nil {
+			t.Fatal(err)
+		}
 		for _, shards := range []int{1, 2, opts.Rounds, 8, 1000} {
 			opts.Shards = shards
 			var serial []string
@@ -252,26 +282,72 @@ func TestValuationShardOrderInvariant(t *testing.T) {
 				if order == "remote" && local.CacheStats().Misses != 0 {
 					t.Fatalf("%s: the coordinator paid %d cells of leased shards", label, local.CacheStats().Misses)
 				}
+				if name == "wide/tolerance" && len(got.waves) < 2 {
+					t.Fatalf("%s: no shard after wave 0", label)
+				}
+				seen := make(map[string]bool)
 				for w, lo := range got.waves {
 					hi := len(got.leases)
 					if w+1 < len(got.waves) {
 						hi = got.waves[w+1]
 					}
-					seen := make(map[string]bool)
-					for shard, lease := range got.leases[lo:hi] {
-						if shards == 1000 && len(lease) != 1 {
-							t.Fatalf("%s: shard %d holds %d cells, want one per shard past the clamp", label, lo+shard, len(lease))
-						}
+					cells := 0
+					for _, lease := range got.leases[lo:hi] {
+						cells += len(lease)
 						for _, c := range lease {
 							if seen[c] {
-								t.Fatalf("%s: cell %s is in two shards of wave %d", label, c, w)
+								t.Fatalf("%s: cell %s is in two shards of the job", label, c)
 							}
 							seen[c] = true
 						}
 					}
+					if hi-lo != max(1, min(shards, cells)) {
+						t.Fatalf("%s: wave %d has %d shards over %d cells, want Shards clamped to [1, cells]", label, w, hi-lo, cells)
+					}
+				}
+				if len(seen) != rep.UtilityCalls {
+					t.Fatalf("%s: the shards lease %d cells, UtilityCalls is %d", label, len(seen), rep.UtilityCalls)
 				}
 			}
 		}
+	}
+}
+
+// TestLaterWavesLeaseNoPaidCell pins where a tolerance job's cells are
+// listed when no round selects more than 20 clients: wave 0 holds every
+// subset of every round's selection (exact FedSV's cells), so the later
+// waves list nothing new and schedule no shard. Eight clients, ten rounds
+// of three and a budget of 48 permutations in three waves lease 255 + 9·7
+// = 318 cells in all, once each; a plan that re-listed paid cells leased
+// them again in waves 1 and 2.
+func TestLaterWavesLeaseNoPaidCell(t *testing.T) {
+	clients, test := makeClients(t, 8, 20, 40, 339)
+	opts := DefaultOptions(10)
+	opts.Rounds = 10
+	opts.ClientsPerRound = 3
+	opts.LearningRate = 0.1
+	opts.Seed = 339
+	opts.MonteCarloSamples = 48
+	opts.Tolerance = 1e-9 // never converges: every wave runs
+	opts.Shards = 2
+	tr, err := TrainCtx(context.Background(), clients, test, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := driveValuation(t, tr, opts, "serial", NewTrainedRun(tr.Run()))
+	var rep Report
+	if err := json.Unmarshal(got.report, &rep); err != nil {
+		t.Fatal(err)
+	}
+	cells := 0
+	for _, lease := range got.leases {
+		cells += len(lease)
+	}
+	if len(got.waves) != 1 || len(got.leases) != 2 || cells != 318 || rep.UtilityCalls != 318 {
+		t.Fatalf("%d waves of shards, %d shards, %d leased cells, UtilityCalls %d; want 1, 2, 318, 318", len(got.waves), len(got.leases), cells, rep.UtilityCalls)
+	}
+	if rep.ObservationsUsed != 48 {
+		t.Fatalf("ObservationsUsed %d, want the whole budget of 48", rep.ObservationsUsed)
 	}
 }
 

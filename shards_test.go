@@ -80,7 +80,7 @@ func TestReportByteIdenticalAcrossShards(t *testing.T) {
 // TestValuationConcurrentShardsMatchSerial drives the staged Valuation the
 // way the scheduler does — shards on separate goroutines — and requires
 // the byte-identical report (run with -race to hammer the shared plan and
-// session state), for Monte-Carlo permutation shards and for the exact
+// the job's cell list), for Monte-Carlo permutation shards and for the exact
 // pipeline's shards.
 func TestValuationConcurrentShardsMatchSerial(t *testing.T) {
 	clients, test := makeClients(t, 6, 20, 40, 313)
@@ -145,6 +145,6 @@ func concurrentShardsMatchSerial(t *testing.T, clients []Client, test Client, op
 	}
 	stats := v.Stats()
 	if stats.Hits+stats.Misses != got.UtilityCalls {
-		t.Fatalf("session ledger %+v does not sum to %d utility calls", stats, got.UtilityCalls)
+		t.Fatalf("job ledger %+v does not sum to %d utility calls", stats, got.UtilityCalls)
 	}
 }

@@ -27,53 +27,61 @@ import (
 //	               may list another wave and return its shards to schedule
 //	Extract        Shapley extraction and report assembly
 //
-// A wave's list is the plan's distinct cells in first-visit order; wave
-// 0's also holds FedSV's cells the plan does not, after the plan's, so
-// each cell of a job is paid by exactly one shard. Run drives the stages
-// serially; Value/ValueCtx and ValueRun/ValueRunCtx are thin wrappers over
-// it. The report is byte-identical (under JSON encoding) for every shard
-// count, shard execution order, and shard concurrency: cell values are
+// The Valuation keeps one index of every cell the job listed, each at its
+// position in the job's cell list. A wave lists only the cells the index
+// does not hold yet — wave 0 the plan's cells, then FedSV's others; a
+// later wave the plan's new cells that FedSV did not list — so each cell
+// of a job is listed once and paid by exactly one shard, and UtilityCalls
+// is the index's size. A later wave with no new cell schedules no shard:
+// Complete advances the plan past it in the same call. The plan and FedSV
+// read their values at the positions the index gave their cells when
+// they were listed. Run drives the stages serially;
+// Value/ValueCtx and ValueRun/ValueRunCtx are thin wrappers over it. The
+// report is byte-identical (under JSON encoding) for every shard count,
+// shard execution order, and shard concurrency: cell values are
 // deterministic memoized functions of the trace, and the plan and FedSV
 // read them in list order no matter which shard paid them.
 //
-// Each Valuation owns a fresh Session over the run's shared evaluator, so
-// concurrent Valuations over one TrainedRun amortize test-loss evaluations
-// while UtilityCalls stays the exact per-job bill. The stage methods other
-// than ObserveShard must be called in order, each after the previous stage
-// (and, for Complete, every shard of the wave) finished; out-of-order
-// calls fail loudly.
+// Shards pay through the run's shared evaluator, so concurrent Valuations
+// over one TrainedRun amortize test-loss evaluations; the batches count
+// the cells they evaluated, which splits the job's cells into shared-cache
+// hits and misses. The stage methods other than ObserveShard must be
+// called in order, each after the previous stage (and, for Complete,
+// every shard of the wave) finished; out-of-order calls fail loudly.
 type Valuation struct {
-	tr      *TrainedRun
-	session *utility.Session
-	opts    Options
+	tr   *TrainedRun
+	opts Options
 
 	report *Report
-	plan   plan
-	// fedsv and fedsvAt (the index of each FedSV cell in wave 0's list)
-	// live until wave 0's Complete computes FedSV.
-	fedsv   *shapley.FedSV
-	fedsvAt []int
-	// planCells is how many leading cells of the current wave's list the
-	// plan listed; wave is the index of the wave's first shard.
-	planCells int
-	wave      int
-	shards    []shard
-	observed  atomic.Int64
-}
-
-// shard is one observation shard: a contiguous chunk of its wave's cell
-// list and, once observed, the chunk's values (nil before).
-type shard struct {
+	plan   shapley.Plan
+	// index maps each cell the job listed to its position in cells;
+	// vals[i] is the value of cells[i] once its shard ran.
+	index map[cellKey]int
 	cells []utility.Cell
 	vals  []float64
+	// planAt holds the positions of the plan's cells of the current wave;
+	// fedsv and the positions of its cells live until wave 0's Complete
+	// computes FedSV. wave is the index of the wave's first shard.
+	planAt   []int
+	fedsv    *shapley.FedSV
+	fedsvAt  []int
+	wave     int
+	shards   []shard
+	misses   atomic.Int64
+	observed atomic.Int64
 }
 
-// plan is the wave interface the exact and Monte-Carlo ComFedSV plans
-// share: list the wave's cells, take their values, extract.
-type plan interface {
-	Cells(ctx context.Context) ([]utility.Cell, error)
-	Advance(ctx context.Context, vals []float64) (more bool, err error)
-	Extract(ctx context.Context) (*shapley.Result, error)
+// cellKey identifies a cell in the Valuation's index.
+type cellKey struct {
+	round int
+	set   utility.Key
+}
+
+// shard is one observation shard: the positions [lo, hi) of the job's
+// cell list it pays, and whether it ran.
+type shard struct {
+	lo, hi int
+	done   bool
 }
 
 // NewValuation returns a staged valuation of the run under the
@@ -81,7 +89,7 @@ type plan interface {
 // MaxPermutations, Seed, Parallelism, Shards, OnProgress, OnStageTime —
 // validated exactly as the inline path validates them).
 func NewValuation(tr *TrainedRun, opts Options) *Valuation {
-	return &Valuation{tr: tr, session: tr.eval.NewSession(), opts: opts}
+	return &Valuation{tr: tr, opts: opts}
 }
 
 func (v *Valuation) emit(p Progress) {
@@ -149,7 +157,7 @@ func (v *Valuation) Prepare(ctx context.Context) (int, error) {
 	mcCfg := mc.DefaultConfig(v.opts.Rank)
 	mcCfg.Workers = v.opts.Parallelism
 	// p holds a typed nil on error, so it reaches v.plan only on success.
-	var p plan
+	var p shapley.Plan
 	if budget > 0 {
 		p, err = shapley.NewMonteCarloPlan(ctx, v.tr.Run(), shapley.MonteCarloConfig{
 			Samples:    budget,
@@ -169,21 +177,52 @@ func (v *Valuation) Prepare(ctx context.Context) (int, error) {
 	}
 	v.plan = p
 	v.fedsv = shapley.NewFedSV(v.tr.Run(), v.opts.Seed+2)
-	v.planCells = len(cells)
-	cells, v.fedsvAt = utility.Union(cells, v.fedsv.Cells())
-	k := v.schedule(cells)
+	v.index = make(map[cellKey]int, len(cells)+len(v.fedsv.Cells()))
+	v.planAt = v.list(cells)
+	v.fedsvAt = v.list(v.fedsv.Cells())
+	k := v.schedule(0)
 	v.emit(Progress{Stage: StageObserve, Done: 0, Total: k})
 	return k, nil
 }
 
-// schedule cuts a wave's cell list into Options.Shards contiguous chunks
-// (clamped to [1, len(cells)]), appended to the shards as the current
-// wave, and returns how many.
-func (v *Valuation) schedule(cells []utility.Cell) int {
-	k := max(1, min(v.opts.Shards, len(cells)))
+// list appends the cells the index does not hold to the job's cell list,
+// each once, and returns every cell's position in that list.
+func (v *Valuation) list(cells []utility.Cell) []int {
+	n := len(v.cells)
+	at := make([]int, len(cells))
+	for i, c := range cells {
+		k := cellKey{round: c.Round, set: c.Subset.Key()}
+		j, ok := v.index[k]
+		if !ok {
+			j = len(v.cells)
+			v.index[k] = j
+			v.cells = append(v.cells, c)
+		}
+		at[i] = j
+	}
+	v.vals = append(v.vals, make([]float64, len(v.cells)-n)...)
+	return at
+}
+
+// read returns the values at the given positions of the job's cell list.
+func (v *Valuation) read(at []int) []float64 {
+	vals := make([]float64, len(at))
+	for i, j := range at {
+		vals[i] = v.vals[j]
+	}
+	return vals
+}
+
+// schedule cuts the job's cell list from position lo on — the current
+// wave's new cells — into Options.Shards contiguous chunks (clamped to
+// [1, cells]), appended to the shards as the current wave, and returns
+// how many.
+func (v *Valuation) schedule(lo int) int {
+	n := len(v.cells) - lo
+	k := max(1, min(v.opts.Shards, n))
 	v.wave = len(v.shards)
 	for i := range k {
-		v.shards = append(v.shards, shard{cells: cells[i*len(cells)/k : (i+1)*len(cells)/k]})
+		v.shards = append(v.shards, shard{lo: lo + i*n/k, hi: lo + (i+1)*n/k})
 	}
 	return k
 }
@@ -192,20 +231,22 @@ func (v *Valuation) schedule(cells []utility.Cell) int {
 // across every wave.
 func (v *Valuation) Shards() int { return len(v.shards) }
 
-// ObserveShard pays one shard of the current wave through the session.
-// Distinct shards are safe to run concurrently; each uses up to
-// Options.Parallelism goroutines of its own.
+// ObserveShard pays one shard of the current wave through the run's
+// shared evaluator. Distinct shards are safe to run concurrently; each
+// uses up to Options.Parallelism goroutines of its own.
 func (v *Valuation) ObserveShard(ctx context.Context, shard int) error {
 	start := time.Now()
 	if shard < v.wave || shard >= len(v.shards) {
 		return stageErr(ctx, "valuation", fmt.Errorf("observation shard %d is not in the current wave [%d,%d)", shard, v.wave, len(v.shards)))
 	}
 	s := &v.shards[shard]
-	vals, err := v.session.UtilityBatchCtx(ctx, s.cells, v.opts.Parallelism)
+	vals, misses, err := v.tr.eval.UtilityBatchCtx(ctx, v.cells[s.lo:s.hi], v.opts.Parallelism)
+	v.misses.Add(int64(misses))
 	if err != nil {
 		return stageErr(ctx, "valuation", err)
 	}
-	s.vals = vals
+	copy(v.vals[s.lo:s.hi], vals)
+	s.done = true
 	v.emitTime(StageObserve, shard, start)
 	v.emit(Progress{Stage: StageObserve, Done: int(v.observed.Add(1)), Total: len(v.shards)})
 	return nil
@@ -223,11 +264,11 @@ func (v *Valuation) TrainedRun() *TrainedRun { return v.tr }
 // return "". The batch is built on demand, so a caller that never asks
 // (Run) never sorts or hashes one.
 func (v *Valuation) ShardDigest(shard int) string {
-	if shard < 0 || shard >= len(v.shards) || v.shards[shard].vals == nil {
+	if shard < 0 || shard >= len(v.shards) || !v.shards[shard].done {
 		return ""
 	}
 	s := v.shards[shard]
-	return utility.NewCellBatch(v.tr.NumClients(), s.cells, s.vals).Digest
+	return utility.NewCellBatch(v.tr.NumClients(), v.cells[s.lo:s.hi], v.vals[s.lo:s.hi]).Digest
 }
 
 // ShardCells returns the cells a scheduled observation shard pays, as a
@@ -237,8 +278,8 @@ func (v *Valuation) ShardCells(ctx context.Context, shard int) (*CellBatch, erro
 	if shard < 0 || shard >= len(v.shards) {
 		return nil, stageErr(ctx, "valuation", fmt.Errorf("observation shard %d out of [0,%d)", shard, len(v.shards)))
 	}
-	cells := v.shards[shard].cells
-	return utility.NewCellBatch(v.tr.NumClients(), cells, make([]float64, len(cells))), nil
+	s := v.shards[shard]
+	return utility.NewCellBatch(v.tr.NumClients(), v.cells[s.lo:s.hi], make([]float64, s.hi-s.lo)), nil
 }
 
 // Complete is the wave checkpoint. After wave 0 it first computes FedSV
@@ -247,25 +288,20 @@ func (v *Valuation) ShardCells(ctx context.Context, shard int) (*CellBatch, erro
 // solves the matrix-completion problem. It returns the number of
 // observation shards of the next wave the caller must schedule before
 // calling Complete again (their indices continue where the previous
-// wave's left off), or 0 when the plan finished and Extract may run. Only
-// a tolerance run schedules more; fixed-budget and exact pipelines always
-// return 0 — one Complete finishes them.
+// wave's left off), or 0 when the plan finished and Extract may run. A
+// next wave whose cells were all listed before is advanced here, with no
+// shard. Only a tolerance run schedules more; fixed-budget and exact
+// pipelines always return 0 — one Complete finishes them.
 func (v *Valuation) Complete(ctx context.Context) (int, error) {
-	var vals []float64
 	for i, s := range v.shards[v.wave:] {
-		if s.vals == nil {
+		if !s.done {
 			return 0, stageErr(ctx, "valuation", fmt.Errorf("observation shard %d was not run before Complete", v.wave+i))
 		}
-		vals = append(vals, s.vals...)
 	}
 	if v.fedsv != nil {
 		v.emit(Progress{Stage: StageFedSV, Done: 0, Total: 1})
 		start := time.Now()
-		paid := make([]float64, len(v.fedsvAt))
-		for i, j := range v.fedsvAt {
-			paid[i] = vals[j]
-		}
-		v.report.FedSV = v.fedsv.Values(paid)
+		v.report.FedSV = v.fedsv.Values(v.read(v.fedsvAt))
 		v.fedsv, v.fedsvAt = nil, nil
 		v.emitTime(StageFedSV, -1, start)
 		v.emit(Progress{Stage: StageFedSV, Done: 1, Total: 1})
@@ -273,18 +309,24 @@ func (v *Valuation) Complete(ctx context.Context) (int, error) {
 
 	v.emit(Progress{Stage: StageComplete, Done: 0, Total: 1})
 	start := time.Now()
-	more, err := v.plan.Advance(ctx, vals[:v.planCells])
-	if err != nil {
-		return 0, stageErr(ctx, "valuation", err)
-	}
 	k := 0
-	if more {
+	for {
+		more, err := v.plan.Advance(ctx, v.read(v.planAt))
+		if err != nil {
+			return 0, stageErr(ctx, "valuation", err)
+		}
+		if !more {
+			break
+		}
 		cells, err := v.plan.Cells(ctx)
 		if err != nil {
 			return 0, stageErr(ctx, "valuation", err)
 		}
-		v.planCells = len(cells)
-		k = v.schedule(cells)
+		lo := len(v.cells)
+		if v.planAt = v.list(cells); len(v.cells) > lo {
+			k = v.schedule(lo)
+			break
+		}
 	}
 	v.emitTime(StageComplete, -1, start)
 	v.emit(Progress{Stage: StageComplete, Done: 1, Total: 1})
@@ -312,20 +354,22 @@ func (v *Valuation) Extract(ctx context.Context) (*Report, error) {
 	v.report.ComFedSV = res.Values
 	v.report.ObservedDensity = res.Store.Density()
 	v.report.CompletionRMSE = res.Completion.TrainRMSE
-	// The session counts the distinct cells *this* valuation requested —
-	// what a standalone evaluator would have paid — so run-backed reports
-	// stay byte-identical to inline ones.
-	v.report.UtilityCalls = v.session.Calls()
+	// The index holds the distinct cells *this* valuation listed — what a
+	// standalone evaluator would have paid — so run-backed reports stay
+	// byte-identical to inline ones.
+	v.report.UtilityCalls = len(v.cells)
 	v.emitTime(StageShapley, -1, start)
 	v.emit(Progress{Stage: StageShapley, Done: 1, Total: 1})
 	return v.report, nil
 }
 
-// Stats returns the session's hit/miss ledger: how many of this
-// valuation's distinct utility cells were amortized by the run's shared
-// cache versus freshly evaluated.
+// Stats returns the job's hit/miss ledger over its distinct utility
+// cells: Misses is how many this job's shards evaluated, failed attempts
+// included, and Hits the rest, which the run's shared cache held. Their
+// sum is the report's UtilityCalls.
 func (v *Valuation) Stats() EvalStats {
-	return EvalStats{Hits: v.session.Hits(), Misses: v.session.Misses()}
+	misses := int(v.misses.Load())
+	return EvalStats{Hits: len(v.cells) - misses, Misses: misses}
 }
 
 // Run drives every stage serially: prepare, each observation shard in
