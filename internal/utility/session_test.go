@@ -6,10 +6,29 @@ import (
 	"testing"
 )
 
+// A valuation job's session over a shared evaluator is the sequence of
+// batches it evaluates. Its ledger is read from those batches: the cells it
+// listed are its Calls, the misses its batches report are the cells it
+// paid, and the rest are hits on cells the shared table already held. The
+// tests below pin that ledger against a fresh evaluator's.
+
+// distinctCells counts the nonempty distinct cells of a list — the Calls a
+// fresh evaluator reports after evaluating it.
+func distinctCells(cells []Cell) int {
+	seen := make(map[cellKey]struct{}, len(cells))
+	for _, c := range cells {
+		if !c.Subset.IsEmpty() {
+			seen[cellKey{t: c.Round, set: c.Subset.Key()}] = struct{}{}
+		}
+	}
+	return len(seen)
+}
+
 // TestSessionMatchesFreshEvaluator pins the accounting contract shared-run
-// jobs depend on: a Session over a warm shared evaluator returns the same
-// values as a fresh evaluator AND reports the same Calls count (the
-// distinct cells it requested), with the warm cells attributed to hits.
+// jobs depend on: a job over a warm shared evaluator gets the same values
+// as over a fresh evaluator, a cold job's batch pays exactly the cells a
+// fresh evaluator would, and a warm job's batch pays nothing and leaves the
+// shared evaluation count where it was.
 func TestSessionMatchesFreshEvaluator(t *testing.T) {
 	run := tinyRun(t, 5, 4, 2)
 	shared := NewEvaluator(run)
@@ -20,7 +39,7 @@ func TestSessionMatchesFreshEvaluator(t *testing.T) {
 			cells = append(cells, Cell{Round: round, Subset: FromMask(5, mask)})
 		}
 	}
-	// Duplicates and the empty set exercise the per-session dedup.
+	// Duplicates and the empty set are valued but never paid twice.
 	cells = append(cells, cells[5], cells[40], Cell{Round: 2, Subset: NewSet(5)})
 
 	fresh := NewEvaluator(run)
@@ -28,48 +47,51 @@ func TestSessionMatchesFreshEvaluator(t *testing.T) {
 	for i, c := range cells {
 		want[i] = fresh.Utility(c.Round, c.Subset)
 	}
-
-	// First session: the shared cache is cold, so every distinct cell is a
-	// miss.
-	s1 := shared.NewSession()
-	for i, c := range cells {
-		if got := s1.Utility(c.Round, c.Subset); got != want[i] {
-			t.Fatalf("session 1 cell %d: %v, fresh evaluator %v", i, got, want[i])
-		}
-	}
-	if s1.Calls() != fresh.Calls() {
-		t.Fatalf("session 1 Calls = %d, fresh evaluator made %d", s1.Calls(), fresh.Calls())
-	}
-	if s1.Hits() != 0 || s1.Misses() != s1.Calls() {
-		t.Fatalf("cold session: hits %d misses %d calls %d, want all misses", s1.Hits(), s1.Misses(), s1.Calls())
+	if d := distinctCells(cells); fresh.Calls() != d {
+		t.Fatalf("fresh evaluator made %d calls for %d distinct cells", fresh.Calls(), d)
 	}
 
-	// Second session over the same evaluator: identical values, identical
-	// Calls, but now every cell is a hit and the shared evaluator pays for
-	// nothing new.
-	before := shared.Calls()
-	s2 := shared.NewSession()
-	for i, c := range cells {
-		if got := s2.Utility(c.Round, c.Subset); got != want[i] {
-			t.Fatalf("session 2 cell %d: %v, fresh evaluator %v", i, got, want[i])
+	// First job: the shared cache is cold, so every distinct cell is a miss.
+	got, misses1, err := shared.UtilityBatchCtx(context.Background(), cells, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("job 1 cell %d: %v, fresh evaluator %v", i, got[i], want[i])
 		}
 	}
-	if s2.Calls() != s1.Calls() {
-		t.Fatalf("session 2 Calls = %d, session 1 made %d", s2.Calls(), s1.Calls())
+	if misses1 != fresh.Calls() {
+		t.Fatalf("job 1 paid %d cells, fresh evaluator made %d calls", misses1, fresh.Calls())
 	}
-	if s2.Misses() != 0 || s2.Hits() != s2.Calls() {
-		t.Fatalf("warm session: hits %d misses %d calls %d, want all hits", s2.Hits(), s2.Misses(), s2.Calls())
+
+	// Second job over the same evaluator: identical values, but every cell
+	// is a hit and the shared evaluator pays for nothing new.
+	before, hitsBefore := shared.Calls(), shared.Hits()
+	got, misses2, err := shared.UtilityBatchCtx(context.Background(), cells, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("job 2 cell %d: %v, fresh evaluator %v", i, got[i], want[i])
+		}
+	}
+	if misses2 != 0 {
+		t.Fatalf("warm job paid %d cells, want none", misses2)
 	}
 	if shared.Calls() != before {
-		t.Fatalf("warm session grew the shared evaluation count %d -> %d", before, shared.Calls())
+		t.Fatalf("warm job grew the shared evaluation count %d -> %d", before, shared.Calls())
 	}
-	if shared.Hits() == 0 {
-		t.Fatal("shared evaluator recorded no hits after a warm session")
+	if hits := shared.Hits() - hitsBefore; hits < distinctCells(cells) {
+		t.Fatalf("warm job recorded %d hits, want at least its %d distinct cells", hits, distinctCells(cells))
 	}
 }
 
-// TestSessionBatchMatchesSerial checks Session.UtilityBatchCtx against
-// one-by-one evaluation for several worker counts.
+// TestSessionBatchMatchesSerial checks UtilityBatchCtx over one shared
+// evaluator against one-by-one evaluation for several worker counts: the
+// first batch pays what serial evaluation pays, every later batch at
+// another worker count pays nothing, and all return the serial values.
 func TestSessionBatchMatchesSerial(t *testing.T) {
 	run := tinyRun(t, 5, 3, 2)
 	fresh := NewEvaluator(run)
@@ -87,9 +109,9 @@ func TestSessionBatchMatchesSerial(t *testing.T) {
 	}
 
 	shared := NewEvaluator(run)
+	paid := 0
 	for _, workers := range []int{0, 1, 4, 64} {
-		s := shared.NewSession()
-		got, err := s.UtilityBatchCtx(context.Background(), cells, workers)
+		got, misses, err := shared.UtilityBatchCtx(context.Background(), cells, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -98,17 +120,24 @@ func TestSessionBatchMatchesSerial(t *testing.T) {
 				t.Fatalf("workers=%d cell %d: batch %v, serial %v", workers, i, got[i], want[i])
 			}
 		}
-		if s.Calls() != fresh.Calls() {
-			t.Fatalf("workers=%d: session Calls = %d, fresh evaluator made %d", workers, s.Calls(), fresh.Calls())
+		if paid == 0 && misses != fresh.Calls() {
+			t.Fatalf("workers=%d: cold batch paid %d cells, fresh evaluator made %d calls", workers, misses, fresh.Calls())
+		}
+		if paid != 0 && misses != 0 {
+			t.Fatalf("workers=%d: warm batch paid %d cells, want none", workers, misses)
+		}
+		paid += misses
+		if shared.Calls() != fresh.Calls() {
+			t.Fatalf("workers=%d: shared Calls = %d, fresh evaluator made %d", workers, shared.Calls(), fresh.Calls())
 		}
 	}
 }
 
 // TestSessionsConcurrent hammers one shared evaluator from many concurrent
-// sessions (run with -race): the model for N valuation jobs sharing one
-// run. Every session must see serial-identical values and report the exact
-// per-session distinct-cell count, and the shared evaluator must evaluate
-// each cell at most once.
+// jobs (run with -race): the model for N valuation jobs sharing one run.
+// Every job must see serial-identical values, the shared evaluator must
+// evaluate each cell exactly once, and the jobs' paid cells must add up to
+// that count — each cell is paid by exactly one job.
 func TestSessionsConcurrent(t *testing.T) {
 	run := tinyRun(t, 6, 3, 2)
 	shared := NewEvaluator(run)
@@ -125,37 +154,42 @@ func TestSessionsConcurrent(t *testing.T) {
 		want[i] = serial.Utility(c.Round, c.Subset)
 	}
 
-	const sessions = 8
+	const jobs = 8
 	var wg sync.WaitGroup
-	for g := 0; g < sessions; g++ {
+	paid := make([]int, jobs)
+	for g := 0; g < jobs; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			s := shared.NewSession()
-			// Each session additionally fans out internally, like the
+			// Each job additionally fans out internally, like the
 			// Monte-Carlo observation stage does.
-			got, err := s.UtilityBatchCtx(context.Background(), cells, 4)
+			got, misses, err := shared.UtilityBatchCtx(context.Background(), cells, 4)
 			if err != nil {
-				t.Errorf("session %d: %v", g, err)
+				t.Errorf("job %d: %v", g, err)
 				return
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Errorf("session %d cell %d: %v, want %v", g, i, got[i], want[i])
+					t.Errorf("job %d cell %d: %v, want %v", g, i, got[i], want[i])
 					return
 				}
 			}
-			if s.Calls() != len(cells) {
-				t.Errorf("session %d Calls = %d, want %d", g, s.Calls(), len(cells))
+			if misses < 0 || misses > len(cells) {
+				t.Errorf("job %d paid %d cells, want between 0 and %d", g, misses, len(cells))
 			}
-			if s.Hits()+s.Misses() != s.Calls() {
-				t.Errorf("session %d ledger hits %d + misses %d != calls %d", g, s.Hits(), s.Misses(), s.Calls())
-			}
+			paid[g] = misses
 		}(g)
 	}
 	wg.Wait()
 
 	if shared.Calls() != len(cells) {
 		t.Fatalf("shared evaluator Calls = %d, want exactly %d (each cell evaluated once)", shared.Calls(), len(cells))
+	}
+	total := 0
+	for _, p := range paid {
+		total += p
+	}
+	if total != len(cells) {
+		t.Fatalf("jobs paid %d cells in all (%v), want exactly %d", total, paid, len(cells))
 	}
 }
